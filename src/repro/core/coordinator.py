@@ -252,13 +252,13 @@ class StandbyCoordinator(MatrixCoordinator):
         """Begin watching the primary's sync heartbeats."""
         self._monitor = self.sim.every(check_interval, self._check_primary)
 
-    def dispatch(self, message: Message) -> None:
+    def handle_message(self, message: Message) -> None:
         # Before promotion every MC message except the sync heartbeat
         # belongs to the primary; receiving one here is a misdirected
         # stray — drop it.
         if not self.promoted and message.kind != "mc.sync":
             return
-        super().dispatch(message)
+        super().handle_message(message)
 
     @handles("mc.sync")
     def _on_sync(self, message: Message) -> None:

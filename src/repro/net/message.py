@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 _message_ids = itertools.count(1)
 
 
-@dataclass(slots=True)
 class Message:
     """A network message between two nodes.
 
@@ -17,16 +15,37 @@ class Message:
     ``"matrix.forward"``, ``"mc.overlap_table"``); traffic statistics
     are broken down by it, which is how the coordinator-overhead and
     bandwidth microbenchmarks classify traffic.
+
+    One is built per packet, so construction is a single hand-written
+    frame.  Instances pickle by their slots (the process shard executor
+    ships them over pipes) and compare by identity.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Any
-    size_bytes: int
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    sent_at: float = 0.0
+    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "msg_id", "sent_at")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError(f"negative message size: {self.size_bytes}")
+    def __init__(
+        self,
+        src: str,
+        dst: str,
+        kind: str,
+        payload: Any,
+        size_bytes: int,
+        msg_id: int | None = None,
+        sent_at: float = 0.0,
+    ) -> None:
+        if size_bytes < 0:
+            raise ValueError(f"negative message size: {size_bytes}")
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.msg_id = next(_message_ids) if msg_id is None else msg_id
+        self.sent_at = sent_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"Message(src={self.src!r}, dst={self.dst!r}, kind={self.kind!r}, "
+            f"payload={self.payload!r}, size_bytes={self.size_bytes}, "
+            f"msg_id={self.msg_id}, sent_at={self.sent_at})"
+        )

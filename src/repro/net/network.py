@@ -21,6 +21,7 @@ from repro.net.latency import ConstantLatency, LatencyModel, lan, loopback, wan
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import TrafficStats
+from repro.sim.events import DEFAULT_PRIORITY
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -217,7 +218,8 @@ class Network:
         returned to the pool); the Matrix protocol tolerates the loss
         because the reclaiming parent re-announces the merged range.
         """
-        message.sent_at = self.sim.now
+        sim = self.sim
+        message.sent_at = sim._now
         self.stats.record(message)
         if self._taps:
             for tap in self._taps:
@@ -227,7 +229,9 @@ class Network:
         if message.dst not in self._nodes:
             self.undeliverable_count += 1
             return
-        profile = self.profile_for(message.src, message.dst)
+        profile = self._profile_cache.get((message.src, message.dst))
+        if profile is None:
+            profile = self.profile_for(message.src, message.dst)
         delay = (
             profile.latency.sample(self._rng)
             + message.size_bytes / profile.bandwidth
@@ -235,7 +239,7 @@ class Network:
         # The message rides the event itself (``arg``) instead of a
         # per-packet closure: the delivery drain is one shared bound
         # method, so transmitting allocates no lambda and no cell vars.
-        self.sim.after(delay, self._deliver, arg=message)
+        sim.after(delay, self._deliver, DEFAULT_PRIORITY, "", message)
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)
@@ -245,4 +249,4 @@ class Network:
         self.delivered_count += 1
         if self._perf_delivered is not None:
             self._perf_delivered.add(message.size_bytes)
-        node.inbox.deliver(message)
+        node._inbox.deliver(message)

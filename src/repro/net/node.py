@@ -119,29 +119,33 @@ class Node(ABC):
         buffer it into a batch).  The constructed message is returned
         either way.
         """
-        message = Message(
-            src=self.name,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-        )
+        message = Message(self.name, dst, kind, payload, size_bytes)
+        network = self._network
+        if network is None:
+            network = self.network  # raises: not attached
         if self._mw_stages:
             processed = self.middleware.process_outbound(message)
             if processed is None:
                 return message
-            self.network.transmit(processed)
+            network.transmit(processed)
         else:
-            self.network.transmit(message)
+            network.transmit(message)
         return message
 
     def handle_message(self, message: Message) -> None:
-        """Process one serviced message: inbound middleware, then dispatch."""
+        """Process one serviced message: inbound middleware, then dispatch.
+
+        A kind already resolved is called straight from the handler
+        cache; :meth:`dispatch` is the miss path.  To filter what a node
+        handles, override this method — not :meth:`dispatch`.
+        """
         if self._mw_stages:
-            processed = self.middleware.process_inbound(message)
-            if processed is None:
+            message = self.middleware.process_inbound(message)
+            if message is None:
                 return
-            self.dispatch(processed)
+        handler = self._handler_cache.get(message.kind)
+        if handler is not None:
+            handler(message)
         else:
             self.dispatch(message)
 
@@ -149,9 +153,9 @@ class Node(ABC):
         """Route *message* to the handler registered for its kind.
 
         The bound handler is resolved once per (instance, kind) and
-        cached; afterwards dispatch costs a single dict lookup instead
+        cached; afterwards a message costs a single dict lookup instead
         of a dispatch-table probe plus a ``getattr`` bound-method
-        allocation per message.
+        allocation.
         """
         handler = self._handler_cache.get(message.kind)
         if handler is None:

@@ -9,6 +9,7 @@ and it drains once Matrix sheds load off the node.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, TYPE_CHECKING
 
@@ -57,12 +58,10 @@ class ReceiveQueue:
         capacity: int | None = None,
         priority_predicate: Callable[[Message], bool] | None = None,
     ) -> None:
-        if service_rate <= 0:
-            raise ValueError(f"service rate must be positive: {service_rate}")
         self._sim = sim
         self._handler = handler
-        self._service_rate = service_rate
         self._capacity = capacity
+        self.set_service_rate(service_rate)
         self._priority_predicate = priority_predicate
         self._queue: deque[Message] = deque()
         self._busy = False
@@ -93,10 +92,20 @@ class ReceiveQueue:
         return self._service_rate
 
     def set_service_rate(self, rate: float) -> None:
-        """Change the drain rate (takes effect from the next message)."""
+        """Change the drain rate (takes effect from the next message).
+
+        The per-message path reads what is derived here, never the rate
+        itself: whether service is immediate, the delay per message, and
+        whether an idle queue may service an arrival in place.
+        """
         if rate <= 0:
             raise ValueError(f"service rate must be positive: {rate}")
         self._service_rate = rate
+        self._immediate = rate == math.inf
+        self._service_delay = 1.0 / rate
+        self._in_place = self._immediate and (
+            self._capacity is None or self._capacity > 0
+        )
 
     # ------------------------------------------------------------------
     # Operation
@@ -116,60 +125,63 @@ class ReceiveQueue:
         """A message arrives from the network."""
         if self._halted:
             return
-        if (
-            not self._busy
-            and not self._queue
-            and self._service_rate == float("inf")
-            and (self._capacity is None or self._capacity > 0)
-        ):
+        queue = self._queue
+        if self._in_place and not self._busy and not queue:
             # Fast path: an idle infinite-rate queue services in place —
             # no deque round-trip, no extra call frames.  Counters are
             # updated exactly as the general path would have: the
             # message transiently "occupied" the queue (peak >= 1) and
-            # was serviced immediately.  ``_start_next`` afterwards
-            # drains anything the handler delivered re-entrantly.
+            # was serviced immediately.  Anything the handler delivered
+            # re-entrantly is drained afterwards.
             if self._peak_length == 0:
                 self._peak_length = 1
             self._busy = True
             self.serviced_count += 1
             self._handler(message)
-            self._start_next()
+            if queue:
+                self._start_next()
+            else:
+                self._busy = False
             return
-        priority = (
+        if (
             self._priority_predicate is not None
             and self._priority_predicate(message)
-        )
-        if (
-            not priority
-            and self._capacity is not None
-            and len(self._queue) >= self._capacity
         ):
+            queue.appendleft(message)
+        elif self._capacity is not None and len(queue) >= self._capacity:
             self.dropped_count += 1
             return
-        if priority:
-            self._queue.appendleft(message)
         else:
-            self._queue.append(message)
-        self._peak_length = max(self._peak_length, len(self._queue))
+            queue.append(message)
+        if len(queue) > self._peak_length:
+            self._peak_length = len(queue)
         if not self._busy:
             self._start_next()
 
     def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
+        """Begin servicing the head of a non-empty queue."""
         self._busy = True
-        if self._service_rate == float("inf"):
+        if self._immediate:
             self._finish_one()
         else:
-            delay = 1.0 / self._service_rate
+            delay = self._service_delay
             self.busy_time += delay
             self._sim.after(delay, self._finish_one)
 
     def _finish_one(self) -> None:
-        if self._halted or not self._queue:
-            return
-        message = self._queue.popleft()
-        self.serviced_count += 1
-        self._handler(message)
-        self._start_next()
+        """Service the head of the queue.
+
+        At a finite rate that is one message, then the next service
+        period.  An immediate queue drains its whole backlog here,
+        iteratively — re-entrant deliveries made by a handler, or a
+        queue switched to an infinite rate mid-backlog.
+        """
+        queue = self._queue
+        while queue and not self._halted:
+            message = queue.popleft()
+            self.serviced_count += 1
+            self._handler(message)
+            if queue and not self._immediate:
+                self._start_next()
+                return
+        self._busy = False

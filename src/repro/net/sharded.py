@@ -46,6 +46,7 @@ from repro.net.message import Message
 from repro.net.network import LinkProfile, Network
 from repro.net.node import Node
 from repro.net.stats import TrafficStats
+from repro.sim.events import DEFAULT_PRIORITY
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.sharded import GLOBAL_LANE, LaneSimulator, ShardedSimulator
@@ -240,15 +241,17 @@ class ShardedNetwork(Network):
         if message.dst not in self._nodes:
             self._lane_undeliverable[src_slot] += 1
             return
-        profile = self.profile_for(message.src, message.dst)
-        delay = (
-            profile.latency.sample(self._latency_rng(message.src))
-            + message.size_bytes / profile.bandwidth
-        )
+        profile = self._profile_cache.get((message.src, message.dst))
+        if profile is None:
+            profile = self.profile_for(message.src, message.dst)
+        rng = self._latency_rngs.get(message.src)
+        if rng is None:
+            rng = self._latency_rng(message.src)
+        delay = profile.latency.sample(rng) + message.size_bytes / profile.bandwidth
         arrival = sim._now + delay
         dst_slot = self._node_lane[message.dst]
         if dst_slot == src_slot:
-            sim.at(arrival, self._deliver, arg=message)
+            sim.at(arrival, self._deliver, DEFAULT_PRIORITY, "", message)
         else:
             seq = self._outbox_seq[src_slot]
             self._outbox_seq[src_slot] = seq + 1
@@ -258,10 +261,8 @@ class ShardedNetwork(Network):
             cross[1] += message.size_bytes
 
     def _latency_rng(self, src: str) -> random.Random:
-        rng = self._latency_rngs.get(src)
-        if rng is None:
-            rng = self._rng_registry.stream(f"latency:{src}")
-            self._latency_rngs[src] = rng
+        """First send from *src*: derive and memoize its latency stream."""
+        rng = self._latency_rngs[src] = self._rng_registry.stream(f"latency:{src}")
         return rng
 
     def _deliver(self, message: Message) -> None:
@@ -274,7 +275,7 @@ class ShardedNetwork(Network):
         received = self._lane_received[slot]
         received[0] += 1
         received[1] += message.size_bytes
-        node.inbox.deliver(message)
+        node._inbox.deliver(message)
 
     # ------------------------------------------------------------------
     # Barrier work
@@ -316,7 +317,7 @@ class ShardedNetwork(Network):
                     )
                 sim = self._lane_sim(dst_slot)
                 if self._engine._lane_live(sim):
-                    sim.at(arrival, self._deliver, arg=message)
+                    sim.at(arrival, self._deliver, DEFAULT_PRIORITY, "", message)
         for slot, pending in enumerate(self._pending_removals):
             if pending:
                 self._pending_removals[slot] = []

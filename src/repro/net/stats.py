@@ -25,32 +25,62 @@ class Counter:
         self.messages += 1
         self.bytes += size
 
+    def merge(self, other: "Counter") -> None:
+        self.messages += other.messages
+        self.bytes += other.bytes
+
 
 @dataclass
 class TrafficStats:
-    """Aggregated traffic counters with per-kind and per-pair breakdowns."""
+    """Aggregated traffic counters with per-kind and per-pair breakdowns.
 
-    total: Counter = field(default_factory=Counter)
+    Two tables are stored, the two that carry information: ``by_kind``
+    and ``by_pair``.  ``total``, ``by_node_sent`` and
+    ``by_node_received`` are sums over them, built on read, so the
+    per-message cost is two table updates and a run holds no table it
+    can recompute.
+    """
+
     by_kind: dict[str, Counter] = field(
         default_factory=lambda: defaultdict(Counter)
     )
     by_pair: dict[tuple[str, str], Counter] = field(
         default_factory=lambda: defaultdict(Counter)
     )
-    by_node_sent: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
-    by_node_received: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
 
     def record(self, message: Message) -> None:
         """Account one sent message."""
-        self.total.add(message.size_bytes)
-        self.by_kind[message.kind].add(message.size_bytes)
-        self.by_pair[(message.src, message.dst)].add(message.size_bytes)
-        self.by_node_sent[message.src].add(message.size_bytes)
-        self.by_node_received[message.dst].add(message.size_bytes)
+        size = message.size_bytes
+        entry = self.by_kind[message.kind]
+        entry.messages += 1
+        entry.bytes += size
+        entry = self.by_pair[message.src, message.dst]
+        entry.messages += 1
+        entry.bytes += size
+
+    @property
+    def total(self) -> Counter:
+        """All traffic (the sum over ``by_kind``)."""
+        total = Counter()
+        for counter in self.by_kind.values():
+            total.merge(counter)
+        return total
+
+    @property
+    def by_node_sent(self) -> dict[str, Counter]:
+        """Traffic per sending node (``by_pair`` summed over destinations)."""
+        return self._by_endpoint(0)
+
+    @property
+    def by_node_received(self) -> dict[str, Counter]:
+        """Traffic per addressed node (``by_pair`` summed over sources)."""
+        return self._by_endpoint(1)
+
+    def _by_endpoint(self, end: int) -> dict[str, Counter]:
+        table: dict[str, Counter] = defaultdict(Counter)
+        for pair, counter in self.by_pair.items():
+            table[pair[end]].merge(counter)
+        return table
 
     def merge_from(self, other: "TrafficStats") -> None:
         """Fold *other*'s counters into this one.
@@ -59,14 +89,10 @@ class TrafficStats:
         fixed order reproduces the single-kernel totals exactly — the
         sharded network accounts traffic per lane and merges on read.
         """
-        self.total.messages += other.total.messages
-        self.total.bytes += other.total.bytes
-        for table_name in ("by_kind", "by_pair", "by_node_sent", "by_node_received"):
-            mine = getattr(self, table_name)
-            for key, counter in getattr(other, table_name).items():
-                entry = mine[key]
-                entry.messages += counter.messages
-                entry.bytes += counter.bytes
+        for key, counter in other.by_kind.items():
+            self.by_kind[key].merge(counter)
+        for pair, counter in other.by_pair.items():
+            self.by_pair[pair].merge(counter)
 
     def canonical_digest(self) -> str:
         """A key-order-independent serialisation of every counter.
@@ -77,7 +103,8 @@ class TrafficStats:
         This is the "byte-identical ``TrafficStats``" the shard
         determinism tests and the scaling bench compare.
         """
-        parts = [f"total={self.total.messages}:{self.total.bytes}"]
+        total = self.total
+        parts = [f"total={total.messages}:{total.bytes}"]
         for table_name in ("by_kind", "by_pair", "by_node_sent", "by_node_received"):
             table = getattr(self, table_name)
             for key in sorted(table, key=repr):
@@ -93,14 +120,10 @@ class TrafficStats:
     # ------------------------------------------------------------------
     def kind_fraction(self, prefix: str) -> float:
         """Fraction of all messages whose kind starts with *prefix*."""
-        if self.total.messages == 0:
+        total = self.total.messages
+        if total == 0:
             return 0.0
-        matching = sum(
-            counter.messages
-            for kind, counter in self.by_kind.items()
-            if kind.startswith(prefix)
-        )
-        return matching / self.total.messages
+        return self.kind_messages(prefix) / total
 
     def kind_bytes(self, prefix: str) -> int:
         """Total bytes of messages whose kind starts with *prefix*."""

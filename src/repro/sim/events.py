@@ -40,6 +40,8 @@ class Event:
     The kernel invokes ``callback()`` — or ``callback(arg)`` when an
     argument was attached at scheduling time.  Cancellation is lazy:
     :meth:`cancel` marks the record and the queue discards it on pop.
+    ``cancelled`` reads "will not fire (again)": the pop that fires an
+    event sets it too.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "arg", "cancelled", "label")
@@ -62,7 +64,7 @@ class Event:
         self.label = label
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = " cancelled" if self.cancelled else ""
+        state = " cancelled/fired" if self.cancelled else ""
         return (
             f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
             f"label={self.label!r}{state})"
@@ -74,18 +76,31 @@ class Event:
 
 
 class EventQueue:
-    """A deterministic priority queue of :class:`Event` objects."""
+    """A deterministic priority queue of :class:`Event` objects.
+
+    The live count is derived: heap entries minus the cancelled ones
+    still waiting to be discarded.  Pushing and popping a live event
+    therefore touch no counter, which is what lets the kernel schedule
+    onto ``_heap`` and drain it in its own frames (see
+    :class:`~repro.sim.kernel.Simulator`).
+
+    Popping marks the event ``cancelled``: a fired event can no longer
+    be cancelled, so a late :meth:`Simulator.cancel` — a periodic task
+    stopping itself from inside its own callback — is a no-op instead
+    of a second decrement.
+    """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
-        self._live = 0
+        #: Cancelled events still in the heap (deletion is lazy).
+        self._cancelled = 0
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._heap) - self._cancelled
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return len(self._heap) > self._cancelled
 
     def push(
         self,
@@ -103,7 +118,6 @@ class EventQueue:
         seq = next(self._counter)
         event = Event(time, priority, seq, callback, arg, label)
         heapq.heappush(self._heap, (time, priority, seq, event))
-        self._live += 1
         return event
 
     def pop(self) -> Event:
@@ -115,8 +129,9 @@ class EventQueue:
         while heap:
             event = heapq.heappop(heap)[3]
             if event.cancelled:
+                self._cancelled -= 1
                 continue
-            self._live -= 1
+            event.cancelled = True
             return event
         raise IndexError("pop from empty EventQueue")
 
@@ -124,47 +139,26 @@ class EventQueue:
         """Pop the earliest live event at time <= *limit* (None = any).
 
         Returns ``None`` — leaving the queue untouched — when the queue
-        is empty or the earliest live event lies beyond *limit*.  This
-        is the kernel run loop's single-heap-inspection fast path
-        (peek + pop fused).
+        is empty or the earliest live event lies beyond *limit*.
         """
         heap = self._heap
         while heap:
             entry = heap[0]
             event = entry[3]
             if event.cancelled:
-                heapq.heappop(heap)
+                self.discard_head()
                 continue
             if limit is not None and entry[0] > limit:
                 return None
             heapq.heappop(heap)
-            self._live -= 1
+            event.cancelled = True
             return event
         return None
 
-    def pop_strictly_before(self, limit: float) -> Event | None:
-        """Pop the earliest live event at time < *limit* (strict).
-
-        The sharded kernel's window drain: events scheduled exactly at
-        a window barrier belong to the *next* window (the barrier runs
-        global-lane work first), so the per-window loop must exclude
-        the limit where :meth:`pop_before` includes it.  Kept as a
-        separate method so the single-heap kernel's hot path keeps its
-        argument-free comparison.
-        """
-        heap = self._heap
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heapq.heappop(heap)
-                continue
-            if entry[0] >= limit:
-                return None
-            heapq.heappop(heap)
-            self._live -= 1
-            return event
-        return None
+    def discard_head(self) -> None:
+        """Drop the heap's first entry, which the caller saw cancelled."""
+        heapq.heappop(self._heap)
+        self._cancelled -= 1
 
     def push_existing(self, event: Event) -> Event:
         """Insert an :class:`Event` created elsewhere, assigning a
@@ -180,24 +174,23 @@ class EventQueue:
         heapq.heappush(
             self._heap, (event.time, event.priority, event.seq, event)
         )
-        self._live += 1
         return event
 
     def peek_time(self) -> float | None:
         """Return the time of the earliest live event, or ``None`` if empty."""
         heap = self._heap
         while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
+            self.discard_head()
         if not heap:
             return None
         return heap[0][0]
 
     def note_cancel(self) -> None:
         """Account for an externally cancelled event (keeps ``len`` honest)."""
-        if self._live > 0:
-            self._live -= 1
+        if self._cancelled < len(self._heap):
+            self._cancelled += 1
 
     def clear(self) -> None:
         """Drop every pending event."""
         self._heap.clear()
-        self._live = 0
+        self._cancelled = 0

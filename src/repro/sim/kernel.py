@@ -22,7 +22,9 @@ so an instrumented run is event-for-event identical to a plain one.
 
 from __future__ import annotations
 
+import math
 import time as _time
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.events import DEFAULT_PRIORITY, NO_ARG, Event, EventQueue
@@ -56,6 +58,12 @@ class Simulator:
     ) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
+        # Scheduling and the run loop work on the queue's heap and
+        # sequence counter directly: one frame per schedule, none per
+        # pop.  The queue derives its live count, so neither owes it a
+        # counter update.
+        self._heap = self._queue._heap
+        self._counter = self._queue._counter
         self._running = False
         self._stopped = False
         self._event_count = 0
@@ -104,7 +112,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self._now}"
             )
-        return self._queue.push(time, callback, priority=priority, label=label, arg=arg)
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, arg, label)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
 
     def after(
         self,
@@ -117,9 +128,11 @@ class Simulator:
         """Schedule *callback* after a relative *delay* (seconds)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(
-            self._now + delay, callback, priority=priority, label=label, arg=arg
-        )
+        time = self._now + delay
+        seq = next(self._counter)
+        event = Event(time, priority, seq, callback, arg, label)
+        heappush(self._heap, (time, priority, seq, event))
+        return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
@@ -175,30 +188,41 @@ class Simulator:
             if self._perf is not None:
                 self._run_instrumented(until, max_events)
             else:
-                self._run_plain(until, max_events)
+                self._run_plain(math.inf if until is None else until, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
             self._now = until
 
-    def _run_plain(self, until: float | None, max_events: int | None) -> None:
-        """The uninstrumented event loop (the default)."""
-        pop_before = self._queue.pop_before
+    def _run_plain(self, limit: float, max_events: int | None = None) -> int:
+        """The uninstrumented event loop (the default).
+
+        Executes live events at time <= *limit* and returns how many.
+        The heap is inspected here, not through a queue method, so an
+        event costs its callback's frames and no others.
+        """
+        heap = self._heap
         no_arg = NO_ARG
         executed = 0
-        while not self._stopped:
-            if max_events is not None and executed >= max_events:
+        while heap and not self._stopped and executed != max_events:
+            entry = heap[0]
+            event = entry[3]
+            if event.cancelled:
+                self._queue.discard_head()
+                continue
+            time = entry[0]
+            if time > limit:
                 break
-            event = pop_before(until)
-            if event is None:
-                break
-            self._now = event.time
+            heappop(heap)
+            event.cancelled = True  # fired; see EventQueue
+            self._now = time
             self._event_count += 1
             if event.arg is no_arg:
                 event.callback()
             else:
                 event.callback(event.arg)
             executed += 1
+        return executed
 
     def _run_instrumented(
         self, until: float | None, max_events: int | None
@@ -258,25 +282,11 @@ class Simulator:
             raise SimulationError("run_window() called re-entrantly")
         self._running = True
         self._stopped = False
-        pop = (
-            self._queue.pop_before
-            if inclusive
-            else self._queue.pop_strictly_before
-        )
-        no_arg = NO_ARG
-        executed = 0
         try:
-            while not self._stopped:
-                event = pop(end)
-                if event is None:
-                    break
-                self._now = event.time
-                self._event_count += 1
-                if event.arg is no_arg:
-                    event.callback()
-                else:
-                    event.callback(event.arg)
-                executed += 1
+            # "time < end" is "time <= the float just below end".
+            executed = self._run_plain(
+                end if inclusive else math.nextafter(end, -math.inf)
+            )
         finally:
             self._running = False
         if self._now < end and not self._stopped:

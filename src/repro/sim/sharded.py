@@ -138,9 +138,7 @@ class LaneSimulator(Simulator):
     ) -> Event:
         active = self._engine._active()
         if active is None or active is self:
-            return super().at(
-                time, callback, priority=priority, label=label, arg=arg
-            )
+            return Simulator.at(self, time, callback, priority, label, arg)
         if time < active._now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={active._now}"
@@ -157,15 +155,12 @@ class LaneSimulator(Simulator):
         label: str = "",
         arg: Any = NO_ARG,
     ) -> Event:
+        active = self._engine._active()
+        if active is None or active is self:
+            return Simulator.after(self, delay, callback, priority, label, arg)
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(
-            self._context_now() + delay,
-            callback,
-            priority=priority,
-            label=label,
-            arg=arg,
-        )
+        return self.at(active._now + delay, callback, priority, label, arg)
 
     def every(
         self,
@@ -330,14 +325,10 @@ class ShardedSimulator:
         return live is None or lane is self._global or lane.index in live
 
     def at(self, time, callback, priority=DEFAULT_PRIORITY, label="", arg=NO_ARG):
-        return self._context_sim().at(
-            time, callback, priority=priority, label=label, arg=arg
-        )
+        return self._context_sim().at(time, callback, priority, label, arg)
 
     def after(self, delay, callback, priority=DEFAULT_PRIORITY, label="", arg=NO_ARG):
-        return self._context_sim().after(
-            delay, callback, priority=priority, label=label, arg=arg
-        )
+        return self._context_sim().after(delay, callback, priority, label, arg)
 
     def every(self, interval, callback, start=None, label=""):
         return self._context_sim().every(

@@ -143,3 +143,59 @@ def test_zero_capacity_queue_still_drops():
     queue.deliver(make_message(0))
     assert handled == []
     assert queue.dropped_count == 1
+
+
+def test_switch_to_infinite_rate_mid_backlog_drains_in_place():
+    """finite -> inf: the service period in flight completes at the old
+    rate, then the whole backlog is serviced at that instant — once
+    each, in order, iteratively (a 5 000-deep backlog must not recurse)."""
+    sim = Simulator()
+    handled = []
+    queue = ReceiveQueue(
+        sim, lambda m: handled.append((m.payload, sim.now)), service_rate=10.0
+    )
+    for i in range(5000):
+        queue.deliver(make_message(i))
+    sim.after(0.25, lambda: queue.set_service_rate(float("inf")))
+    sim.run()
+    assert [payload for payload, _ in handled] == list(range(5000))
+    assert [t for _, t in handled[:3]] == [
+        pytest.approx(0.1), pytest.approx(0.2), pytest.approx(0.3)
+    ]
+    assert {t for _, t in handled[3:]} == {handled[2][1]}
+    assert queue.serviced_count == 5000
+    assert queue.length == 0
+    assert queue.busy_time == pytest.approx(0.3)
+    # Idle again, and now immediate: the next arrival is serviced in place.
+    queue.deliver(make_message(-1))
+    assert handled[-1] == (-1, sim.now)
+    assert sim.pending_events == 0
+
+
+def test_switch_to_finite_rate_mid_backlog_starts_scheduling():
+    """inf -> finite: a backlog only exists on an immediate queue while
+    its handler runs, so the switch happens there; what the handler
+    queued re-entrantly is then serviced one per period."""
+    sim = Simulator()
+    handled = []
+
+    def handler(message):
+        handled.append((message.payload, sim.now))
+        if message.payload == 0:
+            for i in (1, 2, 3):
+                queue.deliver(make_message(i))
+            queue.set_service_rate(4.0)
+
+    queue = ReceiveQueue(sim, handler)
+    queue.deliver(make_message(0))
+    assert handled == [(0, 0.0)]
+    assert queue.length == 3
+    sim.run()
+    assert handled == [(0, 0.0), (1, 0.25), (2, 0.5), (3, 0.75)]
+    assert queue.serviced_count == 4
+    assert queue.busy_time == pytest.approx(0.75)
+    # Back to immediate while idle: in place again.
+    queue.set_service_rate(float("inf"))
+    queue.deliver(make_message(4))
+    assert handled[-1] == (4, 0.75)
+    assert queue.length == 0

@@ -113,6 +113,45 @@ def test_cancel_is_idempotent():
     assert sim.pending_events == 0
 
 
+def live_heap_entries(sim):
+    return sum(1 for entry in sim._queue._heap if not entry[3].cancelled)
+
+
+def test_self_stopping_periodic_task_keeps_pending_count_exact():
+    """``stop()`` from inside the task's own callback cancels an event
+    that already fired; that must not be counted as a pending one."""
+    sim = Simulator()
+    task = sim.every(1.0, lambda: task.stop())
+    sim.after(5.0, lambda: None)
+    sim.after(6.0, lambda: None)
+    sim.run(until=2.0)
+    assert task.fire_count == 1
+    assert sim.pending_events == live_heap_entries(sim) == 2
+    sim.run()
+    assert sim.pending_events == live_heap_entries(sim) == 0
+
+
+@pytest.mark.parametrize("drive", ["run", "step", "instrumented"])
+def test_late_cancel_of_a_fired_event_is_a_no_op(drive):
+    from repro.perf import PerfRegistry
+
+    sim = Simulator(perf=PerfRegistry() if drive == "instrumented" else None)
+    fired = sim.after(1.0, lambda: None)
+    sim.after(2.0, lambda: None)
+    doomed = sim.after(3.0, lambda: None)
+    if drive == "step":
+        assert sim.step()
+    else:
+        sim.run(until=1.5)
+    sim.cancel(fired)
+    assert sim.pending_events == live_heap_entries(sim) == 2
+    sim.cancel(doomed)
+    sim.cancel(doomed)
+    assert sim.pending_events == live_heap_entries(sim) == 1
+    sim.run()
+    assert sim.pending_events == live_heap_entries(sim) == 0
+
+
 def test_stop_halts_run():
     sim = Simulator()
     fired = []
