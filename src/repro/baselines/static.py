@@ -64,8 +64,9 @@ class StaticZoneRouter(Node):
         self._table = table
         self._router_of = router_of  # zone owner id -> router node name
         self._directory = directory
-        self._metric = metric
-        self._radius = radius
+        #: Where a forward must originate to matter here.  The tile
+        #: never changes, so neither does this.
+        self._reach = metric.expand_rect(partition, radius)
         self.forwarded_packets = 0
         self.delivered_packets = 0
 
@@ -106,8 +107,7 @@ class StaticZoneRouter(Node):
     @handles("matrix.forward")
     def _on_forward(self, message: Message) -> None:
         packet: SpatialPacket = message.payload
-        reach = self._metric.expand_rect(self._partition, self._radius)
-        if not reach.contains_closed(packet.route_point()):
+        if not self._reach.contains_closed(packet.route_point()):
             return
         self.delivered_packets += 1
         self.send(

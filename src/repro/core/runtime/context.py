@@ -93,6 +93,22 @@ class ServerContext:
 
         self.stats = ServerStats()
 
+    @property
+    def partition(self) -> Rect:
+        """The map partition this server owns."""
+        return self._partition
+
+    @partition.setter
+    def partition(self, partition: Rect) -> None:
+        # Every writer (table installs, splits, reclaims, the lane-state
+        # hook) comes through here, so ``reach`` — what ``on_forward``
+        # tests each packet against — is derived per change, not per
+        # packet, and cannot go stale.
+        self._partition = partition
+        self.reach = self.metric.expand_rect(
+            partition, self.config.visibility_radius
+        )
+
     # ------------------------------------------------------------------
     # Conveniences shared by every component
     # ------------------------------------------------------------------

@@ -64,12 +64,10 @@ class SpatialRouter:
         server (§3.2.3: 'after verifying the packet's range')."""
         ctx = self._ctx
         packet: SpatialPacket = message.payload
-        radius = (
-            packet.radius
-            if packet.radius is not None
-            else ctx.config.visibility_radius
-        )
-        reach = ctx.metric.expand_rect(ctx.partition, radius)
+        if packet.radius is None:
+            reach = ctx.reach
+        else:  # a §3.1 exception radius: rare, derived on the spot
+            reach = ctx.metric.expand_rect(ctx.partition, packet.radius)
         relevant = reach.contains_closed(packet.route_point()) or (
             packet.dest is not None and ctx.partition.contains(packet.dest)
         )

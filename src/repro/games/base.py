@@ -81,7 +81,6 @@ class GameServer(Node):
             queue_capacity=queue_capacity,
         )
         self._profile = profile
-        self._range = partition
         #: Where the sharded network homes this node: the partition's
         #: centre *at spawn time*.  Splits shrink ``_range`` later, but
         #: lane placement is static, so the anchor must not move — and
@@ -94,6 +93,7 @@ class GameServer(Node):
         # well inside the visibility radius, so overlap-region routing
         # still reaches every server that must stay consistent.
         self._handoff_margin = handoff_margin_fraction * profile.visibility_radius
+        self._set_range(partition)
         self._clients: dict[str, ClientRecord] = {}
         #: Recently departed clients -> the game server they moved to.
         self._tombstones: dict[str, str] = {}
@@ -138,8 +138,14 @@ class GameServer(Node):
     def bind_matrix(self, matrix_name: str, partition: Rect) -> None:
         """Attach to Matrix and start periodic duties."""
         self.port.bind(matrix_name)
-        self._range = partition
+        self._set_range(partition)
         self._start_duties()
+
+    def _set_range(self, partition: Rect) -> None:
+        """The one writer of ``_range``: the handoff rectangle every
+        update is tested against is derived here, per change."""
+        self._range = partition
+        self._handoff_range = partition.expanded(self._handoff_margin)
 
     def _start_duties(self) -> None:
         self._tasks.append(
@@ -232,9 +238,7 @@ class GameServer(Node):
             payload_bytes=self._profile.update_bytes,
             client_id=update.client_id,
         )
-        if not self._range.expanded(self._handoff_margin).contains(
-            update.position
-        ):
+        if not self._handoff_range.contains(update.position):
             self._redirect(update.client_id)
 
     @handles("client.action")
@@ -264,7 +268,7 @@ class GameServer(Node):
     # Matrix directives
     # ------------------------------------------------------------------
     def _on_set_range(self, directive) -> None:
-        self._range = directive.partition
+        self._set_range(directive.partition)
         self._directory = directive.directory
         for client_id in [
             cid
@@ -343,30 +347,39 @@ class GameServer(Node):
     def _snapshot_tick(self) -> None:
         """Send one personalised snapshot to every client."""
         profile = self._profile
+        radius = profile.visibility_radius
+        cap = profile.max_visible_entities
         now = self.sim.now
         self._snapshot_seq += 1
+        clients = self._clients
+        ghosts = self._ghosts
         grid = self._grid
         grid.clear()
-        for record in self._clients.values():
+        for record in clients.values():
             grid.insert(record.client_id, record.position)
-        expired = [
-            ghost_id
-            for ghost_id, (_, expiry) in self._ghosts.items()
-            if expiry <= now
-        ]
-        for ghost_id in expired:
-            del self._ghosts[ghost_id]
-        for ghost_id, (position, _) in self._ghosts.items():
-            grid.insert(ghost_id, position)
-        for record in self._clients.values():
-            visible = grid.count_within(
-                record.position,
-                profile.visibility_radius,
-                cap=profile.max_visible_entities,
-                exclude_id=record.client_id,
-            )
+        for ghost_id, (position, expiry) in list(ghosts.items()):
+            if expiry <= now:
+                del ghosts[ghost_id]
+            else:
+                grid.insert(ghost_id, position)
+        # The batch counts the client itself, hence ``cap + 1`` and
+        # ``- 1``: min(n, cap + 1) - 1 == min(n - 1, cap).
+        counts = grid.count_within_each(
+            [record.position for record in clients.values()], radius, cap + 1
+        )
+        for record, seen in zip(clients.values(), counts):
+            client_id = record.client_id
+            if client_id in ghosts:
+                # Handed back within ``ghost_lifetime``: its own stale
+                # ghost is in the grid too, and only excluding by id
+                # drops both.
+                visible = grid.count_within(
+                    record.position, radius, cap, exclude_id=client_id
+                )
+            else:
+                visible = seen - 1
             snapshot = Snapshot(
-                client_id=record.client_id,
+                client_id=client_id,
                 seq=self._snapshot_seq,
                 visible_entities=visible,
                 processed_seq=record.processed_seq,
@@ -375,7 +388,7 @@ class GameServer(Node):
                 profile.snapshot_base_bytes
                 + profile.snapshot_per_entity_bytes * visible
             )
-            self.send(record.client_id, "gs.snapshot", snapshot, size_bytes=size)
+            self.send(client_id, "gs.snapshot", snapshot, size_bytes=size)
             self.snapshots_sent += 1
 
 
@@ -486,11 +499,14 @@ class GameClient(Node):
 
     def leave(self) -> None:
         """Leave the game."""
-        for server in {self._server, self._pending} - {None}:
-            self.send(
-                server, "client.bye", Goodbye(client_id=self.name),
-                size_bytes=32,
-            )
+        # A fixed order — server, then pending — because send order
+        # decides which goodbye takes which latency draw.
+        for server in dict.fromkeys((self._server, self._pending)):
+            if server is not None:
+                self.send(
+                    server, "client.bye", Goodbye(client_id=self.name),
+                    size_bytes=32,
+                )
         if self._update_task is not None:
             self._update_task.stop()
             self._update_task = None

@@ -4,13 +4,29 @@ Game servers need "how many entities are within R of this client" for
 every snapshot.  A naive scan is O(n²) per tick and melts under the
 600-client hotspot, so entities are bucketed into R-sized cells and
 queries stop early at the snapshot's entity cap.
+
+A query scans the cells its bounding square touches (3×3 when the
+radius equals the cell size), nearest first.  The answer is ``min(in
+range, cap)`` whatever the scan order; the order only decides how early
+a capped query stops.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from functools import lru_cache
+from typing import Sequence
 
 from repro.geometry import Vec2
+
+
+@lru_cache(maxsize=16)
+def _nearest_first(columns: int, rows: int) -> tuple[tuple[int, int], ...]:
+    """Offsets of a ``columns x rows`` block of cells, centre outward."""
+    cells = [(ox, oy) for ox in range(columns) for oy in range(rows)]
+    cells.sort(
+        key=lambda o: (2 * o[0] - columns + 1) ** 2 + (2 * o[1] - rows + 1) ** 2
+    )
+    return tuple(cells)
 
 
 class SpatialGrid:
@@ -20,26 +36,30 @@ class SpatialGrid:
         if cell_size <= 0:
             raise ValueError(f"cell size must be positive: {cell_size}")
         self._cell = cell_size
-        self._buckets: dict[tuple[int, int], list[tuple[str, Vec2]]] = (
-            defaultdict(list)
-        )
-        self._count = 0
+        #: cell -> (xs, ys, ids): parallel flat lists, so the distance
+        #: loops touch floats only.
+        self._buckets: dict[tuple[int, int], tuple[list, list, list]] = {}
 
     def __len__(self) -> int:
-        return self._count
+        return sum(len(ids) for _, _, ids in self._buckets.values())
 
     def clear(self) -> None:
         """Drop all entities (start of a new tick)."""
         self._buckets.clear()
-        self._count = 0
-
-    def _key(self, position: Vec2) -> tuple[int, int]:
-        return (int(position.x // self._cell), int(position.y // self._cell))
 
     def insert(self, entity_id: str, position: Vec2) -> None:
         """Add an entity at *position*."""
-        self._buckets[self._key(position)].append((entity_id, position))
-        self._count += 1
+        x = position.x
+        y = position.y
+        cell = self._cell
+        key = (int(x // cell), int(y // cell))
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            self._buckets[key] = ([x], [y], [entity_id])
+        else:
+            bucket[0].append(x)
+            bucket[1].append(y)
+            bucket[2].append(entity_id)
 
     def count_within(
         self,
@@ -48,25 +68,85 @@ class SpatialGrid:
         cap: int,
         exclude_id: str | None = None,
     ) -> int:
-        """Entities within *radius* of *position*, early-exiting at *cap*."""
+        """Entities within *radius* of *position*, early-exiting at *cap*;
+        every entity whose id is *exclude_id* is left out."""
         if radius <= 0 or cap <= 0:
             return 0
+        px = position.x
+        py = position.y
         r_sq = radius * radius
-        cells = int(radius // self._cell) + 1
-        cx, cy = self._key(position)
+        cell = self._cell
+        ix0 = int((px - radius) // cell)
+        iy0 = int((py - radius) // cell)
+        columns = int((px + radius) // cell) - ix0 + 1
+        rows = int((py + radius) // cell) - iy0 + 1
+        buckets = self._buckets
         found = 0
-        for ix in range(cx - cells, cx + cells + 1):
-            for iy in range(cy - cells, cy + cells + 1):
-                bucket = self._buckets.get((ix, iy))
-                if not bucket:
-                    continue
-                for entity_id, entity_pos in bucket:
-                    if entity_id == exclude_id:
-                        continue
-                    dx = entity_pos.x - position.x
-                    dy = entity_pos.y - position.y
+        for ox, oy in _nearest_first(columns, rows):
+            bucket = buckets.get((ix0 + ox, iy0 + oy))
+            if bucket is None:
+                continue
+            for x, y, entity_id in zip(*bucket):
+                dx = x - px
+                dy = y - py
+                if dx * dx + dy * dy <= r_sq and entity_id != exclude_id:
+                    found += 1
+                    if found >= cap:
+                        return found
+        return found
+
+    def count_within_each(
+        self, positions: Sequence[Vec2], radius: float, cap: int
+    ) -> list[int]:
+        """``count_within(position, radius, cap)`` for every position.
+
+        Queries whose squares touch the same cells share one gathered
+        neighbourhood.  Nothing is excluded: to count the neighbours of
+        entities that are in the grid themselves, ask for ``cap + 1``
+        and subtract one (``GameServer._snapshot_tick``).
+        """
+        counts = [0] * len(positions)
+        if radius <= 0 or cap <= 0:
+            return counts
+        r_sq = radius * radius
+        cell = self._cell
+        groups: dict[tuple[int, int, int, int], list[int]] = {}
+        for index, position in enumerate(positions):
+            x = position.x
+            y = position.y
+            ix0 = int((x - radius) // cell)
+            iy0 = int((y - radius) // cell)
+            key = (
+                ix0,
+                iy0,
+                int((x + radius) // cell) - ix0 + 1,
+                int((y + radius) // cell) - iy0 + 1,
+            )
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [index]
+            else:
+                group.append(index)
+        buckets = self._buckets
+        for (ix0, iy0, columns, rows), group in groups.items():
+            xs: list[float] = []
+            ys: list[float] = []
+            for ox, oy in _nearest_first(columns, rows):
+                bucket = buckets.get((ix0 + ox, iy0 + oy))
+                if bucket is not None:
+                    xs += bucket[0]
+                    ys += bucket[1]
+            for index in group:
+                position = positions[index]
+                px = position.x
+                py = position.y
+                found = 0
+                for x, y in zip(xs, ys):
+                    dx = x - px
+                    dy = y - py
                     if dx * dx + dy * dy <= r_sq:
                         found += 1
                         if found >= cap:
-                            return found
-        return found
+                            break
+                counts[index] = found
+        return counts

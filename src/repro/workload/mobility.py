@@ -27,16 +27,41 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import hypot
 from typing import Callable, Mapping, Protocol
 
 from repro.geometry import Rect, Vec2
 
+_EPS = 1e-6  # positions stay this far inside the world's max edges
+
 
 def _clamp_into(world: Rect, p: Vec2) -> Vec2:
     """Keep positions strictly inside the half-open world bounds."""
-    eps = 1e-6
     return p.clamped(
-        world.xmin, world.ymin, world.xmax - eps, world.ymax - eps
+        world.xmin, world.ymin, world.xmax - _EPS, world.ymax - _EPS
+    )
+
+
+def _walk_toward(
+    world: Rect, position: Vec2, goal: Vec2, travel: float
+) -> Vec2 | None:
+    """One constant-speed step toward *goal*, clamped into *world*;
+    ``None`` once *travel* reaches the goal (arriving is the caller's
+    business).  Every model steps through here once per update: scalar
+    arithmetic in the order ``_clamp_into(world, position + (goal -
+    position).normalized() * travel)`` performs it, one allocation."""
+    x = position.x
+    y = position.y
+    dx = goal.x - x
+    dy = goal.y - y
+    distance = hypot(dx, dy)
+    if travel >= distance:
+        return None
+    x += dx / distance * travel
+    y += dy / distance * travel
+    return Vec2(
+        min(max(x, world.xmin), world.xmax - _EPS),
+        min(max(y, world.ymin), world.ymax - _EPS),
     )
 
 
@@ -87,17 +112,14 @@ class RandomWaypoint:
             return position
         if self._target is None:
             self._target = self._pick_target()
-        to_target = self._target - position
-        distance = to_target.length()
-        travel = self._speed * dt
-        if travel >= distance:
-            arrived = self._target
+        moved = _walk_toward(
+            self._world, position, self._target, self._speed * dt
+        )
+        if moved is None:
+            moved = _clamp_into(self._world, self._target)
             self._target = None
             self._pause_left = self._pause
-            return _clamp_into(self._world, arrived)
-        return _clamp_into(
-            self._world, position + to_target.normalized() * travel
-        )
+        return moved
 
 
 class HotspotMobility:
@@ -149,27 +171,14 @@ class HotspotMobility:
     def step(self, position: Vec2, dt: float) -> Vec2:
         if self._target is None:
             self._target = self._pick_loiter_point()
-        to_target = self._target - position
-        distance = to_target.length()
-        travel = self._speed * dt
-        if travel >= distance:
-            arrived = self._target
-            self._target = None
-            return arrived
-        return _clamp_into(
-            self._world, position + to_target.normalized() * travel
+        moved = _walk_toward(
+            self._world, position, self._target, self._speed * dt
         )
-
-
-def _walk_toward(
-    world: Rect, position: Vec2, goal: Vec2, travel: float
-) -> Vec2:
-    """One constant-speed integration step toward *goal*."""
-    to_goal = goal - position
-    distance = to_goal.length()
-    if travel >= distance:
-        return _clamp_into(world, goal)
-    return _clamp_into(world, position + to_goal.normalized() * travel)
+        if moved is None:
+            # Loiter points are clamped when picked.
+            moved = self._target
+            self._target = None
+        return moved
 
 
 class Flock:
@@ -251,7 +260,9 @@ class FlockMobility:
         goal = _clamp_into(
             self._world, self._flock.anchor_at(self._time) + self._offset
         )
-        return _walk_toward(self._world, position, goal, self._speed * dt)
+        return (
+            _walk_toward(self._world, position, goal, self._speed * dt) or goal
+        )
 
     def retarget(self, target: Vec2) -> None:
         """Retarget the shared flock (affects every member)."""
@@ -302,8 +313,11 @@ class CommuterMobility:
             self._pause_left = max(0.0, self._pause_left - dt)
             return position
         goal = self._stops[self._leg]
-        arrived = _walk_toward(self._world, position, goal, self._speed * dt)
-        if arrived == _clamp_into(self._world, goal):
+        stop = _clamp_into(self._world, goal)
+        arrived = (
+            _walk_toward(self._world, position, goal, self._speed * dt) or stop
+        )
+        if arrived == stop:
             self._leg = (self._leg + 1) % len(self._stops)
             self._pause_left = self._pause
         return arrived
@@ -355,8 +369,9 @@ class TeleportMobility:
     def step(self, position: Vec2, dt: float) -> Vec2:
         if self._target is None:
             self._target = _clamp_into(self._world, self._random_point())
-        arrived = _walk_toward(
-            self._world, position, self._target, self._speed * dt
+        arrived = (
+            _walk_toward(self._world, position, self._target, self._speed * dt)
+            or self._target
         )
         if arrived == self._target:
             self._target = None
@@ -405,7 +420,7 @@ class PursuitMobility:
         self._quarry = self._quarry_walk.step(self._quarry, dt)
         return _walk_toward(
             self._world, position, self._quarry, self._speed * dt
-        )
+        ) or _clamp_into(self._world, self._quarry)
 
     def retarget(self, target: Vec2) -> None:
         """Relocate the quarry (and thus drag the pursuer) to *target*."""

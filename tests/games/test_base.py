@@ -2,10 +2,14 @@
 
 import random
 
-from repro.games.base import GameClient, GameServer
-from repro.games.profile import bzflag_profile
-from repro.geometry import Vec2
+from repro.core.config import LoadPolicyConfig
+from repro.core.messages import SetRange
+from repro.games.base import ClientRecord, GameClient, GameServer
+from repro.games.profile import GameProfile, bzflag_profile
+from repro.geometry import Rect, Vec2
+from repro.harness.compare import scaled_profile
 from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
 from repro.workload.mobility import Stationary
 
 
@@ -174,3 +178,136 @@ def test_snapshot_counts_nearby_entities():
     gs = experiment.deployment.game_servers["gs.1"]
     # Force a snapshot and inspect what was sent via stats.
     assert gs.snapshots_sent >= 5 * 4  # 5 clients x >=4 ticks
+
+
+def test_leave_says_goodbye_to_server_then_pending():
+    """Send order decides which goodbye takes which latency draw, so
+    it must not come from a hash-ordered set."""
+    for i in range(8):
+        client = GameClient(
+            "client.1", bzflag_profile(), Stationary(), random.Random(1)
+        )
+        said = []
+        client.send = lambda dst, kind, payload, size_bytes: said.append((dst, kind))
+        client._server, client._pending = f"gs.{i}", f"gs.{i + 8}"
+        client.leave()
+        assert said == [(f"gs.{i}", "client.bye"), (f"gs.{i + 8}", "client.bye")]
+        assert client.server is None and not client.switching
+
+    client._server = client._pending = "gs.1"
+    said.clear()
+    client.leave()
+    assert said == [("gs.1", "client.bye")]
+
+
+def test_snapshot_excludes_self_and_own_stale_ghost():
+    """For ``ghost_lifetime`` after a handoff back, a client's own
+    ghost sits in the grid beside it.  Neither counts for that client;
+    the ghost still counts for everybody else (as it always did)."""
+    profile = GameProfile(
+        name="crowded",
+        world=Rect(0.0, 0.0, 400.0, 400.0),
+        visibility_radius=60.0,
+        max_visible_entities=12,
+    )
+    experiment = MatrixExperiment(profile, seed=0)
+    server = experiment.deployment.game_servers["gs.1"]
+    rng = random.Random(7)
+
+    def somewhere():
+        spread = rng.choice([15.0, 120.0])  # capped and uncapped counts
+        return profile.world.clamp_point(
+            Vec2(rng.gauss(200.0, spread), rng.gauss(200.0, spread))
+        )
+
+    entities = []  # (id, position) of everything alive in the tick
+    for i in range(60):
+        record = ClientRecord(client_id=f"client.{i}", position=somewhere())
+        server._clients[record.client_id] = record
+        entities.append((record.client_id, record.position))
+    for i in range(0, 60, 3):  # own ghosts: in range, or anywhere
+        at = server._clients[f"client.{i}"].position
+        ghost_at = somewhere() if i % 2 else Vec2(at.x, min(at.y + 5.0, 399.0))
+        server._ghosts[f"client.{i}"] = (ghost_at, 10.0)
+        entities.append((f"client.{i}", ghost_at))
+    server._ghosts["client.away"] = (Vec2(200.0, 200.0), 10.0)
+    entities.append(("client.away", Vec2(200.0, 200.0)))
+    server._ghosts["client.gone"] = (Vec2(200.0, 200.0), -1.0)  # expired
+
+    seen = {}
+    server.send = lambda dst, kind, snapshot, size_bytes: seen.update(
+        {dst: (snapshot.visible_entities, size_bytes)}
+    )
+    server._snapshot_tick()
+
+    assert "client.gone" not in server._ghosts
+    assert len(seen) == 60
+    for client_id, record in server._clients.items():
+        in_range = sum(
+            1
+            for entity_id, at in entities
+            if entity_id != client_id
+            and (at.x - record.position.x) ** 2 + (at.y - record.position.y) ** 2
+            <= 60.0 * 60.0
+        )
+        visible = min(in_range, 12)
+        assert seen[client_id] == (
+            visible,
+            profile.snapshot_base_bytes + profile.snapshot_per_entity_bytes * visible,
+        )
+    counts = {visible for visible, _ in seen.values()}
+    assert 12 in counts and min(counts) < 12
+
+
+def fresh_rectangles(deployment):
+    """(cached, recomputed) pairs for every per-packet rectangle."""
+    for server in deployment.game_servers.values():
+        yield server._handoff_range, server.map_range.expanded(
+            server._handoff_margin
+        )
+    for server in deployment.matrix_servers.values():
+        ctx = server.ctx
+        yield ctx.reach, ctx.metric.expand_rect(
+            ctx.partition, ctx.config.visibility_radius
+        )
+
+
+def test_handoff_rectangle_follows_bind_and_set_range():
+    world = bzflag_profile().world
+    server = GameServer("gs.9", bzflag_profile(), world)
+    margin = server._handoff_margin
+    assert server._handoff_range == world.expanded(margin)
+    left, right = world.halves("x")
+    server.port.bind("ms.9")
+    server._set_range(left)
+    assert server._handoff_range == left.expanded(margin)
+    server._on_set_range(SetRange(partition=right, directory={"gs.9": right}))
+    assert server.map_range == right
+    assert server._handoff_range == right.expanded(margin)
+
+
+def test_cached_rectangles_track_splits_and_reclaims():
+    """The handoff rectangle (game server) and the forward-reach
+    rectangle (Matrix server) are derived where the range is written;
+    audit them against a fresh ``expanded`` all through a run whose
+    lifecycle keeps rewriting ranges."""
+    audits = []
+
+    def audit(experiment):
+        pairs = list(fresh_rectangles(experiment.deployment))
+        assert all(cached == fresh for cached, fresh in pairs)
+        audits.append(len(pairs))
+
+    outcome = run_scenario(
+        "fig2-hotspot",
+        profile=scaled_profile(bzflag_profile(), 0.05),
+        scale=0.05,
+        policy=LoadPolicyConfig().scaled(0.05, floor_overload=6, floor_underload=3),
+        seed=1,
+        observe=lambda experiment: experiment.sim.every(
+            1.0, lambda: audit(experiment)
+        ),
+    )
+    assert outcome.result.splits_completed >= 3
+    assert outcome.result.reclaims_completed >= 3
+    assert max(audits) > min(audits)  # servers came and went meanwhile

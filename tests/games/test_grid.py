@@ -94,3 +94,75 @@ def test_property_matches_brute_force(entities, qx, qy, radius, cell):
     )
     got = grid.count_within(query, radius, cap=1000)
     assert got == expected
+
+
+# Dyadic inputs: coordinates on a quarter-unit lattice, radius 5u/4 and
+# cell a power-of-two multiple of it, so every difference, square and
+# floor division is exact in binary floating point.  "Exactly on a cell
+# border" and "at distance exactly radius" are then real cases the
+# reference and the grid must agree on, not rounding accidents.
+lattice = st.integers(min_value=-240, max_value=240).map(lambda q: q / 4.0)
+
+
+@st.composite
+def crowds(draw):
+    unit = draw(st.integers(min_value=1, max_value=8))
+    radius = 1.25 * unit
+    cell = radius * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0]))
+    points = draw(st.lists(st.tuples(lattice, lattice), min_size=1, max_size=30))
+    qx, qy = points[0]
+    # At distance exactly radius of the first point (axis and 3-4-5) ...
+    points += [
+        (qx + radius, qy),
+        (qx, qy - radius),
+        (qx + 0.75 * unit, qy + unit),
+        (qx - unit, qy - 0.75 * unit),
+    ]
+    # ... and exactly on cell borders and corners, negative ones too.
+    points += [
+        (cell * i, cell * j)
+        for i, j in draw(
+            st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=4)
+        )
+    ]
+    ids = [f"e{i}" for i in range(len(points))]
+    ids[-1] = ids[0]  # a client and its own stale ghost share an id
+    cap = draw(st.sampled_from([1, 2, 7, 1000]))
+    return cell, radius, cap, ids, points
+
+
+def brute_force(points, ids, qx, qy, radius, cap, exclude_id=None):
+    found = sum(
+        1
+        for (x, y), entity_id in zip(points, ids)
+        if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
+        and entity_id != exclude_id
+    )
+    return min(found, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(crowd=crowds())
+def test_property_single_and_batch_match_brute_force(crowd):
+    cell, radius, cap, ids, points = crowd
+    grid = SpatialGrid(cell)
+    for entity_id, (x, y) in zip(ids, points):
+        grid.insert(entity_id, Vec2(x, y))
+    assert len(grid) == len(points)
+    positions = [Vec2(x, y) for x, y in points]
+    assert grid.count_within_each(positions, radius, cap) == [
+        brute_force(points, ids, x, y, radius, cap) for x, y in points
+    ]
+    for entity_id, (x, y) in zip(ids, points):
+        for exclude_id in (None, entity_id):
+            assert grid.count_within(
+                Vec2(x, y), radius, cap, exclude_id=exclude_id
+            ) == brute_force(points, ids, x, y, radius, cap, exclude_id)
+
+
+def test_batch_of_nothing_and_of_zero_radius():
+    grid = SpatialGrid(10.0)
+    grid.insert("a", Vec2(0, 0))
+    assert grid.count_within_each([], 10.0, cap=5) == []
+    assert grid.count_within_each([Vec2(0, 0)], 0.0, cap=5) == [0]
+    assert grid.count_within_each([Vec2(0, 0)], 10.0, cap=0) == [0]

@@ -1,5 +1,6 @@
 """Tests for the new mobility models, the registry, and retargeting."""
 
+import hashlib
 import random
 
 import pytest
@@ -75,6 +76,53 @@ def test_same_seed_same_trajectory(kind):
         return trace
 
     assert walk() == walk()
+
+
+# ----------------------------------------------------------------------
+# Golden trajectories: stepping is bit-identical to the Vec2-arithmetic
+# form it replaced
+# ----------------------------------------------------------------------
+#: sha256 over the ``repr`` of every position of :func:`golden_walk`,
+#: captured on the commit before the scalar ``_walk_toward`` (PR 13).
+GOLDEN_TRAJECTORIES = {
+    "commuter": "9849707271a85044bb4c3711429a3b886715ce2073935fdd476d72a5302e8348",
+    "flock": "43f0851b2465f56ff4178014994c1e7b653745767c8142f884218dd699e6ac16",
+    "hotspot": "347d2ad7605a4f9b522d3faef9b13d9d0fd48b659c62b47ccae33211038cd62f",
+    "pursuit": "1a9298e5503a79ceb4c7b3ba2eb34babcf62e8a3d9665a9dac7200c19f75b99c",
+    "random_waypoint": "60c17038b9148f3d639a0c1936cc187ae4843ce32f9fe2c07ef1216851cd9dec",
+    "stationary": "9f4406c96c7b8d9efe022194cc94e449b16523bb6c3caa1a9acc437cb39d4d66",
+    "teleport": "3a67990ce3240d96e6f38f5fea9af6d5d1638db4bb8bf40707903929433b0c70",
+}
+
+
+def golden_walk(kind):
+    """300 steps each of two models from one builder (a flock shares
+    its anchor), a retarget after 150 — arrivals, pauses, portals and
+    the world-border clamp all occur."""
+    env = MobilityEnv(
+        world=WORLD,
+        speed=10.0,
+        rng=random.Random(2005),
+        center=Vec2(50.0, 50.0),
+        spread=10.0,
+    )
+    builder = mobility_builder(kind, env, **REQUIRED_PARAMS.get(kind, {}))
+    walkers = [[builder(), Vec2(50.0, 50.0)], [builder(), Vec2(2.0, 97.0)]]
+    trace = []
+    for step in range(300):
+        for walker in walkers:
+            model, position = walker
+            if step == 150 and hasattr(model, "retarget"):
+                model.retarget(Vec2(99.5, 0.5))
+            walker[1] = model.step(position, 0.5)
+            trace.append(repr(walker[1]))
+    return trace
+
+
+@pytest.mark.parametrize("kind", list_mobility_models())
+def test_trajectory_matches_golden(kind):
+    digest = hashlib.sha256("\n".join(golden_walk(kind)).encode()).hexdigest()
+    assert digest == GOLDEN_TRAJECTORIES[kind]
 
 
 # ----------------------------------------------------------------------
