@@ -11,18 +11,11 @@ counts and records two very different things:
   hard acceptance bar and is asserted, not just recorded.
 * **timing** (machine-dependent, never gated): wall seconds per shard
   count and the resulting speedup-vs-1-shard curve, with the host's
-  ``cpu_count`` alongside — on a single-core CPython host (the GIL
-  plus one core) the curve honestly records the sync overhead rather
-  than a fabricated speedup; on multi-core free-threaded hosts the
-  same JSON records the real scaling.  ``scripts/check_perf_regression.py``
-  tolerates this section (see docs/BENCHMARKS.md).
-
-Besides the serial rows, the bench runs one thread-executor row at the
-top shard count and a **process-executor curve** (every shard count
-above 1): forked lane workers exchanging messages and state deltas.
-Those rows join the same determinism assertion — byte-identical
-``TrafficStats`` whatever the executor — and their wall/speedup
-numbers land in the timing section, keyed ``<N>-process``.
+  ``cpu_count`` alongside.  Lanes run one after the other, so the
+  curve records what the window protocol costs, not a speed-up (see
+  "Verdict" in docs/ARCHITECTURE.md for why there is no concurrent
+  executor).  ``scripts/check_perf_regression.py`` tolerates this
+  section (see docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -41,12 +34,12 @@ from repro.workload.scenarios import build_scenario
 
 SHARD_COUNTS = (1, 2, 4)
 SCENARIO = "fig2-hotspot"
-#: The suite's usual fraction: keeps the four full-duration runs
-#: (three serial counts + one thread-executor row) minutes-scale.
+#: The suite's usual fraction: keeps the three full-duration runs
+#: seconds-scale.
 SHARD_SCALE = SCALE * 0.6
 
 
-def shard_run(shards: int, executor: str = "serial") -> tuple[dict, float]:
+def shard_run(shards: int) -> tuple[dict, float]:
     """One full sharded run; returns (deterministic row, wall seconds)."""
     scenario = build_scenario(SCENARIO)
     profile = scaled_profile(profile_by_name(scenario.game), SHARD_SCALE)
@@ -59,7 +52,6 @@ def shard_run(shards: int, executor: str = "serial") -> tuple[dict, float]:
         policy=policy,
         seed=SEED,
         shards=shards,
-        shard_executor=executor,
     )
     wall = time.perf_counter() - started
     result = outcome.result
@@ -103,17 +95,6 @@ def test_shard_scaling(benchmark):
             row, wall = shard_run(shards)
             rows[str(shards)] = row
             walls[str(shards)] = wall
-        # One thread-executor row at the top count: proves the protocol
-        # is executor-independent and records what threads cost/buy.
-        row, wall = shard_run(SHARD_COUNTS[-1], executor="thread")
-        rows[f"{SHARD_COUNTS[-1]}-thread"] = row
-        walls[f"{SHARD_COUNTS[-1]}-thread"] = wall
-        # The process-executor curve: forked lane workers at every
-        # shard count above 1 — the multi-core path's honest numbers.
-        for shards in SHARD_COUNTS[1:]:
-            row, wall = shard_run(shards, executor="process")
-            rows[f"{shards}-process"] = row
-            walls[f"{shards}-process"] = wall
         return rows
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
@@ -157,16 +138,14 @@ def test_shard_scaling(benchmark):
         },
         timing={
             "cpu_count": os.cpu_count(),
-            "executor": "serial (plus a thread row at the top count "
-            "and a <N>-process curve of forked lane workers)",
+            "executor": "serial",
             "wall_seconds": walls,
             "speedup_vs_1shard": speedups,
         },
     )
 
-    # The hard acceptance bar: bit-identical results at any worker
-    # count.  The speedup curve is recorded, never asserted — it is a
-    # property of the host (core count, GIL), not of the code.
+    # The hard acceptance bar: bit-identical results at any shard
+    # count.  The speedup curve is recorded, never asserted.
     assert identical, "sharded runs diverged across shard counts"
     for row in rows.values():
         assert row["events"] > 0

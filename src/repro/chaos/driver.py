@@ -130,16 +130,19 @@ class ChaosDriver:
         """Everything this driver will inject."""
         return self._faults
 
-    def has_crash_faults(self) -> bool:
-        """True when any scheduled fault kills a node outright.
+    def crash_fault_types(self) -> list[str]:
+        """Names of the scheduled fault types that kill a node outright.
 
         Crash faults mutate foreign lanes mid-window, so sharded runs
         refuse them; link degradation (and recovery) is barrier-safe
         and allowed everywhere.
         """
-        return any(
-            isinstance(fault, (ServerCrash, CoordinatorCrash))
-            for fault in self._faults
+        return sorted(
+            {
+                type(fault).__name__
+                for fault in self._faults
+                if isinstance(fault, (ServerCrash, CoordinatorCrash))
+            }
         )
 
     # ------------------------------------------------------------------

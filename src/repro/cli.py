@@ -166,7 +166,6 @@ def run_summary_cell(
     duration: float | None,
     no_faults: bool,
     shards: int | None = None,
-    shard_executor: str = "serial",
 ) -> dict:
     """One ``run`` fan-out cell (module-level: picklable for workers)."""
     scenario = build_scenario(name)
@@ -176,7 +175,6 @@ def run_summary_cell(
         options["policy"] = policy
         if shards is not None:
             options["shards"] = shards
-            options["shard_executor"] = shard_executor
     outcome = run_scenario(
         scenario,
         backend=backend,
@@ -213,7 +211,6 @@ def _cmd_run(args) -> int:
         options["policy"] = policy
         if args.shards is not None:
             options["shards"] = args.shards
-            options["shard_executor"] = args.shard_executor
     started = time.perf_counter()
     outcome = run_scenario(
         scenario,
@@ -242,7 +239,6 @@ def _cmd_run_many(args) -> int:
                 duration=args.duration,
                 no_faults=args.no_faults,
                 shards=args.shards if args.backend == "matrix" else None,
-                shard_executor=args.shard_executor,
             ),
         )
         for name in dict.fromkeys(args.scenarios)  # dedup, keep order
@@ -657,17 +653,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="run the matrix backend on the space-partitioned parallel "
-        "kernel with N shards (same seed gives identical results at "
-        "any N; incompatible with crash faults — LinkDegrade chaos "
-        "is fine)",
-    )
-    run_parser.add_argument(
-        "--shard-executor", default="serial",
-        choices=("serial", "thread", "process"),
-        help="how shard lanes execute their windows (default: serial; "
-        "process forks one worker per lane for real multi-core "
-        "speedup with identical results)",
+        help="run the matrix backend on the space-partitioned kernel: N "
+        "shard lanes executed one after the other, a determinism check, "
+        "not a speed-up (same seed gives identical results at any N; "
+        "incompatible with crash faults — LinkDegrade chaos is fine)",
     )
     add_jobs_flag(run_parser)
 

@@ -18,7 +18,7 @@ control state behind a message boundary:
   becomes an ordinary ``fabric.*`` message riding the conservative-
   window outbox exchange in canonical ``(time, seq, shard)`` order, so
   grant ordering is message-arrival order — deterministic for any shard
-  count and executor.
+  count.
 * :class:`ShardedMatrixDeployment` — the deployment subclass that wires
   the two up via ``_fabric_for``.
 

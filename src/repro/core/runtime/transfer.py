@@ -38,9 +38,8 @@ class StateTransfer:
     def __init__(self, ctx: ServerContext) -> None:
         self._ctx = ctx
         self._outgoing: dict[int, str] = {}  # transfer id -> context
-        # Keyed by (sender, transfer id): transfer ids are only unique
-        # per sending process, and under the process shard executor two
-        # lanes' senders draw from independent counters.
+        # Keyed by (sender, transfer id): a receiver does not rely on
+        # ids being unique across senders.
         self._incoming: dict[tuple[str, int], _IncomingTransfer] = {}
         #: Completion callbacks keyed by transfer context ("split", ...).
         self._completions: dict[str, Callable[[], None]] = {}

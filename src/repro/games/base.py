@@ -116,19 +116,12 @@ class GameServer(Node):
         self.remote_actions_seen = 0
         self.snapshots_sent = 0
 
-    #: Process-sharded runs: the engine's lane-state hook sets this on
-    #: *replica* copies (whose ``_clients`` never fills) so global-lane
-    #: probes read the owning lane's count.  None everywhere else.
-    _client_count_view: int | None = None
-
     # ------------------------------------------------------------------
     # GameServerHandle protocol
     # ------------------------------------------------------------------
     @property
     def client_count(self) -> int:
         """Clients currently homed here (Fig 2a plots this per server)."""
-        if self._client_count_view is not None:
-            return self._client_count_view
         return len(self._clients)
 
     def client_positions(self) -> Sequence[Vec2]:

@@ -9,10 +9,17 @@ A query scans the cells its bounding square touches (3×3 when the
 radius equals the cell size), nearest first.  The answer is ``min(in
 range, cap)`` whatever the scan order; the order only decides how early
 a capped query stops.
+
+The square is one ulp of the radius wider than ``p ± radius`` (``reach``
+in both queries): a coordinate difference is rounded before it is
+squared, so an entity a rounding step outside the exact square — in
+the next cell, when the square's edge is a cell border — can still be
+at float distance exactly ``radius``.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -76,10 +83,11 @@ class SpatialGrid:
         py = position.y
         r_sq = radius * radius
         cell = self._cell
-        ix0 = int((px - radius) // cell)
-        iy0 = int((py - radius) // cell)
-        columns = int((px + radius) // cell) - ix0 + 1
-        rows = int((py + radius) // cell) - iy0 + 1
+        reach = radius + math.ulp(radius)
+        ix0 = int((px - reach) // cell)
+        iy0 = int((py - reach) // cell)
+        columns = int((px + reach) // cell) - ix0 + 1
+        rows = int((py + reach) // cell) - iy0 + 1
         buckets = self._buckets
         found = 0
         for ox, oy in _nearest_first(columns, rows):
@@ -110,17 +118,18 @@ class SpatialGrid:
             return counts
         r_sq = radius * radius
         cell = self._cell
+        reach = radius + math.ulp(radius)
         groups: dict[tuple[int, int, int, int], list[int]] = {}
         for index, position in enumerate(positions):
             x = position.x
             y = position.y
-            ix0 = int((x - radius) // cell)
-            iy0 = int((y - radius) // cell)
+            ix0 = int((x - reach) // cell)
+            iy0 = int((y - reach) // cell)
             key = (
                 ix0,
                 iy0,
-                int((x + radius) // cell) - ix0 + 1,
-                int((y + radius) // cell) - iy0 + 1,
+                int((x + reach) // cell) - ix0 + 1,
+                int((y + reach) // cell) - iy0 + 1,
             )
             group = groups.get(key)
             if group is None:

@@ -25,7 +25,6 @@ from repro.harness.experiment import ExperimentResult, MatrixExperiment
 from repro.workload.scenarios import (
     CoordinatorCrash,
     Scenario,
-    ServerCrash,
     build_scenario,
 )
 
@@ -166,21 +165,13 @@ def _run_matrix(
 ) -> tuple[ExperimentResult, MatrixExperiment]:
     if replicated_mc is None:
         replicated_mc = _wants_standby_mc(scenario, chaos)
-    if shards is not None and chaos is not None:
-        faults = (*scenario.fault_phases(), *chaos.extra_faults)
-        crash = [
-            type(fault).__name__
-            for fault in faults
-            if isinstance(fault, (ServerCrash, CoordinatorCrash))
-        ]
-        if crash:
-            raise ValueError(
-                "sharded runs do not support crash chaos faults "
-                f"({', '.join(sorted(set(crash)))}): crashing a pair "
-                "mutates foreign shards mid-window; run crash scenarios "
-                "with shards=None or chaos=False.  LinkDegrade/Recovery "
-                "chaos works on sharded runs."
-            )
+    # perfbench/workloads.py still passes the keyword; one value is left.
+    if shard_executor != "serial":
+        raise ValueError(
+            f"shard_executor={shard_executor!r}: the thread and process "
+            "shard executors were removed (lanes run serially); pass "
+            '"serial" or omit the argument'
+        )
     if shards is None:
         experiment = MatrixExperiment(
             profile,
@@ -207,7 +198,6 @@ def _run_matrix(
             grid=scenario.grid,
             replicated_mc=replicated_mc,
             shards=shards,
-            shard_executor=shard_executor,
         )
     scenario.install(experiment.fleet, profile)
     _arm_chaos(experiment, scenario, "matrix", chaos)

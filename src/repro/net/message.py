@@ -17,8 +17,8 @@ class Message:
     bandwidth microbenchmarks classify traffic.
 
     One is built per packet, so construction is a single hand-written
-    frame.  Instances pickle by their slots (the process shard executor
-    ships them over pipes) and compare by identity.
+    frame.  Instances pickle by their slots (``--jobs`` grid workers
+    return results that hold them) and compare by identity.
     """
 
     __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "msg_id", "sent_at")

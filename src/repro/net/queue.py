@@ -22,11 +22,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class ReceiveQueue:
     """A FIFO message queue with a fixed service rate.
 
-    ``_length_view`` mirrors ``GameServer._client_count_view``: on
-    process-sharded replica copies the deque never fills, so the lane-
-    state hook installs the owning lane's waiting count here for
-    global-lane probes; live queues keep it None.
-
     Parameters
     ----------
     sim:
@@ -47,8 +42,6 @@ class ReceiveQueue:
         starved behind a saturated data queue — the software analogue
         of a prioritised control channel.
     """
-
-    _length_view: int | None = None
 
     def __init__(
         self,
@@ -77,8 +70,6 @@ class ReceiveQueue:
     @property
     def length(self) -> int:
         """Messages currently waiting (excludes the one in service)."""
-        if self._length_view is not None:
-            return self._length_view
         return len(self._queue)
 
     @property

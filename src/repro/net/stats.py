@@ -82,26 +82,14 @@ class TrafficStats:
             table[pair[end]].merge(counter)
         return table
 
-    def merge_from(self, other: "TrafficStats") -> None:
-        """Fold *other*'s counters into this one.
-
-        Every counter is a plain sum, so merging per-shard stats in any
-        fixed order reproduces the single-kernel totals exactly — the
-        sharded network accounts traffic per lane and merges on read.
-        """
-        for key, counter in other.by_kind.items():
-            self.by_kind[key].merge(counter)
-        for pair, counter in other.by_pair.items():
-            self.by_pair[pair].merge(counter)
-
     def canonical_digest(self) -> str:
         """A key-order-independent serialisation of every counter.
 
         Two stats objects digest identically iff every breakdown agrees
-        exactly; dict insertion order (which differs between a merged
-        per-shard view and a single-kernel run) does not affect it.
-        This is the "byte-identical ``TrafficStats``" the shard
-        determinism tests and the scaling bench compare.
+        exactly; dict insertion order (which differs between a sharded
+        and a single-kernel run) does not affect it.  This is the
+        "byte-identical ``TrafficStats``" the shard determinism tests
+        and the scaling bench compare.
         """
         total = self.total
         parts = [f"total={total.messages}:{total.bytes}"]

@@ -9,12 +9,7 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import PeriodicTask, Timer
 from repro.sim.rng import RngRegistry
-from repro.sim.sharded import (
-    LaneSimulator,
-    ShardContext,
-    ShardedSimulator,
-    run_sharded_workload,
-)
+from repro.sim.sharded import LaneSimulator, ShardedSimulator
 
 __all__ = [
     "Event",
@@ -22,10 +17,8 @@ __all__ = [
     "LaneSimulator",
     "PeriodicTask",
     "RngRegistry",
-    "ShardContext",
     "ShardedSimulator",
     "SimulationError",
     "Simulator",
     "Timer",
-    "run_sharded_workload",
 ]

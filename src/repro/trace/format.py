@@ -20,7 +20,7 @@ File layout (one JSON document per line):
 
 Canonical event order is ``(t, src, dst, kind, size)``: identical
 tuples are interchangeable, so the order is independent of shard count
-and executor interleaving.  ``digest`` is the SHA-256 of the canonical
+and of the order lanes execute in.  ``digest`` is the SHA-256 of the canonical
 event lines; it is verified on read, so truncated or edited files fail
 loudly instead of diffing quietly.
 
@@ -84,8 +84,7 @@ def canonical_events(events: Iterable[TraceEvent]) -> list[TraceEvent]:
 
     The sort key is the full event tuple, so equal events are
     interchangeable and the result is identical whatever execution
-    order (serial kernel, N shard lanes, thread executor) produced the
-    stream.
+    order (single kernel, N shard lanes) produced the stream.
     """
     return sorted(events)
 

@@ -4,8 +4,8 @@ The recorder subscribes to the network's send-side stats tap
 (:meth:`repro.net.network.Network.add_tap`) and keeps every message a
 client sent or received.  Buffered events are canonically re-ordered on
 read (see :func:`repro.trace.format.canonical_events`), so the recorded
-trace is identical whatever executor, ``--jobs`` or ``--shards``
-configuration produced the run — the property the trace-determinism
+trace is identical whatever ``--jobs`` or ``--shards`` configuration
+produced the run — the property the trace-determinism
 tests pin.
 
 :func:`record_scenario` is the one-call form: it runs a scenario
@@ -48,9 +48,8 @@ class TraceRecorder:
         if message.src.startswith(self._prefix) or message.dst.startswith(
             self._prefix
         ):
-            # Tuple append only: lane threads may call concurrently
-            # under the sharded thread executor; canonical ordering is
-            # restored on read, never relied on here.
+            # Shard lanes call in lane order, not time order; canonical
+            # ordering is restored on read, never relied on here.
             self._buffer.append(
                 (
                     message.sent_at,

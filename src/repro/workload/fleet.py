@@ -97,8 +97,7 @@ class ClientFleet:
         the fleet's sim and the action runs inline.  On the sharded
         substrate the client lives on a lane while fleet schedules run
         on the global lane; mutating the client directly from there
-        would touch foreign-lane state mid-protocol (and, under the
-        process executor, mutate a dead replica copy).  Scheduling the
+        would touch foreign-lane state mid-protocol.  Scheduling the
         action at the current time on the client's own lane makes it an
         ordinary lane event, executed exactly once, by the owner.
         """

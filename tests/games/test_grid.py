@@ -1,7 +1,7 @@
 """Tests for the spatial hash grid."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.games.grid import SpatialGrid
 from repro.geometry import Vec2
@@ -68,6 +68,25 @@ def test_bad_cell_size():
         SpatialGrid(0.0)
 
 
+def in_range(x, y, qx, qy, radius):
+    """The grid's own float distance test: products, not ``** 2``, which
+    rounds differently (``q ** 2 > q * q`` for q = 0.3125577631895754)."""
+    dx = x - qx
+    dy = y - qy
+    return dx * dx + dy * dy <= radius * radius
+
+
+#: Entities a rounding step outside ``q ± radius`` whose float distance
+#: is exactly ``radius``, with the square's edge on a cell border: below
+#: the low edge (found by hypothesis, once in ten runs), above the high
+#: edge (its mirror), and the ``** 2`` case above.
+EDGE_CASES = [
+    ([(0.0, -5.720868824951616e-175)], 0.0, 1.0, 1.0, 1.0),
+    ([(1.0, 0.0)], -(2.0 ** -53), 0.0, 1.0, 1.0),
+    ([(0.0, 0.0)], 0.0, 0.3125577631895754, 0.3125577631895754, 3.0),
+]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     entities=st.lists(
@@ -82,16 +101,15 @@ def test_bad_cell_size():
     radius=st.floats(min_value=0.1, max_value=150.0),
     cell=st.floats(min_value=1.0, max_value=50.0),
 )
+@example(*EDGE_CASES[0])
+@example(*EDGE_CASES[1])
+@example(*EDGE_CASES[2])
 def test_property_matches_brute_force(entities, qx, qy, radius, cell):
     grid = SpatialGrid(cell)
     for i, (x, y) in enumerate(entities):
         grid.insert(f"e{i}", Vec2(x, y))
     query = Vec2(qx, qy)
-    expected = sum(
-        1
-        for x, y in entities
-        if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
-    )
+    expected = sum(1 for x, y in entities if in_range(x, y, qx, qy, radius))
     got = grid.count_within(query, radius, cap=1000)
     assert got == expected
 
@@ -135,14 +153,22 @@ def brute_force(points, ids, qx, qy, radius, cap, exclude_id=None):
     found = sum(
         1
         for (x, y), entity_id in zip(points, ids)
-        if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
-        and entity_id != exclude_id
+        if in_range(x, y, qx, qy, radius) and entity_id != exclude_id
     )
     return min(found, cap)
 
 
+def edge_crowd(entities, qx, qy, radius, cell):
+    """An ``EDGE_CASES`` row as a crowd: the query point joins the grid."""
+    points = [(qx, qy), *entities]
+    return cell, radius, 1000, [f"e{i}" for i in range(len(points))], points
+
+
 @settings(max_examples=200, deadline=None)
 @given(crowd=crowds())
+@example(edge_crowd(*EDGE_CASES[0]))
+@example(edge_crowd(*EDGE_CASES[1]))
+@example(edge_crowd(*EDGE_CASES[2]))
 def test_property_single_and_batch_match_brute_force(crowd):
     cell, radius, cap, ids, points = crowd
     grid = SpatialGrid(cell)

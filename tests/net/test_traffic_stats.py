@@ -62,46 +62,39 @@ def as_pairs(table):
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    stream=streams,
-    shards=st.integers(min_value=1, max_value=4),
-    data=st.data(),
-)
-def test_split_and_merged_stats_equal_the_five_table_reference(stream, shards, data):
+@given(stream=streams, data=st.data())
+def test_stats_equal_the_five_table_reference(stream, data):
     reference = FiveTableReference()
-    parts = [TrafficStats() for _ in range(shards)]
+    stats = TrafficStats()
     for src, dst, kind, size in stream:
         reference.record(src, dst, kind, size)
-        index = data.draw(st.integers(min_value=0, max_value=shards - 1))
-        parts[index].record(message(src, dst, kind, size))
-    merged = TrafficStats()
-    for part in data.draw(st.permutations(parts)):
-        merged.merge_from(part)
+        stats.record(message(src, dst, kind, size))
 
-    assert (merged.total.messages, merged.total.bytes) == tuple(reference.total)
+    assert (stats.total.messages, stats.total.bytes) == tuple(reference.total)
     for name in ("by_kind", "by_pair", "by_node_sent", "by_node_received"):
         expected = {k: tuple(v) for k, v in getattr(reference, name).items()}
-        assert as_pairs(getattr(merged, name)) == expected, name
+        assert as_pairs(getattr(stats, name)) == expected, name
     for kind in KINDS + ["game.", "m", "absent"]:
         matching = [v for k, v in reference.by_kind.items() if k.startswith(kind)]
-        assert merged.kind_messages(kind) == sum(v[0] for v in matching)
-        assert merged.kind_bytes(kind) == sum(v[1] for v in matching)
+        assert stats.kind_messages(kind) == sum(v[0] for v in matching)
+        assert stats.kind_bytes(kind) == sum(v[1] for v in matching)
         if stream:
-            assert merged.kind_fraction(kind) == (
+            assert stats.kind_fraction(kind) == (
                 sum(v[0] for v in matching) / len(stream)
             )
     for node in NODES:
-        assert merged.node_sent_bytes(node) == reference.by_node_sent[node][1]
-        assert merged.node_received_bytes(node) == (
+        assert stats.node_sent_bytes(node) == reference.by_node_sent[node][1]
+        assert stats.node_received_bytes(node) == (
             reference.by_node_received[node][1]
         )
         for peer in NODES:
-            assert merged.pair_bytes(node, peer) == reference.by_pair[(node, peer)][1]
+            assert stats.pair_bytes(node, peer) == reference.by_pair[(node, peer)][1]
 
-    single = TrafficStats()
-    for src, dst, kind, size in stream:
-        single.record(message(src, dst, kind, size))
-    assert merged.canonical_digest() == single.canonical_digest()
+    # A sharded run records the same messages in another order.
+    reordered = TrafficStats()
+    for src, dst, kind, size in data.draw(st.permutations(stream)):
+        reordered.record(message(src, dst, kind, size))
+    assert reordered.canonical_digest() == stats.canonical_digest()
 
 
 def test_record_updates_exactly_the_two_stored_tables():
@@ -155,7 +148,7 @@ def test_canonical_digest_format_is_pinned():
 
 
 def test_message_and_stats_survive_a_pickle_round_trip():
-    # The process shard executor ships both over pipes.
+    # ``--jobs`` grid workers ship both between processes.
     original = Message(
         src="gs.0", dst="client.1", kind="game.snapshot",
         payload={"tick": 3, "near": ("client.2",)}, size_bytes=480,

@@ -6,6 +6,14 @@ a WAN-style link.  The count repeats exactly, so it guards the
 per-message cost in tier-1 without a clock.  Only the uninstrumented
 path (``Network(perf=None)``) has a budget.  docs/ARCHITECTURE.md,
 "The life of a message", names the frames.
+
+The sharded rows run the same two nodes on ``ShardedSimulator(2)`` +
+``ShardedNetwork``: anchored on one lane (the message is scheduled
+straight onto it) and on two (outbox, barrier flush).  The engine with
+a thread-local active lane behind accessor calls and per-lane
+accounting slots (commit 3e29abb) cost 21.2 and 25.2 frames per
+message here; the serial-lane engine costs 13.1 and 15.1, one
+``LaneSimulator.at`` above the plain path plus the window loop.
 """
 
 import gc
@@ -14,10 +22,14 @@ import sys
 
 import pytest
 
+from repro.geometry import Rect, Vec2
+from repro.geometry.sharding import ShardMap
 from repro.net import LinkProfile, Network, Node, NormalLatency, handles
-from repro.sim import Simulator
+from repro.net.sharded import ShardedNetwork
+from repro.sim import RngRegistry, ShardedSimulator, Simulator
 
 MESSAGES = 1000
+WAN = LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6)
 
 
 class Sink(Node):
@@ -28,20 +40,8 @@ class Sink(Node):
         self.received += 1
 
 
-def frames_per_message(service_rate):
-    sim = Simulator()
-    network = Network(
-        sim,
-        rng=random.Random(1),
-        default_profile=LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6),
-    )
-    source = network.add_node(Sink("a"))
-    sink = network.add_node(Sink("b", service_rate=service_rate))
-    # First use fills the profile memo, the handler cache and the two
-    # stats entries; the budget is for the steady state.
-    source.send("b", "probe", None, 100)
-    sim.run()
-
+def count_calls(run):
+    """Python ``call`` events while *run()* executes."""
     calls = 0
 
     def count(frame, event, arg):
@@ -55,13 +55,30 @@ def frames_per_message(service_rate):
     gc.disable()
     sys.setprofile(count)
     try:
-        for _ in range(MESSAGES):
-            source.send("b", "probe", None, 100)
-        sim.run()
+        run()
     finally:
         sys.setprofile(None)
         if gc_was_enabled:
             gc.enable()
+    return calls
+
+
+def frames_per_message(service_rate):
+    sim = Simulator()
+    network = Network(sim, rng=random.Random(1), default_profile=WAN)
+    source = network.add_node(Sink("a"))
+    sink = network.add_node(Sink("b", service_rate=service_rate))
+    # First use fills the profile memo, the handler cache and the two
+    # stats entries; the budget is for the steady state.
+    source.send("b", "probe", None, 100)
+    sim.run()
+
+    def burst():
+        for _ in range(MESSAGES):
+            source.send("b", "probe", None, 100)
+        sim.run()
+
+    calls = count_calls(burst)
     assert sink.received == MESSAGES + 1
     return calls / MESSAGES
 
@@ -74,4 +91,43 @@ def frames_per_message(service_rate):
 def test_frames_from_send_to_handler(service_rate, budget):
     frames = frames_per_message(service_rate)
     assert frames == frames_per_message(service_rate)  # repeats exactly
+    assert frames <= budget
+
+
+def sharded_frames_per_message(sink_x):
+    engine = ShardedSimulator(2)
+    network = ShardedNetwork(
+        engine,
+        ShardMap(Rect(0, 0, 100, 100), 2),  # lanes: x < 50, x >= 50
+        RngRegistry(seed=1),
+        default_profile=WAN,
+    )
+    engine.lookahead = network.minimum_cross_latency()
+    source, sink = Sink("a"), Sink("b")
+    source.shard_anchor = Vec2(10, 50)
+    sink.shard_anchor = Vec2(sink_x, 50)
+    network.add_node(source)
+    network.add_node(sink)
+
+    def burst(messages):
+        for _ in range(messages):
+            source.send("b", "probe", None, 100)
+
+    # Sends start inside a lane event, as a node's do; the first fills
+    # the memos (see ``frames_per_message``).
+    source.sim.at(0.0, burst, arg=1)
+    engine.run(until=1.0)
+    source.sim.at(1.0, burst, arg=MESSAGES)
+    calls = count_calls(lambda: engine.run(until=2.0))
+    assert sink.received == MESSAGES + 1
+    assert network.cross_border_count == (MESSAGES + 1 if sink_x >= 50 else 0)
+    return calls / MESSAGES
+
+
+@pytest.mark.parametrize(
+    "sink_x, budget", [(20, 15), (90, 19)], ids=["same-lane", "cross-lane"]
+)
+def test_frames_from_send_to_handler_on_shard_lanes(sink_x, budget):
+    frames = sharded_frames_per_message(sink_x)
+    assert frames == sharded_frames_per_message(sink_x)  # repeats exactly
     assert frames <= budget

@@ -1,31 +1,29 @@
-"""Tests for the space-partitioned parallel kernel.
+"""Tests for the space-partitioned kernel.
 
-Three layers, mirroring the module:
+Two layers, mirroring the module:
 
 * engine unit tests — the :class:`ShardedSimulator` facade, cross-lane
-  deferral, and the window-boundary edge cases (an event scheduled at
-  exactly the barrier time, and at exactly the horizon);
-* detached workloads — :func:`run_sharded_workload` must produce
-  identical results under the serial, thread and process executors;
-* Matrix determinism — the tentpole's acceptance bar: byte-identical
+  deferral and cancellation, and the window-boundary edge cases (an
+  event scheduled at exactly the barrier time, and at exactly the
+  horizon);
+* Matrix determinism — the engine's reason to exist: byte-identical
   ``TrafficStats`` (canonical digest) and sweep metrics for shards=1
-  vs shards=4 on fig2-hotspot and steady-churn.
+  vs shards=2/4 on fig2-hotspot, steady-churn and lossy-wan, plus a
+  literal golden so the oracle is not only compared with itself.
 """
+
+import hashlib
 
 import pytest
 
 from repro.cli import run_summary_cell
-from repro.core.config import LoadPolicyConfig
+from repro.core.config import LoadPolicyConfig, PerfConfig
 from repro.games.profile import profile_by_name
 from repro.harness.compare import scaled_profile
 from repro.harness.runner import run_scenario
-from repro.harness.shards import token_ring_builder
 from repro.sim.kernel import SimulationError
-from repro.sim.sharded import (
-    ShardedSimulator,
-    ShardWorkerError,
-    run_sharded_workload,
-)
+from repro.sim.process import Timer
+from repro.sim.sharded import ShardedSimulator
 from repro.workload.scenarios import build_scenario
 
 
@@ -36,8 +34,6 @@ class TestShardedSimulatorFacade:
     def test_validation(self):
         with pytest.raises(SimulationError):
             ShardedSimulator(0)
-        with pytest.raises(SimulationError, match="executor"):
-            ShardedSimulator(2, executor="quantum")
 
     def test_run_requires_positive_lookahead(self):
         engine = ShardedSimulator(2)
@@ -146,24 +142,59 @@ class TestShardedSimulatorFacade:
         engine.run(until=3.0)
         assert ran == []
 
-    def _ring_trace(self, shards: int, executor: str) -> dict[int, list]:
-        """A deterministic multi-lane workload: every lane ticks
-        locally and pings its neighbour; returns per-lane event traces."""
-        engine = ShardedSimulator(shards, lookahead=0.5, executor=executor)
+    def test_cancelling_through_the_facade_is_accounted_on_the_holding_heap(self):
+        """``engine.cancel`` must tell the heap that holds the event:
+        the live count is ``len(heap) - cancelled``, so a cancellation
+        nobody accounted reads as a live event until the discard, and
+        as a negative ``cancelled`` after it."""
+        engine = ShardedSimulator(2, lookahead=0.5)
+        timer = Timer(engine, lambda: None)
+        timer.start(1.0)
+        timer.cancel()
+        engine.at(5.0, lambda: None)
+        assert engine.pending_events == 1
+        engine.run(until=2.0)  # discards the cancelled entry
+        assert engine.pending_events == 1
+        assert engine.global_lane._queue._cancelled == 0
+
+    def test_cancelling_a_deferred_event_leaves_the_target_heap_alone(self):
+        """A cross-lane schedule cancelled before its barrier is in no
+        heap; cancelling it through the target lane must not hide one
+        of that lane's live events."""
+        engine = ShardedSimulator(2, lookahead=0.5)
+        target = engine.lane(1)
+        target.at(3.0, lambda: None)  # the one live event
+
+        def src():
+            target.cancel(target.after(1.0, lambda: None))
+            assert target.pending_events == 1
+            assert bool(target._queue)
+
+        engine.lane(0).at(1.0, src)
+        engine.run(until=2.0)  # the barrier drops the deferral
+        assert target.pending_events == 1
+        assert engine.pending_events == 1
+
+    def test_ring_of_lanes_delivers_every_cross_lane_ping_on_time(self):
+        """Every lane ticks locally and pings its neighbour: each ping
+        lands 0.6 s after the tick that sent it, and each lane sees its
+        events in time order."""
+        shards = 3
+        engine = ShardedSimulator(shards, lookahead=0.5)
         traces: dict[int, list] = {i: [] for i in range(shards)}
+        due: dict[int, list] = {i: [] for i in range(shards)}
 
         def install(i: int) -> None:
             lane = engine.lane(i)
+            target = (i + 1) % shards
 
             def tick():
-                traces[i].append(("tick", round(engine.now, 9)))
+                traces[i].append(("tick", engine.now))
                 if engine.now < 2.0:
                     lane.after(0.3, tick)
-                    target = (i + 1) % shards
+                    due[target].append(engine.now + 0.6)
                     engine.lane(target).after(
-                        0.6, lambda: traces[target].append(
-                            ("ping", round(engine.now, 9), i)
-                        )
+                        0.6, lambda: traces[target].append(("ping", engine.now))
                     )
 
             lane.at(0.1 * (i + 1), tick)
@@ -171,10 +202,11 @@ class TestShardedSimulatorFacade:
         for i in range(shards):
             install(i)
         engine.run(until=3.0)
-        return traces
-
-    def test_thread_executor_matches_serial(self):
-        assert self._ring_trace(3, "serial") == self._ring_trace(3, "thread")
+        for i in range(shards):
+            times = [time for _, time in traces[i]]
+            assert times == sorted(times)
+            pings = [time for kind, time in traces[i] if kind == "ping"]
+            assert pings == due[i] and len(pings) >= 6
 
     def test_perf_counters_track_windows(self):
         from repro.perf import PerfRegistry
@@ -184,68 +216,41 @@ class TestShardedSimulatorFacade:
         engine.lane(0).at(1.0, lambda: None)
         engine.run(until=2.0)
         snapshot = perf.snapshot()
-        assert snapshot["counters"]["shard.windows"]["count"] == (
-            engine.windows_run
-        )
-
-
-# ----------------------------------------------------------------------
-# Detached workloads: serial == thread == process
-# ----------------------------------------------------------------------
-class TestDetachedWorkloads:
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            run_sharded_workload(token_ring_builder, 0, 1.0, 0.01)
-        with pytest.raises(SimulationError):
-            run_sharded_workload(token_ring_builder, 2, 1.0, 0.0)
-        with pytest.raises(SimulationError):
-            run_sharded_workload(
-                token_ring_builder, 2, 1.0, 0.01, executor="quantum"
-            )
-
-    def test_token_ring_identical_across_executors(self):
-        results = {
-            executor: run_sharded_workload(
-                token_ring_builder,
-                shards=3,
-                until=2.0,
-                lookahead=0.01,
-                executor=executor,
-            )
-            for executor in ("serial", "thread", "process")
+        windows = engine.windows_run
+        assert snapshot["counters"]["shard.windows"]["count"] == windows
+        assert snapshot["counters"]["shard.window_span"] == {
+            "count": windows, "value": 2.0,
         }
-        assert results["serial"] == results["thread"]
-        assert results["serial"] == results["process"]
-        visits = sum(row["visits"] for row in results["serial"])
-        ticks = sum(row["ticks"] for row in results["serial"])
-        assert visits > 0 and ticks > 0
+        assert snapshot["timers"]["shard.lane_wall"]["count"] == 2 * windows
 
 
 # ----------------------------------------------------------------------
-# Matrix determinism: the tentpole's acceptance bar
+# Matrix determinism: what the engine is kept for
 # ----------------------------------------------------------------------
-def matrix_row(
+def run_sharded(
     name: str,
     scale: float,
     preview: float,
     shards: int,
-    executor: str = "serial",
     seed: int = 3,
-) -> dict:
-    """One sharded scenario run, reduced to its deterministic outputs."""
+    **options,
+):
     scenario = build_scenario(name)
-    profile = scaled_profile(profile_by_name(scenario.game), scale)
-    policy = LoadPolicyConfig().scaled(scale)
-    outcome = run_scenario(
+    return run_scenario(
         scenario,
-        profile=profile,
+        profile=scaled_profile(profile_by_name(scenario.game), scale),
         scale=scale,
         preview=preview,
-        policy=policy,
+        policy=LoadPolicyConfig().scaled(scale),
         seed=seed,
         shards=shards,
-        shard_executor=executor,
+        **options,
     )
+
+
+def matrix_row(name: str, scale: float, preview: float, shards: int) -> dict:
+    """One sharded scenario run, reduced to its deterministic outputs."""
+    outcome = run_sharded(name, scale, preview, shards)
     result = outcome.result
     return {
         "traffic_digest": result.traffic.canonical_digest(),
@@ -261,28 +266,72 @@ def matrix_row(
     }
 
 
+#: fig2-hotspot, scale 0.2, preview 40 s, seed 3, shards=2, as the
+#: engine with per-lane accounting slots and three executors produced
+#: it (commit 3e29abb) — the numbers the collapse to one serial-lane
+#: engine had to keep.
+HOTSPOT_2_SHARDS = {
+    "traffic_sha256": (
+        "aa318b74edf688015e8205ec717269ff9914856a14a408b18e1df711daa99177"
+    ),
+    "events": 75452,
+    "messages": 36210,
+    "bytes": 6708168,
+    "windows_run": 35118,
+    "cross_border_count": 3112,
+    "delivered_count": 36197,
+    "undeliverable_count": 0,
+}
+HOTSPOT_2_SHARDS_PERF = {
+    "net.messages_sent": {"count": 36210, "value": 6708168.0},
+    "net.messages_delivered": {"count": 36197, "value": 6707296.0},
+    "shard.cross_border": {"count": 3112, "value": 688376.0},
+    "shard.windows": {"count": 35118, "value": 0.0},
+}
+
+
 class TestMatrixShardDeterminism:
     def test_fig2_hotspot_identical_at_any_shard_count(self):
         """Byte-identical TrafficStats (canonical digest) and event
-        totals for shards=1 vs shards ∈ {2, 4}, serial, thread and
-        process executors, through the split cascade of the paper's
-        §4.1 hotspot."""
+        totals for shards=1 vs shards ∈ {2, 4}, through the split
+        cascade of the paper's §4.1 hotspot."""
         reference = matrix_row("fig2-hotspot", 0.2, 40.0, shards=1)
         assert reference["events"] > 0
         assert reference["traffic_digest"]
-        assert matrix_row("fig2-hotspot", 0.2, 40.0, shards=4) == reference
-        assert (
-            matrix_row("fig2-hotspot", 0.2, 40.0, shards=4, executor="thread")
-            == reference
-        )
         for shards in (2, 4):
             assert (
-                matrix_row(
-                    "fig2-hotspot", 0.2, 40.0,
-                    shards=shards, executor="process",
-                )
+                matrix_row("fig2-hotspot", 0.2, 40.0, shards=shards)
                 == reference
             )
+
+    @pytest.mark.parametrize("perf", [False, True], ids=["plain", "perf"])
+    def test_fig2_hotspot_two_shards_matches_the_pinned_golden(self, perf):
+        """The oracle itself is pinned: the run's digest, totals, window
+        grid and network counters are literals, and with ``PerfConfig``
+        on the perf counters say the same."""
+        outcome = run_sharded(
+            "fig2-hotspot", 0.2, 40.0, shards=2,
+            perf=PerfConfig(enabled=True) if perf else None,
+        )
+        result = outcome.result
+        network = outcome.experiment.network
+        assert {
+            "traffic_sha256": hashlib.sha256(
+                result.traffic.canonical_digest().encode()
+            ).hexdigest(),
+            "events": result.events_processed,
+            "messages": result.traffic.total.messages,
+            "bytes": result.traffic.total.bytes,
+            "windows_run": outcome.experiment.sim.windows_run,
+            "cross_border_count": network.cross_border_count,
+            "delivered_count": network.delivered_count,
+            "undeliverable_count": network.undeliverable_count,
+        } == HOTSPOT_2_SHARDS
+        if perf:
+            counters = result.perf_snapshot["counters"]
+            assert {
+                name: counters[name] for name in HOTSPOT_2_SHARDS_PERF
+            } == HOTSPOT_2_SHARDS_PERF
 
     def test_steady_churn_identical_at_any_shard_count(self):
         """Same bar under membership churn (joins/leaves dominate)."""
@@ -309,7 +358,7 @@ class TestMatrixShardDeterminism:
         assert rows[0]["events"] > 0
 
     def test_chaos_armed_runs_refuse_sharding(self):
-        with pytest.raises(ValueError, match="chaos"):
+        with pytest.raises(ValueError, match=r"crash chaos faults \(ServerCrash\)"):
             run_scenario(
                 "crash-during-split",
                 scale=0.1,
@@ -318,25 +367,13 @@ class TestMatrixShardDeterminism:
                 shards=2,
             )
 
-    def test_link_degrade_chaos_identical_under_process_executor(self):
+    def test_link_degrade_chaos_identical_at_any_shard_count(self):
         """Barrier-aligned LinkDegrade windows survive sharding: the
         lossy-wan chaos scenario produces byte-identical traffic AND an
-        identical fault report under the forked process executor."""
+        identical fault report at shards 1, 2 and 4."""
 
-        def chaos_row(shards: int, executor: str) -> dict:
-            scenario = build_scenario("lossy-wan")
-            scale = 0.15
-            profile = scaled_profile(profile_by_name(scenario.game), scale)
-            outcome = run_scenario(
-                scenario,
-                profile=profile,
-                scale=scale,
-                preview=25.0,
-                policy=LoadPolicyConfig().scaled(scale),
-                seed=3,
-                shards=shards,
-                shard_executor=executor,
-            )
+        def chaos_row(shards: int) -> dict:
+            outcome = run_sharded("lossy-wan", 0.15, 25.0, shards)
             report = outcome.experiment.chaos.report()
             return {
                 "traffic_digest": (
@@ -351,73 +388,20 @@ class TestMatrixShardDeterminism:
                 ),
             }
 
-        reference = chaos_row(1, "serial")
+        reference = chaos_row(1)
         assert reference["events"] > 0
         assert reference["link_dropped"] > 0
-        assert chaos_row(2, "process") == reference
+        assert chaos_row(2) == reference
+        assert chaos_row(4) == reference
 
-
-# ----------------------------------------------------------------------
-# Process-executor engine behaviour
-# ----------------------------------------------------------------------
-class TestProcessExecutor:
-    def test_engine_counters_match_serial(self):
-        """Closure side effects stay in the forked workers by design —
-        what ships back is engine state: merged per-lane event counts
-        and the (executor-independent) window grid.  The Matrix tests
-        above prove full-result identity through the lane hooks."""
-        counts = {}
-        for executor in ("serial", "process"):
-            engine = ShardedSimulator(3, lookahead=0.5, executor=executor)
-
-            def install(lane_index: int) -> None:
-                lane = engine.lane(lane_index)
-
-                def tick():
-                    if engine.now < 2.0:
-                        lane.after(0.3, tick)
-
-                lane.at(0.1 * (lane_index + 1), tick)
-
-            for lane_index in range(3):
-                install(lane_index)
-            engine.run(until=3.0)
-            counts[executor] = (engine.events_processed, engine.windows_run)
-        assert counts["serial"] == counts["process"]
-        assert counts["serial"][0] > 0
-
-    def test_worker_crash_raises_traceback_carrying_error(self):
-        """A lane handler blowing up inside a forked worker surfaces as
-        a ShardWorkerError naming the lane and carrying the worker's
-        traceback (mirroring GridTaskError) — never a hang."""
-        engine = ShardedSimulator(2, lookahead=0.5, executor="process")
-
-        def boom():
-            raise RuntimeError("boom in lane one")
-
-        engine.lane(0).at(1.0, lambda: None)
-        engine.lane(1).at(1.0, boom)
-        with pytest.raises(ShardWorkerError) as excinfo:
-            engine.run(until=2.0)
-        assert excinfo.value.lane == 1
-        assert "boom in lane one" in excinfo.value.worker_traceback
-        # The engine refuses to restart on top of dead workers.
-        with pytest.raises(SimulationError, match="worker failure"):
-            engine.run(until=3.0)
-
-    def test_perf_counters_cover_process_lanes(self):
-        from repro.perf import PerfRegistry
-
-        perf = PerfRegistry()
-        engine = ShardedSimulator(
-            2, lookahead=0.5, executor="process", perf=perf
+    def test_only_the_serial_executor_is_left(self):
+        """perfbench still passes ``shard_executor="serial"``; the
+        removed executors are refused by name, not ignored."""
+        with pytest.raises(ValueError, match="thread and process"):
+            run_sharded(
+                "fig2-hotspot", 0.1, 5.0, shards=2, shard_executor="process"
+            )
+        outcome = run_sharded(
+            "fig2-hotspot", 0.1, 5.0, shards=2, shard_executor="serial"
         )
-        for lane in range(2):
-            engine.lane(lane).at(0.5 + lane * 0.1, lambda: None)
-        engine.run(until=2.0)
-        snapshot = perf.snapshot()
-        counters = snapshot["counters"]
-        assert counters["shard.windows"]["count"] == engine.windows_run
-        assert counters["shard.window_span"]["value"] > 0
-        assert counters["shard.ipc_bytes"]["value"] > 0
-        assert snapshot["timers"]["shard.lane_wall"]["count"] > 0
+        assert outcome.result.events_processed > 0
