@@ -54,7 +54,7 @@ def test_policy_hysteresis_ablation(benchmark):
         lines.append(
             f"{name:<16} {result.splits_completed:>7} "
             f"{result.reclaims_completed:>9} {churn:>14} "
-            f"{result.peak_servers_in_use:>9} {result.max_queue():>11.0f}"
+            f"{result.servers_used:>9} {result.max_queue():>11.0f}"
         )
     lines.append("")
     lines.append(

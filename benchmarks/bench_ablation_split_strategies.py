@@ -47,7 +47,7 @@ def test_split_strategy_ablation(benchmark):
         lines.append(
             f"{name:<16} {result.splits_completed:>7} "
             f"{result.reclaims_completed:>9} "
-            f"{result.peak_servers_in_use:>9} "
+            f"{result.servers_used:>9} "
             f"{result.max_queue():>11.0f} {p99:>12.3f}"
         )
     lines.append("")

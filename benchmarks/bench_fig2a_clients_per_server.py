@@ -26,7 +26,7 @@ def test_fig2a_clients_per_server(benchmark):
     )
     lines = [chart, ""]
     lines.append(
-        f"servers used (peak): {result.peak_servers_in_use}   "
+        f"servers used (peak): {result.servers_used}   "
         f"splits: {result.splits_completed}   "
         f"reclaims: {result.reclaims_completed}"
     )
@@ -43,5 +43,5 @@ def test_fig2a_clients_per_server(benchmark):
     # Paper shape assertions.
     assert result.splits_completed >= 3, "hotspot must force a split cascade"
     assert result.reclaims_completed >= 1, "departures must trigger reclaims"
-    assert result.peak_servers_in_use >= 4
+    assert result.servers_used >= 4
     assert result.failed_splits == 0

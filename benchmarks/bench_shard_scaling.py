@@ -14,8 +14,7 @@ counts and records two very different things:
   ``cpu_count`` alongside.  Lanes run one after the other, so the
   curve records what the window protocol costs, not a speed-up (see
   "Verdict" in docs/ARCHITECTURE.md for why there is no concurrent
-  executor).  ``scripts/check_perf_regression.py`` tolerates this
-  section (see docs/BENCHMARKS.md).
+  executor).  Nothing gates this section (see docs/BENCHMARKS.md).
 """
 
 from __future__ import annotations
@@ -26,9 +25,7 @@ import time
 
 from common import SCALE, SEED, record, record_json
 
-from repro.core.config import LoadPolicyConfig
-from repro.games.profile import profile_by_name
-from repro.harness.compare import scaled_profile
+from repro.harness.compare import scaled_run_arguments
 from repro.harness.runner import run_scenario
 from repro.workload.scenarios import build_scenario
 
@@ -41,18 +38,11 @@ SHARD_SCALE = SCALE * 0.6
 
 def shard_run(shards: int) -> tuple[dict, float]:
     """One full sharded run; returns (deterministic row, wall seconds)."""
-    scenario = build_scenario(SCENARIO)
-    profile = scaled_profile(profile_by_name(scenario.game), SHARD_SCALE)
-    policy = LoadPolicyConfig().scaled(SHARD_SCALE)
-    started = time.perf_counter()
-    outcome = run_scenario(
-        scenario,
-        profile=profile,
-        scale=SHARD_SCALE,
-        policy=policy,
-        seed=SEED,
-        shards=shards,
+    arguments = scaled_run_arguments(
+        build_scenario(SCENARIO), "matrix", SHARD_SCALE, SEED, shards=shards
     )
+    started = time.perf_counter()
+    outcome = run_scenario(**arguments)
     wall = time.perf_counter() - started
     result = outcome.result
     network = outcome.experiment.network

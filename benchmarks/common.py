@@ -24,12 +24,11 @@ from repro.games.profile import profile_by_name
 from repro.harness.compare import scaled_profile
 from repro.harness.experiment import ExperimentResult, MatrixExperiment
 from repro.harness.fig2 import Fig2Schedule, install_fig2_workload
-from repro.harness.gridcells import backend_run_options  # noqa: F401  (re-export)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
 #: Worker processes for the grid benches (sweep, arch matrix, chaos,
-#: perf suite).  0/1 = the historical serial loops; CI smoke runs 2.
+#: fuzz).  0/1 = the historical serial loops; CI smoke runs 2.
 #: Deterministic metrics are job-count-independent by construction —
 #: see repro/harness/parallel.py — only the BENCH "timing" sections
 #: (and wall-clock noise under core contention) vary.

@@ -10,9 +10,7 @@ baseline without further wiring.
 Run:  PYTHONPATH=src python examples/custom_scenario.py
 """
 
-from repro.core.config import LoadPolicyConfig
-from repro.games.profile import profile_by_name
-from repro.harness.compare import scaled_profile
+from repro.harness.compare import scaled_run_arguments
 from repro.harness.runner import run_scenario
 from repro.workload.mobility import MobilitySpec
 from repro.workload.scenarios import (
@@ -23,6 +21,7 @@ from repro.workload.scenarios import (
     MapPoint,
     Migration,
     Scenario,
+    build_scenario,
     scenario,
     scenario_names,
 )
@@ -92,27 +91,20 @@ def main() -> None:
     print()
 
     scale = 0.2  # run at a fifth of the population for a fast demo
-    profile = scaled_profile(profile_by_name("bzflag"), scale)
-    policy = LoadPolicyConfig().scaled(scale)
+    siege = build_scenario("siege-and-rout")
 
     for backend in ("matrix", "static"):
-        options = {"policy": policy} if backend == "matrix" else {}
-        outcome = run_scenario(
-            "siege-and-rout",
-            backend=backend,
-            profile=profile,
-            scale=scale,
-            seed=7,
-            **options,
-        )
-        result = outcome.result
+        # Population, policy thresholds and capacities scale together.
+        result = run_scenario(
+            **scaled_run_arguments(siege, backend, scale, seed=7)
+        ).result
         print(f"[{backend}]")
         if backend == "matrix":
-            print(f"  servers: peak {result.peak_servers_in_use}, "
+            print(f"  servers: peak {result.servers_used}, "
                   f"splits {result.splits_completed}, "
                   f"reclaims {result.reclaims_completed}")
         else:
-            print(f"  servers: {len(outcome.experiment.deployment.game_servers)}"
+            print(f"  servers: {result.servers_used}"
                   f" (fixed), dropped {result.dropped_packets} packets")
         print(f"  peak queue: {result.max_queue():.0f}")
         print()

@@ -64,7 +64,7 @@ def main() -> None:
 
     print(f"\nsummary: {result.splits_completed} splits, "
           f"{result.reclaims_completed} reclaims, "
-          f"peak {result.peak_servers_in_use} servers, "
+          f"peak {result.servers_used} servers, "
           f"peak queue {result.max_queue():.0f}, "
           f"final server count {result.final_server_count():.0f}")
 

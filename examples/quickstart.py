@@ -41,7 +41,7 @@ def main() -> None:
 
     print(f"\nsplits: {result.splits_completed}   "
           f"reclaims: {result.reclaims_completed}   "
-          f"peak servers: {result.peak_servers_in_use}")
+          f"peak servers: {result.servers_used}")
     print("server lifecycle:")
     for event in result.server_events:
         print(f"  t={event.time:6.1f}s  {event.kind:<13} "

@@ -60,7 +60,7 @@ def main() -> None:
     print(f"town meeting on {profile.name}: "
           f"{result.splits_completed} splits, "
           f"{result.reclaims_completed} reclaims, "
-          f"peak {result.peak_servers_in_use} servers")
+          f"peak {result.servers_used} servers")
     print("\nserver lifecycle:")
     for event in result.server_events:
         print(f"  t={event.time:6.1f}s  {event.kind:<13} {event.game_server}")

@@ -21,8 +21,8 @@ Package map
 * :mod:`repro.analysis` — time series, statistics, ASCII plots, and
   the §4.2 asymptotic scalability model.
 * :mod:`repro.harness` — runners that regenerate every figure and
-  table of the paper's evaluation, plus the unified scenario runner
-  and the consolidated perf suite.
+  table of the paper's evaluation, all through the unified scenario
+  runner (the one experiment path).
 
 See ``docs/ARCHITECTURE.md`` for the layer map and message lifecycle,
 ``docs/BENCHMARKS.md`` for what each benchmark reproduces.

@@ -43,10 +43,7 @@ from repro.baselines.p2p import (
 from repro.baselines.static import (
     StaticDeployment,
     StaticExperiment,
-    StaticResult,
     StaticZoneRouter,
-    run_static_hotspot,
-    run_static_scenario,
 )
 
 __all__ = [
@@ -66,7 +63,6 @@ __all__ = [
     "RegionTracker",
     "StaticDeployment",
     "StaticExperiment",
-    "StaticResult",
     "StaticZoneRouter",
     "chord_expected_hops",
     "dht_lookup_cost",
@@ -76,8 +72,6 @@ __all__ = [
     "mirrored_cost",
     "overlap_table_cost",
     "p2p_group_cost",
-    "run_static_hotspot",
-    "run_static_scenario",
     "sample_chord_hops",
     "sample_dht_lookup",
 ]

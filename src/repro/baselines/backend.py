@@ -13,11 +13,11 @@ differently —
 
 This module gives those answers a shared execution shape.  An
 :class:`ArchitectureBackend` owns the simulator, the network, the RNG
-registry and the client fleet — exactly the scaffolding
-:class:`~repro.harness.experiment.MatrixExperiment` owns for Matrix —
-and defers only topology (:meth:`~ArchitectureBackend.build`) and
-ownership (:meth:`~ArchitectureBackend.locate`) to each subclass.  The
-workload side is untouched: every backend serves the same
+registry, the client fleet and the sampler, and defers only topology
+(:meth:`~ArchitectureBackend.build`) and ownership
+(:meth:`~ArchitectureBackend.locate`) to each subclass — Matrix itself
+(:class:`~repro.harness.experiment.MatrixExperiment`) is one of them.
+The workload side is untouched: every backend serves the same
 :class:`~repro.workload.fleet.ClientFleet` through the same ``Locator``
 contract, which is what keeps cross-architecture comparisons
 apples-to-apples.
@@ -30,7 +30,7 @@ so any declarative scenario from the catalog runs on any architecture.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.timeseries import Sampler, TimeSeries
@@ -64,14 +64,15 @@ class BackendInfo:
 
 @dataclass
 class BackendResult:
-    """What one backend run produced — the cross-architecture superset.
+    """What one run produced — the fields every architecture reports.
 
-    Every field the old ``StaticResult`` carried is still here under
-    the same name (``StaticResult`` is now an alias), plus the traffic
-    and consistency accounting the architecture-matrix benchmark
-    compares across backends.  ``consistency`` holds backend-specific
-    measurements (replication counts, upload rates, lookup hops); its
-    keys are documented per backend.
+    Built in one place (:meth:`ArchitectureBackend.run`); Matrix's
+    :class:`~repro.harness.experiment.ExperimentResult` extends it with
+    the split/reclaim read-out.  ``servers_used`` is the number of
+    server-class nodes the architecture needed (for Matrix, the peak
+    live count); ``consistency`` holds backend-specific measurements
+    (replication counts, upload rates, lookup hops — keys documented
+    per backend, empty where there is nothing to measure).
     """
 
     profile_name: str
@@ -81,13 +82,13 @@ class BackendResult:
     dropped_packets: int
     action_latencies: list[float]
     switch_latencies: list[float]
-    backend: str = ""
-    servers_used: int = 0
-    events_processed: int = 0
-    traffic: TrafficStats | None = None
-    consistency: dict[str, float] = field(default_factory=dict)
+    backend: str
+    servers_used: int
+    events_processed: int
+    traffic: TrafficStats
+    consistency: dict[str, float]
     #: :meth:`repro.perf.PerfRegistry.snapshot`, or None when off.
-    perf_snapshot: dict | None = None
+    perf_snapshot: dict | None
 
     def max_queue(self) -> float:
         """Largest receive-queue sample across the backend's servers."""
@@ -96,14 +97,14 @@ class BackendResult:
 
 
 class ArchitectureBackend(ABC):
-    """Shared scaffolding for one rival architecture's experiment.
+    """Shared scaffolding for one architecture's experiment.
 
     Construction wires, in a fixed order that is part of the
     determinism contract (named RNG streams are created in the same
     sequence every run): RNG registry, simulator, network, the
     subclass's topology (:meth:`build`), then the client fleet homed by
-    :meth:`locate`.  :meth:`run` samples the same per-server series the
-    Matrix experiment samples and assembles a :class:`BackendResult`.
+    :meth:`locate`.  :meth:`run` samples the per-server client-count
+    and queue-length series and assembles the result.
     """
 
     #: Registered backend name (matches the runner registration).
@@ -126,11 +127,10 @@ class ArchitectureBackend(ABC):
         #: PerfRegistry when ``perf.enabled``, else None — shared by the
         #: kernel, the network and any backend-specific counters.
         self.perf = perf.build_registry() if perf is not None else None
-        self.sim = Simulator(perf=self.perf)
-        self.network = Network(
-            self.sim, rng=self.rng.stream("network"), perf=self.perf
-        )
+        self.sim = self._build_sim()
+        self.network = self._build_network()
         self._sample_period = sample_period
+        self._sampler: Sampler | None = None
         #: The armed :class:`~repro.chaos.ChaosDriver`, or None.  Set
         #: by the unified runner for scenarios that declare faults.
         self.chaos = None
@@ -141,6 +141,17 @@ class ArchitectureBackend(ABC):
             profile,
             locator=self.locate,
             rng=self.rng.stream("fleet"),
+        )
+
+    # ------------------------------------------------------------------
+    # Substrate factories (overridden by the sharded experiment)
+    # ------------------------------------------------------------------
+    def _build_sim(self) -> Simulator:
+        return Simulator(perf=self.perf)
+
+    def _build_network(self) -> Network:
+        return Network(
+            self.sim, rng=self.rng.stream("network"), perf=self.perf
         )
 
     # ------------------------------------------------------------------
@@ -174,8 +185,8 @@ class ArchitectureBackend(ABC):
         """Server-class nodes a chaos ``LinkDegrade`` installs stages on.
 
         Defaults to the game-server handles; backends whose consistency
-        traffic leaves from a different tier (zone routers, mirror
-        gates, player uplinks) override this.
+        traffic leaves from a different tier (Matrix servers, zone
+        routers, mirror gates, player uplinks) override this.
         """
         return list(self.game_servers.values())
 
@@ -197,30 +208,45 @@ class ArchitectureBackend(ABC):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: float) -> BackendResult:
-        """Run the installed workload and collect the result.
+    def start_sampling(self) -> None:
+        """Start the periodic sampler (idempotent).
 
-        The sampler is created here — after every workload event is
-        scheduled — so same-timestamp samples observe spawns exactly as
-        they always have (event order is part of determinism).
+        ``Sampler.__init__`` schedules its first tick, and scheduling
+        order breaks same-instant ties, so *when* this is first called
+        is part of determinism: :meth:`run` calls it — after every
+        workload event is scheduled — which is where the baselines
+        start; Matrix calls it at the end of its constructor, before.
         """
-        sampler = Sampler(self.sim, self._sample_period, self.probes)
+        if self._sampler is None:
+            self._sampler = Sampler(
+                self.sim, self._sample_period, self.probes
+            )
+
+    def run(self, until: float) -> BackendResult:
+        """Run the installed workload and collect the result."""
+        self.start_sampling()
         self.sim.run(until=until)
-        clients = {
-            key.removeprefix("clients/"): series
-            for key, series in sampler.series.items()
-            if key.startswith("clients/")
-        }
-        queues = {
-            key.removeprefix("queue/"): series
-            for key, series in sampler.series.items()
-            if key.startswith("queue/")
-        }
-        return BackendResult(
+        return self._collect(until)
+
+    def _collect(self, until: float) -> BackendResult:
+        return BackendResult(**self._common_fields(until))
+
+    def _common_fields(self, until: float) -> dict:
+        """The :class:`BackendResult` fields, by keyword."""
+        series = self._sampler.series
+        return dict(
             profile_name=self.profile.name,
             duration=until,
-            clients_per_server=clients,
-            queue_per_server=queues,
+            clients_per_server={
+                key.removeprefix("clients/"): one
+                for key, one in series.items()
+                if key.startswith("clients/")
+            },
+            queue_per_server={
+                key.removeprefix("queue/"): one
+                for key, one in series.items()
+                if key.startswith("queue/")
+            },
             dropped_packets=self.dropped_packets(),
             action_latencies=self.fleet.all_action_latencies(),
             switch_latencies=self.fleet.all_switch_latencies(),

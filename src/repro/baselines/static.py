@@ -17,7 +17,7 @@ of dynamic repartitioning.
 
 from __future__ import annotations
 
-from repro.baselines.backend import ArchitectureBackend, BackendResult
+from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import PerfConfig
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.games.base import GameServer
@@ -118,12 +118,6 @@ class StaticZoneRouter(Node):
         )
 
 
-#: Backward-compatible alias: a static run now returns the unified
-#: cross-architecture result type (a strict superset of the old
-#: ``StaticResult`` fields).
-StaticResult = BackendResult
-
-
 class StaticDeployment:
     """A fixed ``columns x rows`` grid of game servers.
 
@@ -217,11 +211,9 @@ class StaticExperiment(ArchitectureBackend):
     """A ready-to-run static deployment with workload hooks.
 
     The baseline counterpart of
-    :class:`~repro.harness.experiment.MatrixExperiment`: same fleet,
-    same ``Locator`` contract, same sampling — only the middleware
-    behind the game servers differs.  The unified scenario runner
-    (``repro.harness.runner``) installs any declarative scenario on
-    :attr:`fleet` and calls :meth:`run`.
+    :class:`~repro.harness.experiment.MatrixExperiment`: same scaffold,
+    same fleet, same ``Locator`` contract, same sampling — only the
+    middleware behind the game servers differs.
     """
 
     name = "static"
@@ -261,47 +253,3 @@ class StaticExperiment(ArchitectureBackend):
     def fault_nodes(self) -> list:
         """Overlap forwards travel router-to-router: fault the routers."""
         return list(self.deployment.routers.values())
-
-    def dropped_packets(self) -> int:
-        return self.deployment.dropped_packets()
-
-
-def run_static_scenario(
-    profile: GameProfile,
-    scenario,
-    seed: int = 0,
-    columns: int = 2,
-    rows: int = 1,
-    queue_capacity: int | None = 20000,
-) -> BackendResult:
-    """Run any declarative scenario against a static grid."""
-    experiment = StaticExperiment(
-        profile,
-        seed=seed,
-        columns=columns,
-        rows=rows,
-        queue_capacity=queue_capacity,
-    )
-    scenario.install(experiment.fleet, profile)
-    return experiment.run(until=scenario.duration)
-
-
-def run_static_hotspot(
-    profile: GameProfile,
-    schedule,
-    seed: int = 0,
-    columns: int = 2,
-    rows: int = 1,
-    queue_capacity: int | None = 20000,
-) -> BackendResult:
-    """Run the Fig 2 workload against a static grid (the T-static rows)."""
-    from repro.harness.fig2 import fig2_scenario  # local: avoid cycle
-
-    return run_static_scenario(
-        profile,
-        fig2_scenario(schedule),
-        seed=seed,
-        columns=columns,
-        rows=rows,
-        queue_capacity=queue_capacity,
-    )

@@ -21,6 +21,7 @@ from repro.chaos.driver import (
     ChaosOptions,
     ChaosReport,
     FaultRecord,
+    format_chaos_report,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "ChaosOptions",
     "ChaosReport",
     "FaultRecord",
+    "format_chaos_report",
 ]

@@ -7,8 +7,10 @@ One driver is armed per run (see
    supervisor is started (crash detection + partition respawn), the
    lifecycle watchdogs are enabled (in-flight split/reclaim abort), and
    every client gets dead-server detection through the fleet locator.
-2. **Scheduling**: each declared fault phase becomes a simulation event
-   at its ``at`` time.  Crash faults are matrix-only (the rival
+2. **Scheduling**: each declared fault phase inside the run (``at``
+   before the scenario's — possibly previewed — duration) becomes a
+   simulation event at its ``at`` time; later ones are recorded
+   ``skipped``.  Crash faults are matrix-only (the rival
    architectures have no recovery story — which is the comparison);
    link degradation works on every backend through its declared
    fault nodes and consistency kinds.
@@ -95,6 +97,34 @@ class ChaosReport:
         )
 
 
+def format_chaos_report(report: ChaosReport) -> str:
+    """Render the fault-injection read-out (``python -m repro run``)."""
+    lines = ["chaos    :"]
+    for fault in report.faults:
+        detail = f" ({fault.detail})" if fault.detail else ""
+        lines.append(
+            f"  t={fault.at:>6.1f}s {fault.fault:<18} {fault.status}{detail}"
+        )
+    for recovery in report.recoveries:
+        took = recovery.recovery_time
+        took_text = f"{took:.1f}s" if took is not None else "UNRECOVERED"
+        lines.append(
+            f"  {recovery.victim} -> {recovery.replacement or '?'} "
+            f"recovered in {took_text}"
+        )
+    if report.mc_promoted_at is not None:
+        lines.append(
+            f"  standby MC promoted at t={report.mc_promoted_at:.1f}s"
+        )
+    lines.append(
+        f"  packets lost {report.undeliverable_packets}, "
+        f"link-dropped {report.link_dropped}, "
+        f"client rejoins {report.client_rejoins}, "
+        f"leaked hosts {len(report.leaked_hosts)}"
+    )
+    return "\n".join(lines)
+
+
 class ChaosDriver:
     """Schedules fault injection for one scenario run."""
 
@@ -166,26 +196,29 @@ class ChaosDriver:
                 options.client_rejoin_timeout
             )
             deployment.pair_created_hooks.append(self._on_pair_created)
+        horizon = self._scenario.duration
         for fault in self._faults:
             record = FaultRecord(fault=type(fault).__name__, at=fault.at)
             self.records.append(record)
-            if isinstance(fault, (ServerCrash, CoordinatorCrash)):
-                if not self._is_matrix:
-                    record.status = "unsupported"
-                    record.detail = (
-                        f"{self._backend} has no crash-recovery protocol"
-                    )
-                    continue
-                if isinstance(fault, ServerCrash):
-                    sim.at(
-                        fault.at,
-                        lambda f=fault, r=record: self._inject_crash(f, r),
-                    )
-                else:
-                    sim.at(
-                        fault.at,
-                        lambda r=record: self._inject_mc_crash(r),
-                    )
+            crash = isinstance(fault, (ServerCrash, CoordinatorCrash))
+            if crash and not self._is_matrix:
+                record.status = "unsupported"
+                record.detail = (
+                    f"{self._backend} has no crash-recovery protocol"
+                )
+            elif fault.at >= horizon:
+                # Outside the run: a caller that keeps the simulator
+                # going past the horizon (fuzz and chaos settle
+                # windows) must not meet faults the run never declared.
+                record.status = "skipped"
+                record.detail = f"at or after the run's horizon t={horizon:g}s"
+            elif isinstance(fault, ServerCrash):
+                sim.at(
+                    fault.at,
+                    lambda f=fault, r=record: self._inject_crash(f, r),
+                )
+            elif isinstance(fault, CoordinatorCrash):
+                sim.at(fault.at, lambda r=record: self._inject_mc_crash(r))
             elif isinstance(fault, Recovery):
                 sim.at(fault.at, lambda r=record: self._inject_recovery(r))
             elif isinstance(fault, LinkDegrade):

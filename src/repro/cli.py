@@ -14,10 +14,9 @@ Subcommands:
 * ``sweep`` — run every registered scenario and print a comparison
   table (the CLI face of the scenario-sweep benchmark); also writes the
   ``BENCH_scenario_sweep.json`` payload (``--json`` to relocate it).
-* ``perf [scenario]`` — run one scenario with :mod:`repro.perf`
-  instrumentation on and print the counter/timer/sampler report, or
-  ``perf --suite`` for the consolidated throughput suite (the CLI face
-  of ``benchmarks/bench_perf_suite.py``).
+* ``perf <scenario>`` — run one scenario with :mod:`repro.perf`
+  instrumentation on and print the counter/timer/sampler report
+  (host-time comparisons between commits are ``python3 -m perfbench``).
 * ``fuzz`` — generative scenario fuzzing: run N seeded random
   scenarios through the invariant harness (:mod:`repro.fuzz`); a
   failure names its seed, ``--shrink`` reduces it to a minimal phase
@@ -32,46 +31,109 @@ Subcommands:
 
 The grid-shaped subcommands take ``--jobs N`` to fan their independent
 cells out over N ``spawn`` worker processes
-(:mod:`repro.harness.parallel`): ``sweep`` and ``perf --suite``
-parallelise over scenarios, ``compare`` over backends, and ``run`` over
-scenarios when several are named.  The default is serial, and every
-deterministic output is bit-identical whatever ``--jobs`` is — only
-wall-clock readings move.
+(:mod:`repro.harness.parallel`): ``sweep`` parallelises over scenarios,
+``compare`` over backends, ``fuzz`` over seeds, and ``run`` / ``record``
+over scenarios when several are named.  The default is serial, and
+every deterministic output is bit-identical whatever ``--jobs`` is —
+only wall-clock readings move.
+
+Every command that runs a scenario goes through ``run_scenario``;
+:func:`run_arguments` is the one place that turns parsed options into
+its arguments, and where a combination that cannot run is refused.
 """
 
 from __future__ import annotations
 
 import argparse
 import time
+from pathlib import Path
 
 from repro.analysis.stats import percentile
-from repro.core.config import LoadPolicyConfig, PerfConfig
-from repro.games.profile import profile_by_name
+from repro.chaos import format_chaos_report
+from repro.core.config import PerfConfig
+from repro.fuzz.generator import fuzz_profile
 from repro.harness.compare import (
     compare_backends,
     format_backends_table,
-    scaled_profile,
+    scaled_run_arguments,
+    scaled_setup,
 )
-from repro.harness.parallel import GridTask, run_grid
+from repro.harness.fuzz import (
+    fuzz_grid_tasks,
+    record_fuzz_failure,
+    shrink_fuzz_failure,
+)
+from repro.harness.parallel import GridTask, GridTaskError, run_grid
 from repro.harness.runner import backend_infos, backend_names, run_scenario
 from repro.harness.sweep import (
     format_sweep_table,
     run_sweep_grid,
     write_sweep_json,
 )
+from repro.perf import format_report
+from repro.trace.diff import diff_traces, format_diff
+from repro.trace.format import TraceError
+from repro.trace.recorder import record_scenario
+from repro.trace.replay import replay_trace
 from repro.workload.mobility import list_mobility_models
 from repro.workload.scenarios import build_scenario, scenario_names
 
 
-def _scaled_setup(game: str, scale: float):
-    """Profile + policy scaled coherently with the population."""
-    profile = profile_by_name(game)
-    if scale != 1.0:
-        profile = scaled_profile(profile, scale)
-    return profile, LoadPolicyConfig().scaled(scale)
+class UsageError(Exception):
+    """Arguments that cannot run: ``main`` prints ``error: …``, exits 2."""
 
 
-def _print_scenarios() -> None:
+def _usage(lookup, name: str):
+    """``lookup(name)``; its "unknown name" ValueError is a usage error."""
+    try:
+        return lookup(name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def run_arguments(
+    name: str,
+    backend: str = "matrix",
+    scale: float = 1.0,
+    seed: int = 0,
+    duration: float | None = None,
+    shards: int | None = None,
+    no_faults: bool = False,
+) -> dict:
+    """``run_scenario`` keyword arguments for one scaled CLI run.
+
+    ``run`` (one name or several), ``record`` and ``perf`` all come
+    through here: population, policy thresholds and every capacity
+    scale together (the recipe of :mod:`repro.harness.compare`), and a
+    combination that cannot run raises :class:`UsageError`.
+    """
+    if shards is not None and backend != "matrix":
+        raise UsageError("--shards only applies to the matrix backend")
+    return dict(
+        scaled_run_arguments(
+            _usage(build_scenario, name), backend, scale, seed,
+            preview=duration, shards=shards,
+        ),
+        chaos=False if no_faults else "auto",
+    )
+
+
+def _run_options(args) -> dict:
+    """The :func:`run_arguments` options this subcommand declares."""
+    names = ("backend", "scale", "seed", "duration", "shards", "no_faults")
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _checked_names(args, options: dict) -> list[str]:
+    """The scenario names of ``run`` / ``record`` (deduplicated, in
+    order), refused before any fan-out if one of them cannot run."""
+    names = list(dict.fromkeys(args.scenarios))
+    for name in names:
+        run_arguments(name, **options)
+    return names
+
+
+def _print_scenarios(args) -> None:
     names = scenario_names()
     width = max(len(name) for name in names)
     print(f"{len(names)} registered scenarios:\n")
@@ -84,14 +146,14 @@ def _print_scenarios() -> None:
         print()
 
 
-def _print_mobility() -> None:
+def _print_mobility(args) -> None:
     names = list_mobility_models()
     print(f"{len(names)} registered mobility models:")
     for name in names:
         print(f"  {name}")
 
 
-def _print_backends() -> None:
+def _print_backends(args) -> None:
     infos = backend_infos()
     print(f"{len(infos)} registered architecture backends:\n")
     for info in infos:
@@ -112,7 +174,7 @@ def _summarize_run(outcome, wall: float) -> None:
     p50 = percentile(latencies, 50) if latencies else 0.0
     p99 = percentile(latencies, 99) if latencies else 0.0
     if outcome.backend == "matrix":
-        print(f"servers  : peak {result.peak_servers_in_use}, "
+        print(f"servers  : peak {result.servers_used}, "
               f"final {result.final_server_count():.0f}, "
               f"splits {result.splits_completed}, "
               f"reclaims {result.reclaims_completed}")
@@ -125,123 +187,50 @@ def _summarize_run(outcome, wall: float) -> None:
     print(f"queue    : peak {result.max_queue():.0f}")
     print(f"latency  : p50 {p50 * 1000:.1f}ms, p99 {p99 * 1000:.1f}ms "
           f"({len(latencies)} actions)")
-    consistency = getattr(result, "consistency", None)
-    if consistency:
+    if result.consistency:
         rendered = ", ".join(
-            f"{key}={value:g}" for key, value in consistency.items()
+            f"{key}={value:g}" for key, value in result.consistency.items()
         )
         print(f"consistency: {rendered}")
-    _summarize_chaos(outcome)
+    if outcome.experiment.chaos is not None:
+        print(format_chaos_report(outcome.experiment.chaos.report()))
 
 
-def _summarize_chaos(outcome) -> None:
-    """Append the fault-injection read-out when chaos was armed."""
-    driver = getattr(outcome.experiment, "chaos", None)
-    if driver is None:
-        return
-    report = driver.report()
-    print("chaos    :")
-    for fault in report.faults:
-        detail = f" ({fault.detail})" if fault.detail else ""
-        print(f"  t={fault.at:>6.1f}s {fault.fault:<18} "
-              f"{fault.status}{detail}")
-    for recovery in report.recoveries:
-        took = recovery.recovery_time
-        took_text = f"{took:.1f}s" if took is not None else "UNRECOVERED"
-        print(f"  {recovery.victim} -> {recovery.replacement or '?'} "
-              f"recovered in {took_text}")
-    if report.mc_promoted_at is not None:
-        print(f"  standby MC promoted at t={report.mc_promoted_at:.1f}s")
-    print(f"  packets lost {report.undeliverable_packets}, "
-          f"link-dropped {report.link_dropped}, "
-          f"client rejoins {report.client_rejoins}, "
-          f"leaked hosts {len(report.leaked_hosts)}")
-
-
-def run_summary_cell(
-    name: str,
-    backend: str,
-    scale: float,
-    seed: int,
-    duration: float | None,
-    no_faults: bool,
-    shards: int | None = None,
-) -> dict:
-    """One ``run`` fan-out cell (module-level: picklable for workers)."""
-    scenario = build_scenario(name)
-    profile, policy = _scaled_setup(scenario.game, scale)
-    options = {"seed": seed}
-    if backend == "matrix":
-        options["policy"] = policy
-        if shards is not None:
-            options["shards"] = shards
-    outcome = run_scenario(
-        scenario,
-        backend=backend,
-        profile=profile,
-        scale=scale,
-        preview=duration,
-        chaos=False if no_faults else "auto",
-        **options,
-    )
-    result = outcome.result
+def run_summary_cell(name: str, **run_options) -> dict:
+    """One ``run`` fan-out cell (module-level: picklable for workers);
+    *run_options* are :func:`run_arguments`'."""
+    result = run_scenario(**run_arguments(name, **run_options)).result
     latencies = result.action_latencies
-    servers = getattr(result, "peak_servers_in_use", None)
-    if servers is None:
-        servers = getattr(result, "servers_used", 0)
     return {
         "scenario": name,
         "events": result.events_processed,
         "peak_queue": result.max_queue(),
         "p99_latency": percentile(latencies, 99) if latencies else 0.0,
-        "servers": servers,
+        "servers": result.servers_used,
     }
 
 
-def _cmd_run(args) -> int:
-    if len(args.scenarios) > 1:
-        return _cmd_run_many(args)
-    scenario = build_scenario(args.scenarios[0])
-    profile, policy = _scaled_setup(scenario.game, args.scale)
-    if args.shards is not None and args.backend != "matrix":
-        print("error: --shards only applies to the matrix backend")
-        return 2
-    options = {"seed": args.seed}
-    if args.backend == "matrix":
-        options["policy"] = policy
-        if args.shards is not None:
-            options["shards"] = args.shards
+def _run_and_summarize(arguments: dict):
     started = time.perf_counter()
-    outcome = run_scenario(
-        scenario,
-        backend=args.backend,
-        profile=profile,
-        scale=args.scale,
-        preview=args.duration,
-        chaos=False if args.no_faults else "auto",
-        **options,
-    )
+    outcome = run_scenario(**arguments)
     _summarize_run(outcome, time.perf_counter() - started)
-    return 0
+    return outcome
 
 
-def _cmd_run_many(args) -> int:
-    """Several scenarios named: fan out and print a compact table."""
+def _cmd_run(args) -> int:
+    options = _run_options(args)
+    names = _checked_names(args, options)
+    if len(args.scenarios) == 1:
+        _run_and_summarize(run_arguments(names[0], **options))
+        return 0
+    # Several scenarios named: fan out and print a compact table.
     tasks = [
         GridTask(
             key=(name,),
             fn=run_summary_cell,
-            kwargs=dict(
-                name=name,
-                backend=args.backend,
-                scale=args.scale,
-                seed=args.seed,
-                duration=args.duration,
-                no_faults=args.no_faults,
-                shards=args.shards if args.backend == "matrix" else None,
-            ),
+            kwargs=dict(name=name, **options),
         )
-        for name in dict.fromkeys(args.scenarios)  # dedup, keep order
+        for name in names
     ]
     cells = run_grid(
         tasks,
@@ -269,34 +258,10 @@ def _cmd_run_many(args) -> int:
     return 0
 
 
-def record_trace_cell(
-    name: str,
-    backend: str,
-    seed: int,
-    scale: float,
-    duration: float | None,
-    out: str,
-    shards: int | None = None,
-) -> dict:
-    """One ``record`` fan-out cell (module-level: picklable)."""
-    from repro.trace.recorder import record_scenario
-
-    scenario = build_scenario(name)
-    profile, policy = _scaled_setup(scenario.game, scale)
-    options = {}
-    if backend == "matrix":
-        options["policy"] = policy
-        if shards is not None:
-            options["shards"] = shards
-    run = record_scenario(
-        scenario,
-        backend=backend,
-        profile=profile,
-        scale=scale,
-        preview=duration,
-        seed=seed,
-        **options,
-    )
+def record_trace_cell(name: str, out: str, **run_options) -> dict:
+    """One ``record`` fan-out cell (module-level: picklable);
+    *run_options* are :func:`run_arguments`'."""
+    run = record_scenario(**run_arguments(name, **run_options))
     path = run.write(out)
     return {
         "scenario": name,
@@ -306,33 +271,20 @@ def record_trace_cell(
     }
 
 
-def _trace_out_path(out: str, name: str, many: bool) -> str:
-    """Where one scenario's trace lands for ``record --out``."""
-    from pathlib import Path
-
-    target = Path(out)
-    if not many and target.suffix:  # explicit file for a single trace
-        return str(target)
-    return str(target / f"{name}.trace")
-
-
 def _cmd_record(args) -> int:
-    from repro.harness.parallel import GridTaskError
-
-    names = list(dict.fromkeys(args.scenarios))  # dedup, keep order
-    many = len(names) > 1
+    options = _run_options(args)
+    names = _checked_names(args, options)
+    target = Path(args.out)
+    # --out names the file itself only for a single trace with a suffix.
+    single_file = len(names) == 1 and target.suffix
     tasks = [
         GridTask(
             key=(name,),
             fn=record_trace_cell,
             kwargs=dict(
                 name=name,
-                backend=args.backend,
-                seed=args.seed,
-                scale=args.scale,
-                duration=args.duration,
-                out=_trace_out_path(args.out, name, many),
-                shards=args.shards if args.backend == "matrix" else None,
+                out=str(target if single_file else target / f"{name}.trace"),
+                **options,
             ),
         )
         for name in names
@@ -353,17 +305,11 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.trace.format import TraceCompatibilityError, TraceError
-    from repro.trace.replay import replay_trace
-
     drifted = False
     for path in args.traces:
         try:
             outcome = replay_trace(path, backend=args.backend)
-        except TraceCompatibilityError as exc:
-            print(f"error: {exc}")
-            return 2
-        except TraceError as exc:
+        except TraceError as exc:  # incl. TraceCompatibilityError
             print(f"error: {exc}")
             return 2
         result = outcome.result
@@ -379,9 +325,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from repro.trace.diff import diff_traces, format_diff
-    from repro.trace.format import TraceError
-
     try:
         diff = diff_traces(args.trace_a, args.trace_b)
     except TraceError as exc:
@@ -391,39 +334,23 @@ def _cmd_diff(args) -> int:
     return 0 if diff.clean else 1
 
 
-def _fuzz_seed_from_key(key: tuple) -> int | None:
-    """Recover the generator seed from a fuzz cell key (seed=N)."""
-    for part in key:
-        text = str(part)
-        if text.startswith("seed="):
-            try:
-                return int(text.removeprefix("seed="))
-            except ValueError:
-                return None
-    return None
-
-
 def _cmd_fuzz(args) -> int:
-    from repro.fuzz.generator import fuzz_profile
-    from repro.harness.fuzz import fuzz_grid_tasks
-    from repro.harness.parallel import GridTaskError
-
-    try:
-        fuzz_profile(args.profile)  # fail fast on a typo'd profile name
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
+    # Fail fast on a typo'd profile name.
+    if _usage(fuzz_profile, args.profile).faults and args.shards is not None:
+        raise UsageError(
+            f"--shards runs workload profiles only: profile "
+            f"{args.profile!r} injects crash faults, which sharded runs "
+            "refuse"
+        )
     if args.seed is not None:
         seeds = [args.seed]
     else:
         seeds = list(range(args.seed_start, args.seed_start + args.seeds))
+    run_options = dict(
+        scale=args.scale, preview=args.duration, shards=args.shards
+    )
     tasks = fuzz_grid_tasks(
-        seeds,
-        args.profile,
-        scale=args.scale,
-        preview=args.duration,
-        settle=args.settle,
-        shards=args.shards,
+        seeds, args.profile, settle=args.settle, **run_options
     )
     try:
         cells = run_grid(
@@ -436,9 +363,8 @@ def _cmd_fuzz(args) -> int:
         )
     except GridTaskError as exc:
         print(exc)
-        seed = _fuzz_seed_from_key(exc.key)
-        if seed is not None:
-            _report_fuzz_failure(args, seed)
+        seed_of = {task.key: seed for task, seed in zip(tasks, seeds)}
+        _report_fuzz_failure(args, seed_of[exc.key], run_options)
         return 1
     print()
     print(
@@ -453,48 +379,32 @@ def _cmd_fuzz(args) -> int:
     return 0
 
 
-def _report_fuzz_failure(args, seed: int) -> None:
+def _report_fuzz_failure(args, seed: int, run_options: dict) -> None:
     """Post-mortem for one failing fuzz seed: trace, then shrink."""
-    print(f"\nfailing seed: {seed} (reproduce with: python -m repro fuzz "
-          f"--seed {seed} --profile {args.profile} --scale {args.scale:g}"
-          + (f" --duration {args.duration:g}" if args.duration else "")
-          + ")")
+    # Every parsed option that shapes the run, so the line reproduces it.
+    reproduce = (
+        f"python -m repro fuzz --seed {seed} --profile {args.profile} "
+        f"--scale {args.scale:g} --settle {args.settle:g}"
+        + (f" --duration {args.duration:g}" if args.duration else "")
+        + (f" --shards {args.shards}" if args.shards is not None else "")
+    )
+    print(f"\nfailing seed: {seed} (reproduce with: {reproduce})")
     if args.artifacts:
-        from pathlib import Path
-
-        from repro.fuzz.generator import generate_scenario
-        from repro.trace.recorder import record_scenario
-
-        scenario = generate_scenario(seed, args.profile)
-        profile, policy = _scaled_setup(scenario.game, args.scale)
         try:
-            run = record_scenario(
-                scenario,
-                backend="matrix",
-                profile=profile,
-                scale=args.scale,
-                preview=args.duration,
-                seed=seed,
-                policy=policy,
-            )
-            path = run.write(
-                Path(args.artifacts)
-                / f"fuzz-{args.profile}-{seed}.trace"
+            path = record_fuzz_failure(
+                seed, args.profile, args.artifacts, **run_options
             )
             print(f"failing trace recorded: {path}")
         except Exception as exc:  # the run may crash before finishing
             print(f"could not record failing trace: {exc}")
     if args.shrink:
-        from repro.harness.fuzz import shrink_fuzz_failure
-
         print("shrinking (bounded re-runs)...")
         shrunk = shrink_fuzz_failure(
             seed,
             args.profile,
-            scale=args.scale,
-            preview=args.duration,
             settle=args.settle,
             max_iterations=args.shrink_iterations,
+            **run_options,
         )
         print(
             f"minimal reproducer after {shrunk.iterations} runs "
@@ -505,73 +415,42 @@ def _report_fuzz_failure(args, seed: int) -> None:
 
 
 def _cmd_perf(args) -> int:
-    from repro.perf import format_report
-
-    if args.suite:
-        from repro.harness.perfsuite import (
-            format_suite_table,
-            kernel_comparison,
-            run_perf_suite,
+    outcome = _run_and_summarize(
+        dict(
+            run_arguments(args.scenario, **_run_options(args)),
+            perf=PerfConfig(
+                enabled=True, step_sample_every=args.sample_every
+            ),
         )
-
-        scenarios = run_perf_suite(
-            args.scale,
-            seed=args.seed,
-            preview=args.duration,
-            step_sample_every=args.sample_every,
-            jobs=args.jobs,
-        )
-        kernel = kernel_comparison()
-        print(f"perf suite (scale={args.scale:g}, seed={args.seed}, "
-              f"jobs={args.jobs or 1}):")
-        print(format_suite_table(scenarios))
-        print()
-        print(
-            f"kernel drain: {kernel['events_per_sec']:,.0f} ev/s optimized "
-            f"vs {kernel['legacy_events_per_sec']:,.0f} ev/s legacy "
-            f"({kernel['speedup_vs_rich_heap']:.2f}x)"
-        )
-        return 0
-
-    if args.scenario is None:
-        print("error: a scenario name is required unless --suite is given")
-        return 2
-    scenario = build_scenario(args.scenario)
-    profile, policy = _scaled_setup(scenario.game, args.scale)
-    started = time.perf_counter()
-    outcome = run_scenario(
-        scenario,
-        profile=profile,
-        scale=args.scale,
-        preview=args.duration,
-        policy=policy,
-        perf=PerfConfig(
-            enabled=True, step_sample_every=args.sample_every
-        ),
-        seed=args.seed,
     )
-    _summarize_run(outcome, time.perf_counter() - started)
     print()
     print(
         format_report(
             outcome.experiment.perf,
-            title=f"perf report: {scenario.name} @ scale {args.scale:g}",
+            title=(
+                f"perf report: {outcome.scenario.name} "
+                f"@ scale {args.scale:g}"
+            ),
         )
     )
     return 0
 
 
 def _cmd_compare(args) -> int:
-    scenario = build_scenario(args.scenario)
-    backends = (
-        tuple(args.backends.split(",")) if args.backends else None
-    )
-    # compare_backends scales the profile and queue cap itself; only
-    # the Matrix policy needs scaling here.
+    scenario = _usage(build_scenario, args.scenario)
+    backends = tuple(args.backends.split(",")) if args.backends else None
+    unknown = sorted(set(backends or ()) - set(backend_names()))
+    if unknown:
+        raise UsageError(
+            f"unknown backend(s) {unknown}; known: {backend_names()}"
+        )
+    # compare_backends scales the profile and every capacity itself;
+    # only the Matrix policy is scaled here.
+    _, policy = scaled_setup(scenario.game, args.scale)
     outcomes = compare_backends(
         scenario,
         backends=backends,
-        policy=LoadPolicyConfig().scaled(args.scale),
+        policy=policy,
         seed=args.seed,
         scale=args.scale,
         preview=args.duration,
@@ -607,115 +486,125 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+#: The options several subcommands share, each declared once; a
+#: subcommand picks the ones it takes and its own defaults.
+_SHARED_OPTIONS = {
+    "backend": dict(default="matrix", choices=backend_names()),
+    "scale": dict(
+        type=float,
+        help="population/policy/capacity scale factor "
+        "(default %(default)s)",
+    ),
+    "seed": dict(type=int, help="simulation seed (default %(default)s)"),
+    "duration": dict(
+        type=float, default=None,
+        help="truncate each scenario to this many simulated seconds",
+    ),
+    "shards": dict(
+        type=int, default=None, metavar="N",
+        help="run the matrix backend on the space-partitioned kernel: N "
+        "shard lanes executed one after the other, a determinism check, "
+        "not a speed-up (same seed gives identical results and traces at "
+        "any N; incompatible with crash faults — LinkDegrade chaos is "
+        "fine)",
+    ),
+    "jobs": dict(
+        type=int, default=None, metavar="N",
+        help="fan independent cells out over N worker processes "
+        "(default: serial; deterministic outputs are identical "
+        "either way)",
+    ),
+}
+
+
+def _add_shared(parser, *names: str, **defaults) -> None:
+    """Declare the shared options *names* on *parser*."""
+    for name in names:
+        spec = dict(_SHARED_OPTIONS[name])
+        if name in defaults:
+            spec["default"] = defaults[name]
+        parser.add_argument(f"--{name}", **spec)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser; each subcommand's ``handler``
+    default is the function ``main`` dispatches to."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Matrix reproduction: declarative scenario runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-scenarios", help="show the scenario catalog")
-    sub.add_parser("list-mobility", help="show registered mobility models")
-    sub.add_parser(
-        "list-backends", help="show registered architecture backends"
-    )
+    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
+        sub_parser = sub.add_parser(name, **kwargs)
+        sub_parser.set_defaults(handler=handler)
+        return sub_parser
 
-    def add_jobs_flag(sub_parser):
-        sub_parser.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
-            help="fan independent cells out over N worker processes "
-            "(default: serial; deterministic outputs are identical "
-            "either way)",
-        )
+    command("list-scenarios", _print_scenarios,
+            help="show the scenario catalog")
+    command("list-mobility", _print_mobility,
+            help="show registered mobility models")
+    command("list-backends", _print_backends,
+            help="show registered architecture backends")
 
-    run_parser = sub.add_parser(
-        "run", help="run one or more registered scenarios"
+    run_parser = command(
+        "run", _cmd_run, help="run one or more registered scenarios"
     )
     run_parser.add_argument(
         "scenarios", nargs="+", metavar="scenario",
         help="registered scenario name(s); several fan out (see --jobs)",
     )
     run_parser.add_argument(
-        "--backend", default="matrix", choices=backend_names()
-    )
-    run_parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="population/policy/capacity scale factor (default 1.0)",
-    )
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="truncate the scenario to this many simulated seconds",
-    )
-    run_parser.add_argument(
         "--no-faults", action="store_true",
         help="run a chaos scenario with its fault phases disarmed",
     )
-    run_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the matrix backend on the space-partitioned kernel: N "
-        "shard lanes executed one after the other, a determinism check, "
-        "not a speed-up (same seed gives identical results at any N; "
-        "incompatible with crash faults — LinkDegrade chaos is fine)",
+    _add_shared(
+        run_parser, "backend", "scale", "seed", "duration", "shards", "jobs",
+        scale=1.0, seed=0,
     )
-    add_jobs_flag(run_parser)
 
-    compare_parser = sub.add_parser(
-        "compare",
+    compare_parser = command(
+        "compare", _cmd_compare,
         help="run one scenario on several backends and tabulate verdicts",
     )
     compare_parser.add_argument("scenario", help="registered scenario name")
     compare_parser.add_argument(
         "--backends", default=None,
-        help="comma-separated backend names (default: all registered)",
+        help="comma-separated backend names (default: all registered "
+        "architectures)",
     )
-    compare_parser.add_argument(
-        "--scale", type=float, default=0.1,
-        help="population/policy/capacity scale factor (default 0.1)",
+    _add_shared(
+        compare_parser, "scale", "seed", "duration", "jobs",
+        scale=0.1, seed=0,
     )
-    compare_parser.add_argument("--seed", type=int, default=0)
-    compare_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="truncate the scenario to this many simulated seconds",
-    )
-    add_jobs_flag(compare_parser)
 
-    sweep_parser = sub.add_parser(
-        "sweep", help="run every registered scenario and tabulate"
+    sweep_parser = command(
+        "sweep", _cmd_sweep,
+        help="run every registered scenario and tabulate",
     )
-    sweep_parser.add_argument("--scale", type=float, default=0.1)
-    sweep_parser.add_argument("--seed", type=int, default=0)
-    sweep_parser.add_argument("--duration", type=float, default=None)
     sweep_parser.add_argument(
         "--json", default="benchmarks/output/BENCH_scenario_sweep.json",
         metavar="PATH",
         help="where to write the BENCH JSON payload (deterministic "
         "metrics + timing section); empty string disables",
     )
-    add_jobs_flag(sweep_parser)
+    _add_shared(
+        sweep_parser, "scale", "seed", "duration", "jobs", scale=0.1, seed=0
+    )
 
-    perf_parser = sub.add_parser(
-        "perf", help="run with perf instrumentation and print the report"
+    perf_parser = command(
+        "perf", _cmd_perf,
+        help="run with perf instrumentation and print the report",
     )
-    perf_parser.add_argument(
-        "scenario", nargs="?", default=None,
-        help="registered scenario name (omit with --suite)",
-    )
-    perf_parser.add_argument(
-        "--suite", action="store_true",
-        help="run the consolidated perf suite instead of one scenario",
-    )
-    perf_parser.add_argument("--scale", type=float, default=0.05)
-    perf_parser.add_argument("--seed", type=int, default=1)
-    perf_parser.add_argument("--duration", type=float, default=None)
+    perf_parser.add_argument("scenario", help="registered scenario name")
     perf_parser.add_argument(
         "--sample-every", type=int, default=16,
         help="sample one kernel step's wall latency out of every N",
     )
-    add_jobs_flag(perf_parser)
+    _add_shared(perf_parser, "scale", "seed", "duration", scale=0.05, seed=1)
 
-    fuzz_parser = sub.add_parser(
-        "fuzz",
+    fuzz_parser = command(
+        "fuzz", _cmd_fuzz,
         help="run generated random scenarios through the invariant "
         "harness",
     )
@@ -734,26 +623,12 @@ def main(argv: list[str] | None = None) -> int:
     fuzz_parser.add_argument(
         "--profile", default="default",
         help="fuzz profile: 'default' (workload only) or 'faulty' "
-        "(adds crash/degrade fault phases)",
-    )
-    fuzz_parser.add_argument(
-        "--scale", type=float, default=0.25,
-        help="population/policy/capacity scale factor (default 0.25)",
-    )
-    fuzz_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="truncate generated scenarios to this many simulated "
-        "seconds",
+        "(adds crash/degrade fault phases; not with --shards)",
     )
     fuzz_parser.add_argument(
         "--settle", type=float, default=10.0,
         help="extra simulated seconds before the invariant audit "
         "(default 10)",
-    )
-    fuzz_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run each seed on the space-partitioned kernel with N "
-        "shards (workload profiles only)",
     )
     fuzz_parser.add_argument(
         "--shrink", action="store_true",
@@ -767,10 +642,12 @@ def main(argv: list[str] | None = None) -> int:
         "--artifacts", default=None, metavar="DIR",
         help="on failure, record the failing run's trace into DIR",
     )
-    add_jobs_flag(fuzz_parser)
+    _add_shared(
+        fuzz_parser, "scale", "duration", "shards", "jobs", scale=0.25
+    )
 
-    record_parser = sub.add_parser(
-        "record",
+    record_parser = command(
+        "record", _cmd_record,
         help="run scenarios with the trace recorder and write .trace "
         "files",
     )
@@ -779,31 +656,17 @@ def main(argv: list[str] | None = None) -> int:
         help="registered scenario name(s); several fan out (see --jobs)",
     )
     record_parser.add_argument(
-        "--backend", default="matrix", choices=backend_names()
-    )
-    record_parser.add_argument("--seed", type=int, default=0)
-    record_parser.add_argument(
-        "--scale", type=float, default=0.1,
-        help="population/policy/capacity scale factor (default 0.1)",
-    )
-    record_parser.add_argument(
-        "--duration", type=float, default=None,
-        help="truncate the scenario to this many simulated seconds",
-    )
-    record_parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="record from the space-partitioned kernel with N shards "
-        "(the trace is identical at any N)",
-    )
-    record_parser.add_argument(
         "--out", default="traces", metavar="PATH",
         help="output directory, or a single .trace file path when one "
         "scenario is named (default: traces/)",
     )
-    add_jobs_flag(record_parser)
+    _add_shared(
+        record_parser, "backend", "scale", "seed", "duration", "shards",
+        "jobs", scale=0.1, seed=0,
+    )
 
-    replay_parser = sub.add_parser(
-        "replay",
+    replay_parser = command(
+        "replay", _cmd_replay,
         help="re-run recorded traces through the replay backend",
     )
     replay_parser.add_argument(
@@ -815,39 +678,21 @@ def main(argv: list[str] | None = None) -> int:
         "(exit 2 on mismatch)",
     )
 
-    diff_parser = sub.add_parser(
-        "diff", help="regression-compare two trace files"
+    diff_parser = command(
+        "diff", _cmd_diff, help="regression-compare two trace files"
     )
     diff_parser.add_argument("trace_a", metavar="a")
     diff_parser.add_argument("trace_b", metavar="b")
+    return parser
 
-    args = parser.parse_args(argv)
-    if args.command == "list-scenarios":
-        _print_scenarios()
-        return 0
-    if args.command == "list-mobility":
-        _print_mobility()
-        return 0
-    if args.command == "list-backends":
-        _print_backends()
-        return 0
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args)
-    if args.command == "record":
-        return _cmd_record(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    if args.command == "diff":
-        return _cmd_diff(args)
-    return 2
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args) or 0
+    except UsageError as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

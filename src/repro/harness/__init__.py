@@ -1,10 +1,9 @@
 """Experiment harness: runners for every figure/table of the paper.
 
 Beyond the figure reproductions, :func:`run_scenario` pairs any
-registered scenario with a backend (Matrix or a baseline), and
-:func:`run_perf_suite` runs the consolidated throughput suite behind
-``benchmarks/bench_perf_suite.py`` and ``python -m repro perf --suite``
-(see docs/BENCHMARKS.md).
+registered scenario with a backend (Matrix or a baseline) — the one
+experiment path every CLI command, grid and benchmark goes through
+(see docs/ARCHITECTURE.md, "One experiment path").
 """
 
 from repro.harness.compare import (
@@ -37,11 +36,6 @@ from repro.harness.parallel import (
     GridTaskError,
     run_grid,
     timing_section,
-)
-from repro.harness.perfsuite import (
-    SUITE_SCENARIOS,
-    kernel_comparison,
-    run_perf_suite,
 )
 from repro.harness.runner import (
     ScenarioOutcome,
@@ -76,7 +70,6 @@ __all__ = [
     "GridTaskError",
     "MatrixExperiment",
     "SCALED_PERCEPTION_THRESHOLD",
-    "SUITE_SCENARIOS",
     "ScenarioOutcome",
     "SystemOutcome",
     "TransparencyReport",
@@ -94,7 +87,6 @@ __all__ = [
     "format_comparison_table",
     "install_fig2_workload",
     "install_fleet_workload",
-    "kernel_comparison",
     "matrix_config_for",
     "measure_bandwidth_vs_overlap",
     "measure_switching_latency",
@@ -103,7 +95,6 @@ __all__ = [
     "outcome_for",
     "run_fig2",
     "run_grid",
-    "run_perf_suite",
     "run_scenario",
     "scenario_backend",
     "timing_section",

@@ -12,6 +12,15 @@ verdict — peak receive queue, dropped packets, p99 response latency,
 servers used.  :func:`compare_game` keeps the paper's original
 Matrix-vs-static table (T-static); :func:`compare_backends` generalises
 it to any backend set and powers ``python -m repro compare``.
+
+A comparison below the paper's population only means something when
+every capacity shrinks with the load, so this module also holds **the
+scaled-run recipe** — :func:`scaled_profile`,
+:func:`scaled_queue_capacity`, :func:`scaled_setup`,
+:func:`backend_run_options` and their sum,
+:func:`scaled_run_arguments` — the one definition of how a run at
+``scale`` parameterises a backend.  The CLI, the sweep, the fuzz
+harness, the benchmark grids and ``perfbench`` all call it.
 """
 
 from __future__ import annotations
@@ -20,12 +29,14 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.analysis.stats import percentile
+from repro.baselines.backend import BackendResult
+from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
 from repro.core.config import LoadPolicyConfig
 from repro.games.profile import GameProfile, profile_by_name
 from repro.harness.fig2 import Fig2Schedule, fig2_scenario
 from repro.harness.parallel import GridTask, run_grid
 from repro.harness.runner import backend_names, run_scenario
-from repro.workload.scenarios import Scenario
+from repro.workload.scenarios import Scenario, build_scenario
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,6 +85,84 @@ def scaled_profile(profile: GameProfile, scale: float) -> GameProfile:
     )
 
 
+def scaled_queue_capacity(queue_capacity: int, scale: float) -> int:
+    """The receive-queue cap that goes with :func:`scaled_profile`."""
+    return max(int(queue_capacity * scale), 100)
+
+
+def scaled_setup(
+    game: str, scale: float, **floors: int
+) -> tuple[GameProfile, LoadPolicyConfig]:
+    """Profile and policy scaled coherently with the population.
+
+    *floors* are ``LoadPolicyConfig.scaled``'s ``floor_overload`` /
+    ``floor_underload``; two pairs are in use — the method's own (CLI,
+    sweep, Fig 2) and :data:`repro.harness.gridcells.GRID_FLOORS`.
+    """
+    return (
+        scaled_profile(profile_by_name(game), scale),
+        LoadPolicyConfig().scaled(scale, **floors),
+    )
+
+
+def backend_run_options(
+    backend: str,
+    scale: float,
+    policy: LoadPolicyConfig | None,
+    seed: int = 1,
+    queue_capacity: int | None = None,
+) -> dict:
+    """Per-backend ``run_scenario`` options for a scaled run.
+
+    The matrix backend takes the scaled policy, and the p2p consumer
+    uplink scales with the population or its bottleneck silently
+    vanishes.  With *queue_capacity* (already scaled, see
+    :func:`scaled_queue_capacity`) the baselines additionally get that
+    queue cap — for runs graded on drops; without it each backend keeps
+    its default cap.
+    """
+    options: dict = {"seed": seed}
+    if backend == "matrix":
+        options["policy"] = policy
+    elif queue_capacity is not None:
+        options["queue_capacity"] = queue_capacity
+    if backend == "p2p":
+        options["uplink_capacity"] = DEFAULT_UPLINK_BYTES_PER_S * scale
+    return options
+
+
+def scaled_run_arguments(
+    scenario: Scenario,
+    backend: str,
+    scale: float,
+    seed: int,
+    preview: float | None = None,
+    shards: int | None = None,
+    queue_capacity: int | None = None,
+    **floors: int,
+) -> dict:
+    """``run_scenario`` keyword arguments for *scenario* at *scale*.
+
+    :func:`scaled_setup` and :func:`backend_run_options` put together:
+    what the CLI, the sweep, the fuzz harness and the grid cells pass
+    to the runner (and to ``record_scenario``, which takes the same).
+    """
+    profile, policy = scaled_setup(scenario.game, scale, **floors)
+    options = backend_run_options(
+        backend, scale, policy, seed=seed, queue_capacity=queue_capacity
+    )
+    if shards is not None:
+        options["shards"] = shards
+    return dict(
+        scenario=scenario,
+        backend=backend,
+        profile=profile,
+        scale=scale,
+        preview=preview,
+        **options,
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class Verdict:
     """The shared failure criteria every compared system is graded by.
@@ -100,27 +189,19 @@ class Verdict:
         )
 
 
-def outcome_for(system: str, result, verdict: Verdict) -> SystemOutcome:
-    """Grade one backend's run result with the shared verdict.
-
-    Works across result shapes: the Matrix
-    :class:`~repro.harness.experiment.ExperimentResult` (dynamic server
-    count, never drops) and the baselines'
-    :class:`~repro.baselines.backend.BackendResult`.
-    """
+def outcome_for(
+    system: str, result: BackendResult, verdict: Verdict
+) -> SystemOutcome:
+    """Grade one backend's run result with the shared verdict."""
     peak_queue = result.max_queue()
-    dropped = getattr(result, "dropped_packets", 0)
     p99 = _p99(result.action_latencies)
-    servers = getattr(result, "peak_servers_in_use", None)
-    if servers is None:
-        servers = getattr(result, "servers_used", 0)
     return SystemOutcome(
         system=system,
         peak_queue=peak_queue,
-        dropped_packets=dropped,
+        dropped_packets=result.dropped_packets,
         p99_latency=p99,
-        servers_used=servers,
-        failed=verdict.failed(peak_queue, dropped, p99),
+        servers_used=result.servers_used,
+        failed=verdict.failed(peak_queue, result.dropped_packets, p99),
     )
 
 
@@ -162,29 +243,27 @@ def compare_backends(
 ) -> list[SystemOutcome]:
     """Run *scenario* on every backend in *backends*; grade uniformly.
 
-    The default backend set is every registered backend.  ``scale < 1``
-    shrinks the population *and* every capacity knob together — server
-    service rate (see :func:`scaled_profile`), the queue cap, and the
-    p2p backend's consumer-uplink bandwidth — so each architecture's
-    bottleneck scales with its load and the verdicts stay meaningful;
-    the Matrix run additionally receives *policy* (scale it coherently
-    with ``LoadPolicyConfig.scaled``).  *backend_options* adds
-    per-backend keyword options (e.g. ``{"mirrored": {"mirrors": 4}}``).
-    ``jobs`` runs the backends in parallel worker processes; outcomes
-    are returned in *backends* order regardless.
+    The default backend set is every registered architecture.
+    ``scale < 1`` shrinks the population *and* every capacity knob
+    together — server service rate (see :func:`scaled_profile`), the
+    queue cap, and the p2p backend's consumer-uplink bandwidth (see
+    :func:`backend_run_options`) — so each architecture's bottleneck
+    scales with its load and the verdicts stay meaningful; the Matrix
+    run additionally receives *policy* (scale it coherently, see
+    :func:`scaled_setup`).  *backend_options* adds per-backend keyword
+    options (e.g. ``{"mirrored": {"mirrors": 4}}``).  ``jobs`` runs the
+    backends in parallel worker processes; outcomes are returned in
+    *backends* order regardless.
     """
-    from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
     if backends is None:
         backends = tuple(backend_names())
     if isinstance(scenario, str):
-        from repro.workload.scenarios import build_scenario
-
         scenario = build_scenario(scenario)
     if profile is None:
         profile = profile_by_name(scenario.game)
     if scale != 1.0:
         profile = scaled_profile(profile, scale)
-        queue_capacity = max(int(queue_capacity * scale), 100)
+        queue_capacity = scaled_queue_capacity(queue_capacity, scale)
     verdict = Verdict(
         queue_capacity=queue_capacity,
         queue_fraction=failure_queue_fraction,
@@ -192,16 +271,13 @@ def compare_backends(
     )
     tasks = []
     for index, backend in enumerate(backends):
-        options = dict((backend_options or {}).get(backend, {}))
-        options.setdefault("seed", seed)
-        if backend == "matrix":
-            options.setdefault("policy", policy)
-        else:
-            options.setdefault("queue_capacity", queue_capacity)
-        if backend == "p2p":
-            options.setdefault(
-                "uplink_capacity", DEFAULT_UPLINK_BYTES_PER_S * scale
-            )
+        options = {
+            **backend_run_options(
+                backend, scale, policy, seed=seed,
+                queue_capacity=queue_capacity,
+            ),
+            **(backend_options or {}).get(backend, {}),
+        }
         # The key leads with the caller's index so the merged order is
         # the caller's backend order, not alphabetical.
         tasks.append(
@@ -245,7 +321,7 @@ def compare_game(
     """
     if scale != 1.0:
         profile = scaled_profile(profile, scale)
-        queue_capacity = max(int(queue_capacity * scale), 100)
+        queue_capacity = scaled_queue_capacity(queue_capacity, scale)
     matrix_outcome, static_outcome = compare_backends(
         fig2_scenario(schedule),
         backends=("matrix", "static"),

@@ -1,17 +1,19 @@
-"""Common experiment runner: one Matrix deployment + one client fleet.
+"""The Matrix experiment: one Matrix deployment behind the shared scaffold.
 
-Every figure/table reproduction builds on :class:`MatrixExperiment`:
-it wires a simulator, network, Matrix deployment and client fleet for a
-chosen game profile, samples per-server client counts and receive-queue
-lengths on a fixed period (the two Fig 2 panels), and packages the
-outcome into an :class:`ExperimentResult`.
+Every figure/table reproduction builds on :class:`MatrixExperiment`,
+the Matrix :class:`~repro.baselines.backend.ArchitectureBackend`: the
+scaffold wires simulator, network, client fleet and the sampler of
+per-server client counts and receive-queue lengths (the two Fig 2
+panels); this module supplies the deployment behind the fleet's
+locator and the split/reclaim read-out of :class:`ExperimentResult`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.analysis.timeseries import Sampler, TimeSeries
+from repro.analysis.timeseries import TimeSeries
+from repro.baselines.backend import ArchitectureBackend, BackendResult
 from repro.core.config import (
     LoadPolicyConfig,
     MatrixConfig,
@@ -21,11 +23,7 @@ from repro.core.config import (
 from repro.core.deployment import MatrixDeployment, ServerEvent
 from repro.games.base import GameServer
 from repro.games.profile import GameProfile
-from repro.net.network import Network
-from repro.net.stats import TrafficStats
-from repro.sim.kernel import Simulator
-from repro.sim.rng import RngRegistry
-from repro.workload.fleet import ClientFleet
+from repro.geometry import Vec2
 
 
 def matrix_config_for(
@@ -46,33 +44,20 @@ def matrix_config_for(
 
 
 @dataclass
-class ExperimentResult:
-    """Everything the benches/tests read out of one run."""
+class ExperimentResult(BackendResult):
+    """A Matrix run: the shared read-out plus the split/reclaim story.
 
-    profile_name: str
-    duration: float
-    clients_per_server: dict[str, TimeSeries]
-    queue_per_server: dict[str, TimeSeries]
+    ``servers_used`` is the peak number of live servers; Matrix's
+    receive queues are unbounded, so ``dropped_packets`` is 0.
+    """
+
     server_count: TimeSeries
     total_clients: TimeSeries
     server_events: list[ServerEvent]
-    traffic: TrafficStats
-    action_latencies: list[float]
-    switch_latencies: list[float]
     splits_completed: int
     reclaims_completed: int
     failed_splits: int
     pool_capacity: int
-    peak_servers_in_use: int
-    events_processed: int
-    #: :meth:`repro.perf.PerfRegistry.snapshot` of the run, or None
-    #: when instrumentation was off.
-    perf_snapshot: dict | None = None
-
-    def max_queue(self) -> float:
-        """Largest receive-queue sample across all servers."""
-        peaks = [s.max() for s in self.queue_per_server.values() if len(s)]
-        return max(peaks) if peaks else 0.0
 
     def final_server_count(self) -> float:
         """Live servers at the end of the run."""
@@ -95,13 +80,10 @@ class ExperimentResult:
         ]
 
 
-class MatrixExperiment:
+class MatrixExperiment(ArchitectureBackend):
     """A ready-to-run Matrix deployment with workload hooks."""
 
-    #: Message kinds carrying Matrix's consistency traffic — what a
-    #: chaos ``LinkDegrade`` faults when the scenario names no kinds
-    #: (same contract as ``ArchitectureBackend.fault_kinds``).
-    fault_kinds = ("matrix.forward",)
+    name = "matrix"
 
     def __init__(
         self,
@@ -117,51 +99,27 @@ class MatrixExperiment:
         replicated_mc: bool = False,
         mc_failover_timeout: float = 3.0,
     ) -> None:
-        self.profile = profile
-        self.rng = RngRegistry(seed=seed)
         self.config = matrix_config or matrix_config_for(
             profile, policy, middleware, perf
         )
-        #: PerfRegistry when ``config.perf.enabled``, else None.  It is
-        #: shared by the kernel, the network and (through the network)
-        #: every runtime/geometry hook of this deployment.
-        self.perf = self.config.perf.build_registry()
-        self.sim = self._build_sim()
-        self.network = self._build_network()
-        self.deployment = self._build_deployment(
+        self._deployment_options = dict(
             pool_capacity=pool_capacity,
             replicated_mc=replicated_mc,
             mc_failover_timeout=mc_failover_timeout,
         )
-        #: The armed :class:`~repro.chaos.ChaosDriver`, or None.  Set
-        #: by the unified runner for scenarios that declare faults.
-        self.chaos = None
-        if grid is None:
-            self.deployment.bootstrap()
-        else:
-            self.deployment.bootstrap_grid(*grid)
-        self.fleet = ClientFleet(
-            self.sim,
-            self.network,
-            profile,
-            locator=self.deployment.locate_game_server,
-            rng=self.rng.stream("fleet"),
-        )
-        self._sampler = Sampler(self.sim, sample_period, self._probes)
+        self._grid = grid
         self._peak_servers = 1
-
-    # ------------------------------------------------------------------
-    # Substrate factories (overridden by the sharded experiment)
-    # ------------------------------------------------------------------
-    def _build_sim(self) -> Simulator:
-        return Simulator(perf=self.perf)
-
-    def _build_network(self) -> Network:
-        return Network(
-            self.sim, rng=self.rng.stream("network"), perf=self.perf
+        super().__init__(
+            profile,
+            seed=seed,
+            perf=self.config.perf,
+            sample_period=sample_period,
         )
+        # Before the workload is installed (see start_sampling).
+        self.start_sampling()
 
     def _build_deployment(self, **kwargs) -> MatrixDeployment:
+        """Deployment factory (overridden by the sharded experiment)."""
         return MatrixDeployment(
             self.sim,
             self.network,
@@ -169,12 +127,6 @@ class MatrixExperiment:
             game_server_factory=self._make_game_server,
             **kwargs,
         )
-
-    def fault_nodes(self) -> list:
-        """Server-class nodes a chaos ``LinkDegrade`` installs stages on
-        (same contract as ``ArchitectureBackend.fault_nodes``; late
-        spawns are covered by the deployment's pair-created hooks)."""
-        return list(self.deployment.matrix_servers.values())
 
     def _make_game_server(self, name: str, partition) -> GameServer:
         return GameServer(
@@ -184,35 +136,43 @@ class MatrixExperiment:
             report_interval=self.config.policy.report_interval,
         )
 
-    def _probes(self) -> dict:
+    # ------------------------------------------------------------------
+    # ArchitectureBackend
+    # ------------------------------------------------------------------
+    def build(self) -> None:
+        self.deployment = self._build_deployment(**self._deployment_options)
+        if self._grid is None:
+            self.deployment.bootstrap()
+        else:
+            self.deployment.bootstrap_grid(*self._grid)
+
+    def locate(self, point: Vec2) -> str:
+        """Ownership: whichever partition currently covers *point*."""
+        return self.deployment.locate_game_server(point)
+
+    @property
+    def game_servers(self) -> dict[str, GameServer]:
+        return self.deployment.game_servers
+
+    def fault_nodes(self) -> list:
+        """Overlap forwards leave from the Matrix servers (late spawns
+        are covered by the deployment's pair-created hooks)."""
+        return list(self.deployment.matrix_servers.values())
+
+    def servers_used(self) -> int:
+        """The peak number of live servers (sampled)."""
+        return self._peak_servers
+
+    def probes(self) -> dict:
         live = len(self.deployment.live_server_names())
         self._peak_servers = max(self._peak_servers, live)
-        probes = {
+        return {
             "servers": lambda: live,
             "clients": lambda: self.deployment.total_clients(),
+            **super().probes(),
         }
-        for gs_name, handle in self.deployment.game_servers.items():
-            probes[f"clients/{gs_name}"] = (
-                lambda h=handle: h.client_count
-            )
-            probes[f"queue/{gs_name}"] = (
-                lambda h=handle: h.inbox.length
-            )
-        return probes
 
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(self, until: float) -> ExperimentResult:
-        """Run the scenario and collect the result."""
-        self.sim.run(until=until)
-        clients_per_server: dict[str, TimeSeries] = {}
-        queue_per_server: dict[str, TimeSeries] = {}
-        for key, series in self._sampler.series.items():
-            if key.startswith("clients/"):
-                clients_per_server[key.removeprefix("clients/")] = series
-            elif key.startswith("queue/"):
-                queue_per_server[key.removeprefix("queue/")] = series
+    def _collect(self, until: float) -> ExperimentResult:
         splits = sum(
             server.splits_completed
             for server in self.deployment.matrix_servers.values()
@@ -236,13 +196,11 @@ class MatrixExperiment:
             for event in self.deployment.events
             if event.kind == "decommission"
         )
+        series = self._sampler.series
         return ExperimentResult(
-            profile_name=self.profile.name,
-            duration=until,
-            clients_per_server=clients_per_server,
-            queue_per_server=queue_per_server,
-            server_count=self._sampler.series.get("servers", TimeSeries()),
-            total_clients=self._sampler.series.get("clients", TimeSeries()),
+            **self._common_fields(until),
+            server_count=series.get("servers", TimeSeries()),
+            total_clients=series.get("clients", TimeSeries()),
             # Stable time-sort: a no-op for the single-kernel run (the
             # list is appended in execution order, which is time order),
             # but parallel lanes append interleaved — sorting restores a
@@ -250,16 +208,8 @@ class MatrixExperiment:
             server_events=sorted(
                 self.deployment.events, key=lambda event: event.time
             ),
-            traffic=self.network.stats,
-            action_latencies=self.fleet.all_action_latencies(),
-            switch_latencies=self.fleet.all_switch_latencies(),
             splits_completed=max(splits, spawned - 1),
             reclaims_completed=max(reclaims, decommissioned),
             failed_splits=failed,
             pool_capacity=self.deployment.pool.capacity,
-            peak_servers_in_use=self._peak_servers,
-            events_processed=self.sim.events_processed,
-            perf_snapshot=(
-                self.perf.snapshot() if self.perf is not None else None
-            ),
         )

@@ -13,12 +13,17 @@ reproduction command.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.fuzz.generator import FuzzProfile, fuzz_profile, generate_scenario
 from repro.fuzz.invariants import check_invariants, snapshot_lifecycle
 from repro.fuzz.shrink import ShrinkResult, shrink_scenario
+from repro.harness.compare import scaled_run_arguments
+from repro.harness.gridcells import GRID_FLOORS
 from repro.harness.parallel import GridCell, GridTask, run_grid
+from repro.harness.runner import ScenarioOutcome, run_scenario
+from repro.trace.recorder import record_scenario
 from repro.workload.scenarios.spec import Scenario
 
 #: An extra invariant: ``(outcome) -> list of violation strings``.
@@ -72,6 +77,40 @@ class FuzzCase:
         return [type(phase).__name__ for phase in self.scenario.phases]
 
 
+def fuzz_run_arguments(
+    scenario: Scenario, seed: int, backend: str = "matrix", **run_options
+) -> dict:
+    """The ``run_scenario`` keyword arguments of one fuzz case.
+
+    Shared by the audit, the shrinker and the failing-trace recorder,
+    so all three run the same thing; *run_options* are ``scale``,
+    ``preview`` and ``shards``.  The scaled setup is the benchmark
+    grids' (same floors), so fuzzed dynamics at ``scale < 1`` still
+    split and reclaim.
+    """
+    return scaled_run_arguments(
+        scenario, backend, seed=seed, **run_options, **GRID_FLOORS
+    )
+
+
+def _run_and_audit(
+    run_arguments: dict,
+    settle: float,
+    extra_invariants: Sequence[ExtraInvariant],
+    recovery_bound: float = 60.0,
+) -> tuple[ScenarioOutcome, list]:
+    """Run to the horizon, settle, audit; returns (outcome, violations)."""
+    outcome = run_scenario(**run_arguments)
+    pre_settle = snapshot_lifecycle(outcome.experiment)
+    outcome.experiment.sim.run(until=outcome.scenario.duration + settle)
+    violations = check_invariants(
+        outcome, pre_settle=pre_settle, recovery_bound=recovery_bound
+    )
+    for invariant in extra_invariants:
+        violations.extend(invariant(outcome))
+    return outcome, violations
+
+
 def run_fuzz_case(
     seed: int,
     profile: "FuzzProfile | str | None" = None,
@@ -87,53 +126,28 @@ def run_fuzz_case(
 ) -> FuzzCase:
     """Generate, run and audit one seed; never raises on violations.
 
-    The scaled-profile/policy setup mirrors the benchmark grid cells
-    (same floors), so fuzzed dynamics at ``scale < 1`` still split and
-    reclaim.  *extra_invariants* are appended to the global checks —
-    the shrinker tests hook their known-bad predicate in through this.
+    *extra_invariants* are appended to the global checks — the shrinker
+    tests hook their known-bad predicate in through this.
     """
-    from repro.harness.gridcells import _scaled_setup
-    from repro.harness.runner import run_scenario
-
     if profile is None or isinstance(profile, str):
         profile = fuzz_profile(profile or "default")
     scenario = generate_scenario(seed, profile, faults=faults)
-    game_profile, policy = _scaled_setup(scenario.game, scale)
-    options: dict = {"seed": seed}
-    if backend == "matrix":
-        options["policy"] = policy
-        if shards is not None:
-            options["shards"] = shards
-    outcome = run_scenario(
-        scenario,
-        backend=backend,
-        profile=game_profile,
-        scale=scale,
-        preview=preview,
-        **options,
+    outcome, violations = _run_and_audit(
+        fuzz_run_arguments(
+            scenario, seed, backend,
+            scale=scale, preview=preview, shards=shards,
+        ),
+        settle,
+        extra_invariants,
+        recovery_bound,
     )
-    horizon = (
-        min(scenario.duration, preview)
-        if preview is not None
-        else scenario.duration
-    )
-    pre_settle = snapshot_lifecycle(outcome.experiment)
-    outcome.experiment.sim.run(until=horizon + settle)
-    violations = check_invariants(
-        outcome, pre_settle=pre_settle, recovery_bound=recovery_bound
-    )
-    for invariant in extra_invariants:
-        violations.extend(invariant(outcome))
-    result = outcome.result
     return FuzzCase(
         seed=seed,
         profile=profile.name,
         scenario=outcome.scenario,
         violations=violations,
-        events_processed=getattr(result, "events_processed", 0),
-        peak_servers=getattr(
-            result, "peak_servers_in_use", getattr(result, "servers_used", 0)
-        ),
+        events_processed=outcome.result.events_processed,
+        peak_servers=outcome.result.servers_used,
         total_clients=len(outcome.experiment.fleet.active_clients()),
     )
 
@@ -232,6 +246,7 @@ def shrink_fuzz_failure(
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
+    shards: int | None = None,
     extra_invariants: Sequence[ExtraInvariant] = (),
     max_iterations: int = 24,
     faults: bool | None = None,
@@ -241,38 +256,34 @@ def shrink_fuzz_failure(
     ``still_fails`` re-runs the full audit on each candidate, so every
     iteration costs one simulation — *max_iterations* bounds the spend.
     """
-    from repro.harness.gridcells import _scaled_setup
-    from repro.harness.runner import run_scenario
-
     if profile is None or isinstance(profile, str):
         profile = fuzz_profile(profile or "default")
     scenario = generate_scenario(seed, profile, faults=faults)
 
     def still_fails(candidate: Scenario) -> bool:
-        game_profile, policy = _scaled_setup(candidate.game, scale)
-        options: dict = {"seed": seed}
-        if backend == "matrix":
-            options["policy"] = policy
-        outcome = run_scenario(
-            candidate,
-            backend=backend,
-            profile=game_profile,
-            scale=scale,
-            preview=preview,
-            **options,
+        _, violations = _run_and_audit(
+            fuzz_run_arguments(
+                candidate, seed, backend,
+                scale=scale, preview=preview, shards=shards,
+            ),
+            settle,
+            extra_invariants,
         )
-        horizon = (
-            min(candidate.duration, preview)
-            if preview is not None
-            else candidate.duration
-        )
-        pre = snapshot_lifecycle(outcome.experiment)
-        outcome.experiment.sim.run(until=horizon + settle)
-        violations = check_invariants(outcome, pre_settle=pre)
-        for invariant in extra_invariants:
-            violations.extend(invariant(outcome))
         return bool(violations)
 
     return shrink_scenario(
         scenario, still_fails, max_iterations=max_iterations
     )
+
+
+def record_fuzz_failure(
+    seed: int, profile: str, directory, **run_options
+) -> Path:
+    """Re-run the failing *seed* with the trace recorder attached and
+    write ``fuzz-<profile>-<seed>.trace`` into *directory*."""
+    run = record_scenario(
+        **fuzz_run_arguments(
+            generate_scenario(seed, profile), seed, **run_options
+        )
+    )
+    return run.write(Path(directory) / f"fuzz-{profile}-{seed}.trace")

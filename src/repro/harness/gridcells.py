@@ -3,24 +3,33 @@
 :mod:`repro.harness.parallel` ships cells to ``spawn`` workers by
 pickling a module-level function plus primitive kwargs; this module is
 where those functions live for the architecture-matrix and chaos-suite
-grids (the sweep and perf-suite cells live next to their grids in
-:mod:`repro.harness.sweep` / :mod:`repro.harness.perfsuite`).  Each
-cell rebuilds its scaled policy/profile from primitives inside the
-worker and returns a plain dict of *deterministic* metrics — wall-clock
-readings are taken by the pool around the cell, never mixed into the
-payload, so merged ``BENCH_*.json`` metrics byte-diff across job
-counts.
-
-``backend_run_options`` also lives here (it used to sit in
-``benchmarks/common.py``) so the arch-matrix grid, the chaos grid and
-any future grid consumer share one definition of how a scaled grid
-cell parameterises each backend.
+grids (the sweep cell lives next to its grid in
+:mod:`repro.harness.sweep`).  Each cell rebuilds its scaled
+policy/profile from primitives inside the worker — through the one
+scaled-run recipe of :mod:`repro.harness.compare`, so grading
+conditions cannot drift between grids — and returns a plain dict of
+*deterministic* metrics: wall-clock readings are taken by the pool
+around the cell, never mixed into the payload, so merged
+``BENCH_*.json`` metrics byte-diff across job counts.
 """
 
 from __future__ import annotations
 
 from repro.analysis.stats import percentile
-from repro.core.config import LoadPolicyConfig
+from repro.chaos import ChaosOptions
+from repro.harness.compare import (
+    Verdict,
+    backend_run_options,  # noqa: F401  (perfbench imports it from here)
+    outcome_for,
+    scaled_queue_capacity,
+    scaled_run_arguments,
+)
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import (
+    CoordinatorCrash,
+    ServerCrash,
+    build_scenario,
+)
 
 #: Message-kind prefixes that constitute each backend's consistency
 #: traffic (what it spends to keep replicas/peers/lookups coherent).
@@ -32,44 +41,10 @@ CONSISTENCY_PREFIXES = {
     "dht": ("matrix.forward", "dht."),
 }
 
-
-def backend_run_options(
-    backend: str,
-    scale: float,
-    policy: LoadPolicyConfig,
-    seed: int = 1,
-    queue_capacity: int | None = None,
-) -> dict:
-    """Per-backend ``run_scenario`` options for a scaled grid cell.
-
-    Shared by the architecture-matrix and chaos-suite grids so their
-    grading conditions cannot drift: the matrix backend takes the
-    scaled policy, and the p2p consumer uplink scales with the
-    population (like ``compare_backends``) or its bottleneck silently
-    vanishes.  With *queue_capacity* the baselines additionally get
-    the scaled queue cap (the chaos grid grades drops; the arch grid
-    keeps each backend's default cap).
-    """
-    options: dict = {"seed": seed}
-    if backend == "matrix":
-        options["policy"] = policy
-    elif queue_capacity is not None:
-        options["queue_capacity"] = max(int(queue_capacity * scale), 100)
-    if backend == "p2p":
-        from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
-
-        options["uplink_capacity"] = DEFAULT_UPLINK_BYTES_PER_S * scale
-    return options
-
-
-def _scaled_setup(game: str, scale: float):
-    from repro.games.profile import profile_by_name
-    from repro.harness.compare import scaled_profile
-
-    return (
-        scaled_profile(profile_by_name(game), scale),
-        LoadPolicyConfig().scaled(scale, floor_overload=6, floor_underload=3),
-    )
+#: The policy floors of the grids and the fuzz harness: their tiny
+#: populations need a 6/3 threshold pair to still split and reclaim
+#: (the CLI, the sweep and Fig 2 keep ``LoadPolicyConfig.scaled``'s own).
+GRID_FLOORS = {"floor_overload": 6, "floor_underload": 3}
 
 
 def arch_matrix_cell(
@@ -86,46 +61,29 @@ def arch_matrix_cell(
     latency — plus drops and the event count.  Deterministic only: the
     pool records the cell's wall clock separately.
     """
-    from repro.harness.runner import run_scenario
-
-    profile, policy = _scaled_setup(_scenario_game(name), scale)
-    options = backend_run_options(backend, scale, policy, seed=seed)
-    outcome = run_scenario(
-        name,
-        backend=backend,
-        profile=profile,
-        scale=scale,
-        preview=preview,
-        **options,
-    )
-    result = outcome.result
+    result = run_scenario(
+        **scaled_run_arguments(
+            build_scenario(name), backend, scale, seed,
+            preview=preview, **GRID_FLOORS,
+        )
+    ).result
     stats = result.traffic
     consistency_bytes = sum(
         stats.kind_bytes(prefix) for prefix in CONSISTENCY_PREFIXES[backend]
     )
     latencies = result.action_latencies
-    consistency = getattr(result, "consistency", {}) or {}
     return {
         "peak_queue": result.max_queue(),
-        "dropped": float(getattr(result, "dropped_packets", 0)),
+        "dropped": float(result.dropped_packets),
         "consistency_bytes": float(consistency_bytes),
         "lookup_latency_ms": (
-            consistency.get("mean_lookup_latency", 0.0) * 1000.0
+            result.consistency.get("mean_lookup_latency", 0.0) * 1000.0
         ),
         "p99_latency_ms": (
             percentile(latencies, 99) * 1000.0 if latencies else 0.0
         ),
-        "events": float(
-            getattr(result, "events_processed", 0)
-            or outcome.experiment.sim.events_processed
-        ),
+        "events": float(result.events_processed),
     }
-
-
-def _scenario_game(name: str) -> str:
-    from repro.workload.scenarios import build_scenario
-
-    return build_scenario(name).game
 
 
 def chaos_recovery_cell(
@@ -139,16 +97,7 @@ def chaos_recovery_cell(
     crash and coordinator failover, then a settle window and the
     leak/coverage audit.  All returned fields are simulation-time
     quantities — deterministic for a given seed."""
-    from repro.chaos import ChaosOptions
-    from repro.harness.runner import run_scenario
-    from repro.workload.scenarios import (
-        CoordinatorCrash,
-        ServerCrash,
-        build_scenario,
-    )
-
     scenario = build_scenario(name)
-    profile, policy = _scaled_setup(scenario.game, scale)
     horizon = min(scenario.duration, preview)
     chaos = ChaosOptions(
         extra_faults=(
@@ -157,13 +106,9 @@ def chaos_recovery_cell(
         )
     )
     outcome = run_scenario(
-        scenario,
-        backend="matrix",
-        profile=profile,
-        policy=policy,
-        scale=scale,
-        preview=preview,
-        seed=seed,
+        **scaled_run_arguments(
+            scenario, "matrix", scale, seed, preview=preview, **GRID_FLOORS
+        ),
         chaos=chaos,
     )
     experiment = outcome.experiment
@@ -203,27 +148,17 @@ def chaos_fault_cell(
 ) -> dict:
     """One backend × fault cell: chaos scenario *name* on *backend*,
     graded with the shared compare verdict."""
-    from repro.harness.compare import Verdict, outcome_for
-    from repro.harness.runner import run_scenario
-    from repro.workload.scenarios import build_scenario
-
-    scenario = build_scenario(name)
-    profile, policy = _scaled_setup(scenario.game, scale)
-    options = backend_run_options(
-        backend, scale, policy, seed=seed, queue_capacity=queue_capacity
-    )
+    queue_capacity = scaled_queue_capacity(queue_capacity, scale)
     outcome = run_scenario(
-        scenario,
-        backend=backend,
-        profile=profile,
-        scale=scale,
-        preview=preview,
-        **options,
+        **scaled_run_arguments(
+            build_scenario(name), backend, scale, seed,
+            preview=preview, queue_capacity=queue_capacity, **GRID_FLOORS,
+        )
     )
     verdict = Verdict(
-        queue_capacity=max(int(queue_capacity * scale), 100),
+        queue_capacity=queue_capacity,
         queue_fraction=0.5,
-        latency_bound=4.0 / profile.snapshot_hz,
+        latency_bound=4.0 / outcome.experiment.profile.snapshot_hz,
     )
     graded = outcome_for(backend, outcome.result, verdict)
     report = outcome.experiment.chaos.report()

@@ -1,7 +1,7 @@
 """Multiprocess fan-out for the benchmark grids.
 
 Every grid the harness runs — the scenario sweep, the backend ×
-scenario architecture matrix, the chaos suite, the perf suite — is a
+scenario architecture matrix, the chaos suite, the fuzz campaign — is a
 set of *independent* cells: one ``(scenario, backend, seed, scale)``
 simulation each, no shared state.  :func:`run_grid` executes such a
 grid either serially (the default, ``jobs=None``/``1`` — in-process,

@@ -3,10 +3,12 @@
 ``run_scenario`` pairs a declarative
 :class:`~repro.workload.scenarios.spec.Scenario` with a *backend* — the
 Matrix deployment or a baseline — and returns a
-:class:`ScenarioOutcome`.  Backends register with ``@scenario_backend``
-and differ only in what they stand up behind the fleet's ``Locator``;
-the workload itself is installed identically, which is what makes
-cross-system comparisons (T-static) apples-to-apples.
+:class:`ScenarioOutcome`.  Backends register an experiment builder with
+``@scenario_backend`` and differ only in what they stand up behind the
+fleet's ``Locator``; installing the workload, arming chaos, the
+``observe`` hook and the run itself are one body in ``run_scenario``,
+which is what makes cross-system comparisons (T-static)
+apples-to-apples.
 
 This is the execution half of the scenario subsystem; the declarative
 half lives in :mod:`repro.workload.scenarios`.
@@ -18,10 +20,13 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.baselines.backend import BackendInfo
+from repro.baselines.dht import DhtExperiment
+from repro.baselines.mirrored import MirroredExperiment
+from repro.baselines.p2p import P2PExperiment
+from repro.baselines.static import StaticExperiment
 from repro.chaos import ChaosDriver, ChaosOptions
-from repro.core.config import LoadPolicyConfig, MiddlewareConfig, PerfConfig
 from repro.games.profile import GameProfile, profile_by_name
-from repro.harness.experiment import ExperimentResult, MatrixExperiment
+from repro.harness.experiment import MatrixExperiment
 from repro.workload.scenarios import (
     CoordinatorCrash,
     Scenario,
@@ -33,10 +38,11 @@ from repro.workload.scenarios import (
 class ScenarioOutcome:
     """What one scenario run produced.
 
-    ``result`` is the backend's result object (ExperimentResult for
-    Matrix, StaticResult for the static baseline); ``experiment`` is
-    the live experiment for deeper inspection (deployment topology,
-    fleet groups, raw network stats).
+    ``result`` is the backend's result object (a
+    :class:`~repro.baselines.backend.BackendResult`; Matrix's
+    ExperimentResult extends it, replay has its own shape);
+    ``experiment`` is the live experiment for deeper inspection
+    (deployment topology, fleet groups, raw network stats).
     """
 
     scenario: Scenario
@@ -64,20 +70,6 @@ def _resolve_chaos(
     return chaos
 
 
-def _arm_chaos(
-    experiment: Any,
-    scenario: Scenario,
-    backend: str,
-    options: ChaosOptions | None,
-) -> None:
-    """Attach and arm a :class:`ChaosDriver` when *options* ask for one."""
-    if options is None:
-        return
-    driver = ChaosDriver(scenario, experiment, backend, options)
-    driver.arm()
-    experiment.chaos = driver
-
-
 def _wants_standby_mc(
     scenario: Scenario, options: ChaosOptions | None
 ) -> bool:
@@ -88,53 +80,63 @@ def _wants_standby_mc(
     return any(isinstance(fault, CoordinatorCrash) for fault in faults)
 
 
-#: backend name -> runner(scenario, profile, **options) -> (result, experiment)
-_BACKENDS: dict[str, Callable[..., tuple[Any, Any]]] = {}
-#: backend name -> its :class:`~repro.baselines.backend.BackendInfo`.
-_BACKEND_INFO: dict[str, BackendInfo] = {}
+#: backend name -> (its :class:`~repro.baselines.backend.BackendInfo`,
+#: builder(scenario, profile, chaos, **options) -> wired experiment).
+_BACKENDS: dict[str, tuple[BackendInfo | None, Callable[..., Any]]] = {}
 
 
 def scenario_backend(name: str, info: BackendInfo | None = None) -> Callable:
-    """Register a backend runner under *name* (decorator).
+    """Register a backend's experiment builder under *name* (decorator).
 
-    *info* documents the backend's architecture (ownership model,
-    routing strategy, consistency traffic) for ``list-backends`` and
-    the docs table; registering the same name twice raises.
+    The builder turns ``(scenario, profile, chaos, **options)`` — the
+    resolved :class:`~repro.chaos.ChaosOptions` or None, then the
+    caller's keyword options — into a wired, not yet running
+    experiment; :func:`run_scenario` does everything else.  *info*
+    documents the backend's architecture (ownership model, routing
+    strategy, consistency traffic) for ``list-backends`` and the docs
+    table; registering the same name twice raises.
     """
 
-    def decorate(runner: Callable[..., tuple[Any, Any]]):
+    def decorate(build: Callable[..., Any]):
         if name in _BACKENDS:
             raise ValueError(f"backend already registered: {name!r}")
-        _BACKENDS[name] = runner
-        if info is not None:
-            _BACKEND_INFO[name] = info
-        return runner
+        _BACKENDS[name] = (info, build)
+        return build
 
     return decorate
 
 
 def backend_names() -> list[str]:
-    """All registered backend names, sorted."""
-    return sorted(_BACKENDS)
+    """The registered architectures that serve a fleet, sorted.
+
+    This is what the grids, ``compare`` and ``--backend`` enumerate.
+    ``replay`` is registered too (``backend_info``, ``list-backends``,
+    ``run_scenario(..., backend="replay", trace=...)``) but re-sends a
+    recorded stream instead of serving a workload, so it is not an
+    architecture to run a scenario on.
+    """
+    return sorted(name for name in _BACKENDS if name != "replay")
 
 
 def backend_info(name: str) -> BackendInfo:
     """The :class:`BackendInfo` registered for *name*."""
-    info = _BACKEND_INFO.get(name)
-    if info is not None:
-        return info
-    if name in _BACKENDS:
+    if name not in _BACKENDS:
+        raise ValueError(
+            f"unknown backend {name!r}; known: {sorted(_BACKENDS)}"
+        )
+    info, _ = _BACKENDS[name]
+    if info is None:
         raise ValueError(
             f"backend {name!r} was registered without a BackendInfo"
         )
-    raise ValueError(
-        f"unknown backend {name!r}; known: {backend_names()}"
-    )
+    return info
 
 
 def backend_infos() -> list[BackendInfo]:
     """All registered backend infos, sorted by name."""
-    return [_BACKEND_INFO[name] for name in sorted(_BACKEND_INFO)]
+    return [
+        info for _, (info, _) in sorted(_BACKENDS.items()) if info is not None
+    ]
 
 
 @scenario_backend(
@@ -147,22 +149,16 @@ def backend_infos() -> list[BackendInfo]:
         summary="the paper's adaptive middleware",
     ),
 )
-def _run_matrix(
+def _build_matrix(
     scenario: Scenario,
     profile: GameProfile,
+    chaos: ChaosOptions | None,
     *,
-    policy: LoadPolicyConfig | None = None,
-    middleware: MiddlewareConfig | None = None,
-    perf: PerfConfig | None = None,
-    seed: int = 0,
-    pool_capacity: int = 16,
-    sample_period: float = 1.0,
-    chaos: ChaosOptions | None = None,
     replicated_mc: bool | None = None,
     shards: int | None = None,
     shard_executor: str = "serial",
-    observe: Callable[[Any], None] | None = None,
-) -> tuple[ExperimentResult, MatrixExperiment]:
+    **options,
+) -> MatrixExperiment:
     if replicated_mc is None:
         replicated_mc = _wants_standby_mc(scenario, chaos)
     # perfbench/workloads.py still passes the keyword; one value is left.
@@ -172,38 +168,20 @@ def _run_matrix(
             "shard executors were removed (lanes run serially); pass "
             '"serial" or omit the argument'
         )
+    options.update(grid=scenario.grid, replicated_mc=replicated_mc)
     if shards is None:
-        experiment = MatrixExperiment(
-            profile,
-            policy=policy,
-            middleware=middleware,
-            perf=perf,
-            seed=seed,
-            pool_capacity=pool_capacity,
-            sample_period=sample_period,
-            grid=scenario.grid,
-            replicated_mc=replicated_mc,
-        )
-    else:
-        from repro.harness.shards import ShardedMatrixExperiment  # no cycle
+        return MatrixExperiment(profile, **options)
+    from repro.harness.shards import ShardedMatrixExperiment  # no cycle
 
-        experiment = ShardedMatrixExperiment(
-            profile,
-            policy=policy,
-            middleware=middleware,
-            perf=perf,
-            seed=seed,
-            pool_capacity=pool_capacity,
-            sample_period=sample_period,
-            grid=scenario.grid,
-            replicated_mc=replicated_mc,
-            shards=shards,
-        )
-    scenario.install(experiment.fleet, profile)
-    _arm_chaos(experiment, scenario, "matrix", chaos)
-    if observe is not None:
-        observe(experiment)
-    return experiment.run(until=scenario.duration), experiment
+    return ShardedMatrixExperiment(profile, shards=shards, **options)
+
+
+def _tiled(scenario: Scenario, options: dict) -> dict:
+    """Fixed-tile backends: a scenario that pins a server grid decides
+    ``columns`` x ``rows``."""
+    if scenario.grid is not None:
+        options["columns"], options["rows"] = scenario.grid
+    return options
 
 
 @scenario_backend(
@@ -216,35 +194,8 @@ def _run_matrix(
         summary="the paper's §4 comparator: no repartitioning",
     ),
 )
-def _run_static(
-    scenario: Scenario,
-    profile: GameProfile,
-    *,
-    seed: int = 0,
-    columns: int = 2,
-    rows: int = 1,
-    queue_capacity: int | None = 20000,
-    perf: PerfConfig | None = None,
-    chaos: ChaosOptions | None = None,
-    observe: Callable[[Any], None] | None = None,
-):
-    from repro.baselines.static import StaticExperiment  # local: no cycle
-
-    if scenario.grid is not None:
-        columns, rows = scenario.grid
-    experiment = StaticExperiment(
-        profile,
-        seed=seed,
-        columns=columns,
-        rows=rows,
-        queue_capacity=queue_capacity,
-        perf=perf,
-    )
-    scenario.install(experiment.fleet, profile)
-    _arm_chaos(experiment, scenario, "static", chaos)
-    if observe is not None:
-        observe(experiment)
-    return experiment.run(until=scenario.duration), experiment
+def _build_static(scenario, profile, chaos, **options) -> StaticExperiment:
+    return StaticExperiment(profile, **_tiled(scenario, options))
 
 
 @scenario_backend(
@@ -257,31 +208,8 @@ def _run_static(
         summary="the §5 commercial approach: tightly-coupled mirrors",
     ),
 )
-def _run_mirrored(
-    scenario: Scenario,
-    profile: GameProfile,
-    *,
-    seed: int = 0,
-    mirrors: int = 3,
-    queue_capacity: int | None = 20000,
-    perf: PerfConfig | None = None,
-    chaos: ChaosOptions | None = None,
-    observe: Callable[[Any], None] | None = None,
-):
-    from repro.baselines.mirrored import MirroredExperiment  # local: no cycle
-
-    experiment = MirroredExperiment(
-        profile,
-        seed=seed,
-        mirrors=mirrors,
-        queue_capacity=queue_capacity,
-        perf=perf,
-    )
-    scenario.install(experiment.fleet, profile)
-    _arm_chaos(experiment, scenario, "mirrored", chaos)
-    if observe is not None:
-        observe(experiment)
-    return experiment.run(until=scenario.duration), experiment
+def _build_mirrored(scenario, profile, chaos, **options) -> MirroredExperiment:
+    return MirroredExperiment(profile, **options)
 
 
 @scenario_backend(
@@ -294,44 +222,8 @@ def _run_mirrored(
         summary="the §5 peer-to-peer region groups (Knutsson-style)",
     ),
 )
-def _run_p2p(
-    scenario: Scenario,
-    profile: GameProfile,
-    *,
-    seed: int = 0,
-    columns: int = 2,
-    rows: int = 2,
-    uplink_capacity: float | None = None,
-    queue_capacity: int | None = 20000,
-    perf: PerfConfig | None = None,
-    chaos: ChaosOptions | None = None,
-    observe: Callable[[Any], None] | None = None,
-):
-    from repro.baselines.p2p import (  # local: no cycle
-        DEFAULT_UPLINK_BYTES_PER_S,
-        P2PExperiment,
-    )
-
-    if scenario.grid is not None:
-        columns, rows = scenario.grid
-    experiment = P2PExperiment(
-        profile,
-        seed=seed,
-        columns=columns,
-        rows=rows,
-        uplink_capacity=(
-            uplink_capacity
-            if uplink_capacity is not None
-            else DEFAULT_UPLINK_BYTES_PER_S
-        ),
-        queue_capacity=queue_capacity,
-        perf=perf,
-    )
-    scenario.install(experiment.fleet, profile)
-    _arm_chaos(experiment, scenario, "p2p", chaos)
-    if observe is not None:
-        observe(experiment)
-    return experiment.run(until=scenario.duration), experiment
+def _build_p2p(scenario, profile, chaos, **options) -> P2PExperiment:
+    return P2PExperiment(profile, **_tiled(scenario, options))
 
 
 @scenario_backend(
@@ -344,35 +236,8 @@ def _run_p2p(
         summary="the §3.2.4 alternative: DHT lookup instead of tables",
     ),
 )
-def _run_dht(
-    scenario: Scenario,
-    profile: GameProfile,
-    *,
-    seed: int = 0,
-    columns: int = 4,
-    rows: int = 2,
-    queue_capacity: int | None = 20000,
-    perf: PerfConfig | None = None,
-    chaos: ChaosOptions | None = None,
-    observe: Callable[[Any], None] | None = None,
-):
-    from repro.baselines.dht import DhtExperiment  # local: no cycle
-
-    if scenario.grid is not None:
-        columns, rows = scenario.grid
-    experiment = DhtExperiment(
-        profile,
-        seed=seed,
-        columns=columns,
-        rows=rows,
-        queue_capacity=queue_capacity,
-        perf=perf,
-    )
-    scenario.install(experiment.fleet, profile)
-    _arm_chaos(experiment, scenario, "dht", chaos)
-    if observe is not None:
-        observe(experiment)
-    return experiment.run(until=scenario.duration), experiment
+def _build_dht(scenario, profile, chaos, **options) -> DhtExperiment:
+    return DhtExperiment(profile, **_tiled(scenario, options))
 
 
 def run_scenario(
@@ -390,8 +255,8 @@ def run_scenario(
     ``scale`` shrinks the population (phase counts only — timing is
     preserved) and ``preview`` truncates the duration, both conveniences
     for smoke runs; callers wanting scaled *dynamics* must also pass a
-    scaled ``policy``/profile (see ``LoadPolicyConfig.scaled`` and
-    ``repro.harness.compare.scaled_profile``).  ``chaos`` controls
+    scaled ``policy``/profile and capacities (the recipe is
+    ``repro.harness.compare.scaled_run_arguments``).  ``chaos`` controls
     fault injection: ``"auto"`` (default) arms a
     :class:`~repro.chaos.ChaosDriver` exactly when the scenario
     declares fault phases, ``False`` runs a chaos scenario with its
@@ -400,8 +265,11 @@ def run_scenario(
     reachable as ``outcome.experiment.chaos``.  ``observe`` is called
     with the fully wired experiment *before* it runs — the hook the
     trace recorder uses to tap the network (see
-    :mod:`repro.trace.recorder`).  Remaining keyword options go to the
-    backend runner verbatim.
+    :mod:`repro.trace.recorder`); it runs exactly once, after the
+    workload is installed and chaos is armed and before the first
+    event, and an exception it raises propagates.  Remaining keyword
+    options go to the backend's builder verbatim (an option the backend
+    does not know is a ``TypeError`` naming it).
     """
     if isinstance(scenario, str):
         scenario = build_scenario(scenario)
@@ -411,23 +279,26 @@ def run_scenario(
         scenario = scenario.preview(preview)
     if profile is None:
         profile = profile_by_name(scenario.game)
-    try:
-        runner = _BACKENDS[backend]
-    except KeyError:
+    if backend not in _BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; known: {backend_names()}"
-        ) from None
-    result, experiment = runner(
-        scenario,
-        profile,
-        chaos=_resolve_chaos(scenario, chaos),
-        observe=observe,
-        **options,
-    )
+            f"unknown backend {backend!r}; known: {sorted(_BACKENDS)}"
+        )
+    _, build = _BACKENDS[backend]
+    chaos_options = _resolve_chaos(scenario, chaos)
+    experiment = build(scenario, profile, chaos_options, **options)
+    scenario.install(experiment.fleet, profile)
+    if chaos_options is not None:
+        experiment.chaos = ChaosDriver(
+            scenario, experiment, backend, chaos_options
+        )
+        experiment.chaos.arm()
+    # Everything is wired and nothing has run: the one observation point.
+    if observe is not None:
+        observe(experiment)
     return ScenarioOutcome(
         scenario=scenario,
         backend=backend,
-        result=result,
+        result=experiment.run(until=scenario.duration),
         experiment=experiment,
     )
 

@@ -16,7 +16,11 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.analysis.stats import percentile
+from repro.harness.compare import scaled_run_arguments
 from repro.harness.parallel import GridTask, run_grid, timing_section
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import build_scenario, scenario_names
 
 
 @dataclass(frozen=True)
@@ -44,29 +48,16 @@ def sweep_cell(
     name: str, scale: float, seed: int, preview: float | None
 ) -> SweepRow:
     """Run one sweep cell (module-level: picklable for pool workers)."""
-    from repro.analysis.stats import percentile
-    from repro.core.config import LoadPolicyConfig
-    from repro.games.profile import profile_by_name
-    from repro.harness.compare import scaled_profile
-    from repro.harness.runner import run_scenario
-    from repro.workload.scenarios import build_scenario
-
-    scenario = build_scenario(name)
-    profile = scaled_profile(profile_by_name(scenario.game), scale)
-    outcome = run_scenario(
-        scenario,
-        profile=profile,
-        scale=scale,
-        preview=preview,
-        policy=LoadPolicyConfig().scaled(scale),
-        seed=seed,
-    )
-    result = outcome.result
+    result = run_scenario(
+        **scaled_run_arguments(
+            build_scenario(name), "matrix", scale, seed, preview=preview
+        )
+    ).result
     latencies = result.action_latencies
     return SweepRow(
         scenario=name,
         peak_clients=result.total_clients.max(),
-        peak_servers=result.peak_servers_in_use,
+        peak_servers=result.servers_used,
         splits=result.splits_completed,
         reclaims=result.reclaims_completed,
         peak_queue=result.max_queue(),
@@ -103,8 +94,6 @@ def run_sweep_grid(
     graded by the chaos suite (``benchmarks/bench_chaos_suite.py``) —
     and *scenarios* optionally restricts the grid further.
     """
-    from repro.workload.scenarios import build_scenario, scenario_names
-
     names = [
         name
         for name in (scenarios if scenarios is not None else scenario_names())
@@ -139,19 +128,6 @@ def run_sweep_grid(
         rows=[stamped(cell) for cell in cells],
         timing=timing_section(cells, jobs, wall_total),
     )
-
-
-def sweep_scenarios(
-    scale: float,
-    seed: int = 0,
-    preview: float | None = None,
-    on_result: Callable[[SweepRow], None] | None = None,
-    jobs: int | None = None,
-) -> list[SweepRow]:
-    """Back-compat face of :func:`run_sweep_grid`: just the rows."""
-    return run_sweep_grid(
-        scale, seed=seed, preview=preview, on_result=on_result, jobs=jobs
-    ).rows
 
 
 def sweep_payload(rows: Sequence[SweepRow]) -> dict:

@@ -245,9 +245,8 @@ class PerfRegistry:
     def snapshot(self) -> dict:
         """Plain-data dump of every instrument, sorted by name.
 
-        This is the schema ``BENCH_perf_suite.json`` and the ``perf``
-        CLI report are built from; keys are stable by contract (see the
-        schema-regression test).
+        This is the schema the ``perf`` CLI report and ``perfbench``'s
+        traced runs are built from; keys are stable by contract.
         """
         return {
             "counters": {

@@ -1,9 +1,9 @@
 """Human-readable rendering of a :class:`PerfRegistry` snapshot.
 
-The ``python -m repro perf`` subcommand prints this report;
-``BENCH_perf_suite.json`` persists the underlying snapshot dict
-unrendered.  Formatting lives here so the CLI and any future TUI share
-one renderer.
+The ``python -m repro perf`` subcommand prints this report; a run's
+result carries the underlying snapshot dict unrendered
+(``perf_snapshot``).  Formatting lives here so the CLI and any future
+TUI share one renderer.
 """
 
 from __future__ import annotations

@@ -107,6 +107,9 @@ class ReplayExperiment:
         self.sim = Simulator()
         self.network = Network(self.sim, rng=self.rng.stream("network"))
         self.chaos = None
+        #: No clients: the workload is the recorded stream (a replay
+        #: scenario has no phases to install).
+        self.fleet = None
         names = sorted(
             {event[1] for event in events} | {event[2] for event in events}
         )
@@ -167,14 +170,13 @@ def scenario_from_header(header: TraceHeader) -> Scenario:
         summary="trace replay for regression-diffing builds",
     ),
 )
-def _run_replay(
+def _build_replay(
     scenario: Scenario,
     profile,
+    chaos,
     *,
     trace: "tuple[TraceHeader, list[TraceEvent]] | str | Path",
-    chaos=None,
-    observe=None,
-) -> tuple[ReplayResult, ReplayExperiment]:
+) -> ReplayExperiment:
     if chaos is not None:
         raise ValueError(
             "replay carries no fault phases to arm; record the faulted "
@@ -182,11 +184,7 @@ def _run_replay(
         )
     if not isinstance(trace, tuple):
         trace = read_trace(trace)
-    header, events = trace
-    experiment = ReplayExperiment(header, events)
-    if observe is not None:
-        observe(experiment)
-    return experiment.run(until=scenario.duration), experiment
+    return ReplayExperiment(*trace)
 
 
 def replay_trace(

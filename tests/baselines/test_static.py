@@ -2,10 +2,11 @@
 
 import dataclasses
 
-from repro.baselines.static import StaticDeployment, run_static_hotspot
+from repro.baselines.static import StaticDeployment
 from repro.games.profile import bzflag_profile
 from repro.geometry import Vec2
-from repro.harness.fig2 import Fig2Schedule
+from repro.harness.fig2 import Fig2Schedule, fig2_scenario
+from repro.harness.runner import run_scenario
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.workload.fleet import ClientFleet
@@ -72,7 +73,13 @@ def test_static_never_adds_servers_under_hotspot():
     )
     schedule = Fig2Schedule().scaled(0.1)
     schedule.duration = 60.0
-    result = run_static_hotspot(profile, schedule, seed=1, columns=2)
+    result = run_scenario(
+        fig2_scenario(schedule),
+        backend="static",
+        profile=profile,
+        seed=1,
+        columns=2,
+    ).result
     assert set(result.clients_per_server) == {"gs.1", "gs.2"}
 
 
@@ -83,7 +90,12 @@ def test_static_saturates_under_hotspot():
     )
     schedule = Fig2Schedule().scaled(0.1)  # 60-client hotspot, 144 pkt/s
     schedule.duration = 80.0
-    result = run_static_hotspot(
-        profile, schedule, seed=1, columns=2, queue_capacity=2000
-    )
+    result = run_scenario(
+        fig2_scenario(schedule),
+        backend="static",
+        profile=profile,
+        seed=1,
+        columns=2,
+        queue_capacity=2000,
+    ).result
     assert result.max_queue() > 500, "hotspot zone must saturate"

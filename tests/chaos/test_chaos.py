@@ -171,6 +171,24 @@ def test_crash_faults_are_unsupported_on_baselines():
     assert statuses["ServerCrash"] == "unsupported"
 
 
+def test_faults_beyond_the_previewed_horizon_are_outside_the_run():
+    """crash-during-split crashes servers at t=25 and t=50.  Previewed
+    to 30 s the second crash is not part of the run: it is reported
+    skipped, and a settle window that keeps the simulator going past
+    t=50 (the fuzz and chaos audits do) injects nothing."""
+    outcome = _run("crash-during-split", preview=30.0)
+    experiment = outcome.experiment
+
+    def faults():
+        return [(f.at, f.status) for f in experiment.chaos.report().faults]
+
+    assert faults() == [(25.0, "injected"), (50.0, "skipped")]
+    assert "horizon t=30s" in experiment.chaos.report().faults[1].detail
+    experiment.sim.run(until=60.0)
+    assert faults() == [(25.0, "injected"), (50.0, "skipped")]
+    assert len(experiment.deployment.crash_recoveries) == 1
+
+
 def test_link_degrade_works_on_every_backend():
     for backend in ("static", "mirrored", "dht"):
         outcome = run_scenario(

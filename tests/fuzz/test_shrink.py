@@ -4,7 +4,11 @@ import dataclasses
 
 from repro.fuzz.generator import generate_scenario
 from repro.fuzz.shrink import shrink_scenario
-from repro.harness.fuzz import run_fuzz_case, shrink_fuzz_failure
+from repro.harness.fuzz import (
+    fuzz_run_arguments,
+    run_fuzz_case,
+    shrink_fuzz_failure,
+)
 from repro.workload.scenarios.spec import (
     ArrivalWave,
     Churn,
@@ -125,3 +129,29 @@ def test_seeded_failure_shrinks_to_minimal_reproducer():
     assert result.iterations <= 16
     assert len(result.scenario.phases) == 1
     assert isinstance(result.scenario.phases[0], HotspotWave)
+
+
+def test_a_failure_found_on_lanes_is_shrunk_and_recorded_on_lanes(tmp_path):
+    """The shrinker and the failing-trace recorder take ``shards`` like
+    the audit does, and run what the audit ran (floors included)."""
+    from repro.harness.fuzz import record_fuzz_failure
+    from repro.harness.shards import ShardedMatrixExperiment
+
+    substrates = []
+
+    def on_lanes(outcome):
+        substrates.append(type(outcome.experiment))
+        return _hotspot_invariant(outcome)
+
+    run_options = dict(scale=0.02, preview=10.0, shards=2)
+    result = shrink_fuzz_failure(
+        1, settle=4.0, extra_invariants=(on_lanes,), max_iterations=4,
+        **run_options,
+    )
+    assert result.iterations and set(substrates) == {ShardedMatrixExperiment}
+
+    path = record_fuzz_failure(1, "default", tmp_path, **run_options)
+    assert path == tmp_path / "fuzz-default-1.trace" and path.exists()
+    arguments = fuzz_run_arguments(generate_scenario(1), 1, **run_options)
+    assert arguments["shards"] == 2 and arguments["seed"] == 1
+    assert arguments["policy"].overload_clients == 6  # the grids' floor

@@ -1,0 +1,151 @@
+"""The ``python -m repro`` front end: every subcommand parses, the
+commands that run scenarios do so through the one experiment path, and
+option combinations that cannot run are refused once, with exit 2."""
+
+import argparse
+
+import pytest
+
+from repro.cli import _report_fuzz_failure, build_parser, main
+
+FAST = ["--scale", "0.05", "--duration", "20"]
+# The literal numbers below are the parent's (before the five ``_run_*``
+# wrappers and the CLI's copies of the scaled setup became one path).
+
+
+def subcommands() -> list[str]:
+    (action,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sorted(action.choices)
+
+
+def test_every_subcommand_is_registered_with_a_handler():
+    assert subcommands() == [
+        "compare", "diff", "fuzz", "list-backends", "list-mobility",
+        "list-scenarios", "perf", "record", "replay", "run", "sweep",
+    ]
+
+
+@pytest.mark.parametrize("argv", [[], *([name] for name in subcommands())])
+def test_help_exits_cleanly(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    assert "usage: python -m repro" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["list-scenarios", "list-mobility", "list-backends"])
+def test_list_commands_exit_0(name, capsys):
+    assert main([name]) == 0
+    assert "registered" in capsys.readouterr().out
+
+
+def test_run_prints_the_summary(capsys):
+    assert main(["run", "flash-crowd", *FAST, "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "backend  : matrix" in out
+    assert "servers  : peak 3, final 3, splits 2, reclaims 0" in out
+    assert "events   : 4499" in out
+
+
+def test_run_with_several_names_prints_one_row_each(capsys):
+    argv = ["run", "flash-crowd", "uniform-roam", "--backend", "static", *FAST]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "2 scenarios on static (scale=0.05, seed=0, jobs=1):" in out
+    rows = [line.split()[:5] for line in out.splitlines()[-2:]]
+    assert rows == [
+        ["flash-crowd", "4577", "104", "1.989", "2"],
+        ["uniform-roam", "2206", "0", "1.009", "2"],
+    ]
+
+
+def test_compare_grades_the_named_backends(capsys):
+    argv = ["compare", "flash-crowd", "--backends", "matrix,static", *FAST]
+    assert main(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[-2:] == [
+        ["matrix", "88", "0", "2.017", "3", "ok"],
+        ["static", "104", "0", "1.989", "2", "ok"],
+    ]
+
+
+def test_sweep_tabulates_the_fault_free_catalog(capsys):
+    assert main(["sweep", *FAST, "--json", ""]) == 0
+    out = capsys.readouterr().out
+    assert "scenario sweep (scale=0.05, seed=0, jobs=1):" in out
+    assert "fig2-hotspot" in out and "crash-during-split" not in out
+    assert "wrote" not in out
+
+
+def test_perf_prints_the_summary_and_the_registry_report(capsys):
+    assert main(["perf", "flash-crowd", *FAST]) == 0
+    out = capsys.readouterr().out
+    assert "backend  : matrix" in out
+    assert "perf report: flash-crowd @ scale 0.05" in out
+    assert "sim.events" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["run", "flash-crowd", "uniform-roam", "--backend", "static", "--shards", "2"],
+            "--shards only applies to the matrix backend",
+        ),
+        (
+            ["run", "flash-crowd", "--backend", "static", "--shards", "2"],
+            "--shards only applies to the matrix backend",
+        ),
+        (
+            ["record", "flash-crowd", "--backend", "static", "--shards", "2"],
+            "--shards only applies to the matrix backend",
+        ),
+        (["run", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
+        (["record", "flash-crowd", "no-such-scenario"], "unknown scenario"),
+        (["perf", "no-such-scenario"], "unknown scenario"),
+        (["compare", "no-such-scenario"], "unknown scenario"),
+        (
+            ["compare", "flash-crowd", "--backends", "matrix,pigeon"],
+            "unknown backend(s) ['pigeon']",
+        ),
+        (
+            ["compare", "flash-crowd", "--backends", "matrix,replay"],
+            "unknown backend(s) ['replay']",
+        ),
+        (
+            ["fuzz", "--profile", "faulty", "--shards", "2"],
+            "profile 'faulty' injects crash faults",
+        ),
+    ],
+)
+def test_refusals_exit_2_with_one_error_line(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a refused record must not write traces/
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: ") and message in out
+    assert len(out.splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "record"])
+def test_replay_is_not_a_backend_choice(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "flash-crowd", "--backend", "replay"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'replay'" in capsys.readouterr().err
+
+
+def test_fuzz_reproducer_names_every_option_that_shapes_the_run(capsys):
+    args = build_parser().parse_args(
+        ["fuzz", "--scale", "0.05", "--duration", "15", "--settle", "6",
+         "--shards", "2"]
+    )
+    _report_fuzz_failure(args, 3, run_options={})
+    assert (
+        "failing seed: 3 (reproduce with: python -m repro fuzz --seed 3 "
+        "--profile default --scale 0.05 --settle 6 --duration 15 --shards 2)"
+    ) in capsys.readouterr().out

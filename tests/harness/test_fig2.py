@@ -33,7 +33,7 @@ def fig2_result():
 
 def test_hotspot_forces_split_cascade(fig2_result):
     assert fig2_result.splits_completed >= 3
-    assert fig2_result.peak_servers_in_use >= 4
+    assert fig2_result.servers_used >= 4
 
 
 def test_first_splits_follow_hotspot_onset(fig2_result):
@@ -59,7 +59,7 @@ def test_queues_spike_then_recover(fig2_result):
 
 def test_consolidation_toward_fewer_servers(fig2_result):
     # After both hotspots drain, the fleet consolidates.
-    assert fig2_result.final_server_count() < fig2_result.peak_servers_in_use
+    assert fig2_result.final_server_count() < fig2_result.servers_used
 
 
 def test_no_failed_splits_with_adequate_pool(fig2_result):

@@ -112,7 +112,7 @@ def test_runner_resolves_scenario_by_name():
     assert outcome.scenario.name == "uniform-roam"
     assert outcome.result.duration == 20.0
     # grid=(2, 1): the fixed two-server bootstrap, no splits needed.
-    assert outcome.result.peak_servers_in_use >= 2
+    assert outcome.result.servers_used >= 2
 
 
 def test_runner_grid_scenarios_switch_servers():
