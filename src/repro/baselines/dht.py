@@ -179,11 +179,11 @@ class DhtZoneRouter(StaticZoneRouter):
     @handles("game.spatial")
     def _on_spatial_via_overlay(self, message: Message) -> None:
         packet: SpatialPacket = message.payload
-        point = packet.route_point()
-        if not self._table.partition.contains(point):
+        consistency = self._table.lookup_or_none(packet.origin)
+        if consistency is None:
             return  # roaming client mid-handoff; its new zone handles it
         # Sorted for cross-process determinism (see SpatialRouter).
-        for owner in sorted(self._table.lookup(point)):
+        for owner in sorted(consistency):
             router = self._router_of.get(owner)
             if router is None:
                 continue

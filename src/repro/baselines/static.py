@@ -89,11 +89,11 @@ class StaticZoneRouter(Node):
     @handles("game.spatial")
     def _on_spatial(self, message: Message) -> None:
         packet: SpatialPacket = message.payload
-        point = packet.route_point()
-        if not self._table.partition.contains(point):
+        consistency = self._table.lookup_or_none(packet.origin)
+        if consistency is None:
             return  # roaming client mid-handoff; its new zone handles it
         # Sorted for cross-process determinism (see SpatialRouter).
-        for owner in sorted(self._table.lookup(point)):
+        for owner in sorted(consistency):
             router = self._router_of.get(owner)
             if router is not None:
                 self.send(
@@ -107,7 +107,7 @@ class StaticZoneRouter(Node):
     @handles("matrix.forward")
     def _on_forward(self, message: Message) -> None:
         packet: SpatialPacket = message.payload
-        if not self._reach.contains_closed(packet.route_point()):
+        if not self._reach.contains_closed(packet.origin):
             return
         self.delivered_packets += 1
         self.send(

@@ -486,22 +486,42 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _number(cast, minimum, exclusive: bool = False):
+    """An argparse ``type=``: *cast* the text and refuse a value below
+    *minimum* (or, when *exclusive*, at it), so an out-of-range number
+    is argparse's own ``error: argument --x: ...`` before anything runs.
+    """
+
+    def parse(text: str):
+        value = cast(text)
+        if not (value > minimum if exclusive else value >= minimum):
+            bound = ">" if exclusive else ">="
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {minimum}, got {text}"
+            )
+        return value
+
+    # argparse names the type in "invalid float value: 'abc'".
+    parse.__name__ = cast.__name__
+    return parse
+
+
 #: The options several subcommands share, each declared once; a
 #: subcommand picks the ones it takes and its own defaults.
 _SHARED_OPTIONS = {
     "backend": dict(default="matrix", choices=backend_names()),
     "scale": dict(
-        type=float,
+        type=_number(float, 0, exclusive=True),
         help="population/policy/capacity scale factor "
         "(default %(default)s)",
     ),
     "seed": dict(type=int, help="simulation seed (default %(default)s)"),
     "duration": dict(
-        type=float, default=None,
+        type=_number(float, 0, exclusive=True), default=None,
         help="truncate each scenario to this many simulated seconds",
     ),
     "shards": dict(
-        type=int, default=None, metavar="N",
+        type=_number(int, 1), default=None, metavar="N",
         help="run the matrix backend on the space-partitioned kernel: N "
         "shard lanes executed one after the other, a determinism check, "
         "not a speed-up (same seed gives identical results and traces at "
@@ -509,7 +529,7 @@ _SHARED_OPTIONS = {
         "fine)",
     ),
     "jobs": dict(
-        type=int, default=None, metavar="N",
+        type=_number(int, 0), default=None, metavar="N",
         help="fan independent cells out over N worker processes "
         "(default: serial; deterministic outputs are identical "
         "either way)",
@@ -598,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_parser.add_argument("scenario", help="registered scenario name")
     perf_parser.add_argument(
-        "--sample-every", type=int, default=16,
+        "--sample-every", type=_number(int, 1), default=16,
         help="sample one kernel step's wall latency out of every N",
     )
     _add_shared(perf_parser, "scale", "seed", "duration", scale=0.05, seed=1)
@@ -609,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
         "harness",
     )
     fuzz_parser.add_argument(
-        "--seeds", type=int, default=20, metavar="N",
+        "--seeds", type=_number(int, 1), default=20, metavar="N",
         help="how many consecutive seeds to fuzz (default 20)",
     )
     fuzz_parser.add_argument(
@@ -626,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(adds crash/degrade fault phases; not with --shards)",
     )
     fuzz_parser.add_argument(
-        "--settle", type=float, default=10.0,
+        "--settle", type=_number(float, 0), default=10.0,
         help="extra simulated seconds before the invariant audit "
         "(default 10)",
     )
@@ -635,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="on failure, shrink the seed to a minimal phase list",
     )
     fuzz_parser.add_argument(
-        "--shrink-iterations", type=int, default=24, metavar="N",
+        "--shrink-iterations", type=_number(int, 1), default=24, metavar="N",
         help="re-run budget for --shrink (default 24)",
     )
     fuzz_parser.add_argument(

@@ -38,7 +38,6 @@ from repro.core.runtime import (
     MatrixServer,
     ServerContext,
     ServerStats,
-    install_middleware,
 )
 from repro.core.splitting import (
     LoadWeighted,
@@ -92,5 +91,4 @@ __all__ = [
     "StateDone",
     "UnregisterServer",
     "WireConfig",
-    "install_middleware",
 ]

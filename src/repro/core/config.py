@@ -127,12 +127,13 @@ class WireConfig:
 
 @dataclass(slots=True)
 class MiddlewareConfig:
-    """Opt-in middleware pipeline stages installed on Matrix servers.
+    """The opt-in pipeline stage the deployment installs fleet-wide.
 
-    Cross-cutting concerns ride the pipeline instead of being edits to
-    the router: per-kind traffic metrics, aggregation of same-
-    destination spatial forwards within a tick, and drop/duplicate
-    fault injection for robustness experiments.
+    Aggregation of same-destination spatial forwards within a tick has
+    to be on every Matrix server or none — both ends of a link must
+    speak the batch format — so it is configured here.  The other
+    shipped stages are installed by whoever needs them: fault injection
+    by a chaos ``LinkDegrade``, per-kind metrics by the code measuring.
     """
 
     #: Aggregate same-destination ``matrix.forward`` packets per window.
@@ -141,25 +142,12 @@ class MiddlewareConfig:
     batch_window: float = 0.05
     #: Wire overhead of one aggregated batch message.
     batch_header_bytes: int = 16
-    #: Keep per-kind inbound/outbound counters on every Matrix server.
-    kind_metrics: bool = False
-    #: Probability of dropping an outbound fault-injected kind.
-    fault_drop_rate: float = 0.0
-    #: Probability of duplicating an outbound fault-injected kind.
-    fault_duplicate_rate: float = 0.0
-    #: Message kinds subject to fault injection.
-    fault_kinds: tuple = ("matrix.forward",)
-    #: Seed for the per-server fault-injection RNG streams.
-    fault_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.batch_window <= 0:
             raise ValueError("batch_window must be positive")
         if self.batch_header_bytes < 0:
             raise ValueError("batch_header_bytes must be non-negative")
-        for rate in (self.fault_drop_rate, self.fault_duplicate_rate):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"fault rate out of [0, 1]: {rate}")
 
 
 @dataclass(slots=True)
@@ -220,7 +208,7 @@ class MatrixConfig:
     policy: LoadPolicyConfig = field(default_factory=LoadPolicyConfig)
     #: Wire-format sizes.
     wire: WireConfig = field(default_factory=WireConfig)
-    #: Opt-in middleware pipeline stages (batching, metrics, faults).
+    #: Opt-in fleet-wide batching of spatial forwards.
     middleware: MiddlewareConfig = field(default_factory=MiddlewareConfig)
     #: Opt-in perf instrumentation (counters/timers/samplers).
     perf: PerfConfig = field(default_factory=PerfConfig)

@@ -5,9 +5,10 @@ hosted game: it bootstraps the first Matrix+game server pair over the
 whole world, implements the :class:`~repro.core.runtime.fabric.Fabric`
 services (host acquisition, pair spawning, decommissioning), applies
 network profiles (LAN between servers, WAN to clients, loopback within
-a co-located pair), installs the configured middleware pipeline on
-every Matrix server it creates, and records a spawn/decommission event
-log the experiment harness turns into Fig 2's annotations.
+a co-located pair), installs the batching stage on every Matrix server
+it creates when the config asks for it, and records a
+spawn/decommission event log the experiment harness turns into Fig 2's
+annotations.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from repro.core.api import GameServerHandle
 from repro.core.config import MatrixConfig
 from repro.core.coordinator import MatrixCoordinator, StandbyCoordinator
 from repro.core.pool import ServerPool
-from repro.core.runtime import MatrixServer, install_middleware
+from repro.core.runtime import MatrixServer
 from repro.geometry import Rect, Vec2
+from repro.net.middleware import SpatialBatchingStage
 from repro.net.network import Network, lan_profile, wan_profile
 from repro.net.node import Node
 from repro.sim.kernel import Simulator
@@ -209,7 +211,16 @@ class MatrixDeployment:
             coordinator=self._coordinator_name,
         )
         self.network.add_node(matrix_server)
-        install_middleware(matrix_server, self.config)
+        middleware = self.config.middleware
+        if middleware.batch_spatial_forwards:
+            # One config for the whole fleet: both endpoints of a
+            # batched link are guaranteed to speak the batch format.
+            matrix_server.use(
+                SpatialBatchingStage(
+                    window=middleware.batch_window,
+                    header_bytes=middleware.batch_header_bytes,
+                )
+            )
         self.network.set_colocated(ms_name, gs_name)
         game_server.bind_matrix(ms_name, partition)
         self.matrix_servers[ms_name] = matrix_server

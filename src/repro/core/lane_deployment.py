@@ -18,7 +18,8 @@ control state behind a message boundary:
   becomes an ordinary ``fabric.*`` message riding the conservative-
   window outbox exchange in canonical ``(time, seq, shard)`` order, so
   grant ordering is message-arrival order — deterministic for any shard
-  count.
+  count.  The proxy ``@handles`` the two reply kinds itself: the Matrix
+  server adopts its fabric (``Node.adopt``) and knows nothing of them.
 * :class:`ShardedMatrixDeployment` — the deployment subclass that wires
   the two up via ``_fabric_for``.
 
@@ -48,10 +49,11 @@ class LaneFabric:
 
     One per Matrix server.  Requests are sent from the owning server's
     lane; replies come back as ``fabric.grant`` / ``fabric.spawned``
-    messages the server routes to :meth:`deliver_grant` /
-    :meth:`deliver_spawned`.  A single callback slot per request kind
-    suffices: ``ServerContext.busy`` guarantees at most one split (and
-    hence one acquire and one spawn) is in flight per server.
+    messages, which this proxy handles itself (the server adopts its
+    fabric like any other runtime component).  A single callback slot
+    per request kind suffices: ``ServerContext.busy`` guarantees at
+    most one split (and hence one acquire and one spawn) is in flight
+    per server.
     """
 
     def __init__(self, deployment: "ShardedMatrixDeployment", ms_name: str) -> None:
@@ -100,14 +102,17 @@ class LaneFabric:
         return self._deployment.client_positions(game_server)
 
     # ------------------------------------------------------------------
-    # Reply dispatch (called by the server's fabric.* handlers)
+    # Replies from the fabric node
     # ------------------------------------------------------------------
-    def deliver_grant(self, grant: FabricGrant) -> None:
+    @handles("fabric.grant")
+    def on_grant(self, message) -> None:
         callback, self._grant_callback = self._grant_callback, None
         if callback is not None:
-            callback(grant.host_id)
+            callback(message.payload.host_id)
 
-    def deliver_spawned(self, spawned: FabricSpawned) -> None:
+    @handles("fabric.spawned")
+    def on_spawned(self, message) -> None:
+        spawned = message.payload
         callback, self._spawn_callback = self._spawn_callback, None
         if callback is not None:
             callback(spawned.child_ms, spawned.child_gs)

@@ -12,9 +12,11 @@ dotted scheme:
 * ``matrix.ctl.*``      — split/reclaim control handshakes
 * ``mc.*``              — anything to/from the Matrix Coordinator
 * ``gs.*``              — Matrix server → game server directives
-* ``fabric.*``          — Matrix server ↔ deployment fabric (sharded
-  runs route host grants and pair spawns over these instead of calling
-  the deployment object directly, keeping control state lane-local)
+* ``fabric.*``          — lane fabric proxy ↔ deployment fabric node
+  (sharded runs route host grants and pair spawns over these instead of
+  calling the deployment object directly, keeping control state
+  lane-local; the proxy sends through its Matrix server and handles the
+  replies itself, so the server has no ``fabric.*`` handler)
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class SpatialPacket:
     contract of §2.1.
     """
 
+    #: The point whose consistency set decides routing.
     origin: Vec2
     payload: object
     dest: Vec2 | None = None
@@ -46,10 +49,6 @@ class SpatialPacket:
     #: default radius; a value selects the matching overlap table.
     radius: float | None = None
     created_at: float = 0.0
-
-    def route_point(self) -> Vec2:
-        """The point whose consistency set decides routing."""
-        return self.origin
 
 
 @dataclass(slots=True)

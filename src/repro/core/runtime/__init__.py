@@ -11,7 +11,6 @@ from repro.core.runtime.context import ChildRecord, ServerContext, ServerStats
 from repro.core.runtime.fabric import Fabric
 from repro.core.runtime.gossip import LoadMonitor
 from repro.core.runtime.lifecycle import Lifecycle
-from repro.core.runtime.pipeline import install_middleware
 from repro.core.runtime.queries import QueryRelay
 from repro.core.runtime.router import SpatialRouter
 from repro.core.runtime.server import MatrixServer
@@ -28,5 +27,4 @@ __all__ = [
     "ServerStats",
     "SpatialRouter",
     "StateTransfer",
-    "install_middleware",
 ]

@@ -64,6 +64,8 @@ class ServerContext:
         strategy: SplitStrategy,
     ) -> None:
         self.node = node
+        #: Send on behalf of the owning node (through its middleware).
+        self.send = node.send
         self.config = config
         self.metric = metric_by_name(config.metric_name, world=config.world)
         self.game_server = game_server
@@ -121,10 +123,6 @@ class ServerContext:
     def now(self) -> float:
         """Current simulation time."""
         return self.node.sim.now
-
-    def send(self, dst: str, kind: str, payload, size_bytes: int) -> None:
-        """Send on behalf of the owning node (through its middleware)."""
-        self.node.send(dst, kind, payload, size_bytes=size_bytes)
 
     def control_send(self, dst: str, kind: str, payload) -> None:
         """Send a fixed-size control-plane message."""

@@ -13,6 +13,7 @@ from repro.core.messages import LoadGossip, LoadReport
 from repro.core.policy import ChildLoad, Decision
 from repro.core.runtime.context import ServerContext
 from repro.core.runtime.lifecycle import Lifecycle
+from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
@@ -23,6 +24,7 @@ class LoadMonitor:
         self._ctx = ctx
         self._lifecycle = lifecycle
 
+    @handles("matrix.load")
     def on_load_report(self, message: Message) -> None:
         ctx = self._ctx
         report: LoadReport = message.payload
@@ -58,6 +60,7 @@ class LoadMonitor:
         child = ctx.children[-1]
         return ctx.child_loads.get(child.matrix_name)
 
+    @handles("matrix.gossip")
     def on_gossip(self, message: Message) -> None:
         ctx = self._ctx
         gossip: LoadGossip = message.payload

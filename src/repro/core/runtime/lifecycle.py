@@ -31,6 +31,7 @@ from repro.core.messages import (
 from repro.core.runtime.context import ChildRecord, ServerContext
 from repro.core.runtime.transfer import StateTransfer
 from repro.geometry import Rect
+from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
@@ -205,6 +206,7 @@ class Lifecycle:
             return
         self.abort_split()
 
+    @handles("matrix.ctl.split_grant")
     def on_split_grant(self, message: Message) -> None:
         # The child was constructed with its partition already; the
         # grant confirms the parent relationship for the protocol's sake.
@@ -227,6 +229,7 @@ class Lifecycle:
         )
         ctx.control_send(child.matrix_name, "matrix.ctl.reclaim_req", request)
 
+    @handles("matrix.ctl.reclaim_req")
     def on_reclaim_request(self, message: Message) -> None:
         ctx = self._ctx
         request: ReclaimRequest = message.payload
@@ -268,6 +271,7 @@ class Lifecycle:
         # periodic duties so the partition serves rejoining clients.
         ctx.control_send(ctx.game_server, "gs.resume", None)
 
+    @handles("matrix.ctl.reclaim_nack")
     def on_reclaim_nack(self, message: Message) -> None:
         child = self._reclaiming
         if child is None or message.src != child.matrix_name:
@@ -304,6 +308,7 @@ class Lifecycle:
         # Timed out mid-protocol: the child may already be evacuating.
         self._abort_reclaim(notify_child=True)
 
+    @handles("matrix.ctl.reclaim_abort")
     def on_reclaim_abort(self, message: Message) -> None:
         """Child side: the parent cancelled the reclaim — come back up.
 
@@ -323,6 +328,7 @@ class Lifecycle:
         ctx.busy = False
         ctx.control_send(ctx.game_server, "gs.resume", None)
 
+    @handles("matrix.ctl.reclaim_ack")
     def on_reclaim_ack(self, message: Message) -> None:
         ctx = self._ctx
         ack: ReclaimAck = message.payload

@@ -12,6 +12,7 @@ import itertools
 
 from repro.core.messages import ConsistencyQuery, ConsistencyReply
 from repro.core.runtime.context import ServerContext
+from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
@@ -25,6 +26,7 @@ class QueryRelay:
         #: mc request id -> originating game-server request id.
         self._relay: dict[int, int] = {}
 
+    @handles("matrix.query")
     def on_game_query(self, message: Message) -> None:
         ctx = self._ctx
         query: ConsistencyQuery = message.payload
@@ -35,6 +37,7 @@ class QueryRelay:
         )
         ctx.control_send(ctx.coordinator, "mc.query", relayed)
 
+    @handles("mc.reply")
     def on_mc_reply(self, message: Message) -> None:
         ctx = self._ctx
         reply: ConsistencyReply = message.payload

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.core.runtime.context import ServerContext
 from repro.geometry import RegionIndex
+from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
@@ -24,6 +25,7 @@ class SpatialRouter:
     # ------------------------------------------------------------------
     # Data plane
     # ------------------------------------------------------------------
+    @handles("game.spatial")
     def on_spatial(self, message: Message) -> None:
         """Route a tagged packet from the local game server (§3.1)."""
         ctx = self._ctx
@@ -33,7 +35,7 @@ class SpatialRouter:
             # Single-server game (or table not yet received): no peers.
             ctx.stats.local_only_packets += 1
             return
-        point = packet.route_point()
+        point = packet.origin
         targets: set[str] = set()
         consistency = table.lookup_or_none(point)
         if consistency is not None:
@@ -59,6 +61,7 @@ class SpatialRouter:
             ctx.send(peer, "matrix.forward", packet, size_bytes=message.size_bytes)
             ctx.stats.forwarded_packets += 1
 
+    @handles("matrix.forward")
     def on_forward(self, message: Message) -> None:
         """A packet from a peer: verify its range, pass to the game
         server (§3.2.3: 'after verifying the packet's range')."""
@@ -68,7 +71,7 @@ class SpatialRouter:
             reach = ctx.reach
         else:  # a §3.1 exception radius: rare, derived on the spot
             reach = ctx.metric.expand_rect(ctx.partition, packet.radius)
-        relevant = reach.contains_closed(packet.route_point()) or (
+        relevant = reach.contains_closed(packet.origin) or (
             packet.dest is not None and ctx.partition.contains(packet.dest)
         )
         if not relevant:
@@ -85,6 +88,7 @@ class SpatialRouter:
     # ------------------------------------------------------------------
     # Table installation
     # ------------------------------------------------------------------
+    @handles("mc.table")
     def on_table(self, message: Message) -> None:
         """Install a pushed overlap-table update (stale pushes dropped)."""
         ctx = self._ctx

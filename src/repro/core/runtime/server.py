@@ -1,8 +1,10 @@
 """The Matrix server (§3.2.3) — "the heart of our distributed middleware".
 
 The server itself is a thin facade: a :class:`~repro.net.node.Node`
-whose declarative dispatch table routes each message kind to one of the
-runtime components —
+that adopts the runtime components, each of which marks the methods
+that answer its message kinds with the ``handles`` decorator, so a
+serviced message goes from ``Node.handle_message`` straight into the
+component method that decides —
 
 * :class:`~repro.core.runtime.router.SpatialRouter` — O(1) overlap-table
   forwarding and table installation;
@@ -16,6 +18,7 @@ runtime components —
   consistency queries via the MC.
 
 All components share one :class:`~repro.core.runtime.context.ServerContext`.
+The server's own kind is ``mc.failover``.
 """
 
 from __future__ import annotations
@@ -67,11 +70,15 @@ class MatrixServer(Node):
             coordinator=coordinator,
             strategy=strategy or strategy_by_name(config.split_strategy),
         )
-        self.transfer = StateTransfer(self.ctx)
-        self.lifecycle = Lifecycle(self.ctx, self.transfer)
-        self.router = SpatialRouter(self.ctx)
-        self.load = LoadMonitor(self.ctx, self.lifecycle)
-        self.queries = QueryRelay(self.ctx)
+        self.transfer = self.adopt(StateTransfer(self.ctx))
+        self.lifecycle = self.adopt(Lifecycle(self.ctx, self.transfer))
+        self.router = self.adopt(SpatialRouter(self.ctx))
+        self.load = self.adopt(LoadMonitor(self.ctx, self.lifecycle))
+        self.queries = self.adopt(QueryRelay(self.ctx))
+        # A fabric that answers over the wire (the lane deployment's
+        # proxy) handles its own replies; one that calls back directly
+        # (the classic deployment) handles nothing.
+        self.adopt(fabric)
 
     # ------------------------------------------------------------------
     # Introspection (stable facade over the shared context)
@@ -226,21 +233,6 @@ class MatrixServer(Node):
         )
         ctx.control_send(ctx.coordinator, "mc.register", reg)
 
-    # ------------------------------------------------------------------
-    # Message dispatch (kind -> component)
-    # ------------------------------------------------------------------
-    @handles("game.spatial")
-    def _on_spatial(self, message: Message) -> None:
-        self.router.on_spatial(message)
-
-    @handles("matrix.forward")
-    def _on_forward(self, message: Message) -> None:
-        self.router.on_forward(message)
-
-    @handles("mc.table")
-    def _on_table(self, message: Message) -> None:
-        self.router.on_table(message)
-
     @handles("mc.failover")
     def _on_failover(self, message: Message) -> None:
         self.follow_coordinator(message.payload)
@@ -263,62 +255,3 @@ class MatrixServer(Node):
             self.ctx.control_send(
                 child.matrix_name, "mc.failover", new_coordinator
             )
-
-    @handles("matrix.load")
-    def _on_load_report(self, message: Message) -> None:
-        self.load.on_load_report(message)
-
-    @handles("matrix.gossip")
-    def _on_gossip(self, message: Message) -> None:
-        self.load.on_gossip(message)
-
-    @handles("matrix.query")
-    def _on_game_query(self, message: Message) -> None:
-        self.queries.on_game_query(message)
-
-    @handles("mc.reply")
-    def _on_mc_reply(self, message: Message) -> None:
-        self.queries.on_mc_reply(message)
-
-    @handles("matrix.ctl.split_grant")
-    def _on_split_grant(self, message: Message) -> None:
-        self.lifecycle.on_split_grant(message)
-
-    @handles("matrix.ctl.reclaim_req")
-    def _on_reclaim_request(self, message: Message) -> None:
-        self.lifecycle.on_reclaim_request(message)
-
-    @handles("matrix.ctl.reclaim_nack")
-    def _on_reclaim_nack(self, message: Message) -> None:
-        self.lifecycle.on_reclaim_nack(message)
-
-    @handles("matrix.ctl.reclaim_ack")
-    def _on_reclaim_ack(self, message: Message) -> None:
-        self.lifecycle.on_reclaim_ack(message)
-
-    @handles("matrix.ctl.reclaim_abort")
-    def _on_reclaim_abort(self, message: Message) -> None:
-        self.lifecycle.on_reclaim_abort(message)
-
-    @handles("matrix.state.begin")
-    def _on_state_begin(self, message: Message) -> None:
-        self.transfer.on_begin(message)
-
-    @handles("matrix.state.chunk")
-    def _on_state_chunk(self, message: Message) -> None:
-        self.transfer.on_chunk(message)
-
-    @handles("matrix.state.done")
-    def _on_state_done(self, message: Message) -> None:
-        self.transfer.on_done(message)
-
-    # Fabric replies (sharded runs only: the message-passing fabric
-    # proxy answers acquire/spawn requests over the wire; the classic
-    # deployment calls back directly and never sends these kinds).
-    @handles("fabric.grant")
-    def _on_fabric_grant(self, message: Message) -> None:
-        self.ctx.fabric.deliver_grant(message.payload)
-
-    @handles("fabric.spawned")
-    def _on_fabric_spawned(self, message: Message) -> None:
-        self.ctx.fabric.deliver_spawned(message.payload)

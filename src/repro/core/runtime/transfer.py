@@ -19,6 +19,7 @@ from typing import Callable
 from repro.core.messages import StateBegin, StateChunk, StateDone
 from repro.core.runtime.context import ServerContext
 from repro.geometry import Rect
+from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
@@ -99,6 +100,7 @@ class StateTransfer:
             del self._outgoing[transfer_id]
         return len(stale)
 
+    @handles("matrix.state.done")
     def on_done(self, message: Message) -> None:
         """The receiver confirmed completion: fire the context callback."""
         done: StateDone = message.payload
@@ -110,6 +112,7 @@ class StateTransfer:
     # ------------------------------------------------------------------
     # Receiver side
     # ------------------------------------------------------------------
+    @handles("matrix.state.begin")
     def on_begin(self, message: Message) -> None:
         begin: StateBegin = message.payload
         key = (message.src, begin.transfer_id)
@@ -125,6 +128,7 @@ class StateTransfer:
         transfer.context = begin.context
         self._maybe_complete(key)
 
+    @handles("matrix.state.chunk")
     def on_chunk(self, message: Message) -> None:
         chunk: StateChunk = message.payload
         key = (message.src, chunk.transfer_id)

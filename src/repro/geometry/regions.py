@@ -291,18 +291,16 @@ class RegionIndex:
         Points outside the partition raise ``ValueError`` — routing a
         packet that is not in the local partition is a protocol error.
         """
-        if not self._partition.contains(point):
+        consistency = self.lookup_or_none(point)
+        if consistency is None:
             raise ValueError(f"{point} outside partition {self._partition}")
-        xi = bisect.bisect_right(self._xs, point.x) - 1
-        yi = bisect.bisect_right(self._ys, point.y) - 1
-        return self._grid[yi][xi]
+        return consistency
 
     def lookup_or_none(self, point: Vec2) -> ConsistencySet | None:
         """Consistency set of *point*, or ``None`` when outside.
 
-        The router's per-packet path: one containment test decides both
-        "is this packet local?" and "what is its set?", instead of the
-        caller testing containment and :meth:`lookup` re-testing it.
+        The routers' per-packet path: one containment test decides both
+        "is this packet local?" and "what is its set?".
         """
         if not self._partition.contains(point):
             return None

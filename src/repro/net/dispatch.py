@@ -22,6 +22,10 @@ Rules:
 * Two different methods of the *same* class claiming the same kind is a
   programming error and raises :class:`DispatchCollisionError` when the
   class is defined.
+* Any object may decorate its methods the same way; a node answers
+  those kinds with the object's bound methods once it has been handed
+  to :meth:`~repro.net.node.Node.adopt`.  A kind the node or an earlier component
+  already handles raises :class:`DispatchCollisionError` at adoption.
 * A message whose kind has no handler is routed to
   ``Node.on_unhandled`` (default: counted and dropped).
 """
@@ -36,7 +40,8 @@ F = TypeVar("F", bound=Callable)
 
 
 class DispatchCollisionError(TypeError):
-    """Two methods of one class registered a handler for the same kind."""
+    """Two methods of one class — or a node and a component it adopts —
+    registered a handler for the same kind."""
 
 
 def handles(*kinds: str) -> Callable[[F], F]:

@@ -11,7 +11,9 @@ routing core.
 Onion ordering: the stage list runs outside-in.  Inbound traverses
 stages first-to-last; outbound traverses last-to-first, so the first
 stage in the list is always the one closest to the wire.  A hook
-returning ``None`` consumes the message (nothing further runs).
+returning ``None`` consumes the message (nothing further runs).  There
+is one walk and every message takes it: a stage interested in some
+kinds only tests the kind at the top of its hook.
 
 Stages that buffer or clone traffic (batching, fault duplication)
 re-inject via ``node.network.transmit`` / ``node.dispatch`` directly,
@@ -56,22 +58,6 @@ class MiddlewareStage:
         """Called by :meth:`MiddlewarePipeline.use` on installation."""
         self._node = node
 
-    def inbound_kinds(self) -> frozenset[str] | None:
-        """The message kinds this stage's inbound hook inspects.
-
-        ``None`` (the default) means *every* kind.  Returning a set is
-        a promise that :meth:`on_inbound` passes any other kind through
-        unchanged; the pipeline uses it to compile per-kind stage
-        chains so uninterested stages are never called (the dispatch
-        fast path).  Stages that override the hook without overriding
-        this keep the old call-me-for-everything behaviour.
-        """
-        return None
-
-    def outbound_kinds(self) -> frozenset[str] | None:
-        """Same contract as :meth:`inbound_kinds`, for the outbound hook."""
-        return None
-
     def on_inbound(self, message: Message) -> Message | None:
         """Hook a serviced inbound message; ``None`` consumes it."""
         return message
@@ -87,23 +73,17 @@ class MiddlewareStage:
 class MiddlewarePipeline:
     """An ordered stack of :class:`MiddlewareStage` around one node.
 
-    Per-kind fast path: the pipeline compiles, per message kind and
-    direction, the chain of hooks that actually inspect that kind —
-    stages whose hook is the base-class no-op, or whose declared
-    ``{in,out}bound_kinds`` exclude the kind, are dropped at compile
-    time instead of being called per message.  A kind with no
-    interested stage costs one dict lookup.  If a hook *transforms* a
-    message to a different kind mid-chain, processing falls back to the
-    generic stage walk for the remaining stages, so compiled chains are
-    an optimization, never a semantic change.
+    Every message walks every installed stage; a stage that cares about
+    some kinds only checks the kind at the top of its hook.  Nodes with
+    no stage at all — every node of every timed workload — never enter
+    the pipeline (``Node.send`` / ``Node.handle_message`` test the
+    stage list first), so the walk has no fast path to keep in step
+    with it.
     """
 
     def __init__(self, owner: "Node") -> None:
         self._owner = owner
         self._stages: list[MiddlewareStage] = []
-        #: kind -> tuple of (position-in-walk-order, bound hook).
-        self._in_chains: dict[str, tuple] = {}
-        self._out_chains: dict[str, tuple] = {}
         self._perf_hooks = None
 
     def attach_perf(self, perf) -> None:
@@ -122,18 +102,7 @@ class MiddlewarePipeline:
         """Install *stage* as the new innermost stage."""
         stage.bind(self._owner)
         self._stages.append(stage)
-        self.invalidate_chains()
         return stage
-
-    def invalidate_chains(self) -> None:
-        """Drop the compiled per-kind chains (recompiled on demand).
-
-        Must be called whenever a stage's declared kind sets change
-        after installation — a chain compiled under the old declaration
-        may omit (or needlessly include) the stage.
-        """
-        self._in_chains.clear()
-        self._out_chains.clear()
 
     def stage(self, name: str) -> MiddlewareStage | None:
         """First installed stage with the given name, if any."""
@@ -142,88 +111,27 @@ class MiddlewarePipeline:
                 return stage
         return None
 
-    def _compile(self, kind: str, inbound: bool) -> tuple:
-        """Build the (position, hook) chain for one kind/direction."""
-        if inbound:
-            order: Sequence[MiddlewareStage] = self._stages
-            base = MiddlewareStage.on_inbound
-        else:
-            order = tuple(reversed(self._stages))
-            base = MiddlewareStage.on_outbound
-        chain = []
-        for position, stage in enumerate(order):
-            if inbound:
-                if type(stage).on_inbound is base:
-                    continue  # base no-op hook: nothing to run
-                kinds = stage.inbound_kinds()
-                hook = stage.on_inbound
-            else:
-                if type(stage).on_outbound is base:
-                    continue
-                kinds = stage.outbound_kinds()
-                hook = stage.on_outbound
-            if kinds is None or kind in kinds:
-                chain.append((position, hook))
-        compiled = tuple(chain)
-        (self._in_chains if inbound else self._out_chains)[kind] = compiled
-        return compiled
-
-    def _finish_generic(
-        self, message: Message, start: int, inbound: bool
-    ) -> Message | None:
-        """Walk the remaining stages generically after a kind change."""
-        order: Sequence[MiddlewareStage] = (
-            self._stages if inbound else tuple(reversed(self._stages))
-        )
-        perf = self._perf_hooks
-        current: Message | None = message
-        for stage in order[start:]:
-            if perf is not None:
-                perf.inc()
-            current = (
-                stage.on_inbound(current)
-                if inbound
-                else stage.on_outbound(current)
-            )
-            if current is None:
-                return None
-        return current
-
     def process_inbound(self, message: Message) -> Message | None:
         """Run inbound hooks wire-side first; ``None`` = consumed."""
-        kind = message.kind
-        chain = self._in_chains.get(kind)
-        if chain is None:
-            chain = self._compile(kind, inbound=True)
         perf = self._perf_hooks
-        current = message
-        for position, hook in chain:
+        for stage in self._stages:
             if perf is not None:
                 perf.inc()
-            current = hook(current)
-            if current is None:
+            message = stage.on_inbound(message)
+            if message is None:
                 return None
-            if current.kind != kind:
-                return self._finish_generic(current, position + 1, True)
-        return current
+        return message
 
     def process_outbound(self, message: Message) -> Message | None:
         """Run outbound hooks dispatch-side first; ``None`` = consumed."""
-        kind = message.kind
-        chain = self._out_chains.get(kind)
-        if chain is None:
-            chain = self._compile(kind, inbound=False)
         perf = self._perf_hooks
-        current = message
-        for position, hook in chain:
+        for stage in reversed(self._stages):
             if perf is not None:
                 perf.inc()
-            current = hook(current)
-            if current is None:
+            message = stage.on_outbound(message)
+            if message is None:
                 return None
-            if current.kind != kind:
-                return self._finish_generic(current, position + 1, False)
-        return current
+        return message
 
     def flush(self) -> None:
         """Flush every stage's buffered traffic."""
@@ -305,17 +213,8 @@ class FaultInjectionStage(MiddlewareStage):
         return self._duplicate_rate
 
     def set_kinds(self, kinds: Iterable[str] | None) -> None:
-        """Re-target the stage at a different kind set mid-run.
-
-        Invalidates the owning pipeline's compiled chains: a chain
-        compiled while the old kind set excluded a kind would otherwise
-        keep bypassing this stage for that kind forever.  The inline
-        kind check in :meth:`on_outbound` covers the other direction
-        (chains that over-include the stage pass other kinds through).
-        """
+        """Re-target the stage at a different kind set mid-run."""
         self._kinds = frozenset(kinds) if kinds is not None else None
-        if self._node is not None:
-            self._node.middleware.invalidate_chains()
 
     def set_rates(self, drop_rate: float, duplicate_rate: float = 0.0) -> None:
         """Re-tune the fault rates mid-run (chaos LinkDegrade/Recovery).
@@ -330,9 +229,6 @@ class FaultInjectionStage(MiddlewareStage):
             raise ValueError(f"duplicate_rate out of [0, 1]: {duplicate_rate}")
         self._drop_rate = drop_rate
         self._duplicate_rate = duplicate_rate
-
-    def outbound_kinds(self) -> frozenset[str] | None:
-        return self._kinds
 
     def on_outbound(self, message: Message) -> Message | None:
         if self._kinds is not None and message.kind not in self._kinds:
@@ -391,12 +287,6 @@ class SpatialBatchingStage(MiddlewareStage):
         self.batches_sent = 0
         self.messages_saved = 0
         self.unbatched_received = 0
-
-    def outbound_kinds(self) -> frozenset[str]:
-        return self._kinds
-
-    def inbound_kinds(self) -> frozenset[str]:
-        return frozenset((BATCH_KIND,))
 
     def on_outbound(self, message: Message) -> Message | None:
         if message.kind not in self._kinds:

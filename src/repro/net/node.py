@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, ClassVar, TYPE_CHECKING
+from typing import Any, ClassVar, TYPE_CHECKING, TypeVar
 
-from repro.net.dispatch import build_dispatch_table, handles  # noqa: F401
+from repro.net.dispatch import (  # noqa: F401
+    DispatchCollisionError,
+    build_dispatch_table,
+    handles,
+)
 from repro.net.message import Message
 from repro.net.middleware import MiddlewarePipeline, MiddlewareStage
 from repro.net.queue import ReceiveQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
+
+C = TypeVar("C")
 
 
 class Node(ABC):
@@ -20,7 +26,10 @@ class Node(ABC):
     Subclasses declare message handlers with the
     :func:`~repro.net.dispatch.handles` decorator; a ``kind -> handler``
     table is compiled once per class, and :meth:`dispatch` routes each
-    serviced message through it.  Everything else — queueing, servicing
+    serviced message through it.  A node built from components lets
+    them declare their own kinds the same way and binds them in with
+    :meth:`adopt`: one ``kind -> bound callable`` table per node,
+    whoever owns the method.  Everything else — queueing, servicing
     delay, traffic accounting, the middleware pipeline — is provided.
 
     Legacy subclasses may still override :meth:`handle_message`
@@ -53,9 +62,10 @@ class Node(ABC):
         # ``use``): an empty-list truthiness check is how the hot send/
         # receive paths skip the pipeline entirely on bare nodes.
         self._mw_stages = self.middleware._stages
-        # kind -> bound handler, resolved through the class dispatch
-        # table on first use so steady-state dispatch is one dict hit.
-        self._handler_cache: dict[str, Any] = {}
+        # kind -> bound handler: adopted components' handlers, plus the
+        # node's own, resolved through the class dispatch table on first
+        # use so steady-state dispatch is one dict hit.
+        self._handlers: dict[str, Any] = {}
         self.unhandled_count = 0
 
     # ------------------------------------------------------------------
@@ -70,21 +80,36 @@ class Node(ABC):
         self._sim_handle = network.sim_for(self)
         if network.perf is not None:
             self.middleware.attach_perf(network.perf)
-        predicate = None
-        if self._priority_kinds:
-            kinds = self._priority_kinds
-            predicate = lambda message: message.kind in kinds  # noqa: E731
         self._inbox = ReceiveQueue(
             self._sim_handle,
             self.handle_message,
             service_rate=self._service_rate,
             capacity=self._queue_capacity,
-            priority_predicate=predicate,
+            priority_kinds=self._priority_kinds,
         )
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
         """Install a middleware stage (innermost position)."""
         return self.middleware.use(stage)
+
+    def adopt(self, component: C) -> C:
+        """Let *component*'s ``@handles`` methods answer for this node.
+
+        Each is bound into the node's handler table, so
+        :meth:`handle_message` calls the component directly.  A kind the
+        node or an earlier component already handles raises
+        :class:`~repro.net.dispatch.DispatchCollisionError`; an object
+        with no ``@handles`` method adopts to nothing.
+        """
+        for kind, method_name in build_dispatch_table(type(component)).items():
+            if kind in self._dispatch_table or kind in self._handlers:
+                raise DispatchCollisionError(
+                    f"{self.name}: {type(component).__qualname__}."
+                    f"{method_name} claims kind {kind!r}, which is "
+                    "already handled"
+                )
+            self._handlers[kind] = getattr(component, method_name)
+        return component
 
     @property
     def network(self) -> "Network":
@@ -136,14 +161,14 @@ class Node(ABC):
         """Process one serviced message: inbound middleware, then dispatch.
 
         A kind already resolved is called straight from the handler
-        cache; :meth:`dispatch` is the miss path.  To filter what a node
+        table; :meth:`dispatch` is the miss path.  To filter what a node
         handles, override this method — not :meth:`dispatch`.
         """
         if self._mw_stages:
             message = self.middleware.process_inbound(message)
             if message is None:
                 return
-        handler = self._handler_cache.get(message.kind)
+        handler = self._handlers.get(message.kind)
         if handler is not None:
             handler(message)
         else:
@@ -157,14 +182,14 @@ class Node(ABC):
         of a dispatch-table probe plus a ``getattr`` bound-method
         allocation.
         """
-        handler = self._handler_cache.get(message.kind)
+        handler = self._handlers.get(message.kind)
         if handler is None:
             method_name = self._dispatch_table.get(message.kind)
             if method_name is None:
                 self.on_unhandled(message)
                 return
             handler = getattr(self, method_name)
-            self._handler_cache[message.kind] = handler
+            self._handlers[message.kind] = handler
         handler(message)
 
     def on_unhandled(self, message: Message) -> None:

@@ -4,7 +4,8 @@ Figure 2b of the paper plots the *receive queue length* of each server
 while a hotspot drives its arrival rate past its service rate.  This
 module models exactly that: each node owns a FIFO drained at a fixed
 packet service rate; while arrivals outpace service, the queue grows,
-and it drains once Matrix sheds load off the node.
+and it drains once Matrix sheds load off the node.  Messages of a
+node's priority kinds (control-plane directives) go to the head.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ class ReceiveQueue:
     capacity:
         Maximum queued messages; arrivals beyond it are dropped and
         counted (the failure mode of the static-partitioning baseline).
-    priority_predicate:
-        Messages for which this returns True jump to the head of the
-        queue.  Servers use it for control-plane directives (map-range
+    priority_kinds:
+        Messages of these kinds jump to the head of the queue.
+        Servers use it for control-plane directives (map-range
         updates, evacuation orders) so that reconfiguration is not
         starved behind a saturated data queue — the software analogue
         of a prioritised control channel.
@@ -49,13 +50,13 @@ class ReceiveQueue:
         handler: Callable[[Message], None],
         service_rate: float = float("inf"),
         capacity: int | None = None,
-        priority_predicate: Callable[[Message], bool] | None = None,
+        priority_kinds: frozenset[str] | None = None,
     ) -> None:
         self._sim = sim
         self._handler = handler
         self._capacity = capacity
         self.set_service_rate(service_rate)
-        self._priority_predicate = priority_predicate
+        self._priority_kinds = priority_kinds
         self._queue: deque[Message] = deque()
         self._busy = False
         self._halted = False
@@ -134,10 +135,8 @@ class ReceiveQueue:
             else:
                 self._busy = False
             return
-        if (
-            self._priority_predicate is not None
-            and self._priority_predicate(message)
-        ):
+        kinds = self._priority_kinds
+        if kinds is not None and message.kind in kinds:
             queue.appendleft(message)
         elif self._capacity is not None and len(queue) >= self._capacity:
             self.dropped_count += 1

@@ -1,24 +1,22 @@
 """Deterministic discrete-event simulation kernel.
 
 This package is the substrate every other layer runs on: a float-time
-event heap (:class:`Simulator`), periodic tasks and timers, and named
+event heap (:class:`Simulator`), periodic tasks, and named
 seeded RNG streams (:class:`RngRegistry`).
 """
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.process import PeriodicTask, Timer
+from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
 from repro.sim.sharded import LaneSimulator, ShardedSimulator
 
 __all__ = [
     "Event",
-    "EventQueue",
     "LaneSimulator",
     "PeriodicTask",
     "RngRegistry",
     "ShardedSimulator",
     "SimulationError",
     "Simulator",
-    "Timer",
 ]

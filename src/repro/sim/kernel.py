@@ -12,22 +12,26 @@ tiny and deterministic:
 * there is no wall-clock coupling whatsoever, so runs are exactly
   reproducible given a seed.
 
-Perf instrumentation (optional) measures the kernel from the outside:
-:meth:`Simulator.run` selects an instrumented copy of the event loop
-only when a :class:`~repro.perf.PerfRegistry` was attached, so the
-default loop carries zero instrumentation cost — not even a branch.
-Timers read the host clock and never feed back into simulation time,
-so an instrumented run is event-for-event identical to a plain one.
+The simulator owns the event heap, the sequence counter and the count
+of cancelled entries still in the heap, and has one loop that calls
+event callbacks (:meth:`Simulator._run_plain`): :meth:`Simulator.step`
+is one event of it, and a run with a :class:`~repro.perf.PerfRegistry`
+attached calls it in strides, timing the first event of each.  The
+loop itself therefore carries zero instrumentation cost — not even a
+branch.  Timers read the host clock and never feed back into
+simulation time, so a sampled run is event-for-event identical to a
+plain one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time as _time
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.events import DEFAULT_PRIORITY, NO_ARG, Event, EventQueue
+from repro.sim.events import DEFAULT_PRIORITY, NO_ARG, Event
 from repro.sim.process import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,13 +61,12 @@ class Simulator:
         perf: "PerfRegistry | None" = None,
     ) -> None:
         self._now = float(start_time)
-        self._queue = EventQueue()
-        # Scheduling and the run loop work on the queue's heap and
-        # sequence counter directly: one frame per schedule, none per
-        # pop.  The queue derives its live count, so neither owes it a
-        # counter update.
-        self._heap = self._queue._heap
-        self._counter = self._queue._counter
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._counter = itertools.count()
+        # Cancelled events still in the heap (deletion is lazy).  The
+        # live count is derived from it, so scheduling and firing a live
+        # event touch no counter: one frame per schedule, none per pop.
+        self._cancelled = 0
         self._running = False
         self._stopped = False
         self._event_count = 0
@@ -85,7 +88,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live events still scheduled."""
-        return len(self._queue)
+        return len(self._heap) - self._cancelled
 
     @property
     def perf(self) -> "PerfRegistry | None":
@@ -138,7 +141,29 @@ class Simulator:
         """Cancel a previously scheduled event (idempotent)."""
         if not event.cancelled:
             event.cancel()
-            self._queue.note_cancel()
+            if self._cancelled < len(self._heap):
+                self._cancelled += 1
+
+    def next_time(self) -> float | None:
+        """Time of the earliest live event (``None`` when there is none)."""
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+            self._cancelled -= 1
+        return heap[0][0] if heap else None
+
+    def adopt_event(self, event: Event) -> None:
+        """Insert an :class:`Event` created elsewhere, under a fresh
+        local sequence number.
+
+        Cross-shard schedules are created in the *source* shard's
+        window (so the caller gets a cancellable handle immediately)
+        but only enter the *target* shard's heap at the next barrier;
+        the sequence number is assigned here, at injection, so tie
+        ordering inside a heap always reflects injection order.
+        """
+        event.seq = next(self._counter)
+        heappush(self._heap, (event.time, event.priority, event.seq, event))
 
     def every(
         self,
@@ -161,45 +186,50 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the single earliest event.  Returns ``False`` if none."""
-        event = self._queue.pop_before(None)
-        if event is None:
-            return False
-        self._now = event.time
-        self._event_count += 1
-        if event.arg is NO_ARG:
-            event.callback()
-        else:
-            event.callback(event.arg)
-        return True
+        """Execute the single earliest event.  Returns ``False`` if none.
+
+        An earlier :meth:`stop` belongs to the run it stopped and does
+        not keep a later step from stepping.
+        """
+        stopped, self._stopped = self._stopped, False
+        try:
+            return self._run_plain(math.inf, 1) == 1
+        finally:
+            self._stopped = self._stopped or stopped
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, *until* is reached, or *max_events*.
 
-        When *until* is given, the clock is advanced to exactly *until*
-        even if the last event fires earlier, so metrics sampled "at end
-        of run" line up across experiments.
+        When *until* is given and nothing live at or before it is left,
+        the clock is advanced to exactly *until* even if the last event
+        fired earlier, so metrics sampled "at end of run" line up across
+        experiments.  A run that *max_events* or :meth:`stop` ended
+        early leaves the clock on the last event it ran: the events it
+        did not get to are still ahead of it.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         self._stopped = False
+        limit = math.inf if until is None else until
         try:
             if self._perf is not None:
-                self._run_instrumented(until, max_events)
+                self._run_sampled(limit, max_events)
             else:
-                self._run_plain(math.inf if until is None else until, max_events)
+                self._run_plain(limit, max_events)
         finally:
             self._running = False
         if until is not None and self._now < until and not self._stopped:
-            self._now = until
+            upcoming = self.next_time()
+            if upcoming is None or upcoming > until:
+                self._now = until
 
     def _run_plain(self, limit: float, max_events: int | None = None) -> int:
-        """The uninstrumented event loop (the default).
+        """The event loop: the one place event callbacks are called.
 
         Executes live events at time <= *limit* and returns how many.
-        The heap is inspected here, not through a queue method, so an
-        event costs its callback's frames and no others.
+        The heap is inspected here, not through a method, so an event
+        costs its callback's frames and no others.
         """
         heap = self._heap
         no_arg = NO_ARG
@@ -208,13 +238,14 @@ class Simulator:
             entry = heap[0]
             event = entry[3]
             if event.cancelled:
-                self._queue.discard_head()
+                heappop(heap)
+                self._cancelled -= 1
                 continue
             time = entry[0]
             if time > limit:
                 break
             heappop(heap)
-            event.cancelled = True  # fired; see EventQueue
+            event.cancelled = True  # fired; see Event
             self._now = time
             self._event_count += 1
             if event.arg is no_arg:
@@ -224,50 +255,34 @@ class Simulator:
             executed += 1
         return executed
 
-    def _run_instrumented(
-        self, until: float | None, max_events: int | None
-    ) -> None:
-        """The same loop, sampling wall latency every Nth step.
+    def _run_sampled(self, limit: float, max_events: int | None) -> None:
+        """Run the loop in strides, timing the first event of each.
 
+        One timed event, then ``step_sample_every - 1`` untimed ones.
         Only the *measurement* is sampled — every event still executes
-        exactly as in the plain loop, in the same order, so the run's
-        simulation outputs are identical.
+        in the plain loop, in the same order, so the run's simulation
+        outputs are identical.
         """
         perf = self._perf
         assert perf is not None
-        stride = perf.step_sample_every
+        untimed = perf.step_sample_every - 1
         step_timer = perf.timer("sim.step")
         pending = perf.sampler("sim.pending_events")
-        events_counter = perf.counter("sim.events")
         clock = _time.perf_counter
-        pop_before = self._queue.pop_before
-        queue = self._queue
-        no_arg = NO_ARG
-        executed = 0
+        run = self._run_plain
+        budget = math.inf if max_events is None else max_events
+        before = self._event_count
         try:
-            while not self._stopped:
-                if max_events is not None and executed >= max_events:
+            while True:
+                left = budget - (self._event_count - before)
+                started = clock()
+                if not run(limit, min(1, left)):
                     break
-                event = pop_before(until)
-                if event is None:
-                    break
-                self._now = event.time
-                self._event_count += 1
-                if executed % stride == 0:
-                    started = clock()
-                    if event.arg is no_arg:
-                        event.callback()
-                    else:
-                        event.callback(event.arg)
-                    step_timer.record(clock() - started)
-                    pending.record(self._now, float(len(queue)))
-                elif event.arg is no_arg:
-                    event.callback()
-                else:
-                    event.callback(event.arg)
-                executed += 1
+                step_timer.record(clock() - started)
+                pending.record(self._now, float(self.pending_events))
+                run(limit, min(untimed, left - 1))
         finally:
-            events_counter.inc(executed)
+            perf.counter("sim.events").inc(self._event_count - before)
 
     def run_window(self, end: float, inclusive: bool = False) -> int:
         """Drain events up to *end* and advance the clock to exactly *end*.

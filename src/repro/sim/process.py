@@ -1,4 +1,4 @@
-"""Helpers layered over the kernel: periodic tasks and one-shot timers."""
+"""Helper layered over the kernel: the periodic task."""
 
 from __future__ import annotations
 
@@ -69,36 +69,3 @@ class PeriodicTask:
         if interval <= 0:
             raise ValueError(f"non-positive interval: {interval}")
         self._interval = interval
-
-
-class Timer:
-    """A restartable one-shot timer.
-
-    Used by protocol code that wants "do X in d seconds unless something
-    happens first" semantics (e.g. split cool-downs, handoff timeouts).
-    """
-
-    def __init__(self, sim: "Simulator", callback: Callable[[], Any]) -> None:
-        self._sim = sim
-        self._callback = callback
-        self._pending = None
-
-    @property
-    def armed(self) -> bool:
-        """True while the timer has a pending (non-cancelled) firing."""
-        return self._pending is not None and not self._pending.cancelled
-
-    def start(self, delay: float) -> None:
-        """(Re)arm the timer to fire after *delay* seconds."""
-        self.cancel()
-        self._pending = self._sim.after(delay, self._fire)
-
-    def cancel(self) -> None:
-        """Disarm the timer if armed (idempotent)."""
-        if self._pending is not None and not self._pending.cancelled:
-            self._sim.cancel(self._pending)
-        self._pending = None
-
-    def _fire(self) -> None:
-        self._pending = None
-        self._callback()

@@ -240,13 +240,13 @@ class ShardedSimulator:
         """
         if event.cancelled:
             return
-        event.cancel()
         if event.seq != -1:
             entry = (event.time, event.priority, event.seq, event)
             for lane in self._all:
                 if entry in lane._heap:
-                    lane._queue.note_cancel()
+                    lane.cancel(event)
                     return
+        event.cancel()
 
     def stop(self) -> None:
         self._stopped = True
@@ -286,10 +286,10 @@ class ShardedSimulator:
             self._inject()
             next_lane = None
             for lane in lanes:
-                t = lane._queue.peek_time()
+                t = lane.next_time()
                 if t is not None and (next_lane is None or t < next_lane):
                     next_lane = t
-            next_global = glob._queue.peek_time()
+            next_global = glob.next_time()
             candidates = []
             if next_lane is not None:
                 candidates.append(next_lane + lookahead)
@@ -362,6 +362,6 @@ class ShardedSimulator:
                         f"delays must be >= the lookahead "
                         f"({self.lookahead})"
                     )
-                target._queue.push_existing(event)
+                target.adopt_event(event)
         for hook in self._barrier_hooks:
             hook(horizon)

@@ -125,10 +125,9 @@ def test_coordinator_crash_promotes_standby_and_keeps_splitting():
         assert server.coordinator == standby.name
 
 
-def test_set_kinds_invalidates_compiled_pipeline_chains():
-    """Re-targeting an installed fault stage must affect kinds whose
-    pipeline chain was compiled before the change (regression: the
-    compiled chain silently bypassed the stage forever)."""
+def test_retargeted_fault_stage_acts_on_kinds_it_passed_before():
+    """Re-targeting an installed fault stage must affect a kind the
+    stage has already let through under its old kind set."""
     from repro.net.middleware import FaultInjectionStage
     from repro.net.network import Network
     from repro.net.node import Node
@@ -144,8 +143,8 @@ def test_set_kinds_invalidates_compiled_pipeline_chains():
     network.add_node(Probe("dst"))
     stage = FaultInjectionStage(rng=random.Random(0), kinds=("a",))
     src.use(stage)
-    # Compile the kind-b outbound chain while the stage excludes b.
-    src.send("dst", "b", None, size_bytes=8)
+    src.send("dst", "b", None, size_bytes=8)  # excluded: passes
+    assert stage.dropped == 0
     stage.set_kinds(("b",))
     stage.set_rates(1.0, 0.0)
     for _ in range(5):

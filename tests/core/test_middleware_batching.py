@@ -15,8 +15,15 @@ from repro.core.config import (
     MiddlewareConfig,
 )
 from repro.core.deployment import MatrixDeployment
+from repro.games.profile import profile_by_name
 from repro.geometry import Rect, Vec2
-from repro.net.middleware import BATCH_KIND, SpatialBatchingStage
+from repro.harness.compare import scaled_profile
+from repro.harness.runner import run_scenario as run_registered_scenario
+from repro.net.middleware import (
+    BATCH_KIND,
+    FaultInjectionStage,
+    SpatialBatchingStage,
+)
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
@@ -106,33 +113,38 @@ def test_batching_stage_installed_from_config():
 
 
 def test_combined_stages_keep_fault_injection_innermost():
-    """Fault injection must see packets before batching absorbs them."""
-    from repro.net.middleware import FaultInjectionStage, KindMetricsStage
+    """Fault injection must see packets before batching absorbs them.
 
-    sim = Simulator()
-    network = Network(sim)
-    config = MatrixConfig(
-        world=WORLD,
-        visibility_radius=50.0,
-        middleware=MiddlewareConfig(
-            batch_spatial_forwards=True,
-            kind_metrics=True,
-            fault_drop_rate=0.1,
-        ),
+    Batching comes from the config, at pair creation; faults from a
+    chaos ``LinkDegrade``, installed when its window opens — so the
+    fault stage is innermost and acts on single forwards, and batching
+    aggregates the survivors."""
+    outcome = run_registered_scenario(
+        "lossy-wan",
+        backend="matrix",
+        profile=scaled_profile(profile_by_name("bzflag"), 0.05),
+        policy=LoadPolicyConfig().scaled(0.05),
+        middleware=MiddlewareConfig(batch_spatial_forwards=True),
+        scale=0.05,
+        preview=60.0,
+        seed=3,
     )
-    deployment = MatrixDeployment(
-        sim, network, config, game_server_factory=ScriptedGameServer
-    )
-    ms, _ = deployment.bootstrap()
-    stages = [type(s) for s in ms.middleware.stages]
-    assert stages == [
-        KindMetricsStage,
-        SpatialBatchingStage,
-        FaultInjectionStage,
-    ]
-    # Stages are addressable by name for introspection.
-    assert type(ms.middleware.stage("spatial-batching")) is SpatialBatchingStage
-    assert ms.middleware.stage("no-such-stage") is None
+    servers = list(outcome.experiment.deployment.matrix_servers.values())
+    assert len(servers) > 1
+    dropped = buffered = 0
+    for ms in servers:
+        stages = [type(s) for s in ms.middleware.stages]
+        assert stages == [SpatialBatchingStage, FaultInjectionStage]
+        # Stages are addressable by name for introspection.
+        batching = ms.middleware.stage("spatial-batching")
+        assert type(batching) is SpatialBatchingStage
+        assert ms.middleware.stage("no-such-stage") is None
+        dropped += ms.middleware.stage("fault-injection").dropped
+        buffered += batching.buffered_total
+    assert dropped > 0 and buffered > 0
+    # Every forward the routers sent was either dropped as a single
+    # packet or reached the batching stage: nothing skipped the faults.
+    assert dropped + buffered == sum(ms.forwarded_packets for ms in servers)
 
 
 def test_default_config_installs_no_stages():

@@ -218,3 +218,51 @@ def test_gossip_reaches_parent():
     sim.run(until=22.0)
     assert ms.child_loads["ms.2"].client_count == 42
     assert ms.child_loads["ms.2"].has_children is False
+
+
+#: What a Matrix server answered before its components declared their
+#: own kinds (captured from ``MatrixServer._dispatch_table`` at PR 18,
+#: less the two ``fabric.*`` replies only a lane deployment ever sends).
+MATRIX_SERVER_KINDS = {
+    "game.spatial",
+    "matrix.forward",
+    "mc.table",
+    "mc.failover",
+    "matrix.load",
+    "matrix.gossip",
+    "matrix.query",
+    "mc.reply",
+    "matrix.ctl.split_grant",
+    "matrix.ctl.reclaim_req",
+    "matrix.ctl.reclaim_nack",
+    "matrix.ctl.reclaim_ack",
+    "matrix.ctl.reclaim_abort",
+    "matrix.state.begin",
+    "matrix.state.chunk",
+    "matrix.state.done",
+}
+
+
+def handled_kinds(node) -> set[str]:
+    return set(node._dispatch_table) | set(node._handlers)
+
+
+def test_matrix_server_answers_the_same_kinds_as_before_adoption():
+    sim, network, deployment = build_deployment()
+    ms, _ = deployment.bootstrap()
+    assert handled_kinds(ms) == MATRIX_SERVER_KINDS
+    assert type(ms)._dispatch_table == {"mc.failover": "_on_failover"}
+
+
+def test_lane_matrix_server_also_answers_the_fabric_replies():
+    from repro.games.profile import profile_by_name
+    from repro.harness.shards import ShardedMatrixExperiment
+
+    experiment = ShardedMatrixExperiment(
+        profile_by_name("bzflag"), shards=2, grid=(2, 1)
+    )
+    for ms in experiment.deployment.matrix_servers.values():
+        assert handled_kinds(ms) == MATRIX_SERVER_KINDS | {
+            "fabric.grant",
+            "fabric.spawned",
+        }

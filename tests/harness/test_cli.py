@@ -131,12 +131,54 @@ def test_refusals_exit_2_with_one_error_line(argv, message, capsys, tmp_path, mo
     assert not list(tmp_path.iterdir())
 
 
+def assert_argparse_refuses(argv, message, capsys):
+    """argparse's own refusal: usage and one ``error: argument ...``
+    line on stderr, exit 2, before anything ran."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {message}" in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("command", ["run", "record"])
 def test_replay_is_not_a_backend_choice(command, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, "flash-crowd", "--backend", "replay"])
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'replay'" in capsys.readouterr().err
+    assert_argparse_refuses(
+        [command, "flash-crowd", "--backend", "replay"],
+        "--backend: invalid choice: 'replay'",
+        capsys,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perf", "flash-crowd", "--sample-every", "0"],
+         "--sample-every: must be >= 1, got 0"),
+        (["run", "flash-crowd", "--scale", "0"],
+         "--scale: must be > 0, got 0"),
+        (["compare", "flash-crowd", "--scale", "-1"],
+         "--scale: must be > 0, got -1"),
+        (["run", "flash-crowd", "--scale", "nan"],
+         "--scale: must be > 0, got nan"),
+        (["run", "flash-crowd", "--duration", "-5"],
+         "--duration: must be > 0, got -5"),
+        (["run", "flash-crowd", "--shards", "0"],
+         "--shards: must be >= 1, got 0"),
+        (["run", "flash-crowd", "uniform-roam", "--jobs", "-1"],
+         "--jobs: must be >= 0, got -1"),
+        (["fuzz", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
+        (["fuzz", "--shrink-iterations", "0"],
+         "--shrink-iterations: must be >= 1, got 0"),
+        (["fuzz", "--settle", "-1"], "--settle: must be >= 0, got -1"),
+        (["run", "flash-crowd", "--scale", "big"],
+         "--scale: invalid float value: 'big'"),
+    ],
+)
+def test_out_of_range_numbers_are_argparse_refusals(argv, message, capsys):
+    assert_argparse_refuses(argv, message, capsys)
 
 
 def test_fuzz_reproducer_names_every_option_that_shapes_the_run(capsys):

@@ -134,3 +134,64 @@ def test_legacy_handle_message_override_still_works():
     node.handle_message(make("anything"))
     assert node.seen == ["anything"]
     assert node.unhandled_count == 0
+
+
+class Echoes:
+    """A component: not a node, but it declares the kinds it answers."""
+
+    def __init__(self):
+        self.log: list[str] = []
+
+    @handles("echo", "echo.loud")
+    def on_echo(self, message):
+        self.log.append(message.kind)
+
+
+def test_adopted_component_is_called_straight_from_handle_message():
+    import sys
+
+    node = attached(Base())
+    echoes = node.adopt(Echoes())
+    called = []
+
+    def trace(frame, event, arg):
+        if event == "call":
+            called.append(frame.f_code.co_name)
+
+    message = make("echo")
+    sys.setprofile(trace)
+    try:
+        node.handle_message(message)
+    finally:
+        sys.setprofile(None)
+    # No frame between the node's entry point and the component.
+    assert called == ["handle_message", "on_echo"]
+    node.handle_message(make("echo.loud"))
+    node.handle_message(make("ping"))  # the node's own kinds still work
+    assert echoes.log == ["echo", "echo.loud"]
+    assert node.log == ["base-ping"]
+    assert node.unhandled_count == 0
+
+
+def test_adopting_a_second_claimant_of_a_kind_is_a_collision():
+    class AlsoPing:
+        @handles("ping")
+        def on_ping(self, message):
+            pass
+
+    node = attached(Base())
+    with pytest.raises(DispatchCollisionError, match="'ping'"):
+        node.adopt(AlsoPing())  # the node itself handles ping
+    node.adopt(Echoes())
+    with pytest.raises(DispatchCollisionError, match="'echo'"):
+        node.adopt(Echoes())  # an earlier component handles echo
+
+
+def test_adopting_an_object_without_handlers_is_a_no_op():
+    node = attached(Base())
+    before = dict(node._handlers)
+    plain = object()
+    assert node.adopt(plain) is plain
+    assert node._handlers == before
+    node.handle_message(make("echo"))
+    assert node.unhandled_count == 1

@@ -192,32 +192,9 @@ def test_batching_leaves_control_kinds_alone():
     assert network.stats.by_kind[BATCH_KIND].messages == 0
 
 
-def test_declared_interest_skips_uninterested_stages():
-    """A stage declaring outbound kinds is never called for others."""
-
-    class Counting(MiddlewareStage):
-        def __init__(self):
-            super().__init__()
-            self.calls = 0
-
-        def outbound_kinds(self):
-            return frozenset({"interesting"})
-
-        def on_outbound(self, message):
-            self.calls += 1
-            return message
-
-    sim, network, tx, rx = pair()
-    stage = tx.use(Counting())
-    tx.send("rx", "data", [], size_bytes=8)
-    tx.send("rx", "interesting", [], size_bytes=8)
-    assert stage.calls == 1
-
-
-def test_kind_transform_falls_back_to_generic_walk():
-    """A stage rewriting a message's kind mid-chain must not let later
-    stages' compiled-chain selection (keyed on the *original* kind)
-    skip them."""
+def test_kind_rewrite_mid_walk_reaches_the_remaining_stages():
+    """A stage rewriting a message's kind must not hide the message
+    from the stages after it: they see the kind it has *now*."""
 
     class Rewriter(MiddlewareStage):
         def on_outbound(self, message):
@@ -234,17 +211,15 @@ def test_kind_transform_falls_back_to_generic_walk():
             super().__init__()
             self.seen = []
 
-        def outbound_kinds(self):
-            return frozenset({"rewritten"})
-
         def on_outbound(self, message):
-            self.seen.append(message.kind)
+            if message.kind == "rewritten":
+                self.seen.append(message.kind)
             return message
 
     sim, network, tx, rx = pair()
     # Outbound runs innermost (last installed) first: Rewriter rewrites
-    # "data" -> "rewritten", then the wire-side stage must still see it
-    # even though its chain for "data" is empty.
+    # "data" -> "rewritten", then the wire-side stage, which ignores
+    # "data", must see it.
     watcher = tx.use(OnlyRewritten())
     tx.use(Rewriter())
     tx.send("rx", "data", [], size_bytes=8)
@@ -252,9 +227,9 @@ def test_kind_transform_falls_back_to_generic_walk():
     assert network.stats.by_kind["rewritten"].messages == 1
 
 
-def test_stages_installed_after_traffic_invalidate_chains():
+def test_stage_installed_after_traffic_sees_the_next_message():
     sim, network, tx, rx = pair()
-    tx.send("rx", "data", [], size_bytes=8)  # compiles the empty chain
+    tx.send("rx", "data", [], size_bytes=8)  # before any stage exists
     metrics = tx.use(KindMetricsStage())
     tx.send("rx", "data", [], size_bytes=8)
     assert metrics.outbound["data"].messages == 1

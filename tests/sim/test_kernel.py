@@ -114,7 +114,7 @@ def test_cancel_is_idempotent():
 
 
 def live_heap_entries(sim):
-    return sum(1 for entry in sim._queue._heap if not entry[3].cancelled)
+    return sum(1 for entry in sim._heap if not entry[3].cancelled)
 
 
 def test_self_stopping_periodic_task_keeps_pending_count_exact():
@@ -231,28 +231,73 @@ def test_arg_carrying_event_fires_via_step():
     assert got == [7]
 
 
-def test_pop_before_respects_limit_and_leaves_future_events():
-    from repro.sim.events import EventQueue
+def test_run_until_takes_events_up_to_the_limit_and_leaves_later_ones():
+    sim = Simulator()
+    fired = []
+    sim.at(1.0, lambda: fired.append(sim.now))
+    sim.at(3.0, lambda: fired.append(sim.now))
+    sim.run(until=2.0)
+    assert fired == [1.0]
+    assert sim.pending_events == 1  # the t=3 event is untouched
+    sim.run(until=2.0)
+    assert fired == [1.0]
+    sim.run()
+    assert fired == [1.0, 3.0]
+    assert sim.step() is False
 
-    queue = EventQueue()
-    queue.push(1.0, lambda: None)
-    queue.push(3.0, lambda: None)
-    assert queue.pop_before(2.0).time == 1.0
-    assert queue.pop_before(2.0) is None
-    assert len(queue) == 1  # the t=3 event is untouched
-    assert queue.pop_before(None).time == 3.0
-    assert queue.pop_before(None) is None
+
+def test_cancelled_head_is_skipped_and_pending_count_stays_exact():
+    sim = Simulator()
+    fired = []
+    first = sim.at(1.0, lambda: fired.append(sim.now))
+    sim.at(2.0, lambda: fired.append(sim.now))
+    sim.cancel(first)
+    assert sim.pending_events == live_heap_entries(sim) == 1
+    assert sim.step() is True
+    assert fired == [2.0]
+    assert sim.pending_events == live_heap_entries(sim) == 0
 
 
-def test_pop_before_skips_cancelled_events():
-    from repro.sim.events import EventQueue
+def test_step_still_steps_after_stop():
+    """``stop()`` ends the run it was called in; it is not a latch that
+    keeps a later ``step()`` from stepping."""
+    sim = Simulator()
+    fired = []
+    sim.after(1.0, lambda: (fired.append(1), sim.stop()))
+    sim.after(2.0, lambda: fired.append(2))
+    sim.after(3.0, lambda: fired.append(3))
+    sim.run()
+    assert fired == [1]
+    assert sim.step() is True
+    assert fired == [1, 2]
+    sim.stop()
+    assert sim.step() is True
+    assert fired == [1, 2, 3]
 
-    queue = EventQueue()
-    first = queue.push(1.0, lambda: None)
-    queue.push(2.0, lambda: None)
-    first.cancel()
-    queue.note_cancel()
-    assert queue.pop_before(None).time == 2.0
+
+def test_capped_run_leaves_the_clock_on_the_last_event_it_ran():
+    """A run that ``max_events`` ended must not jump the clock to
+    ``until`` over the events it did not run: the next run would have
+    to set time back to reach them."""
+    sim = Simulator()
+    seen = []
+    for t in (1.0, 2.0, 3.0):
+        sim.at(t, lambda: seen.append(sim.now))
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 1.0
+    assert sim.pending_events == 2
+    sim.after(0.0, lambda: seen.append(sim.now))  # still legal at t=1
+    sim.run(until=10.0)
+    assert seen == sorted(seen) == [1.0, 1.0, 2.0, 3.0]
+    assert sim.now == 10.0
+
+
+def test_stopped_run_does_not_advance_to_until():
+    sim = Simulator()
+    sim.after(1.0, sim.stop)
+    sim.after(2.0, lambda: None)
+    sim.run(until=10.0)
+    assert sim.now == 1.0
 
 
 def test_instrumented_run_is_event_identical():
@@ -264,16 +309,38 @@ def test_instrumented_run_is_event_identical():
             sim.at(float(i % 7) * 0.5, lambda i=i: order.append(i))
         return order
 
-    plain_sim = Simulator()
-    plain = build(plain_sim)
-    plain_sim.run()
+    for run_args, expected_events in (
+        ({}, 100),
+        ({"until": 1.5}, 58),
+        ({"max_events": 40}, 40),
+        ({"until": 1.5, "max_events": 70}, 58),
+    ):
+        plain_sim = Simulator()
+        plain = build(plain_sim)
+        plain_sim.run(**run_args)
 
-    perf = PerfRegistry(step_sample_every=3)
-    inst_sim = Simulator(perf=perf)
-    instrumented = build(inst_sim)
-    inst_sim.run()
+        perf = PerfRegistry(step_sample_every=3)
+        inst_sim = Simulator(perf=perf)
+        instrumented = build(inst_sim)
+        inst_sim.run(**run_args)
 
-    assert instrumented == plain
-    assert inst_sim.events_processed == plain_sim.events_processed == 100
-    assert perf.counters["sim.events"].count == 100
-    assert perf.timers["sim.step"].count > 0
+        assert instrumented == plain
+        assert (
+            inst_sim.events_processed
+            == plain_sim.events_processed
+            == expected_events
+        )
+        assert inst_sim.now == plain_sim.now
+        assert inst_sim.pending_events == plain_sim.pending_events
+        assert perf.counters["sim.events"].count == expected_events
+        # One timed event, then two untimed: every third event, from
+        # the first, is a sample.
+        samples = -(-expected_events // 3)
+        assert perf.timers["sim.step"].count == samples
+        pending = perf.samplers["sim.pending_events"]
+        assert pending.times == [(i % 7) * 0.5 for i in plain[::3]]
+        assert pending.values == [
+            float(99 - k) for k in range(0, expected_events, 3)
+        ]
+        if not run_args:
+            assert samples == 34

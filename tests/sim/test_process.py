@@ -1,9 +1,8 @@
-"""Tests for periodic tasks and timers."""
+"""Tests for periodic tasks."""
 
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.process import Timer
 
 
 def test_periodic_fires_at_interval():
@@ -73,44 +72,3 @@ def test_periodic_reschedule_rejects_non_positive():
     task = sim.every(1.0, lambda: None)
     with pytest.raises(ValueError):
         task.reschedule(0.0)
-
-
-def test_timer_fires_once():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.start(2.0)
-    sim.run(until=10.0)
-    assert fired == [2.0]
-    assert not timer.armed
-
-
-def test_timer_restart_supersedes():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.start(2.0)
-    sim.after(1.0, lambda: timer.start(5.0))
-    sim.run(until=10.0)
-    assert fired == [6.0]
-
-
-def test_timer_cancel():
-    sim = Simulator()
-    fired = []
-    timer = Timer(sim, lambda: fired.append(1))
-    timer.start(1.0)
-    timer.cancel()
-    sim.run()
-    assert fired == []
-    assert not timer.armed
-
-
-def test_timer_armed_flag():
-    sim = Simulator()
-    timer = Timer(sim, lambda: None)
-    assert not timer.armed
-    timer.start(1.0)
-    assert timer.armed
-    sim.run()
-    assert not timer.armed
