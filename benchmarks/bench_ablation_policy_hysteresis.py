@@ -11,22 +11,17 @@ workload, and worse queues.
 
 import dataclasses
 
-from common import SCALE, SEED, game_profile, record, scaled_policy, scaled_schedule
+from common import SCALE, fig2_arguments, record
 
-from repro.harness.experiment import MatrixExperiment
-from repro.harness.fig2 import install_fig2_workload
+from repro.harness.runner import run_scenario
 
 
 def run_with_policy(policy):
-    profile = game_profile("bzflag", SCALE)
-    experiment = MatrixExperiment(profile, policy=policy, seed=SEED)
-    schedule = scaled_schedule()
-    install_fig2_workload(experiment, schedule)
-    return experiment.run(until=schedule.duration)
+    return run_scenario(**{**fig2_arguments(), "policy": policy}).result
 
 
 def test_policy_hysteresis_ablation(benchmark):
-    damped = scaled_policy()
+    damped = fig2_arguments()["policy"]
     undamped = dataclasses.replace(
         damped,
         consecutive_overload_reports=1,

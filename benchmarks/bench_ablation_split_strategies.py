@@ -8,21 +8,20 @@ and compares servers used, splits needed, and peak queue.
 
 import dataclasses
 
-from common import SCALE, SEED, game_profile, record, scaled_policy, scaled_schedule
+from common import SCALE, fig2_arguments, record
 
 from repro.core.splitting import STRATEGIES
-from repro.harness.experiment import MatrixExperiment, matrix_config_for
-from repro.harness.fig2 import install_fig2_workload
+from repro.harness.experiment import matrix_config_for
+from repro.harness.runner import run_scenario
 
 
 def run_with_strategy(strategy: str):
-    profile = game_profile("bzflag", SCALE)
-    config = matrix_config_for(profile, scaled_policy())
+    arguments = fig2_arguments()
+    # matrix_config wins over the policy argument inside MatrixExperiment,
+    # so the scaled policy travels inside the config.
+    config = matrix_config_for(arguments["profile"], arguments["policy"])
     config = dataclasses.replace(config, split_strategy=strategy)
-    experiment = MatrixExperiment(profile, matrix_config=config, seed=SEED)
-    schedule = scaled_schedule()
-    install_fig2_workload(experiment, schedule)
-    return experiment.run(until=schedule.duration)
+    return run_scenario(**arguments, matrix_config=config).result
 
 
 def test_split_strategy_ablation(benchmark):

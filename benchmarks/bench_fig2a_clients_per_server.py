@@ -6,15 +6,13 @@ splits once more; departures lead to reclamation points; the second
 hotspot at a different location repeats the pattern.
 """
 
-from common import SCALE, SEED, fig2_result, record
+from common import SCALE, fig2_result, record
 
 from repro.analysis.asciiplot import render_series
 
 
 def test_fig2a_clients_per_server(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig2_result(SCALE, SEED), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(fig2_result, rounds=1, iterations=1)
     chart = render_series(
         result.clients_per_server,
         title=(

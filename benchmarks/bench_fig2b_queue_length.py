@@ -5,15 +5,13 @@ spikes when 600 clients join, and collapses once Matrix sheds load onto
 freshly split servers; no unbounded growth anywhere.
 """
 
-from common import SCALE, SEED, fig2_result, record
+from common import SCALE, fig2_result, record
 
 from repro.analysis.asciiplot import render_series
 
 
 def test_fig2b_queue_length(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig2_result(SCALE, SEED), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(fig2_result, rounds=1, iterations=1)
     chart = render_series(
         result.queue_per_server,
         title=(

@@ -27,9 +27,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from common import JOBS, SEED, record, record_json, scaled_policy
+from common import JOBS, SEED, record, record_json
 
+from repro.core.config import LoadPolicyConfig
 from repro.harness.fuzz import fuzz_grid_tasks
+from repro.harness.gridcells import GRID_FLOORS
 from repro.harness.parallel import run_grid, timing_section
 from repro.trace.diff import diff_traces
 from repro.trace.recorder import record_scenario
@@ -75,7 +77,7 @@ def run_fuzz_campaign(jobs=JOBS):
 def run_trace_roundtrip():
     """Record twice, diff, replay; returns the determinism metrics."""
     scenario = build_scenario(TRACE_SCENARIO)
-    policy = scaled_policy(TRACE_SCALE)
+    policy = LoadPolicyConfig().scaled(TRACE_SCALE, **GRID_FLOORS)
     with tempfile.TemporaryDirectory() as tmp:
         paths = []
         for index in range(2):

@@ -1,6 +1,6 @@
 """Microbenchmark — spatial-forward batching middleware (M-batch).
 
-Runs the same boundary-heavy workload twice on a two-server grid —
+Runs the same boundary-heavy scenario twice on a two-server grid —
 once with the stock pipeline and once with
 ``MiddlewareConfig(batch_spatial_forwards=True)`` — and compares the
 wire traffic.  Batching aggregates same-destination ``matrix.forward``
@@ -16,25 +16,39 @@ from common import record, record_json
 from repro.core.config import MiddlewareConfig
 from repro.games.profile import profile_by_name
 from repro.harness.compare import scaled_profile
-from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
 from repro.net.middleware import BATCH_KIND
+from repro.workload.scenarios import HotspotWave, MapPoint, Scenario
+
+BORDER_MILL = Scenario(
+    name="border-mill",
+    description=(
+        "60 players milling around the shared border of a 2x1 grid: the "
+        "overlap regions stay hot, which is where forwards (and "
+        "batches) happen."
+    ),
+    phases=(
+        HotspotWave(
+            count=60,
+            center=MapPoint(0.5, 0.5),
+            at=0.5,
+            group="border",
+            spread_fraction=2.0,
+        ),
+    ),
+    duration=30.0,
+    grid=(2, 1),
+)
 
 
 def _run(middleware: MiddlewareConfig | None):
-    profile = scaled_profile(profile_by_name("bzflag"), 0.25)
-    experiment = MatrixExperiment(
-        profile, middleware=middleware, seed=7, grid=(2, 1)
+    outcome = run_scenario(
+        BORDER_MILL,
+        profile=scaled_profile(profile_by_name("bzflag"), 0.25),
+        middleware=middleware,
+        seed=7,
     )
-    # A population milling around the shared partition border keeps the
-    # overlap regions hot, which is where forwards (and batches) happen.
-    experiment.fleet.spawn_hotspot(
-        count=60,
-        center=profile.world.center,
-        spread=profile.visibility_radius * 2,
-        at=0.5,
-        group="border",
-    )
-    result = experiment.run(until=30.0)
+    result, experiment = outcome.result, outcome.experiment
     stats = experiment.network.stats
     delivered = sum(
         ms.delivered_packets

@@ -5,15 +5,13 @@ negligible" — the MC is off the data path, so its traffic share is a
 vanishing fraction even during a split/reclaim-heavy hotspot run.
 """
 
-from common import SCALE, SEED, fig2_result, record
+from common import fig2_result, record
 
 from repro.harness.micro import coordinator_overhead
 
 
 def test_coordinator_overhead(benchmark):
-    result = benchmark.pedantic(
-        lambda: fig2_result(SCALE, SEED), rounds=1, iterations=1
-    )
+    result = benchmark.pedantic(fig2_result, rounds=1, iterations=1)
     overhead = coordinator_overhead(result)
     lines = [
         "M-mc: Matrix Coordinator traffic share during the Fig 2 "

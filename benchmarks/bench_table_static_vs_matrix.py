@@ -4,20 +4,36 @@ Expected shape: "Matrix is able to automatically use extra servers to
 handle the load while the static partitioning schemes just fail."
 """
 
-from common import SCALE, SEED, record, scaled_policy, scaled_schedule
+from common import SCALE, SEED, record
 
-from repro.harness.compare import compare_all_games, format_comparison_table
+from repro.core.config import LoadPolicyConfig
+from repro.games.profile import profile_by_name
+from repro.harness.compare import compare_backends, format_comparison_table
+from repro.harness.gridcells import GRID_FLOORS
+
+GAMES = ("bzflag", "quake2", "daimonin")
+
+
+def run_table():
+    """The fig2-hotspot timeline on each game's profile, both systems."""
+    return [
+        (
+            game,
+            compare_backends(
+                "fig2-hotspot",
+                backends=("matrix", "static"),
+                profile=profile_by_name(game),
+                policy=LoadPolicyConfig().scaled(SCALE, **GRID_FLOORS),
+                seed=SEED,
+                scale=SCALE,
+            ),
+        )
+        for game in GAMES
+    ]
 
 
 def test_static_vs_matrix_all_games(benchmark):
-    schedule = scaled_schedule()
-    rows = benchmark.pedantic(
-        lambda: compare_all_games(
-            schedule, policy=scaled_policy(), seed=SEED, scale=SCALE
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    rows = benchmark.pedantic(run_table, rounds=1, iterations=1)
     table = format_comparison_table(rows)
     lines = [
         f"T-static (scale={SCALE}): same hotspot workload on Matrix vs a "
@@ -26,10 +42,9 @@ def test_static_vs_matrix_all_games(benchmark):
     ]
     record("table_static_vs_matrix", "\n".join(lines))
 
-    for row in rows:
-        assert row.matrix_wins, (
-            f"{row.game}: expected Matrix ok / static failing, got "
-            f"matrix.failed={row.matrix.failed} "
-            f"static.failed={row.static.failed}"
+    for game, (matrix, static) in rows:
+        assert not matrix.failed and static.failed, (
+            f"{game}: expected Matrix ok / static failing, got "
+            f"matrix.failed={matrix.failed} static.failed={static.failed}"
         )
-        assert row.static.p99_latency > row.matrix.p99_latency
+        assert static.p99_latency > matrix.p99_latency

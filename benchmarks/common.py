@@ -1,14 +1,16 @@
 """Shared machinery for the benchmark suite.
 
-Every bench regenerates one figure/table of the paper.  The heavyweight
-simulation runs are cached per (scale, seed) so benches that share a
-run (Fig 2a and Fig 2b) only pay for it once.
+Every bench regenerates one figure/table of the paper by declaring a
+``Scenario`` (or naming a catalog one) and calling ``run_scenario``.
+The Fig 2 hotspot run is cached so the benches that share it (Fig 2a,
+Fig 2b and the coordinator overhead) only pay for it once.
 
 Scale: by default benches run at ``REPRO_BENCH_SCALE`` (default 0.25)
-of the paper's population, with policy thresholds and server capacity
-scaled identically — the dynamics (who splits, who saturates, where
-crossovers fall) are preserved while wall-clock time drops ~10x.  Set
-``REPRO_BENCH_SCALE=1.0`` to regenerate at full paper scale.
+of the paper's population, with policy thresholds (``GRID_FLOORS``,
+6/3) and server capacity scaled identically — the dynamics (who
+splits, who saturates, where crossovers fall) are preserved while
+wall-clock time drops ~10x.  Set ``REPRO_BENCH_SCALE=1.0`` to
+regenerate at full paper scale.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import platform
 from functools import lru_cache
 from pathlib import Path
 
-from repro.core.config import LoadPolicyConfig
-from repro.games.profile import profile_by_name
-from repro.harness.compare import scaled_profile
-from repro.harness.experiment import ExperimentResult, MatrixExperiment
-from repro.harness.fig2 import Fig2Schedule, install_fig2_workload
+from repro.harness.compare import scaled_run_arguments
+from repro.harness.experiment import ExperimentResult
+from repro.harness.gridcells import GRID_FLOORS
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import build_scenario
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
@@ -37,34 +39,18 @@ JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None
 OUTPUT_DIR = Path(__file__).parent / "output"
 
 
-def scaled_policy(scale: float = SCALE) -> LoadPolicyConfig:
-    """The paper's 300/150 thresholds, scaled."""
-    return LoadPolicyConfig().scaled(
-        scale, floor_overload=6, floor_underload=3
+def fig2_arguments() -> dict:
+    """``run_scenario`` arguments of the Fig 2 hotspot on Matrix at the
+    bench scale and seed."""
+    return scaled_run_arguments(
+        build_scenario("fig2-hotspot"), "matrix", SCALE, SEED, **GRID_FLOORS
     )
 
 
-def scaled_schedule(scale: float = SCALE) -> Fig2Schedule:
-    """The Fig 2 timeline with a scaled population."""
-    return Fig2Schedule().scaled(scale)
-
-
-def game_profile(name: str, scale: float = SCALE):
-    """A game profile with capacity scaled to the bench population."""
-    return scaled_profile(profile_by_name(name), scale)
-
-
-@lru_cache(maxsize=4)
-def fig2_result(
-    scale: float = SCALE, seed: int = SEED, game: str = "bzflag"
-) -> ExperimentResult:
+@lru_cache(maxsize=1)
+def fig2_result() -> ExperimentResult:
     """The (cached) Fig 2 hotspot run."""
-    schedule = scaled_schedule(scale)
-    experiment = MatrixExperiment(
-        game_profile(game, scale), policy=scaled_policy(scale), seed=seed
-    )
-    install_fig2_workload(experiment, schedule)
-    return experiment.run(until=schedule.duration)
+    return run_scenario(**fig2_arguments()).result
 
 
 def record(name: str, text: str) -> None:

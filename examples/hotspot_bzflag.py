@@ -13,30 +13,25 @@ Run:  python examples/hotspot_bzflag.py            (scaled, ~10 s)
 import os
 
 from repro.analysis.asciiplot import render_series
-from repro.games.profile import bzflag_profile
-from repro.harness.compare import scaled_profile
-from repro.harness.experiment import MatrixExperiment
-from repro.harness.fig2 import Fig2Schedule, install_fig2_workload
-from repro.core.config import LoadPolicyConfig
+from repro.harness.compare import scaled_run_arguments
+from repro.harness.gridcells import GRID_FLOORS
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import build_scenario
 
 
 def main() -> None:
     full_scale = os.environ.get("FULL_SCALE") == "1"
     scale = 1.0 if full_scale else 0.2
 
-    profile = scaled_profile(bzflag_profile(), scale)
-    schedule = Fig2Schedule().scaled(scale)
-    policy = LoadPolicyConfig(
-        overload_clients=max(6, int(300 * scale)),
-        underload_clients=max(3, int(150 * scale)),
-    )
+    # Population, policy thresholds and server capacity scale together.
+    fig2 = build_scenario("fig2-hotspot")
+    arguments = scaled_run_arguments(fig2, "matrix", scale, 1, **GRID_FLOORS)
+    _, hotspot1, departures, hotspot2, _ = fig2.scaled(scale).phases
 
     print(f"Running the Fig 2 hotspot at scale={scale} "
-          f"({schedule.hotspot_clients}-client hotspot, "
-          f"overload threshold {policy.overload_clients})...")
-    experiment = MatrixExperiment(profile, policy=policy, seed=1)
-    install_fig2_workload(experiment, schedule)
-    result = experiment.run(until=schedule.duration)
+          f"({hotspot1.count}-client hotspot, "
+          f"overload threshold {arguments['policy'].overload_clients})...")
+    result = run_scenario(**arguments).result
 
     print()
     print(render_series(
@@ -52,15 +47,15 @@ def main() -> None:
     ))
 
     print("\ntimeline (paper caption events):")
-    print(f"  t={schedule.hotspot1_at:.0f}s hotspot 1 "
-          f"({schedule.hotspot_clients} clients) appears")
+    print(f"  t={hotspot1.at:.0f}s hotspot 1 "
+          f"({hotspot1.count} clients) appears")
     for t in result.spawn_times():
         print(f"  t={t:.1f}s  SPLIT — new server deployed")
-    print(f"  t={schedule.departures_start:.0f}s departures begin "
-          f"({schedule.departure_batch}/batch)")
+    print(f"  t={departures.start:.0f}s departures begin "
+          f"({departures.batch}/batch)")
     for t in result.reclaim_times():
         print(f"  t={t:.1f}s  RECLAMATION — server returned to the pool")
-    print(f"  t={schedule.hotspot2_at:.0f}s hotspot 2 appears elsewhere")
+    print(f"  t={hotspot2.at:.0f}s hotspot 2 appears elsewhere")
 
     print(f"\nsummary: {result.splits_completed} splits, "
           f"{result.reclaims_completed} reclaims, "

@@ -1,43 +1,59 @@
 #!/usr/bin/env python
 """Quickstart: deploy a game on Matrix and watch it absorb a hotspot.
 
-Builds the smallest end-to-end Matrix deployment — one coordinator, one
-Matrix+game server pair, a client fleet — throws a hotspot at it, and
-prints what the middleware did about it.
+Declares the smallest end-to-end workload — a quiet background
+population and one hotspot — runs it on a Matrix deployment (one
+coordinator, one Matrix+game server pair to start with, a client
+fleet), and prints what the middleware did about it.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.core.config import LoadPolicyConfig
-from repro.games.profile import bzflag_profile
-from repro.geometry import Vec2
-from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import (
+    ArrivalWave,
+    Departure,
+    HotspotWave,
+    MapPoint,
+    Scenario,
+)
+
+PARTY = Scenario(
+    name="quickstart-party",
+    description="A quiet background population and one party hotspot.",
+    phases=(
+        # A quiet background population...
+        ArrivalWave(count=15),
+        # ...and a hotspot: 90 players pile onto one spot at t=10 s
+        # (x=500, y=400 of the 800x800 arena, sigma 50 = 50/60 of the
+        # visibility radius).
+        HotspotWave(
+            count=90,
+            center=MapPoint(0.625, 0.5),
+            at=10.0,
+            group="party",
+            spread_fraction=50 / 60,
+        ),
+        # The party ends at t=60 s: everyone leaves in batches of 30.
+        Departure(group="party", batch=30, start=60.0, interval=10.0),
+    ),
+    duration=150.0,
+)
 
 
 def main() -> None:
-    profile = bzflag_profile()
-
     # Scale the paper's 300/150-client thresholds down so the demo runs
     # in a couple of seconds; dynamics are identical.
     policy = LoadPolicyConfig(overload_clients=40, underload_clients=20)
 
-    experiment = MatrixExperiment(profile, policy=policy, seed=42)
-    print("Bootstrapped:", experiment.deployment.live_server_names(),
-          "owning", experiment.config.world)
+    def show_bootstrap(experiment) -> None:
+        print("Bootstrapped:", experiment.deployment.live_server_names(),
+              "owning", experiment.config.world)
 
-    # A quiet background population...
-    experiment.fleet.spawn_background(15, at=0.0)
-    # ...and a hotspot: 90 players pile onto one spot at t=10 s.
-    center = Vec2(500.0, 400.0)
-    experiment.fleet.spawn_hotspot(
-        90, center, spread=50.0, at=10.0, group="party"
-    )
-    # The party ends at t=60 s: everyone leaves in batches of 30.
-    experiment.fleet.depart_group(
-        "party", batch_size=30, start=60.0, interval=10.0
-    )
-
-    result = experiment.run(until=150.0)
+    result = run_scenario(
+        PARTY, policy=policy, seed=42, observe=show_bootstrap
+    ).result
 
     print(f"\nsplits: {result.splits_completed}   "
           f"reclaims: {result.reclaims_completed}   "

@@ -17,45 +17,65 @@ Run:  python examples/rpg_daimonin.py
 
 from repro.core.config import LoadPolicyConfig
 from repro.games.profile import daimonin_profile
-from repro.geometry import Vec2
-from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import (
+    ArrivalWave,
+    Departure,
+    HotspotWave,
+    MapPoint,
+    Scenario,
+)
+
+TOWN_HALL = MapPoint(0.625, 0.5)
+
+TOWN_MEETING = Scenario(
+    name="town-meeting",
+    description="A wandering population; 100 players meet at the town hall.",
+    game="daimonin",
+    phases=(
+        # The world's normal population, wandering the 1600x1600 map.
+        ArrivalWave(count=30),
+        # The town meeting: 100 players converge on the town hall.
+        HotspotWave(
+            count=100,
+            center=TOWN_HALL,
+            at=20.0,
+            group="meeting",
+            spread_fraction=1.0,
+        ),
+        # Meeting adjourns.
+        Departure(group="meeting", batch=34, start=140.0, interval=15.0),
+    ),
+    duration=240.0,
+)
 
 
 def main() -> None:
     profile = daimonin_profile()
     policy = LoadPolicyConfig(overload_clients=50, underload_clients=25)
-    experiment = MatrixExperiment(profile, policy=policy, seed=7)
-
-    world = profile.world
-    town_hall = Vec2(world.width * 0.625, world.height * 0.5)
-
-    # The world's normal population, wandering the 1600x1600 map.
-    experiment.fleet.spawn_background(30, at=0.0)
-    # The town meeting: 100 players converge on the town hall.
-    experiment.fleet.spawn_hotspot(
-        100, town_hall, spread=profile.visibility_radius,
-        at=20.0, group="meeting",
-    )
-    # Meeting adjourns.
-    experiment.fleet.depart_group(
-        "meeting", batch_size=34, start=140.0, interval=15.0
-    )
+    town_hall = TOWN_HALL.resolve(profile.world)
 
     # Demonstrate the non-proximal query API: once the world has split,
     # ask the MC which game servers must hear about an event at the
     # town hall (e.g. a server-wide quest announcement anchored there).
     answers = []
 
-    def ask_coordinator() -> None:
-        servers = sorted(experiment.deployment.game_servers)
-        first = experiment.deployment.game_servers[servers[0]]
-        first.port.query_consistency(
-            town_hall, lambda result: answers.append((experiment.sim.now, result))
-        )
+    def ask_coordinator_at_100s(experiment) -> None:
+        def ask() -> None:
+            servers = sorted(experiment.deployment.game_servers)
+            first = experiment.deployment.game_servers[servers[0]]
+            first.port.query_consistency(
+                town_hall,
+                lambda result: answers.append((experiment.sim.now, result)),
+            )
 
-    experiment.sim.at(100.0, ask_coordinator)
+        experiment.sim.at(100.0, ask)
 
-    result = experiment.run(until=240.0)
+    outcome = run_scenario(
+        TOWN_MEETING, profile=profile, policy=policy, seed=7,
+        observe=ask_coordinator_at_100s,
+    )
+    result, experiment = outcome.result, outcome.experiment
 
     print(f"town meeting on {profile.name}: "
           f"{result.splits_completed} splits, "

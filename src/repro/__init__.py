@@ -15,24 +15,27 @@ Package map
   the hot layers (off by default, zero-cost when off).
 * :mod:`repro.games` — generic game server/client plus BzFlag, Quake 2
   and Daimonin workload profiles.
-* :mod:`repro.workload` — mobility models and client fleets.
+* :mod:`repro.workload` — mobility models, client fleets and the
+  scenario catalog (the paper's Fig 2 timeline is ``fig2-hotspot``).
 * :mod:`repro.baselines` — static partitioning, mirrored servers,
   peer-to-peer groups, DHT lookup.
 * :mod:`repro.analysis` — time series, statistics, ASCII plots, and
   the §4.2 asymptotic scalability model.
-* :mod:`repro.harness` — runners that regenerate every figure and
-  table of the paper's evaluation, all through the unified scenario
-  runner (the one experiment path).
+* :mod:`repro.harness` — the unified scenario runner (the one
+  experiment path) and the comparisons, microbenchmarks and user study
+  that regenerate every figure and table of the paper's evaluation
+  through it.
 
 See ``docs/ARCHITECTURE.md`` for the layer map and message lifecycle,
 ``docs/BENCHMARKS.md`` for what each benchmark reproduces.
 
 Quickstart
 ----------
->>> from repro.harness import Fig2Schedule, mini_fig2_policy, run_fig2
->>> result = run_fig2(schedule=Fig2Schedule().scaled(0.05),
-...                   policy=mini_fig2_policy(0.05))
->>> result.splits_completed > 0
+>>> from repro import run_scenario
+>>> from repro.core.config import LoadPolicyConfig
+>>> outcome = run_scenario("fig2-hotspot", scale=0.05,
+...                        policy=LoadPolicyConfig().scaled(0.05))
+>>> outcome.result.splits_completed > 0
 True
 """
 
@@ -48,7 +51,7 @@ from repro.core import (
     ServerPool,
 )
 from repro.geometry import Rect, Vec2
-from repro.harness import MatrixExperiment, run_fig2, run_scenario
+from repro.harness import MatrixExperiment, run_scenario
 
 __all__ = [
     "MatrixConfig",
@@ -62,6 +65,5 @@ __all__ = [
     "ServerPool",
     "Vec2",
     "__version__",
-    "run_fig2",
     "run_scenario",
 ]

@@ -21,6 +21,7 @@ from repro.core.config import MatrixConfig
 from repro.core.coordinator import MatrixCoordinator, StandbyCoordinator
 from repro.core.pool import ServerPool
 from repro.core.runtime import MatrixServer
+from repro.core.runtime.context import ServerStats
 from repro.geometry import Rect, Vec2
 from repro.net.middleware import SpatialBatchingStage
 from repro.net.network import Network, lan_profile, wan_profile
@@ -99,6 +100,10 @@ class MatrixDeployment:
             self.standby_coordinator.on_promote = self._on_mc_promoted
         self.matrix_servers: dict[str, MatrixServer] = {}
         self.game_servers: dict[str, GameServerHandle] = {}
+        #: The counters of every Matrix server ever created: reclaimed
+        #: and crashed servers leave ``matrix_servers``, their splits
+        #: and reclaims stay counted here.
+        self.server_stats: list[ServerStats] = []
         self.events: list[ServerEvent] = []
         self._pair_counter = 0
         # --- crash supervision (armed by the chaos driver) -----------
@@ -225,6 +230,7 @@ class MatrixDeployment:
         game_server.bind_matrix(ms_name, partition)
         self.matrix_servers[ms_name] = matrix_server
         self.game_servers[gs_name] = game_server
+        self.server_stats.append(matrix_server.ctx.stats)
         self.events.append(
             ServerEvent(self.sim.now, "spawn", ms_name, gs_name)
         )

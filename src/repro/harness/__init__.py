@@ -1,18 +1,16 @@
 """Experiment harness: runners for every figure/table of the paper.
 
-Beyond the figure reproductions, :func:`run_scenario` pairs any
-registered scenario with a backend (Matrix or a baseline) — the one
-experiment path every CLI command, grid and benchmark goes through
-(see docs/ARCHITECTURE.md, "One experiment path").
+:func:`run_scenario` pairs any registered scenario — the paper's
+``fig2-hotspot`` timeline included — with a backend (Matrix or a
+baseline): the one experiment path every CLI command, grid, benchmark,
+example and the user study go through (see docs/ARCHITECTURE.md, "One
+experiment path").
 """
 
 from repro.harness.compare import (
-    GameComparison,
     SystemOutcome,
     Verdict,
-    compare_all_games,
     compare_backends,
-    compare_game,
     format_backends_table,
     format_comparison_table,
     outcome_for,
@@ -21,14 +19,6 @@ from repro.harness.experiment import (
     ExperimentResult,
     MatrixExperiment,
     matrix_config_for,
-)
-from repro.harness.fig2 import (
-    Fig2Schedule,
-    fig2_scenario,
-    install_fig2_workload,
-    install_fleet_workload,
-    mini_fig2_policy,
-    run_fig2,
 )
 from repro.harness.parallel import (
     GridCell,
@@ -63,8 +53,6 @@ __all__ = [
     "BandwidthPoint",
     "CoordinatorOverhead",
     "ExperimentResult",
-    "Fig2Schedule",
-    "GameComparison",
     "GridCell",
     "GridTask",
     "GridTaskError",
@@ -78,22 +66,15 @@ __all__ = [
     "backend_infos",
     "backend_names",
     "bandwidth_overlap_correlation",
-    "compare_all_games",
     "compare_backends",
-    "compare_game",
     "coordinator_overhead",
-    "fig2_scenario",
     "format_backends_table",
     "format_comparison_table",
-    "install_fig2_workload",
-    "install_fleet_workload",
     "matrix_config_for",
     "measure_bandwidth_vs_overlap",
     "measure_switching_latency",
     "measure_transparency",
-    "mini_fig2_policy",
     "outcome_for",
-    "run_fig2",
     "run_grid",
     "run_scenario",
     "scenario_backend",

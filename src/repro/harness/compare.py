@@ -9,9 +9,10 @@ Built entirely on the unified scenario runner: any registered backend
 (matrix, static, mirrored, p2p, dht) runs the *same* declarative
 scenario (same seed, same client waves) and is graded by the same
 verdict — peak receive queue, dropped packets, p99 response latency,
-servers used.  :func:`compare_game` keeps the paper's original
-Matrix-vs-static table (T-static); :func:`compare_backends` generalises
-it to any backend set and powers ``python -m repro compare``.
+servers used.  :func:`compare_backends` runs any backend set: the
+paper's Matrix-vs-static table (T-static) is ``("matrix", "static")``
+on ``fig2-hotspot`` once per game, and ``python -m repro compare`` is
+every backend.
 
 A comparison below the paper's population only means something when
 every capacity shrinks with the load, so this module also holds **the
@@ -33,7 +34,6 @@ from repro.baselines.backend import BackendResult
 from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
 from repro.core.config import LoadPolicyConfig
 from repro.games.profile import GameProfile, profile_by_name
-from repro.harness.fig2 import Fig2Schedule, fig2_scenario
 from repro.harness.parallel import GridTask, run_grid
 from repro.harness.runner import backend_names, run_scenario
 from repro.workload.scenarios import Scenario, build_scenario
@@ -49,20 +49,6 @@ class SystemOutcome:
     p99_latency: float
     servers_used: int
     failed: bool
-
-
-@dataclass(frozen=True, slots=True)
-class GameComparison:
-    """Matrix vs static for one game."""
-
-    game: str
-    matrix: SystemOutcome
-    static: SystemOutcome
-
-    @property
-    def matrix_wins(self) -> bool:
-        """The paper's claim: Matrix absorbs what static cannot."""
-        return not self.matrix.failed and self.static.failed
 
 
 def _p99(latencies: list[float]) -> float:
@@ -96,8 +82,10 @@ def scaled_setup(
     """Profile and policy scaled coherently with the population.
 
     *floors* are ``LoadPolicyConfig.scaled``'s ``floor_overload`` /
-    ``floor_underload``; two pairs are in use — the method's own (CLI,
-    sweep, Fig 2) and :data:`repro.harness.gridcells.GRID_FLOORS`.
+    ``floor_underload``; two pairs are in use — the method's own 4/2
+    (CLI, sweep) and the 6/3 of
+    :data:`repro.harness.gridcells.GRID_FLOORS` (the paper benches,
+    grids, fuzz harness).
     """
     return (
         scaled_profile(profile_by_name(game), scale),
@@ -298,71 +286,6 @@ def compare_backends(
     return [cell.value for cell in run_grid(tasks, jobs=jobs)]
 
 
-def compare_game(
-    profile: GameProfile,
-    schedule: Fig2Schedule,
-    policy: LoadPolicyConfig | None = None,
-    seed: int = 0,
-    static_columns: int = 2,
-    static_rows: int = 1,
-    queue_capacity: int = 20000,
-    failure_queue_fraction: float = 0.5,
-    failure_latency_factor: float = 4.0,
-    scale: float = 1.0,
-) -> GameComparison:
-    """Run the hotspot on Matrix and on a static grid; compare.
-
-    The original T-static pairing, expressed through
-    :func:`compare_backends`.  Pass ``scale < 1`` (with a matching
-    schedule/policy) for fast runs; server capacity and the queue cap
-    shrink proportionally.  The *schedule* is expected to be scaled
-    already (``Fig2Schedule.scaled``), so *scale* here only shrinks
-    capacity — the population is never scaled twice.
-    """
-    if scale != 1.0:
-        profile = scaled_profile(profile, scale)
-        queue_capacity = scaled_queue_capacity(queue_capacity, scale)
-    matrix_outcome, static_outcome = compare_backends(
-        fig2_scenario(schedule),
-        backends=("matrix", "static"),
-        profile=profile,
-        policy=policy,
-        seed=seed,
-        queue_capacity=queue_capacity,
-        failure_queue_fraction=failure_queue_fraction,
-        failure_latency_factor=failure_latency_factor,
-        backend_options={
-            "static": {
-                "columns": static_columns,
-                "rows": static_rows,
-            }
-        },
-    )
-    return GameComparison(
-        game=profile.name, matrix=matrix_outcome, static=static_outcome
-    )
-
-
-def compare_all_games(
-    schedule: Fig2Schedule,
-    policy: LoadPolicyConfig | None = None,
-    seed: int = 0,
-    games: tuple[str, ...] = ("bzflag", "quake2", "daimonin"),
-    scale: float = 1.0,
-) -> list[GameComparison]:
-    """The full T-static table: one row per game."""
-    return [
-        compare_game(
-            profile_by_name(game),
-            schedule,
-            policy=policy,
-            seed=seed,
-            scale=scale,
-        )
-        for game in games
-    ]
-
-
 def _outcome_lines(outcomes: list[SystemOutcome], label: str = "") -> list[str]:
     lines = []
     for outcome in outcomes:
@@ -377,14 +300,16 @@ def _outcome_lines(outcomes: list[SystemOutcome], label: str = "") -> list[str]:
     return lines
 
 
-def format_comparison_table(rows: list[GameComparison]) -> str:
-    """Render the T-static table the way the bench prints it."""
+def format_comparison_table(
+    rows: list[tuple[str, list[SystemOutcome]]]
+) -> str:
+    """Render the T-static table: one ``(game, outcomes)`` row per game."""
     lines = [
         f"{'game':<10} {'system':<8} {'peak queue':>12} {'dropped':>9} "
         f"{'p99 lat (s)':>12} {'servers':>8} {'verdict':>9}"
     ]
-    for row in rows:
-        lines.extend(_outcome_lines([row.matrix, row.static], label=row.game))
+    for game, outcomes in rows:
+        lines.extend(_outcome_lines(outcomes, label=game))
     return "\n".join(lines)
 
 

@@ -173,29 +173,8 @@ class MatrixExperiment(ArchitectureBackend):
         }
 
     def _collect(self, until: float) -> ExperimentResult:
-        splits = sum(
-            server.splits_completed
-            for server in self.deployment.matrix_servers.values()
-        )
-        reclaims = sum(
-            server.reclaims_completed
-            for server in self.deployment.matrix_servers.values()
-        )
-        failed = sum(
-            server.failed_splits
-            for server in self.deployment.matrix_servers.values()
-        )
-        # Reclaimed servers were removed from the dict; their reclaim
-        # counters lived on parents (which persist), but completed
-        # splits by decommissioned servers are gone — count events too.
-        spawned = sum(
-            1 for event in self.deployment.events if event.kind == "spawn"
-        )
-        decommissioned = sum(
-            1
-            for event in self.deployment.events
-            if event.kind == "decommission"
-        )
+        # Every server ever created, retired ones included.
+        stats = self.deployment.server_stats
         series = self._sampler.series
         return ExperimentResult(
             **self._common_fields(until),
@@ -208,8 +187,8 @@ class MatrixExperiment(ArchitectureBackend):
             server_events=sorted(
                 self.deployment.events, key=lambda event: event.time
             ),
-            splits_completed=max(splits, spawned - 1),
-            reclaims_completed=max(reclaims, decommissioned),
-            failed_splits=failed,
+            splits_completed=sum(s.splits_completed for s in stats),
+            reclaims_completed=sum(s.reclaims_completed for s in stats),
+            failed_splits=sum(s.failed_splits for s in stats),
             pool_capacity=self.deployment.pool.capacity,
         )

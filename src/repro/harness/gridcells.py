@@ -41,9 +41,10 @@ CONSISTENCY_PREFIXES = {
     "dht": ("matrix.forward", "dht."),
 }
 
-#: The policy floors of the grids and the fuzz harness: their tiny
-#: populations need a 6/3 threshold pair to still split and reclaim
-#: (the CLI, the sweep and Fig 2 keep ``LoadPolicyConfig.scaled``'s own).
+#: The policy floors of the grids, the fuzz harness and the paper
+#: benches: their tiny populations need a 6/3 threshold pair to still
+#: split and reclaim (the CLI and the sweep keep
+#: ``LoadPolicyConfig.scaled``'s own 4/2).
 GRID_FLOORS = {"floor_overload": 6, "floor_underload": 3}
 
 

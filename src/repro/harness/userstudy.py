@@ -26,8 +26,14 @@ from dataclasses import dataclass
 from repro.analysis.stats import Summary, summarize
 from repro.core.config import LoadPolicyConfig
 from repro.games.profile import GameProfile
-from repro.geometry import Vec2
-from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import (
+    ArrivalWave,
+    HotspotWave,
+    MapPoint,
+    Phase,
+    Scenario,
+)
 
 #: 150 ms perception threshold x the 5x rate scaling of the profiles.
 SCALED_PERCEPTION_THRESHOLD = 0.750
@@ -88,44 +94,48 @@ def measure_transparency(
             underload_clients=max(2, hotspot_clients // 4),
         )
 
-    def run(hotspot: bool):
-        experiment = MatrixExperiment(profile, policy=policy, seed=seed)
-        experiment.fleet.spawn_background(background_clients, at=0.0)
-        if hotspot:
-            world = profile.world
-            center = Vec2(
-                world.xmin + world.width * 0.625,
-                world.ymin + world.height * 0.5,
-            )
-            experiment.fleet.spawn_hotspot(
-                hotspot_clients,
-                center,
-                profile.visibility_radius * 0.9,
-                at=5.0,
-                group="hotspot",
-            )
-        else:
-            experiment.fleet.spawn_background(
-                hotspot_clients, at=5.0, group="spread"
-            )
+    def run(name: str, crowd: Phase):
+        scenario = Scenario(
+            name=name,
+            description="the user-study population: background + crowd",
+            phases=(ArrivalWave(count=background_clients), crowd),
+            duration=duration,
+            game=profile.name,
+        )
         # Latency bookkeeping: discard the transient by snapshotting
         # the per-client counts at settle_time and keeping the rest.
         baseline_counts = {}
 
-        def mark():
-            for client in experiment.fleet.clients:
-                baseline_counts[client.name] = len(client.action_latencies)
+        def mark_settle(experiment) -> None:
+            def mark():
+                for client in experiment.fleet.clients:
+                    baseline_counts[client.name] = len(client.action_latencies)
 
-        experiment.sim.at(settle_time, mark)
-        result = experiment.run(until=duration)
+            experiment.sim.at(settle_time, mark)
+
+        outcome = run_scenario(
+            scenario, profile=profile, policy=policy, seed=seed,
+            observe=mark_settle,
+        )
         steady: list[float] = []
-        for client in experiment.fleet.clients:
+        for client in outcome.experiment.fleet.clients:
             start = baseline_counts.get(client.name, 0)
             steady.extend(client.action_latencies[start:])
-        return result, steady
+        return outcome.result, steady
 
-    result_a, latencies_a = run(hotspot=True)
-    _, latencies_b = run(hotspot=False)
+    result_a, latencies_a = run(
+        "transparency-hotspot",
+        HotspotWave(
+            count=hotspot_clients,
+            center=MapPoint(0.625, 0.5),
+            at=5.0,
+            group="hotspot",
+        ),
+    )
+    _, latencies_b = run(
+        "transparency-spread",
+        ArrivalWave(count=hotspot_clients, at=5.0, group="spread"),
+    )
     if not latencies_a or not latencies_b:
         raise RuntimeError("no steady-state latencies collected")
     switch = (

@@ -185,34 +185,6 @@ class ClientFleet:
                 offset = (i / max(count - 1, 1)) * over
                 self._sim.at(at + offset, spawn_one)
 
-    def spawn_background(
-        self, count: int, at: float = 0.0, group: str = "background"
-    ) -> None:
-        """Schedule *count* random-waypoint players to join at *at*."""
-        self.spawn_group(count, at=at, group=group)
-
-    def spawn_hotspot(
-        self,
-        count: int,
-        center: Vec2,
-        spread: float,
-        at: float,
-        group: str,
-        over: float = 2.0,
-    ) -> None:
-        """Schedule a hotspot wave: *count* players piling onto *center*."""
-        self.spawn_group(
-            count,
-            at=at,
-            group=group,
-            mobility=MobilitySpec(
-                "hotspot", {"center": center, "spread": spread}
-            ),
-            center=center,
-            spread=spread,
-            over=over,
-        )
-
     def spawn_churn(
         self,
         rate: float,

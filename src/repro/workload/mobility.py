@@ -28,8 +28,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import hypot
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping
 
+from repro.games.base import MobilityModel
 from repro.geometry import Rect, Vec2
 
 _EPS = 1e-6  # positions stay this far inside the world's max edges
@@ -431,13 +432,6 @@ class PursuitMobility:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-class MobilityModel(Protocol):
-    """Structural type every model satisfies (mirror of games.base)."""
-
-    def step(self, position: Vec2, dt: float) -> Vec2:
-        """Next position after *dt* seconds."""
-
-
 @dataclass(frozen=True)
 class MobilityEnv:
     """What a mobility factory may depend on when building models.

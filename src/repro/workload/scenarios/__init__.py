@@ -1,11 +1,11 @@
 """Declarative scenarios: workloads as data, not code.
 
 ``spec`` defines the :class:`Scenario` dataclasses, ``registry`` the
-``@scenario`` lookup, ``catalog`` the built-in entries (imported here
-so the registry is populated as a side effect of importing this
-package).  The Fig 2 reproduction registers itself from
-:mod:`repro.harness.fig2`; running any scenario is the job of
-:func:`repro.harness.runner.run_scenario`.  Fault phases
+``@scenario`` lookup, ``catalog`` the built-in entries — the paper's
+``fig2-hotspot`` among them (imported here so the registry is
+populated as a side effect of importing this package).  Running any
+scenario is the job of :func:`repro.harness.runner.run_scenario`.
+Fault phases
 (:class:`ServerCrash`, :class:`CoordinatorCrash`, :class:`LinkDegrade`,
 :class:`Recovery`) are injected by :mod:`repro.chaos` when the runner
 arms a scenario that declares them.

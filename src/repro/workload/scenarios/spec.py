@@ -107,12 +107,15 @@ class HotspotWave:
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         center = self.center.resolve(profile.world)
         spread = profile.visibility_radius * self.spread_fraction
-        fleet.spawn_hotspot(
+        fleet.spawn_group(
             self.count,
-            center,
-            spread,
             at=self.at,
             group=self.group,
+            mobility=MobilitySpec(
+                "hotspot", {"center": center, "spread": spread}
+            ),
+            center=center,
+            spread=spread,
             over=self.over,
         )
 

@@ -5,11 +5,11 @@ import dataclasses
 from repro.baselines.static import StaticDeployment
 from repro.games.profile import bzflag_profile
 from repro.geometry import Vec2
-from repro.harness.fig2 import Fig2Schedule, fig2_scenario
 from repro.harness.runner import run_scenario
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
 from repro.workload.fleet import ClientFleet
+from repro.workload.scenarios import HotspotWave, MapPoint
 import random
 
 
@@ -44,7 +44,7 @@ def test_clients_play_normally_under_light_load():
         sim, network, bzflag_profile(),
         locator=deployment.locate_game_server, rng=random.Random(1),
     )
-    fleet.spawn_background(10, at=0.0)
+    fleet.spawn_group(10, at=0.0)
     sim.run(until=20.0)
     assert sum(gs.client_count for gs in deployment.game_servers.values()) == 10
     assert fleet.all_action_latencies()
@@ -58,8 +58,11 @@ def test_cross_zone_visibility_still_works():
         sim, network, bzflag_profile(),
         locator=deployment.locate_game_server, rng=random.Random(1),
     )
-    # Two stationary-ish clients straddling the x=400 border.
-    fleet.spawn_hotspot(2, Vec2(400, 400), spread=15.0, at=0.0, group="pair")
+    # Two stationary-ish clients straddling the x=400 border (sigma 15).
+    HotspotWave(
+        count=2, center=MapPoint(0.5, 0.5), at=0.0, group="pair",
+        spread_fraction=0.25,
+    ).install(fleet, bzflag_profile())
     sim.run(until=10.0)
     total_remote = sum(
         gs.remote_updates_seen for gs in deployment.game_servers.values()
@@ -71,12 +74,12 @@ def test_static_never_adds_servers_under_hotspot():
     profile = dataclasses.replace(
         bzflag_profile(), server_service_rate=120.0
     )
-    schedule = Fig2Schedule().scaled(0.1)
-    schedule.duration = 60.0
     result = run_scenario(
-        fig2_scenario(schedule),
+        "fig2-hotspot",
         backend="static",
         profile=profile,
+        scale=0.1,
+        preview=60.0,
         seed=1,
         columns=2,
     ).result
@@ -88,12 +91,12 @@ def test_static_saturates_under_hotspot():
     profile = dataclasses.replace(
         bzflag_profile(), server_service_rate=120.0
     )
-    schedule = Fig2Schedule().scaled(0.1)  # 60-client hotspot, 144 pkt/s
-    schedule.duration = 80.0
     result = run_scenario(
-        fig2_scenario(schedule),
+        "fig2-hotspot",
         backend="static",
         profile=profile,
+        scale=0.1,  # 60-client hotspot, 144 pkt/s
+        preview=80.0,
         seed=1,
         columns=2,
         queue_capacity=2000,

@@ -7,28 +7,26 @@ claims of §4.1.
 
 import pytest
 
-from repro.games.profile import bzflag_profile
-from repro.harness.compare import scaled_profile
-from repro.harness.experiment import MatrixExperiment
-from repro.harness.fig2 import (
-    Fig2Schedule,
-    install_fig2_workload,
-    mini_fig2_policy,
-)
+from repro.harness.compare import scaled_run_arguments
+from repro.harness.runner import run_scenario
+from repro.workload.scenarios import build_scenario
 
 SCALE = 0.1
 
 
+def fig2_run(scale, seed, preview=None, **options):
+    """The catalog's fig2-hotspot on Matrix, population, thresholds and
+    capacity scaled together; *options* go to ``run_scenario``."""
+    arguments = scaled_run_arguments(
+        build_scenario("fig2-hotspot"), "matrix", scale, seed,
+        preview=preview,
+    )
+    return run_scenario(**arguments, **options).result
+
+
 @pytest.fixture(scope="module")
 def fig2_result():
-    schedule = Fig2Schedule().scaled(SCALE)
-    experiment = MatrixExperiment(
-        scaled_profile(bzflag_profile(), SCALE),
-        policy=mini_fig2_policy(SCALE),
-        seed=1,
-    )
-    install_fig2_workload(experiment, schedule)
-    return experiment.run(until=schedule.duration)
+    return fig2_run(SCALE, seed=1)
 
 
 def test_hotspot_forces_split_cascade(fig2_result):
@@ -77,27 +75,17 @@ def test_coordinator_traffic_negligible(fig2_result):
 
 def test_total_clients_follow_schedule(fig2_result):
     series = fig2_result.total_clients
-    schedule = Fig2Schedule().scaled(SCALE)
-    peak_expected = (
-        schedule.background_clients + schedule.hotspot_clients
-    )
+    scenario = build_scenario("fig2-hotspot").scaled(SCALE)
+    background, hotspot = scenario.phases[:2]
+    peak_expected = background.count + hotspot.count
     assert series.max() >= 0.9 * peak_expected
     # Between the waves (t ~ 160) the hotspot population is gone.
-    assert series.at(165.0) <= schedule.background_clients * 1.5
+    assert series.at(165.0) <= background.count * 1.5
 
 
 def test_determinism_same_seed():
-    schedule = Fig2Schedule().scaled(0.05)
-    schedule.duration = 60.0
-
     def run():
-        experiment = MatrixExperiment(
-            scaled_profile(bzflag_profile(), 0.05),
-            policy=mini_fig2_policy(0.05),
-            seed=9,
-        )
-        install_fig2_workload(experiment, schedule)
-        result = experiment.run(until=schedule.duration)
+        result = fig2_run(0.05, seed=9, preview=60.0)
         return (
             result.splits_completed,
             result.spawn_times(),
@@ -108,17 +96,8 @@ def test_determinism_same_seed():
 
 
 def test_different_seed_differs():
-    schedule = Fig2Schedule().scaled(0.05)
-    schedule.duration = 60.0
-
     def run(seed):
-        experiment = MatrixExperiment(
-            scaled_profile(bzflag_profile(), 0.05),
-            policy=mini_fig2_policy(0.05),
-            seed=seed,
-        )
-        install_fig2_workload(experiment, schedule)
-        return experiment.run(until=schedule.duration).events_processed
+        return fig2_run(0.05, seed=seed, preview=60.0).events_processed
 
     assert run(1) != run(2)
 
@@ -126,15 +105,6 @@ def test_different_seed_differs():
 def test_pool_exhaustion_degrades_gracefully():
     """With a tiny pool Matrix behaves like (slightly better) static:
     some splits fail, but the run completes and queues stay finite."""
-    schedule = Fig2Schedule().scaled(0.1)
-    schedule.duration = 100.0
-    experiment = MatrixExperiment(
-        scaled_profile(bzflag_profile(), 0.1),
-        policy=mini_fig2_policy(0.1),
-        seed=1,
-        pool_capacity=1,
-    )
-    install_fig2_workload(experiment, schedule)
-    result = experiment.run(until=schedule.duration)
+    result = fig2_run(0.1, seed=1, preview=100.0, pool_capacity=1)
     assert result.splits_completed <= 1
     assert result.failed_splits > 0

@@ -2,16 +2,22 @@
 
 import pytest
 
+from repro.core.config import LoadPolicyConfig
 from repro.games.profile import bzflag_profile
-from repro.harness.compare import compare_game
-from repro.harness.fig2 import Fig2Schedule, mini_fig2_policy
+from repro.harness.compare import (
+    SystemOutcome,
+    compare_backends,
+    scaled_run_arguments,
+)
 from repro.harness.micro import (
     bandwidth_overlap_correlation,
     coordinator_overhead,
     measure_bandwidth_vs_overlap,
     measure_switching_latency,
 )
+from repro.harness.runner import run_scenario
 from repro.harness.userstudy import measure_transparency
+from repro.workload.scenarios import build_scenario
 
 
 def test_switching_latency_microbench():
@@ -38,19 +44,27 @@ def test_bandwidth_tracks_overlap():
 
 
 def test_compare_matrix_beats_static():
+    """T-static: the Fig 2 hotspot on Matrix and on the fixed 2x1 grid."""
     scale = 0.1
-    schedule = Fig2Schedule().scaled(scale)
-    schedule.duration = 120.0
-    row = compare_game(
-        bzflag_profile(),
-        schedule,
-        policy=mini_fig2_policy(scale),
+    matrix, static = compare_backends(
+        "fig2-hotspot",
+        backends=("matrix", "static"),
+        policy=LoadPolicyConfig().scaled(scale),
         seed=1,
         scale=scale,
+        preview=120.0,
     )
-    assert row.matrix_wins
-    assert row.matrix.servers_used > row.static.servers_used
-    assert row.static.p99_latency > row.matrix.p99_latency
+    assert not matrix.failed and static.failed
+    assert matrix.servers_used > static.servers_used
+    assert static.p99_latency > matrix.p99_latency
+    # Pinned to the numbers the run produced before T-static was
+    # expressed through compare_backends.
+    assert matrix == SystemOutcome(
+        "matrix", 175.0, 0, pytest.approx(1.7510771664387537), 7, False
+    )
+    assert static == SystemOutcome(
+        "static", 1509.0, 0, pytest.approx(12.733323245204481), 2, True
+    )
 
 
 def test_transparency_report():
@@ -65,22 +79,21 @@ def test_transparency_report():
     assert report.splits_triggered > 0
     assert report.transparent
     assert abs(report.added_p50) < report.threshold
+    # Pinned to the numbers the paired runs produced before they were
+    # declared as scenarios.
+    assert report.splits_triggered == 5
+    assert report.with_splits.p50 == pytest.approx(0.5690698592612335)
+    assert report.with_splits.p90 == pytest.approx(0.9627191150273624)
+    assert report.without_splits.p50 == pytest.approx(0.5299012423248399)
+    assert report.without_splits.p90 == pytest.approx(0.9688656364532562)
 
 
 def test_coordinator_overhead_accessor():
-    from repro.harness.experiment import MatrixExperiment
-    from repro.harness.fig2 import install_fig2_workload
-    from repro.harness.compare import scaled_profile
-
-    schedule = Fig2Schedule().scaled(0.05)
-    schedule.duration = 60.0
-    experiment = MatrixExperiment(
-        scaled_profile(bzflag_profile(), 0.05),
-        policy=mini_fig2_policy(0.05),
-        seed=0,
-    )
-    install_fig2_workload(experiment, schedule)
-    result = experiment.run(until=schedule.duration)
+    result = run_scenario(
+        **scaled_run_arguments(
+            build_scenario("fig2-hotspot"), "matrix", 0.05, 0, preview=60.0
+        )
+    ).result
     overhead = coordinator_overhead(result)
     assert overhead.total_messages > 0
     assert 0.0 < overhead.message_fraction < 0.05

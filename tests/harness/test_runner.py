@@ -2,26 +2,16 @@
 
 import pytest
 
+from repro.core.config import LoadPolicyConfig
 from repro.games.profile import bzflag_profile
 from repro.harness.compare import scaled_profile
 from repro.harness.experiment import MatrixExperiment
-from repro.harness.fig2 import (
-    Fig2Schedule,
-    fig2_scenario,
-    install_fig2_workload,
-    mini_fig2_policy,
-    run_fig2,
-)
 from repro.harness.runner import backend_names, run_scenario
 from repro.workload.scenarios import ArrivalWave, Scenario, build_scenario
 
 SCALE = 0.05
-
-
-def small_schedule():
-    schedule = Fig2Schedule().scaled(SCALE)
-    schedule.duration = 40.0
-    return schedule
+#: The Fig 2 timeline cut short: the first hotspot and its splits.
+PREVIEW = 40.0
 
 
 def test_backends_registered():
@@ -38,19 +28,21 @@ def test_unknown_backend_rejected():
 
 
 def test_runner_matches_direct_path_bit_for_bit():
-    """The scenario indirection adds nothing to the event timeline:
-    running Fig 2 through the runner equals hand-wiring the fleet."""
-    schedule = small_schedule()
+    """The runner adds nothing to the event timeline: running Fig 2
+    through it equals building the experiment, installing the scenario
+    on its fleet and running it by hand."""
+    scenario = build_scenario("fig2-hotspot")
     profile = scaled_profile(bzflag_profile(), SCALE)
-    policy = mini_fig2_policy(SCALE)
+    policy = LoadPolicyConfig().scaled(SCALE)
 
     direct = MatrixExperiment(profile, policy=policy, seed=4)
-    install_fig2_workload(direct, schedule)
-    direct_result = direct.run(until=schedule.duration)
+    scenario.scaled(SCALE).install(direct.fleet, profile)
+    direct_result = direct.run(until=PREVIEW)
 
-    via_runner = run_fig2(
-        profile=profile, schedule=schedule, policy=policy, seed=4
-    )
+    via_runner = run_scenario(
+        scenario, profile=profile, scale=SCALE, preview=PREVIEW,
+        policy=policy, seed=4,
+    ).result
 
     assert via_runner.events_processed == direct_result.events_processed
     assert (
@@ -63,12 +55,13 @@ def test_runner_matches_direct_path_bit_for_bit():
 
 
 def test_static_backend_runs_scenarios():
-    schedule = small_schedule()
     profile = scaled_profile(bzflag_profile(), SCALE)
     outcome = run_scenario(
-        fig2_scenario(schedule),
+        "fig2-hotspot",
         backend="static",
         profile=profile,
+        scale=SCALE,
+        preview=PREVIEW,
         seed=4,
         queue_capacity=500,
     )
@@ -80,14 +73,15 @@ def test_static_backend_runs_scenarios():
 
 
 def test_static_backend_seed_determinism():
-    schedule = small_schedule()
     profile = scaled_profile(bzflag_profile(), SCALE)
 
     def digest():
         outcome = run_scenario(
-            fig2_scenario(schedule),
+            "fig2-hotspot",
             backend="static",
             profile=profile,
+            scale=SCALE,
+            preview=PREVIEW,
             seed=9,
         )
         result = outcome.result

@@ -3,25 +3,33 @@
 from repro.games.profile import bzflag_profile
 from repro.geometry import Vec2
 from repro.harness.experiment import MatrixExperiment
+from repro.workload.scenarios import HotspotWave, MapPoint
+
+#: The 800x800 arena's centre; a spread_fraction of 1/6 is sigma 10.
+CENTER = MapPoint(0.5, 0.5)
 
 
 def make_experiment():
     return MatrixExperiment(bzflag_profile(), seed=3)
 
 
-def test_spawn_background_joins_clients():
+def install(experiment, phase):
+    phase.install(experiment.fleet, experiment.profile)
+
+
+def test_spawn_group_joins_clients():
     experiment = make_experiment()
-    experiment.fleet.spawn_background(10, at=0.0)
+    experiment.fleet.spawn_group(10, at=0.0)
     experiment.sim.run(until=5.0)
     assert len(experiment.fleet.active_clients()) == 10
     assert experiment.deployment.total_clients() == 10
 
 
-def test_spawn_hotspot_concentrates_positions():
+def test_hotspot_wave_concentrates_positions():
     experiment = make_experiment()
     center = Vec2(400, 400)
-    experiment.fleet.spawn_hotspot(30, center, spread=20.0, at=1.0,
-                                   group="spot")
+    install(experiment, HotspotWave(30, CENTER, at=1.0, group="spot",
+                                    spread_fraction=1 / 3))
     experiment.sim.run(until=8.0)
     clients = experiment.fleet.groups["spot"]
     assert len(clients) == 30
@@ -31,8 +39,8 @@ def test_spawn_hotspot_concentrates_positions():
 
 def test_hotspot_arrivals_spread_over_time():
     experiment = make_experiment()
-    experiment.fleet.spawn_hotspot(20, Vec2(400, 400), spread=10.0,
-                                   at=5.0, group="spot", over=4.0)
+    install(experiment, HotspotWave(20, CENTER, at=5.0, group="spot",
+                                    over=4.0, spread_fraction=1 / 6))
     experiment.sim.run(until=5.5)
     early = len(experiment.fleet.groups.get("spot", []))
     experiment.sim.run(until=10.0)
@@ -42,8 +50,8 @@ def test_hotspot_arrivals_spread_over_time():
 
 def test_depart_group_drains_in_batches():
     experiment = make_experiment()
-    experiment.fleet.spawn_hotspot(30, Vec2(400, 400), spread=10.0,
-                                   at=0.0, group="spot")
+    install(experiment, HotspotWave(30, CENTER, at=0.0, group="spot",
+                                    spread_fraction=1 / 6))
     experiment.fleet.depart_group("spot", batch_size=10, start=20.0,
                                   interval=10.0)
     experiment.sim.run(until=15.0)
@@ -56,9 +64,9 @@ def test_depart_group_drains_in_batches():
 
 def test_departures_leave_other_groups_alone():
     experiment = make_experiment()
-    experiment.fleet.spawn_background(5, at=0.0)
-    experiment.fleet.spawn_hotspot(10, Vec2(400, 400), spread=10.0,
-                                   at=0.0, group="spot")
+    experiment.fleet.spawn_group(5, at=0.0)
+    install(experiment, HotspotWave(10, CENTER, at=0.0, group="spot",
+                                    spread_fraction=1 / 6))
     experiment.fleet.depart_group("spot", batch_size=10, start=10.0,
                                   interval=5.0)
     experiment.sim.run(until=30.0)
@@ -70,7 +78,7 @@ def test_depart_group_not_capped_at_64_batches():
     """A long drain needs >64 batches; the chained schedule runs them all
     (the old fixed-64 schedule silently truncated)."""
     experiment = make_experiment()
-    experiment.fleet.spawn_background(70, at=0.0, group="crowd")
+    experiment.fleet.spawn_group(70, at=0.0, group="crowd")
     experiment.fleet.depart_group("crowd", batch_size=1, start=5.0,
                                   interval=1.0)
     experiment.sim.run(until=80.0)
@@ -80,7 +88,7 @@ def test_depart_group_not_capped_at_64_batches():
 def test_depart_group_stops_when_drained():
     """The chain ends with the group: no dead events linger afterwards."""
     experiment = make_experiment()
-    experiment.fleet.spawn_background(4, at=0.0, group="tiny")
+    experiment.fleet.spawn_group(4, at=0.0, group="tiny")
     experiment.fleet.depart_group("tiny", batch_size=2, start=2.0,
                                   interval=500.0)
     experiment.sim.run(until=3.0)
@@ -122,8 +130,8 @@ def test_depart_group_waits_for_promised_members():
 
 def test_move_group_hotspot_uses_public_retarget():
     experiment = make_experiment()
-    experiment.fleet.spawn_hotspot(10, Vec2(100, 100), spread=10.0,
-                                   at=0.0, group="spot")
+    install(experiment, HotspotWave(10, MapPoint(0.125, 0.125), at=0.0,
+                                    group="spot", spread_fraction=1 / 6))
     experiment.fleet.move_group_hotspot("spot", Vec2(700, 700), at=5.0)
     experiment.sim.run(until=45.0)
     clients = experiment.fleet.groups["spot"]
@@ -148,7 +156,7 @@ def test_spawn_group_with_registered_mobility():
 
 def test_latency_aggregation():
     experiment = make_experiment()
-    experiment.fleet.spawn_background(8, at=0.0)
+    experiment.fleet.spawn_group(8, at=0.0)
     experiment.sim.run(until=30.0)
     latencies = experiment.fleet.all_action_latencies()
     assert latencies, "clients fire actions and get acks"
@@ -157,7 +165,7 @@ def test_latency_aggregation():
 
 def test_client_names_unique():
     experiment = make_experiment()
-    experiment.fleet.spawn_background(12, at=0.0)
+    experiment.fleet.spawn_group(12, at=0.0)
     experiment.sim.run(until=2.0)
     names = [c.name for c in experiment.fleet.clients]
     assert len(set(names)) == len(names)
