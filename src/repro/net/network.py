@@ -21,7 +21,6 @@ from repro.net.latency import ConstantLatency, LatencyModel, lan, loopback, wan
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import TrafficStats
-from repro.sim.events import DEFAULT_PRIORITY
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -219,7 +218,7 @@ class Network:
         because the reclaiming parent re-announces the merged range.
         """
         sim = self.sim
-        message.sent_at = sim._now
+        message.sent_at = sim.now
         self.stats.record(message)
         if self._taps:
             for tap in self._taps:
@@ -236,10 +235,10 @@ class Network:
             profile.latency.sample(self._rng)
             + message.size_bytes / profile.bandwidth
         )
-        # The message rides the event itself (``arg``) instead of a
-        # per-packet closure: the delivery drain is one shared bound
+        # The message rides the heap entry itself (``arg``) instead of
+        # a per-packet closure: the delivery drain is one shared bound
         # method, so transmitting allocates no lambda and no cell vars.
-        sim.after(delay, self._deliver, DEFAULT_PRIORITY, "", message)
+        sim.after(delay, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)

@@ -52,7 +52,10 @@ class Node(ABC):
     ) -> None:
         self.name = name
         self._network: "Network | None" = None
-        self._sim_handle = None
+        #: This node's simulation handle — its shard lane when sharded;
+        #: ``None`` until :meth:`attach`.  An attribute, not a property:
+        #: handlers read it on every schedule.
+        self.sim = None
         self._service_rate = service_rate
         self._queue_capacity = queue_capacity
         self._priority_kinds = priority_kinds
@@ -77,11 +80,11 @@ class Node(ABC):
         # Under the sharded network this is the node's shard lane; all
         # of the node's own scheduling (receive queue service, duties,
         # timers) must go through it so the node's work stays lane-local.
-        self._sim_handle = network.sim_for(self)
+        self.sim = network.sim_for(self)
         if network.perf is not None:
             self.middleware.attach_perf(network.perf)
         self._inbox = ReceiveQueue(
-            self._sim_handle,
+            self.sim,
             self.handle_message,
             service_rate=self._service_rate,
             capacity=self._queue_capacity,
@@ -117,14 +120,6 @@ class Node(ABC):
         if self._network is None:
             raise RuntimeError(f"node {self.name} not attached to a network")
         return self._network
-
-    @property
-    def sim(self):
-        """This node's simulation handle (its shard lane when sharded)."""
-        handle = getattr(self, "_sim_handle", None)
-        if handle is not None:
-            return handle
-        return self.network.sim
 
     @property
     def inbox(self) -> ReceiveQueue:

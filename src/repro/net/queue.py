@@ -6,6 +6,13 @@ module models exactly that: each node owns a FIFO drained at a fixed
 packet service rate; while arrivals outpace service, the queue grows,
 and it drains once Matrix sheds load off the node.  Messages of a
 node's priority kinds (control-plane directives) go to the head.
+
+At a finite rate the message in service stays at the head of the
+queue until its service period ends, so it counts in ``length``.  A
+service period is started in the method that finds the queue needs
+one — :meth:`ReceiveQueue.deliver` for an idle queue,
+:meth:`ReceiveQueue._finish_one` for a backlog — with one ``after``
+and no helper frame.
 """
 
 from __future__ import annotations
@@ -70,12 +77,19 @@ class ReceiveQueue:
     # ------------------------------------------------------------------
     @property
     def length(self) -> int:
-        """Messages currently waiting (excludes the one in service)."""
+        """Messages in the queue, the one in service included.
+
+        At a finite rate a message is popped when its service period
+        ends, so a lone arrival reads ``1`` until then.  An immediate
+        (infinite-rate) queue services in place and reads ``0``
+        outside its handler.
+        """
         return len(self._queue)
 
     @property
     def peak_length(self) -> int:
-        """Maximum waiting-queue length seen so far."""
+        """Maximum :attr:`length` seen so far (``1`` once anything was
+        serviced in place)."""
         return self._peak_length
 
     @property
@@ -130,27 +144,24 @@ class ReceiveQueue:
             self._busy = True
             self.serviced_count += 1
             self._handler(message)
-            if queue:
-                self._start_next()
-            else:
+            if not queue:
                 self._busy = False
-            return
-        kinds = self._priority_kinds
-        if kinds is not None and message.kind in kinds:
-            queue.appendleft(message)
-        elif self._capacity is not None and len(queue) >= self._capacity:
-            self.dropped_count += 1
-            return
+                return
         else:
-            queue.append(message)
-        if len(queue) > self._peak_length:
-            self._peak_length = len(queue)
-        if not self._busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        """Begin servicing the head of a non-empty queue."""
-        self._busy = True
+            kinds = self._priority_kinds
+            if kinds is not None and message.kind in kinds:
+                queue.appendleft(message)
+            elif self._capacity is not None and len(queue) >= self._capacity:
+                self.dropped_count += 1
+                return
+            else:
+                queue.append(message)
+            if len(queue) > self._peak_length:
+                self._peak_length = len(queue)
+            if self._busy:
+                return
+            self._busy = True
+        # Start servicing the head of the (now non-empty) queue.
         if self._immediate:
             self._finish_one()
         else:
@@ -172,6 +183,10 @@ class ReceiveQueue:
             self.serviced_count += 1
             self._handler(message)
             if queue and not self._immediate:
-                self._start_next()
+                # The next service period, scheduled after whatever the
+                # handler scheduled.
+                delay = self._service_delay
+                self.busy_time += delay
+                self._sim.after(delay, self._finish_one)
                 return
         self._busy = False

@@ -46,7 +46,6 @@ from repro.geometry.sharding import ShardMap
 from repro.net.message import Message
 from repro.net.network import LinkProfile, Network
 from repro.net.node import Node
-from repro.sim.events import DEFAULT_PRIORITY
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.sharded import ShardedSimulator
@@ -139,7 +138,7 @@ class ShardedNetwork(Network):
     def transmit(self, message: Message) -> None:
         engine = self._engine
         sim = engine.active_lane or engine.global_lane
-        message.sent_at = sim._now
+        message.sent_at = sim.now
         self.stats.record(message)
         if self._taps:
             # Taps fire in lane order; observers needing a canonical
@@ -159,12 +158,12 @@ class ShardedNetwork(Network):
         if rng is None:
             rng = self._latency_rng(message.src)
         delay = profile.latency.sample(rng) + message.size_bytes / profile.bandwidth
-        arrival = sim._now + delay
         src_slot = sim.slot
         dst_slot = self._node_lane[message.dst]
         if dst_slot == src_slot:
-            sim.at(arrival, self._deliver, DEFAULT_PRIORITY, "", message)
+            sim.after(delay, self._deliver, message)
         else:
+            arrival = sim.now + delay
             seq = self._outbox_seq[src_slot]
             self._outbox_seq[src_slot] = seq + 1
             self._outboxes[src_slot].append((arrival, seq, dst_slot, message))
@@ -208,9 +207,7 @@ class ShardedNetwork(Network):
                         f"t={arrival} inside the lookahead window (barrier "
                         f"{horizon}); is a profile's minimum() overstated?"
                     )
-                lane(dst_slot).at(
-                    arrival, self._deliver, DEFAULT_PRIORITY, "", message
-                )
+                lane(dst_slot).at(arrival, self._deliver, message)
         if self._pending_removals:
             for name in self._pending_removals:
                 self._nodes.pop(name, None)

@@ -5,14 +5,12 @@ event heap (:class:`Simulator`), periodic tasks, and named
 seeded RNG streams (:class:`RngRegistry`).
 """
 
-from repro.sim.events import Event
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
 from repro.sim.sharded import LaneSimulator, ShardedSimulator
 
 __all__ = [
-    "Event",
     "LaneSimulator",
     "PeriodicTask",
     "RngRegistry",

@@ -21,6 +21,12 @@ loop itself therefore carries zero instrumentation cost — not even a
 branch.  Timers read the host clock and never feed back into
 simulation time, so a sampled run is event-for-event identical to a
 plain one.
+
+A schedule is one frame: :meth:`Simulator.at` / :meth:`Simulator.after`
+build the ``[time, seq, callback, arg]`` heap entry, push it, and
+return it as the cancel handle.  ``now`` is a plain attribute that only
+the loop (and the run/window ends) writes, so reading the clock costs
+no frame either.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import time as _time
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.events import DEFAULT_PRIORITY, NO_ARG, Event
+from repro.sim.events import NO_ARG
 from repro.sim.process import PeriodicTask
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,8 +66,10 @@ class Simulator:
         start_time: float = 0.0,
         perf: "PerfRegistry | None" = None,
     ) -> None:
-        self._now = float(start_time)
-        self._heap: list[tuple[float, int, int, Event]] = []
+        #: Current simulation time in seconds.
+        self.now = float(start_time)
+        #: ``[time, seq, callback, arg]`` entries (see repro.sim.events).
+        self._heap: list[list] = []
         self._counter = itertools.count()
         # Cancelled events still in the heap (deletion is lazy).  The
         # live count is derived from it, so scheduling and firing a live
@@ -73,13 +81,8 @@ class Simulator:
         self._perf = perf
 
     # ------------------------------------------------------------------
-    # Clock
+    # Counters
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of events executed so far."""
@@ -99,62 +102,51 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        priority: int = DEFAULT_PRIORITY,
-        label: str = "",
-        arg: Any = NO_ARG,
-    ) -> Event:
+        self, time: float, callback: Callable[..., Any], arg: Any = NO_ARG
+    ) -> list:
         """Schedule *callback* at absolute simulation *time*.
 
         When *arg* is given the kernel calls ``callback(arg)``; hot
         schedulers use it instead of binding a closure per event.
+        Returns the heap entry, which is the handle :meth:`cancel`
+        takes.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before now={self._now}"
+                f"cannot schedule event at t={time} before now={self.now}"
             )
-        seq = next(self._counter)
-        event = Event(time, priority, seq, callback, arg, label)
-        heappush(self._heap, (time, priority, seq, event))
-        return event
+        entry = [time, next(self._counter), callback, arg]
+        heappush(self._heap, entry)
+        return entry
 
     def after(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        priority: int = DEFAULT_PRIORITY,
-        label: str = "",
-        arg: Any = NO_ARG,
-    ) -> Event:
+        self, delay: float, callback: Callable[..., Any], arg: Any = NO_ARG
+    ) -> list:
         """Schedule *callback* after a relative *delay* (seconds)."""
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        time = self._now + delay
-        seq = next(self._counter)
-        event = Event(time, priority, seq, callback, arg, label)
-        heappush(self._heap, (time, priority, seq, event))
-        return event
+        entry = [self.now + delay, next(self._counter), callback, arg]
+        heappush(self._heap, entry)
+        return entry
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, entry: list) -> None:
         """Cancel a previously scheduled event (idempotent)."""
-        if not event.cancelled:
-            event.cancel()
+        if entry[2] is not None:
+            entry[2] = None
             if self._cancelled < len(self._heap):
                 self._cancelled += 1
 
     def next_time(self) -> float | None:
         """Time of the earliest live event (``None`` when there is none)."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
+        while heap and heap[0][2] is None:
             heappop(heap)
             self._cancelled -= 1
         return heap[0][0] if heap else None
 
-    def adopt_event(self, event: Event) -> None:
-        """Insert an :class:`Event` created elsewhere, under a fresh
-        local sequence number.
+    def adopt_event(self, entry: list) -> None:
+        """Insert an entry created elsewhere, under a fresh local
+        sequence number.
 
         Cross-shard schedules are created in the *source* shard's
         window (so the caller gets a cancellable handle immediately)
@@ -162,15 +154,14 @@ class Simulator:
         the sequence number is assigned here, at injection, so tie
         ordering inside a heap always reflects injection order.
         """
-        event.seq = next(self._counter)
-        heappush(self._heap, (event.time, event.priority, event.seq, event))
+        entry[1] = next(self._counter)
+        heappush(self._heap, entry)
 
     def every(
         self,
         interval: float,
         callback: Callable[[], Any],
         start: float | None = None,
-        label: str = "",
     ) -> "PeriodicTask":
         """Run *callback* every *interval* seconds until cancelled.
 
@@ -179,8 +170,8 @@ class Simulator:
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval: {interval}")
-        first = self._now + interval if start is None else start
-        return PeriodicTask(self, interval, callback, first, label)
+        first = self.now + interval if start is None else start
+        return PeriodicTask(self, interval, callback, first)
 
     # ------------------------------------------------------------------
     # Execution
@@ -219,10 +210,10 @@ class Simulator:
                 self._run_plain(limit, max_events)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self.now < until and not self._stopped:
             upcoming = self.next_time()
             if upcoming is None or upcoming > until:
-                self._now = until
+                self.now = until
 
     def _run_plain(self, limit: float, max_events: int | None = None) -> int:
         """The event loop: the one place event callbacks are called.
@@ -234,25 +225,28 @@ class Simulator:
         heap = self._heap
         no_arg = NO_ARG
         executed = 0
-        while heap and not self._stopped and executed != max_events:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
+        try:
+            while heap and not self._stopped and executed != max_events:
+                entry = heap[0]
+                callback = entry[2]
+                if callback is None:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                time = entry[0]
+                if time > limit:
+                    break
                 heappop(heap)
-                self._cancelled -= 1
-                continue
-            time = entry[0]
-            if time > limit:
-                break
-            heappop(heap)
-            event.cancelled = True  # fired; see Event
-            self._now = time
-            self._event_count += 1
-            if event.arg is no_arg:
-                event.callback()
-            else:
-                event.callback(event.arg)
-            executed += 1
+                entry[2] = None  # fired: a late cancel is a no-op
+                self.now = time
+                executed += 1
+                arg = entry[3]
+                if arg is no_arg:
+                    callback()
+                else:
+                    callback(arg)
+        finally:
+            self._event_count += executed
         return executed
 
     def _run_sampled(self, limit: float, max_events: int | None) -> None:
@@ -279,7 +273,7 @@ class Simulator:
                 if not run(limit, min(1, left)):
                     break
                 step_timer.record(clock() - started)
-                pending.record(self._now, float(self.pending_events))
+                pending.record(self.now, float(self.pending_events))
                 run(limit, min(untimed, left - 1))
         finally:
             perf.counter("sim.events").inc(self._event_count - before)
@@ -304,8 +298,8 @@ class Simulator:
             )
         finally:
             self._running = False
-        if self._now < end and not self._stopped:
-            self._now = end
+        if self.now < end and not self._stopped:
+            self.now = end
         return executed
 
     def stop(self) -> None:

@@ -11,9 +11,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class PeriodicTask:
     """A repeating callback created by :meth:`Simulator.every`.
 
-    The task reschedules itself after each firing; calling :meth:`stop`
-    cancels the pending occurrence and prevents any further ones.  The
-    callback may call ``stop()`` on its own handle to self-terminate.
+    The task reschedules itself after each firing, keeping the heap
+    entry of its next occurrence only to cancel it: :meth:`stop` does
+    that and prevents any further ones.  The callback may call
+    ``stop()`` on its own handle to self-terminate; the entry that is
+    firing has already left the heap, so that cancel is a no-op.
     """
 
     def __init__(
@@ -22,15 +24,13 @@ class PeriodicTask:
         interval: float,
         callback: Callable[[], Any],
         first_time: float,
-        label: str = "",
     ) -> None:
         self._sim = sim
         self._interval = interval
         self._callback = callback
-        self._label = label
         self._stopped = False
         self._fire_count = 0
-        self._pending = sim.at(first_time, self._fire, label=label)
+        self._pending = sim.at(first_time, self._fire)
 
     @property
     def interval(self) -> float:
@@ -53,9 +53,7 @@ class PeriodicTask:
         self._fire_count += 1
         self._callback()
         if not self._stopped:
-            self._pending = self._sim.after(
-                self._interval, self._fire, label=self._label
-            )
+            self._pending = self._sim.after(self._interval, self._fire)
 
     def stop(self) -> None:
         """Stop the task (idempotent)."""
@@ -63,9 +61,3 @@ class PeriodicTask:
             return
         self._stopped = True
         self._sim.cancel(self._pending)
-
-    def reschedule(self, interval: float) -> None:
-        """Change the firing interval, effective from the next firing."""
-        if interval <= 0:
-            raise ValueError(f"non-positive interval: {interval}")
-        self._interval = interval

@@ -19,7 +19,7 @@ protocol:
   invariance proof in docs/ARCHITECTURE.md.
 * **Barriers.** At each barrier all lanes sit at exactly ``B``.
   Cross-lane schedules deferred during the window are injected in
-  canonical ``(time, priority, source-lane, creation-order)`` order,
+  canonical ``(time, source-lane, creation-order)`` order,
   barrier hooks run (the sharded network flushes its outboxes in
   ``(time, seq, shard)`` order and applies node removals), and then the
   **global lane** — control logic with no node of its own: workload
@@ -42,7 +42,7 @@ from __future__ import annotations
 import time as _time
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.sim.events import DEFAULT_PRIORITY, NO_ARG, Event
+from repro.sim.events import NO_ARG
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import PeriodicTask
 
@@ -60,11 +60,12 @@ class LaneSimulator(Simulator):
 
     Scheduling into a lane from *outside* it (another lane mid-window,
     or the global lane at a barrier) is deferred: the caller gets a
-    real, cancellable :class:`Event` immediately, but the event only
-    enters this lane's heap at the next barrier, in canonical order.
-    Relative times (:meth:`after`, :meth:`every`) are resolved against
-    the *calling* context's clock, so a cross-lane ``after(d)`` means
-    the same instant at every shard count.
+    real, cancellable heap entry immediately — with seq ``-1``, "in no
+    heap yet" — but it only enters this lane's heap at the next
+    barrier, in canonical order, and gets its seq there.  Relative
+    times (:meth:`after`, :meth:`every`) are resolved against the
+    *calling* context's clock, so a cross-lane ``after(d)`` means the
+    same instant at every shard count.
     """
 
     def __init__(self, engine: "ShardedSimulator", slot: int) -> None:
@@ -74,67 +75,55 @@ class LaneSimulator(Simulator):
         #: shard lanes, ``shards`` for the global lane.
         self.slot = slot
         #: Cross-lane schedules created while *this* lane was
-        #: executing: ``(target_lane, event)`` in creation order.
-        self._deferred: list[tuple["LaneSimulator", Event]] = []
+        #: executing: ``(target_lane, entry)`` in creation order.
+        self._deferred: list[tuple["LaneSimulator", list]] = []
 
     def at(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        priority: int = DEFAULT_PRIORITY,
-        label: str = "",
-        arg: Any = NO_ARG,
-    ) -> Event:
+        self, time: float, callback: Callable[..., Any], arg: Any = NO_ARG
+    ) -> list:
         active = self._engine.active_lane
         if active is None or active is self:
-            return Simulator.at(self, time, callback, priority, label, arg)
-        if time < active._now:
+            return Simulator.at(self, time, callback, arg)
+        if time < active.now:
             raise SimulationError(
-                f"cannot schedule event at t={time} before now={active._now}"
+                f"cannot schedule event at t={time} before now={active.now}"
             )
-        # seq -1: "deferred, in no heap yet" (see :meth:`cancel`).
-        event = Event(time, priority, -1, callback, arg, label)
-        active._deferred.append((self, event))
-        return event
+        entry = [time, -1, callback, arg]
+        active._deferred.append((self, entry))
+        return entry
 
     def after(
-        self,
-        delay: float,
-        callback: Callable[..., Any],
-        priority: int = DEFAULT_PRIORITY,
-        label: str = "",
-        arg: Any = NO_ARG,
-    ) -> Event:
+        self, delay: float, callback: Callable[..., Any], arg: Any = NO_ARG
+    ) -> list:
         active = self._engine.active_lane
         if active is None or active is self:
-            return Simulator.after(self, delay, callback, priority, label, arg)
+            return Simulator.after(self, delay, callback, arg)
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        return self.at(active._now + delay, callback, priority, label, arg)
+        return self.at(active.now + delay, callback, arg)
 
     def every(
         self,
         interval: float,
         callback: Callable[[], Any],
         start: float | None = None,
-        label: str = "",
     ) -> PeriodicTask:
         if interval <= 0:
             raise SimulationError(f"non-positive interval: {interval}")
         if start is None:
-            start = (self._engine.active_lane or self)._now + interval
-        return PeriodicTask(self, interval, callback, start, label)
+            start = (self._engine.active_lane or self).now + interval
+        return PeriodicTask(self, interval, callback, start)
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, entry: list) -> None:
         """Cancel an event scheduled on this lane (idempotent).
 
         A cross-lane schedule still waiting for its barrier is in no
         heap: it is only marked, and injection drops it.
         """
-        if event.seq == -1:
-            event.cancel()
+        if entry[1] == -1:
+            entry[2] = None
         else:
-            Simulator.cancel(self, event)
+            Simulator.cancel(self, entry)
 
 
 class ShardedSimulator:
@@ -162,7 +151,7 @@ class ShardedSimulator:
         self._global = LaneSimulator(self, shards)
         self._all = [*self._lanes, self._global]
         for lane in self._all:
-            lane._now = float(start_time)
+            lane.now = float(start_time)
         self._barrier_time = float(start_time)
         #: The lane whose events are executing; None between windows
         #: (construction, barrier injection), when schedules go straight
@@ -187,7 +176,7 @@ class ShardedSimulator:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return (self.active_lane or self._global)._now
+        return (self.active_lane or self._global).now
 
     @property
     def events_processed(self) -> int:
@@ -215,38 +204,34 @@ class ShardedSimulator:
         lane executes (the sharded network's outbox flush)."""
         self._barrier_hooks.append(hook)
 
-    def at(self, time, callback, priority=DEFAULT_PRIORITY, label="", arg=NO_ARG):
-        return (self.active_lane or self._global).at(
-            time, callback, priority, label, arg
-        )
+    def at(self, time, callback, arg=NO_ARG):
+        return (self.active_lane or self._global).at(time, callback, arg)
 
-    def after(self, delay, callback, priority=DEFAULT_PRIORITY, label="", arg=NO_ARG):
-        return (self.active_lane or self._global).after(
-            delay, callback, priority, label, arg
-        )
+    def after(self, delay, callback, arg=NO_ARG):
+        return (self.active_lane or self._global).after(delay, callback, arg)
 
-    def every(self, interval, callback, start=None, label=""):
+    def every(self, interval, callback, start=None):
         return (self.active_lane or self._global).every(
-            interval, callback, start=start, label=label
+            interval, callback, start=start
         )
 
-    def cancel(self, event: Event) -> None:
-        """Cancel *event* on whichever lane it was scheduled.
+    def cancel(self, entry: list) -> None:
+        """Cancel the event *entry* on whichever lane it was scheduled.
 
         The facade does not know that lane, so it looks for the heap
-        that holds the event's entry and accounts the cancellation
+        that holds the entry itself (by identity: equal entries on two
+        lanes are different events) and accounts the cancellation
         there; a schedule still deferred is in none and is only marked.
         Component code cancels through its own lane, not through here.
         """
-        if event.cancelled:
+        if entry[2] is None:
             return
-        if event.seq != -1:
-            entry = (event.time, event.priority, event.seq, event)
+        if entry[1] != -1:
             for lane in self._all:
-                if entry in lane._heap:
-                    lane.cancel(event)
+                if any(held is entry for held in lane._heap):
+                    lane.cancel(entry)
                     return
-        event.cancel()
+        entry[2] = None
 
     def stop(self) -> None:
         self._stopped = True
@@ -336,24 +321,22 @@ class ShardedSimulator:
         """Barrier injection: deferred cross-lane schedules, then hooks.
 
         Deferral entries from every lane merge in canonical
-        ``(time, priority, source-lane, creation-order)`` order before
-        receiving their injection-time sequence numbers, so heap tie
-        ordering does not depend on how many lanes there are.
+        ``(time, source-lane, creation-order)`` order before receiving
+        their injection-time sequence numbers, so heap tie ordering
+        does not depend on how many lanes there are.
         """
         horizon = self._barrier_time
-        pending: list[tuple[float, int, int, int, LaneSimulator, Event]] = []
+        pending: list[tuple[float, int, int, LaneSimulator, list]] = []
         for lane in self._all:
             deferred = lane._deferred
             if deferred:
                 lane._deferred = []
-                for idx, (target, event) in enumerate(deferred):
-                    pending.append(
-                        (event.time, event.priority, lane.slot, idx, target, event)
-                    )
+                for idx, (target, entry) in enumerate(deferred):
+                    pending.append((entry[0], lane.slot, idx, target, entry))
         if pending:
-            pending.sort(key=lambda entry: entry[:4])
-            for time, _, _, _, target, event in pending:
-                if event.cancelled:
+            pending.sort(key=lambda item: item[:3])
+            for time, _, _, target, entry in pending:
+                if entry[2] is None:
                     continue
                 if time < horizon:
                     raise SimulationError(
@@ -362,6 +345,6 @@ class ShardedSimulator:
                         f"delays must be >= the lookahead "
                         f"({self.lookahead})"
                     )
-                target.adopt_event(event)
+                target.adopt_event(entry)
         for hook in self._barrier_hooks:
             hook(horizon)

@@ -118,7 +118,7 @@ class ReplayExperiment:
             for name in names
         }
         for event in events:
-            self.sim.at(event[0], self._send, arg=event)
+            self.sim.at(event[0], self._send, event)
 
     def _send(self, event: TraceEvent) -> None:
         _, src, dst, kind, size = event

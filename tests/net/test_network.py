@@ -154,6 +154,13 @@ def test_detached_node_raises():
         _ = node.inbox
 
 
+def test_unattached_node_has_no_sim_and_cannot_send():
+    node = Recorder("x")
+    assert node.sim is None
+    with pytest.raises(RuntimeError, match="not attached"):
+        node.send("y", "test", None, size_bytes=1)
+
+
 def test_messages_to_self_allowed():
     sim, net = make_net()
     a = net.add_node(Recorder("a"))

@@ -29,6 +29,28 @@ def test_finite_rate_delays_service():
     assert handled == [pytest.approx(0.1)]
 
 
+def test_length_counts_the_message_in_service():
+    """At a finite rate the message in service stays queued until its
+    period ends (Fig 2b samples ``length``); an idle immediate queue
+    never reads above 0 outside its handler."""
+    sim = Simulator()
+    queue = ReceiveQueue(sim, lambda m: None, service_rate=10.0)
+    seen = [queue.length]
+    queue.deliver(make_message())
+    seen.append(queue.length)
+    sim.at(0.05, lambda: seen.append(queue.length))
+    sim.at(0.1, lambda: seen.append(queue.length))  # after the service ends
+    sim.run()
+    assert seen == [0, 1, 1, 0]
+    assert queue.peak_length == 1
+
+    immediate = ReceiveQueue(sim, lambda m: None)
+    for i in range(3):
+        immediate.deliver(make_message(i))
+        assert immediate.length == 0
+    assert immediate.serviced_count == 3
+
+
 def test_queue_builds_under_overload():
     sim = Simulator()
     queue = ReceiveQueue(sim, lambda m: None, service_rate=10.0)

@@ -12,8 +12,22 @@ The sharded rows run the same two nodes on ``ShardedSimulator(2)`` +
 straight onto it) and on two (outbox, barrier flush).  The engine with
 a thread-local active lane behind accessor calls and per-lane
 accounting slots (commit 3e29abb) cost 21.2 and 25.2 frames per
-message here; the serial-lane engine costs 13.1 and 15.1, one
-``LaneSimulator.at`` above the plain path plus the window loop.
+message here; the serial-lane engine costs one ``LaneSimulator.after``
+above the plain path plus the window loop.
+
+Frames per message on CPython 3.11, before and after the heap entry
+became the event handle (no ``Event.__init__`` per schedule) and the
+finite-rate queue started its service periods in place (no
+``_start_next``); every budget fails at the "before" count:
+
+==========  ======  =====  ======
+row         before  after  budget
+==========  ======  =====  ======
+idle        12.0    11.0   12
+queued      16.0    13.0   14
+same-lane   13.1    12.1   13
+cross-lane  15.1    14.1   15
+==========  ======  =====  ======
 """
 
 import gc
@@ -85,7 +99,7 @@ def frames_per_message(service_rate):
 
 @pytest.mark.parametrize(
     "service_rate, budget",
-    [(float("inf"), 14), (500.0, 18)],
+    [(float("inf"), 12), (500.0, 14)],
     ids=["idle", "queued"],
 )
 def test_frames_from_send_to_handler(service_rate, budget):
@@ -125,7 +139,7 @@ def sharded_frames_per_message(sink_x):
 
 
 @pytest.mark.parametrize(
-    "sink_x, budget", [(20, 15), (90, 19)], ids=["same-lane", "cross-lane"]
+    "sink_x, budget", [(20, 13), (90, 15)], ids=["same-lane", "cross-lane"]
 )
 def test_frames_from_send_to_handler_on_shard_lanes(sink_x, budget):
     frames = sharded_frames_per_message(sink_x)

@@ -48,13 +48,18 @@ def test_simultaneous_events_fire_in_schedule_order():
     assert order == list(range(10))
 
 
-def test_priority_breaks_ties():
+def test_same_instant_events_fire_in_schedule_order_across_at_after_every():
+    """``(time, seq)`` is the whole ordering key: whichever method made
+    the schedule, same-instant events fire in the order they were made."""
     sim = Simulator()
     order = []
-    sim.at(1.0, lambda: order.append("low"), priority=5)
-    sim.at(1.0, lambda: order.append("high"), priority=-5)
-    sim.run()
-    assert order == ["high", "low"]
+    sim.after(1.0, lambda: order.append("after"))
+    task = sim.every(1.0, lambda: order.append("every"))
+    sim.at(1.0, order.append, "arg")
+    sim.at(1.0, lambda: order.append("at"))
+    sim.run(until=1.0)
+    task.stop()
+    assert order == ["after", "every", "arg", "at"]
 
 
 def test_scheduling_in_past_raises():
@@ -114,7 +119,8 @@ def test_cancel_is_idempotent():
 
 
 def live_heap_entries(sim):
-    return sum(1 for entry in sim._heap if not entry[3].cancelled)
+    """Heap entries that will still fire: callback slot not ``None``."""
+    return sum(1 for entry in sim._heap if entry[2] is not None)
 
 
 def test_self_stopping_periodic_task_keeps_pending_count_exact():

@@ -52,23 +52,6 @@ def test_periodic_fire_count():
     assert task.fire_count == 4
 
 
-def test_periodic_reschedule_changes_interval():
-    sim = Simulator()
-    times = []
-    task = sim.every(1.0, lambda: times.append(sim.now))
-    sim.after(1.5, lambda: task.reschedule(2.0))
-    sim.run(until=6.0)
-    # fires at 1.0, 2.0 (already scheduled), then every 2.0: 4.0, 6.0
-    assert times == [1.0, 2.0, 4.0, 6.0]
-
-
 def test_periodic_non_positive_interval_raises():
     with pytest.raises(SimulationError):
         Simulator().every(0.0, lambda: None)
-
-
-def test_periodic_reschedule_rejects_non_positive():
-    sim = Simulator()
-    task = sim.every(1.0, lambda: None)
-    with pytest.raises(ValueError):
-        task.reschedule(0.0)

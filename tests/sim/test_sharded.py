@@ -172,6 +172,47 @@ class TestShardedSimulatorFacade:
         assert target.pending_events == 1
         assert engine.pending_events == 1
 
+    def test_facade_cancel_of_heaped_and_deferred_handles_keeps_pending_exact(
+        self,
+    ):
+        """``engine.cancel`` finds the heap holding an entry by identity:
+        lane 0 holds an entry equal to lane 1's (same time, lane-local
+        seq and callback), and cancelling lane 1's must be accounted on
+        lane 1.  A deferred handle is in no heap and is only marked."""
+        engine = ShardedSimulator(2, lookahead=0.5)
+
+        def live_entries(slot):
+            return sum(
+                1 for entry in engine.lane(slot)._heap if entry[2] is not None
+            )
+
+        def noop():
+            return None
+
+        engine.lane(0).at(5.0, noop)
+        heaped = engine.lane(1).at(5.0, noop)
+        twin = engine.lane(0)._heap[0]
+        assert heaped == twin and heaped is not twin
+        counts = []
+
+        def src():
+            deferred = engine.lane(1).after(1.0, noop)
+            counts.append(engine.pending_events)  # the deferral is in no heap
+            engine.cancel(heaped)
+            engine.cancel(deferred)
+            engine.cancel(deferred)
+            counts.append(engine.pending_events)
+            counts.append((engine.lane(0).pending_events, live_entries(0)))
+            counts.append((engine.lane(1).pending_events, live_entries(1)))
+
+        engine.lane(0).at(1.0, src)
+        engine.run(until=2.0)  # the barrier drops the cancelled deferral
+        assert counts == [2, 1, (1, 1), (0, 0)]
+        assert engine.pending_events == 1
+        assert engine.lane(1).pending_events == live_entries(1) == 0
+        engine.run(until=6.0)
+        assert engine.pending_events == 0
+
     def test_ring_of_lanes_delivers_every_cross_lane_ping_on_time(self):
         """Every lane ticks locally and pings its neighbour: each ping
         lands 0.6 s after the tick that sent it, and each lane sees its
