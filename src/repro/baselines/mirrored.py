@@ -68,10 +68,6 @@ class MirrorGate(Node):
                 "backend.mirror.replicated"
             )
 
-    def set_peers(self, peers: list[str]) -> None:
-        """Install the mirror group (excluding this gate)."""
-        self._peers = [peer for peer in peers if peer != self.name]
-
     def announce_range(self, world: Rect, directory: dict[str, Rect]) -> None:
         """Send the game server its (permanent) range: the whole world."""
         directive = SetRange(partition=world, directory=dict(directory))
@@ -84,13 +80,9 @@ class MirrorGate(Node):
     @handles("game.spatial")
     def _on_spatial(self, message: Message) -> None:
         self.client_packets += 1
-        for peer in self._peers:
-            self.send(
-                peer,
-                "mirror.replicate",
-                message.payload,
-                size_bytes=message.size_bytes,
-            )
+        self.multicast(
+            self._peers, "mirror.replicate", message.payload, message.size_bytes
+        )
         if self._perf_replicated is not None:
             self._perf_replicated.add(len(self._peers))
 

@@ -175,11 +175,6 @@ class PlayerUplink(Node):
         if network.perf is not None:
             self._perf_fanout = network.perf.counter("backend.p2p.fanout")
 
-    @property
-    def peer_count(self) -> int:
-        """Current region-group peers this uplink streams to."""
-        return len(self._peers)
-
     # ------------------------------------------------------------------
     # Client-facing protocol
     # ------------------------------------------------------------------
@@ -301,8 +296,7 @@ class PlayerUplink(Node):
         self.peer_packets_heard += 1
 
     def _fan_out(self, kind: str, payload, size_bytes: int) -> None:
-        for peer in self._peers:
-            self.send(peer, kind, payload, size_bytes=size_bytes)
+        self.multicast(self._peers, kind, payload, size_bytes)
         fanned = len(self._peers)
         self.upload_messages += fanned
         self.upload_bytes += size_bytes * fanned

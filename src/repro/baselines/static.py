@@ -93,16 +93,13 @@ class StaticZoneRouter(Node):
         if consistency is None:
             return  # roaming client mid-handoff; its new zone handles it
         # Sorted for cross-process determinism (see SpatialRouter).
-        for owner in sorted(consistency):
-            router = self._router_of.get(owner)
-            if router is not None:
-                self.send(
-                    router,
-                    "matrix.forward",
-                    packet,
-                    size_bytes=message.size_bytes,
-                )
-                self.forwarded_packets += 1
+        routers = [
+            router
+            for router in map(self._router_of.get, sorted(consistency))
+            if router is not None
+        ]
+        self.multicast(routers, "matrix.forward", packet, message.size_bytes)
+        self.forwarded_packets += len(routers)
 
     @handles("matrix.forward")
     def _on_forward(self, message: Message) -> None:

@@ -301,12 +301,8 @@ class StandbyCoordinator(MatrixCoordinator):
         self._partitions = {}
         self._game_server_of = {}
         self._owner_index = None
-        for ms_name in known:
-            self.send(
-                ms_name,
-                "mc.failover",
-                self.name,
-                size_bytes=self._config.wire.control_bytes,
-            )
+        self.multicast(
+            known, "mc.failover", self.name, self._config.wire.control_bytes
+        )
         if self.on_promote is not None:
             self.on_promote(self)

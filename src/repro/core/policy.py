@@ -59,7 +59,6 @@ class LoadPolicy:
         self._splits = 0
         self._reclaims = 0
         self._failed_splits = 0
-        self._failed_reclaims = 0
 
     @property
     def config(self) -> LoadPolicyConfig:
@@ -80,11 +79,6 @@ class LoadPolicy:
     def failed_split_count(self) -> int:
         """Split attempts that failed (pool exhausted, aborted)."""
         return self._failed_splits
-
-    @property
-    def failed_reclaim_count(self) -> int:
-        """Reclaim attempts that failed (nacked, timed out)."""
-        return self._failed_reclaims
 
     # ------------------------------------------------------------------
     # Classification helpers
@@ -205,7 +199,6 @@ class LoadPolicy:
             self._last_reclaim_at = self._reclaim_stamp_before_attempt
             self._reclaim_stamp_before_attempt = None
         self._last_failed_reclaim_at = now
-        self._failed_reclaims += 1
 
     def note_split(self, now: float) -> None:
         """Record an immediately successful split (attempt + success)."""

@@ -66,6 +66,7 @@ class ServerContext:
         self.node = node
         #: Send on behalf of the owning node (through its middleware).
         self.send = node.send
+        self.multicast = node.multicast
         self.config = config
         self.metric = metric_by_name(config.metric_name, world=config.world)
         self.game_server = game_server

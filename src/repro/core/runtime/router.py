@@ -57,9 +57,10 @@ class SpatialRouter:
         # server names, and send order decides which network-latency
         # draw each forward gets.  Sorting makes figure outputs
         # identical across processes regardless of PYTHONHASHSEED.
-        for peer in sorted(targets):
-            ctx.send(peer, "matrix.forward", packet, size_bytes=message.size_bytes)
-            ctx.stats.forwarded_packets += 1
+        ctx.multicast(
+            sorted(targets), "matrix.forward", packet, message.size_bytes
+        )
+        ctx.stats.forwarded_packets += len(targets)
 
     @handles("matrix.forward")
     def on_forward(self, message: Message) -> None:

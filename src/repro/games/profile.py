@@ -131,9 +131,6 @@ def daimonin_profile() -> GameProfile:
     )
 
 
-PROFILES: dict[str, object] = {}
-
-
 def profile_by_name(name: str) -> GameProfile:
     """Look up one of the three built-in game profiles."""
     factories = {

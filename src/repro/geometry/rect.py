@@ -111,10 +111,6 @@ class Rect:
             ymin = ymax = (ymin + ymax) / 2.0
         return Rect(xmin, ymin, xmax, ymax)
 
-    def clipped_to(self, bounds: "Rect") -> "Rect | None":
-        """Intersection with *bounds* (alias with clearer intent)."""
-        return self.intersection(bounds)
-
     def split_vertical(self, x: float) -> tuple["Rect", "Rect"]:
         """Split at vertical line *x* into (left, right)."""
         if not (self.xmin < x < self.xmax):

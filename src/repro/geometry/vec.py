@@ -30,17 +30,9 @@ class Vec2:
     def __neg__(self) -> "Vec2":
         return Vec2(-self.x, -self.y)
 
-    def dot(self, other: "Vec2") -> float:
-        """Dot product."""
-        return self.x * other.x + self.y * other.y
-
     def length(self) -> float:
         """Euclidean norm."""
         return math.hypot(self.x, self.y)
-
-    def length_sq(self) -> float:
-        """Squared Euclidean norm (cheap; avoids the sqrt)."""
-        return self.x * self.x + self.y * self.y
 
     def distance_to(self, other: "Vec2") -> float:
         """Euclidean distance to *other*."""
@@ -52,13 +44,6 @@ class Vec2:
         if norm == 0.0:
             return Vec2(0.0, 0.0)
         return Vec2(self.x / norm, self.y / norm)
-
-    def lerp(self, other: "Vec2", t: float) -> "Vec2":
-        """Linear interpolation: ``self`` at t=0, *other* at t=1."""
-        return Vec2(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
 
     def clamped(self, xmin: float, ymin: float, xmax: float, ymax: float) -> "Vec2":
         """Component-wise clamp into ``[xmin,xmax] x [ymin,ymax]``."""

@@ -16,6 +16,9 @@ from abc import ABC, abstractmethod
 class LatencyModel(ABC):
     """Samples one-way propagation latency in seconds."""
 
+    #: What :meth:`sample` always returns, or ``None``.
+    fixed: float | None = None
+
     @abstractmethod
     def sample(self, rng: random.Random) -> float:
         """Draw one latency value (seconds, ≥ 0)."""
@@ -43,16 +46,16 @@ class ConstantLatency(LatencyModel):
     def __init__(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError(f"negative latency: {seconds}")
-        self._seconds = seconds
+        self.fixed = seconds
 
     def sample(self, rng: random.Random) -> float:
-        return self._seconds
+        return self.fixed
 
     def mean(self) -> float:
-        return self._seconds
+        return self.fixed
 
     def minimum(self) -> float:
-        return self._seconds
+        return self.fixed
 
 
 class UniformLatency(LatencyModel):

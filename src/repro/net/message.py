@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
-
-_message_ids = itertools.count(1)
 
 
 class Message:
@@ -18,10 +15,11 @@ class Message:
 
     One is built per packet, so construction is a single hand-written
     frame.  Instances pickle by their slots (``--jobs`` grid workers
-    return results that hold them) and compare by identity.
+    return results that hold them) and compare by identity: there is
+    no message id.
     """
 
-    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "msg_id", "sent_at")
+    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "sent_at")
 
     def __init__(
         self,
@@ -30,7 +28,6 @@ class Message:
         kind: str,
         payload: Any,
         size_bytes: int,
-        msg_id: int | None = None,
         sent_at: float = 0.0,
     ) -> None:
         if size_bytes < 0:
@@ -40,12 +37,11 @@ class Message:
         self.kind = kind
         self.payload = payload
         self.size_bytes = size_bytes
-        self.msg_id = next(_message_ids) if msg_id is None else msg_id
         self.sent_at = sent_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Message(src={self.src!r}, dst={self.dst!r}, kind={self.kind!r}, "
             f"payload={self.payload!r}, size_bytes={self.size_bytes}, "
-            f"msg_id={self.msg_id}, sent_at={self.sent_at})"
+            f"sent_at={self.sent_at})"
         )

@@ -9,6 +9,11 @@ after which it is delivered into B's finite-rate receive queue (see
 :mod:`repro.net.queue`).  Link profiles are resolved per source/dest
 pair, with name-prefix rules so whole host classes (e.g. ``client.*``)
 can share a WAN profile without enumerating pairs.
+
+A pair is resolved once; a packet costs one tuple lookup: the first
+send of an ordered pair builds its :class:`Route`, which
+:meth:`Network.transmit` reads everything off, and any profile rule
+change drops every route.  The sharded network shares this transmit.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.net.latency import ConstantLatency, LatencyModel, lan, loopback, wan
 from repro.net.message import Message
 from repro.net.node import Node
-from repro.net.stats import TrafficStats
+from repro.net.stats import Counter, TrafficStats
 from repro.sim.kernel import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,6 +65,20 @@ def loopback_profile() -> LinkProfile:
 _LOOPBACK = loopback_profile()
 
 
+class Route:
+    """One ordered pair's fixed latency (or ``None``), sampler,
+    bandwidth, ``by_pair`` counter and latency stream."""
+
+    __slots__ = ("fixed", "latency", "bandwidth", "counter", "rng")
+
+    def __init__(self, profile: LinkProfile, counter: Counter, rng) -> None:
+        self.fixed = profile.latency.fixed
+        self.latency = profile.latency
+        self.bandwidth = profile.bandwidth
+        self.counter = counter
+        self.rng = rng
+
+
 class Network:
     """Registry of nodes plus the transmission fabric between them."""
 
@@ -79,11 +98,12 @@ class Network:
         self._pair_profiles: dict[tuple[str, str], LinkProfile] = {}
         self._prefix_profiles: list[tuple[str, str, LinkProfile]] = []
         self._colocated: dict[str, str] = {}
-        # Resolved (src, dst) -> profile memo; resolution walks pair,
-        # prefix and colocation rules, so the result is cached per pair
-        # and invalidated whenever any rule changes.
-        self._profile_cache: dict[tuple[str, str], LinkProfile] = {}
+        self._routes: dict[tuple[str, str], Route] = {}
+        #: Never rebound: routes hold its ``by_pair`` counters.
         self.stats = TrafficStats()
+        #: ``handoff(sim, delay, message)`` in place of ``after`` (the
+        #: sharded network's lane hand-off).
+        self._handoff = None
         #: Send-side observers: each tap is called with every message
         #: right after it is accounted (``sent_at`` already stamped).
         #: The trace recorder subscribes here; the hot path pays one
@@ -135,14 +155,10 @@ class Network:
         """Look up a registered node by name."""
         return self._nodes[name]
 
-    def node_names(self) -> list[str]:
-        """Names of all registered nodes."""
-        return list(self._nodes)
-
     def set_pair_profile(self, src: str, dst: str, profile: LinkProfile) -> None:
         """Set the profile for the ordered pair ``src → dst``."""
         self._pair_profiles[(src, dst)] = profile
-        self._profile_cache.clear()
+        self._routes.clear()
 
     def set_prefix_profile(
         self, src_prefix: str, dst_prefix: str, profile: LinkProfile
@@ -152,7 +168,7 @@ class Network:
         Rules are checked in registration order; first match wins.
         """
         self._prefix_profiles.append((src_prefix, dst_prefix, profile))
-        self._profile_cache.clear()
+        self._routes.clear()
 
     def set_colocated(self, a: str, b: str) -> None:
         """Mark two nodes as sharing a host (loopback path both ways).
@@ -162,19 +178,33 @@ class Network:
         """
         self._colocated[a] = b
         self._colocated[b] = a
-        self._profile_cache.clear()
+        self._routes.clear()
 
     def profile_for(self, src: str, dst: str) -> LinkProfile:
-        """Resolve the link profile for ``src → dst`` (memoized)."""
-        key = (src, dst)
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            return cached
+        """``src → dst``'s profile: colocation, pair, prefixes, default."""
+        if self._colocated.get(src) == dst:
+            return _LOOPBACK
+        pair = self._pair_profiles.get((src, dst))
+        if pair is not None:
+            return pair
+        for src_prefix, dst_prefix, profile in self._prefix_profiles:
+            if src.startswith(src_prefix) and dst.startswith(dst_prefix):
+                return profile
+        return self._default
+
+    def _route(self, src: str, dst: str) -> Route:
+        """First send of ``src → dst`` since the rules last changed."""
         if self._perf_profile_miss is not None:
             self._perf_profile_miss.inc()
-        profile = self._resolve_profile(src, dst)
-        self._profile_cache[key] = profile
-        return profile
+        key = (src, dst)
+        profile = self.profile_for(src, dst)
+        route = Route(profile, self.stats.by_pair[key], self._latency_rng(src))
+        self._routes[key] = route
+        return route
+
+    def _latency_rng(self, src: str) -> random.Random:
+        """The stream *src*'s latency jitter is drawn from."""
+        return self._rng
 
     # ------------------------------------------------------------------
     # Stats taps
@@ -194,18 +224,6 @@ class Network:
         if tap in self._taps:
             self._taps.remove(tap)
 
-    def _resolve_profile(self, src: str, dst: str) -> LinkProfile:
-        """Uncached rule walk: colocation, exact pair, prefix, default."""
-        if self._colocated.get(src) == dst:
-            return _LOOPBACK
-        pair = self._pair_profiles.get((src, dst))
-        if pair is not None:
-            return pair
-        for src_prefix, dst_prefix, profile in self._prefix_profiles:
-            if src.startswith(src_prefix) and dst.startswith(dst_prefix):
-                return profile
-        return self._default
-
     # ------------------------------------------------------------------
     # Transmission
     # ------------------------------------------------------------------
@@ -216,29 +234,39 @@ class Network:
         races (a peer may route to a server an instant after it was
         returned to the pool); the Matrix protocol tolerates the loss
         because the reclaiming parent re-announces the merged range.
+        The order of the steps below is the determinism contract.
         """
-        sim = self.sim
+        sim = self.sim.current
         message.sent_at = sim.now
-        self.stats.record(message)
+        src, dst, size = message.src, message.dst, message.size_bytes
+        entry = self.stats.by_kind[message.kind]
+        entry.messages += 1
+        entry.bytes += size
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._route(src, dst)
+        entry = route.counter
+        entry.messages += 1
+        entry.bytes += size
         if self._taps:
+            # Lane order on the sharded network: the trace recorder
+            # sorts what it buffers.
             for tap in self._taps:
                 tap(message)
         if self._perf_sent is not None:
-            self._perf_sent.add(message.size_bytes)
-        if message.dst not in self._nodes:
+            self._perf_sent.add(size)
+        if dst not in self._nodes:
             self.undeliverable_count += 1
             return
-        profile = self._profile_cache.get((message.src, message.dst))
-        if profile is None:
-            profile = self.profile_for(message.src, message.dst)
-        delay = (
-            profile.latency.sample(self._rng)
-            + message.size_bytes / profile.bandwidth
-        )
-        # The message rides the heap entry itself (``arg``) instead of
-        # a per-packet closure: the delivery drain is one shared bound
-        # method, so transmitting allocates no lambda and no cell vars.
-        sim.after(delay, self._deliver, message)
+        delay = route.fixed
+        if delay is None:
+            delay = route.latency.sample(route.rng)
+        delay += size / route.bandwidth
+        # The message rides the heap entry (``arg``): no closure.
+        if self._handoff is None:
+            sim.after(delay, self._deliver, message)
+        else:
+            self._handoff(sim, delay, message)
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, ClassVar, TYPE_CHECKING, TypeVar
+from typing import Any, ClassVar, Iterable, TYPE_CHECKING, TypeVar
 
 from repro.net.dispatch import (  # noqa: F401
     DispatchCollisionError,
@@ -83,12 +83,16 @@ class Node(ABC):
         self.sim = network.sim_for(self)
         if network.perf is not None:
             self.middleware.attach_perf(network.perf)
+        # An overridden ``handle_message`` filters: no bypassing it.
+        direct = type(self).handle_message is Node.handle_message
         self._inbox = ReceiveQueue(
             self.sim,
             self.handle_message,
             service_rate=self._service_rate,
             capacity=self._queue_capacity,
             priority_kinds=self._priority_kinds,
+            handlers=self._handlers if direct else None,
+            stages=self._mw_stages,
         )
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
@@ -140,9 +144,7 @@ class Node(ABC):
         either way.
         """
         message = Message(self.name, dst, kind, payload, size_bytes)
-        network = self._network
-        if network is None:
-            network = self.network  # raises: not attached
+        network = self._network or self.network  # raises: not attached
         if self._mw_stages:
             processed = self.middleware.process_outbound(message)
             if processed is None:
@@ -151,6 +153,20 @@ class Node(ABC):
         else:
             network.transmit(message)
         return message
+
+    def multicast(
+        self, dsts: Iterable[str], kind: str, payload: Any, size_bytes: int
+    ) -> None:
+        """:meth:`send` to each of *dsts* in order, in one call (through
+        :meth:`send` itself when the node has stages)."""
+        if self._mw_stages:
+            for dst in dsts:
+                self.send(dst, kind, payload, size_bytes)
+            return
+        transmit = (self._network or self.network).transmit
+        name = self.name
+        for dst in dsts:
+            transmit(Message(name, dst, kind, payload, size_bytes))
 
     def handle_message(self, message: Message) -> None:
         """Process one serviced message: inbound middleware, then dispatch.

@@ -13,6 +13,9 @@ service period is started in the method that finds the queue needs
 one — :meth:`ReceiveQueue.deliver` for an idle queue,
 :meth:`ReceiveQueue._finish_one` for a backlog — with one ``after``
 and no helper frame.
+
+A serviced message goes straight to its ``@handles`` method when the
+node's table has its kind and the node has no stage.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ class ReceiveQueue:
         updates, evacuation orders) so that reconfiguration is not
         starved behind a saturated data queue — the software analogue
         of a prioritised control channel.
+    handlers, stages:
+        The node's handler table and live stage list: while *stages* is
+        empty, a kind in *handlers* bypasses *handler*.
     """
 
     def __init__(
@@ -58,9 +64,13 @@ class ReceiveQueue:
         service_rate: float = float("inf"),
         capacity: int | None = None,
         priority_kinds: frozenset[str] | None = None,
+        handlers: dict[str, Callable[[Message], None]] | None = None,
+        stages: list | None = None,
     ) -> None:
         self._sim = sim
         self._handler = handler
+        self._handlers = handlers
+        self._stages = stages
         self._capacity = capacity
         self.set_service_rate(service_rate)
         self._priority_kinds = priority_kinds
@@ -143,7 +153,11 @@ class ReceiveQueue:
                 self._peak_length = 1
             self._busy = True
             self.serviced_count += 1
-            self._handler(message)
+            handlers = self._handlers
+            if handlers is None or self._stages:
+                self._handler(message)
+            else:
+                handlers.get(message.kind, self._handler)(message)
             if not queue:
                 self._busy = False
                 return
@@ -178,10 +192,14 @@ class ReceiveQueue:
         queue switched to an infinite rate mid-backlog.
         """
         queue = self._queue
+        handlers = self._handlers
         while queue and not self._halted:
             message = queue.popleft()
             self.serviced_count += 1
-            self._handler(message)
+            if handlers is None or self._stages:
+                self._handler(message)
+            else:
+                handlers.get(message.kind, self._handler)(message)
             if queue and not self._immediate:
                 # The next service period, scheduled after whatever the
                 # handler scheduled.

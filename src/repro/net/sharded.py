@@ -26,9 +26,10 @@ What changes relative to the classic fabric:
   identically at every shard count, instead of mid-window where other
   lanes' visibility of the removal would depend on execution order.
 
-Traffic accounting is the base class's: one ``TrafficStats``, two
-delivery counters, the same perf counters.  Sums do not depend on the
-order lanes add to them, and the stats digest is canonical.
+``transmit`` and its accounting are the base class's; this class
+supplies the per-source stream (:meth:`_latency_rng`, kept on the
+routes) and the lane hand-off (:meth:`_hand_off`).  Sums do not depend
+on the order lanes add to them, and the stats digest is canonical.
 
 The lookahead the engine needs is :meth:`minimum_cross_latency`: the
 smallest ``LatencyModel.minimum()`` over every profile that can apply
@@ -71,7 +72,6 @@ class ShardedNetwork(Network):
         self._engine = engine
         self._map = shard_map
         self._rng_registry = rng_registry
-        self._latency_rngs: dict[str, random.Random] = {}
         #: Node name -> lane slot (``shard_count`` is the global lane).
         self._node_lane: dict[str, int] = {}
         slots = shard_map.shard_count + 1
@@ -83,6 +83,7 @@ class ShardedNetwork(Network):
         self._perf_cross = (
             perf.counter("shard.cross_border") if perf is not None else None
         )
+        self._handoff = self._hand_off
         engine.add_barrier_hook(self._on_barrier)
 
     # ------------------------------------------------------------------
@@ -133,48 +134,29 @@ class ShardedNetwork(Network):
         return min(candidates)
 
     # ------------------------------------------------------------------
-    # Transmission
+    # Transmission (hooks of the base class's transmit)
     # ------------------------------------------------------------------
-    def transmit(self, message: Message) -> None:
-        engine = self._engine
-        sim = engine.active_lane or engine.global_lane
-        message.sent_at = sim.now
-        self.stats.record(message)
-        if self._taps:
-            # Taps fire in lane order; observers needing a canonical
-            # order sort on their own buffered events (the trace
-            # recorder does).
-            for tap in self._taps:
-                tap(message)
-        if self._perf_sent is not None:
-            self._perf_sent.add(message.size_bytes)
-        if message.dst not in self._nodes:
-            self.undeliverable_count += 1
-            return
-        profile = self._profile_cache.get((message.src, message.dst))
-        if profile is None:
-            profile = self.profile_for(message.src, message.dst)
-        rng = self._latency_rngs.get(message.src)
-        if rng is None:
-            rng = self._latency_rng(message.src)
-        delay = profile.latency.sample(rng) + message.size_bytes / profile.bandwidth
+    def _latency_rng(self, src: str) -> random.Random:
+        """*src*'s own stream (the registry memoises it by name)."""
+        return self._rng_registry.stream(f"latency:{src}")
+
+    def _hand_off(self, sim: Simulator, delay: float, message: Message) -> None:
+        """Schedule a delivery from the sending lane *sim*: on it when the
+        destination shares it, else through its outbox."""
         src_slot = sim.slot
         dst_slot = self._node_lane[message.dst]
         if dst_slot == src_slot:
-            sim.after(delay, self._deliver, message)
+            # *sim* is the active lane: a plain push.
+            Simulator.after(sim, delay, self._deliver, message)
         else:
-            arrival = sim.now + delay
             seq = self._outbox_seq[src_slot]
             self._outbox_seq[src_slot] = seq + 1
-            self._outboxes[src_slot].append((arrival, seq, dst_slot, message))
+            self._outboxes[src_slot].append(
+                (sim.now + delay, seq, dst_slot, message)
+            )
             self.cross_border_count += 1
             if self._perf_cross is not None:
                 self._perf_cross.add(message.size_bytes)
-
-    def _latency_rng(self, src: str) -> random.Random:
-        """First send from *src*: derive and memoize its latency stream."""
-        rng = self._latency_rngs[src] = self._rng_registry.stream(f"latency:{src}")
-        return rng
 
     # ------------------------------------------------------------------
     # Barrier work
@@ -190,25 +172,25 @@ class ShardedNetwork(Network):
         self._pending_removals.append(name)
 
     def _on_barrier(self, horizon: float) -> None:
+        if not self._pending_removals and not any(self._outboxes):
+            return
         transfers: list[tuple[float, int, int, int, Message]] = []
         for slot, outbox in enumerate(self._outboxes):
             if outbox:
                 self._outboxes[slot] = []
                 for arrival, seq, dst_slot, message in outbox:
                     transfers.append((arrival, seq, slot, dst_slot, message))
-        if transfers:
-            # Canonical (time, seq, shard) injection order.
-            transfers.sort(key=lambda entry: entry[:3])
-            lane = self._engine.lane
-            for arrival, _seq, _src, dst_slot, message in transfers:
-                if arrival < horizon:
-                    raise SimulationError(
-                        f"cross-border message {message.kind!r} arriving at "
-                        f"t={arrival} inside the lookahead window (barrier "
-                        f"{horizon}); is a profile's minimum() overstated?"
-                    )
-                lane(dst_slot).at(arrival, self._deliver, message)
-        if self._pending_removals:
-            for name in self._pending_removals:
-                self._nodes.pop(name, None)
-            self._pending_removals = []
+        transfers.sort()  # canonical: the (time, seq, shard) prefix is unique
+        lanes = self._engine._all
+        for arrival, _seq, _src, dst_slot, message in transfers:
+            if arrival < horizon:
+                raise SimulationError(
+                    f"cross-border message {message.kind!r} arriving at "
+                    f"t={arrival} inside the lookahead window (barrier "
+                    f"{horizon}); is a profile's minimum() overstated?"
+                )
+            # Between windows no lane is active: a plain push.
+            Simulator.at(lanes[dst_slot], arrival, self._deliver, message)
+        for name in self._pending_removals:
+            self._nodes.pop(name, None)
+        self._pending_removals = []

@@ -26,7 +26,6 @@ front — see :meth:`repro.sim.kernel.Simulator.run`).
 from __future__ import annotations
 
 import time
-from typing import Callable
 
 __all__ = [
     "PerfCounter",
@@ -262,9 +261,3 @@ class PerfRegistry:
                 for name in sorted(self.samplers)
             },
         }
-
-    def visit(self, fn: Callable[[str, object], None]) -> None:
-        """Call *fn(name, instrument)* for every instrument (tests)."""
-        for table in (self.counters, self.timers, self.samplers):
-            for name, instrument in table.items():
-                fn(name, instrument)

@@ -68,6 +68,9 @@ class Simulator:
     ) -> None:
         #: Current simulation time in seconds.
         self.now = float(start_time)
+        #: The simulator a send made now runs on (the sharded facade's
+        #: is its executing lane).
+        self.current = self
         #: ``[time, seq, callback, arg]`` entries (see repro.sim.events).
         self._heap: list[list] = []
         self._counter = itertools.count()

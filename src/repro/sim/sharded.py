@@ -26,6 +26,8 @@ protocol:
   generation, sampling — executes its events at exactly ``B``.  Events
   a lane scheduled *at* ``B`` run in the next window, consistently at
   every shard count (the barrier-exact edge case in the tests).
+* **Idle work is skipped.**  A lane with no event before ``B`` (the
+  global lane: none at ``B``) only has its clock set to ``B``.
 
 Determinism contract: with the same seed, every simulation output is
 byte-identical whatever ``shards`` — the engine at ``shards=1`` is the
@@ -39,6 +41,7 @@ executor.
 
 from __future__ import annotations
 
+import math
 import time as _time
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -157,6 +160,8 @@ class ShardedSimulator:
         #: (construction, barrier injection), when schedules go straight
         #: into the heap they name.
         self.active_lane: LaneSimulator | None = None
+        #: ``active_lane``, or the global lane between windows.
+        self.current: LaneSimulator = self._global
         self._running = False
         self._stopped = False
         self._barrier_hooks: list[Callable[[float], None]] = []
@@ -176,7 +181,7 @@ class ShardedSimulator:
     # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        return (self.active_lane or self._global).now
+        return self.current.now
 
     @property
     def events_processed(self) -> int:
@@ -194,26 +199,19 @@ class ShardedSimulator:
         """The lane simulator at *slot* (``shards`` is the global lane)."""
         return self._all[slot]
 
-    @property
-    def global_lane(self) -> LaneSimulator:
-        """The control lane (workload generation, samplers)."""
-        return self._global
-
     def add_barrier_hook(self, hook: Callable[[float], None]) -> None:
         """Run *hook(barrier_time)* at every barrier, before the global
         lane executes (the sharded network's outbox flush)."""
         self._barrier_hooks.append(hook)
 
     def at(self, time, callback, arg=NO_ARG):
-        return (self.active_lane or self._global).at(time, callback, arg)
+        return self.current.at(time, callback, arg)
 
     def after(self, delay, callback, arg=NO_ARG):
-        return (self.active_lane or self._global).after(delay, callback, arg)
+        return self.current.after(delay, callback, arg)
 
     def every(self, interval, callback, start=None):
-        return (self.active_lane or self._global).every(
-            interval, callback, start=start
-        )
+        return self.current.every(interval, callback, start=start)
 
     def cancel(self, entry: list) -> None:
         """Cancel the event *entry* on whichever lane it was scheduled.
@@ -259,6 +257,7 @@ class ShardedSimulator:
             self._loop(until)
         finally:
             self.active_lane = None
+            self.current = self._global
             self._running = False
 
     def _loop(self, until: float | None) -> None:
@@ -267,24 +266,25 @@ class ShardedSimulator:
         glob = self._global
         wall = self._perf_lane_wall
         clock = _time.perf_counter
+        inf = math.inf
+        horizon = inf if until is None else until
         while not self._stopped:
             self._inject()
-            next_lane = None
+            times = []
+            next_lane = inf
             for lane in lanes:
                 t = lane.next_time()
-                if t is not None and (next_lane is None or t < next_lane):
+                times.append(t)
+                if t is not None and t < next_lane:
                     next_lane = t
             next_global = glob.next_time()
-            candidates = []
-            if next_lane is not None:
-                candidates.append(next_lane + lookahead)
-            if next_global is not None:
-                candidates.append(next_global)
-            if until is not None:
-                candidates.append(until)
-            if not candidates:
+            barrier = min(
+                next_lane + lookahead,
+                inf if next_global is None else next_global,
+                horizon,
+            )
+            if barrier == inf:
                 break  # drained with no horizon
-            barrier = min(candidates)
             if barrier > self._barrier_time:
                 self.windows_run += 1
                 if self._perf_windows is not None:
@@ -292,28 +292,36 @@ class ShardedSimulator:
                     # Sim-time span per window: value accumulates the
                     # total span, count the number of windows.
                     self._perf_span.add(barrier - self._barrier_time)
-                for lane in lanes:
-                    self.active_lane = lane
+                for lane, t in zip(lanes, times):
                     if wall is not None:
                         started = clock()
+                    if t is not None and t < barrier:
+                        self.active_lane = self.current = lane
                         lane.run_window(barrier)
-                        wall.record(clock() - started)
                     else:
-                        lane.run_window(barrier)
+                        # Nothing enters a lane's heap mid-window.
+                        lane.now = barrier
+                    if wall is not None:
+                        wall.record(clock() - started)
+                self.active_lane = None
+                self.current = glob
                 self._barrier_time = barrier
             if self._stopped:
                 break
             # Global (control) events at exactly the barrier instant.
-            self.active_lane = glob
-            glob.run_window(barrier, inclusive=True)
-            self.active_lane = None
-            if until is not None and barrier >= until:
+            if next_global is not None and next_global <= barrier:
+                self.active_lane = glob  # ``current`` already is
+                glob.run_window(barrier, inclusive=True)
+                self.active_lane = None
+            elif glob.now < barrier:
+                glob.now = barrier
+            if barrier >= horizon:
                 # Lane events scheduled exactly at the horizon still
                 # execute — matching the classic kernel's inclusive
                 # run(until) — after the barrier's control work.
                 self._inject()
                 for lane in lanes:
-                    self.active_lane = lane
+                    self.active_lane = self.current = lane
                     lane.run_window(until, inclusive=True)
                 break
 
@@ -334,7 +342,7 @@ class ShardedSimulator:
                 for idx, (target, entry) in enumerate(deferred):
                     pending.append((entry[0], lane.slot, idx, target, entry))
         if pending:
-            pending.sort(key=lambda item: item[:3])
+            pending.sort()  # the (time, lane, order) prefix is unique
             for time, _, _, target, entry in pending:
                 if entry[2] is None:
                     continue

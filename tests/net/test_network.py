@@ -169,14 +169,6 @@ def test_messages_to_self_allowed():
     assert a.received[0][1].payload == "self"
 
 
-def test_message_ids_unique():
-    sim, net = make_net()
-    a = net.add_node(Recorder("a"))
-    net.add_node(Recorder("b"))
-    ids = {a.send("b", "t", None, size_bytes=1).msg_id for _ in range(100)}
-    assert len(ids) == 100
-
-
 def test_finite_service_rate_node_queues():
     sim, net = make_net(default_latency=1e-6)
     a = net.add_node(Recorder("a"))
