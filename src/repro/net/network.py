@@ -67,16 +67,20 @@ _LOOPBACK = loopback_profile()
 
 class Route:
     """One ordered pair's fixed latency (or ``None``), sampler,
-    bandwidth, ``by_pair`` counter and latency stream."""
+    bandwidth, ``by_pair`` counter, latency stream and the simulator
+    its destination lives on (``None`` when not known yet)."""
 
-    __slots__ = ("fixed", "latency", "bandwidth", "counter", "rng")
+    __slots__ = ("fixed", "latency", "bandwidth", "counter", "rng", "lane")
 
-    def __init__(self, profile: LinkProfile, counter: Counter, rng) -> None:
+    def __init__(
+        self, profile: LinkProfile, counter: Counter, rng, lane
+    ) -> None:
         self.fixed = profile.latency.fixed
         self.latency = profile.latency
         self.bandwidth = profile.bandwidth
         self.counter = counter
         self.rng = rng
+        self.lane = lane
 
 
 class Network:
@@ -101,9 +105,6 @@ class Network:
         self._routes: dict[tuple[str, str], Route] = {}
         #: Never rebound: routes hold its ``by_pair`` counters.
         self.stats = TrafficStats()
-        #: ``handoff(sim, delay, message)`` in place of ``after`` (the
-        #: sharded network's lane hand-off).
-        self._handoff = None
         #: Send-side observers: each tap is called with every message
         #: right after it is accounted (``sent_at`` already stamped).
         #: The trace recorder subscribes here; the hot path pays one
@@ -197,14 +198,22 @@ class Network:
         if self._perf_profile_miss is not None:
             self._perf_profile_miss.inc()
         key = (src, dst)
-        profile = self.profile_for(src, dst)
-        route = Route(profile, self.stats.by_pair[key], self._latency_rng(src))
+        route = Route(
+            self.profile_for(src, dst),
+            self.stats.by_pair[key],
+            self._latency_rng(src),
+            self._lane_of(dst),
+        )
         self._routes[key] = route
         return route
 
     def _latency_rng(self, src: str) -> random.Random:
         """The stream *src*'s latency jitter is drawn from."""
         return self._rng
+
+    def _lane_of(self, dst: str) -> Simulator | None:
+        """The simulator *dst* lives on: the one there is."""
+        return self.sim
 
     # ------------------------------------------------------------------
     # Stats taps
@@ -262,11 +271,19 @@ class Network:
         if delay is None:
             delay = route.latency.sample(route.rng)
         delay += size / route.bandwidth
-        # The message rides the heap entry (``arg``): no closure.
-        if self._handoff is None:
+        # The message rides the heap entry (``arg``): no closure.  On the
+        # plain network the destination's lane is always the sender's.
+        if route.lane is sim:
             sim.after(delay, self._deliver, message)
         else:
-            self._handoff(sim, delay, message)
+            self._hand_off(sim, delay, message)
+
+    def _hand_off(self, sim: Simulator, delay: float, message: Message) -> None:
+        """Schedule a delivery whose route does not name the sending
+        simulator *sim* — a lane crossing, which the sharded network
+        overrides.  Here it is reached only with a sharded engine as
+        ``self.sim``, whose lanes defer a crossing ``after`` themselves."""
+        sim.after(delay, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         node = self._nodes.get(message.dst)

@@ -27,9 +27,11 @@ What changes relative to the classic fabric:
   lanes' visibility of the removal would depend on execution order.
 
 ``transmit`` and its accounting are the base class's; this class
-supplies the per-source stream (:meth:`_latency_rng`, kept on the
-routes) and the lane hand-off (:meth:`_hand_off`).  Sums do not depend
-on the order lanes add to them, and the stats digest is canonical.
+supplies the per-source stream (:meth:`_latency_rng`) and the
+destination's lane (:meth:`_lane_of`), both kept on the routes, and the
+hand-off for a lane crossing (:meth:`_hand_off`).  A same-lane send is
+the plain network's ``after``.  Sums do not depend on the order lanes
+add to them, and the stats digest is canonical.
 
 The lookahead the engine needs is :meth:`minimum_cross_latency`: the
 smallest ``LatencyModel.minimum()`` over every profile that can apply
@@ -83,7 +85,6 @@ class ShardedNetwork(Network):
         self._perf_cross = (
             perf.counter("shard.cross_border") if perf is not None else None
         )
-        self._handoff = self._hand_off
         engine.add_barrier_hook(self._on_barrier)
 
     # ------------------------------------------------------------------
@@ -100,7 +101,10 @@ class ShardedNetwork(Network):
             slot = self._map.shard_count  # the global lane
         else:
             slot = self._map.lane_for_point(anchor)
+        previous = self._node_lane.get(node.name, slot)
         self._node_lane[node.name] = slot
+        if previous != slot:
+            self._routes.clear()  # re-homed: routes name the old lane
         return self._engine.lane(slot)
 
     def set_colocated(self, a: str, b: str) -> None:
@@ -140,20 +144,26 @@ class ShardedNetwork(Network):
         """*src*'s own stream (the registry memoises it by name)."""
         return self._rng_registry.stream(f"latency:{src}")
 
+    def _lane_of(self, dst: str) -> Simulator | None:
+        """*dst*'s lane, or ``None`` for a name not registered yet."""
+        slot = self._node_lane.get(dst)
+        return None if slot is None else self._engine.lane(slot)
+
     def _hand_off(self, sim: Simulator, delay: float, message: Message) -> None:
-        """Schedule a delivery from the sending lane *sim*: on it when the
-        destination shares it, else through its outbox."""
+        """Schedule a delivery whose route does not name the sending lane
+        *sim*: through its outbox, or on *sim* when a route built before
+        the destination was registered hid that they share it."""
         src_slot = sim.slot
         dst_slot = self._node_lane[message.dst]
         if dst_slot == src_slot:
-            # *sim* is the active lane: a plain push.
-            Simulator.after(sim, delay, self._deliver, message)
+            sim.after(delay, self._deliver, message)
         else:
             seq = self._outbox_seq[src_slot]
             self._outbox_seq[src_slot] = seq + 1
             self._outboxes[src_slot].append(
                 (sim.now + delay, seq, dst_slot, message)
             )
+            self._engine.exchange_pending = True
             self.cross_border_count += 1
             if self._perf_cross is not None:
                 self._perf_cross.add(message.size_bytes)
@@ -170,6 +180,7 @@ class ShardedNetwork(Network):
         the (shard-count-invariant) barrier grid.
         """
         self._pending_removals.append(name)
+        self._engine.exchange_pending = True
 
     def _on_barrier(self, horizon: float) -> None:
         if not self._pending_removals and not any(self._outboxes):

@@ -25,8 +25,8 @@ plain one.
 A schedule is one frame: :meth:`Simulator.at` / :meth:`Simulator.after`
 build the ``[time, seq, callback, arg]`` heap entry, push it, and
 return it as the cancel handle.  ``now`` is a plain attribute that only
-the loop (and the run/window ends) writes, so reading the clock costs
-no frame either.
+the loop (and the end of a run, or of a sharded window) writes, so
+reading the clock costs no frame either.
 """
 
 from __future__ import annotations
@@ -280,30 +280,6 @@ class Simulator:
                 run(limit, min(untimed, left - 1))
         finally:
             perf.counter("sim.events").inc(self._event_count - before)
-
-    def run_window(self, end: float, inclusive: bool = False) -> int:
-        """Drain events up to *end* and advance the clock to exactly *end*.
-
-        The sharded kernel's window-run mode: events strictly before
-        *end* execute (``inclusive=True`` also takes events at exactly
-        *end* — the barrier's own instant), then the clock lands on
-        *end* so every shard observes the same time at a barrier.
-        Returns the number of events executed.
-        """
-        if self._running:
-            raise SimulationError("run_window() called re-entrantly")
-        self._running = True
-        self._stopped = False
-        try:
-            # "time < end" is "time <= the float just below end".
-            executed = self._run_plain(
-                end if inclusive else math.nextafter(end, -math.inf)
-            )
-        finally:
-            self._running = False
-        if self.now < end and not self._stopped:
-            self.now = end
-        return executed
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""

@@ -27,7 +27,12 @@ protocol:
   a lane scheduled *at* ``B`` run in the next window, consistently at
   every shard count (the barrier-exact edge case in the tests).
 * **Idle work is skipped.**  A lane with no event before ``B`` (the
-  global lane: none at ``B``) only has its clock set to ``B``.
+  global lane: none at ``B``) only has its clock set to ``B``, and
+  injection and the barrier hooks run only when a writer set
+  :attr:`ShardedSimulator.exchange_pending` — a round that crossed no
+  lane costs its events and no frame of its own.
+* **Stop** takes effect at the barrier of the window it was called in:
+  every lane finishes that window, at any shard count.
 
 Determinism contract: with the same seed, every simulation output is
 byte-identical whatever ``shards`` — the engine at ``shards=1`` is the
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.sim.events import NO_ARG
@@ -81,28 +87,38 @@ class LaneSimulator(Simulator):
         #: executing: ``(target_lane, entry)`` in creation order.
         self._deferred: list[tuple["LaneSimulator", list]] = []
 
+    # An own-lane schedule is one frame, like ``Simulator.at`` / ``after``.
     def at(
         self, time: float, callback: Callable[..., Any], arg: Any = NO_ARG
     ) -> list:
         active = self._engine.active_lane
         if active is None or active is self:
-            return Simulator.at(self, time, callback, arg)
+            if time < self.now:
+                raise SimulationError(
+                    f"cannot schedule event at t={time} before now={self.now}"
+                )
+            entry = [time, next(self._counter), callback, arg]
+            heappush(self._heap, entry)
+            return entry
         if time < active.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={active.now}"
             )
         entry = [time, -1, callback, arg]
         active._deferred.append((self, entry))
+        self._engine.exchange_pending = True
         return entry
 
     def after(
         self, delay: float, callback: Callable[..., Any], arg: Any = NO_ARG
     ) -> list:
-        active = self._engine.active_lane
-        if active is None or active is self:
-            return Simulator.after(self, delay, callback, arg)
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
+        active = self._engine.active_lane
+        if active is None or active is self:
+            entry = [self.now + delay, next(self._counter), callback, arg]
+            heappush(self._heap, entry)
+            return entry
         return self.at(active.now + delay, callback, arg)
 
     def every(
@@ -127,6 +143,11 @@ class LaneSimulator(Simulator):
             entry[2] = None
         else:
             Simulator.cancel(self, entry)
+
+    def stop(self) -> None:
+        """Stop the engine (see :meth:`ShardedSimulator.stop`): a lane
+        never stops alone."""
+        self._engine.stop()
 
 
 class ShardedSimulator:
@@ -164,6 +185,11 @@ class ShardedSimulator:
         self.current: LaneSimulator = self._global
         self._running = False
         self._stopped = False
+        #: Set by every writer of barrier work — a deferred cross-lane
+        #: schedule, an outbox entry, a queued node removal — and when a
+        #: run starts; the loop injects and runs the barrier hooks only
+        #: while it is set.
+        self.exchange_pending = True
         self._barrier_hooks: list[Callable[[float], None]] = []
         self.windows_run = 0
         self._perf = perf
@@ -200,8 +226,9 @@ class ShardedSimulator:
         return self._all[slot]
 
     def add_barrier_hook(self, hook: Callable[[float], None]) -> None:
-        """Run *hook(barrier_time)* at every barrier, before the global
-        lane executes (the sharded network's outbox flush)."""
+        """Run *hook(barrier_time)* at each barrier where
+        :attr:`exchange_pending` is set, after injection (the sharded
+        network's outbox flush and removals; their writers set it)."""
         self._barrier_hooks.append(hook)
 
     def at(self, time, callback, arg=NO_ARG):
@@ -232,9 +259,16 @@ class ShardedSimulator:
         entry[2] = None
 
     def stop(self) -> None:
+        """Stop the run at the barrier of the window it was called in.
+
+        Unlike the plain kernel's "after the executing event" — on
+        purpose — every lane finishes the window, so what runs does not
+        depend on the shard count, and :attr:`now` lands on the
+        barrier.  A stop from a shard lane leaves the global lane's
+        events at that barrier to the next run; a stop from the global
+        lane lets it finish them.
+        """
         self._stopped = True
-        for lane in self._all:
-            lane.stop()
 
     # ------------------------------------------------------------------
     # Execution
@@ -253,76 +287,109 @@ class ShardedSimulator:
             )
         self._running = True
         self._stopped = False
+        self.exchange_pending = True
+        # A lane's own run() would drain it outside the barrier grid.
+        for lane in self._all:
+            lane._running = True
         try:
             self._loop(until)
         finally:
             self.active_lane = None
             self.current = self._global
             self._running = False
+            for lane in self._all:
+                lane._running = False
 
     def _loop(self, until: float | None) -> None:
+        """The barrier rounds.  A round costs no frame of its own: heads
+        are read inline, a lane with an event before the barrier is
+        drained by ``_run_plain`` (the one loop that calls event
+        callbacks) and injection runs only while
+        :attr:`exchange_pending` is set."""
         lookahead = self.lookahead
         lanes = self._lanes
         glob = self._global
+        glob_heap = glob._heap
+        windows = self._perf_windows
         wall = self._perf_lane_wall
         clock = _time.perf_counter
         inf = math.inf
+        nextafter = math.nextafter
         horizon = inf if until is None else until
-        while not self._stopped:
-            self._inject()
-            times = []
+        heads = [inf] * len(lanes)
+        last = self._barrier_time
+        while True:
+            if self.exchange_pending:
+                self.exchange_pending = False
+                self._inject()
+            # Live heads; cancelled ones are discarded and accounted
+            # here, as ``Simulator.next_time`` does.
             next_lane = inf
-            for lane in lanes:
-                t = lane.next_time()
-                times.append(t)
-                if t is not None and t < next_lane:
+            for slot, lane in enumerate(lanes):
+                heap = lane._heap
+                while heap and heap[0][2] is None:
+                    heappop(heap)
+                    lane._cancelled -= 1
+                t = heap[0][0] if heap else inf
+                heads[slot] = t
+                if t < next_lane:
                     next_lane = t
-            next_global = glob.next_time()
-            barrier = min(
-                next_lane + lookahead,
-                inf if next_global is None else next_global,
-                horizon,
-            )
+            while glob_heap and glob_heap[0][2] is None:
+                heappop(glob_heap)
+                glob._cancelled -= 1
+            next_global = glob_heap[0][0] if glob_heap else inf
+            barrier = next_lane + lookahead
+            if next_global < barrier:
+                barrier = next_global
+            if horizon < barrier:
+                barrier = horizon
             if barrier == inf:
                 break  # drained with no horizon
-            if barrier > self._barrier_time:
+            if barrier > last:
                 self.windows_run += 1
-                if self._perf_windows is not None:
-                    self._perf_windows.inc()
+                if windows is not None:
+                    windows.inc()
                     # Sim-time span per window: value accumulates the
                     # total span, count the number of windows.
-                    self._perf_span.add(barrier - self._barrier_time)
-                for lane, t in zip(lanes, times):
+                    self._perf_span.add(barrier - last)
+                # "time < barrier" is "time <= the float just below it".
+                end = nextafter(barrier, -inf)
+                for lane, t in zip(lanes, heads):
                     if wall is not None:
                         started = clock()
-                    if t is not None and t < barrier:
+                    # Nothing enters a lane's heap mid-window, so the
+                    # head read above still holds (a facade cancel may
+                    # have marked it: the drain then runs nothing).
+                    if t < barrier:
                         self.active_lane = self.current = lane
-                        lane.run_window(barrier)
-                    else:
-                        # Nothing enters a lane's heap mid-window.
-                        lane.now = barrier
+                        lane._run_plain(end)
+                    lane.now = barrier
                     if wall is not None:
                         wall.record(clock() - started)
                 self.active_lane = None
                 self.current = glob
-                self._barrier_time = barrier
+                last = self._barrier_time = barrier
+            # Global (control) events at exactly the barrier instant.
+            if next_global <= barrier and not self._stopped:
+                self.active_lane = glob  # ``current`` already is
+                glob._run_plain(barrier)
+                self.active_lane = None
+            if glob.now < barrier:
+                glob.now = barrier
             if self._stopped:
                 break
-            # Global (control) events at exactly the barrier instant.
-            if next_global is not None and next_global <= barrier:
-                self.active_lane = glob  # ``current`` already is
-                glob.run_window(barrier, inclusive=True)
-                self.active_lane = None
-            elif glob.now < barrier:
-                glob.now = barrier
             if barrier >= horizon:
                 # Lane events scheduled exactly at the horizon still
                 # execute — matching the classic kernel's inclusive
                 # run(until) — after the barrier's control work.
-                self._inject()
+                if self.exchange_pending:
+                    self.exchange_pending = False
+                    self._inject()
                 for lane in lanes:
                     self.active_lane = self.current = lane
-                    lane.run_window(until, inclusive=True)
+                    lane._run_plain(until)
+                    if lane.now < until:
+                        lane.now = until
                 break
 
     def _inject(self) -> None:

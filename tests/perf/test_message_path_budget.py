@@ -8,32 +8,37 @@ path (``Network(perf=None)``) has a budget.  docs/ARCHITECTURE.md,
 "The life of a message", names the frames.
 
 The sharded rows run the same two nodes on ``ShardedSimulator(2)`` +
-``ShardedNetwork``: anchored on one lane (the message is scheduled
-straight onto it) and on two (outbox, barrier flush).  The engine with
-a thread-local active lane behind accessor calls and per-lane
-accounting slots (commit 3e29abb) cost 21.2 and 25.2 frames per
-message here; the serial-lane engine costs one lane hand-off
-(``ShardedNetwork._hand_off``) above the plain path plus the window
-loop.
+``ShardedNetwork``: anchored on one lane (the route names the sending
+lane, so the message is the plain path's ``after``) and on two (the
+hand-off to an outbox, then the barrier flush).  The engine with a
+thread-local active lane behind accessor calls and per-lane accounting
+slots (commit 3e29abb) cost 21.2 and 25.2 frames per message here.  The
+barrier-round row counts calls per *window* instead: two lanes with one
+self-rescheduling event each, so a window runs one event, its
+``after`` and the drain — the round itself adds no frame.
 
-Frames per message on CPython 3.11.  The middle column is after the
-heap entry became the event handle (no ``Event.__init__`` per
-schedule) and the finite-rate queue started its service periods in
-place (no ``_start_next``).  The last is after each ``(src, dst)``
-got one resolved route (no ``TrafficStats.record`` frame) and the
-queue started calling the ``@handles`` method itself (no
-``handle_message`` frame); on lanes, one ``transmit`` serves both
-networks and idle lanes skip their barrier work.  Every budget fails
-at the middle column:
+Calls on CPython 3.11 after each rewrite: *entry* — the heap entry
+became the event handle (no ``Event.__init__`` per schedule) and the
+finite-rate queue started its service periods in place (no
+``_start_next``); *route* — each ``(src, dst)`` got one resolved route
+(no ``TrafficStats.record`` frame), the queue started calling the
+``@handles`` method itself (no ``handle_message`` frame) and one
+``transmit`` served both networks; *lane* — the route carries its
+destination's lane (no hand-off frame for a same-lane send), and the
+barrier loop reads heads inline, drains each lane through
+``_run_plain`` and injects only after a window that crossed lanes (no
+``_inject``, ``next_time``, ``run_window`` or barrier-hook frame per
+round).  Every budget fails at the column before the one that set it:
 
-==========  ======  ======  =====  ======
-row         before  middle  after  budget
-==========  ======  ======  =====  ======
-idle        12.0    11.0    9.0    10
-queued      16.0    13.0    11.0   12
-same-lane   13.1    12.1    10.1   11
-cross-lane  15.1    14.1    10.1   11
-==========  ======  ======  =====  ======
+==========  ======  =====  =====  ====  ======
+row         before  entry  route  lane  budget
+==========  ======  =====  =====  ====  ======
+idle        12.0    11.0   9.0    9.0   10
+queued      16.0    13.0   11.0   11.0  12
+same-lane   13.1    12.1   10.1   9.0   9.5
+cross-lane  15.1    14.1   10.1   10.0  11
+round                      9.0    3.0   4
+==========  ======  =====  =====  ====  ======
 """
 
 import gc
@@ -145,9 +150,32 @@ def sharded_frames_per_message(sink_x):
 
 
 @pytest.mark.parametrize(
-    "sink_x, budget", [(20, 11), (90, 11)], ids=["same-lane", "cross-lane"]
+    "sink_x, budget", [(20, 9.5), (90, 11)], ids=["same-lane", "cross-lane"]
 )
 def test_frames_from_send_to_handler_on_shard_lanes(sink_x, budget):
     frames = sharded_frames_per_message(sink_x)
     assert frames == sharded_frames_per_message(sink_x)  # repeats exactly
     assert frames <= budget
+
+
+def calls_per_barrier_round():
+    engine = ShardedSimulator(2, lookahead=0.1)
+    # Lane 0 ticks at whole seconds, lane 1 half a second later: every
+    # window holds exactly one event, and no window crosses lanes.
+    for slot, start in ((0, 0.0), (1, 0.5)):
+        lane = engine.lane(slot)
+
+        def tick(lane=lane):
+            lane.after(1.0, tick)
+
+        lane.at(start, tick)
+    engine.run(until=1.0)
+    before = engine.windows_run
+    calls = count_calls(lambda: engine.run(until=201.0))
+    return calls / (engine.windows_run - before)
+
+
+def test_calls_per_barrier_round():
+    calls = calls_per_barrier_round()
+    assert calls == calls_per_barrier_round()  # repeats exactly
+    assert calls <= 4

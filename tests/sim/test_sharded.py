@@ -3,9 +3,9 @@
 Two layers, mirroring the module:
 
 * engine unit tests — the :class:`ShardedSimulator` facade, cross-lane
-  deferral and cancellation, and the window-boundary edge cases (an
-  event scheduled at exactly the barrier time, and at exactly the
-  horizon);
+  deferral and cancellation, the window-boundary edge cases (an event
+  scheduled at exactly the barrier time, and at exactly the horizon),
+  stop and re-entrancy, and the exchange flag each barrier writer sets;
 * Matrix determinism — the engine's reason to exist: byte-identical
   ``TrafficStats`` (canonical digest) and sweep metrics for shards=1
   vs shards=2/4 on fig2-hotspot, steady-churn and lossy-wan, plus a
@@ -19,8 +19,13 @@ import pytest
 from repro.cli import run_summary_cell
 from repro.core.config import LoadPolicyConfig, PerfConfig
 from repro.games.profile import profile_by_name
+from repro.geometry import Rect, Vec2
+from repro.geometry.sharding import ShardMap
 from repro.harness.compare import scaled_profile
 from repro.harness.runner import run_scenario
+from repro.net import ConstantLatency, LinkProfile, Node, handles
+from repro.net.sharded import ShardedNetwork
+from repro.sim import RngRegistry
 from repro.sim.kernel import SimulationError
 from repro.sim.sharded import ShardedSimulator
 from repro.workload.scenarios import build_scenario
@@ -246,6 +251,45 @@ class TestShardedSimulatorFacade:
             pings = [time for kind, time in traces[i] if kind == "ping"]
             assert pings == due[i] and len(pings) >= 6
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_stop_takes_effect_at_the_barrier_at_any_shard_count(self, shards):
+        """Every lane finishes the window a stop was called in — the
+        stopping one included — and the clock lands on its barrier;
+        the global lane's events at that barrier wait for the next
+        run.  (Lane 1 is lane 0 at one shard.)"""
+        engine = ShardedSimulator(shards, lookahead=0.5)
+        fired = []
+
+        def a():
+            fired.append("a")
+            engine.lane(0).stop()  # a node's ``self.sim.stop()``
+
+        engine.lane(0).at(0.1, a)
+        engine.lane(0).at(0.12, lambda: fired.append("c"))
+        engine.lane(shards - 1).at(0.15, lambda: fired.append("b"))
+        engine.at(0.6, lambda: fired.append("g"))
+        engine.lane(0).at(0.7, lambda: fired.append("d"))
+        engine.run(until=2.0)
+        assert fired == ["a", "c", "b"]
+        assert engine.now == 0.6
+        engine.run(until=2.0)
+        assert fired == ["a", "c", "b", "g", "d"]
+        assert engine.now == 2.0
+
+    def test_run_from_inside_an_event_raises(self):
+        engine = ShardedSimulator(2, lookahead=0.5)
+        refused = []
+
+        def inner():
+            for run in (engine.run, engine.lane(0).run, engine.lane(1).run):
+                with pytest.raises(SimulationError, match="re-entrantly"):
+                    run()
+                refused.append(run)
+
+        engine.lane(0).at(1.0, inner)
+        engine.run(until=2.0)
+        assert len(refused) == 3
+
     def test_perf_counters_track_windows(self):
         from repro.perf import PerfRegistry
 
@@ -260,6 +304,96 @@ class TestShardedSimulatorFacade:
             "count": windows, "value": 2.0,
         }
         assert snapshot["timers"]["shard.lane_wall"]["count"] == 2 * windows
+
+
+class Probe(Node):
+    """Logs each ``probe`` as ``(name, arrival, window it ran in)``."""
+
+    def __init__(self, name, log, x=None):
+        super().__init__(name)
+        if x is not None:
+            self.shard_anchor = Vec2(x, 50)
+        self._log = log
+
+    @handles("probe")
+    def _on_probe(self, message):
+        self._log.append((self.name, self.sim.now, self.network.sim.windows_run))
+
+
+def lanes_network():
+    """Two lanes (x < 50, x >= 50) and a constant 10 ms link, which is
+    also the lookahead."""
+    engine = ShardedSimulator(2)
+    network = ShardedNetwork(
+        engine,
+        ShardMap(Rect(0, 0, 100, 100), 2),
+        RngRegistry(seed=1),
+        default_profile=LinkProfile(ConstantLatency(0.01), 1e9),
+    )
+    engine.lookahead = network.minimum_cross_latency()
+    return engine, network
+
+
+class TestExchangeFlag:
+    """Barrier exchange runs only after a window that set
+    ``exchange_pending``.  In each run below one writer is the only
+    cross-lane work there is, so a writer that did not set the flag
+    would leave its work unapplied; each is applied at the barrier it
+    always was, with the same arrival times and delivery counts."""
+
+    def test_a_deferred_schedule(self):
+        engine = ShardedSimulator(2, lookahead=0.5)
+        trace = []
+        handle = {}
+
+        def src():
+            handle["entry"] = engine.lane(1).after(
+                0.6, lambda: trace.append(("dst", engine.now, engine.windows_run))
+            )
+
+        def look():  # the global lane, at the barrier closing src's window
+            trace.append(("seq", handle["entry"][1], engine.windows_run))
+
+        engine.lane(0).at(1.0, src)
+        engine.at(1.5, look)
+        engine.run(until=3.0)
+        assert trace == [("seq", -1, 1), ("dst", 1.6, 2)]
+        assert engine.windows_run == 3
+        assert engine.pending_events == 0
+
+    def test_a_node_removal_with_empty_outboxes(self):
+        engine, network = lanes_network()
+        log = []
+        source = network.add_node(Probe("a", log, 10))
+        network.add_node(Probe("c", log, 20))  # the sender's lane
+
+        def send(payload):
+            source.send("c", "probe", payload, 0)
+
+        def send_then_remove():
+            send(2)  # arrives on the barrier the removal is applied at
+            network.remove_node("c")
+
+        source.sim.at(0.5, send, 1)
+        source.sim.at(1.0, send_then_remove)
+        engine.run(until=2.0)
+        assert log == [("c", 0.51, 2)]
+        assert not network.has_node("c")
+        assert (network.delivered_count, network.undeliverable_count) == (1, 1)
+        assert network.cross_border_count == 0
+        assert engine.windows_run == 5
+
+    def test_a_global_lane_send_into_a_lane(self):
+        engine, network = lanes_network()
+        log = []
+        control = network.add_node(Probe("g", log))  # no anchor: global lane
+        network.add_node(Probe("b", log, 90))
+        engine.at(1.0, lambda: control.send("b", "probe", None, 0))
+        engine.run(until=2.0)
+        assert log == [("b", 1.01, 2)]
+        assert (network.delivered_count, network.undeliverable_count) == (1, 0)
+        assert network.cross_border_count == 1
+        assert engine.windows_run == 3
 
 
 # ----------------------------------------------------------------------
