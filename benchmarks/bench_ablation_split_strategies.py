@@ -6,22 +6,14 @@ This bench runs the same hotspot under all three implemented strategies
 and compares servers used, splits needed, and peak queue.
 """
 
-import dataclasses
-
 from common import SCALE, fig2_arguments, record
 
 from repro.core.splitting import STRATEGIES
-from repro.harness.experiment import matrix_config_for
 from repro.harness.runner import run_scenario
 
 
 def run_with_strategy(strategy: str):
-    arguments = fig2_arguments()
-    # matrix_config wins over the policy argument inside MatrixExperiment,
-    # so the scaled policy travels inside the config.
-    config = matrix_config_for(arguments["profile"], arguments["policy"])
-    config = dataclasses.replace(config, split_strategy=strategy)
-    return run_scenario(**arguments, matrix_config=config).result
+    return run_scenario(**fig2_arguments(), split_strategy=strategy).result
 
 
 def test_split_strategy_ablation(benchmark):

@@ -2,7 +2,7 @@
 
 Runs the same boundary-heavy scenario twice on a two-server grid —
 once with the stock pipeline and once with
-``MiddlewareConfig(batch_spatial_forwards=True)`` — and compares the
+``run_scenario(..., batch_spatial_forwards=True)`` — and compares the
 wire traffic.  Batching aggregates same-destination ``matrix.forward``
 packets within one flush window into a single ``net.batch`` message, so
 game-visible deliveries stay identical while inter-Matrix-server
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from common import record, record_json
 
-from repro.core.config import MiddlewareConfig
 from repro.games.profile import profile_by_name
 from repro.harness.compare import scaled_profile
 from repro.harness.runner import run_scenario
@@ -41,11 +40,11 @@ BORDER_MILL = Scenario(
 )
 
 
-def _run(middleware: MiddlewareConfig | None):
+def _run(batch_spatial_forwards: bool):
     outcome = run_scenario(
         BORDER_MILL,
         profile=scaled_profile(profile_by_name("bzflag"), 0.25),
-        middleware=middleware,
+        batch_spatial_forwards=batch_spatial_forwards,
         seed=7,
     )
     result, experiment = outcome.result, outcome.experiment
@@ -65,10 +64,8 @@ def _run(middleware: MiddlewareConfig | None):
 
 
 def test_batching_reduces_forward_messages():
-    plain = _run(None)
-    batched = _run(
-        MiddlewareConfig(batch_spatial_forwards=True, batch_window=0.05)
-    )
+    plain = _run(False)
+    batched = _run(True)
 
     forwards_saved = plain["forward_messages"] - (
         batched["forward_messages"] + batched["batch_messages"]

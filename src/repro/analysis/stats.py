@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,6 +77,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     var_x = sum((x - mean_x) ** 2 for x in xs)
     var_y = sum((y - mean_y) ** 2 for y in ys)
-    if var_x == 0.0 or var_y == 0.0:
+    product = var_x * var_y
+    # Below the smallest normal float the product has underflowed to
+    # zero or lost the precision the ratio needs (tiny but nonzero
+    # variances): as unusable as a zero variance.
+    if product < sys.float_info.min:
         raise ValueError("zero variance")
-    return cov / math.sqrt(var_x * var_y)
+    return cov / math.sqrt(product)

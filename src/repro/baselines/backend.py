@@ -43,6 +43,10 @@ from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
 from repro.workload.fleet import ClientFleet
 
+#: Seconds between two samples of the per-server client counts and
+#: queue lengths (the Fig 2 panels).
+SAMPLE_PERIOD = 1.0
+
 
 @dataclass(frozen=True, slots=True)
 class BackendInfo:
@@ -120,7 +124,6 @@ class ArchitectureBackend(ABC):
         profile: GameProfile,
         seed: int = 0,
         perf: PerfConfig | None = None,
-        sample_period: float = 1.0,
     ) -> None:
         self.profile = profile
         self.rng = RngRegistry(seed=seed)
@@ -129,7 +132,6 @@ class ArchitectureBackend(ABC):
         self.perf = perf.build_registry() if perf is not None else None
         self.sim = self._build_sim()
         self.network = self._build_network()
-        self._sample_period = sample_period
         self._sampler: Sampler | None = None
         #: The armed :class:`~repro.chaos.ChaosDriver`, or None.  Set
         #: by the unified runner for scenarios that declare faults.
@@ -219,7 +221,7 @@ class ArchitectureBackend(ABC):
         """
         if self._sampler is None:
             self._sampler = Sampler(
-                self.sim, self._sample_period, self.probes
+                self.sim, SAMPLE_PERIOD, self.probes
             )
 
     def run(self, until: float) -> BackendResult:

@@ -145,7 +145,6 @@ class DhtZoneRouter(StaticZoneRouter):
         radius: float,
         ring: list[str],
         sample_hops,
-        service_rate: float = 20000.0,
     ) -> None:
         super().__init__(
             name,
@@ -156,7 +155,6 @@ class DhtZoneRouter(StaticZoneRouter):
             directory,
             metric,
             radius,
-            service_rate=service_rate,
         )
         self._ring = ring
         self._ring_index = ring.index(name)

@@ -165,9 +165,7 @@ class PlayerUplink(Node):
         self._processed_seq = 0
         self._snapshot_seq = 0
         self._snapshot_task = None
-        self.upload_messages = 0
         self.upload_bytes = 0
-        self.peer_packets_heard = 0
         self._perf_fanout = None
 
     def attach(self, network) -> None:
@@ -293,12 +291,11 @@ class PlayerUplink(Node):
     # ------------------------------------------------------------------
     @handles("p2p.update", "p2p.action")
     def _on_peer_packet(self, message: Message) -> None:
-        self.peer_packets_heard += 1
+        """A peer's update or action: its cost is the queueing it caused."""
 
     def _fan_out(self, kind: str, payload, size_bytes: int) -> None:
         self.multicast(self._peers, kind, payload, size_bytes)
         fanned = len(self._peers)
-        self.upload_messages += fanned
         self.upload_bytes += size_bytes * fanned
         if self._perf_fanout is not None:
             self._perf_fanout.add(fanned)

@@ -18,7 +18,7 @@ of dynamic repartitioning.
 from __future__ import annotations
 
 from repro.baselines.backend import ArchitectureBackend
-from repro.core.config import PerfConfig
+from repro.core.config import ROUTER_SERVICE_RATE, PerfConfig
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.games.base import GameServer
 from repro.games.profile import GameProfile
@@ -56,9 +56,8 @@ class StaticZoneRouter(Node):
         directory: dict[str, Rect],
         metric,
         radius: float,
-        service_rate: float = 20000.0,
     ) -> None:
-        super().__init__(name, service_rate=service_rate)
+        super().__init__(name, service_rate=ROUTER_SERVICE_RATE)
         self._game_server = game_server
         self._partition = partition
         self._table = table

@@ -32,6 +32,10 @@ from repro.workload.scenarios.spec import (
     ServerCrash,
 )
 
+#: Age at which an in-flight split/reclaim of an armed run is aborted
+#: and rolled back (``MatrixConfig.lifecycle_timeout``).
+LIFECYCLE_TIMEOUT = 6.0
+
 
 @dataclass(frozen=True)
 class ChaosOptions:
@@ -40,14 +44,6 @@ class ChaosOptions:
     #: Faults injected on top of the scenario's declared fault phases
     #: (the chaos bench uses this to stress plain scenarios).
     extra_faults: tuple[FaultPhase, ...] = ()
-    #: Host-supervisor sweep period (crash-detection latency bound).
-    supervisor_interval: float = 0.5
-    #: Downtime of a crashed host before its lease returns to the pool.
-    host_reboot_delay: float = 2.0
-    #: Snapshot silence after which a client relocates and rejoins.
-    client_rejoin_timeout: float = 3.0
-    #: Age at which an in-flight split/reclaim is aborted and rolled back.
-    lifecycle_timeout: float = 6.0
 
 
 @dataclass
@@ -138,9 +134,9 @@ class ChaosDriver:
         self._scenario = scenario
         self._experiment = experiment
         self._backend = backend
-        self._options = options or ChaosOptions()
+        options = options or ChaosOptions()
         self._faults: tuple[FaultPhase, ...] = (
-            tuple(scenario.fault_phases()) + tuple(self._options.extra_faults)
+            tuple(scenario.fault_phases()) + tuple(options.extra_faults)
         )
         self._deployment = getattr(experiment, "deployment", None)
         self._is_matrix = backend == "matrix" and hasattr(
@@ -183,18 +179,12 @@ class ChaosDriver:
         if self._armed:
             raise RuntimeError("chaos driver already armed")
         self._armed = True
-        options = self._options
         sim = self._experiment.sim
         if self._is_matrix:
             deployment = self._deployment
-            deployment.enable_crash_recovery(
-                check_interval=options.supervisor_interval,
-                host_reboot_delay=options.host_reboot_delay,
-            )
-            deployment.config.lifecycle_timeout = options.lifecycle_timeout
-            self._experiment.fleet.enable_rejoin(
-                options.client_rejoin_timeout
-            )
+            deployment.enable_crash_recovery()
+            deployment.config.lifecycle_timeout = LIFECYCLE_TIMEOUT
+            self._experiment.fleet.enable_rejoin()
             deployment.pair_created_hooks.append(self._on_pair_created)
         horizon = self._scenario.duration
         for fault in self._faults:

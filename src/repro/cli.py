@@ -220,7 +220,7 @@ def _run_and_summarize(arguments: dict):
 def _cmd_run(args) -> int:
     options = _run_options(args)
     names = _checked_names(args, options)
-    if len(args.scenarios) == 1:
+    if len(names) == 1:
         _run_and_summarize(run_arguments(names[0], **options))
         return 0
     # Several scenarios named: fan out and print a compact table.

@@ -1,13 +1,7 @@
 """Matrix middleware core: coordinator, servers, policy, deployment."""
 
 from repro.core.api import GameServerHandle, MatrixPort
-from repro.core.config import (
-    LoadPolicyConfig,
-    MatrixConfig,
-    MiddlewareConfig,
-    PerfConfig,
-    WireConfig,
-)
+from repro.core.config import LoadPolicyConfig, MatrixConfig, PerfConfig
 from repro.core.coordinator import MatrixCoordinator, StandbyCoordinator
 from repro.core.deployment import GameServerFactory, MatrixDeployment, ServerEvent
 from repro.core.messages import (
@@ -68,7 +62,6 @@ __all__ = [
     "MatrixDeployment",
     "MatrixPort",
     "MatrixServer",
-    "MiddlewareConfig",
     "OverlapTableUpdate",
     "PerfConfig",
     "ReclaimAck",
@@ -90,5 +83,4 @@ __all__ = [
     "StateChunk",
     "StateDone",
     "UnregisterServer",
-    "WireConfig",
 ]

@@ -23,6 +23,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
+from repro.core.config import (
+    CONTROL_BYTES,
+    LOAD_REPORT_BYTES,
+    SPATIAL_TAG_BYTES,
+)
 from repro.core.messages import (
     ConsistencyQuery,
     DeliverPacket,
@@ -74,19 +79,9 @@ class MatrixPort:
 
     _query_ids = itertools.count(1)
 
-    def __init__(
-        self,
-        owner: Node,
-        visibility_radius: float,
-        spatial_tag_bytes: int = 24,
-        load_report_bytes: int = 32,
-        control_bytes: int = 64,
-    ) -> None:
+    def __init__(self, owner: Node, visibility_radius: float) -> None:
         self._owner = owner
         self._radius = visibility_radius
-        self._tag_bytes = spatial_tag_bytes
-        self._report_bytes = load_report_bytes
-        self._control_bytes = control_bytes
         self._matrix_name: str | None = None
         self._pending_queries: dict[int, Callable[[frozenset], None]] = {}
         # The port's own little dispatch table, derived from the one
@@ -98,7 +93,6 @@ class MatrixPort:
         self.on_deliver: Callable[[SpatialPacket], None] | None = None
         #: Called with a :class:`SetRange` directive.
         self.on_set_range: Callable[[SetRange], None] | None = None
-        self.sent_spatial = 0
         self.delivered_remote = 0
 
     # ------------------------------------------------------------------
@@ -159,9 +153,8 @@ class MatrixPort:
             self._matrix_name,
             "game.spatial",
             packet,
-            size_bytes=payload_bytes + self._tag_bytes,
+            size_bytes=payload_bytes + SPATIAL_TAG_BYTES,
         )
-        self.sent_spatial += 1
         return packet
 
     def report_load(self, client_count: int, queue_length: int) -> None:
@@ -177,7 +170,7 @@ class MatrixPort:
             self._matrix_name,
             "matrix.load",
             report,
-            size_bytes=self._report_bytes,
+            size_bytes=LOAD_REPORT_BYTES,
         )
 
     def query_consistency(
@@ -200,7 +193,7 @@ class MatrixPort:
             self._matrix_name,
             "matrix.query",
             query,
-            size_bytes=self._control_bytes,
+            size_bytes=CONTROL_BYTES,
         )
 
     # ------------------------------------------------------------------

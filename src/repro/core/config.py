@@ -2,17 +2,45 @@
 
 All tunables referenced in the paper live here with the paper's values
 as defaults: a server is *overloaded* at 300+ clients and *underloaded*
-below 150 (Fig 2 caption), game servers report load periodically
-(§3.2.2), and splits/reclamations are damped by "simple heuristics ...
-to prevent oscillations" (§3.2.3), expressed as cool-downs and
-consecutive-report requirements.
+below 150 (Fig 2 caption), and splits/reclamations are damped by
+"simple heuristics ... to prevent oscillations" (§3.2.3), expressed as
+cool-downs and consecutive-report requirements.
+
+The module constants below are the model values more than one module
+reads; a value only one module reads is a constant of that module (see
+docs/ARCHITECTURE.md, "Configuration").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.splitting import SplitToLeft
 from repro.geometry import Rect
+
+# Wire sizes in bytes (bandwidth accounting), read by the Matrix
+# servers, the coordinator and the game-server port alike.
+#: Fixed overhead added to every spatially tagged game packet.
+SPATIAL_TAG_BYTES = 24
+#: Load report (game server -> Matrix) and load gossip (child -> parent).
+LOAD_REPORT_BYTES = 32
+#: Per-cell cost of an overlap-table update.
+TABLE_CELL_BYTES = 40
+#: Per-entry cost of the game-server directory piggybacked on tables.
+DIRECTORY_ENTRY_BYTES = 24
+#: Control messages (register, split grants, reclaim handshakes, queries).
+CONTROL_BYTES = 64
+#: Bytes per transferred map object during a split/reclaim.
+STATE_OBJECT_BYTES = 200
+#: Chunk size for bulk state transfer.
+STATE_CHUNK_BYTES = 65536
+
+#: Routing capacity (packets/second) of a Matrix server, and of the
+#: static and DHT zone routers that stand in for it, so a comparison
+#: with them isolates exactly the repartitioning.
+ROUTER_SERVICE_RATE = 20000.0
+#: Seconds between game-server load reports (§3.2.2: "periodically").
+LOAD_REPORT_PERIOD = 1.0
 
 
 @dataclass(slots=True)
@@ -23,8 +51,6 @@ class LoadPolicyConfig:
     overload_clients: int = 300
     #: Client count below which a game server counts as underloaded (paper: 150).
     underload_clients: int = 150
-    #: Seconds between game-server load reports.
-    report_interval: float = 1.0
     #: Overload must persist for this many consecutive reports before a split.
     consecutive_overload_reports: int = 2
     #: Underload (parent *and* child, merged fit included) must persist
@@ -41,24 +67,6 @@ class LoadPolicyConfig:
     #: 0.6 leaves the merged server at most at 60% of the overload
     #: threshold, so a reclaim can never immediately trigger a re-split.
     reclaim_combined_factor: float = 0.6
-    #: Backoff after a *failed* attempt (pool-exhausted split, nacked
-    #: reclaim, chaos abort).  Failures restore the success cooldown
-    #: they would otherwise have consumed and wait this long instead.
-    #: ``None`` reuses the corresponding cooldown, which preserves the
-    #: historical retry timing while still fixing the miscounted stats.
-    failed_attempt_backoff: float | None = None
-
-    def effective_failed_split_backoff(self) -> float:
-        """Seconds a failed split suppresses the next split attempt."""
-        if self.failed_attempt_backoff is not None:
-            return self.failed_attempt_backoff
-        return self.split_cooldown
-
-    def effective_failed_reclaim_backoff(self) -> float:
-        """Seconds a failed reclaim suppresses the next reclaim attempt."""
-        if self.failed_attempt_backoff is not None:
-            return self.failed_attempt_backoff
-        return self.reclaim_cooldown
 
     def scaled(
         self,
@@ -92,62 +100,10 @@ class LoadPolicyConfig:
             raise ValueError(
                 "underload threshold must be below overload threshold"
             )
-        if self.report_interval <= 0:
-            raise ValueError("report_interval must be positive")
         if self.consecutive_overload_reports < 1:
             raise ValueError("need at least one overload report")
         if not 0.0 < self.reclaim_combined_factor <= 1.0:
             raise ValueError("reclaim_combined_factor must be in (0, 1]")
-        if (
-            self.failed_attempt_backoff is not None
-            and self.failed_attempt_backoff < 0
-        ):
-            raise ValueError("failed_attempt_backoff must be non-negative")
-
-
-@dataclass(slots=True)
-class WireConfig:
-    """Byte sizes of protocol messages (for bandwidth accounting)."""
-
-    #: Fixed overhead added to every spatially tagged game packet.
-    spatial_tag_bytes: int = 24
-    #: Load report payload.
-    load_report_bytes: int = 32
-    #: Per-cell cost of an overlap-table update.
-    table_cell_bytes: int = 40
-    #: Per-entry cost of the game-server directory piggybacked on tables.
-    directory_entry_bytes: int = 24
-    #: Control messages (register, split grants, reclaim handshakes).
-    control_bytes: int = 64
-    #: Bytes per transferred map object during a split/reclaim.
-    state_object_bytes: int = 200
-    #: Chunk size for bulk state transfer.
-    state_chunk_bytes: int = 65536
-
-
-@dataclass(slots=True)
-class MiddlewareConfig:
-    """The opt-in pipeline stage the deployment installs fleet-wide.
-
-    Aggregation of same-destination spatial forwards within a tick has
-    to be on every Matrix server or none — both ends of a link must
-    speak the batch format — so it is configured here.  The other
-    shipped stages are installed by whoever needs them: fault injection
-    by a chaos ``LinkDegrade``, per-kind metrics by the code measuring.
-    """
-
-    #: Aggregate same-destination ``matrix.forward`` packets per window.
-    batch_spatial_forwards: bool = False
-    #: Batching flush window in seconds (one game tick by default).
-    batch_window: float = 0.05
-    #: Wire overhead of one aggregated batch message.
-    batch_header_bytes: int = 16
-
-    def __post_init__(self) -> None:
-        if self.batch_window <= 0:
-            raise ValueError("batch_window must be positive")
-        if self.batch_header_bytes < 0:
-            raise ValueError("batch_header_bytes must be non-negative")
 
 
 @dataclass(slots=True)
@@ -166,14 +122,6 @@ class PerfConfig:
     #: 1 = time every event (accurate, intrusive); the default keeps
     #: the instrumented loop within a few percent of the plain one.
     step_sample_every: int = 64
-    #: Cap on raw duration samples kept per timer (for percentiles).
-    timer_max_samples: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.step_sample_every < 1:
-            raise ValueError("step_sample_every must be >= 1")
-        if self.timer_max_samples < 0:
-            raise ValueError("timer_max_samples must be non-negative")
 
     def build_registry(self):
         """A :class:`~repro.perf.PerfRegistry`, or None when disabled."""
@@ -181,10 +129,7 @@ class PerfConfig:
             return None
         from repro.perf import PerfRegistry  # local: keep config light
 
-        return PerfRegistry(
-            step_sample_every=self.step_sample_every,
-            timer_max_samples=self.timer_max_samples,
-        )
+        return PerfRegistry(step_sample_every=self.step_sample_every)
 
 
 @dataclass(slots=True)
@@ -203,29 +148,21 @@ class MatrixConfig:
     #: Distance metric name (see :mod:`repro.geometry.metrics`).
     metric_name: str = "euclidean"
     #: Split strategy name (see :mod:`repro.core.splitting`).
-    split_strategy: str = "split-to-left"
+    split_strategy: str = SplitToLeft.name
     #: Load policy knobs.
     policy: LoadPolicyConfig = field(default_factory=LoadPolicyConfig)
-    #: Wire-format sizes.
-    wire: WireConfig = field(default_factory=WireConfig)
-    #: Opt-in fleet-wide batching of spatial forwards.
-    middleware: MiddlewareConfig = field(default_factory=MiddlewareConfig)
-    #: Opt-in perf instrumentation (counters/timers/samplers).
-    perf: PerfConfig = field(default_factory=PerfConfig)
-    #: Matrix-server routing capacity (packets/second serviced).
-    matrix_service_rate: float = 20000.0
-    #: Seconds to provision a server host from the pool.
-    pool_acquire_delay: float = 1.0
-    #: Fixed startup time of a freshly spawned game+Matrix server pair.
-    server_spawn_delay: float = 1.5
+    #: Aggregate same-destination ``matrix.forward`` packets per game
+    #: tick.  Fleet-wide because both ends of a link must speak the
+    #: batch format: the deployment installs the
+    #: :class:`~repro.net.middleware.SpatialBatchingStage` on every
+    #: Matrix server or on none.
+    batch_spatial_forwards: bool = False
     #: Watchdog for in-flight splits/reclaims: an operation older than
     #: this is aborted and rolled back (host released, policy backed
     #: off).  ``None`` disables the watchdogs — the default, because a
     #: peer can only go silent mid-protocol when faults are injected;
     #: the chaos driver arms this when it arms a scenario.
     lifecycle_timeout: float | None = None
-    #: Density of transferable map objects (objects per world-area unit).
-    map_object_density: float = 0.005
 
     def __post_init__(self) -> None:
         if self.visibility_radius < 0:
@@ -238,5 +175,3 @@ class MatrixConfig:
                 )
         if any(radius <= 0 for radius in self.extra_radii):
             raise ValueError("extra radii must be positive")
-        if self.matrix_service_rate <= 0:
-            raise ValueError("matrix_service_rate must be positive")

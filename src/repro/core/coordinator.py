@@ -11,7 +11,12 @@ consistency queries with the brute-force Equation-1 computation.
 
 from __future__ import annotations
 
-from repro.core.config import MatrixConfig
+from repro.core.config import (
+    CONTROL_BYTES,
+    DIRECTORY_ENTRY_BYTES,
+    TABLE_CELL_BYTES,
+    MatrixConfig,
+)
 from repro.core.messages import (
     ConsistencyQuery,
     ConsistencyReply,
@@ -30,6 +35,12 @@ from repro.geometry import (
 )
 from repro.net.message import Message
 from repro.net.node import Node, handles
+
+#: Seconds between the primary's state syncs to the standby (the sync
+#: doubles as the heartbeat) and between the standby's checks of it.
+MC_SYNC_PERIOD = 1.0
+#: Sync silence after which the standby promotes itself.
+MC_FAILOVER_TIMEOUT = 3.0
 
 
 class MatrixCoordinator(Node):
@@ -138,21 +149,21 @@ class MatrixCoordinator(Node):
             servers = servers | {owner}
         servers = frozenset(s for s in servers if s != query.exclude)
         reply = ConsistencyReply(request_id=query.request_id, servers=servers)
-        self.send(src, "mc.reply", reply, size_bytes=self._config.wire.control_bytes)
+        self.send(src, "mc.reply", reply, size_bytes=CONTROL_BYTES)
 
     # ------------------------------------------------------------------
     # Replication (§3.2.4: "The MC can also be made reliable using
     # well understood replication techniques.")
     # ------------------------------------------------------------------
-    def start_replication(self, standby: str, interval: float = 1.0) -> None:
-        """Mirror coordinator state to *standby* every *interval* s.
+    def start_replication(self, standby: str) -> None:
+        """Mirror coordinator state to *standby* periodically.
 
         The sync doubles as a heartbeat: the standby promotes itself
         when syncs stop arriving (see :class:`StandbyCoordinator`).
         """
         self._standby = standby
         self._sync_task = self.sim.every(
-            interval, self._send_sync, start=self.sim.now
+            MC_SYNC_PERIOD, self._send_sync, start=self.sim.now
         )
 
     def shutdown(self) -> None:
@@ -168,10 +179,7 @@ class MatrixCoordinator(Node):
             "radius": self._radius,
             "version": self._version,
         }
-        size = (
-            len(self._partitions) * 2 * self._config.wire.directory_entry_bytes
-            + self._config.wire.control_bytes
-        )
+        size = len(self._partitions) * 2 * DIRECTORY_ENTRY_BYTES + CONTROL_BYTES
         self.send(self._standby, "mc.sync", state, size_bytes=size)
 
     # ------------------------------------------------------------------
@@ -192,7 +200,6 @@ class MatrixCoordinator(Node):
             for ms, rect in self._partitions.items()
         }
         server_map = dict(self._game_server_of)
-        wire = self._config.wire
         # One distinct set of overlap regions per radius (§3.1): the
         # game default plus any registered exception radii.
         radii = {self._radius, *self._config.extra_radii}
@@ -213,9 +220,9 @@ class MatrixCoordinator(Node):
             )
             cell_count = sum(len(cells) for cells in tables.values())
             size = (
-                cell_count * wire.table_cell_bytes
-                + len(self._partitions) * 2 * wire.directory_entry_bytes
-                + wire.control_bytes
+                cell_count * TABLE_CELL_BYTES
+                + len(self._partitions) * 2 * DIRECTORY_ENTRY_BYTES
+                + CONTROL_BYTES
             )
             self.send(ms_name, "mc.table", update, size_bytes=size)
 
@@ -224,7 +231,7 @@ class StandbyCoordinator(MatrixCoordinator):
     """A warm-standby MC replica.
 
     Receives periodic state syncs from the primary.  When syncs stop
-    arriving for ``failover_timeout`` seconds, the standby promotes
+    arriving for :data:`MC_FAILOVER_TIMEOUT` seconds, the standby promotes
     itself: it adopts the mirrored state, announces the failover to
     every Matrix server (which switch their coordinator address), and
     recomputes/pushes fresh overlap tables.  This is the "well
@@ -232,14 +239,8 @@ class StandbyCoordinator(MatrixCoordinator):
     simplest primary/backup form.
     """
 
-    def __init__(
-        self,
-        config: MatrixConfig,
-        name: str = "mc-backup",
-        failover_timeout: float = 3.0,
-    ) -> None:
+    def __init__(self, config: MatrixConfig, name: str = "mc-backup") -> None:
         super().__init__(config, name=name)
-        self._failover_timeout = failover_timeout
         self._last_sync: float | None = None
         self._monitor = None
         self.promoted = False
@@ -248,9 +249,9 @@ class StandbyCoordinator(MatrixCoordinator):
         #: deployment uses it to point future spawns at the new MC.
         self.on_promote = None
 
-    def start_monitoring(self, check_interval: float = 1.0) -> None:
+    def start_monitoring(self) -> None:
         """Begin watching the primary's sync heartbeats."""
-        self._monitor = self.sim.every(check_interval, self._check_primary)
+        self._monitor = self.sim.every(MC_SYNC_PERIOD, self._check_primary)
 
     def handle_message(self, message: Message) -> None:
         # Before promotion every MC message except the sync heartbeat
@@ -275,7 +276,7 @@ class StandbyCoordinator(MatrixCoordinator):
     def _check_primary(self) -> None:
         if self.promoted or self._last_sync is None:
             return
-        if self.sim.now - self._last_sync < self._failover_timeout:
+        if self.sim.now - self._last_sync < MC_FAILOVER_TIMEOUT:
             return
         self._promote()
 
@@ -301,8 +302,6 @@ class StandbyCoordinator(MatrixCoordinator):
         self._partitions = {}
         self._game_server_of = {}
         self._owner_index = None
-        self.multicast(
-            known, "mc.failover", self.name, self._config.wire.control_bytes
-        )
+        self.multicast(known, "mc.failover", self.name, CONTROL_BYTES)
         if self.on_promote is not None:
             self.on_promote(self)

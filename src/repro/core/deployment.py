@@ -28,6 +28,15 @@ from repro.net.network import Network, lan_profile, wan_profile
 from repro.net.node import Node
 from repro.sim.kernel import Simulator
 
+#: Seconds to provision a server host from the pool.
+POOL_ACQUIRE_DELAY = 1.0
+#: Fixed startup time of a freshly spawned game+Matrix server pair.
+SERVER_SPAWN_DELAY = 1.5
+#: Host-supervisor sweep period (crash-detection latency bound).
+SUPERVISOR_INTERVAL = 0.5
+#: Downtime of a crashed host before its lease returns to the pool.
+HOST_REBOOT_DELAY = 2.0
+
 #: Creates a game-server node for the given name and initial map range.
 #: The returned object must be a :class:`~repro.net.node.Node` that also
 #: satisfies :class:`~repro.core.api.GameServerHandle`.
@@ -73,26 +82,22 @@ class MatrixDeployment:
         network: Network,
         config: MatrixConfig,
         game_server_factory: GameServerFactory,
-        pool: ServerPool | None = None,
         pool_capacity: int = 16,
         replicated_mc: bool = False,
-        mc_failover_timeout: float = 3.0,
     ) -> None:
         self.sim = sim
         self.network = network
         self.config = config
         self._factory = game_server_factory
-        self.pool = pool or ServerPool(
-            sim, capacity=pool_capacity, acquire_delay=config.pool_acquire_delay
+        self.pool = ServerPool(
+            sim, capacity=pool_capacity, acquire_delay=POOL_ACQUIRE_DELAY
         )
         self.coordinator = MatrixCoordinator(config)
         network.add_node(self.coordinator)
         self._coordinator_name = self.coordinator.name
         self.standby_coordinator: StandbyCoordinator | None = None
         if replicated_mc:
-            self.standby_coordinator = StandbyCoordinator(
-                config, failover_timeout=mc_failover_timeout
-            )
+            self.standby_coordinator = StandbyCoordinator(config)
             network.add_node(self.standby_coordinator)
             network.set_prefix_profile("mc", "mc", lan_profile())
             self.coordinator.start_replication(self.standby_coordinator.name)
@@ -116,7 +121,6 @@ class MatrixDeployment:
         self.on_failover: Callable[[StandbyCoordinator], None] | None = None
         self.crash_recoveries: list[CrashRecovery] = []
         self._supervisor_task = None
-        self._host_reboot_delay = 2.0
         #: Corpses awaiting autopsy, with announced-ness decided at
         #: crash time (the MC map is unreliable mid-failover).
         self._corpses: list[tuple[MatrixServer, bool]] = []
@@ -216,16 +220,10 @@ class MatrixDeployment:
             coordinator=self._coordinator_name,
         )
         self.network.add_node(matrix_server)
-        middleware = self.config.middleware
-        if middleware.batch_spatial_forwards:
+        if self.config.batch_spatial_forwards:
             # One config for the whole fleet: both endpoints of a
             # batched link are guaranteed to speak the batch format.
-            matrix_server.use(
-                SpatialBatchingStage(
-                    window=middleware.batch_window,
-                    header_bytes=middleware.batch_header_bytes,
-                )
-            )
+            matrix_server.use(SpatialBatchingStage())
         self.network.set_colocated(ms_name, gs_name)
         game_server.bind_matrix(ms_name, partition)
         self.matrix_servers[ms_name] = matrix_server
@@ -278,7 +276,7 @@ class MatrixDeployment:
             ms, gs = self._create_pair(partition, parent=parent, host_id=host_id)
             callback(ms.name, gs.name)
 
-        event = self.sim.after(self.config.server_spawn_delay, create)
+        event = self.sim.after(SERVER_SPAWN_DELAY, create)
         self._pending_spawns.setdefault(parent, []).append(event)
 
     def decommission_pair(
@@ -365,26 +363,22 @@ class MatrixDeployment:
         )
         return True
 
-    def enable_crash_recovery(
-        self,
-        check_interval: float = 0.5,
-        host_reboot_delay: float = 2.0,
-    ) -> None:
+    def enable_crash_recovery(self) -> None:
         """Arm the host supervisor (the pool's 'non-Matrix entity').
 
-        Every *check_interval* seconds it sweeps for crashed pairs and,
-        for each one found: reclaims the leases the dead server held
-        (its own host after *host_reboot_delay*, plus any half-finished
-        split's host or unannounced child pair), then acquires a fresh
-        host and respawns a replacement over the dead partition, which
-        unregisters the victim and re-registers with the current MC.
+        Every :data:`SUPERVISOR_INTERVAL` seconds it sweeps for crashed
+        pairs and, for each one found: reclaims the leases the dead
+        server held (its own host after :data:`HOST_REBOOT_DELAY`, plus
+        any half-finished split's host or unannounced child pair), then
+        acquires a fresh host and respawns a replacement over the dead
+        partition, which unregisters the victim and re-registers with
+        the current MC.
         Never armed by default — plain runs have no crashes to detect
         and must stay event-for-event identical.
         """
-        self._host_reboot_delay = host_reboot_delay
         if self._supervisor_task is None:
             self._supervisor_task = self.sim.every(
-                check_interval, self._supervise
+                SUPERVISOR_INTERVAL, self._supervise
             )
 
     def _supervise(self) -> None:
@@ -444,7 +438,7 @@ class MatrixDeployment:
                 self._pending_releases.discard(host_id)
                 self.pool.release(host_id)
 
-            self.sim.after(self._host_reboot_delay, reboot)
+            self.sim.after(HOST_REBOOT_DELAY, reboot)
         if not announced:
             # The corpse owned no announced partition; its parent's
             # split watchdog aborts and keeps the whole range, so a
@@ -516,7 +510,7 @@ class MatrixDeployment:
             if self.on_recovery is not None:
                 self.on_recovery(record)
 
-        self.sim.after(self.config.server_spawn_delay, boot)
+        self.sim.after(SERVER_SPAWN_DELAY, boot)
 
     def unaccounted_hosts(self) -> list[str]:
         """Issued pool hosts no live owner can explain (leak audit).

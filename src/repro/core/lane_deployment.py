@@ -30,6 +30,7 @@ read never crosses a shard boundary.
 
 from __future__ import annotations
 
+from repro.core.config import CONTROL_BYTES
 from repro.core.deployment import MatrixDeployment
 from repro.core.messages import (
     FabricAcquire,
@@ -67,12 +68,7 @@ class LaneFabric:
         server = self._server
         if server is None:
             server = self._server = self._deployment.matrix_servers[self._ms_name]
-        server.send(
-            FabricNode.NAME,
-            kind,
-            payload,
-            size_bytes=self._deployment.config.wire.control_bytes,
-        )
+        server.send(FabricNode.NAME, kind, payload, size_bytes=CONTROL_BYTES)
 
     # ------------------------------------------------------------------
     # Fabric protocol (called from the owning server's lane)
@@ -134,10 +130,7 @@ class FabricNode(Node):
         self._deployment = deployment
 
     def _reply(self, dst: str, kind: str, payload) -> None:
-        self.send(
-            dst, kind, payload,
-            size_bytes=self._deployment.config.wire.control_bytes,
-        )
+        self.send(dst, kind, payload, size_bytes=CONTROL_BYTES)
 
     @handles("fabric.acquire")
     def _on_acquire(self, message) -> None:

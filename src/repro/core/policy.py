@@ -53,32 +53,14 @@ class LoadPolicy:
         self._last_failed_reclaim_at = float("-inf")
         # Pre-attempt cooldown stamps, restored if the attempt fails
         # (a pool-exhausted split or a nacked reclaim must not consume
-        # the success cooldown — it gets the failed-attempt backoff).
+        # the success cooldown — it backs off from the failure instead).
         self._split_stamp_before_attempt: float | None = None
         self._reclaim_stamp_before_attempt: float | None = None
-        self._splits = 0
-        self._reclaims = 0
-        self._failed_splits = 0
 
     @property
     def config(self) -> LoadPolicyConfig:
         """The thresholds this policy runs with."""
         return self._config
-
-    @property
-    def split_count(self) -> int:
-        """Splits that actually completed (failed attempts excluded)."""
-        return self._splits
-
-    @property
-    def reclaim_count(self) -> int:
-        """Reclaims that actually completed (nacked attempts excluded)."""
-        return self._reclaims
-
-    @property
-    def failed_split_count(self) -> int:
-        """Split attempts that failed (pool exhausted, aborted)."""
-        return self._failed_splits
 
     # ------------------------------------------------------------------
     # Classification helpers
@@ -134,8 +116,7 @@ class LoadPolicy:
         if (
             self._consecutive_overloads >= config.consecutive_overload_reports
             and now - self._last_split_at >= config.split_cooldown
-            and now - self._last_failed_split_at
-            >= config.effective_failed_split_backoff()
+            and now - self._last_failed_split_at >= config.split_cooldown
         ):
             return Decision.SPLIT
 
@@ -145,8 +126,7 @@ class LoadPolicy:
             >= config.consecutive_underload_reports
             and now - youngest_child.born_at >= config.min_child_lifetime
             and now - self._last_reclaim_at >= config.reclaim_cooldown
-            and now - self._last_failed_reclaim_at
-            >= config.effective_failed_reclaim_backoff()
+            and now - self._last_failed_reclaim_at >= config.reclaim_cooldown
         ):
             return Decision.RECLAIM
 
@@ -160,8 +140,9 @@ class LoadPolicy:
     # decisions while in flight) and a *success*/*failure* when the
     # outcome is known.  A failure restores the pre-attempt cooldown
     # stamp — a pool-exhausted split or a nacked reclaim must not
-    # consume the success cooldown or inflate the counters — and starts
-    # the distinct failed-attempt backoff instead.
+    # consume the success cooldown — and backs off one cooldown from
+    # the failure instead.  Completed and failed operations are counted
+    # in the server's ServerStats, not here.
 
     def note_split_attempt(self, now: float) -> None:
         """A split was initiated at *now* (outcome not yet known)."""
@@ -170,8 +151,7 @@ class LoadPolicy:
         self._consecutive_overloads = 0
 
     def note_split_success(self) -> None:
-        """The in-flight split completed: count it, keep its cooldown."""
-        self._splits += 1
+        """The in-flight split completed: keep its cooldown."""
         self._split_stamp_before_attempt = None
 
     def note_split_failure(self, now: float) -> None:
@@ -180,7 +160,6 @@ class LoadPolicy:
             self._last_split_at = self._split_stamp_before_attempt
             self._split_stamp_before_attempt = None
         self._last_failed_split_at = now
-        self._failed_splits += 1
 
     def note_reclaim_attempt(self, now: float) -> None:
         """A reclaim was initiated at *now* (outcome not yet known)."""
@@ -189,8 +168,7 @@ class LoadPolicy:
         self._consecutive_underloads = 0
 
     def note_reclaim_success(self) -> None:
-        """The in-flight reclaim was acked: count it, keep its cooldown."""
-        self._reclaims += 1
+        """The in-flight reclaim was acked: keep its cooldown."""
         self._reclaim_stamp_before_attempt = None
 
     def note_reclaim_failure(self, now: float) -> None:
@@ -199,13 +177,3 @@ class LoadPolicy:
             self._last_reclaim_at = self._reclaim_stamp_before_attempt
             self._reclaim_stamp_before_attempt = None
         self._last_failed_reclaim_at = now
-
-    def note_split(self, now: float) -> None:
-        """Record an immediately successful split (attempt + success)."""
-        self.note_split_attempt(now)
-        self.note_split_success()
-
-    def note_reclaim(self, now: float) -> None:
-        """Record an immediately successful reclaim (attempt + success)."""
-        self.note_reclaim_attempt(now)
-        self.note_reclaim_success()

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.config import MatrixConfig
+from repro.core.config import CONTROL_BYTES, MatrixConfig
 from repro.core.policy import ChildLoad, LoadPolicy
-from repro.core.splitting import SplitStrategy
+from repro.core.splitting import strategy_by_name
 from repro.geometry import PartitionIndex, Rect, RegionIndex, metric_by_name
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,7 +61,6 @@ class ServerContext:
         parent: str | None,
         host_id: str,
         coordinator: str,
-        strategy: SplitStrategy,
     ) -> None:
         self.node = node
         #: Send on behalf of the owning node (through its middleware).
@@ -75,7 +74,7 @@ class ServerContext:
         self.parent = parent
         self.host_id = host_id
         self.coordinator = coordinator
-        self.strategy = strategy
+        self.strategy = strategy_by_name(config.split_strategy)
         self.policy = LoadPolicy(config.policy)
 
         # One overlap table per visibility radius (§3.1): the default
@@ -127,7 +126,7 @@ class ServerContext:
 
     def control_send(self, dst: str, kind: str, payload) -> None:
         """Send a fixed-size control-plane message."""
-        self.send(dst, kind, payload, size_bytes=self.config.wire.control_bytes)
+        self.send(dst, kind, payload, size_bytes=CONTROL_BYTES)
 
     @property
     def default_table(self) -> RegionIndex | None:

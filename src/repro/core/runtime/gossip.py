@@ -9,6 +9,7 @@ handed to the :class:`~repro.core.runtime.lifecycle.Lifecycle`.
 
 from __future__ import annotations
 
+from repro.core.config import LOAD_REPORT_BYTES
 from repro.core.messages import LoadGossip, LoadReport
 from repro.core.policy import ChildLoad, Decision
 from repro.core.runtime.context import ServerContext
@@ -42,7 +43,7 @@ class LoadMonitor:
                 ctx.parent,
                 "matrix.gossip",
                 gossip,
-                size_bytes=ctx.config.wire.load_report_bytes,
+                size_bytes=LOAD_REPORT_BYTES,
             )
         decision = ctx.policy.on_load_report(
             ctx.now, report.client_count, self.youngest_child_load(), ctx.busy

@@ -9,6 +9,7 @@ game server.
 
 from __future__ import annotations
 
+from repro.core.config import CONTROL_BYTES, DIRECTORY_ENTRY_BYTES
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.core.runtime.context import ServerContext
 from repro.geometry import RegionIndex
@@ -113,8 +114,5 @@ class SpatialRouter:
         directive = SetRange(
             partition=update.partition, directory=dict(ctx.directory)
         )
-        size = (
-            len(ctx.directory) * ctx.config.wire.directory_entry_bytes
-            + ctx.config.wire.control_bytes
-        )
+        size = len(ctx.directory) * DIRECTORY_ENTRY_BYTES + CONTROL_BYTES
         ctx.send(ctx.game_server, "gs.set_range", directive, size_bytes=size)

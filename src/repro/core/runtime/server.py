@@ -23,7 +23,7 @@ The server's own kind is ``mc.failover``.
 
 from __future__ import annotations
 
-from repro.core.config import MatrixConfig
+from repro.core.config import ROUTER_SERVICE_RATE, MatrixConfig
 from repro.core.messages import RegisterServer
 from repro.core.policy import ChildLoad, LoadPolicy
 from repro.core.runtime.context import ChildRecord, ServerContext, ServerStats
@@ -33,7 +33,6 @@ from repro.core.runtime.lifecycle import Lifecycle
 from repro.core.runtime.queries import QueryRelay
 from repro.core.runtime.router import SpatialRouter
 from repro.core.runtime.transfer import StateTransfer
-from repro.core.splitting import SplitStrategy, strategy_by_name
 from repro.geometry import Rect, RegionIndex
 from repro.net.message import Message
 from repro.net.node import Node, handles
@@ -52,9 +51,8 @@ class MatrixServer(Node):
         parent: str | None = None,
         host_id: str = "host-0",
         coordinator: str = "mc",
-        strategy: SplitStrategy | None = None,
     ) -> None:
-        super().__init__(name, service_rate=config.matrix_service_rate)
+        super().__init__(name, service_rate=ROUTER_SERVICE_RATE)
         # Spawn-time partition centre: identical to the co-located game
         # server's anchor, so the sharded network homes the pair on one
         # lane (their loopback link must never cross a shard boundary).
@@ -68,7 +66,6 @@ class MatrixServer(Node):
             parent=parent,
             host_id=host_id,
             coordinator=coordinator,
-            strategy=strategy or strategy_by_name(config.split_strategy),
         )
         self.transfer = self.adopt(StateTransfer(self.ctx))
         self.lifecycle = self.adopt(Lifecycle(self.ctx, self.transfer))

@@ -16,11 +16,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.config import STATE_CHUNK_BYTES, STATE_OBJECT_BYTES
 from repro.core.messages import StateBegin, StateChunk, StateDone
 from repro.core.runtime.context import ServerContext
 from repro.geometry import Rect
 from repro.net.dispatch import handles
 from repro.net.message import Message
+
+#: Density of transferable map objects (objects per world-area unit).
+MAP_OBJECT_DENSITY = 0.005
 
 
 @dataclass(slots=True)
@@ -55,10 +59,9 @@ class StateTransfer:
     def start(self, peer: str, area_rect: Rect, context: str) -> None:
         """Send the dynamic map state for *area_rect* to *peer*."""
         ctx = self._ctx
-        wire = ctx.config.wire
-        object_count = max(1, int(area_rect.area * ctx.config.map_object_density))
-        total_bytes = object_count * wire.state_object_bytes
-        total_chunks = max(1, -(-total_bytes // wire.state_chunk_bytes))
+        object_count = max(1, int(area_rect.area * MAP_OBJECT_DENSITY))
+        total_bytes = object_count * STATE_OBJECT_BYTES
+        total_chunks = max(1, -(-total_bytes // STATE_CHUNK_BYTES))
         transfer_id = next(self._transfer_ids)
         self._outgoing[transfer_id] = context
         begin = StateBegin(
@@ -75,7 +78,7 @@ class StateTransfer:
             )
         remaining = total_bytes
         for index in range(total_chunks):
-            chunk_bytes = min(wire.state_chunk_bytes, remaining)
+            chunk_bytes = min(STATE_CHUNK_BYTES, remaining)
             remaining -= chunk_bytes
             ctx.send(
                 peer,

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from repro.core.api import MatrixPort, PORT_KINDS
+from repro.core.config import LOAD_REPORT_PERIOD
 from repro.core.messages import SpatialPacket
 from repro.games.grid import SpatialGrid
 from repro.games.packets import (
@@ -41,6 +42,19 @@ from repro.net.node import Node, handles
 CONTROL_KINDS = frozenset(
     {"gs.set_range", "gs.evacuate", "gs.resume", "gs.query_reply"}
 )
+
+#: Handoff hysteresis, as a fraction of the visibility radius: a roaming
+#: client is only switched once it wanders this far *outside* the
+#: range, so border loiterers do not flap between two servers every few
+#: ticks.  Well inside the radius, so overlap-region routing still
+#: reaches every server that must stay consistent.
+HANDOFF_MARGIN_FRACTION = 0.25
+#: Seconds a client waits for the target's welcome before it gives up
+#: on a handoff and relocates through the lobby.
+SWITCH_TIMEOUT = 5.0
+#: Snapshot silence (seconds) after which a client with dead-server
+#: detection armed relocates and rejoins.
+REJOIN_TIMEOUT = 3.0
 
 
 class MobilityModel(Protocol):
@@ -70,8 +84,6 @@ class GameServer(Node):
         name: str,
         profile: GameProfile,
         partition: Rect,
-        report_interval: float = 1.0,
-        handoff_margin_fraction: float = 0.25,
         queue_capacity: int | None = None,
     ) -> None:
         super().__init__(
@@ -86,13 +98,7 @@ class GameServer(Node):
         #: lane placement is static, so the anchor must not move — and
         #: it matches the co-located Matrix server's anchor exactly.
         self.shard_anchor = partition.center
-        self._report_interval = report_interval
-        # Handoff hysteresis: a roaming client is only switched once it
-        # wanders this far *outside* the range, so border loiterers do
-        # not flap between two servers every few ticks.  The margin is
-        # well inside the visibility radius, so overlap-region routing
-        # still reaches every server that must stay consistent.
-        self._handoff_margin = handoff_margin_fraction * profile.visibility_radius
+        self._handoff_margin = HANDOFF_MARGIN_FRACTION * profile.visibility_radius
         self._set_range(partition)
         self._clients: dict[str, ClientRecord] = {}
         #: Recently departed clients -> the game server they moved to.
@@ -109,9 +115,7 @@ class GameServer(Node):
         self.port.on_set_range = self._on_set_range
 
         # Statistics.
-        self.switches_initiated = 0
         self.updates_processed = 0
-        self.actions_processed = 0
         self.remote_updates_seen = 0
         self.remote_actions_seen = 0
         self.snapshots_sent = 0
@@ -142,7 +146,7 @@ class GameServer(Node):
 
     def _start_duties(self) -> None:
         self._tasks.append(
-            self.sim.every(self._report_interval, self._report_load)
+            self.sim.every(LOAD_REPORT_PERIOD, self._report_load)
         )
         self._tasks.append(
             self.sim.every(1.0 / self._profile.snapshot_hz, self._snapshot_tick)
@@ -242,7 +246,6 @@ class GameServer(Node):
             return
         record.processed_seq = max(record.processed_seq, action.seq)
         record.last_seen = self.sim.now
-        self.actions_processed += 1
         self.port.send_spatial(
             origin=action.position,
             dest=action.target,
@@ -290,7 +293,6 @@ class GameServer(Node):
         self.send(client_id, "gs.switch", directive, size_bytes=64)
         del self._clients[client_id]
         self._tombstones[client_id] = target
-        self.switches_initiated += 1
 
     def _owner_of(self, point: Vec2) -> str | None:
         for gs_name, rect in self._directory.items():
@@ -395,8 +397,6 @@ class GameClient(Node):
         mobility: MobilityModel,
         rng,
         relocate: Callable[[Vec2], str] | None = None,
-        switch_timeout: float = 5.0,
-        rejoin_timeout: float | None = None,
         position: Vec2 | None = None,
     ) -> None:
         super().__init__(name)
@@ -404,12 +404,12 @@ class GameClient(Node):
         self._mobility = mobility
         self._rng = rng
         self._relocate = relocate
-        self._switch_timeout = switch_timeout
-        # Dead-server detection: with *rejoin_timeout* set, a snapshot
-        # silence longer than that makes the client relocate and rejoin
-        # (its server crashed).  Off by default — the check rides the
-        # existing update tick, but plain runs must not even look.
-        self._rejoin_timeout = rejoin_timeout
+        # Dead-server detection: once armed (enable_rejoin), a snapshot
+        # silence longer than REJOIN_TIMEOUT makes the client relocate
+        # and rejoin (its server crashed).  Off by default — the check
+        # rides the existing update tick, but plain runs must not even
+        # look.
+        self._rejoin_timeout: float | None = None
         self._last_snapshot_at = 0.0
         self.rejoins = 0
         self._server: str | None = None
@@ -447,13 +447,11 @@ class GameClient(Node):
         """The mobility model steering this client."""
         return self._mobility
 
-    def enable_rejoin(self, timeout: float) -> None:
-        """Arm dead-server detection: after *timeout* seconds of
-        snapshot silence the client relocates and rejoins (chaos runs;
-        see :meth:`_rejoin`)."""
-        if timeout <= 0:
-            raise ValueError(f"rejoin timeout must be positive: {timeout}")
-        self._rejoin_timeout = timeout
+    def enable_rejoin(self) -> None:
+        """Arm dead-server detection: after :data:`REJOIN_TIMEOUT`
+        seconds of snapshot silence the client relocates and rejoins
+        (chaos runs; see :meth:`_rejoin`)."""
+        self._rejoin_timeout = REJOIN_TIMEOUT
 
     def retarget(self, target: Vec2) -> bool:
         """Ask the mobility model to head toward *target*.
@@ -546,7 +544,7 @@ class GameClient(Node):
         hello = Hello(client_id=self.name, position=self._position, switching=True)
         self.send(directive.target, "client.hello", hello,
                   size_bytes=self._profile.hello_bytes)
-        self.sim.after(self._switch_timeout, self._check_switch_stuck)
+        self.sim.after(SWITCH_TIMEOUT, self._check_switch_stuck)
 
     def _rejoin(self) -> None:
         """The server went silent past the rejoin timeout: relocate.
@@ -568,7 +566,7 @@ class GameClient(Node):
             return
         if (
             self._switch_started is not None
-            and self.sim.now - self._switch_started < self._switch_timeout
+            and self.sim.now - self._switch_started < SWITCH_TIMEOUT
         ):
             return
         self._pending = None

@@ -15,11 +15,7 @@ from repro.harness.compare import (
     format_comparison_table,
     outcome_for,
 )
-from repro.harness.experiment import (
-    ExperimentResult,
-    MatrixExperiment,
-    matrix_config_for,
-)
+from repro.harness.experiment import ExperimentResult, MatrixExperiment
 from repro.harness.parallel import (
     GridCell,
     GridTask,
@@ -70,7 +66,6 @@ __all__ = [
     "coordinator_overhead",
     "format_backends_table",
     "format_comparison_table",
-    "matrix_config_for",
     "measure_bandwidth_vs_overlap",
     "measure_switching_latency",
     "measure_transparency",

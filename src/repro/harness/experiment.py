@@ -14,33 +14,12 @@ from dataclasses import dataclass
 
 from repro.analysis.timeseries import TimeSeries
 from repro.baselines.backend import ArchitectureBackend, BackendResult
-from repro.core.config import (
-    LoadPolicyConfig,
-    MatrixConfig,
-    MiddlewareConfig,
-    PerfConfig,
-)
+from repro.core.config import LoadPolicyConfig, MatrixConfig, PerfConfig
 from repro.core.deployment import MatrixDeployment, ServerEvent
+from repro.core.splitting import SplitToLeft
 from repro.games.base import GameServer
 from repro.games.profile import GameProfile
 from repro.geometry import Vec2
-
-
-def matrix_config_for(
-    profile: GameProfile,
-    policy: LoadPolicyConfig | None = None,
-    middleware: MiddlewareConfig | None = None,
-    perf: PerfConfig | None = None,
-) -> MatrixConfig:
-    """Derive a MatrixConfig from a game profile."""
-    return MatrixConfig(
-        world=profile.world,
-        visibility_radius=profile.visibility_radius,
-        metric_name=profile.metric_name,
-        policy=policy or LoadPolicyConfig(),
-        middleware=middleware or MiddlewareConfig(),
-        perf=perf or PerfConfig(),
-    )
 
 
 @dataclass
@@ -81,7 +60,14 @@ class ExperimentResult(BackendResult):
 
 
 class MatrixExperiment(ArchitectureBackend):
-    """A ready-to-run Matrix deployment with workload hooks."""
+    """A ready-to-run Matrix deployment with workload hooks.
+
+    The one place a Matrix run's :class:`MatrixConfig` is built: world,
+    radius and metric come from the game profile, the rest from the
+    keyword arguments callers vary (*split_strategy* by the
+    split-strategy ablation, *batch_spatial_forwards* by the batching
+    micro-bench).
+    """
 
     name = "matrix"
 
@@ -89,32 +75,28 @@ class MatrixExperiment(ArchitectureBackend):
         self,
         profile: GameProfile,
         policy: LoadPolicyConfig | None = None,
-        matrix_config: MatrixConfig | None = None,
-        middleware: MiddlewareConfig | None = None,
         seed: int = 0,
         pool_capacity: int = 16,
-        sample_period: float = 1.0,
         grid: tuple[int, int] | None = None,
         perf: PerfConfig | None = None,
         replicated_mc: bool = False,
-        mc_failover_timeout: float = 3.0,
+        split_strategy: str = SplitToLeft.name,
+        batch_spatial_forwards: bool = False,
     ) -> None:
-        self.config = matrix_config or matrix_config_for(
-            profile, policy, middleware, perf
+        self.config = MatrixConfig(
+            world=profile.world,
+            visibility_radius=profile.visibility_radius,
+            metric_name=profile.metric_name,
+            split_strategy=split_strategy,
+            policy=policy or LoadPolicyConfig(),
+            batch_spatial_forwards=batch_spatial_forwards,
         )
         self._deployment_options = dict(
-            pool_capacity=pool_capacity,
-            replicated_mc=replicated_mc,
-            mc_failover_timeout=mc_failover_timeout,
+            pool_capacity=pool_capacity, replicated_mc=replicated_mc
         )
         self._grid = grid
         self._peak_servers = 1
-        super().__init__(
-            profile,
-            seed=seed,
-            perf=self.config.perf,
-            sample_period=sample_period,
-        )
+        super().__init__(profile, seed=seed, perf=perf)
         # Before the workload is installed (see start_sampling).
         self.start_sampling()
 
@@ -129,12 +111,7 @@ class MatrixExperiment(ArchitectureBackend):
         )
 
     def _make_game_server(self, name: str, partition) -> GameServer:
-        return GameServer(
-            name,
-            self.profile,
-            partition,
-            report_interval=self.config.policy.report_interval,
-        )
+        return GameServer(name, self.profile, partition)
 
     # ------------------------------------------------------------------
     # ArchitectureBackend

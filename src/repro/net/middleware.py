@@ -250,10 +250,10 @@ class FaultInjectionStage(MiddlewareStage):
 
 
 class SpatialBatchingStage(MiddlewareStage):
-    """Aggregate same-destination packets within a flush window.
+    """Aggregate same-destination spatial forwards within a flush window.
 
-    Outbound messages of the configured kinds are buffered per
-    destination; once per *window* seconds every buffer is flushed — a
+    Outbound ``matrix.forward`` messages are buffered per destination;
+    once per :attr:`WINDOW` seconds every buffer is flushed — a
     single buffered message goes out as-is, two or more are wrapped into
     one :data:`BATCH_KIND` wire message whose payload is the tuple of
     original messages.  On the receiving side the stage unwraps a batch
@@ -268,19 +268,15 @@ class SpatialBatchingStage(MiddlewareStage):
     """
 
     name = "spatial-batching"
+    #: Flush window in seconds: one game tick.
+    WINDOW = 0.05
+    #: Wire overhead of one aggregated batch message.
+    HEADER_BYTES = 16
+    #: The kinds buffered for aggregation.
+    KINDS = frozenset({"matrix.forward"})
 
-    def __init__(
-        self,
-        window: float = 0.05,
-        kinds: Iterable[str] = ("matrix.forward",),
-        header_bytes: int = 16,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if window <= 0:
-            raise ValueError(f"batch window must be positive: {window}")
-        self._window = window
-        self._kinds = frozenset(kinds)
-        self._header_bytes = header_bytes
         self._buffers: dict[str, list[Message]] = {}
         self._flush_scheduled = False
         self.buffered_total = 0
@@ -289,13 +285,13 @@ class SpatialBatchingStage(MiddlewareStage):
         self.unbatched_received = 0
 
     def on_outbound(self, message: Message) -> Message | None:
-        if message.kind not in self._kinds:
+        if message.kind not in self.KINDS:
             return message
         self._buffers.setdefault(message.dst, []).append(message)
         self.buffered_total += 1
         if not self._flush_scheduled:
             self._flush_scheduled = True
-            self.node.sim.after(self._window, self._flush_tick)
+            self.node.sim.after(self.WINDOW, self._flush_tick)
         return None
 
     def on_inbound(self, message: Message) -> Message | None:
@@ -322,7 +318,7 @@ class SpatialBatchingStage(MiddlewareStage):
                 dst=dst,
                 kind=BATCH_KIND,
                 payload=tuple(pending),
-                size_bytes=self._header_bytes
+                size_bytes=self.HEADER_BYTES
                 + sum(inner.size_bytes for inner in pending),
             )
             network.transmit(batch)

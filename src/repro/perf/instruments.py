@@ -196,18 +196,13 @@ class PerfRegistry:
     call sites naming the same counter accumulate into one cell.
     """
 
-    def __init__(
-        self,
-        step_sample_every: int = 64,
-        timer_max_samples: int = 65536,
-    ) -> None:
+    def __init__(self, step_sample_every: int = 64) -> None:
         if step_sample_every < 1:
             raise ValueError(
                 f"step_sample_every must be >= 1: {step_sample_every}"
             )
         #: Sample one kernel step's wall latency out of every N steps.
         self.step_sample_every = step_sample_every
-        self._timer_max_samples = timer_max_samples
         self.counters: dict[str, PerfCounter] = {}
         self.timers: dict[str, PerfTimer] = {}
         self.samplers: dict[str, TickSampler] = {}
@@ -226,9 +221,7 @@ class PerfRegistry:
         """The timer registered under *name* (created if absent)."""
         timer = self.timers.get(name)
         if timer is None:
-            timer = self.timers[name] = PerfTimer(
-                name, max_samples=self._timer_max_samples
-            )
+            timer = self.timers[name] = PerfTimer(name)
         return timer
 
     def sampler(self, name: str) -> TickSampler:

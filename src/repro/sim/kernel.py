@@ -61,13 +61,9 @@ class Simulator:
     [1.5]
     """
 
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        perf: "PerfRegistry | None" = None,
-    ) -> None:
+    def __init__(self, perf: "PerfRegistry | None" = None) -> None:
         #: Current simulation time in seconds.
-        self.now = float(start_time)
+        self.now = 0.0
         #: The simulator a send made now runs on (the sharded facade's
         #: is its executing lane).
         self.current = self

@@ -165,7 +165,6 @@ class ShardedSimulator:
         shards: int,
         lookahead: float | None = None,
         perf: "PerfRegistry | None" = None,
-        start_time: float = 0.0,
     ) -> None:
         if shards < 1:
             raise SimulationError(f"shards must be >= 1, got {shards}")
@@ -174,9 +173,7 @@ class ShardedSimulator:
         self._lanes = [LaneSimulator(self, slot) for slot in range(shards)]
         self._global = LaneSimulator(self, shards)
         self._all = [*self._lanes, self._global]
-        for lane in self._all:
-            lane.now = float(start_time)
-        self._barrier_time = float(start_time)
+        self._barrier_time = 0.0
         #: The lane whose events are executing; None between windows
         #: (construction, barrier injection), when schedules go straight
         #: into the heap they name.

@@ -39,18 +39,16 @@ class ClientFleet:
         profile: GameProfile,
         locator: Locator,
         rng: random.Random,
-        name_prefix: str = "client",
     ) -> None:
         self._sim = sim
         self._network = network
         self._profile = profile
         self._locator = locator
         self._rng = rng
-        self._prefix = name_prefix
         self._counter = 0
         #: When set, every client watches for snapshot silence and
         #: rejoins via the locator (chaos runs; see enable_rejoin).
-        self._rejoin_timeout: float | None = None
+        self._rejoin = False
         self.clients: list[GameClient] = []
         #: Named groups (e.g. "hotspot-1") for targeted departures.
         self.groups: dict[str, list[GameClient]] = {}
@@ -61,30 +59,30 @@ class ClientFleet:
     # ------------------------------------------------------------------
     # Spawning
     # ------------------------------------------------------------------
-    def enable_rejoin(self, timeout: float) -> None:
+    def enable_rejoin(self) -> None:
         """Arm dead-server detection on every present and future client.
 
-        A client whose snapshots stop for *timeout* seconds relocates
+        A client whose snapshots stop for
+        :data:`~repro.games.base.REJOIN_TIMEOUT` seconds relocates
         through the fleet's locator and rejoins.  Armed by the chaos
         driver; plain runs never pay for the check.
         """
-        if timeout <= 0:
-            raise ValueError(f"rejoin timeout must be positive: {timeout}")
-        self._rejoin_timeout = timeout
+        self._rejoin = True
         for client in self.clients:
-            client.enable_rejoin(timeout)
+            client.enable_rejoin()
 
     def _new_client(self, mobility, position: Vec2) -> GameClient:
         self._counter += 1
         client = GameClient(
-            name=f"{self._prefix}.{self._counter}",
+            name=f"client.{self._counter}",
             profile=self._profile,
             mobility=mobility,
             rng=random.Random(self._rng.getrandbits(64)),
             relocate=self._locator,
-            rejoin_timeout=self._rejoin_timeout,
             position=position,
         )
+        if self._rejoin:
+            client.enable_rejoin()
         self._network.add_node(client)
         self.clients.append(client)
         client.join(self._locator(position), position)

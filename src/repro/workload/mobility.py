@@ -182,6 +182,10 @@ class HotspotMobility:
         return moved
 
 
+#: Seconds of flock-anchor walk per step.
+FLOCK_QUANTUM = 0.25
+
+
 class Flock:
     """Shared state of one flock: a roaming formation anchor.
 
@@ -196,11 +200,8 @@ class Flock:
         world: Rect,
         speed: float,
         rng: random.Random,
-        quantum: float = 0.25,
         start: Vec2 | None = None,
     ) -> None:
-        if quantum <= 0:
-            raise ValueError(f"quantum must be positive: {quantum}")
         self._world = world
         self._walk = RandomWaypoint(world, speed, rng)
         self.anchor = (
@@ -212,13 +213,12 @@ class Flock:
             )
         )
         self._time = 0.0
-        self._quantum = quantum
 
     def anchor_at(self, time: float) -> Vec2:
         """Anchor position, advanced (monotonically) up to *time*."""
-        while self._time + self._quantum <= time:
-            self.anchor = self._walk.step(self.anchor, self._quantum)
-            self._time += self._quantum
+        while self._time + FLOCK_QUANTUM <= time:
+            self.anchor = self._walk.step(self.anchor, FLOCK_QUANTUM)
+            self._time += FLOCK_QUANTUM
         return self.anchor
 
     def retarget(self, target: Vec2) -> None:

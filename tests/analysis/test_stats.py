@@ -1,7 +1,7 @@
 """Tests for statistics helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.analysis.stats import pearson, percentile, summarize
 
@@ -77,6 +77,8 @@ def test_property_percentiles_ordered(values):
         max_size=30,
     )
 )
+# Nonzero variances whose product underflows to 0.0 (was ZeroDivisionError).
+@example([(0.0, 0.0), (0.0, 9.931775019616242e-92), (9.6456969874951e-134, 0.0)])
 def test_property_pearson_bounded(pairs):
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]

@@ -243,7 +243,6 @@ def test_standby_promotion_mid_split_converges_partition_map():
         config,
         game_server_factory=ScriptedGameServer,
         replicated_mc=True,
-        mc_failover_timeout=2.0,
     )
     ms, gs = deployment.bootstrap()
     # Overload reports start a split at t=1.5; the child boots at

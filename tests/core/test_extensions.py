@@ -12,9 +12,7 @@ from repro.sim.kernel import Simulator
 WORLD = Rect(0.0, 0.0, 1000.0, 1000.0)
 
 
-def build_custom(
-    extra_radii=(), replicated_mc=False, failover_timeout=3.0
-):
+def build_custom(extra_radii=(), replicated_mc=False):
     sim = Simulator()
     network = Network(sim)
     config = MatrixConfig(
@@ -29,7 +27,6 @@ def build_custom(
         config,
         game_server_factory=ScriptedGameServer,
         replicated_mc=replicated_mc,
-        mc_failover_timeout=failover_timeout,
     )
     return sim, network, deployment
 
@@ -101,9 +98,7 @@ def test_standby_mirrors_state():
 
 
 def test_failover_promotes_standby_and_servers_follow():
-    sim, network, deployment = build_custom(
-        replicated_mc=True, failover_timeout=2.0
-    )
+    sim, network, deployment = build_custom(replicated_mc=True)
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=3.0)
     version_before = pairs[0][0].table_version
@@ -119,9 +114,7 @@ def test_failover_promotes_standby_and_servers_follow():
 
 
 def test_post_failover_queries_served_by_standby():
-    sim, network, deployment = build_custom(
-        replicated_mc=True, failover_timeout=2.0
-    )
+    sim, network, deployment = build_custom(replicated_mc=True)
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=3.0)
     sim.at(3.0, deployment.fail_coordinator)
@@ -134,9 +127,7 @@ def test_post_failover_queries_served_by_standby():
 
 
 def test_post_failover_splits_still_work():
-    sim, network, deployment = build_custom(
-        replicated_mc=True, failover_timeout=2.0
-    )
+    sim, network, deployment = build_custom(replicated_mc=True)
     ms, gs = deployment.bootstrap()
     sim.run(until=3.0)
     sim.at(3.0, deployment.fail_coordinator)
@@ -152,9 +143,7 @@ def test_post_failover_splits_still_work():
 
 
 def test_no_failover_while_primary_alive():
-    sim, network, deployment = build_custom(
-        replicated_mc=True, failover_timeout=2.0
-    )
+    sim, network, deployment = build_custom(replicated_mc=True)
     deployment.bootstrap_grid(2, 1)
     sim.run(until=30.0)
     assert not deployment.standby_coordinator.promoted

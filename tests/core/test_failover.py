@@ -2,8 +2,8 @@
 
 Three scenarios beyond the happy-path tests in ``test_extensions``:
 
-* promotion timing — the standby waits out ``failover_timeout`` missed
-  sync heartbeats before promoting, and not a moment less;
+* promotion timing — the standby waits out ``MC_FAILOVER_TIMEOUT`` of
+  missed sync heartbeats before promoting, and not a moment less;
 * zombie primary — a stale ``mc.sync`` arriving *after* promotion must
   not demote the standby or overwrite its authoritative state;
 * table-version supersession — the promoted standby's recomputed tables
@@ -23,7 +23,7 @@ from repro.sim.kernel import Simulator
 WORLD = Rect(0.0, 0.0, 1000.0, 1000.0)
 
 
-def build(failover_timeout: float = 3.0):
+def build():
     sim = Simulator()
     network = Network(sim)
     config = MatrixConfig(
@@ -37,13 +37,12 @@ def build(failover_timeout: float = 3.0):
         config,
         game_server_factory=ScriptedGameServer,
         replicated_mc=True,
-        mc_failover_timeout=failover_timeout,
     )
     return sim, network, deployment
 
 
 def test_promotion_waits_out_missed_heartbeats():
-    sim, network, deployment = build(failover_timeout=3.0)
+    sim, network, deployment = build()
     deployment.bootstrap_grid(2, 1)
     standby = deployment.standby_coordinator
     sim.run(until=5.0)
@@ -60,7 +59,7 @@ def test_promotion_waits_out_missed_heartbeats():
 
 
 def test_zombie_primary_sync_rejected_after_promotion():
-    sim, network, deployment = build(failover_timeout=2.0)
+    sim, network, deployment = build()
     deployment.bootstrap_grid(2, 1)
     standby = deployment.standby_coordinator
     sim.run(until=3.0)
@@ -95,7 +94,7 @@ def test_zombie_primary_sync_rejected_after_promotion():
 
 
 def test_promoted_tables_supersede_primary_versions():
-    sim, network, deployment = build(failover_timeout=2.0)
+    sim, network, deployment = build()
     pairs = deployment.bootstrap_grid(2, 1)
     standby = deployment.standby_coordinator
     sim.run(until=3.0)

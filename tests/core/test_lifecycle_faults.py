@@ -4,19 +4,17 @@ The bugs these tests pin down (fixed in the chaos PR):
 
 * a split cancelled after its host was granted leaked the host forever
   (``Lifecycle._on_host_acquired`` returned without releasing it);
-* a pool-exhausted split still consumed the split cooldown and
-  inflated ``split_count``; a nacked reclaim did the same on the
-  reclaim side;
+* a pool-exhausted split still consumed the split cooldown and was
+  counted as a split; a nacked reclaim did the same on the reclaim
+  side;
 * ``Lifecycle._finalize_split`` unpacked ``None`` (TypeError) when a
   transfer completion raced an abort.
 """
 
-import pytest
-
 from tests.core.helpers import ScriptedGameServer, build_deployment
 
 from repro.core.config import LoadPolicyConfig
-from repro.core.policy import Decision, LoadPolicy
+from repro.core.policy import ChildLoad, Decision, LoadPolicy
 
 
 # ----------------------------------------------------------------------
@@ -28,47 +26,49 @@ def _overload_policy(**overrides) -> LoadPolicyConfig:
         underload_clients=50,
         consecutive_overload_reports=1,
         split_cooldown=10.0,
-        failed_attempt_backoff=2.0,
     )
     defaults.update(overrides)
     return LoadPolicyConfig(**defaults)
 
 
-def test_failed_split_restores_cooldown_and_counts_separately():
+def test_failed_split_waits_one_cooldown_from_the_failure():
     policy = LoadPolicy(_overload_policy())
     assert policy.on_load_report(0.0, 150, None, False) is Decision.SPLIT
     policy.note_split_attempt(0.0)
-    policy.note_split_failure(0.0)
-    # The attempt consumed neither the success counter nor the cooldown.
-    assert policy.split_count == 0
-    assert policy.failed_split_count == 1
-    # Blocked inside the failed-attempt backoff, free right after it —
-    # the 10s success cooldown was restored, not consumed.
-    assert policy.on_load_report(1.0, 150, None, False) is Decision.NONE
-    assert policy.on_load_report(2.5, 150, None, False) is Decision.SPLIT
+    # The pool answers empty 3 s later: the next attempt waits one
+    # split cooldown from the failure, not from the attempt.
+    policy.note_split_failure(3.0)
+    assert policy.on_load_report(12.0, 150, None, False) is Decision.NONE
+    assert policy.on_load_report(13.0, 150, None, False) is Decision.SPLIT
 
 
 def test_successful_split_keeps_historical_cooldown_timing():
     policy = LoadPolicy(_overload_policy())
     policy.note_split_attempt(0.0)
     policy.note_split_success()
-    assert policy.split_count == 1
     # Cooldown runs from the attempt, exactly as before the fix.
     assert policy.on_load_report(9.0, 150, None, False) is Decision.NONE
     assert policy.on_load_report(10.0, 150, None, False) is Decision.SPLIT
 
 
-def test_failed_backoff_defaults_to_the_cooldown():
-    config = LoadPolicyConfig()
-    assert config.effective_failed_split_backoff() == config.split_cooldown
-    assert (
-        config.effective_failed_reclaim_backoff() == config.reclaim_cooldown
+def test_failed_reclaim_waits_one_reclaim_cooldown_from_the_failure():
+    policy = LoadPolicy(
+        _overload_policy(
+            consecutive_underload_reports=1,
+            reclaim_cooldown=8.0,
+            min_child_lifetime=0.0,
+        )
     )
-    tuned = LoadPolicyConfig(failed_attempt_backoff=1.5)
-    assert tuned.effective_failed_split_backoff() == 1.5
-    assert tuned.effective_failed_reclaim_backoff() == 1.5
-    with pytest.raises(ValueError):
-        LoadPolicyConfig(failed_attempt_backoff=-0.1)
+    idle_child = ChildLoad(
+        client_count=10, has_children=False, born_at=0.0, reported_at=0.0
+    )
+    assert policy.on_load_report(0.0, 10, idle_child, False) is Decision.RECLAIM
+    policy.note_reclaim_attempt(0.0)
+    policy.note_reclaim_failure(2.0)  # nacked
+    assert policy.on_load_report(9.0, 10, idle_child, False) is Decision.NONE
+    assert (
+        policy.on_load_report(10.0, 10, idle_child, False) is Decision.RECLAIM
+    )
 
 
 # ----------------------------------------------------------------------
@@ -86,8 +86,6 @@ def test_pool_exhausted_split_consumes_nothing():
     sim.run(until=5.0)
     assert ms.failed_splits >= 1
     assert ms.splits_completed == 0
-    assert ms.policy.split_count == 0
-    assert ms.policy.failed_split_count >= 1
     assert not ms.busy
     assert deployment.pool.available == 0
     assert deployment.unaccounted_hosts() == []
@@ -153,7 +151,6 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
         split_cooldown=1.0,
         reclaim_cooldown=1.0,
         min_child_lifetime=1.0,
-        failed_attempt_backoff=0.5,
     )
     sim, network, deployment = build_deployment(pool_capacity=2, policy=policy)
     ms, gs = deployment.bootstrap()
@@ -170,15 +167,13 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
         sim.at(6.6 + 0.5 * i, lambda: gs.report(10))
     sim.run(until=9.0)
     assert ms.failed_reclaims >= 1
-    assert ms.policy.reclaim_count == 0
     assert ms.reclaims_completed == 0
     assert not ms.busy  # the nack cleared the in-flight state
-    # Once the child is free again the parent retries after only the
-    # failed-attempt backoff — the success cooldown was restored.
+    # Once the child is free again the parent retries one cooldown
+    # after the last failure.
     child_ms.ctx.busy = False
     sim.run(until=14.0)
     assert ms.reclaims_completed == 1
-    assert ms.policy.reclaim_count == 1
     assert deployment.pool.available == 2 or ms.busy is False
     sim.run(until=15.0)
     assert deployment.unaccounted_hosts() == []

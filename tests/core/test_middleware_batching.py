@@ -9,11 +9,7 @@ inter-Matrix-server messages.
 
 from tests.core.helpers import ScriptedGameServer
 
-from repro.core.config import (
-    LoadPolicyConfig,
-    MatrixConfig,
-    MiddlewareConfig,
-)
+from repro.core.config import LoadPolicyConfig, MatrixConfig
 from repro.core.deployment import MatrixDeployment
 from repro.games.profile import profile_by_name
 from repro.geometry import Rect, Vec2
@@ -38,9 +34,7 @@ def run_scenario(batch: bool):
         world=WORLD,
         visibility_radius=50.0,
         policy=LoadPolicyConfig(overload_clients=100, underload_clients=50),
-        middleware=MiddlewareConfig(
-            batch_spatial_forwards=batch, batch_window=0.05
-        ),
+        batch_spatial_forwards=batch,
     )
     deployment = MatrixDeployment(
         sim, network, config, game_server_factory=ScriptedGameServer
@@ -102,7 +96,7 @@ def test_batching_stage_installed_from_config():
     config = MatrixConfig(
         world=WORLD,
         visibility_radius=50.0,
-        middleware=MiddlewareConfig(batch_spatial_forwards=True),
+        batch_spatial_forwards=True,
     )
     deployment = MatrixDeployment(
         sim, network, config, game_server_factory=ScriptedGameServer
@@ -124,7 +118,7 @@ def test_combined_stages_keep_fault_injection_innermost():
         backend="matrix",
         profile=scaled_profile(profile_by_name("bzflag"), 0.05),
         policy=LoadPolicyConfig().scaled(0.05),
-        middleware=MiddlewareConfig(batch_spatial_forwards=True),
+        batch_spatial_forwards=True,
         scale=0.05,
         preview=60.0,
         seed=3,

@@ -10,7 +10,6 @@ def make_policy(**overrides):
     defaults = dict(
         overload_clients=300,
         underload_clients=150,
-        report_interval=1.0,
         consecutive_overload_reports=2,
         consecutive_underload_reports=3,
         split_cooldown=4.0,
@@ -43,8 +42,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         LoadPolicyConfig(overload_clients=100, underload_clients=100)
     with pytest.raises(ValueError):
-        LoadPolicyConfig(report_interval=0.0)
-    with pytest.raises(ValueError):
         LoadPolicyConfig(consecutive_overload_reports=0)
     with pytest.raises(ValueError):
         LoadPolicyConfig(reclaim_combined_factor=1.5)
@@ -72,7 +69,8 @@ def test_split_cooldown_blocks_second_split():
     policy = make_policy()
     policy.on_load_report(0.0, 400, None, False)
     assert policy.on_load_report(1.0, 400, None, False) is Decision.SPLIT
-    policy.note_split(1.0)
+    policy.note_split_attempt(1.0)
+    policy.note_split_success()
     # Still overloaded, but within the cooldown window.
     policy.on_load_report(2.0, 400, None, False)
     assert policy.on_load_report(3.0, 400, None, False) is Decision.NONE
@@ -130,7 +128,8 @@ def test_reclaim_cooldown():
     kid = child(10, born_at=-50.0)
     policy.on_load_report(0.0, 10, kid, False)
     assert policy.on_load_report(1.0, 10, kid, False) is Decision.RECLAIM
-    policy.note_reclaim(1.0)
+    policy.note_reclaim_attempt(1.0)
+    policy.note_reclaim_success()
     assert policy.on_load_report(2.0, 10, kid, False) is Decision.NONE
     # 8-second cooldown, and the underload streak must rebuild.
     assert policy.on_load_report(10.0, 10, kid, False) is Decision.RECLAIM
@@ -149,12 +148,3 @@ def test_split_takes_priority_over_reclaim():
     )
     kid = child(10, born_at=-100.0)
     assert policy.on_load_report(0.0, 400, kid, False) is Decision.SPLIT
-
-
-def test_counters():
-    policy = make_policy()
-    policy.note_split(0.0)
-    policy.note_split(10.0)
-    policy.note_reclaim(20.0)
-    assert policy.split_count == 2
-    assert policy.reclaim_count == 1

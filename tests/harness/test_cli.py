@@ -51,6 +51,14 @@ def test_run_prints_the_summary(capsys):
     assert "events   : 4499" in out
 
 
+def test_run_with_a_repeated_name_prints_the_single_run_summary(capsys):
+    argv = ["run", "uniform-roam", "uniform-roam", *FAST, "--seed", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "scenario : uniform-roam" in out
+    assert "scenarios on" not in out
+
+
 def test_run_with_several_names_prints_one_row_each(capsys):
     argv = ["run", "flash-crowd", "uniform-roam", "--backend", "static", *FAST]
     assert main(argv) == 0

@@ -148,6 +148,7 @@ class Echoes:
 
 
 def test_adopted_component_is_called_straight_from_handle_message():
+    import gc
     import sys
 
     node = attached(Base())
@@ -159,11 +160,17 @@ def test_adopted_component_is_called_straight_from_handle_message():
             called.append(frame.f_code.co_name)
 
     message = make("echo")
+    # A collection inside the window would add the frames of whatever
+    # gc.callbacks other tests' libraries installed (hypothesis has one).
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(trace)
     try:
         node.handle_message(message)
     finally:
         sys.setprofile(None)
+        if gc_was_enabled:
+            gc.enable()
     # No frame between the node's entry point and the component.
     assert called == ["handle_message", "on_echo"]
     node.handle_message(make("echo.loud"))

@@ -136,8 +136,8 @@ def test_fault_injection_ignores_other_kinds():
 
 def test_batching_aggregates_same_destination():
     sim, network, tx, rx = pair()
-    tx.use(SpatialBatchingStage(window=0.05))
-    rx.use(SpatialBatchingStage(window=0.05))
+    tx.use(SpatialBatchingStage())
+    rx.use(SpatialBatchingStage())
     for i in range(4):
         tx.send("rx", "matrix.forward", f"p{i}", size_bytes=64)
     sim.run(until=1.0)
@@ -151,8 +151,8 @@ def test_batching_aggregates_same_destination():
 
 def test_batching_single_message_goes_out_unwrapped():
     sim, network, tx, rx = pair()
-    tx.use(SpatialBatchingStage(window=0.05))
-    rx.use(SpatialBatchingStage(window=0.05))
+    tx.use(SpatialBatchingStage())
+    rx.use(SpatialBatchingStage())
     tx.send("rx", "matrix.forward", "solo", size_bytes=64)
     sim.run(until=1.0)
     assert network.stats.by_kind[BATCH_KIND].messages == 0
@@ -168,7 +168,7 @@ def test_batching_separates_destinations_and_windows():
     rx2 = Receiver("rx2")
     for node in (tx, rx1, rx2):
         network.add_node(node)
-        node.use(SpatialBatchingStage(window=0.05))
+        node.use(SpatialBatchingStage())
     # Window 1: two to rx, two to rx2.  Window 2: two more to rx.
     for i in range(2):
         tx.send("rx", "matrix.forward", f"a{i}", size_bytes=64)
@@ -185,7 +185,7 @@ def test_batching_separates_destinations_and_windows():
 
 def test_batching_leaves_control_kinds_alone():
     sim, network, tx, rx = pair()
-    tx.use(SpatialBatchingStage(window=0.05))
+    tx.use(SpatialBatchingStage())
     tx.send("rx", "data", "ctl", size_bytes=8)
     sim.run(until=1.0)
     assert [m.payload for m in rx.received] == ["ctl"]

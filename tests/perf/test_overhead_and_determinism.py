@@ -3,7 +3,7 @@ observation-only when on."""
 
 import pytest
 
-from repro.core.config import MatrixConfig, PerfConfig
+from repro.core.config import PerfConfig
 from repro.harness.runner import run_scenario
 from repro.sim.kernel import Simulator
 
@@ -15,8 +15,8 @@ def _tiny_run(perf: PerfConfig | None = None):
 
 
 def test_perf_is_off_by_default():
-    assert MatrixConfig().perf.enabled is False
-    assert MatrixConfig().perf.build_registry() is None
+    assert PerfConfig().enabled is False
+    assert PerfConfig().build_registry() is None
     outcome = _tiny_run()
     assert outcome.experiment.perf is None
     assert outcome.result.perf_snapshot is None
@@ -80,6 +80,4 @@ def test_instrumented_run_populates_every_layer():
 
 def test_perf_config_validation():
     with pytest.raises(ValueError):
-        PerfConfig(step_sample_every=0)
-    with pytest.raises(ValueError):
-        PerfConfig(timer_max_samples=-1)
+        PerfConfig(enabled=True, step_sample_every=0).build_registry()

@@ -9,10 +9,6 @@ def test_initial_time_is_zero():
     assert Simulator().now == 0.0
 
 
-def test_custom_start_time():
-    assert Simulator(start_time=5.0).now == 5.0
-
-
 def test_after_fires_at_relative_time():
     sim = Simulator()
     fired = []
