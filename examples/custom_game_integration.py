@@ -52,7 +52,7 @@ class CtfServer(Node):
         self.players: dict[str, Vec2] = {}
         self.remote_grabs: list[FlagGrab] = []
         # --- the entire Matrix integration: one port + two callbacks.
-        self.port = MatrixPort(self, visibility_radius=RADIUS)
+        self.port = MatrixPort(self)
         self.port.on_deliver = lambda pkt: self.remote_grabs.append(pkt.payload)
         self.port.on_set_range = self._range_changed
 

@@ -1,13 +1,12 @@
 """Analysis utilities: time series, stats, plots, the asymptotic model."""
 
-from repro.analysis.asciiplot import render_histogram, render_series
+from repro.analysis.asciiplot import render_series
 from repro.analysis.asymptotic import (
     AsymptoticParams,
     IoBreakdown,
     max_players,
     mean_consistency_set_size,
     min_servers_for,
-    optimal_servers,
     overlap_fraction,
     partition_side,
     per_player_io,
@@ -26,14 +25,12 @@ __all__ = [
     "max_players",
     "mean_consistency_set_size",
     "min_servers_for",
-    "optimal_servers",
     "overlap_fraction",
     "partition_side",
     "pearson",
     "per_player_io",
     "per_server_io",
     "percentile",
-    "render_histogram",
     "render_series",
     "summarize",
     "supports_paper_claim",

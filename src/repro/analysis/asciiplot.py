@@ -54,28 +54,3 @@ def render_series(
     lines.append(f" t={t_min:g}s{' ' * max(width - 24, 1)}t={t_max:g}s")
     lines.append(" " + "  ".join(legend))
     return "\n".join(lines)
-
-
-def render_histogram(
-    values: list[float],
-    bins: int = 20,
-    width: int = 60,
-    title: str = "",
-    unit: str = "",
-) -> str:
-    """Render a horizontal ASCII histogram of *values*."""
-    if not values:
-        return f"{title}\n(no data)"
-    lo, hi = min(values), max(values)
-    span = max(hi - lo, 1e-12)
-    counts = [0] * bins
-    for v in values:
-        index = min(int((v - lo) / span * bins), bins - 1)
-        counts[index] += 1
-    peak = max(counts)
-    lines = [title] if title else []
-    for i, count in enumerate(counts):
-        left = lo + span * i / bins
-        bar = "#" * int(count / peak * width) if peak else ""
-        lines.append(f"{left:>10.4g}{unit} |{bar} {count}")
-    return "\n".join(lines)

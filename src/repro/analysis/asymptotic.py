@@ -148,25 +148,6 @@ def max_players(params: AsymptoticParams, servers: int) -> float:
     return servers * params.server_io_capacity / per_player_io(params, servers)
 
 
-def optimal_servers(params: AsymptoticParams, max_servers: int = 1 << 20) -> int:
-    """Server count maximising supportable players.
-
-    More servers shrink per-server client load but inflate the overlap
-    fraction; past the point where partitions approach 2R the returns
-    reverse.  The bench sweeps this to reproduce conclusion (b).
-    """
-    best_servers = 1
-    best_players = max_players(params, 1)
-    servers = 1
-    while servers <= max_servers:
-        candidate = max_players(params, servers)
-        if candidate > best_players:
-            best_players = candidate
-            best_servers = servers
-        servers *= 2
-    return best_servers
-
-
 def min_servers_for(params: AsymptoticParams, players: float) -> int | None:
     """Smallest server count supporting *players*, or None if impossible."""
     servers = 1

@@ -54,31 +54,11 @@ class TimeSeries:
             raise ValueError("empty series")
         return max(self._values)
 
-    def min(self) -> float:
-        """Smallest sample value."""
-        if not self._values:
-            raise ValueError("empty series")
-        return min(self._values)
-
-    def mean(self) -> float:
-        """Arithmetic mean of samples."""
-        if not self._values:
-            raise ValueError("empty series")
-        return sum(self._values) / len(self._values)
-
     def last(self) -> float:
         """Most recent sample value."""
         if not self._values:
             raise ValueError("empty series")
         return self._values[-1]
-
-    def window(self, start: float, end: float) -> "TimeSeries":
-        """Sub-series with ``start <= t < end``."""
-        out = TimeSeries(self.name)
-        for t, v in zip(self._times, self._values):
-            if start <= t < end:
-                out.append(t, v)
-        return out
 
     def argmax(self) -> float:
         """Time of the largest sample."""
@@ -104,7 +84,8 @@ class Sampler:
         self._sim = sim
         self._discover = discover
         self.series: dict[str, TimeSeries] = {}
-        self._task = sim.every(period, self._sample, start=0.0)
+        #: The sampling task (``task.stop()`` ends sampling).
+        self.task = sim.every(period, self._sample, start=0.0)
 
     def _sample(self) -> None:
         for name, probe in self._discover().items():
@@ -113,7 +94,3 @@ class Sampler:
                 series = TimeSeries(name)
                 self.series[name] = series
             series.append(self._sim.now, float(probe()))
-
-    def stop(self) -> None:
-        """Stop sampling."""
-        self._task.stop()

@@ -19,7 +19,6 @@ from repro.baselines.dht import (
     LookupCost,
     chord_expected_hops,
     dht_lookup_cost,
-    overlap_table_cost,
     sample_chord_hops,
     sample_dht_lookup,
 )

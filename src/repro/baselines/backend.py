@@ -55,8 +55,8 @@ class BackendInfo:
     Rendered by ``python -m repro list-backends`` and the docs table;
     supplied alongside the runner registration
     (``@scenario_backend(name, info=...)``).  A backend registered
-    without one still runs but is invisible to ``list-backends`` and
-    ``backend_info`` reports it as info-less.
+    without one still runs, but ``backend_infos`` (and so
+    ``list-backends``) leaves it out.
     """
 
     name: str
@@ -167,14 +167,16 @@ class ArchitectureBackend(ABC):
     def locate(self, point: Vec2) -> str:
         """Ownership: the node name a client at *point* connects to."""
 
-    # ------------------------------------------------------------------
-    # Introspection hooks (sane defaults for game-server topologies)
-    # ------------------------------------------------------------------
-    @property
-    def game_servers(self) -> dict:
-        """name -> handle with ``client_count`` and ``inbox`` (probes)."""
-        return {}
+    @abstractmethod
+    def fault_nodes(self) -> list:
+        """Server-class nodes a chaos ``LinkDegrade`` installs stages on:
+        the tier the consistency traffic leaves from."""
 
+    # ------------------------------------------------------------------
+    # Introspection hooks (defaults for game-server topologies, which
+    # expose ``game_servers``: name -> handle with ``client_count`` and
+    # ``inbox``)
+    # ------------------------------------------------------------------
     def probes(self) -> dict[str, Callable[[], float]]:
         """Per-server client-count and queue-length probes."""
         out: dict[str, Callable[[], float]] = {}
@@ -182,15 +184,6 @@ class ArchitectureBackend(ABC):
             out[f"clients/{gs_name}"] = lambda h=handle: h.client_count
             out[f"queue/{gs_name}"] = lambda h=handle: h.inbox.length
         return out
-
-    def fault_nodes(self) -> list:
-        """Server-class nodes a chaos ``LinkDegrade`` installs stages on.
-
-        Defaults to the game-server handles; backends whose consistency
-        traffic leaves from a different tier (Matrix servers, zone
-        routers, mirror gates, player uplinks) override this.
-        """
-        return list(self.game_servers.values())
 
     def dropped_packets(self) -> int:
         """Packets dropped by saturated receive queues."""

@@ -70,13 +70,6 @@ def dht_lookup_cost(
     )
 
 
-def overlap_table_cost(servers: int) -> LookupCost:
-    """Matrix's O(1) local table lookup: zero network hops."""
-    if servers < 1:
-        raise ValueError("need at least one server")
-    return LookupCost(servers=servers, expected_hops=0.0, expected_latency=0.0)
-
-
 def sample_chord_hops(servers: int, rng: random.Random) -> int:
     """Sample one lookup's hop count.
 
@@ -141,20 +134,12 @@ class DhtZoneRouter(StaticZoneRouter):
         table: RegionIndex,
         router_of: dict[str, str],
         directory: dict[str, Rect],
-        metric,
         radius: float,
         ring: list[str],
         sample_hops,
     ) -> None:
         super().__init__(
-            name,
-            game_server,
-            partition,
-            table,
-            router_of,
-            directory,
-            metric,
-            radius,
+            name, game_server, partition, table, router_of, directory, radius
         )
         self._ring = ring
         self._ring_index = ring.index(name)

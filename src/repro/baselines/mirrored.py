@@ -207,16 +207,6 @@ class MirroredCost:
     replication_packets_per_second: float
     per_mirror_load: float
 
-    @property
-    def replication_overhead(self) -> float:
-        """Replication packets per client packet."""
-        if self.client_packets_per_second == 0:
-            return 0.0
-        return (
-            self.replication_packets_per_second
-            / self.client_packets_per_second
-        )
-
 
 def mirrored_cost(
     profile: GameProfile, clients: int, mirrors: int

@@ -18,7 +18,7 @@ of dynamic repartitioning.
 from __future__ import annotations
 
 from repro.baselines.backend import ArchitectureBackend
-from repro.core.config import ROUTER_SERVICE_RATE, PerfConfig
+from repro.core.config import METRIC, ROUTER_SERVICE_RATE, PerfConfig
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.games.base import GameServer
 from repro.games.profile import GameProfile
@@ -27,7 +27,6 @@ from repro.geometry import (
     RegionIndex,
     Vec2,
     decompose_partition,
-    metric_by_name,
     tile_world,
 )
 from repro.net.message import Message
@@ -54,7 +53,6 @@ class StaticZoneRouter(Node):
         table: RegionIndex,
         router_of: dict[str, str],
         directory: dict[str, Rect],
-        metric,
         radius: float,
     ) -> None:
         super().__init__(name, service_rate=ROUTER_SERVICE_RATE)
@@ -65,14 +63,9 @@ class StaticZoneRouter(Node):
         self._directory = directory
         #: Where a forward must originate to matter here.  The tile
         #: never changes, so neither does this.
-        self._reach = metric.expand_rect(partition, radius)
+        self._reach = METRIC.expand_rect(partition, radius)
         self.forwarded_packets = 0
         self.delivered_packets = 0
-
-    @property
-    def partition(self) -> Rect:
-        """The fixed tile this router serves."""
-        return self._partition
 
     def announce_range(self) -> None:
         """Send the game server its (permanent) range + directory."""
@@ -140,7 +133,6 @@ class StaticDeployment:
         self.profile = profile
         if router_factory is None:
             router_factory = StaticZoneRouter
-        metric = metric_by_name(profile.metric_name, world=profile.world)
         tiles = tile_world(profile.world, columns, rows)
         zone_ids = [f"zone-{i + 1}" for i in range(len(tiles))]
         partitions = dict(zip(zone_ids, tiles))
@@ -169,7 +161,7 @@ class StaticDeployment:
             )
             network.add_node(game_server)
             cells = decompose_partition(
-                zone, partitions, profile.visibility_radius, metric
+                zone, partitions, profile.visibility_radius, METRIC
             )
             table = RegionIndex(partitions[zone], cells)
             router = router_factory(
@@ -179,7 +171,6 @@ class StaticDeployment:
                 table=table,
                 router_of=router_of,
                 directory=directory,
-                metric=metric,
                 radius=profile.visibility_radius,
             )
             network.add_node(router)
@@ -195,12 +186,6 @@ class StaticDeployment:
             if game_server.map_range.contains(point):
                 return gs_name
         raise LookupError(f"no tile contains {point}")
-
-    def dropped_packets(self) -> int:
-        """Packets dropped by saturated game-server queues."""
-        return sum(
-            gs.inbox.dropped_count for gs in self.game_servers.values()
-        )
 
 
 class StaticExperiment(ArchitectureBackend):

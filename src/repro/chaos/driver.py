@@ -151,11 +151,6 @@ class ChaosDriver:
         self.records: list[FaultRecord] = []
         self._armed = False
 
-    @property
-    def faults(self) -> tuple[FaultPhase, ...]:
-        """Everything this driver will inject."""
-        return self._faults
-
     def crash_fault_types(self) -> list[str]:
         """Names of the scheduled fault types that kill a node outright.
 
@@ -238,7 +233,7 @@ class ChaosDriver:
         return [
             server
             for server in self._deployment.matrix_servers.values()
-            if not server.dying
+            if not server.ctx.dying
         ]
 
     def _pick_victim(self, rule: str):

@@ -79,9 +79,8 @@ class MatrixPort:
 
     _query_ids = itertools.count(1)
 
-    def __init__(self, owner: Node, visibility_radius: float) -> None:
+    def __init__(self, owner: Node) -> None:
         self._owner = owner
-        self._radius = visibility_radius
         self._matrix_name: str | None = None
         self._pending_queries: dict[int, Callable[[frozenset], None]] = {}
         # The port's own little dispatch table, derived from the one
@@ -102,16 +101,6 @@ class MatrixPort:
     def bound(self) -> bool:
         """True once attached to a Matrix server."""
         return self._matrix_name is not None
-
-    @property
-    def matrix_name(self) -> str | None:
-        """Name of the attached Matrix server."""
-        return self._matrix_name
-
-    @property
-    def visibility_radius(self) -> float:
-        """The radius this game registered with Matrix."""
-        return self._radius
 
     def bind(self, matrix_name: str) -> None:
         """Attach to Matrix server *matrix_name*."""
@@ -199,11 +188,6 @@ class MatrixPort:
     # ------------------------------------------------------------------
     # Inbound (Matrix → game server)
     # ------------------------------------------------------------------
-    @property
-    def kinds(self) -> frozenset[str]:
-        """The message kinds this port consumes."""
-        return frozenset(self._handlers)
-
     def handle(self, message: Message) -> bool:
         """Consume Matrix-originated messages; returns True if consumed.
 

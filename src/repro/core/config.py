@@ -16,7 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.splitting import SplitToLeft
-from repro.geometry import Rect
+from repro.geometry import EuclideanMetric, Rect
+
+#: The distance metric of every deployment: every shipped game is an
+#: open-field game (see :mod:`repro.geometry.metrics`).
+METRIC = EuclideanMetric()
 
 # Wire sizes in bytes (bandwidth accounting), read by the Matrix
 # servers, the coordinator and the game-server port alike.
@@ -145,8 +149,6 @@ class MatrixConfig:
     #: internally creates distinct sets of overlap regions, each for a
     #: different R."  One extra overlap table is maintained per entry.
     extra_radii: tuple = ()
-    #: Distance metric name (see :mod:`repro.geometry.metrics`).
-    metric_name: str = "euclidean"
     #: Split strategy name (see :mod:`repro.core.splitting`).
     split_strategy: str = SplitToLeft.name
     #: Load policy knobs.

@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.core.config import (
     CONTROL_BYTES,
     DIRECTORY_ENTRY_BYTES,
+    METRIC,
     TABLE_CELL_BYTES,
     MatrixConfig,
 )
@@ -31,7 +32,6 @@ from repro.geometry import (
     PartitionIndex,
     Rect,
     consistency_set_at,
-    metric_by_name,
 )
 from repro.net.message import Message
 from repro.net.node import Node, handles
@@ -49,11 +49,12 @@ class MatrixCoordinator(Node):
     def __init__(self, config: MatrixConfig, name: str = "mc") -> None:
         super().__init__(name, service_rate=float("inf"))
         self._config = config
-        self._metric = metric_by_name(config.metric_name, world=config.world)
-        self._partitions: dict[str, Rect] = {}
+        #: The authoritative Matrix-server → partition map.
+        self.partitions: dict[str, Rect] = {}
         self._game_server_of: dict[str, str] = {}
         self._radius = config.visibility_radius
-        self._version = 0
+        #: Monotonic table version; bumps on every recompute.
+        self.version = 0
         self._standby: str | None = None
         self._sync_task = None
         # Indexed point → owner lookup, rebuilt lazily whenever the
@@ -66,28 +67,10 @@ class MatrixCoordinator(Node):
         self.recompute_count = 0
         self.query_count = 0
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def partitions(self) -> dict[str, Rect]:
-        """Current Matrix-server → partition map (copy)."""
-        return dict(self._partitions)
-
-    @property
-    def version(self) -> int:
-        """Monotonic table version; bumps on every recompute."""
-        return self._version
-
-    @property
-    def server_count(self) -> int:
-        """Registered Matrix servers."""
-        return len(self._partitions)
-
     def coverage_area(self) -> float:
         """Total area covered by registered partitions (should equal
         the world's area at all times — asserted by invariant tests)."""
-        return sum(rect.area for rect in self._partitions.values())
+        return sum(rect.area for rect in self.partitions.values())
 
     # ------------------------------------------------------------------
     # Message handling
@@ -95,7 +78,7 @@ class MatrixCoordinator(Node):
     @handles("mc.register")
     def _on_register(self, message: Message) -> None:
         reg: RegisterServer = message.payload
-        self._partitions[reg.matrix_server] = reg.partition
+        self.partitions[reg.matrix_server] = reg.partition
         self._game_server_of[reg.matrix_server] = reg.game_server
         self._radius = reg.visibility_radius
         self._recompute_and_push()
@@ -103,10 +86,10 @@ class MatrixCoordinator(Node):
     @handles("mc.split")
     def _on_split(self, message: Message) -> None:
         notice: SplitNotice = message.payload
-        if notice.parent not in self._partitions:
+        if notice.parent not in self.partitions:
             return  # stale notice from a server we no longer know
-        self._partitions[notice.parent] = notice.parent_partition
-        self._partitions[notice.child] = notice.child_partition
+        self.partitions[notice.parent] = notice.parent_partition
+        self.partitions[notice.child] = notice.child_partition
         self._game_server_of[notice.child] = notice.child_game_server
         self._radius = notice.visibility_radius
         self._recompute_and_push()
@@ -114,24 +97,24 @@ class MatrixCoordinator(Node):
     @handles("mc.reclaim")
     def _on_reclaim(self, message: Message) -> None:
         notice: ReclaimNotice = message.payload
-        if notice.parent not in self._partitions:
+        if notice.parent not in self.partitions:
             return
-        self._partitions.pop(notice.child, None)
+        self.partitions.pop(notice.child, None)
         self._game_server_of.pop(notice.child, None)
-        self._partitions[notice.parent] = notice.merged_partition
+        self.partitions[notice.parent] = notice.merged_partition
         self._recompute_and_push()
 
     @handles("mc.unregister")
     def _on_unregister(self, message: Message) -> None:
         unreg: UnregisterServer = message.payload
-        self._partitions.pop(unreg.matrix_server, None)
+        self.partitions.pop(unreg.matrix_server, None)
         self._game_server_of.pop(unreg.matrix_server, None)
         self._recompute_and_push()
 
     def _owner_of(self, point) -> str | None:
         """Indexed owner lookup (rebuilt only when partitions changed)."""
         if self._owner_index is None:
-            self._owner_index = PartitionIndex(self._partitions)
+            self._owner_index = PartitionIndex(self.partitions)
         return self._owner_index.lookup(point)
 
     @handles("mc.query")
@@ -141,7 +124,7 @@ class MatrixCoordinator(Node):
         self.query_count += 1
         owner = self._owner_of(query.point)
         servers = consistency_set_at(
-            query.point, owner, self._partitions, self._radius, self._metric
+            query.point, owner, self.partitions, self._radius, METRIC
         )
         if owner is not None and query.exclude != owner:
             # For a non-proximal interaction the owner of the remote
@@ -174,12 +157,12 @@ class MatrixCoordinator(Node):
 
     def _send_sync(self) -> None:
         state = {
-            "partitions": dict(self._partitions),
+            "partitions": dict(self.partitions),
             "game_server_of": dict(self._game_server_of),
             "radius": self._radius,
-            "version": self._version,
+            "version": self.version,
         }
-        size = len(self._partitions) * 2 * DIRECTORY_ENTRY_BYTES + CONTROL_BYTES
+        size = len(self.partitions) * 2 * DIRECTORY_ENTRY_BYTES + CONTROL_BYTES
         self.send(self._standby, "mc.sync", state, size_bytes=size)
 
     # ------------------------------------------------------------------
@@ -193,11 +176,11 @@ class MatrixCoordinator(Node):
         Matrix server is reclaimed."
         """
         self.recompute_count += 1
-        self._version += 1
+        self.version += 1
         self._owner_index = None  # partitioning changed: rebuild lazily
         directory = {
             self._game_server_of[ms]: rect
-            for ms, rect in self._partitions.items()
+            for ms, rect in self.partitions.items()
         }
         server_map = dict(self._game_server_of)
         # One distinct set of overlap regions per radius (§3.1): the
@@ -205,23 +188,23 @@ class MatrixCoordinator(Node):
         radii = {self._radius, *self._config.extra_radii}
         if self._overlap_cache is None:
             perf = self._network.perf if self._network is not None else None
-            self._overlap_cache = OverlapMapCache(self._metric, perf=perf)
-        all_tables = self._overlap_cache.compute(self._partitions, radii)
-        for ms_name, partition in self._partitions.items():
+            self._overlap_cache = OverlapMapCache(METRIC, perf=perf)
+        all_tables = self._overlap_cache.compute(self.partitions, radii)
+        for ms_name, partition in self.partitions.items():
             tables = all_tables[ms_name]
             update = OverlapTableUpdate(
-                version=self._version,
+                version=self.version,
                 partition=partition,
                 tables=tables,
                 default_radius=self._radius,
-                partitions=dict(self._partitions),
+                partitions=dict(self.partitions),
                 game_servers=directory,
                 server_map=server_map,
             )
             cell_count = sum(len(cells) for cells in tables.values())
             size = (
                 cell_count * TABLE_CELL_BYTES
-                + len(self._partitions) * 2 * DIRECTORY_ENTRY_BYTES
+                + len(self.partitions) * 2 * DIRECTORY_ENTRY_BYTES
                 + CONTROL_BYTES
             )
             self.send(ms_name, "mc.table", update, size_bytes=size)
@@ -267,10 +250,10 @@ class StandbyCoordinator(MatrixCoordinator):
         self._last_sync = self.sim.now
         if self.promoted:
             return  # a zombie primary's stale sync must not demote us
-        self._partitions = dict(state["partitions"])
+        self.partitions = dict(state["partitions"])
         self._game_server_of = dict(state["game_server_of"])
         self._radius = state["radius"]
-        self._version = state["version"]
+        self.version = state["version"]
         self._owner_index = None
 
     def _check_primary(self) -> None:
@@ -298,8 +281,8 @@ class StandbyCoordinator(MatrixCoordinator):
         self.promoted_at = self.sim.now
         if self._monitor is not None:
             self._monitor.stop()
-        known = list(self._partitions)
-        self._partitions = {}
+        known = list(self.partitions)
+        self.partitions = {}
         self._game_server_of = {}
         self._owner_index = None
         self.multicast(known, "mc.failover", self.name, CONTROL_BYTES)

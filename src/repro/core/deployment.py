@@ -544,7 +544,7 @@ class MatrixDeployment:
         best_name: str | None = None
         best_distance = float("inf")
         for matrix_server in self.matrix_servers.values():
-            if matrix_server.dying:
+            if matrix_server.ctx.dying:
                 continue
             if matrix_server.partition.contains(point):
                 return matrix_server.game_server
@@ -561,7 +561,7 @@ class MatrixDeployment:
         return [
             name
             for name, server in self.matrix_servers.items()
-            if not server.dying
+            if not server.ctx.dying
         ]
 
     def total_clients(self) -> int:

@@ -57,11 +57,6 @@ class LoadPolicy:
         self._split_stamp_before_attempt: float | None = None
         self._reclaim_stamp_before_attempt: float | None = None
 
-    @property
-    def config(self) -> LoadPolicyConfig:
-        """The thresholds this policy runs with."""
-        return self._config
-
     # ------------------------------------------------------------------
     # Classification helpers
     # ------------------------------------------------------------------

@@ -29,7 +29,8 @@ class ServerPool:
             raise ValueError(f"negative capacity: {capacity}")
         self._sim = sim
         self._capacity = capacity
-        self._available = capacity
+        #: Hosts currently free.
+        self.available = capacity
         self._acquire_delay = acquire_delay
         self._next_host = 0
         self._issued: set[str] = set()
@@ -43,16 +44,6 @@ class ServerPool:
     def capacity(self) -> int:
         """Total hosts the pool started with."""
         return self._capacity
-
-    @property
-    def available(self) -> int:
-        """Hosts currently free."""
-        return self._available
-
-    @property
-    def in_use(self) -> int:
-        """Hosts currently handed out."""
-        return self._capacity - self._available
 
     @property
     def issued(self) -> frozenset[str]:
@@ -73,11 +64,11 @@ class ServerPool:
         ``None``, so callers have one code path).
         """
         self.acquire_attempts += 1
-        if self._available == 0:
+        if self.available == 0:
             self.acquire_failures += 1
             self._sim.after(0.0, lambda: callback(None))
             return False
-        self._available -= 1
+        self.available -= 1
         self._next_host += 1
         host_id = f"host-{self._next_host}"
         self._issued.add(host_id)
@@ -99,9 +90,9 @@ class ServerPool:
         """
         if host_id not in self._issued:
             return False
-        if self._available >= self._capacity:
+        if self.available >= self._capacity:
             raise RuntimeError("release would exceed pool capacity")
         self._issued.discard(host_id)
         self._provisioning.discard(host_id)
-        self._available += 1
+        self.available += 1
         return True

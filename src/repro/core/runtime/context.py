@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.config import CONTROL_BYTES, MatrixConfig
+from repro.core.config import CONTROL_BYTES, METRIC, MatrixConfig
 from repro.core.policy import ChildLoad, LoadPolicy
 from repro.core.splitting import strategy_by_name
-from repro.geometry import PartitionIndex, Rect, RegionIndex, metric_by_name
+from repro.geometry import PartitionIndex, Rect, RegionIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime.fabric import Fabric
@@ -67,7 +67,6 @@ class ServerContext:
         self.send = node.send
         self.multicast = node.multicast
         self.config = config
-        self.metric = metric_by_name(config.metric_name, world=config.world)
         self.game_server = game_server
         self.fabric = fabric
         self.partition = partition
@@ -107,7 +106,7 @@ class ServerContext:
         # tests each packet against — is derived per change, not per
         # packet, and cannot go stale.
         self._partition = partition
-        self.reach = self.metric.expand_rect(
+        self.reach = METRIC.expand_rect(
             partition, self.config.visibility_radius
         )
 

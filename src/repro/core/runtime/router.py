@@ -9,7 +9,7 @@ game server.
 
 from __future__ import annotations
 
-from repro.core.config import CONTROL_BYTES, DIRECTORY_ENTRY_BYTES
+from repro.core.config import CONTROL_BYTES, DIRECTORY_ENTRY_BYTES, METRIC
 from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
 from repro.core.runtime.context import ServerContext
 from repro.geometry import RegionIndex
@@ -72,7 +72,7 @@ class SpatialRouter:
         if packet.radius is None:
             reach = ctx.reach
         else:  # a §3.1 exception radius: rare, derived on the spot
-            reach = ctx.metric.expand_rect(ctx.partition, packet.radius)
+            reach = METRIC.expand_rect(ctx.partition, packet.radius)
         relevant = reach.contains_closed(packet.origin) or (
             packet.dest is not None and ctx.partition.contains(packet.dest)
         )

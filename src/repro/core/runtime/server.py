@@ -25,15 +25,14 @@ from __future__ import annotations
 
 from repro.core.config import ROUTER_SERVICE_RATE, MatrixConfig
 from repro.core.messages import RegisterServer
-from repro.core.policy import ChildLoad, LoadPolicy
-from repro.core.runtime.context import ChildRecord, ServerContext, ServerStats
+from repro.core.runtime.context import ServerContext
 from repro.core.runtime.fabric import Fabric
 from repro.core.runtime.gossip import LoadMonitor
 from repro.core.runtime.lifecycle import Lifecycle
 from repro.core.runtime.queries import QueryRelay
 from repro.core.runtime.router import SpatialRouter
 from repro.core.runtime.transfer import StateTransfer
-from repro.geometry import Rect, RegionIndex
+from repro.geometry import Rect
 from repro.net.message import Message
 from repro.net.node import Node, handles
 
@@ -78,7 +77,8 @@ class MatrixServer(Node):
         self.adopt(fabric)
 
     # ------------------------------------------------------------------
-    # Introspection (stable facade over the shared context)
+    # Introspection: the readers outside the runtime; everything else is
+    # read through ``ctx`` (and ``ctx.stats``).
     # ------------------------------------------------------------------
     @property
     def partition(self) -> Rect:
@@ -91,78 +91,9 @@ class MatrixServer(Node):
         return self.ctx.game_server
 
     @property
-    def parent(self) -> str | None:
-        """Name of the Matrix server that spawned this one."""
-        return self.ctx.parent
-
-    @property
-    def children(self) -> list[ChildRecord]:
-        """Live children, oldest first (copy)."""
-        return list(self.ctx.children)
-
-    @property
-    def child_loads(self) -> dict[str, ChildLoad]:
-        """Latest gossiped load per child (copy)."""
-        return dict(self.ctx.child_loads)
-
-    @property
     def host_id(self) -> str:
         """Pool host this server runs on."""
         return self.ctx.host_id
-
-    @property
-    def coordinator(self) -> str:
-        """Name of the MC this server currently follows."""
-        return self.ctx.coordinator
-
-    @property
-    def policy(self) -> LoadPolicy:
-        """The split/reclaim policy state machine."""
-        return self.ctx.policy
-
-    @property
-    def table_version(self) -> int:
-        """Version of the installed overlap table (0 = none yet)."""
-        return self.ctx.table_version
-
-    @property
-    def overlap_tables(self) -> dict[float, RegionIndex]:
-        """Installed overlap tables keyed by visibility radius (copy)."""
-        return dict(self.ctx.tables)
-
-    @property
-    def default_table(self) -> RegionIndex | None:
-        """The default-radius overlap table (None until the first push)."""
-        return self.ctx.default_table
-
-    @property
-    def directory(self) -> dict[str, Rect]:
-        """Last pushed game-server → partition directory (copy)."""
-        return dict(self.ctx.directory)
-
-    @property
-    def known_partitions(self) -> dict[str, Rect]:
-        """Last pushed Matrix-server → partition map (copy)."""
-        return dict(self.ctx.partitions)
-
-    @property
-    def server_map(self) -> dict[str, str]:
-        """Last pushed Matrix-server → game-server map (copy)."""
-        return dict(self.ctx.server_map)
-
-    @property
-    def busy(self) -> bool:
-        """True while a split or reclaim is in flight."""
-        return self.ctx.busy
-
-    @property
-    def dying(self) -> bool:
-        """True once this server is being reclaimed."""
-        return self.ctx.dying
-
-    @dying.setter
-    def dying(self, value: bool) -> None:
-        self.ctx.dying = value
 
     @property
     def client_count(self) -> int:
@@ -170,50 +101,9 @@ class MatrixServer(Node):
         return self.ctx.client_count
 
     @property
-    def stats(self) -> ServerStats:
-        """The routing/lifecycle counters."""
-        return self.ctx.stats
-
-    # Flat counter aliases, kept for the harness and benches.
-    @property
-    def radius_fallbacks(self) -> int:
-        return self.ctx.stats.radius_fallbacks
-
-    @property
-    def forwarded_packets(self) -> int:
-        return self.ctx.stats.forwarded_packets
-
-    @property
     def delivered_packets(self) -> int:
+        """Forwarded packets this server handed to its game server."""
         return self.ctx.stats.delivered_packets
-
-    @property
-    def stale_forwards(self) -> int:
-        return self.ctx.stats.stale_forwards
-
-    @property
-    def misrouted_packets(self) -> int:
-        return self.ctx.stats.misrouted_packets
-
-    @property
-    def local_only_packets(self) -> int:
-        return self.ctx.stats.local_only_packets
-
-    @property
-    def failed_splits(self) -> int:
-        return self.ctx.stats.failed_splits
-
-    @property
-    def failed_reclaims(self) -> int:
-        return self.ctx.stats.failed_reclaims
-
-    @property
-    def splits_completed(self) -> int:
-        return self.ctx.stats.splits_completed
-
-    @property
-    def reclaims_completed(self) -> int:
-        return self.ctx.stats.reclaims_completed
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -110,7 +110,7 @@ class GameServer(Node):
         self._snapshot_seq = 0
         self._tasks: list = []
 
-        self.port = MatrixPort(self, profile.visibility_radius)
+        self.port = MatrixPort(self)
         self.port.on_deliver = self._on_remote_packet
         self.port.on_set_range = self._on_set_range
 
@@ -168,11 +168,6 @@ class GameServer(Node):
     def map_range(self) -> Rect:
         """The map range this server currently owns."""
         return self._range
-
-    @property
-    def directory(self) -> dict[str, Rect]:
-        """Last known game-server directory (from Matrix)."""
-        return dict(self._directory)
 
     def shutdown(self) -> None:
         """Stop periodic tasks (when decommissioned or at run end)."""
@@ -401,7 +396,8 @@ class GameClient(Node):
     ) -> None:
         super().__init__(name)
         self._profile = profile
-        self._mobility = mobility
+        #: The mobility model steering this client.
+        self.mobility = mobility
         self._rng = rng
         self._relocate = relocate
         # Dead-server detection: once armed (enable_rejoin), a snapshot
@@ -412,14 +408,18 @@ class GameClient(Node):
         self._rejoin_timeout: float | None = None
         self._last_snapshot_at = 0.0
         self.rejoins = 0
-        self._server: str | None = None
+        #: The game server currently serving this client.
+        self.server: str | None = None
         self._pending: str | None = None
         self._switch_started: float | None = None
-        self._position = position if position is not None else Vec2(0.0, 0.0)
+        #: Current world position.
+        self.position = (
+            position if position is not None else Vec2(0.0, 0.0)
+        )
         #: Lane placement for the sharded network: the spawn position.
         #: The client roams afterwards, but cross-shard client links are
         #: WAN-class, so a stale home lane never violates lookahead.
-        self.shard_anchor = self._position
+        self.shard_anchor = self.position
         self._seq = 0
         self._action_seq = 0
         self._pending_actions: dict[int, float] = {}
@@ -435,18 +435,8 @@ class GameClient(Node):
         self.switch_latencies: list[float] = []
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Control
     # ------------------------------------------------------------------
-    @property
-    def position(self) -> Vec2:
-        """Current world position."""
-        return self._position
-
-    @property
-    def mobility(self) -> MobilityModel:
-        """The mobility model steering this client."""
-        return self._mobility
-
     def enable_rejoin(self) -> None:
         """Arm dead-server detection: after :data:`REJOIN_TIMEOUT`
         seconds of snapshot silence the client relocates and rejoins
@@ -461,28 +451,18 @@ class GameClient(Node):
         commuter circuits, pursuers); for models without one this is a
         no-op.  Returns whether the model accepted the retarget.
         """
-        retarget = getattr(self._mobility, "retarget", None)
+        retarget = getattr(self.mobility, "retarget", None)
         if retarget is None:
             return False
         retarget(target)
         return True
-
-    @property
-    def server(self) -> str | None:
-        """The game server currently serving this client."""
-        return self._server
-
-    @property
-    def switching(self) -> bool:
-        """True while mid-handoff between servers."""
-        return self._pending is not None
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def join(self, game_server: str, position: Vec2) -> None:
         """Connect to *game_server* at *position*."""
-        self._position = position
+        self.position = position
         self._last_snapshot_at = self.sim.now
         hello = Hello(client_id=self.name, position=position, switching=False)
         self.send(game_server, "client.hello", hello,
@@ -492,7 +472,7 @@ class GameClient(Node):
         """Leave the game."""
         # A fixed order — server, then pending — because send order
         # decides which goodbye takes which latency draw.
-        for server in dict.fromkeys((self._server, self._pending)):
+        for server in dict.fromkeys((self.server, self._pending)):
             if server is not None:
                 self.send(
                     server, "client.bye", Goodbye(client_id=self.name),
@@ -502,7 +482,7 @@ class GameClient(Node):
             self._update_task.stop()
             self._update_task = None
         self.active = False
-        self._server = None
+        self.server = None
         self._pending = None
 
     # ------------------------------------------------------------------
@@ -512,15 +492,15 @@ class GameClient(Node):
     def _on_welcome(self, message: Message) -> None:
         welcome: Welcome = message.payload
         if self._pending is not None and message.src == self._pending:
-            self._server = self._pending
+            self.server = self._pending
             self._pending = None
             if self._switch_started is not None:
                 self.switch_latencies.append(self.sim.now - self._switch_started)
                 self._switch_started = None
             self.switches_completed += 1
             return
-        if self._server is None:
-            self._server = message.src
+        if self.server is None:
+            self.server = message.src
             if not self.active:
                 self.active = True
                 period = 1.0 / self._profile.update_hz
@@ -533,7 +513,7 @@ class GameClient(Node):
     @handles("gs.switch")
     def _on_switch(self, message: Message) -> None:
         directive: SwitchDirective = message.payload
-        if directive.target in (self._server, self._pending):
+        if directive.target in (self.server, self._pending):
             return
         self._pending = directive.target
         self._switch_started = self.sim.now
@@ -541,7 +521,7 @@ class GameClient(Node):
         # semantics); keeping them would mis-attribute the whole
         # handoff gap to "response latency".
         self._pending_actions.clear()
-        hello = Hello(client_id=self.name, position=self._position, switching=True)
+        hello = Hello(client_id=self.name, position=self.position, switching=True)
         self.send(directive.target, "client.hello", hello,
                   size_bytes=self._profile.hello_bytes)
         self.sim.after(SWITCH_TIMEOUT, self._check_switch_stuck)
@@ -555,10 +535,10 @@ class GameClient(Node):
         """
         if self._relocate is None:
             return
-        self._server = None
+        self.server = None
         self._pending = None
         self.rejoins += 1
-        self.join(self._relocate(self._position), self._position)
+        self.join(self._relocate(self.position), self.position)
 
     def _check_switch_stuck(self) -> None:
         """Recover from a handoff to a server that died mid-switch."""
@@ -572,9 +552,9 @@ class GameClient(Node):
         self._pending = None
         self._switch_started = None
         if self._relocate is not None:
-            target = self._relocate(self._position)
-            self._server = None
-            self.join(target, self._position)
+            target = self._relocate(self.position)
+            self.server = None
+            self.join(target, self.position)
 
     @handles("gs.snapshot")
     def _on_snapshot(self, message: Message) -> None:
@@ -606,17 +586,17 @@ class GameClient(Node):
         ):
             self._rejoin()
             return
-        if self._server is None:
+        if self.server is None:
             return
         profile = self._profile
         dt = 1.0 / profile.update_hz
-        self._position = self._mobility.step(self._position, dt)
+        self.position = self.mobility.step(self.position, dt)
         self._seq += 1
         update = PlayerUpdate(
-            client_id=self.name, position=self._position, seq=self._seq
+            client_id=self.name, position=self.position, seq=self._seq
         )
         self.send(
-            self._server, "client.update", update,
+            self.server, "client.update", update,
             size_bytes=profile.update_bytes,
         )
         self.updates_sent += 1
@@ -639,13 +619,13 @@ class GameClient(Node):
         action = ActionEvent(
             client_id=self.name,
             action="fire",
-            position=self._position,
+            position=self.position,
             seq=self._action_seq,
             target=target,
         )
         self._pending_actions[self._action_seq] = self.sim.now
         self.send(
-            self._server, "client.action", action,
+            self.server, "client.action", action,
             size_bytes=profile.action_bytes,
         )
         self.actions_sent += 1

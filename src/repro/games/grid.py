@@ -47,9 +47,6 @@ class SpatialGrid:
         #: loops touch floats only.
         self._buckets: dict[tuple[int, int], tuple[list, list, list]] = {}
 
-    def __len__(self) -> int:
-        return sum(len(ids) for _, _, ids in self._buckets.values())
-
     def clear(self) -> None:
         """Drop all entities (start of a new tick)."""
         self._buckets.clear()

@@ -30,7 +30,6 @@ class GameProfile:
     name: str
     world: Rect
     visibility_radius: float
-    metric_name: str = "euclidean"
     #: Client position-update rate (packets/second per client).
     update_hz: float = 2.0
     #: Server snapshot rate (state updates/second per client).
@@ -70,10 +69,6 @@ class GameProfile:
     def ghost_lifetime(self) -> float:
         """Seconds before a remote ghost entity expires."""
         return self.ghost_lifetime_updates / self.update_hz
-
-    def overload_arrival_rate(self, overload_clients: int = 300) -> float:
-        """Packet arrival rate at the overload threshold (sanity checks)."""
-        return overload_clients * (self.update_hz + self.action_rate)
 
 
 def bzflag_profile() -> GameProfile:

@@ -3,9 +3,7 @@
 from repro.geometry.metrics import (
     ChebyshevMetric,
     EuclideanMetric,
-    ManhattanMetric,
     Metric,
-    ToroidalMetric,
     metric_by_name,
 )
 from repro.geometry.rect import Rect, tile_world
@@ -21,7 +19,6 @@ from repro.geometry.regions import (
     consistency_set_at,
     decompose_partition,
     group_regions,
-    point_rect_distance,
 )
 from repro.geometry.vec import Vec2
 
@@ -29,7 +26,6 @@ __all__ = [
     "ChebyshevMetric",
     "ConsistencySet",
     "EuclideanMetric",
-    "ManhattanMetric",
     "Metric",
     "OverlapCell",
     "OverlapMapCache",
@@ -38,7 +34,6 @@ __all__ = [
     "Rect",
     "RegionIndex",
     "ShardMap",
-    "ToroidalMetric",
     "Vec2",
     "compute_overlap_map",
     "consistency_set_at",
@@ -46,6 +41,5 @@ __all__ = [
     "grid_shape",
     "group_regions",
     "metric_by_name",
-    "point_rect_distance",
     "tile_world",
 ]

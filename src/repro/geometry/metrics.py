@@ -4,12 +4,15 @@ The paper lets each game define its own distance metric ``d(x, y)`` over
 the game world.  The Matrix overlap-region machinery only needs two
 operations from a metric:
 
-* point-to-point distance (for correctness checks and tests);
 * the set of points within distance R of an axis-aligned rectangle
-  (for overlap computation) — exposed here as :meth:`Metric.expand_rect`.
+  (for overlap computation) — exposed here as :meth:`Metric.expand_rect`;
+* the distance from a point to a rectangle (the brute-force Equation 1
+  of the coordinator's non-proximal queries) —
+  :meth:`Metric.distance_to_rect`.
 
-For the Chebyshev metric that set is itself a rectangle, which is the
-case the paper's axis-aligned bounding-box computation handles exactly.
+For the Chebyshev metric the R-neighbourhood of a rectangle is itself a
+rectangle, which is the case the paper's axis-aligned bounding-box
+computation handles exactly.
 For the Euclidean metric the true set has rounded corners; expanding the
 rectangle by R is the tight axis-aligned *over*-approximation, which
 preserves correctness (consistency sets may only grow, never miss a
@@ -18,7 +21,6 @@ server).  Tests assert this conservativeness property.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 
 from repro.geometry.rect import Rect
@@ -34,18 +36,22 @@ class Metric(ABC):
     def distance(self, a: Vec2, b: Vec2) -> float:
         """Distance between two points."""
 
+    def distance_to_rect(self, point: Vec2, rect: Rect) -> float:
+        """Distance from *point* to the closed rectangle *rect*.
+
+        The nearest point of the rectangle is the clamped one under any
+        metric that grows with each per-axis gap (every Lp norm), so one
+        ``distance`` call answers it for every metric.
+        """
+        return self.distance(point, rect.clamp_point(point))
+
     def expand_rect(self, rect: Rect, radius: float) -> Rect:
         """Axis-aligned superset of ``{p : d(p, rect) <= radius}``.
 
-        The default (expand every side by *radius*) is exact for
-        Chebyshev and a tight over-approximation for Euclidean and
-        Manhattan.
+        Expanding every side by *radius* is exact for Chebyshev and a
+        tight over-approximation for Euclidean.
         """
         return rect.expanded(radius)
-
-    def within(self, a: Vec2, b: Vec2, radius: float) -> bool:
-        """True when ``d(a, b) <= radius``."""
-        return self.distance(a, b) <= radius
 
 
 class EuclideanMetric(Metric):
@@ -54,7 +60,11 @@ class EuclideanMetric(Metric):
     name = "euclidean"
 
     def distance(self, a: Vec2, b: Vec2) -> float:
-        return math.hypot(a.x - b.x, a.y - b.y)
+        # Not math.hypot: its last bit can differ, and the coordinator's
+        # non-proximal queries compare this against the radius with <=.
+        dx = a.x - b.x
+        dy = a.y - b.y
+        return (dx * dx + dy * dy) ** 0.5
 
 
 class ChebyshevMetric(Metric):
@@ -70,66 +80,15 @@ class ChebyshevMetric(Metric):
         return max(abs(a.x - b.x), abs(a.y - b.y))
 
 
-class ManhattanMetric(Metric):
-    """L1 distance; for grid-movement games."""
-
-    name = "manhattan"
-
-    def distance(self, a: Vec2, b: Vec2) -> float:
-        return abs(a.x - b.x) + abs(a.y - b.y)
-
-
-class ToroidalMetric(Metric):
-    """Euclidean distance on a world that wraps around both axes.
-
-    Arena shooters (BzFlag among them) commonly wrap the map edges.  The
-    rectangle expansion must then also wrap; we conservatively return the
-    whole world when the expansion would exceed it.
-    """
-
-    name = "toroidal"
-
-    def __init__(self, world: Rect) -> None:
-        self._world = world
-
-    @property
-    def world(self) -> Rect:
-        """The wrapping world bounds."""
-        return self._world
-
-    def _axis_delta(self, a: float, b: float, span: float) -> float:
-        delta = abs(a - b) % span
-        return min(delta, span - delta)
-
-    def distance(self, a: Vec2, b: Vec2) -> float:
-        dx = self._axis_delta(a.x, b.x, self._world.width)
-        dy = self._axis_delta(a.y, b.y, self._world.height)
-        return math.hypot(dx, dy)
-
-    def expand_rect(self, rect: Rect, radius: float) -> Rect:
-        expanded = rect.expanded(radius)
-        if (
-            expanded.width >= self._world.width
-            or expanded.height >= self._world.height
-        ):
-            return self._world
-        return expanded
-
-
-#: Registry of metric constructors by name (toroidal needs world bounds).
+#: Registry of metrics by name.
 METRICS: dict[str, type[Metric]] = {
     EuclideanMetric.name: EuclideanMetric,
     ChebyshevMetric.name: ChebyshevMetric,
-    ManhattanMetric.name: ManhattanMetric,
 }
 
 
-def metric_by_name(name: str, world: Rect | None = None) -> Metric:
-    """Instantiate a metric by *name* ('toroidal' requires *world*)."""
-    if name == ToroidalMetric.name:
-        if world is None:
-            raise ValueError("toroidal metric requires world bounds")
-        return ToroidalMetric(world)
+def metric_by_name(name: str) -> Metric:
+    """Instantiate a metric by *name*."""
     try:
         return METRICS[name]()
     except KeyError:

@@ -62,24 +62,6 @@ class Rect:
         """Closed containment (includes the max edges); for boundary checks."""
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
 
-    def contains_rect(self, other: "Rect") -> bool:
-        """True when *other* lies entirely inside this rectangle."""
-        return (
-            self.xmin <= other.xmin
-            and self.ymin <= other.ymin
-            and other.xmax <= self.xmax
-            and other.ymax <= self.ymax
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        """True when the open interiors overlap (shared edges don't count)."""
-        return (
-            self.xmin < other.xmax
-            and other.xmin < self.xmax
-            and self.ymin < other.ymax
-            and other.ymin < self.ymax
-        )
-
     def intersection(self, other: "Rect") -> "Rect | None":
         """The overlapping rectangle, or ``None`` when interiors are disjoint."""
         xmin = max(self.xmin, other.xmin)

@@ -63,35 +63,6 @@ class OverlapRegion:
         return sum(r.area for r in self.rects)
 
 
-def point_rect_distance(metric: Metric, point: Vec2, rect: Rect) -> float:
-    """Metric distance from *point* to the closed rectangle *rect*.
-
-    This is the reference ``d(σ, Pj)`` used by the brute-force
-    Equation-1 implementation below; the production path never computes
-    per-point distances (it uses the precomputed arrangement instead).
-    """
-    # Per-axis gaps are zero when the point's coordinate lies inside the
-    # rectangle's span, which lets one formula serve all Lp metrics.
-    gx = max(0.0, rect.xmin - point.x, point.x - rect.xmax)
-    gy = max(0.0, rect.ymin - point.y, point.y - rect.ymax)
-    name = getattr(metric, "name", "")
-    if name == "chebyshev":
-        return max(gx, gy)
-    if name == "manhattan":
-        return gx + gy
-    if name == "toroidal":
-        world = metric.world  # type: ignore[attr-defined]
-        best = float("inf")
-        for ox in (-world.width, 0.0, world.width):
-            for oy in (-world.height, 0.0, world.height):
-                shifted = Vec2(point.x + ox, point.y + oy)
-                sgx = max(0.0, rect.xmin - shifted.x, shifted.x - rect.xmax)
-                sgy = max(0.0, rect.ymin - shifted.y, shifted.y - rect.ymax)
-                best = min(best, (sgx * sgx + sgy * sgy) ** 0.5)
-        return best
-    return (gx * gx + gy * gy) ** 0.5
-
-
 def consistency_set_at(
     point: Vec2,
     owner: object,
@@ -108,7 +79,7 @@ def consistency_set_at(
     members = {
         pid
         for pid, rect in partitions.items()
-        if pid != owner and point_rect_distance(metric, point, rect) <= radius
+        if pid != owner and metric.distance_to_rect(point, rect) <= radius
     }
     return frozenset(members)
 
@@ -272,11 +243,6 @@ class RegionIndex:
         return self._partition
 
     @property
-    def cells(self) -> list[OverlapCell]:
-        """The merged overlap cells backing this index."""
-        return list(self._cells)
-
-    @property
     def regions(self) -> list[OverlapRegion]:
         """The paper-style overlap regions (cells grouped by set)."""
         return group_regions(self._cells)
@@ -322,17 +288,16 @@ class PartitionIndex:
     """
 
     def __init__(self, partitions: Mapping[object, Rect], perf=None) -> None:
-        self._rects = dict(partitions)
         xs: set[float] = set()
         ys: set[float] = set()
-        for rect in self._rects.values():
+        for rect in partitions.values():
             xs.update((rect.xmin, rect.xmax))
             ys.update((rect.ymin, rect.ymax))
         self._xs = sorted(xs)
         self._ys = sorted(ys)
         self._bounds: Rect | None = (
             Rect(self._xs[0], self._ys[0], self._xs[-1], self._ys[-1])
-            if self._rects
+            if partitions
             else None
         )
         columns = max(len(self._xs) - 1, 0)
@@ -346,7 +311,7 @@ class PartitionIndex:
         grid: list[list[object | None]] = [
             [None] * columns for _ in range(rows)
         ]
-        for pid, rect in self._rects.items():
+        for pid, rect in partitions.items():
             x0 = bisect.bisect_left(self._xs, rect.xmin)
             x1 = bisect.bisect_left(self._xs, rect.xmax)
             y0 = bisect.bisect_left(self._ys, rect.ymin)
@@ -361,9 +326,6 @@ class PartitionIndex:
             perf.counter("geometry.partition_index_builds").add(
                 columns * rows
             )
-
-    def __len__(self) -> int:
-        return len(self._rects)
 
     def lookup(self, point: Vec2) -> object | None:
         """Owner of *point*, or ``None`` when no partition contains it."""

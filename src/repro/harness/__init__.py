@@ -25,7 +25,6 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import (
     ScenarioOutcome,
-    backend_info,
     backend_infos,
     backend_names,
     run_scenario,
@@ -58,7 +57,6 @@ __all__ = [
     "SystemOutcome",
     "TransparencyReport",
     "Verdict",
-    "backend_info",
     "backend_infos",
     "backend_names",
     "bandwidth_overlap_correlation",

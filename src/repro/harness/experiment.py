@@ -62,8 +62,8 @@ class ExperimentResult(BackendResult):
 class MatrixExperiment(ArchitectureBackend):
     """A ready-to-run Matrix deployment with workload hooks.
 
-    The one place a Matrix run's :class:`MatrixConfig` is built: world,
-    radius and metric come from the game profile, the rest from the
+    The one place a Matrix run's :class:`MatrixConfig` is built: world
+    and radius come from the game profile, the rest from the
     keyword arguments callers vary (*split_strategy* by the
     split-strategy ablation, *batch_spatial_forwards* by the batching
     micro-bench).
@@ -86,7 +86,6 @@ class MatrixExperiment(ArchitectureBackend):
         self.config = MatrixConfig(
             world=profile.world,
             visibility_radius=profile.visibility_radius,
-            metric_name=profile.metric_name,
             split_strategy=split_strategy,
             policy=policy or LoadPolicyConfig(),
             batch_spatial_forwards=batch_spatial_forwards,

@@ -21,7 +21,7 @@ from repro.fuzz.invariants import check_invariants, snapshot_lifecycle
 from repro.fuzz.shrink import ShrinkResult, shrink_scenario
 from repro.harness.compare import scaled_run_arguments
 from repro.harness.gridcells import GRID_FLOORS
-from repro.harness.parallel import GridCell, GridTask, run_grid
+from repro.harness.parallel import GridTask
 from repro.harness.runner import ScenarioOutcome, run_scenario
 from repro.trace.recorder import record_scenario
 from repro.workload.scenarios.spec import Scenario
@@ -224,18 +224,6 @@ def fuzz_grid_tasks(
         )
         for seed in seeds
     ]
-
-
-def run_fuzz_grid(
-    seeds: Iterable[int],
-    profile: str = "default",
-    jobs: int | None = None,
-    **options,
-) -> list[GridCell]:
-    """Fan a fuzz campaign over the grid pool (see :func:`run_grid`)."""
-    return run_grid(
-        fuzz_grid_tasks(seeds, profile, **options), jobs=jobs
-    )
 
 
 def shrink_fuzz_failure(

@@ -14,8 +14,9 @@ import dataclasses
 from dataclasses import dataclass
 
 from repro.analysis.stats import Summary, pearson, summarize
+from repro.core.config import METRIC
 from repro.games.profile import GameProfile
-from repro.geometry import compute_overlap_map, metric_by_name
+from repro.geometry import compute_overlap_map
 from repro.harness.experiment import ExperimentResult
 from repro.harness.runner import ScenarioOutcome, run_scenario
 from repro.workload.scenarios import ArrivalWave, build_scenario
@@ -91,7 +92,6 @@ def measure_bandwidth_vs_overlap(
         )
         experiment = outcome.experiment
         traffic = experiment.network.stats
-        metric = metric_by_name(swept.metric_name, world=swept.world)
         partitions = {
             name: server.partition
             for name, server in experiment.deployment.matrix_servers.items()
@@ -99,7 +99,7 @@ def measure_bandwidth_vs_overlap(
         overlap = sum(
             index.overlap_area()
             for index in compute_overlap_map(
-                partitions, radius, metric
+                partitions, radius, METRIC
             ).values()
         )
         population = clients * overlap / swept.world.area

@@ -110,26 +110,12 @@ def backend_names() -> list[str]:
     """The registered architectures that serve a fleet, sorted.
 
     This is what the grids, ``compare`` and ``--backend`` enumerate.
-    ``replay`` is registered too (``backend_info``, ``list-backends``,
+    ``replay`` is registered too (``backend_infos``, ``list-backends``,
     ``run_scenario(..., backend="replay", trace=...)``) but re-sends a
     recorded stream instead of serving a workload, so it is not an
     architecture to run a scenario on.
     """
     return sorted(name for name in _BACKENDS if name != "replay")
-
-
-def backend_info(name: str) -> BackendInfo:
-    """The :class:`BackendInfo` registered for *name*."""
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown backend {name!r}; known: {sorted(_BACKENDS)}"
-        )
-    info, _ = _BACKENDS[name]
-    if info is None:
-        raise ValueError(
-            f"backend {name!r} was registered without a BackendInfo"
-        )
-    return info
 
 
 def backend_infos() -> list[BackendInfo]:

@@ -23,10 +23,6 @@ class LatencyModel(ABC):
     def sample(self, rng: random.Random) -> float:
         """Draw one latency value (seconds, ≥ 0)."""
 
-    @abstractmethod
-    def mean(self) -> float:
-        """Expected latency (seconds); used by analysis code."""
-
     def minimum(self) -> float:
         """Smallest latency :meth:`sample` can ever return (seconds).
 
@@ -51,9 +47,6 @@ class ConstantLatency(LatencyModel):
     def sample(self, rng: random.Random) -> float:
         return self.fixed
 
-    def mean(self) -> float:
-        return self.fixed
-
     def minimum(self) -> float:
         return self.fixed
 
@@ -69,9 +62,6 @@ class UniformLatency(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         return rng.uniform(self._low, self._high)
-
-    def mean(self) -> float:
-        return (self._low + self._high) / 2.0
 
     def minimum(self) -> float:
         return self._low
@@ -92,9 +82,6 @@ class NormalLatency(LatencyModel):
 
     def sample(self, rng: random.Random) -> float:
         return max(self._floor, rng.gauss(self._mean, self._stddev))
-
-    def mean(self) -> float:
-        return self._mean
 
     def minimum(self) -> float:
         return self._floor

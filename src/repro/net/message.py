@@ -38,10 +38,3 @@ class Message:
         self.payload = payload
         self.size_bytes = size_bytes
         self.sent_at = sent_at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Message(src={self.src!r}, dst={self.dst!r}, kind={self.kind!r}, "
-            f"payload={self.payload!r}, size_bytes={self.size_bytes}, "
-            f"sent_at={self.sent_at})"
-        )

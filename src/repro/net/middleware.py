@@ -27,7 +27,7 @@ crossing its own pipeline position.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.net.message import Message
 from repro.net.stats import Counter
@@ -66,9 +66,6 @@ class MiddlewareStage:
         """Hook an outbound message; ``None`` consumes it."""
         return message
 
-    def flush(self) -> None:
-        """Force out any buffered traffic (end of run, tests)."""
-
 
 class MiddlewarePipeline:
     """An ordered stack of :class:`MiddlewareStage` around one node.
@@ -83,38 +80,24 @@ class MiddlewarePipeline:
 
     def __init__(self, owner: "Node") -> None:
         self._owner = owner
-        self._stages: list[MiddlewareStage] = []
+        #: Installed stages, outermost (closest to the wire) first.
+        self.stages: list[MiddlewareStage] = []
         self._perf_hooks = None
 
     def attach_perf(self, perf) -> None:
         """Start counting hook invocations in *perf* (a PerfRegistry)."""
         self._perf_hooks = perf.counter("net.pipeline_hook_calls")
 
-    @property
-    def stages(self) -> Sequence[MiddlewareStage]:
-        """Installed stages, outermost (closest to the wire) first."""
-        return tuple(self._stages)
-
-    def __bool__(self) -> bool:
-        return bool(self._stages)
-
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
         """Install *stage* as the new innermost stage."""
         stage.bind(self._owner)
-        self._stages.append(stage)
+        self.stages.append(stage)
         return stage
-
-    def stage(self, name: str) -> MiddlewareStage | None:
-        """First installed stage with the given name, if any."""
-        for stage in self._stages:
-            if stage.name == name:
-                return stage
-        return None
 
     def process_inbound(self, message: Message) -> Message | None:
         """Run inbound hooks wire-side first; ``None`` = consumed."""
         perf = self._perf_hooks
-        for stage in self._stages:
+        for stage in self.stages:
             if perf is not None:
                 perf.inc()
             message = stage.on_inbound(message)
@@ -125,18 +108,13 @@ class MiddlewarePipeline:
     def process_outbound(self, message: Message) -> Message | None:
         """Run outbound hooks dispatch-side first; ``None`` = consumed."""
         perf = self._perf_hooks
-        for stage in reversed(self._stages):
+        for stage in reversed(self.stages):
             if perf is not None:
                 perf.inc()
             message = stage.on_outbound(message)
             if message is None:
                 return None
         return message
-
-    def flush(self) -> None:
-        """Flush every stage's buffered traffic."""
-        for stage in self._stages:
-            stage.flush()
 
 
 class KindMetricsStage(MiddlewareStage):
@@ -196,21 +174,13 @@ class FaultInjectionStage(MiddlewareStage):
         if not 0.0 <= duplicate_rate <= 1.0:
             raise ValueError(f"duplicate_rate out of [0, 1]: {duplicate_rate}")
         self._rng = rng
-        self._drop_rate = drop_rate
-        self._duplicate_rate = duplicate_rate
+        #: Probability of dropping a matching outbound message.
+        self.drop_rate = drop_rate
+        #: Probability of duplicating a matching message.
+        self.duplicate_rate = duplicate_rate
         self._kinds = frozenset(kinds) if kinds is not None else None
         self.dropped = 0
         self.duplicated = 0
-
-    @property
-    def drop_rate(self) -> float:
-        """Current probability of dropping a matching outbound message."""
-        return self._drop_rate
-
-    @property
-    def duplicate_rate(self) -> float:
-        """Current probability of duplicating a matching message."""
-        return self._duplicate_rate
 
     def set_kinds(self, kinds: Iterable[str] | None) -> None:
         """Re-target the stage at a different kind set mid-run."""
@@ -227,16 +197,16 @@ class FaultInjectionStage(MiddlewareStage):
             raise ValueError(f"drop_rate out of [0, 1]: {drop_rate}")
         if not 0.0 <= duplicate_rate <= 1.0:
             raise ValueError(f"duplicate_rate out of [0, 1]: {duplicate_rate}")
-        self._drop_rate = drop_rate
-        self._duplicate_rate = duplicate_rate
+        self.drop_rate = drop_rate
+        self.duplicate_rate = duplicate_rate
 
     def on_outbound(self, message: Message) -> Message | None:
         if self._kinds is not None and message.kind not in self._kinds:
             return message
-        if self._drop_rate and self._rng.random() < self._drop_rate:
+        if self.drop_rate and self._rng.random() < self.drop_rate:
             self.dropped += 1
             return None
-        if self._duplicate_rate and self._rng.random() < self._duplicate_rate:
+        if self.duplicate_rate and self._rng.random() < self.duplicate_rate:
             self.duplicated += 1
             clone = Message(
                 src=message.src,

@@ -99,7 +99,6 @@ class Network:
         self._default = default_profile or LinkProfile(
             latency=ConstantLatency(1e-3), bandwidth=125e6
         )
-        self._pair_profiles: dict[tuple[str, str], LinkProfile] = {}
         self._prefix_profiles: list[tuple[str, str, LinkProfile]] = []
         self._colocated: dict[str, str] = {}
         self._routes: dict[tuple[str, str], Route] = {}
@@ -152,15 +151,6 @@ class Network:
         """True when *name* is currently registered."""
         return name in self._nodes
 
-    def node(self, name: str) -> Node:
-        """Look up a registered node by name."""
-        return self._nodes[name]
-
-    def set_pair_profile(self, src: str, dst: str, profile: LinkProfile) -> None:
-        """Set the profile for the ordered pair ``src → dst``."""
-        self._pair_profiles[(src, dst)] = profile
-        self._routes.clear()
-
     def set_prefix_profile(
         self, src_prefix: str, dst_prefix: str, profile: LinkProfile
     ) -> None:
@@ -182,12 +172,9 @@ class Network:
         self._routes.clear()
 
     def profile_for(self, src: str, dst: str) -> LinkProfile:
-        """``src → dst``'s profile: colocation, pair, prefixes, default."""
+        """``src → dst``'s profile: colocation, prefixes, default."""
         if self._colocated.get(src) == dst:
             return _LOOPBACK
-        pair = self._pair_profiles.get((src, dst))
-        if pair is not None:
-            return pair
         for src_prefix, dst_prefix, profile in self._prefix_profiles:
             if src.startswith(src_prefix) and dst.startswith(dst_prefix):
                 return profile

@@ -64,7 +64,7 @@ class Node(ABC):
         # The pipeline's live stage list (appended to in place by
         # ``use``): an empty-list truthiness check is how the hot send/
         # receive paths skip the pipeline entirely on bare nodes.
-        self._mw_stages = self.middleware._stages
+        self._mw_stages = self.middleware.stages
         # kind -> bound handler: adopted components' handlers, plus the
         # node's own, resolved through the class dispatch table on first
         # use so steady-state dispatch is one dict hit.

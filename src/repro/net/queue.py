@@ -102,11 +102,6 @@ class ReceiveQueue:
         serviced in place)."""
         return self._peak_length
 
-    @property
-    def service_rate(self) -> float:
-        """Messages serviced per second."""
-        return self._service_rate
-
     def set_service_rate(self, rate: float) -> None:
         """Change the drain rate (takes effect from the next message).
 
@@ -116,7 +111,6 @@ class ReceiveQueue:
         """
         if rate <= 0:
             raise ValueError(f"service rate must be positive: {rate}")
-        self._service_rate = rate
         self._immediate = rate == math.inf
         self._service_delay = 1.0 / rate
         self._in_place = self._immediate and (

@@ -129,10 +129,6 @@ class ShardedNetwork(Network):
         candidates = [self._default.latency.minimum()]
         candidates.extend(
             profile.latency.minimum()
-            for profile in self._pair_profiles.values()
-        )
-        candidates.extend(
-            profile.latency.minimum()
             for _, _, profile in self._prefix_profiles
         )
         return min(candidates)

@@ -106,13 +106,6 @@ class TrafficStats:
     # ------------------------------------------------------------------
     # Queries used by the microbenchmarks
     # ------------------------------------------------------------------
-    def kind_fraction(self, prefix: str) -> float:
-        """Fraction of all messages whose kind starts with *prefix*."""
-        total = self.total.messages
-        if total == 0:
-            return 0.0
-        return self.kind_messages(prefix) / total
-
     def kind_bytes(self, prefix: str) -> int:
         """Total bytes of messages whose kind starts with *prefix*."""
         return sum(
@@ -133,15 +126,3 @@ class TrafficStats:
             for kind, counter in self.by_kind.items()
             if kind.startswith(prefix)
         )
-
-    def pair_bytes(self, src: str, dst: str) -> int:
-        """Bytes sent from *src* to *dst*."""
-        return self.by_pair[(src, dst)].bytes
-
-    def node_sent_bytes(self, node: str) -> int:
-        """Bytes sent by *node* across all destinations."""
-        return self.by_node_sent[node].bytes
-
-    def node_received_bytes(self, node: str) -> int:
-        """Bytes addressed to *node* across all sources."""
-        return self.by_node_received[node].bytes

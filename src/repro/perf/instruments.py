@@ -6,8 +6,8 @@ Three instrument kinds, all owned by one :class:`PerfRegistry`:
   optional value accumulator (bytes, cells, cache hits).
 * :class:`PerfTimer` — wall-clock duration accounting (count / total /
   min / max plus a bounded reservoir of raw samples for percentiles).
-  Timers measure *host* time with :func:`time.perf_counter`; they never
-  touch simulation time, so instrumenting a path cannot perturb a run.
+  Durations are *host* time (:func:`time.perf_counter`), never
+  simulation time, so instrumenting a path cannot perturb a run.
 * :class:`TickSampler` — an append-only series of ``(sim_time, value)``
   pairs recorded at simulation-driven instants.  Because samples are
   keyed by deterministic simulation state, two runs with the same seed
@@ -24,8 +24,6 @@ front — see :meth:`repro.sim.kernel.Simulator.run`).
 """
 
 from __future__ import annotations
-
-import time
 
 __all__ = [
     "PerfCounter",
@@ -62,25 +60,13 @@ class PerfCounter:
 class PerfTimer:
     """Wall-clock duration statistics for one instrumented scope.
 
-    Use either the context-manager form::
-
-        with registry.timer("geometry.decompose"):
-            ...
-
-    or the explicit form for code that cannot afford a ``with`` frame::
-
-        t0 = timer.start()
-        ...
-        timer.stop(t0)
-
-    A bounded reservoir of raw durations is kept (first
-    ``max_samples``) so reports can show p50/p99 without unbounded
-    memory growth on long runs.
+    The caller measures and hands each duration to :meth:`record` (the
+    kernel's sampled loop is the one caller).  A bounded reservoir of
+    raw durations is kept (first ``max_samples``) so reports can show
+    p50/p99 without unbounded memory growth on long runs.
     """
 
-    __slots__ = (
-        "name", "count", "total", "min", "max", "samples", "_cap", "_entered"
-    )
+    __slots__ = ("name", "count", "total", "min", "max", "samples", "_cap")
 
     def __init__(self, name: str, max_samples: int = 65536) -> None:
         self.name = name
@@ -90,17 +76,6 @@ class PerfTimer:
         self.max = 0.0
         self.samples: list[float] = []
         self._cap = max_samples
-
-    @staticmethod
-    def start() -> float:
-        """A timestamp to later pass to :meth:`stop`."""
-        return time.perf_counter()
-
-    def stop(self, started: float) -> float:
-        """Record the duration since *started*; returns it."""
-        elapsed = time.perf_counter() - started
-        self.record(elapsed)
-        return elapsed
 
     def record(self, elapsed: float) -> None:
         """Record one measured duration in seconds."""
@@ -112,13 +87,6 @@ class PerfTimer:
             self.max = elapsed
         if len(self.samples) < self._cap:
             self.samples.append(elapsed)
-
-    def __enter__(self) -> "PerfTimer":
-        self._entered = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop(self._entered)
 
     @property
     def mean(self) -> float:
@@ -161,18 +129,11 @@ class TickSampler:
         self.values: list[float] = []
         self._cap = max_samples
 
-    def __len__(self) -> int:
-        return len(self.times)
-
     def record(self, sim_time: float, value: float) -> None:
         """Append one sample (silently capped at ``max_samples``)."""
         if len(self.times) < self._cap:
             self.times.append(sim_time)
             self.values.append(value)
-
-    def last(self) -> float:
-        """Most recent value (0 when empty)."""
-        return self.values[-1] if self.values else 0.0
 
     def snapshot(self) -> dict:
         """Summary view: count plus min/mean/max of the values."""

@@ -14,13 +14,12 @@ tiny and deterministic:
 
 The simulator owns the event heap, the sequence counter and the count
 of cancelled entries still in the heap, and has one loop that calls
-event callbacks (:meth:`Simulator._run_plain`): :meth:`Simulator.step`
-is one event of it, and a run with a :class:`~repro.perf.PerfRegistry`
-attached calls it in strides, timing the first event of each.  The
-loop itself therefore carries zero instrumentation cost — not even a
-branch.  Timers read the host clock and never feed back into
-simulation time, so a sampled run is event-for-event identical to a
-plain one.
+event callbacks (:meth:`Simulator._run_plain`): a run with a
+:class:`~repro.perf.PerfRegistry` attached calls it in strides, timing
+the first event of each.  The loop itself therefore carries zero
+instrumentation cost — not even a branch.  Timers read the host clock
+and never feed back into simulation time, so a sampled run is
+event-for-event identical to a plain one.
 
 A schedule is one frame: :meth:`Simulator.at` / :meth:`Simulator.after`
 build the ``[time, seq, callback, arg]`` heap entry, push it, and
@@ -75,7 +74,6 @@ class Simulator:
         # event touch no counter: one frame per schedule, none per pop.
         self._cancelled = 0
         self._running = False
-        self._stopped = False
         self._event_count = 0
         self._perf = perf
 
@@ -91,11 +89,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live events still scheduled."""
         return len(self._heap) - self._cancelled
-
-    @property
-    def perf(self) -> "PerfRegistry | None":
-        """The attached perf registry, if instrumentation is on."""
-        return self._perf
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -175,32 +168,19 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single earliest event.  Returns ``False`` if none.
-
-        An earlier :meth:`stop` belongs to the run it stopped and does
-        not keep a later step from stepping.
-        """
-        stopped, self._stopped = self._stopped, False
-        try:
-            return self._run_plain(math.inf, 1) == 1
-        finally:
-            self._stopped = self._stopped or stopped
-
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, *until* is reached, or *max_events*.
 
         When *until* is given and nothing live at or before it is left,
         the clock is advanced to exactly *until* even if the last event
         fired earlier, so metrics sampled "at end of run" line up across
-        experiments.  A run that *max_events* or :meth:`stop` ended
-        early leaves the clock on the last event it ran: the events it
-        did not get to are still ahead of it.
+        experiments.  A run that *max_events* ended early leaves the
+        clock on the last event it ran: the events it did not get to are
+        still ahead of it.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
-        self._stopped = False
         limit = math.inf if until is None else until
         try:
             if self._perf is not None:
@@ -209,7 +189,7 @@ class Simulator:
                 self._run_plain(limit, max_events)
         finally:
             self._running = False
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until:
             upcoming = self.next_time()
             if upcoming is None or upcoming > until:
                 self.now = until
@@ -225,7 +205,7 @@ class Simulator:
         no_arg = NO_ARG
         executed = 0
         try:
-            while heap and not self._stopped and executed != max_events:
+            while heap and executed != max_events:
                 entry = heap[0]
                 callback = entry[2]
                 if callback is None:
@@ -276,7 +256,3 @@ class Simulator:
                 run(limit, min(untimed, left - 1))
         finally:
             perf.counter("sim.events").inc(self._event_count - before)
-
-    def stop(self) -> None:
-        """Stop the current :meth:`run` after the executing event returns."""
-        self._stopped = True

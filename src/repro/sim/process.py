@@ -29,28 +29,11 @@ class PeriodicTask:
         self._interval = interval
         self._callback = callback
         self._stopped = False
-        self._fire_count = 0
         self._pending = sim.at(first_time, self._fire)
-
-    @property
-    def interval(self) -> float:
-        """Seconds between consecutive firings."""
-        return self._interval
-
-    @property
-    def fire_count(self) -> int:
-        """Number of times the callback has run."""
-        return self._fire_count
-
-    @property
-    def stopped(self) -> bool:
-        """True once :meth:`stop` has been called."""
-        return self._stopped
 
     def _fire(self) -> None:
         if self._stopped:
             return
-        self._fire_count += 1
         self._callback()
         if not self._stopped:
             self._pending = self._sim.after(self._interval, self._fire)

@@ -30,26 +30,14 @@ class RngRegistry:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
+        #: The root seed this registry derives all streams from.
+        self.seed = int(seed)
         self._streams: dict[str, random.Random] = {}
-
-    @property
-    def seed(self) -> int:
-        """The root seed this registry derives all streams from."""
-        return self._seed
 
     def stream(self, name: str) -> random.Random:
         """Return the (memoised) stream for *name*."""
         stream = self._streams.get(name)
         if stream is None:
-            stream = random.Random(_derive_seed(self._seed, name))
+            stream = random.Random(_derive_seed(self.seed, name))
             self._streams[name] = stream
         return stream
-
-    def fork(self, name: str) -> "RngRegistry":
-        """Return a child registry whose root seed is derived from *name*.
-
-        Useful for giving each repetition of an experiment its own
-        namespace of streams.
-        """
-        return RngRegistry(_derive_seed(self._seed, name))

@@ -258,12 +258,10 @@ class ShardedSimulator:
     def stop(self) -> None:
         """Stop the run at the barrier of the window it was called in.
 
-        Unlike the plain kernel's "after the executing event" — on
-        purpose — every lane finishes the window, so what runs does not
-        depend on the shard count, and :attr:`now` lands on the
-        barrier.  A stop from a shard lane leaves the global lane's
-        events at that barrier to the next run; a stop from the global
-        lane lets it finish them.
+        Every lane finishes the window, so what runs does not depend on
+        the shard count, and :attr:`now` lands on the barrier.  A stop
+        from a shard lane leaves the global lane's events at that barrier
+        to the next run; a stop from the global lane lets it finish them.
         """
         self._stopped = True
 

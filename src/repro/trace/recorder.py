@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.net.message import Message
-from repro.net.stats import TrafficStats
 from repro.trace.format import (
     TraceEvent,
     TraceHeader,
@@ -67,25 +66,6 @@ class TraceRecorder:
     def events(self) -> list[TraceEvent]:
         """The recorded stream in canonical trace order."""
         return canonical_events(self._buffer)
-
-    def digest(self) -> str:
-        """Canonical digest of the recorded stream."""
-        return events_digest(self.events())
-
-    def stats(self) -> TrafficStats:
-        """The recorded stream folded into a :class:`TrafficStats`.
-
-        This is the object replay reproduces: replaying a trace and
-        comparing ``canonical_digest()`` against this one is the
-        bit-identity check of the round-trip tests.
-        """
-        stats = TrafficStats()
-        for t, src, dst, kind, size in self.events():
-            stats.record(
-                Message(src=src, dst=dst, kind=kind, payload=None,
-                        size_bytes=size)
-            )
-        return stats
 
 
 @dataclass

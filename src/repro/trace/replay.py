@@ -59,13 +59,6 @@ class ReplayResult:
     action_latencies: list[float] = field(default_factory=list)
     dropped_packets: int = 0
 
-    def max_queue(self) -> float:
-        return 0.0
-
-    @property
-    def servers_used(self) -> int:
-        return self.endpoints
-
     def digest(self) -> str:
         """Canonical digest of the replayed traffic."""
         return self.traffic.canonical_digest()

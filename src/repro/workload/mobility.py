@@ -48,9 +48,9 @@ def _walk_toward(
 ) -> Vec2 | None:
     """One constant-speed step toward *goal*, clamped into *world*;
     ``None`` once *travel* reaches the goal (arriving is the caller's
-    business).  Every model steps through here once per update: scalar
-    arithmetic in the order ``_clamp_into(world, position + (goal -
-    position).normalized() * travel)`` performs it, one allocation."""
+    business).  Every model steps through here once per update, so it
+    is scalar arithmetic with one allocation: the unit vector toward
+    *goal* times *travel*, added to *position* and clamped."""
     x = position.x
     y = position.y
     dx = goal.x - x
@@ -144,28 +144,24 @@ class HotspotMobility:
         if spread <= 0:
             raise ValueError(f"spread must be positive: {spread}")
         self._world = world
-        self._center = center
+        #: The hotspot centre this client gravitates to.
+        self.center = center
         self._spread = spread
         self._speed = speed
         self._rng = rng
         self._target: Vec2 | None = None
 
-    @property
-    def center(self) -> Vec2:
-        """The hotspot centre this client gravitates to."""
-        return self._center
-
     def retarget(self, center: Vec2) -> None:
         """Move the hotspot (second-hotspot phase of Fig 2)."""
-        self._center = center
+        self.center = center
         self._target = None
 
     def _pick_loiter_point(self) -> Vec2:
         return _clamp_into(
             self._world,
             Vec2(
-                self._rng.gauss(self._center.x, self._spread),
-                self._rng.gauss(self._center.y, self._spread),
+                self._rng.gauss(self.center.x, self._spread),
+                self._rng.gauss(self.center.y, self._spread),
             ),
         )
 
@@ -245,21 +241,17 @@ class FlockMobility:
     ) -> None:
         if spacing < 0:
             raise ValueError(f"negative spacing: {spacing}")
-        self._flock = flock
+        #: The shared flock whose anchor this member tracks.
+        self.flock = flock
         self._world = world
         self._speed = speed
         self._offset = Vec2(rng.gauss(0.0, spacing), rng.gauss(0.0, spacing))
         self._time = 0.0
 
-    @property
-    def anchor(self) -> Vec2:
-        """The shared anchor this member currently tracks."""
-        return self._flock.anchor
-
     def step(self, position: Vec2, dt: float) -> Vec2:
         self._time += dt
         goal = _clamp_into(
-            self._world, self._flock.anchor_at(self._time) + self._offset
+            self._world, self.flock.anchor_at(self._time) + self._offset
         )
         return (
             _walk_toward(self._world, position, goal, self._speed * dt) or goal
@@ -267,7 +259,7 @@ class FlockMobility:
 
     def retarget(self, target: Vec2) -> None:
         """Retarget the shared flock (affects every member)."""
-        self._flock.retarget(target)
+        self.flock.retarget(target)
 
 
 class CommuterMobility:
@@ -294,7 +286,8 @@ class CommuterMobility:
         self._world = world
         self._speed = speed
         self._pause = pause
-        self._stops = [
+        #: The circuit's waystations, in visiting order.
+        self.stops = [
             Vec2(
                 rng.uniform(world.xmin, world.xmax - 1e-6),
                 rng.uniform(world.ymin, world.ymax - 1e-6),
@@ -304,35 +297,29 @@ class CommuterMobility:
         self._leg = 0
         self._pause_left = 0.0
 
-    @property
-    def stops(self) -> list[Vec2]:
-        """The circuit's waystations, in visiting order."""
-        return list(self._stops)
-
     def step(self, position: Vec2, dt: float) -> Vec2:
         if self._pause_left > 0.0:
             self._pause_left = max(0.0, self._pause_left - dt)
             return position
-        goal = self._stops[self._leg]
+        goal = self.stops[self._leg]
         stop = _clamp_into(self._world, goal)
         arrived = (
             _walk_toward(self._world, position, goal, self._speed * dt) or stop
         )
         if arrived == stop:
-            self._leg = (self._leg + 1) % len(self._stops)
+            self._leg = (self._leg + 1) % len(self.stops)
             self._pause_left = self._pause
         return arrived
 
     def retarget(self, target: Vec2) -> None:
         """Translate the whole circuit so its centroid lands on *target*."""
-        n = len(self._stops)
-        centroid = Vec2(
-            sum(p.x for p in self._stops) / n,
-            sum(p.y for p in self._stops) / n,
+        n = len(self.stops)
+        shift = Vec2(
+            target.x - sum(p.x for p in self.stops) / n,
+            target.y - sum(p.y for p in self.stops) / n,
         )
-        shift = target - centroid
-        self._stops = [
-            _clamp_into(self._world, p + shift) for p in self._stops
+        self.stops = [
+            _clamp_into(self._world, p + shift) for p in self.stops
         ]
 
 
@@ -407,25 +394,21 @@ class PursuitMobility:
         self._quarry_walk = RandomWaypoint(
             world, speed * quarry_speed_fraction, rng
         )
-        self._quarry = Vec2(
+        #: Where the chased entity currently is.
+        self.quarry = Vec2(
             rng.uniform(world.xmin, world.xmax - 1e-6),
             rng.uniform(world.ymin, world.ymax - 1e-6),
         )
 
-    @property
-    def quarry(self) -> Vec2:
-        """Where the chased entity currently is."""
-        return self._quarry
-
     def step(self, position: Vec2, dt: float) -> Vec2:
-        self._quarry = self._quarry_walk.step(self._quarry, dt)
+        self.quarry = self._quarry_walk.step(self.quarry, dt)
         return _walk_toward(
-            self._world, position, self._quarry, self._speed * dt
-        ) or _clamp_into(self._world, self._quarry)
+            self._world, position, self.quarry, self._speed * dt
+        ) or _clamp_into(self._world, self.quarry)
 
     def retarget(self, target: Vec2) -> None:
         """Relocate the quarry (and thus drag the pursuer) to *target*."""
-        self._quarry = _clamp_into(self._world, target)
+        self.quarry = _clamp_into(self._world, target)
         self._quarry_walk.retarget(target)
 
 

@@ -16,7 +16,6 @@ from repro.workload.scenarios.registry import (
     register_scenario,
     scenario,
     scenario_names,
-    unregister_scenario,
 )
 from repro.workload.scenarios.spec import (
     ArrivalWave,
@@ -54,5 +53,4 @@ __all__ = [
     "register_scenario",
     "scenario",
     "scenario_names",
-    "unregister_scenario",
 ]

@@ -46,11 +46,6 @@ def register_scenario(name: str, factory: ScenarioFactory) -> None:
     _SCENARIOS[name] = factory
 
 
-def unregister_scenario(name: str) -> None:
-    """Remove a registered scenario (idempotent; used by tests)."""
-    _SCENARIOS.pop(name, None)
-
-
 def scenario_names() -> list[str]:
     """All registered scenario names, sorted."""
     return sorted(_SCENARIOS)

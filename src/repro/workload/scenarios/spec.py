@@ -326,13 +326,3 @@ class Scenario:
         return dataclasses.replace(
             self, duration=min(self.duration, duration)
         )
-
-    def summary(self) -> str:
-        """One line: population shape at a glance."""
-        kinds = ", ".join(
-            type(phase).__name__ for phase in self.phases
-        )
-        return (
-            f"{self.name}: {self.game}, {self.duration:.0f}s, "
-            f"phases=[{kinds}]"
-        )

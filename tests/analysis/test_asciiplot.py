@@ -1,6 +1,6 @@
 """Tests for terminal chart rendering."""
 
-from repro.analysis.asciiplot import render_histogram, render_series
+from repro.analysis.asciiplot import render_series
 from repro.analysis.timeseries import TimeSeries
 
 
@@ -39,13 +39,3 @@ def test_render_dimensions():
     lines = [line for line in out.splitlines() if line.startswith("|")]
     assert len(lines) == 8
     assert all(len(line) <= 41 for line in lines)
-
-
-def test_histogram_renders_counts():
-    out = render_histogram([1.0] * 10 + [2.0] * 5, bins=2, title="H")
-    assert "H" in out
-    assert "10" in out and "5" in out
-
-
-def test_histogram_empty():
-    assert "(no data)" in render_histogram([])

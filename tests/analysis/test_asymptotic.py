@@ -8,7 +8,6 @@ from repro.analysis.asymptotic import (
     max_players,
     mean_consistency_set_size,
     min_servers_for,
-    optimal_servers,
     overlap_fraction,
     partition_side,
     per_player_io,
@@ -94,10 +93,6 @@ def test_min_servers_consistency():
     assert max_players(MMOG, servers) >= 1_000_000
     if servers > 1:
         assert max_players(MMOG, servers - 1) < 1_000_000
-
-
-def test_optimal_servers_positive():
-    assert optimal_servers(MMOG) >= 1
 
 
 def test_validation():

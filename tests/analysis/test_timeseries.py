@@ -17,8 +17,6 @@ def test_append_and_accessors():
     s = series_of([(0.0, 1.0), (1.0, 5.0), (2.0, 3.0)])
     assert len(s) == 3
     assert s.max() == 5.0
-    assert s.min() == 1.0
-    assert s.mean() == pytest.approx(3.0)
     assert s.last() == 3.0
     assert s.argmax() == 1.0
 
@@ -46,18 +44,11 @@ def test_at_step_interpolation():
 
 def test_empty_series_raises():
     s = TimeSeries()
-    for method in (s.max, s.min, s.mean, s.last, s.argmax):
+    for method in (s.max, s.last, s.argmax):
         with pytest.raises(ValueError):
             method()
     with pytest.raises(ValueError):
         s.at(0.0)
-
-
-def test_window():
-    s = series_of([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)])
-    w = s.window(1.0, 3.0)
-    assert w.times == [1.0, 2.0]
-    assert w.values == [2.0, 3.0]
 
 
 def test_sampler_collects_probes():
@@ -88,6 +79,6 @@ def test_sampler_discovers_new_probes_mid_run():
 def test_sampler_stop():
     sim = Simulator()
     sampler = Sampler(sim, 1.0, lambda: {"x": lambda: 0.0})
-    sim.after(2.5, sampler.stop)
+    sim.after(2.5, sampler.task.stop)
     sim.run(until=10.0)
     assert len(sampler.series["x"]) == 3

@@ -59,7 +59,11 @@ def test_mirrored_replication_matches_analytic_model():
         metrics = outcome.result.consistency
         assert metrics["client_spatial_packets"] > 500
         measured = metrics["replication_per_client_packet"]
-        analytic = mirrored_cost(PROFILE, 24, mirrors).replication_overhead
+        cost = mirrored_cost(PROFILE, 24, mirrors)
+        analytic = (
+            cost.replication_packets_per_second
+            / cost.client_packets_per_second
+        )
         assert measured == pytest.approx(analytic)
         assert analytic == mirrors - 1
 

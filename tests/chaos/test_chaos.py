@@ -122,7 +122,7 @@ def test_coordinator_crash_promotes_standby_and_keeps_splitting():
     assert standby.coverage_area() == pytest.approx(world.area)
     # Every live server follows the standby now.
     for server in deployment.matrix_servers.values():
-        assert server.coordinator == standby.name
+        assert server.ctx.coordinator == standby.name
 
 
 def test_retargeted_fault_stage_acts_on_kinds_it_passed_before():
@@ -255,15 +255,15 @@ def test_standby_promotion_mid_split_converges_partition_map():
 
     standby = deployment.standby_coordinator
     assert standby.promoted
-    assert ms.splits_completed == 1
-    child_name = ms.children[0].matrix_name
+    assert ms.ctx.stats.splits_completed == 1
+    child_name = ms.ctx.children[0].matrix_name
     # The mc.failover cascade made parent and child re-register, so the
     # promoted map knows both and covers the world exactly.
     assert set(standby.partitions) == {ms.name, child_name}
     assert standby.coverage_area() == pytest.approx(WORLD.area)
     # Everyone follows the standby, including the child the dead
     # primary never heard of.
-    assert ms.coordinator == standby.name
+    assert ms.ctx.coordinator == standby.name
     assert (
-        deployment.matrix_servers[child_name].coordinator == standby.name
+        deployment.matrix_servers[child_name].ctx.coordinator == standby.name
     )

@@ -24,7 +24,7 @@ class ScriptedGameServer(Node):
     def __init__(self, name: str, partition: Rect) -> None:
         super().__init__(name)
         self.partition = partition
-        self.port = MatrixPort(self, visibility_radius=50.0)
+        self.port = MatrixPort(self)
         self.port.on_deliver = lambda pkt: self.delivered.append(pkt)
         self.port.on_set_range = lambda sr: self.range_updates.append(sr)
         self.delivered = []

@@ -29,7 +29,7 @@ def wired_port():
     matrix = Sink("ms.x")
     net.add_node(owner)
     net.add_node(matrix)
-    port = MatrixPort(owner, visibility_radius=25.0)
+    port = MatrixPort(owner)
     port.bind("ms.x")
     return sim, owner, matrix, port
 
@@ -39,7 +39,7 @@ def test_unbound_port_raises():
     net = Network(sim)
     owner = Sink("gs.x")
     net.add_node(owner)
-    port = MatrixPort(owner, visibility_radius=25.0)
+    port = MatrixPort(owner)
     with pytest.raises(RuntimeError):
         port.send_spatial(Vec2(0, 0), "p", 10)
     with pytest.raises(RuntimeError):

@@ -7,8 +7,9 @@ some caller outside the tests and examples sets differently from the
 default; a value with one setting is a constant of the module that
 owns the behaviour (``docs/ARCHITECTURE.md``, "Configuration").  The
 lists below went from 74 settable values to 37 when the one-value
-options became constants.  Adding a name here means naming, in the
-same change, its second caller outside the tests.
+options became constants, and to 36 when the distance metric did.
+Adding a name here means naming, in the same change, its second caller
+outside the tests.
 """
 
 import dataclasses
@@ -68,7 +69,7 @@ def test_wire_defaults_sane():
         (
             MatrixConfig,
             [
-                "world", "visibility_radius", "extra_radii", "metric_name",
+                "world", "visibility_radius", "extra_radii",
                 "split_strategy", "policy", "batch_spatial_forwards",
                 "lifecycle_timeout",
             ],

@@ -14,15 +14,15 @@ def bootstrapped(pool_capacity=8):
 
 def test_register_pushes_table_to_server():
     sim, network, deployment, ms, gs = bootstrapped()
-    assert ms.table_version >= 1
-    assert deployment.coordinator.server_count == 1
+    assert ms.ctx.table_version >= 1
+    assert len(deployment.coordinator.partitions) == 1
 
 
 def test_single_server_table_has_no_overlap():
     sim, network, deployment, ms, gs = bootstrapped()
     # With one server, every interior point has an empty set.
-    assert ms.default_table is not None
-    assert ms.default_table.cells == []
+    assert ms.ctx.default_table is not None
+    assert ms.ctx.default_table.regions == []
 
 
 def test_grid_bootstrap_creates_consistent_partitions():
@@ -30,7 +30,7 @@ def test_grid_bootstrap_creates_consistent_partitions():
     deployment.bootstrap_grid(2, 2)
     sim.run(until=1.0)
     mc = deployment.coordinator
-    assert mc.server_count == 4
+    assert len(mc.partitions) == 4
     # Partitions tile the world exactly.
     assert mc.coverage_area() == deployment.config.world.area
 
@@ -40,9 +40,9 @@ def test_grid_tables_include_directory():
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=1.0)
     for ms, gs in pairs:
-        assert set(ms.directory) == {"gs.1", "gs.2"}
-        assert set(ms.known_partitions) == {"ms.1", "ms.2"}
-        assert ms.server_map == {"ms.1": "gs.1", "ms.2": "gs.2"}
+        assert set(ms.ctx.directory) == {"gs.1", "gs.2"}
+        assert set(ms.ctx.partitions) == {"ms.1", "ms.2"}
+        assert ms.ctx.server_map == {"ms.1": "gs.1", "ms.2": "gs.2"}
 
 
 def test_set_range_forwarded_to_game_server():

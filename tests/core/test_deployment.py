@@ -15,7 +15,7 @@ def test_bootstrap_creates_colocated_pair():
     assert ms.partition == deployment.config.world
     # Co-location means loopback latency between the pair.
     profile = network.profile_for("gs.1", "ms.1")
-    assert profile.latency.mean() < 1e-3
+    assert profile.latency.fixed < 1e-3
 
 
 def test_spawn_event_logged_at_bootstrap():
@@ -39,7 +39,7 @@ def test_locate_nearest_fallback():
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=1.0)
     # Mark the left server dying: its region is momentarily uncovered.
-    pairs[0][0].dying = True
+    pairs[0][0].ctx.dying = True
     assert deployment.locate_game_server(Vec2(10.0, 10.0)) == "gs.2"
 
 
@@ -47,7 +47,7 @@ def test_live_server_names_excludes_dying():
     sim, network, deployment = build_deployment()
     pairs = deployment.bootstrap_grid(2, 1)
     assert set(deployment.live_server_names()) == {"ms.1", "ms.2"}
-    pairs[0][0].dying = True
+    pairs[0][0].ctx.dying = True
     assert deployment.live_server_names() == ["ms.2"]
 
 

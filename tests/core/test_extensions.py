@@ -39,9 +39,9 @@ def test_extra_radii_produce_distinct_tables():
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=1.0)
     ms = pairs[0][0]
-    assert set(ms.overlap_tables) == {50.0, 150.0}
+    assert set(ms.ctx.tables) == {50.0, 150.0}
     # The wide-radius table covers a wider strip.
-    assert ms.overlap_tables[150.0].overlap_area() > ms.overlap_tables[50.0].overlap_area()
+    assert ms.ctx.tables[150.0].overlap_area() > ms.ctx.tables[50.0].overlap_area()
 
 
 def test_packet_with_exception_radius_uses_wide_table():
@@ -68,7 +68,7 @@ def test_unknown_radius_falls_back_to_default():
     ms_left = pairs[0][0]
     gs_left.port.send_spatial(Vec2(480.0, 500.0), "p", 64, radius=999.0)
     sim.run(until=2.0)
-    assert ms_left.radius_fallbacks == 1
+    assert ms_left.ctx.stats.radius_fallbacks == 1
     # Falls back to the default table: still within its strip, so the
     # packet was forwarded normally.
     assert len(pairs[1][1].delivered) == 1
@@ -101,7 +101,7 @@ def test_failover_promotes_standby_and_servers_follow():
     sim, network, deployment = build_custom(replicated_mc=True)
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=3.0)
-    version_before = pairs[0][0].table_version
+    version_before = pairs[0][0].ctx.table_version
 
     sim.at(3.0, deployment.fail_coordinator)
     sim.run(until=10.0)
@@ -109,8 +109,8 @@ def test_failover_promotes_standby_and_servers_follow():
     assert standby.promoted
     # Servers switched coordinator and received fresh tables from it.
     for ms, _ in pairs:
-        assert ms.coordinator == standby.name
-        assert ms.table_version > version_before
+        assert ms.ctx.coordinator == standby.name
+        assert ms.ctx.table_version > version_before
 
 
 def test_post_failover_queries_served_by_standby():
@@ -138,8 +138,8 @@ def test_post_failover_splits_still_work():
     for i in range(4):
         sim.at(8.0 + i, lambda: gs.report(200))
     sim.run(until=25.0)
-    assert ms.splits_completed == 1
-    assert deployment.standby_coordinator.server_count == 2
+    assert ms.ctx.stats.splits_completed == 1
+    assert len(deployment.standby_coordinator.partitions) == 2
 
 
 def test_no_failover_while_primary_alive():

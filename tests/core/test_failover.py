@@ -67,7 +67,7 @@ def test_zombie_primary_sync_rejected_after_promotion():
     sim.run(until=8.0)
     assert standby.promoted
     version_after_promotion = standby.version
-    partitions_after_promotion = standby.partitions
+    partitions_after_promotion = dict(standby.partitions)
 
     # The "dead" primary flickers back and emits one last stale sync
     # with pre-promotion state.  The standby must stay promoted and
@@ -99,7 +99,7 @@ def test_promoted_tables_supersede_primary_versions():
     standby = deployment.standby_coordinator
     sim.run(until=3.0)
     primary_version = deployment.coordinator.version
-    server_versions = {ms.name: ms.table_version for ms, _ in pairs}
+    server_versions = {ms.name: ms.ctx.table_version for ms, _ in pairs}
     assert all(v == primary_version for v in server_versions.values())
 
     sim.at(3.0, deployment.fail_coordinator)
@@ -109,8 +109,8 @@ def test_promoted_tables_supersede_primary_versions():
     # reached every server, and every server now follows the standby.
     assert standby.version > primary_version
     for ms, _ in pairs:
-        assert ms.table_version == standby.version
-        assert ms.coordinator == standby.name
+        assert ms.ctx.table_version == standby.version
+        assert ms.ctx.coordinator == standby.name
 
     # A straggler push from the dead primary (old version) is ignored.
     ms = pairs[0][0]
@@ -136,7 +136,7 @@ def test_promoted_tables_supersede_primary_versions():
             size_bytes=64,
         )
     )
-    assert ms.table_version == standby.version
+    assert ms.ctx.table_version == standby.version
     assert ms.partition == installed_partition
 
 

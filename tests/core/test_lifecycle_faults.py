@@ -84,9 +84,9 @@ def test_pool_exhausted_split_consumes_nothing():
     ms, gs = deployment.bootstrap()
     _drive_split(sim, deployment, gs)
     sim.run(until=5.0)
-    assert ms.failed_splits >= 1
-    assert ms.splits_completed == 0
-    assert not ms.busy
+    assert ms.ctx.stats.failed_splits >= 1
+    assert ms.ctx.stats.splits_completed == 0
+    assert not ms.ctx.busy
     assert deployment.pool.available == 0
     assert deployment.unaccounted_hosts() == []
 
@@ -101,8 +101,8 @@ def test_dying_server_releases_the_acquired_host():
     # (the acquire callback fires at ~2.5 with the 1s acquire delay).
     sim.at(2.0, lambda: setattr(ms.ctx, "dying", True))
     sim.run(until=6.0)
-    assert ms.splits_completed == 0
-    assert not ms.busy
+    assert ms.ctx.stats.splits_completed == 0
+    assert not ms.ctx.busy
     # Without release_host this stayed at 1 forever.
     assert deployment.pool.available == 2
     assert deployment.unaccounted_hosts() == []
@@ -117,15 +117,15 @@ def test_abort_split_rolls_back_spawned_child():
     # complete; the pair must be torn down again.
     sim.at(4.001, lambda: ms.lifecycle.abort_split())
     sim.run(until=8.0)
-    assert ms.splits_completed == 0
-    assert ms.children == []
-    assert not ms.busy
+    assert ms.ctx.stats.splits_completed == 0
+    assert ms.ctx.children == []
+    assert not ms.ctx.busy
     assert deployment.pool.available == 2
     assert deployment.unaccounted_hosts() == []
     # The late transfer completion (if any) was cancelled: a stray
     # finalize is a no-op instead of a TypeError on unpacking None.
     ms.lifecycle._finalize_split()
-    assert ms.splits_completed == 0
+    assert ms.ctx.stats.splits_completed == 0
 
 
 def test_abort_before_spawn_releases_host_and_orphan_pair():
@@ -136,7 +136,7 @@ def test_abort_before_spawn_releases_host_and_orphan_pair():
     # at ~4.0): the pair that boots afterwards is decommissioned.
     sim.at(3.0, lambda: ms.lifecycle.abort_split())
     sim.run(until=8.0)
-    assert ms.splits_completed == 0
+    assert ms.ctx.stats.splits_completed == 0
     assert len(deployment.matrix_servers) == 1
     assert deployment.pool.available == 2
     assert deployment.unaccounted_hosts() == []
@@ -156,8 +156,8 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
     ms, gs = deployment.bootstrap()
     _drive_split(sim, deployment, gs)
     sim.run(until=6.0)
-    assert ms.splits_completed == 1
-    child_ms = deployment.matrix_servers[ms.children[0].matrix_name]
+    assert ms.ctx.stats.splits_completed == 1
+    child_ms = deployment.matrix_servers[ms.ctx.children[0].matrix_name]
     child_gs = deployment.game_servers[child_ms.game_server]
     # The child refuses the reclaim while busy.
     child_ms.ctx.busy = True
@@ -166,14 +166,14 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
         sim.at(6.5 + 0.5 * i, lambda: child_gs.report(10))
         sim.at(6.6 + 0.5 * i, lambda: gs.report(10))
     sim.run(until=9.0)
-    assert ms.failed_reclaims >= 1
-    assert ms.reclaims_completed == 0
-    assert not ms.busy  # the nack cleared the in-flight state
+    assert ms.ctx.stats.failed_reclaims >= 1
+    assert ms.ctx.stats.reclaims_completed == 0
+    assert not ms.ctx.busy  # the nack cleared the in-flight state
     # Once the child is free again the parent retries one cooldown
     # after the last failure.
     child_ms.ctx.busy = False
     sim.run(until=14.0)
-    assert ms.reclaims_completed == 1
-    assert deployment.pool.available == 2 or ms.busy is False
+    assert ms.ctx.stats.reclaims_completed == 1
+    assert deployment.pool.available == 2 or ms.ctx.busy is False
     sim.run(until=15.0)
     assert deployment.unaccounted_hosts() == []

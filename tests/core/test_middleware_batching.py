@@ -127,18 +127,17 @@ def test_combined_stages_keep_fault_injection_innermost():
     assert len(servers) > 1
     dropped = buffered = 0
     for ms in servers:
-        stages = [type(s) for s in ms.middleware.stages]
-        assert stages == [SpatialBatchingStage, FaultInjectionStage]
-        # Stages are addressable by name for introspection.
-        batching = ms.middleware.stage("spatial-batching")
+        batching, faults = ms.middleware.stages
         assert type(batching) is SpatialBatchingStage
-        assert ms.middleware.stage("no-such-stage") is None
-        dropped += ms.middleware.stage("fault-injection").dropped
+        assert type(faults) is FaultInjectionStage
+        dropped += faults.dropped
         buffered += batching.buffered_total
     assert dropped > 0 and buffered > 0
     # Every forward the routers sent was either dropped as a single
     # packet or reached the batching stage: nothing skipped the faults.
-    assert dropped + buffered == sum(ms.forwarded_packets for ms in servers)
+    assert dropped + buffered == sum(
+        ms.ctx.stats.forwarded_packets for ms in servers
+    )
 
 
 def test_default_config_installs_no_stages():
@@ -149,4 +148,4 @@ def test_default_config_installs_no_stages():
         sim, network, config, game_server_factory=ScriptedGameServer
     )
     ms, _ = deployment.bootstrap()
-    assert not ms.middleware
+    assert not ms.middleware.stages

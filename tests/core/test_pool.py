@@ -21,7 +21,7 @@ def test_capacity_decrements_immediately():
     pool = ServerPool(sim, capacity=2)
     pool.try_acquire(lambda h: None)
     assert pool.available == 1
-    assert pool.in_use == 1
+    assert len(pool.issued) == 1
 
 
 def test_exhausted_pool_yields_none():

@@ -23,14 +23,14 @@ def test_split_creates_child_with_left_half():
     drive_overload(sim, gs, reports=4)
     sim.run(until=20.0)
 
-    assert ms.splits_completed == 1
+    assert ms.ctx.stats.splits_completed == 1
     assert len(deployment.matrix_servers) == 2
     child = deployment.matrix_servers["ms.2"]
     # Split-to-left: the child owns the left half.
     assert child.partition == Rect(0.0, 0.0, 500.0, 1000.0)
     assert ms.partition == Rect(500.0, 0.0, 1000.0, 1000.0)
-    assert child.parent == "ms.1"
-    assert [c.matrix_name for c in ms.children] == ["ms.2"]
+    assert child.ctx.parent == "ms.1"
+    assert [c.matrix_name for c in ms.ctx.children] == ["ms.2"]
 
 
 def test_split_registers_child_with_coordinator():
@@ -39,7 +39,7 @@ def test_split_registers_child_with_coordinator():
     drive_overload(sim, gs)
     sim.run(until=20.0)
     mc = deployment.coordinator
-    assert mc.server_count == 2
+    assert len(mc.partitions) == 2
     assert mc.coverage_area() == deployment.config.world.area
 
 
@@ -49,9 +49,8 @@ def test_both_servers_get_overlap_tables_after_split():
     drive_overload(sim, gs)
     sim.run(until=20.0)
     child = deployment.matrix_servers["ms.2"]
-    assert ms.default_table is not None and child.default_table is not None
-    assert ms.default_table.cells, "parent must now have a boundary strip"
-    assert child.default_table.cells
+    assert ms.ctx.default_table.regions, "parent must now have a boundary strip"
+    assert child.ctx.default_table.regions
 
 
 def test_game_server_told_of_new_range_after_split():
@@ -69,9 +68,9 @@ def test_pool_exhaustion_fails_split_gracefully():
     ms, gs = deployment.bootstrap()
     drive_overload(sim, gs, reports=6)
     sim.run(until=20.0)
-    assert ms.splits_completed == 0
-    assert ms.failed_splits >= 1
-    assert not ms.busy  # must not wedge
+    assert ms.ctx.stats.splits_completed == 0
+    assert ms.ctx.stats.failed_splits >= 1
+    assert not ms.ctx.busy  # must not wedge
 
 
 def test_recursive_splits_under_sustained_overload():
@@ -81,7 +80,7 @@ def test_recursive_splits_under_sustained_overload():
     # report, so only ms.1 keeps splitting.
     drive_overload(sim, gs, reports=12, clients=500)
     sim.run(until=30.0)
-    assert ms.splits_completed >= 2
+    assert ms.ctx.stats.splits_completed >= 2
     assert len(deployment.matrix_servers) >= 3
 
 
@@ -99,13 +98,13 @@ def test_reclaim_merges_partition_and_decommissions_child():
         sim.at(20.0 + i + 0.1, lambda: child_gs.report(5))
     sim.run(until=45.0)
 
-    assert ms.reclaims_completed == 1
+    assert ms.ctx.stats.reclaims_completed == 1
     assert ms.partition == deployment.config.world
-    assert ms.children == []
+    assert ms.ctx.children == []
     assert "ms.2" not in deployment.matrix_servers
     assert not network.has_node("ms.2")
     assert not network.has_node("gs.2")
-    assert deployment.pool.in_use == 0
+    assert deployment.pool.available == deployment.pool.capacity
     # Child's game server was told to evacuate to the parent's.
     assert child_gs.evacuations == ["gs.1"]
 
@@ -122,8 +121,8 @@ def test_reclaim_refused_while_child_has_children():
     for i in range(4):
         sim.at(20.0 + i, lambda: child_gs.report(200))
     sim.run(until=35.0)
-    assert child.splits_completed == 1
-    grandchild_gs = deployment.game_servers[child.children[0].game_server]
+    assert child.ctx.stats.splits_completed == 1
+    grandchild_gs = deployment.game_servers[child.ctx.children[0].game_server]
 
     # Parent + child report underload, but the child has a child:
     # gossip carries has_children=True, so no reclaim may fire.
@@ -131,7 +130,7 @@ def test_reclaim_refused_while_child_has_children():
         sim.at(35.0 + i, lambda: gs.report(10))
         sim.at(35.0 + i + 0.1, lambda: child_gs.report(5))
     sim.run(until=50.0)
-    assert ms.reclaims_completed == 0
+    assert ms.ctx.stats.reclaims_completed == 0
     assert "ms.2" in deployment.matrix_servers
 
     # Once the grandchild is reclaimed, the chain unwinds fully.
@@ -140,8 +139,8 @@ def test_reclaim_refused_while_child_has_children():
         sim.at(50.0 + i + 0.1, lambda: child_gs.report(5))
         sim.at(50.0 + i + 0.2, lambda: grandchild_gs.report(2))
     sim.run(until=90.0)
-    assert child.reclaims_completed == 1
-    assert ms.reclaims_completed == 1
+    assert child.ctx.stats.reclaims_completed == 1
+    assert ms.ctx.stats.reclaims_completed == 1
     assert ms.partition == deployment.config.world
 
 
@@ -154,7 +153,7 @@ def test_routing_interior_packet_stays_local():
     gs_right = pairs[1][1]
     gs_left.emit(Vec2(100.0, 500.0))  # deep interior
     sim.run(until=2.0)
-    assert ms_left.forwarded_packets == 0
+    assert ms_left.ctx.stats.forwarded_packets == 0
     assert gs_right.delivered == []
 
 
@@ -194,7 +193,7 @@ def test_stale_forward_dropped_by_range_check():
     packet = SpatialPacket(origin=Vec2(10.0, 10.0), payload="stale")
     pairs[0][0].send("ms.2", "matrix.forward", packet, size_bytes=64)
     sim.run(until=2.0)
-    assert ms_right.stale_forwards == 1
+    assert ms_right.ctx.stats.stale_forwards == 1
     assert gs_right.delivered == []
 
 
@@ -205,7 +204,7 @@ def test_no_table_no_forwarding():
     # Emit before running the sim at all (table not yet delivered).
     gs.emit(Vec2(500.0, 500.0))
     sim.run(until=1.0)
-    assert ms.local_only_packets == 1
+    assert ms.ctx.stats.local_only_packets == 1
 
 
 def test_gossip_reaches_parent():
@@ -216,8 +215,8 @@ def test_gossip_reaches_parent():
     child_gs = deployment.game_servers["gs.2"]
     sim.at(20.0, lambda: child_gs.report(42))
     sim.run(until=22.0)
-    assert ms.child_loads["ms.2"].client_count == 42
-    assert ms.child_loads["ms.2"].has_children is False
+    assert ms.ctx.child_loads["ms.2"].client_count == 42
+    assert ms.ctx.child_loads["ms.2"].has_children is False
 
 
 #: What a Matrix server answered before its components declared their

@@ -87,12 +87,12 @@ def test_property_pieces_partition_the_rect(x0, w, h, xs):
     for strategy in (SplitToLeft(), LongestAxis(), LoadWeighted()):
         kept, given = strategy.split(rect, positions)
         # The two pieces are disjoint, non-empty, and cover the rect.
-        assert not kept.intersects(given)
+        assert kept.intersection(given) is None
         assert kept.area > 0 and given.area > 0
         total = kept.area + given.area
         assert total == pytest.approx(rect.area, rel=1e-9)
-        assert rect.contains_rect(kept)
-        assert rect.contains_rect(given)
+        assert rect.intersection(kept) == kept
+        assert rect.intersection(given) == given
         # The union bounding box is the original rect (merge-ability:
         # a reclaim can always merge the pieces back).
         assert kept.union_bounds(given) == rect

@@ -6,7 +6,6 @@ from repro.harness.fuzz import (
     FuzzInvariantError,
     fuzz_grid_tasks,
     run_fuzz_case,
-    run_fuzz_grid,
 )
 from repro.harness.parallel import GridTask, GridTaskError, run_grid
 
@@ -104,8 +103,8 @@ def test_fuzz_grid_tasks_keys_embed_seeds():
 
 
 def test_run_fuzz_grid_serial_smoke():
-    cells = run_fuzz_grid(
-        [0, 1], jobs=None, scale=0.05, preview=15.0, settle=6.0
+    cells = run_grid(
+        fuzz_grid_tasks([0, 1], scale=0.05, preview=15.0, settle=6.0)
     )
     assert len(cells) == 2
     for cell in cells:

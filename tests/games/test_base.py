@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.config import LoadPolicyConfig
+from repro.core.config import METRIC, LoadPolicyConfig
 from repro.core.messages import SetRange
 from repro.games.base import ClientRecord, GameClient, GameServer
 from repro.games.profile import GameProfile, bzflag_profile
@@ -189,12 +189,12 @@ def test_leave_says_goodbye_to_server_then_pending():
         )
         said = []
         client.send = lambda dst, kind, payload, size_bytes: said.append((dst, kind))
-        client._server, client._pending = f"gs.{i}", f"gs.{i + 8}"
+        client.server, client._pending = f"gs.{i}", f"gs.{i + 8}"
         client.leave()
         assert said == [(f"gs.{i}", "client.bye"), (f"gs.{i + 8}", "client.bye")]
-        assert client.server is None and not client.switching
+        assert client.server is None and client._pending is None
 
-    client._server = client._pending = "gs.1"
+    client.server = client._pending = "gs.1"
     said.clear()
     client.leave()
     assert said == [("gs.1", "client.bye")]
@@ -267,7 +267,7 @@ def fresh_rectangles(deployment):
         )
     for server in deployment.matrix_servers.values():
         ctx = server.ctx
-        yield ctx.reach, ctx.metric.expand_rect(
+        yield ctx.reach, METRIC.expand_rect(
             ctx.partition, ctx.config.visibility_radius
         )
 

@@ -39,7 +39,6 @@ def test_clear():
     grid = SpatialGrid(10.0)
     grid.insert("a", Vec2(5, 5))
     grid.clear()
-    assert len(grid) == 0
     assert grid.count_within(Vec2(5, 5), 10.0, cap=10) == 0
 
 
@@ -174,7 +173,6 @@ def test_property_single_and_batch_match_brute_force(crowd):
     grid = SpatialGrid(cell)
     for entity_id, (x, y) in zip(ids, points):
         grid.insert(entity_id, Vec2(x, y))
-    assert len(grid) == len(points)
     positions = [Vec2(x, y) for x, y in points]
     assert grid.count_within_each(positions, radius, cap) == [
         brute_force(points, ids, x, y, radius, cap) for x, y in points

@@ -27,8 +27,9 @@ def test_capacity_headroom_above_overload_threshold():
     """Each profile must be able to serve 300 clients with headroom,
     but NOT 600 (the hotspot must saturate a single server)."""
     for profile in (bzflag_profile(), quake2_profile(), daimonin_profile()):
-        at_300 = profile.overload_arrival_rate(300)
-        at_600 = profile.overload_arrival_rate(600)
+        per_client = profile.update_hz + profile.action_rate
+        at_300 = 300 * per_client
+        at_600 = 600 * per_client
         assert at_300 < profile.server_service_rate, profile.name
         assert at_600 > profile.server_service_rate, profile.name
 

@@ -1,17 +1,15 @@
 """Tests for distance metrics."""
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry import (
     ChebyshevMetric,
     EuclideanMetric,
-    ManhattanMetric,
+    Metric,
     Rect,
-    ToroidalMetric,
     Vec2,
+    consistency_set_at,
     metric_by_name,
 )
 
@@ -32,26 +30,13 @@ def test_chebyshev_distance():
     assert ChebyshevMetric().distance(Vec2(0, 0), Vec2(3, 4)) == 4.0
 
 
-def test_manhattan_distance():
-    assert ManhattanMetric().distance(Vec2(0, 0), Vec2(3, 4)) == 7.0
-
-
-def test_toroidal_wraps():
-    metric = ToroidalMetric(WORLD)
-    # 1 unit apart across the x seam.
-    assert metric.distance(Vec2(0.5, 50), Vec2(99.5, 50)) == pytest.approx(1.0)
-
-
-def test_toroidal_interior_matches_euclidean():
-    metric = ToroidalMetric(WORLD)
-    a, b = Vec2(10, 10), Vec2(13, 14)
-    assert metric.distance(a, b) == pytest.approx(5.0)
-
-
 def test_within():
+    """Within R is inclusive: a partition exactly R away is informed."""
+    partitions = {"a": Rect(0, 0, 10, 10), "b": Rect(13, 14, 20, 20)}
+    point = Vec2(10, 10)  # (3, 4) from b's nearest corner
     metric = EuclideanMetric()
-    assert metric.within(Vec2(0, 0), Vec2(3, 4), 5.0)
-    assert not metric.within(Vec2(0, 0), Vec2(3, 4), 4.9)
+    assert consistency_set_at(point, "a", partitions, 5.0, metric) == {"b"}
+    assert consistency_set_at(point, "a", partitions, 4.9, metric) == set()
 
 
 def test_expand_rect_default():
@@ -59,17 +44,9 @@ def test_expand_rect_default():
     assert EuclideanMetric().expand_rect(r, 2.0) == Rect(8, 8, 22, 22)
 
 
-def test_toroidal_expand_rect_saturates_to_world():
-    metric = ToroidalMetric(WORLD)
-    r = Rect(10, 10, 20, 20)
-    assert metric.expand_rect(r, 60.0) == WORLD
-
-
 def test_metric_by_name():
     assert metric_by_name("euclidean").name == "euclidean"
     assert metric_by_name("chebyshev").name == "chebyshev"
-    assert metric_by_name("manhattan").name == "manhattan"
-    assert metric_by_name("toroidal", world=WORLD).name == "toroidal"
 
 
 def test_metric_by_name_unknown_raises():
@@ -77,25 +54,37 @@ def test_metric_by_name_unknown_raises():
         metric_by_name("hyperbolic")
 
 
-def test_toroidal_by_name_requires_world():
-    with pytest.raises(ValueError):
-        metric_by_name("toroidal")
+class SquareMetric(Metric):
+    """A user metric the library has never heard of: Chebyshev by
+    another name."""
+
+    name = "square"
+
+    def distance(self, a: Vec2, b: Vec2) -> float:
+        return max(abs(a.x - b.x), abs(a.y - b.y))
+
+
+def test_user_metric_measures_rectangles_by_its_own_distance():
+    """An unknown metric name must not be measured as Euclidean: that
+    reads 56.57 here, drops ``b`` at radius 45, and a consistency set
+    may only grow, never miss a server."""
+    point, far = Vec2(100, 100), Rect(140, 140, 200, 200)
+    assert SquareMetric().distance_to_rect(point, far) == 40.0
+    partitions = {"a": Rect(0, 0, 140, 140), "b": far}
+    assert consistency_set_at(
+        point, "a", partitions, 45.0, SquareMetric()
+    ) == frozenset({"b"})
 
 
 @given(points, points)
 def test_symmetry_all_metrics(a, b):
-    for metric in (
-        EuclideanMetric(),
-        ChebyshevMetric(),
-        ManhattanMetric(),
-        ToroidalMetric(WORLD),
-    ):
+    for metric in (EuclideanMetric(), ChebyshevMetric()):
         assert metric.distance(a, b) == pytest.approx(metric.distance(b, a))
 
 
 @given(points, points, points)
 def test_triangle_inequality(a, b, c):
-    for metric in (EuclideanMetric(), ChebyshevMetric(), ManhattanMetric()):
+    for metric in (EuclideanMetric(), ChebyshevMetric()):
         ab = metric.distance(a, b)
         bc = metric.distance(b, c)
         ac = metric.distance(a, c)
@@ -104,30 +93,28 @@ def test_triangle_inequality(a, b, c):
 
 @given(points, points)
 def test_metric_ordering(a, b):
-    """Chebyshev <= Euclidean <= Manhattan for any pair."""
+    """Chebyshev <= Euclidean for any pair."""
     cheb = ChebyshevMetric().distance(a, b)
     eucl = EuclideanMetric().distance(a, b)
-    manh = ManhattanMetric().distance(a, b)
     assert cheb <= eucl + 1e-9
-    assert eucl <= manh + 1e-9
-
-
-@given(points, points)
-def test_toroidal_never_exceeds_euclidean(a, b):
-    assert ToroidalMetric(WORLD).distance(a, b) <= (
-        EuclideanMetric().distance(a, b) + 1e-9
-    )
 
 
 @given(points)
 def test_identity(p):
-    for metric in (
-        EuclideanMetric(),
-        ChebyshevMetric(),
-        ManhattanMetric(),
-        ToroidalMetric(WORLD),
-    ):
+    for metric in (EuclideanMetric(), ChebyshevMetric()):
         assert metric.distance(p, p) == 0.0
+
+
+@given(points)
+def test_euclidean_rect_distance_is_the_gap_formula(p):
+    """Bit for bit the per-axis-gap formula the consistency query used
+    before metrics measured rectangles themselves."""
+    rect = Rect(40, 40, 60, 60)
+    gx = max(0.0, rect.xmin - p.x, p.x - rect.xmax)
+    gy = max(0.0, rect.ymin - p.y, p.y - rect.ymax)
+    assert EuclideanMetric().distance_to_rect(p, rect) == (
+        (gx * gx + gy * gy) ** 0.5
+    )
 
 
 @given(
@@ -137,7 +124,6 @@ def test_identity(p):
 def test_expand_rect_is_superset_of_true_neighbourhood(p, radius):
     """Any point within metric-distance R of the rect lies in expand(rect, R)."""
     rect = Rect(40, 40, 60, 60)
-    for metric in (EuclideanMetric(), ChebyshevMetric(), ManhattanMetric()):
-        closest = rect.clamp_point(p)
-        if metric.distance(p, closest) <= radius:
+    for metric in (EuclideanMetric(), ChebyshevMetric()):
+        if metric.distance_to_rect(p, rect) <= radius:
             assert metric.expand_rect(rect, radius).contains_closed(p)

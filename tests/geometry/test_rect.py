@@ -40,13 +40,6 @@ def test_half_open_containment():
     assert r.contains_closed(Vec2(10, 10))
 
 
-def test_contains_rect():
-    outer = Rect(0, 0, 10, 10)
-    assert outer.contains_rect(Rect(2, 2, 5, 5))
-    assert outer.contains_rect(outer)
-    assert not outer.contains_rect(Rect(5, 5, 11, 11))
-
-
 def test_intersection():
     a = Rect(0, 0, 10, 10)
     b = Rect(5, 5, 15, 15)
@@ -60,7 +53,6 @@ def test_intersection_disjoint_is_none():
 def test_shared_edge_does_not_intersect():
     a = Rect(0, 0, 5, 10)
     b = Rect(5, 0, 10, 10)
-    assert not a.intersects(b)
     assert a.intersection(b) is None
 
 
@@ -132,7 +124,7 @@ def test_tile_world_covers_and_disjoint():
     assert abs(sum(t.area for t in tiles) - world.area) < 1e-9
     for i, a in enumerate(tiles):
         for b in tiles[i + 1:]:
-            assert not a.intersects(b)
+            assert a.intersection(b) is None
 
 
 def test_tile_world_rejects_bad_grid():
@@ -149,13 +141,13 @@ def test_intersection_commutes(a, b):
 def test_intersection_contained_in_both(a, b):
     inter = a.intersection(b)
     if inter is not None:
-        assert a.contains_rect(inter)
-        assert b.contains_rect(inter)
+        assert a.intersection(inter) == inter
+        assert b.intersection(inter) == inter
 
 
 @given(rects(), st.floats(min_value=0.0, max_value=10.0))
 def test_expansion_contains_original(r, margin):
-    assert r.expanded(margin).contains_rect(r)
+    assert r.expanded(margin).intersection(r) == r
 
 
 @given(rects())

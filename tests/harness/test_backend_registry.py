@@ -12,7 +12,6 @@ from repro.harness.compare import compare_backends
 from repro.harness.experiment import ExperimentResult, MatrixExperiment
 from repro.harness.runner import (
     _BACKENDS,
-    backend_info,
     backend_infos,
     backend_names,
     run_scenario,
@@ -76,7 +75,6 @@ def test_replay_is_registered_but_not_enumerated_as_an_architecture():
     """``replay`` re-sends a trace (``trace=``, no ``seed``): everything
     that enumerates architectures to run a workload on must skip it."""
     assert "replay" not in backend_names()
-    assert backend_info("replay").name == "replay"
     assert "replay" in {info.name for info in backend_infos()}
 
 
@@ -130,17 +128,12 @@ def test_unknown_backend_error_lists_registered_names():
 
 
 def test_backend_info_for_every_backend():
-    infos = backend_infos()
-    assert {info.name for info in infos} >= set(ALL_BACKENDS)
+    infos = {info.name: info for info in backend_infos()}
+    assert set(infos) >= set(ALL_BACKENDS)
     for name in ALL_BACKENDS:
-        info = backend_info(name)
+        info = infos[name]
         assert isinstance(info, BackendInfo)
         assert info.ownership and info.routing and info.consistency
-
-
-def test_backend_info_unknown_name():
-    with pytest.raises(ValueError, match="morse-code"):
-        backend_info("morse-code")
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)

@@ -19,7 +19,6 @@ RNG = random.Random(0)
 def test_constant():
     model = ConstantLatency(0.01)
     assert model.sample(RNG) == 0.01
-    assert model.mean() == 0.01
 
 
 def test_constant_rejects_negative():
@@ -31,7 +30,6 @@ def test_uniform_within_bounds():
     model = UniformLatency(0.001, 0.002)
     samples = [model.sample(RNG) for _ in range(500)]
     assert all(0.001 <= s <= 0.002 for s in samples)
-    assert model.mean() == pytest.approx(0.0015)
 
 
 def test_uniform_rejects_bad_range():
@@ -45,7 +43,6 @@ def test_normal_truncated_at_floor():
     model = NormalLatency(mean=0.01, stddev=0.05, floor=0.001)
     samples = [model.sample(RNG) for _ in range(1000)]
     assert all(s >= 0.001 for s in samples)
-    assert model.mean() == 0.01
 
 
 def test_normal_validation():
@@ -94,9 +91,6 @@ class TestMinimum:
 
         class Opaque(LatencyModel):
             def sample(self, rng):
-                return 42.0
-
-            def mean(self):
                 return 42.0
 
         assert Opaque().minimum() == 0.0

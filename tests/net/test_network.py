@@ -81,7 +81,7 @@ def test_pair_profile_overrides_default():
     sim, net = make_net(default_latency=1.0)
     a = net.add_node(Recorder("a"))
     b = net.add_node(Recorder("b"))
-    net.set_pair_profile(
+    net.set_prefix_profile(
         "a", "b", LinkProfile(latency=ConstantLatency(0.001), bandwidth=1e9)
     )
     a.send("b", "test", None, size_bytes=10)
@@ -122,10 +122,10 @@ def test_stats_accumulate():
     assert net.stats.total.messages == 4
     assert net.stats.total.bytes == 650
     assert net.stats.by_kind["game.update"].messages == 3
-    assert net.stats.kind_fraction("mc.") == pytest.approx(0.25)
-    assert net.stats.pair_bytes("a", "b") == 650
-    assert net.stats.node_sent_bytes("a") == 650
-    assert net.stats.node_received_bytes("b") == 650
+    assert net.stats.kind_messages("mc.") == 1
+    assert net.stats.by_pair["a", "b"].bytes == 650
+    assert net.stats.by_node_sent["a"].bytes == 650
+    assert net.stats.by_node_received["b"].bytes == 650
 
 
 def test_kind_bytes_prefix():

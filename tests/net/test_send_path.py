@@ -132,14 +132,14 @@ def test_profile_change_after_traffic_changes_the_next_delay():
     network.add_node(Sink("b", log))
     source.send("b", "probe", None, 0)
     sim.run()
-    network.set_pair_profile("a", "b", LinkProfile(ConstantLatency(0.050), 1e9))
+    network.set_prefix_profile("a", "b", LinkProfile(ConstantLatency(0.050), 1e9))
     source.send("b", "probe", None, 0)
     sim.run()
     network.set_prefix_profile("", "", LinkProfile(ConstantLatency(0.1), 1e9))
     network.set_colocated("a", "b")
     source.send("b", "probe", None, 0)
     sim.run()
-    loopback = network.profile_for("a", "b").latency.mean()
+    loopback = network.profile_for("a", "b").latency.fixed
     delays = [arrived - sent for _, arrived, sent in log]
     assert delays == pytest.approx([0.010, 0.050, loopback])
     assert network.stats.by_pair["a", "b"].messages == 3

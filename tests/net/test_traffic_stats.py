@@ -78,17 +78,6 @@ def test_stats_equal_the_five_table_reference(stream, data):
         matching = [v for k, v in reference.by_kind.items() if k.startswith(kind)]
         assert stats.kind_messages(kind) == sum(v[0] for v in matching)
         assert stats.kind_bytes(kind) == sum(v[1] for v in matching)
-        if stream:
-            assert stats.kind_fraction(kind) == (
-                sum(v[0] for v in matching) / len(stream)
-            )
-    for node in NODES:
-        assert stats.node_sent_bytes(node) == reference.by_node_sent[node][1]
-        assert stats.node_received_bytes(node) == (
-            reference.by_node_received[node][1]
-        )
-        for peer in NODES:
-            assert stats.pair_bytes(node, peer) == reference.by_pair[(node, peer)][1]
 
     # A sharded run records the same messages in another order.
     reordered = TrafficStats()

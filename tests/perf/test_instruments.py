@@ -31,17 +31,6 @@ def test_timer_statistics():
     assert snap["p99_us"] == pytest.approx(6000.0)
 
 
-def test_timer_context_manager_and_stopwatch():
-    timer = PerfTimer("t")
-    with timer:
-        pass
-    started = timer.start()
-    elapsed = timer.stop(started)
-    assert timer.count == 2
-    assert elapsed >= 0.0
-    assert timer.total >= elapsed
-
-
 def test_timer_sample_reservoir_is_bounded():
     timer = PerfTimer("t", max_samples=4)
     for _ in range(10):
@@ -54,9 +43,8 @@ def test_sampler_records_and_caps():
     sampler = TickSampler("s", max_samples=3)
     for i in range(5):
         sampler.record(float(i), float(i) * 2)
-    assert len(sampler) == 3
     assert sampler.times == [0.0, 1.0, 2.0]
-    assert sampler.last() == 4.0
+    assert sampler.values == [0.0, 2.0, 4.0]
     assert sampler.snapshot() == {
         "count": 3, "min": 0.0, "mean": 2.0, "max": 4.0,
     }

@@ -21,7 +21,7 @@ def test_perf_is_off_by_default():
     assert outcome.experiment.perf is None
     assert outcome.result.perf_snapshot is None
     # The kernel carries no registry either.
-    assert outcome.experiment.sim.perf is None
+    assert outcome.experiment.sim._perf is None
 
 
 def test_disabled_simulator_has_no_instrumentation_state():
@@ -30,7 +30,7 @@ def test_disabled_simulator_has_no_instrumentation_state():
     sim.after(1.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [1.0]
-    assert sim.perf is None
+    assert sim._perf is None
 
 
 def test_instrumented_run_is_simulation_identical():

@@ -69,7 +69,7 @@ def frames_per_forwarded_update():
     experiment = MatrixExperiment(profile, grid=(2, 1), seed=1)
     sim = experiment.sim
     sim.run(until=1.0)  # registrations answered, overlap tables installed
-    experiment._sampler.stop()
+    experiment._sampler.task.stop()
     home, peer = experiment.game_servers.values()
     for server in (home, peer):
         server.shutdown()  # no load reports or snapshot ticks in the count
@@ -106,7 +106,7 @@ def frames_per_forwarded_update():
     calls = count_calls(lambda: burst(UPDATES))
     assert peer.remote_updates_seen == UPDATES + 1
     forwarded = sum(
-        server.forwarded_packets
+        server.ctx.stats.forwarded_packets
         for server in experiment.deployment.matrix_servers.values()
     )
     assert forwarded == UPDATES + 1

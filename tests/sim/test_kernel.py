@@ -123,11 +123,12 @@ def test_self_stopping_periodic_task_keeps_pending_count_exact():
     """``stop()`` from inside the task's own callback cancels an event
     that already fired; that must not be counted as a pending one."""
     sim = Simulator()
-    task = sim.every(1.0, lambda: task.stop())
+    fired = []
+    task = sim.every(1.0, lambda: (fired.append(sim.now), task.stop()))
     sim.after(5.0, lambda: None)
     sim.after(6.0, lambda: None)
     sim.run(until=2.0)
-    assert task.fire_count == 1
+    assert fired == [1.0]
     assert sim.pending_events == live_heap_entries(sim) == 2
     sim.run()
     assert sim.pending_events == live_heap_entries(sim) == 0
@@ -142,7 +143,7 @@ def test_late_cancel_of_a_fired_event_is_a_no_op(drive):
     sim.after(2.0, lambda: None)
     doomed = sim.after(3.0, lambda: None)
     if drive == "step":
-        assert sim.step()
+        sim.run(max_events=1)
     else:
         sim.run(until=1.5)
     sim.cancel(fired)
@@ -152,15 +153,6 @@ def test_late_cancel_of_a_fired_event_is_a_no_op(drive):
     assert sim.pending_events == live_heap_entries(sim) == 1
     sim.run()
     assert sim.pending_events == live_heap_entries(sim) == 0
-
-
-def test_stop_halts_run():
-    sim = Simulator()
-    fired = []
-    sim.after(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.after(2.0, lambda: fired.append(2))
-    sim.run()
-    assert fired == [1]
 
 
 def test_events_scheduled_during_run_fire():
@@ -229,7 +221,7 @@ def test_arg_carrying_event_fires_via_step():
     sim = Simulator()
     got = []
     sim.after(1.0, got.append, arg=7)
-    assert sim.step() is True
+    sim.run(max_events=1)
     assert got == [7]
 
 
@@ -245,7 +237,8 @@ def test_run_until_takes_events_up_to_the_limit_and_leaves_later_ones():
     assert fired == [1.0]
     sim.run()
     assert fired == [1.0, 3.0]
-    assert sim.step() is False
+    sim.run(max_events=1)
+    assert sim.events_processed == 2
 
 
 def test_cancelled_head_is_skipped_and_pending_count_stays_exact():
@@ -255,26 +248,9 @@ def test_cancelled_head_is_skipped_and_pending_count_stays_exact():
     sim.at(2.0, lambda: fired.append(sim.now))
     sim.cancel(first)
     assert sim.pending_events == live_heap_entries(sim) == 1
-    assert sim.step() is True
+    sim.run(max_events=1)
     assert fired == [2.0]
     assert sim.pending_events == live_heap_entries(sim) == 0
-
-
-def test_step_still_steps_after_stop():
-    """``stop()`` ends the run it was called in; it is not a latch that
-    keeps a later ``step()`` from stepping."""
-    sim = Simulator()
-    fired = []
-    sim.after(1.0, lambda: (fired.append(1), sim.stop()))
-    sim.after(2.0, lambda: fired.append(2))
-    sim.after(3.0, lambda: fired.append(3))
-    sim.run()
-    assert fired == [1]
-    assert sim.step() is True
-    assert fired == [1, 2]
-    sim.stop()
-    assert sim.step() is True
-    assert fired == [1, 2, 3]
 
 
 def test_capped_run_leaves_the_clock_on_the_last_event_it_ran():
@@ -292,14 +268,6 @@ def test_capped_run_leaves_the_clock_on_the_last_event_it_ran():
     sim.run(until=10.0)
     assert seen == sorted(seen) == [1.0, 1.0, 2.0, 3.0]
     assert sim.now == 10.0
-
-
-def test_stopped_run_does_not_advance_to_until():
-    sim = Simulator()
-    sim.after(1.0, sim.stop)
-    sim.after(2.0, lambda: None)
-    sim.run(until=10.0)
-    assert sim.now == 1.0
 
 
 def test_instrumented_run_is_event_identical():

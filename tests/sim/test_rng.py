@@ -35,16 +35,5 @@ def test_different_names_differ():
     assert reg.stream("x").random() != reg.stream("y").random()
 
 
-def test_fork_is_deterministic():
-    a = RngRegistry(seed=3).fork("rep0").stream("m").random()
-    b = RngRegistry(seed=3).fork("rep0").stream("m").random()
-    assert a == b
-
-
-def test_fork_differs_from_parent():
-    reg = RngRegistry(seed=3)
-    assert reg.fork("rep0").seed != reg.seed
-
-
 def test_seed_property():
     assert RngRegistry(seed=11).seed == 11

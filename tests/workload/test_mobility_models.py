@@ -259,12 +259,12 @@ def test_flock_anchor_starts_at_group_center():
     )
     builder = mobility_builder("flock", env)
     member = builder()
-    assert member.anchor.distance_to(Vec2(80.0, 20.0)) < 1e-6
+    assert member.flock.anchor.distance_to(Vec2(80.0, 20.0)) < 1e-6
 
 
 def test_flock_anchor_random_without_center():
     builder = mobility_builder("flock", make_env(22))
-    assert WORLD.contains(builder().anchor)
+    assert WORLD.contains(builder().flock.anchor)
 
 
 def test_flock_retarget_moves_every_member():

@@ -17,8 +17,8 @@ from repro.workload.scenarios import (
     build_scenario,
     scenario,
     scenario_names,
-    unregister_scenario,
 )
+from repro.workload.scenarios import registry
 
 SCALE = 0.05
 
@@ -55,7 +55,7 @@ def test_registry_round_trip():
             def _dup() -> Scenario:
                 raise AssertionError("never built")
     finally:
-        unregister_scenario("tmp-registry-proof")
+        registry._SCENARIOS.pop("tmp-registry-proof")
     assert "tmp-registry-proof" not in scenario_names()
     with pytest.raises(ValueError):
         build_scenario("tmp-registry-proof")
@@ -75,7 +75,7 @@ def test_factory_name_mismatch_rejected():
         with pytest.raises(ValueError):
             build_scenario("tmp-name-a")
     finally:
-        unregister_scenario("tmp-name-a")
+        registry._SCENARIOS.pop("tmp-name-a")
 
 
 # ----------------------------------------------------------------------
