@@ -352,22 +352,28 @@ class GameServer(Node):
                 del ghosts[ghost_id]
             else:
                 grid.insert(ghost_id, position)
-        # The batch counts the client itself, hence ``cap + 1`` and
-        # ``- 1``: min(n, cap + 1) - 1 == min(n - 1, cap).
+        # The batch counts the client itself and, for ``ghost_lifetime``
+        # after a hand-back, its own stale ghost: ask for ``cap + 2``,
+        # subtract both, then cap.  min(n, cap + 2) - k, capped at cap,
+        # is min(n - k, cap) for k <= 2.
+        r_sq = radius * radius
         counts = grid.count_within_each(
-            [record.position for record in clients.values()], radius, cap + 1
+            [record.position for record in clients.values()], radius, cap + 2
         )
         for record, seen in zip(clients.values(), counts):
             client_id = record.client_id
-            if client_id in ghosts:
-                # Handed back within ``ghost_lifetime``: its own stale
-                # ghost is in the grid too, and only excluding by id
-                # drops both.
-                visible = grid.count_within(
-                    record.position, radius, cap, exclude_id=client_id
-                )
-            else:
-                visible = seen - 1
+            visible = seen - 1
+            ghost = ghosts.get(client_id)
+            if ghost is not None:
+                # The grid's own distance test, operands in its order.
+                position = record.position
+                ghost_at = ghost[0]
+                gx = ghost_at.x - position.x
+                gy = ghost_at.y - position.y
+                if gx * gx + gy * gy <= r_sq:
+                    visible -= 1
+            if visible > cap:
+                visible = cap
             snapshot = Snapshot(
                 client_id=client_id,
                 seq=self._snapshot_seq,

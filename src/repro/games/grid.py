@@ -107,8 +107,9 @@ class SpatialGrid:
 
         Queries whose squares touch the same cells share one gathered
         neighbourhood.  Nothing is excluded: to count the neighbours of
-        entities that are in the grid themselves, ask for ``cap + 1``
-        and subtract one (``GameServer._snapshot_tick``).
+        entities that are in the grid themselves, ask for ``cap`` plus
+        the entries to leave out, subtract them and cap the result
+        (``GameServer._snapshot_tick``).
         """
         counts = [0] * len(positions)
         if radius <= 0 or cap <= 0:

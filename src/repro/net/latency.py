@@ -11,20 +11,25 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from math import cos, log, sin, sqrt, tau
+from typing import Callable
 
 
 class LatencyModel(ABC):
     """Samples one-way propagation latency in seconds."""
 
-    #: What :meth:`sample` always returns, or ``None``.
+    #: What every draw returns, or ``None``.
     fixed: float | None = None
 
     @abstractmethod
-    def sample(self, rng: random.Random) -> float:
-        """Draw one latency value (seconds, ≥ 0)."""
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """A zero-argument draw of one latency value (seconds, ≥ 0) from
+        *rng*.  A packet pays one frame for it: the stdlib arithmetic is
+        inlined, and every call advances *rng* exactly as the stdlib
+        call it replaces would."""
 
     def minimum(self) -> float:
-        """Smallest latency :meth:`sample` can ever return (seconds).
+        """Smallest latency a draw can ever return (seconds).
 
         The sharded kernel's conservative lookahead is the minimum
         one-way latency between nodes in different shards, so every
@@ -44,8 +49,9 @@ class ConstantLatency(LatencyModel):
             raise ValueError(f"negative latency: {seconds}")
         self.fixed = seconds
 
-    def sample(self, rng: random.Random) -> float:
-        return self.fixed
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        fixed = self.fixed
+        return lambda: fixed
 
     def minimum(self) -> float:
         return self.fixed
@@ -60,8 +66,12 @@ class UniformLatency(LatencyModel):
         self._low = low
         self._high = high
 
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self._low, self._high)
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """``rng.uniform(low, high)``, with ``high - low`` taken once."""
+        low = self._low
+        span = self._high - low
+        unit = rng.random
+        return lambda: low + span * unit()
 
     def minimum(self) -> float:
         return self._low
@@ -80,8 +90,29 @@ class NormalLatency(LatencyModel):
         self._stddev = stddev
         self._floor = floor
 
-    def sample(self, rng: random.Random) -> float:
-        return max(self._floor, rng.gauss(self._mean, self._stddev))
+    def sampler(self, rng: random.Random) -> Callable[[], float]:
+        """``max(floor, rng.gauss(mean, stddev))``, the body of
+        ``Random.gauss`` inlined: the spare normal deviate stays on
+        *rng* (``gauss_next``), so another model or a stdlib ``gauss``
+        on the same stream, and ``getstate()``, see what they would."""
+        mean = self._mean
+        stddev = self._stddev
+        floor = self._floor
+        unit = rng.random
+
+        def draw() -> float:
+            z = rng.gauss_next
+            if z is None:
+                x2pi = unit() * tau
+                g2rad = sqrt(-2.0 * log(1.0 - unit()))
+                z = cos(x2pi) * g2rad
+                rng.gauss_next = sin(x2pi) * g2rad
+            else:
+                rng.gauss_next = None
+            value = mean + z * stddev
+            return value if value > floor else floor
+
+        return draw
 
     def minimum(self) -> float:
         return self._floor

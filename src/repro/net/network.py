@@ -13,14 +13,16 @@ can share a WAN profile without enumerating pairs.
 A pair is resolved once; a packet costs one tuple lookup: the first
 send of an ordered pair builds its :class:`Route`, which
 :meth:`Network.transmit` reads everything off, and any profile rule
-change drops every route.  The sharded network shares this transmit.
+change drops every route.  A route's latency draw is shared by every
+route with the same model and stream.  The sharded network shares this
+transmit.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.net.latency import ConstantLatency, LatencyModel, lan, loopback, wan
 from repro.net.message import Message
@@ -66,20 +68,17 @@ _LOOPBACK = loopback_profile()
 
 
 class Route:
-    """One ordered pair's fixed latency (or ``None``), sampler,
-    bandwidth, ``by_pair`` counter, latency stream and the simulator
-    its destination lives on (``None`` when not known yet)."""
+    """One ordered pair's fixed latency (or ``None``), latency draw
+    (``None`` on a constant link), bandwidth, ``by_pair`` counter and the
+    simulator its destination lives on (``None`` when not known yet)."""
 
-    __slots__ = ("fixed", "latency", "bandwidth", "counter", "rng", "lane")
+    __slots__ = ("fixed", "draw", "bandwidth", "counter", "lane")
 
-    def __init__(
-        self, profile: LinkProfile, counter: Counter, rng, lane
-    ) -> None:
+    def __init__(self, profile: LinkProfile, counter: Counter, draw, lane) -> None:
         self.fixed = profile.latency.fixed
-        self.latency = profile.latency
+        self.draw = draw
         self.bandwidth = profile.bandwidth
         self.counter = counter
-        self.rng = rng
         self.lane = lane
 
 
@@ -102,6 +101,9 @@ class Network:
         self._prefix_profiles: list[tuple[str, str, LinkProfile]] = []
         self._colocated: dict[str, str] = {}
         self._routes: dict[tuple[str, str], Route] = {}
+        #: One draw per (latency model, stream), shared by every route
+        #: on it: survives the route memo, and no closure per pair.
+        self._draws: dict[tuple[LatencyModel, random.Random], Callable] = {}
         #: Never rebound: routes hold its ``by_pair`` counters.
         self.stats = TrafficStats()
         #: Send-side observers: each tap is called with every message
@@ -185,12 +187,15 @@ class Network:
         if self._perf_profile_miss is not None:
             self._perf_profile_miss.inc()
         key = (src, dst)
-        route = Route(
-            self.profile_for(src, dst),
-            self.stats.by_pair[key],
-            self._latency_rng(src),
-            self._lane_of(dst),
-        )
+        profile = self.profile_for(src, dst)
+        latency = profile.latency
+        draw = None
+        if latency.fixed is None:
+            rng = self._latency_rng(src)
+            draw = self._draws.get((latency, rng))
+            if draw is None:
+                draw = self._draws[latency, rng] = latency.sampler(rng)
+        route = Route(profile, self.stats.by_pair[key], draw, self._lane_of(dst))
         self._routes[key] = route
         return route
 
@@ -256,7 +261,7 @@ class Network:
             return
         delay = route.fixed
         if delay is None:
-            delay = route.latency.sample(route.rng)
+            delay = route.draw()
         delay += size / route.bandwidth
         # The message rides the heap entry (``arg``): no closure.  On the
         # plain network the destination's lane is always the sender's.

@@ -30,6 +30,7 @@ reading the clock costs no frame either.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import time as _time
@@ -177,10 +178,16 @@ class Simulator:
         experiments.  A run that *max_events* ended early leaves the
         clock on the last event it ran: the events it did not get to are
         still ahead of it.
+
+        The cyclic collector is paused for the loop (reference counting
+        frees what the loop drops; see docs/ARCHITECTURE.md, "Hot-path
+        design rules") and left as the caller had it.
         """
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
+        collecting = gc.isenabled()
+        gc.disable()
         limit = math.inf if until is None else until
         try:
             if self._perf is not None:
@@ -189,6 +196,8 @@ class Simulator:
                 self._run_plain(limit, max_events)
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
         if until is not None and self.now < until:
             upcoming = self.next_time()
             if upcoming is None or upcoming > until:

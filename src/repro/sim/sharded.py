@@ -46,6 +46,7 @@ executor.
 
 from __future__ import annotations
 
+import gc
 import math
 import time as _time
 from heapq import heappop, heappush
@@ -286,6 +287,9 @@ class ShardedSimulator:
         # A lane's own run() would drain it outside the barrier grid.
         for lane in self._all:
             lane._running = True
+        # The cyclic collector is paused as in ``Simulator.run``.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             self._loop(until)
         finally:
@@ -294,6 +298,8 @@ class ShardedSimulator:
             self._running = False
             for lane in self._all:
                 lane._running = False
+            if collecting:
+                gc.enable()
 
     def _loop(self, until: float | None) -> None:
         """The barrier rounds.  A round costs no frame of its own: heads

@@ -141,9 +141,9 @@ def test_kind_bytes_prefix():
 
 def test_profiles_have_sane_magnitudes():
     rng = random.Random(0)
-    assert loopback_profile().latency.sample(rng) < 1e-3
-    assert lan_profile().latency.sample(rng) < 2e-3
-    assert 0.005 <= wan_profile().latency.sample(rng) <= 0.1
+    assert loopback_profile().latency.sampler(rng)() < 1e-3
+    assert lan_profile().latency.sampler(rng)() < 2e-3
+    assert 0.005 <= wan_profile().latency.sampler(rng)() <= 0.1
 
 
 def test_detached_node_raises():

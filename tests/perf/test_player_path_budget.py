@@ -18,8 +18,8 @@ already pins, so the budget is on the calls *outside* the message path
 ==========  =====================  =====================  =======
 per ...     before (PR 13)         now                    budget
 ==========  =====================  =====================  =======
-update      21.38 (39.73 in all)    8.50 (26.85 in all)   <= 9.0
-snapshot     5.02 (13.03 in all)    2.02 (10.03 in all)   <= 2.5
+update      21.38 (39.73 in all)    8.50 (17.85 in all)   <= 9.0
+snapshot     5.02 (13.03 in all)    2.02 (7.02 in all)    <= 2.5
 ==========  =====================  =====================  =======
 
 "Before" is ``Vec2`` arithmetic per step (five temporaries and a

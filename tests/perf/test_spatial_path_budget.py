@@ -12,7 +12,7 @@ band of a 2 x 1 grid is handled by its game server, tagged and sent as
 docs/ARCHITECTURE.md, "The life of a forwarded update", names the
 frames.
 
-Frames per forwarded update went 76 → 69 → 54 → 46.  The seven that went
+Frames per forwarded update went 76 → 69 → 54 → 46 → 45.  The seven that went
 first only passed the message on: two ``MatrixServer._on_*`` relays
 into the router, three ``ServerContext.send`` relays into
 ``Node.send``, and two calls of a ``SpatialPacket`` accessor that
@@ -24,8 +24,10 @@ eight were per-message bookkeeping: three ``TrafficStats.record`` and
 three ``Node.handle_message`` frames (a resolved route accounts inline
 and the queue calls the handler itself), and two
 ``ConstantLatency.sample`` calls on the loopback link between a game
-server and its Matrix server (a route carries the fixed latency).
-``BUDGET`` fails at 54.
+server and its Matrix server (a route carries the fixed latency).  The
+last one was ``LatencyModel.sample`` in front of ``Random.uniform`` on
+the LAN link of ``matrix.forward``: a route calls one shared draw with
+the stdlib arithmetic inlined.  ``BUDGET`` fails at 46.
 """
 
 import gc
@@ -39,7 +41,7 @@ from repro.harness.experiment import MatrixExperiment
 from repro.net.message import Message
 
 UPDATES = 500
-BUDGET = 47
+BUDGET = 45.5
 
 
 def count_calls(run):
