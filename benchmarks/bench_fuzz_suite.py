@@ -13,7 +13,7 @@ Two sections:
    so the CI log line is the reproduction command.
 2. **Trace round-trip** — the fig2-hotspot scenario is recorded twice
    to versioned trace files; the runs must byte-diff clean
-   (``diff_traces(...).clean``) and the replay backend must reproduce
+   (``diff_traces(...).clean``) and the replay must reproduce
    the recorded ``TrafficStats`` digest exactly.
 
 The campaign fans out over ``repro.harness.parallel.run_grid``
@@ -91,8 +91,7 @@ def run_trace_roundtrip():
             )
             paths.append(run.write(Path(tmp) / f"take{index}.trace"))
         diff = diff_traces(paths[0], paths[1])
-        outcome = replay_trace(paths[0])
-        result = outcome.result
+        result = replay_trace(paths[0])
         return {
             "scenario": TRACE_SCENARIO,
             "events": run.header.events,

@@ -8,7 +8,7 @@ Usage::
 Runs two passes, each in a child process under a call hook
 (:class:`CallRecorder`), at the same time:
 
-* the shipped surface — CI's CLI smoke steps (:data:`CLI_STEPS`), every
+* the shipped surface — CI's CLI smoke steps (:func:`cli_steps`), every
   ``examples/*.py``, every ``benchmarks/bench_*.py`` and the perfbench
   workloads and layer probes;
 * tier-1 (``tests/``), without ``tests/harness/test_parallel.py``, whose
@@ -35,6 +35,7 @@ import inspect
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -44,25 +45,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
 
-#: CI's ``smoke-bench`` CLI steps, with ``--jobs`` dropped (serial).
-CLI_STEPS = (
-    "list-scenarios",
-    "list-mobility",
-    "list-backends",
-    "run flash-crowd --scale 0.05 --seed 1",
-    "run flash-crowd uniform-roam --scale 0.05 --duration 30 --seed 1",
-    "run fig2-hotspot --scale 0.05 --seed 1 --shards 1",
-    "run fig2-hotspot --scale 0.05 --seed 1 --shards 2",
-    "run crash-during-split --backend matrix --scale 0.05 --seed 1",
-    "compare flash-crowd --scale 0.05 --duration 60 --seed 1",
-    "fuzz --seeds 6 --scale 0.05 --duration 30",
-    "fuzz --seeds 2 --profile faulty --scale 0.05 --duration 30",
-    "record fig2-hotspot --scale 0.05 --duration 25 --seed 1 --out take1.trace",
-    "record fig2-hotspot --scale 0.05 --duration 25 --seed 1 --out take2.trace",
-    "replay take1.trace",
-    "diff take1.trace take2.trace",
-    "sweep --scale 0.02 --duration 30 --seed 1 --json sweep-cli.json",
-)
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def cli_steps() -> list[str]:
+    """CI's ``smoke-bench`` CLI steps, in order: what follows each
+    ``python -m repro`` in that job, up to a ``|`` or ``>``, without
+    ``--jobs N`` (the census runs serially), deduplicated."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index("  smoke-bench:") + 1
+    steps = []
+    for line in lines[start:]:
+        if line[:3].strip():  # the next job
+            break
+        match = re.search(r"python -m repro ([^|>]+)", line)
+        if match:
+            steps.append(re.sub(r" --jobs \d+", "", match.group(1)).strip())
+    return list(dict.fromkeys(steps))
+
 
 #: ``(file, first line, qualified name)`` of one function.
 Key = tuple[str, int, str]
@@ -213,7 +213,7 @@ def run_surface(scratch: Path) -> None:
     from repro.cli import main as cli
 
     with _working_directory(scratch), contextlib.redirect_stdout(io.StringIO()):
-        for step in CLI_STEPS:
+        for step in cli_steps():
             cli(step.split())
         for example in sorted((ROOT / "examples").glob("*.py")):
             runpy.run_path(str(example), run_name="__main__")

@@ -23,7 +23,7 @@ contract, which is what keeps cross-architecture comparisons
 apples-to-apples.
 
 Backends register with the unified runner via
-``@scenario_backend(name, info=...)`` (see :mod:`repro.harness.runner`),
+``@scenario_backend(info)`` (see :mod:`repro.harness.runner`),
 so any declarative scenario from the catalog runs on any architecture.
 """
 
@@ -53,10 +53,8 @@ class BackendInfo:
     """The three architectural answers, as displayable metadata.
 
     Rendered by ``python -m repro list-backends`` and the docs table;
-    supplied alongside the runner registration
-    (``@scenario_backend(name, info=...)``).  A backend registered
-    without one still runs, but ``backend_infos`` (and so
-    ``list-backends``) leaves it out.
+    it is the runner registration (``@scenario_backend(info)``), which
+    files the builder under ``name``.
     """
 
     name: str

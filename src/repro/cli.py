@@ -1,41 +1,10 @@
 """Command-line entry point: ``python -m repro``.
 
-Subcommands:
-
-* ``list-scenarios`` — the registered scenario catalog.
-* ``list-mobility`` — the registered mobility models.
-* ``list-backends`` — the registered architecture backends and their
-  ownership/routing/consistency answers.
-* ``run <scenario>`` — run one scenario on a backend and print a
-  summary (``--scale`` shrinks the population *and* the policy
-  thresholds/server capacity together, preserving the dynamics).
-* ``compare <scenario>`` — run one scenario on several backends and
-  print the shared-verdict comparison table (the generalised T-static).
-* ``sweep`` — run every registered scenario and print a comparison
-  table (the CLI face of the scenario-sweep benchmark); also writes the
-  ``BENCH_scenario_sweep.json`` payload (``--json`` to relocate it).
-* ``perf <scenario>`` — run one scenario with :mod:`repro.perf`
-  instrumentation on and print the counter/timer/sampler report
-  (host-time comparisons between commits are ``python3 -m perfbench``).
-* ``fuzz`` — generative scenario fuzzing: run N seeded random
-  scenarios through the invariant harness (:mod:`repro.fuzz`); a
-  failure names its seed, ``--shrink`` reduces it to a minimal phase
-  list, and ``--artifacts DIR`` records the failing run's trace.
-* ``record <scenario>...`` — run scenarios with the trace recorder
-  attached and write versioned ``.trace`` files (the client-visible
-  event stream; see :mod:`repro.trace`).
-* ``replay <trace>...`` — re-run recorded traces through the replay
-  backend and self-check the round-trip digest.
-* ``diff <a> <b>`` — regression-compare two trace files (exit 1 on
-  drift).
-
-The grid-shaped subcommands take ``--jobs N`` to fan their independent
-cells out over N ``spawn`` worker processes
-(:mod:`repro.harness.parallel`): ``sweep`` parallelises over scenarios,
-``compare`` over backends, ``fuzz`` over seeds, and ``run`` / ``record``
-over scenarios when several are named.  The default is serial, and
-every deterministic output is bit-identical whatever ``--jobs`` is —
-only wall-clock readings move.
+Each subcommand is a handler registered with :func:`command`, which
+declares, beside the handler, its one-line help and its arguments: the
+:data:`_SHARED_OPTIONS` it takes (with its own defaults) and any option
+of its own.  :func:`build_parser` is a loop over that registry, and
+``python -m repro --help`` lists the subcommands.
 
 Every command that runs a scenario goes through ``run_scenario``;
 :func:`run_arguments` is the one place that turns parsed options into
@@ -45,6 +14,7 @@ its arguments, and where a combination that cannot run is refused.
 from __future__ import annotations
 
 import argparse
+import inspect
 import time
 from pathlib import Path
 
@@ -59,6 +29,7 @@ from repro.harness.compare import (
     scaled_setup,
 )
 from repro.harness.fuzz import (
+    fuzz_command,
     fuzz_grid_tasks,
     record_fuzz_failure,
     shrink_fuzz_failure,
@@ -91,6 +62,89 @@ def _usage(lookup, name: str):
         raise UsageError(str(exc)) from None
 
 
+def _number(cast, minimum, exclusive: bool = False):
+    """An argparse ``type=``: *cast* the text and refuse a value below
+    *minimum* (or, when *exclusive*, at it), so an out-of-range number
+    is argparse's own ``error: argument --x: ...`` before anything runs.
+    """
+
+    def parse(text: str):
+        value = cast(text)
+        if not (value > minimum if exclusive else value >= minimum):
+            bound = ">" if exclusive else ">="
+            raise argparse.ArgumentTypeError(
+                f"must be {bound} {minimum}, got {text}"
+            )
+        return value
+
+    # argparse names the type in "invalid float value: 'abc'".
+    parse.__name__ = cast.__name__
+    return parse
+
+
+def option(*flags: str, **spec) -> tuple:
+    """One argument: what ``add_argument(*flags, **spec)`` takes."""
+    return flags, spec
+
+
+#: The arguments several subcommands share, each declared once; a
+#: subcommand names the ones it takes and gives its own defaults.
+_SHARED_OPTIONS = {
+    "scenario": option("scenario", help="registered scenario name"),
+    "scenarios": option(
+        "scenarios", nargs="+", metavar="scenario",
+        help="registered scenario name(s); several fan out (see --jobs)",
+    ),
+    "backend": option("--backend", default="matrix", choices=backend_names()),
+    "scale": option(
+        "--scale", type=_number(float, 0, exclusive=True),
+        help="population/policy/capacity scale factor "
+        "(default %(default)s)",
+    ),
+    "seed": option(
+        "--seed", type=int, help="simulation seed (default %(default)s)"
+    ),
+    "duration": option(
+        "--duration", type=_number(float, 0, exclusive=True), default=None,
+        help="truncate each scenario to this many simulated seconds",
+    ),
+    "shards": option(
+        "--shards", type=_number(int, 1), default=None, metavar="N",
+        help="run the matrix backend on the space-partitioned kernel: N "
+        "shard lanes executed one after the other, a determinism check, "
+        "not a speed-up (same seed gives identical results and traces at "
+        "any N; incompatible with crash faults — LinkDegrade chaos is "
+        "fine)",
+    ),
+    "jobs": option(
+        "--jobs", type=_number(int, 0), default=None, metavar="N",
+        help="fan independent cells out over N worker processes "
+        "(default: serial; deterministic outputs are identical "
+        "either way)",
+    ),
+}
+
+#: subcommand -> (handler, one-line help, arguments, defaults), in
+#: ``--help`` order.
+_COMMANDS: dict[str, tuple] = {}
+
+
+def command(name: str, summary: str, *arguments, **defaults):
+    """Register the decorated handler as subcommand *name* (decorator).
+
+    Each of *arguments*, in ``--help`` order, names a
+    :data:`_SHARED_OPTIONS` entry or is an :func:`option` of this
+    subcommand's own; *defaults* set this subcommand's defaults for
+    them.  ``main`` calls the handler with the parsed namespace.
+    """
+
+    def register(handler):
+        _COMMANDS[name] = (handler, summary, arguments, defaults)
+        return handler
+
+    return register
+
+
 def run_arguments(
     name: str,
     backend: str = "matrix",
@@ -119,9 +173,9 @@ def run_arguments(
 
 
 def _run_options(args) -> dict:
-    """The :func:`run_arguments` options this subcommand declares."""
-    names = ("backend", "scale", "seed", "duration", "shards", "no_faults")
-    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+    """The parsed options that are :func:`run_arguments` keywords."""
+    keywords = inspect.signature(run_arguments).parameters
+    return {key: value for key, value in vars(args).items() if key in keywords}
 
 
 def _checked_names(args, options: dict) -> list[str]:
@@ -133,6 +187,7 @@ def _checked_names(args, options: dict) -> list[str]:
     return names
 
 
+@command("list-scenarios", "show the scenario catalog")
 def _print_scenarios(args) -> None:
     names = scenario_names()
     width = max(len(name) for name in names)
@@ -146,6 +201,7 @@ def _print_scenarios(args) -> None:
         print()
 
 
+@command("list-mobility", "show registered mobility models")
 def _print_mobility(args) -> None:
     names = list_mobility_models()
     print(f"{len(names)} registered mobility models:")
@@ -153,6 +209,7 @@ def _print_mobility(args) -> None:
         print(f"  {name}")
 
 
+@command("list-backends", "show registered architecture backends")
 def _print_backends(args) -> None:
     infos = backend_infos()
     print(f"{len(infos)} registered architecture backends:\n")
@@ -217,6 +274,16 @@ def _run_and_summarize(arguments: dict):
     return outcome
 
 
+@command(
+    "run", "run one or more registered scenarios",
+    "scenarios",
+    option(
+        "--no-faults", action="store_true",
+        help="run a chaos scenario with its fault phases disarmed",
+    ),
+    "backend", "scale", "seed", "duration", "shards", "jobs",
+    scale=1.0, seed=0,
+)
 def _cmd_run(args) -> int:
     options = _run_options(args)
     names = _checked_names(args, options)
@@ -258,82 +325,151 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def record_trace_cell(name: str, out: str, **run_options) -> dict:
-    """One ``record`` fan-out cell (module-level: picklable);
-    *run_options* are :func:`run_arguments`'."""
-    run = record_scenario(**run_arguments(name, **run_options))
-    path = run.write(out)
-    return {
-        "scenario": name,
-        "path": str(path),
-        "events": run.header.events,
-        "digest": run.header.digest,
-    }
-
-
-def _cmd_record(args) -> int:
-    options = _run_options(args)
-    names = _checked_names(args, options)
-    target = Path(args.out)
-    # --out names the file itself only for a single trace with a suffix.
-    single_file = len(names) == 1 and target.suffix
-    tasks = [
-        GridTask(
-            key=(name,),
-            fn=record_trace_cell,
-            kwargs=dict(
-                name=name,
-                out=str(target if single_file else target / f"{name}.trace"),
-                **options,
-            ),
+@command(
+    "compare",
+    "run one scenario on several backends and tabulate verdicts",
+    "scenario",
+    option(
+        "--backends", default=None,
+        help="comma-separated backend names (default: all registered "
+        "architectures)",
+    ),
+    "scale", "seed", "duration", "jobs",
+    scale=0.1, seed=0,
+)
+def _cmd_compare(args) -> int:
+    scenario = _usage(build_scenario, args.scenario)
+    backends = tuple(args.backends.split(",")) if args.backends else None
+    unknown = sorted(set(backends or ()) - set(backend_names()))
+    if unknown:
+        raise UsageError(
+            f"unknown backend(s) {unknown}; known: {backend_names()}"
         )
-        for name in names
-    ]
-    try:
-        cells = run_grid(tasks, jobs=args.jobs)
-    except GridTaskError as exc:
-        print(exc)
-        return 1
-    for cell in cells:
-        row = cell.value
-        print(
-            f"recorded {row['scenario']}: {row['events']} events -> "
-            f"{row['path']}"
-        )
-        print(f"  {row['digest']}")
+    # compare_backends scales the profile and every capacity itself;
+    # only the Matrix policy is scaled here.
+    _, policy = scaled_setup(scenario.game, args.scale)
+    outcomes = compare_backends(
+        scenario,
+        backends=backends,
+        policy=policy,
+        seed=args.seed,
+        scale=args.scale,
+        preview=args.duration,
+        jobs=args.jobs,
+    )
+    print(
+        f"{scenario.name} on {len(outcomes)} backends "
+        f"(scale={args.scale:g}, seed={args.seed}, jobs={args.jobs or 1}):"
+    )
+    print(format_backends_table(outcomes))
     return 0
 
 
-def _cmd_replay(args) -> int:
-    drifted = False
-    for path in args.traces:
-        try:
-            outcome = replay_trace(path, backend=args.backend)
-        except TraceError as exc:  # incl. TraceCompatibilityError
-            print(f"error: {exc}")
-            return 2
-        result = outcome.result
-        verdict = "ok" if result.matches_recording else "DRIFT"
-        drifted = drifted or not result.matches_recording
-        print(
-            f"replayed {outcome.scenario.name}: "
-            f"{result.replayed_messages} messages over "
-            f"{result.endpoints} endpoints [{verdict}]"
+@command(
+    "sweep", "run every registered scenario and tabulate",
+    option(
+        "--json", default="benchmarks/output/BENCH_scenario_sweep.json",
+        metavar="PATH",
+        help="where to write the BENCH JSON payload (deterministic "
+        "metrics + timing section); empty string disables",
+    ),
+    "scale", "seed", "duration", "jobs",
+    scale=0.1, seed=0,
+)
+def _cmd_sweep(args) -> int:
+    run = run_sweep_grid(
+        args.scale,
+        seed=args.seed,
+        preview=args.duration,
+        on_result=lambda row: print(
+            f"ran {row.scenario} ({row.wall_seconds:.1f}s)"
+        ),
+        jobs=args.jobs,
+    )
+    print()
+    print(f"scenario sweep (scale={args.scale}, seed={args.seed}, "
+          f"jobs={run.timing['jobs']}):")
+    print(format_sweep_table(run.rows))
+    if args.json:
+        path = write_sweep_json(
+            args.json, run.rows, run.timing, args.scale, args.seed
         )
-        print(f"  recorded {result.recorded_digest}")
-    return 1 if drifted else 0
+        print(f"\nwrote {path}")
+    return 0
 
 
-def _cmd_diff(args) -> int:
-    try:
-        diff = diff_traces(args.trace_a, args.trace_b)
-    except TraceError as exc:
-        print(f"error: {exc}")
-        return 2
-    print(format_diff(diff, label_a=args.trace_a, label_b=args.trace_b))
-    return 0 if diff.clean else 1
+@command(
+    "perf", "run with perf instrumentation and print the report",
+    "scenario",
+    option(
+        "--sample-every", type=_number(int, 1), default=16,
+        help="sample one kernel step's wall latency out of every N",
+    ),
+    "scale", "seed", "duration",
+    scale=0.05, seed=1,
+)
+def _cmd_perf(args) -> int:
+    outcome = _run_and_summarize(
+        dict(
+            run_arguments(args.scenario, **_run_options(args)),
+            perf=PerfConfig(
+                enabled=True, step_sample_every=args.sample_every
+            ),
+        )
+    )
+    print()
+    print(
+        format_report(
+            outcome.experiment.perf,
+            title=(
+                f"perf report: {outcome.scenario.name} "
+                f"@ scale {args.scale:g}"
+            ),
+        )
+    )
+    return 0
 
 
+@command(
+    "fuzz",
+    "run generated random scenarios through the invariant harness",
+    option(
+        "--seeds", type=_number(int, 1), default=20, metavar="N",
+        help="how many consecutive seeds to fuzz (default 20)",
+    ),
+    option(
+        "--seed-start", type=int, default=0, metavar="S",
+        help="first seed of the campaign (default 0)",
+    ),
+    option(
+        "--seed", type=int, default=None, metavar="S",
+        help="fuzz exactly this one seed (overrides --seeds)",
+    ),
+    option(
+        "--profile", default="default",
+        help="fuzz profile: 'default' (workload only) or 'faulty' "
+        "(adds crash/degrade fault phases; not with --shards)",
+    ),
+    option(
+        "--settle", type=_number(float, 0), default=10.0,
+        help="extra simulated seconds before the invariant audit "
+        "(default 10)",
+    ),
+    option(
+        "--shrink", action="store_true",
+        help="on failure, shrink the seed to a minimal phase list",
+    ),
+    option(
+        "--shrink-iterations", type=_number(int, 1), default=24,
+        metavar="N", help="re-run budget for --shrink (default 24)",
+    ),
+    option(
+        "--artifacts", default=None, metavar="DIR",
+        help="on failure, record the failing run's trace into DIR",
+    ),
+    "scale", "duration", "shards", "jobs",
+    scale=0.25,
+)
 def _cmd_fuzz(args) -> int:
     # Fail fast on a typo'd profile name.
     if _usage(fuzz_profile, args.profile).faults and args.shards is not None:
@@ -381,12 +517,9 @@ def _cmd_fuzz(args) -> int:
 
 def _report_fuzz_failure(args, seed: int, run_options: dict) -> None:
     """Post-mortem for one failing fuzz seed: trace, then shrink."""
-    # Every parsed option that shapes the run, so the line reproduces it.
-    reproduce = (
-        f"python -m repro fuzz --seed {seed} --profile {args.profile} "
-        f"--scale {args.scale:g} --settle {args.settle:g}"
-        + (f" --duration {args.duration:g}" if args.duration else "")
-        + (f" --shards {args.shards}" if args.shards is not None else "")
+    reproduce = fuzz_command(
+        seed, args.profile, scale=args.scale, settle=args.settle,
+        preview=args.duration, shards=args.shards,
     )
     print(f"\nfailing seed: {seed} (reproduce with: {reproduce})")
     if args.artifacts:
@@ -414,295 +547,123 @@ def _report_fuzz_failure(args, seed: int, run_options: dict) -> None:
             print(f"  {phase!r}")
 
 
-def _cmd_perf(args) -> int:
-    outcome = _run_and_summarize(
-        dict(
-            run_arguments(args.scenario, **_run_options(args)),
-            perf=PerfConfig(
-                enabled=True, step_sample_every=args.sample_every
+def record_trace_cell(name: str, out: str, **run_options) -> dict:
+    """One ``record`` fan-out cell (module-level: picklable);
+    *run_options* are :func:`run_arguments`'."""
+    run = record_scenario(**run_arguments(name, **run_options))
+    path = run.write(out)
+    return {
+        "scenario": name,
+        "path": str(path),
+        "events": run.header.events,
+        "digest": run.header.digest,
+    }
+
+
+@command(
+    "record",
+    "run scenarios with the trace recorder and write .trace files",
+    "scenarios",
+    option(
+        "--out", default="traces", metavar="PATH",
+        help="output directory, or a single .trace file path when one "
+        "scenario is named (default: traces/)",
+    ),
+    "backend", "scale", "seed", "duration", "shards", "jobs",
+    scale=0.1, seed=0,
+)
+def _cmd_record(args) -> int:
+    options = _run_options(args)
+    names = _checked_names(args, options)
+    target = Path(args.out)
+    # --out names the file itself only for a single trace with a suffix.
+    single_file = len(names) == 1 and target.suffix
+    tasks = [
+        GridTask(
+            key=(name,),
+            fn=record_trace_cell,
+            kwargs=dict(
+                name=name,
+                out=str(target if single_file else target / f"{name}.trace"),
+                **options,
             ),
         )
-    )
-    print()
-    print(
-        format_report(
-            outcome.experiment.perf,
-            title=(
-                f"perf report: {outcome.scenario.name} "
-                f"@ scale {args.scale:g}"
-            ),
+        for name in names
+    ]
+    try:
+        cells = run_grid(tasks, jobs=args.jobs)
+    except GridTaskError as exc:
+        print(exc)
+        return 1
+    for cell in cells:
+        row = cell.value
+        print(
+            f"recorded {row['scenario']}: {row['events']} events -> "
+            f"{row['path']}"
         )
-    )
+        print(f"  {row['digest']}")
     return 0
 
 
-def _cmd_compare(args) -> int:
-    scenario = _usage(build_scenario, args.scenario)
-    backends = tuple(args.backends.split(",")) if args.backends else None
-    unknown = sorted(set(backends or ()) - set(backend_names()))
-    if unknown:
-        raise UsageError(
-            f"unknown backend(s) {unknown}; known: {backend_names()}"
+@command(
+    "replay", "re-send recorded traces and check their digests",
+    option("traces", nargs="+", metavar="trace", help=".trace file path(s)"),
+    option(
+        "--backend", default=None, metavar="NAME",
+        help="assert the trace was recorded on this backend "
+        "(exit 2 on mismatch)",
+    ),
+)
+def _cmd_replay(args) -> int:
+    drifted = False
+    for path in args.traces:
+        try:
+            result = replay_trace(path, backend=args.backend)
+        except TraceError as exc:  # incl. TraceCompatibilityError
+            print(f"error: {exc}")
+            return 2
+        verdict = "ok" if result.matches_recording else "DRIFT"
+        drifted = drifted or not result.matches_recording
+        print(
+            f"replayed {result.scenario}: "
+            f"{result.replayed_messages} messages over "
+            f"{result.endpoints} endpoints [{verdict}]"
         )
-    # compare_backends scales the profile and every capacity itself;
-    # only the Matrix policy is scaled here.
-    _, policy = scaled_setup(scenario.game, args.scale)
-    outcomes = compare_backends(
-        scenario,
-        backends=backends,
-        policy=policy,
-        seed=args.seed,
-        scale=args.scale,
-        preview=args.duration,
-        jobs=args.jobs,
-    )
-    print(
-        f"{scenario.name} on {len(outcomes)} backends "
-        f"(scale={args.scale:g}, seed={args.seed}, jobs={args.jobs or 1}):"
-    )
-    print(format_backends_table(outcomes))
-    return 0
+        print(f"  recorded {result.recorded_digest}")
+    return 1 if drifted else 0
 
 
-def _cmd_sweep(args) -> int:
-    run = run_sweep_grid(
-        args.scale,
-        seed=args.seed,
-        preview=args.duration,
-        on_result=lambda row: print(
-            f"ran {row.scenario} ({row.wall_seconds:.1f}s)"
-        ),
-        jobs=args.jobs,
-    )
-    print()
-    print(f"scenario sweep (scale={args.scale}, seed={args.seed}, "
-          f"jobs={run.timing['jobs']}):")
-    print(format_sweep_table(run.rows))
-    if args.json:
-        path = write_sweep_json(
-            args.json, run.rows, run.timing, args.scale, args.seed
-        )
-        print(f"\nwrote {path}")
-    return 0
-
-
-def _number(cast, minimum, exclusive: bool = False):
-    """An argparse ``type=``: *cast* the text and refuse a value below
-    *minimum* (or, when *exclusive*, at it), so an out-of-range number
-    is argparse's own ``error: argument --x: ...`` before anything runs.
-    """
-
-    def parse(text: str):
-        value = cast(text)
-        if not (value > minimum if exclusive else value >= minimum):
-            bound = ">" if exclusive else ">="
-            raise argparse.ArgumentTypeError(
-                f"must be {bound} {minimum}, got {text}"
-            )
-        return value
-
-    # argparse names the type in "invalid float value: 'abc'".
-    parse.__name__ = cast.__name__
-    return parse
-
-
-#: The options several subcommands share, each declared once; a
-#: subcommand picks the ones it takes and its own defaults.
-_SHARED_OPTIONS = {
-    "backend": dict(default="matrix", choices=backend_names()),
-    "scale": dict(
-        type=_number(float, 0, exclusive=True),
-        help="population/policy/capacity scale factor "
-        "(default %(default)s)",
-    ),
-    "seed": dict(type=int, help="simulation seed (default %(default)s)"),
-    "duration": dict(
-        type=_number(float, 0, exclusive=True), default=None,
-        help="truncate each scenario to this many simulated seconds",
-    ),
-    "shards": dict(
-        type=_number(int, 1), default=None, metavar="N",
-        help="run the matrix backend on the space-partitioned kernel: N "
-        "shard lanes executed one after the other, a determinism check, "
-        "not a speed-up (same seed gives identical results and traces at "
-        "any N; incompatible with crash faults — LinkDegrade chaos is "
-        "fine)",
-    ),
-    "jobs": dict(
-        type=_number(int, 0), default=None, metavar="N",
-        help="fan independent cells out over N worker processes "
-        "(default: serial; deterministic outputs are identical "
-        "either way)",
-    ),
-}
-
-
-def _add_shared(parser, *names: str, **defaults) -> None:
-    """Declare the shared options *names* on *parser*."""
-    for name in names:
-        spec = dict(_SHARED_OPTIONS[name])
-        if name in defaults:
-            spec["default"] = defaults[name]
-        parser.add_argument(f"--{name}", **spec)
+@command(
+    "diff", "regression-compare two trace files",
+    option("trace_a", metavar="a"),
+    option("trace_b", metavar="b"),
+)
+def _cmd_diff(args) -> int:
+    try:
+        diff = diff_traces(args.trace_a, args.trace_b)
+    except TraceError as exc:
+        print(f"error: {exc}")
+        return 2
+    print(format_diff(diff, label_a=args.trace_a, label_b=args.trace_b))
+    return 0 if diff.clean else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro`` parser; each subcommand's ``handler``
-    default is the function ``main`` dispatches to."""
+    """The ``python -m repro`` parser, one subparser per registered
+    :func:`command`; its ``handler`` default is what ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Matrix reproduction: declarative scenario runner.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, handler, **kwargs) -> argparse.ArgumentParser:
-        sub_parser = sub.add_parser(name, **kwargs)
-        sub_parser.set_defaults(handler=handler)
-        return sub_parser
-
-    command("list-scenarios", _print_scenarios,
-            help="show the scenario catalog")
-    command("list-mobility", _print_mobility,
-            help="show registered mobility models")
-    command("list-backends", _print_backends,
-            help="show registered architecture backends")
-
-    run_parser = command(
-        "run", _cmd_run, help="run one or more registered scenarios"
-    )
-    run_parser.add_argument(
-        "scenarios", nargs="+", metavar="scenario",
-        help="registered scenario name(s); several fan out (see --jobs)",
-    )
-    run_parser.add_argument(
-        "--no-faults", action="store_true",
-        help="run a chaos scenario with its fault phases disarmed",
-    )
-    _add_shared(
-        run_parser, "backend", "scale", "seed", "duration", "shards", "jobs",
-        scale=1.0, seed=0,
-    )
-
-    compare_parser = command(
-        "compare", _cmd_compare,
-        help="run one scenario on several backends and tabulate verdicts",
-    )
-    compare_parser.add_argument("scenario", help="registered scenario name")
-    compare_parser.add_argument(
-        "--backends", default=None,
-        help="comma-separated backend names (default: all registered "
-        "architectures)",
-    )
-    _add_shared(
-        compare_parser, "scale", "seed", "duration", "jobs",
-        scale=0.1, seed=0,
-    )
-
-    sweep_parser = command(
-        "sweep", _cmd_sweep,
-        help="run every registered scenario and tabulate",
-    )
-    sweep_parser.add_argument(
-        "--json", default="benchmarks/output/BENCH_scenario_sweep.json",
-        metavar="PATH",
-        help="where to write the BENCH JSON payload (deterministic "
-        "metrics + timing section); empty string disables",
-    )
-    _add_shared(
-        sweep_parser, "scale", "seed", "duration", "jobs", scale=0.1, seed=0
-    )
-
-    perf_parser = command(
-        "perf", _cmd_perf,
-        help="run with perf instrumentation and print the report",
-    )
-    perf_parser.add_argument("scenario", help="registered scenario name")
-    perf_parser.add_argument(
-        "--sample-every", type=_number(int, 1), default=16,
-        help="sample one kernel step's wall latency out of every N",
-    )
-    _add_shared(perf_parser, "scale", "seed", "duration", scale=0.05, seed=1)
-
-    fuzz_parser = command(
-        "fuzz", _cmd_fuzz,
-        help="run generated random scenarios through the invariant "
-        "harness",
-    )
-    fuzz_parser.add_argument(
-        "--seeds", type=_number(int, 1), default=20, metavar="N",
-        help="how many consecutive seeds to fuzz (default 20)",
-    )
-    fuzz_parser.add_argument(
-        "--seed-start", type=int, default=0, metavar="S",
-        help="first seed of the campaign (default 0)",
-    )
-    fuzz_parser.add_argument(
-        "--seed", type=int, default=None, metavar="S",
-        help="fuzz exactly this one seed (overrides --seeds)",
-    )
-    fuzz_parser.add_argument(
-        "--profile", default="default",
-        help="fuzz profile: 'default' (workload only) or 'faulty' "
-        "(adds crash/degrade fault phases; not with --shards)",
-    )
-    fuzz_parser.add_argument(
-        "--settle", type=_number(float, 0), default=10.0,
-        help="extra simulated seconds before the invariant audit "
-        "(default 10)",
-    )
-    fuzz_parser.add_argument(
-        "--shrink", action="store_true",
-        help="on failure, shrink the seed to a minimal phase list",
-    )
-    fuzz_parser.add_argument(
-        "--shrink-iterations", type=_number(int, 1), default=24, metavar="N",
-        help="re-run budget for --shrink (default 24)",
-    )
-    fuzz_parser.add_argument(
-        "--artifacts", default=None, metavar="DIR",
-        help="on failure, record the failing run's trace into DIR",
-    )
-    _add_shared(
-        fuzz_parser, "scale", "duration", "shards", "jobs", scale=0.25
-    )
-
-    record_parser = command(
-        "record", _cmd_record,
-        help="run scenarios with the trace recorder and write .trace "
-        "files",
-    )
-    record_parser.add_argument(
-        "scenarios", nargs="+", metavar="scenario",
-        help="registered scenario name(s); several fan out (see --jobs)",
-    )
-    record_parser.add_argument(
-        "--out", default="traces", metavar="PATH",
-        help="output directory, or a single .trace file path when one "
-        "scenario is named (default: traces/)",
-    )
-    _add_shared(
-        record_parser, "backend", "scale", "seed", "duration", "shards",
-        "jobs", scale=0.1, seed=0,
-    )
-
-    replay_parser = command(
-        "replay", _cmd_replay,
-        help="re-run recorded traces through the replay backend",
-    )
-    replay_parser.add_argument(
-        "traces", nargs="+", metavar="trace", help=".trace file path(s)"
-    )
-    replay_parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="assert the trace was recorded on this backend "
-        "(exit 2 on mismatch)",
-    )
-
-    diff_parser = command(
-        "diff", _cmd_diff, help="regression-compare two trace files"
-    )
-    diff_parser.add_argument("trace_a", metavar="a")
-    diff_parser.add_argument("trace_b", metavar="b")
+    for name, (handler, summary, arguments, defaults) in _COMMANDS.items():
+        sub_parser = sub.add_parser(name, help=summary)
+        for argument in arguments:
+            if isinstance(argument, str):
+                argument = _SHARED_OPTIONS[argument]
+            flags, spec = argument
+            sub_parser.add_argument(*flags, **spec)
+        sub_parser.set_defaults(handler=handler, **defaults)
     return parser
 
 

@@ -30,17 +30,38 @@ from repro.workload.scenarios.spec import Scenario
 ExtraInvariant = Callable[..., list]
 
 
+def fuzz_command(
+    seed: int,
+    profile: str,
+    *,
+    scale: float = 0.25,
+    settle: float = 10.0,
+    preview: float | None = None,
+    shards: int | None = None,
+) -> str:
+    """The ``python -m repro fuzz`` line that re-runs one fuzz case: it
+    names every option that shapes the run, so a failing log line
+    regenerates the same scenario at the same size anywhere."""
+    return (
+        f"python -m repro fuzz --seed {seed} --profile {profile} "
+        f"--scale {scale:g} --settle {settle:g}"
+        + (f" --duration {preview:g}" if preview else "")
+        + (f" --shards {shards}" if shards is not None else "")
+    )
+
+
 class FuzzInvariantError(AssertionError):
     """A generated scenario violated a global invariant.
 
     The message leads with the reproduction coordinates — profile and
     seed — because that is what a CI log must surface: the same seed
-    regenerates the same scenario anywhere.
+    regenerates the same scenario anywhere.  *run_options* are
+    :func:`fuzz_command`'s, so its last line re-runs the failing case.
     """
 
     def __init__(
         self, seed: int, profile: str, scenario: Scenario,
-        violations: list,
+        violations: list, **run_options,
     ) -> None:
         self.seed = seed
         self.profile = profile
@@ -51,8 +72,7 @@ class FuzzInvariantError(AssertionError):
             f"fuzz seed={seed} (profile={profile}, "
             f"scenario {scenario.name!r}, {len(scenario.phases)} phases) "
             f"violated {len(violations)} invariant(s):\n{details}\n"
-            f"reproduce: python -m repro fuzz --seed {seed} "
-            f"--profile {profile}"
+            f"reproduce: {fuzz_command(seed, profile, **run_options)}"
         )
 
 
@@ -181,7 +201,8 @@ def fuzz_cell(
     )
     if not case.ok:
         raise FuzzInvariantError(
-            seed, case.profile, case.scenario, case.violations
+            seed, case.profile, case.scenario, case.violations,
+            scale=scale, settle=settle, preview=preview, shards=shards,
         )
     return {
         "seed": seed,

@@ -40,7 +40,7 @@ class ScenarioOutcome:
 
     ``result`` is the backend's result object (a
     :class:`~repro.baselines.backend.BackendResult`; Matrix's
-    ExperimentResult extends it, replay has its own shape);
+    ExperimentResult extends it);
     ``experiment`` is the live experiment for deeper inspection
     (deployment topology, fleet groups, raw network stats).
     """
@@ -82,11 +82,12 @@ def _wants_standby_mc(
 
 #: backend name -> (its :class:`~repro.baselines.backend.BackendInfo`,
 #: builder(scenario, profile, chaos, **options) -> wired experiment).
-_BACKENDS: dict[str, tuple[BackendInfo | None, Callable[..., Any]]] = {}
+_BACKENDS: dict[str, tuple[BackendInfo, Callable[..., Any]]] = {}
 
 
-def scenario_backend(name: str, info: BackendInfo | None = None) -> Callable:
-    """Register a backend's experiment builder under *name* (decorator).
+def scenario_backend(info: BackendInfo) -> Callable:
+    """Register a backend's experiment builder under ``info.name``
+    (decorator).
 
     The builder turns ``(scenario, profile, chaos, **options)`` — the
     resolved :class:`~repro.chaos.ChaosOptions` or None, then the
@@ -98,42 +99,33 @@ def scenario_backend(name: str, info: BackendInfo | None = None) -> Callable:
     """
 
     def decorate(build: Callable[..., Any]):
-        if name in _BACKENDS:
-            raise ValueError(f"backend already registered: {name!r}")
-        _BACKENDS[name] = (info, build)
+        if info.name in _BACKENDS:
+            raise ValueError(f"backend already registered: {info.name!r}")
+        _BACKENDS[info.name] = (info, build)
         return build
 
     return decorate
 
 
 def backend_names() -> list[str]:
-    """The registered architectures that serve a fleet, sorted.
-
-    This is what the grids, ``compare`` and ``--backend`` enumerate.
-    ``replay`` is registered too (``backend_infos``, ``list-backends``,
-    ``run_scenario(..., backend="replay", trace=...)``) but re-sends a
-    recorded stream instead of serving a workload, so it is not an
-    architecture to run a scenario on.
-    """
-    return sorted(name for name in _BACKENDS if name != "replay")
+    """The registered architectures, sorted: what the grids,
+    ``compare`` and ``--backend`` enumerate."""
+    return sorted(_BACKENDS)
 
 
 def backend_infos() -> list[BackendInfo]:
     """All registered backend infos, sorted by name."""
-    return [
-        info for _, (info, _) in sorted(_BACKENDS.items()) if info is not None
-    ]
+    return [info for _, (info, _) in sorted(_BACKENDS.items())]
 
 
 @scenario_backend(
-    "matrix",
-    info=BackendInfo(
+    BackendInfo(
         name="matrix",
         ownership="dynamic partitions (split/reclaim on load)",
         routing="local overlap table, O(1) per packet",
         consistency="overlap-region forwarding between neighbours",
         summary="the paper's adaptive middleware",
-    ),
+    )
 )
 def _build_matrix(
     scenario: Scenario,
@@ -171,56 +163,52 @@ def _tiled(scenario: Scenario, options: dict) -> dict:
 
 
 @scenario_backend(
-    "static",
-    info=BackendInfo(
+    BackendInfo(
         name="static",
         ownership="fixed grid tiles, one server each, forever",
         routing="local overlap table, O(1) per packet",
         consistency="overlap-region forwarding between fixed tiles",
         summary="the paper's §4 comparator: no repartitioning",
-    ),
+    )
 )
 def _build_static(scenario, profile, chaos, **options) -> StaticExperiment:
     return StaticExperiment(profile, **_tiled(scenario, options))
 
 
 @scenario_backend(
-    "mirrored",
-    info=BackendInfo(
+    BackendInfo(
         name="mirrored",
         ownership="every mirror owns the whole world; clients round-robin",
         routing="none: packets terminate on the client's home mirror",
         consistency="every packet replicated to the other k-1 mirrors",
         summary="the §5 commercial approach: tightly-coupled mirrors",
-    ),
+    )
 )
 def _build_mirrored(scenario, profile, chaos, **options) -> MirroredExperiment:
     return MirroredExperiment(profile, **options)
 
 
 @scenario_backend(
-    "p2p",
-    info=BackendInfo(
+    BackendInfo(
         name="p2p",
         ownership="none: per-player uplinks, region tiles scope groups",
         routing="direct member-to-member fan-out within a region group",
         consistency="per-player upload grows with group_size - 1",
         summary="the §5 peer-to-peer region groups (Knutsson-style)",
-    ),
+    )
 )
 def _build_p2p(scenario, profile, chaos, **options) -> P2PExperiment:
     return P2PExperiment(profile, **_tiled(scenario, options))
 
 
 @scenario_backend(
-    "dht",
-    info=BackendInfo(
+    BackendInfo(
         name="dht",
         ownership="fixed grid tiles, one server each, forever",
         routing="Chord-style overlay lookup, O(log N) hops per packet",
         consistency="overlap forwarding plus dht.hop/dht.result chains",
         summary="the §3.2.4 alternative: DHT lookup instead of tables",
-    ),
+    )
 )
 def _build_dht(scenario, profile, chaos, **options) -> DhtExperiment:
     return DhtExperiment(profile, **_tiled(scenario, options))
@@ -287,9 +275,3 @@ def run_scenario(
         result=experiment.run(until=scenario.duration),
         experiment=experiment,
     )
-
-
-# Registers the "replay" scenario backend (trace files as first-class
-# workloads).  Bottom-of-module so repro.trace.replay can import the
-# decorator from this, already-initialised, module.
-import repro.trace.replay  # noqa: E402,F401  (registration side effect)

@@ -3,14 +3,9 @@
 A *trace* is the canonical, versioned JSONL serialisation of every
 message a client sent or received during one scenario run
 (:mod:`repro.trace.format`).  Recording (:mod:`repro.trace.recorder`)
-taps the live network; replaying (:mod:`repro.trace.replay`) re-runs a
-trace as a first-class scenario backend; diffing
+taps the live network; replaying (:mod:`repro.trace.replay`) re-sends a
+trace through stub endpoints and checks its digest; diffing
 (:mod:`repro.trace.diff`) regression-compares two recordings.
-
-Only the leaf modules with no harness dependency are imported here —
-``repro.harness.runner`` imports ``repro.trace.replay`` at its bottom
-to register the replay backend, and a fat ``__init__`` would turn that
-into a cycle.  Import ``recorder``/``replay`` explicitly.
 """
 
 from repro.trace.diff import TraceDiff, diff_traces, format_diff

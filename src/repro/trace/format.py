@@ -70,14 +70,6 @@ class TraceHeader:
     digest: str
     version: int = TRACE_VERSION
 
-    def describe(self) -> str:
-        """One line: what this trace is, at a glance."""
-        return (
-            f"{self.scenario} on {self.backend} (game={self.game}, "
-            f"seed={self.seed}, scale={self.scale:g}, "
-            f"duration={self.duration:g}s, {self.events} events)"
-        )
-
 
 def canonical_events(events: Iterable[TraceEvent]) -> list[TraceEvent]:
     """Sort *events* into the canonical trace order.

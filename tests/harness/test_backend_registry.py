@@ -17,8 +17,6 @@ from repro.harness.runner import (
     run_scenario,
     scenario_backend,
 )
-from repro.trace.recorder import record_scenario
-from repro.trace.replay import ReplayResult, scenario_from_header
 from repro.workload.scenarios import ArrivalWave, HotspotWave, MapPoint, Scenario
 
 ALL_BACKENDS = ("dht", "matrix", "mirrored", "p2p", "static")
@@ -56,26 +54,12 @@ def smoke_scenario() -> Scenario:
 
 def smoke_run_arguments(backend: str) -> dict:
     """``run_scenario`` arguments that run *backend* on the smoke
-    workload — for ``replay``, on a trace recorded from it."""
-    if backend != "replay":
-        return dict(scenario=smoke_scenario(), backend=backend, seed=5)
-    recorded = record_scenario(smoke_scenario(), backend="static", seed=5)
-    return dict(
-        scenario=scenario_from_header(recorded.header),
-        backend="replay",
-        trace=(recorded.header, recorded.events),
-    )
+    workload."""
+    return dict(scenario=smoke_scenario(), backend=backend, seed=5)
 
 
 def test_all_architectures_registered():
     assert backend_names() == sorted(ALL_BACKENDS)
-
-
-def test_replay_is_registered_but_not_enumerated_as_an_architecture():
-    """``replay`` re-sends a trace (``trace=``, no ``seed``): everything
-    that enumerates architectures to run a workload on must skip it."""
-    assert "replay" not in backend_names()
-    assert "replay" in {info.name for info in backend_infos()}
 
 
 def test_compare_default_backends_are_the_five_architectures():
@@ -98,7 +82,7 @@ def test_bench_grids_have_no_replay_cell(monkeypatch, module, tasks):
 
 
 def test_duplicate_registration_raises():
-    taken = backend_names()[0]
+    taken = backend_infos()[0]
     with pytest.raises(ValueError, match="already registered"):
 
         @scenario_backend(taken)
@@ -111,7 +95,7 @@ def test_registration_rollback_after_duplicate():
     before = dict(_BACKENDS)
     with pytest.raises(ValueError):
 
-        @scenario_backend("matrix")
+        @scenario_backend(BackendInfo("matrix", "-", "-", "-"))
         def shadow(scenario, profile, chaos, **options):  # pragma: no cover
             raise AssertionError("never runs")
 
@@ -129,7 +113,7 @@ def test_unknown_backend_error_lists_registered_names():
 
 def test_backend_info_for_every_backend():
     infos = {info.name: info for info in backend_infos()}
-    assert set(infos) >= set(ALL_BACKENDS)
+    assert set(infos) == set(ALL_BACKENDS)
     for name in ALL_BACKENDS:
         info = infos[name]
         assert isinstance(info, BackendInfo)
@@ -163,7 +147,7 @@ def test_one_scaffold_and_one_result_type():
     assert issubclass(ExperimentResult, BackendResult)
 
 
-@pytest.mark.parametrize("backend", (*ALL_BACKENDS, "replay"))
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_observe_runs_once_between_wiring_and_the_first_event(backend):
     """The runner contract perfbench's setup/run boundary and the trace
     recorder rely on: one ``observe`` call, workload installed, nothing
@@ -174,8 +158,7 @@ def test_observe_runs_once_between_wiring_and_the_first_event(backend):
         seen.append(experiment)
         assert experiment.sim.events_processed == 0
         assert experiment.sim.pending_events > 0
-        if backend != "replay":
-            assert experiment.fleet._scheduled == {"background": 8, "spike": 10}
+        assert experiment.fleet._scheduled == {"background": 8, "spike": 10}
 
     outcome = run_scenario(**smoke_run_arguments(backend), observe=observe)
     assert seen == [outcome.experiment]
@@ -191,7 +174,7 @@ def test_observe_runs_once_between_wiring_and_the_first_event(backend):
         run_scenario(**smoke_run_arguments(backend), observe=refuse)
 
 
-@pytest.mark.parametrize("backend", (*ALL_BACKENDS, "replay"))
+@pytest.mark.parametrize("backend", ALL_BACKENDS)
 def test_unknown_option_is_a_type_error_naming_it(backend):
     with pytest.raises(TypeError, match="warp_factor"):
         run_scenario(**smoke_run_arguments(backend), warp_factor=9)
@@ -216,9 +199,3 @@ def test_every_architecture_reports_the_shared_result_and_the_parent_numbers(
         result.servers_used,
         result.max_queue(),
     ) == SMOKE_GOLDENS[backend]
-
-
-def test_replay_keeps_its_own_result_shape():
-    result = run_scenario(**smoke_run_arguments("replay")).result
-    assert isinstance(result, ReplayResult)
-    assert result.matches_recording

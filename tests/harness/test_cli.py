@@ -3,9 +3,11 @@ commands that run scenarios do so through the one experiment path, and
 option combinations that cannot run are refused once, with exit 2."""
 
 import argparse
+import re
 
 import pytest
 
+import repro.harness.fuzz
 from repro.cli import _report_fuzz_failure, build_parser, main
 
 FAST = ["--scale", "0.05", "--duration", "20"]
@@ -41,6 +43,14 @@ def test_help_exits_cleanly(argv, capsys):
 def test_list_commands_exit_0(name, capsys):
     assert main([name]) == 0
     assert "registered" in capsys.readouterr().out
+
+
+def test_list_backends_lists_the_five_architectures_only(capsys):
+    assert main(["list-backends"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("5 registered architecture backends")
+    entries = [line.split()[0] for line in out.splitlines() if " — " in line]
+    assert entries == ["dht", "matrix", "mirrored", "p2p", "static"]
 
 
 def test_run_prints_the_summary(capsys):
@@ -199,3 +209,22 @@ def test_fuzz_reproducer_names_every_option_that_shapes_the_run(capsys):
         "failing seed: 3 (reproduce with: python -m repro fuzz --seed 3 "
         "--profile default --scale 0.05 --settle 6 --duration 15 --shards 2)"
     ) in capsys.readouterr().out
+
+
+def test_failure_log_and_cli_print_the_same_reproduce_line(monkeypatch, capsys):
+    """The worker traceback's ``reproduce:`` line (from the
+    :class:`FuzzInvariantError`) and the CLI's post-mortem line are one
+    string, naming every option that shapes the run."""
+    monkeypatch.setattr(
+        repro.harness.fuzz, "check_invariants", lambda *a, **k: ["forced"]
+    )
+    argv = ["fuzz", "--seed", "3", "--scale", "0.05", "--duration", "15",
+            "--settle", "6", "--shards", "2"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    from_error = re.findall(r"^reproduce: (.*)$", out, re.M)
+    from_cli = re.findall(r"reproduce with: (.*)\)$", out, re.M)
+    assert from_error == from_cli == [
+        "python -m repro fuzz --seed 3 --profile default --scale 0.05 "
+        "--settle 6 --duration 15 --shards 2"
+    ]

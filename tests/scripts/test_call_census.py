@@ -80,3 +80,19 @@ def test_census_lists_test_only_and_never_called_functions(toy):
     # The docstring-only Protocol method is not listed at all.
     assert [key[2] for key in test_only] == ["tested_only"]
     assert [key[2] for key in never] == ["never_called"]
+
+
+def test_cli_steps_are_the_smoke_bench_jobs_repro_commands():
+    """The census runs what CI's ``smoke-bench`` job runs: every distinct
+    ``python -m repro`` command of the committed workflow, serially."""
+    steps = call_census.cli_steps()
+    assert len(steps) == 19 == len(set(steps))
+    assert steps[:3] == ["list-scenarios", "list-mobility", "list-backends"]
+    assert "run fig2-hotspot --scale 0.05 --seed 1" in steps
+    assert "run fig2-hotspot --backend p2p --scale 0.05 --seed 1" in steps
+    assert "run flash-crowd --scale 0.05 --seed 1 --shards 2" in steps
+    assert not [step for step in steps if "--jobs" in step or "|" in step]
+    # A trace is replayed and diffed only after both takes are recorded.
+    assert steps.index("replay take1.trace") > max(
+        steps.index(step) for step in steps if step.startswith("record")
+    )

@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import record_trace_cell
 from repro.harness.parallel import GridTask, run_grid
-from repro.harness.runner import run_scenario
 from repro.trace.diff import diff_traces, format_diff
 from repro.trace.format import (
     TraceCompatibilityError,
@@ -113,8 +112,8 @@ def test_record_replay_traffic_identity(tmp_path):
         seed=2,
     )
     path = run.write(tmp_path / "hotspot.trace")
-    outcome = replay_trace(path)
-    result = outcome.result
+    result = replay_trace(path)
+    assert result.scenario == "fig2-hotspot"
     assert result.replayed_messages == run.header.events > 0
     assert result.matches_recording
     assert (
@@ -175,22 +174,7 @@ def test_replay_rejects_wrong_backend(tmp_path):
     with pytest.raises(TraceCompatibilityError, match="recorded on backend"):
         replay_trace(path, backend="static")
     # The recorded backend itself is accepted.
-    outcome = replay_trace(path, backend="matrix")
-    assert outcome.result.replayed_messages == 3
-
-
-def test_replay_backend_rejects_chaos(tmp_path):
-    path = _write(tmp_path)
-    header, events = read_trace(path)
-    from repro.trace.replay import scenario_from_header
-
-    with pytest.raises(ValueError, match="replay carries no fault"):
-        run_scenario(
-            scenario_from_header(header),
-            backend="replay",
-            trace=(header, events),
-            chaos=True,
-        )
+    assert replay_trace(path, backend="matrix").replayed_messages == 3
 
 
 def test_diff_clean_on_identical(tmp_path):
