@@ -11,8 +11,8 @@ Package map
   overlap-region decomposition at the heart of Matrix routing.
 * :mod:`repro.core` — the middleware: Matrix servers, the Matrix
   Coordinator, split/reclaim policy, and the developer-facing API.
-* :mod:`repro.perf` — opt-in counters/timers/samplers threaded through
-  the hot layers (off by default, zero-cost when off).
+* :mod:`repro.perf` — opt-in counters/timers/samplers that
+  ``perfbench``'s traced runs read (off by default, zero-cost when off).
 * :mod:`repro.games` — generic game server/client plus BzFlag, Quake 2
   and Daimonin workload profiles.
 * :mod:`repro.workload` — mobility models, client fleets and the

@@ -150,14 +150,6 @@ class DhtZoneRouter(StaticZoneRouter):
         self.lookups = 0
         self.hop_counts: list[int] = []
         self.lookup_latencies: list[float] = []
-        self._perf_lookups = None
-        self._perf_hops = None
-
-    def attach(self, network) -> None:
-        super().attach(network)
-        if network.perf is not None:
-            self._perf_lookups = network.perf.counter("backend.dht.lookups")
-            self._perf_hops = network.perf.counter("backend.dht.hops")
 
     @handles("game.spatial")
     def _on_spatial_via_overlay(self, message: Message) -> None:
@@ -187,9 +179,6 @@ class DhtZoneRouter(StaticZoneRouter):
     ) -> None:
         hops = self._sample_hops()
         self.lookups += 1
-        if self._perf_lookups is not None:
-            self._perf_lookups.inc()
-            self._perf_hops.add(hops)
         if hops == 0:
             # The requester's finger table already points at the owner.
             self.hop_counts.append(0)

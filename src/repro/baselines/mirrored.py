@@ -59,14 +59,6 @@ class MirrorGate(Node):
         self._peers = [peer for peer in peers if peer != name]
         self.client_packets = 0
         self.replica_packets = 0
-        self._perf_replicated = None
-
-    def attach(self, network) -> None:
-        super().attach(network)
-        if network.perf is not None:
-            self._perf_replicated = network.perf.counter(
-                "backend.mirror.replicated"
-            )
 
     def announce_range(self, world: Rect, directory: dict[str, Rect]) -> None:
         """Send the game server its (permanent) range: the whole world."""
@@ -83,8 +75,6 @@ class MirrorGate(Node):
         self.multicast(
             self._peers, "mirror.replicate", message.payload, message.size_bytes
         )
-        if self._perf_replicated is not None:
-            self._perf_replicated.add(len(self._peers))
 
     @handles("mirror.replicate")
     def _on_replicate(self, message: Message) -> None:

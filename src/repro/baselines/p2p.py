@@ -166,12 +166,6 @@ class PlayerUplink(Node):
         self._snapshot_seq = 0
         self._snapshot_task = None
         self.upload_bytes = 0
-        self._perf_fanout = None
-
-    def attach(self, network) -> None:
-        super().attach(network)
-        if network.perf is not None:
-            self._perf_fanout = network.perf.counter("backend.p2p.fanout")
 
     # ------------------------------------------------------------------
     # Client-facing protocol
@@ -295,10 +289,7 @@ class PlayerUplink(Node):
 
     def _fan_out(self, kind: str, payload, size_bytes: int) -> None:
         self.multicast(self._peers, kind, payload, size_bytes)
-        fanned = len(self._peers)
-        self.upload_bytes += size_bytes * fanned
-        if self._perf_fanout is not None:
-            self._perf_fanout.add(fanned)
+        self.upload_bytes += size_bytes * len(self._peers)
 
     def _snapshot_tick(self) -> None:
         if self._client is None:

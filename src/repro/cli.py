@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import math
 import time
 from pathlib import Path
 
 from repro.analysis.stats import percentile
 from repro.chaos import format_chaos_report
-from repro.core.config import PerfConfig
 from repro.fuzz.generator import fuzz_profile
 from repro.harness.compare import (
     compare_backends,
@@ -41,7 +41,6 @@ from repro.harness.sweep import (
     run_sweep_grid,
     write_sweep_json,
 )
-from repro.perf import format_report
 from repro.trace.diff import diff_traces, format_diff
 from repro.trace.format import TraceError
 from repro.trace.recorder import record_scenario
@@ -64,8 +63,9 @@ def _usage(lookup, name: str):
 
 def _number(cast, minimum, exclusive: bool = False):
     """An argparse ``type=``: *cast* the text and refuse a value below
-    *minimum* (or, when *exclusive*, at it), so an out-of-range number
-    is argparse's own ``error: argument --x: ...`` before anything runs.
+    *minimum* (or, when *exclusive*, at it) or a non-finite one, so an
+    out-of-range number is argparse's own ``error: argument --x: ...``
+    before anything runs.
     """
 
     def parse(text: str):
@@ -75,6 +75,8 @@ def _number(cast, minimum, exclusive: bool = False):
             raise argparse.ArgumentTypeError(
                 f"must be {bound} {minimum}, got {text}"
             )
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     # argparse names the type in "invalid float value: 'abc'".
@@ -156,8 +158,8 @@ def run_arguments(
 ) -> dict:
     """``run_scenario`` keyword arguments for one scaled CLI run.
 
-    ``run`` (one name or several), ``record`` and ``perf`` all come
-    through here: population, policy thresholds and every capacity
+    ``run`` (one name or several) and ``record`` both come through
+    here: population, policy thresholds and every capacity
     scale together (the recipe of :mod:`repro.harness.compare`), and a
     combination that cannot run raises :class:`UsageError`.
     """
@@ -267,13 +269,6 @@ def run_summary_cell(name: str, **run_options) -> dict:
     }
 
 
-def _run_and_summarize(arguments: dict):
-    started = time.perf_counter()
-    outcome = run_scenario(**arguments)
-    _summarize_run(outcome, time.perf_counter() - started)
-    return outcome
-
-
 @command(
     "run", "run one or more registered scenarios",
     "scenarios",
@@ -288,7 +283,9 @@ def _cmd_run(args) -> int:
     options = _run_options(args)
     names = _checked_names(args, options)
     if len(names) == 1:
-        _run_and_summarize(run_arguments(names[0], **options))
+        started = time.perf_counter()
+        outcome = run_scenario(**run_arguments(names[0], **options))
+        _summarize_run(outcome, time.perf_counter() - started)
         return 0
     # Several scenarios named: fan out and print a compact table.
     tasks = [
@@ -395,38 +392,6 @@ def _cmd_sweep(args) -> int:
             args.json, run.rows, run.timing, args.scale, args.seed
         )
         print(f"\nwrote {path}")
-    return 0
-
-
-@command(
-    "perf", "run with perf instrumentation and print the report",
-    "scenario",
-    option(
-        "--sample-every", type=_number(int, 1), default=16,
-        help="sample one kernel step's wall latency out of every N",
-    ),
-    "scale", "seed", "duration",
-    scale=0.05, seed=1,
-)
-def _cmd_perf(args) -> int:
-    outcome = _run_and_summarize(
-        dict(
-            run_arguments(args.scenario, **_run_options(args)),
-            perf=PerfConfig(
-                enabled=True, step_sample_every=args.sample_every
-            ),
-        )
-    )
-    print()
-    print(
-        format_report(
-            outcome.experiment.perf,
-            title=(
-                f"perf report: {outcome.scenario.name} "
-                f"@ scale {args.scale:g}"
-            ),
-        )
-    )
     return 0
 
 

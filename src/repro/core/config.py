@@ -122,10 +122,6 @@ class PerfConfig:
     #: Master switch; when False no :class:`~repro.perf.PerfRegistry`
     #: is created at all.
     enabled: bool = False
-    #: Sample one kernel step's wall latency out of every N steps.
-    #: 1 = time every event (accurate, intrusive); the default keeps
-    #: the instrumented loop within a few percent of the plain one.
-    step_sample_every: int = 64
 
     def build_registry(self):
         """A :class:`~repro.perf.PerfRegistry`, or None when disabled."""
@@ -133,7 +129,7 @@ class PerfConfig:
             return None
         from repro.perf import PerfRegistry  # local: keep config light
 
-        return PerfRegistry(step_sample_every=self.step_sample_every)
+        return PerfRegistry()
 
 
 @dataclass(slots=True)

@@ -146,11 +146,6 @@ class ServerContext:
             return self.default_table
         return table
 
-    @property
-    def perf(self):
-        """The deployment's perf registry (None when instrumentation is off)."""
-        return self.node.network.perf
-
     def owner_of(self, point) -> str | None:
         """Owner of *point* among the last pushed partitions (or None).
 
@@ -161,8 +156,5 @@ class ServerContext:
         if self.owner_index is None:
             if not self.partitions:
                 return None
-            self.owner_index = PartitionIndex(self.partitions, perf=self.perf)
-        perf = self.perf
-        if perf is not None:
-            perf.counter("runtime.owner_lookups").inc()
+            self.owner_index = PartitionIndex(self.partitions)
         return self.owner_index.lookup(point)

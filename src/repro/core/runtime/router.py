@@ -100,9 +100,7 @@ class SpatialRouter:
         ctx.table_version = update.version
         ctx.partition = update.partition
         ctx.default_radius = update.default_radius
-        perf = ctx.perf
-        if perf is not None:
-            perf.counter("runtime.table_installs").inc()
+        perf = ctx.node.network.perf
         ctx.tables = {
             radius: RegionIndex(update.partition, cells, perf=perf)
             for radius, cells in update.tables.items()

@@ -71,11 +71,6 @@ class StateTransfer:
             context=context,
         )
         ctx.control_send(peer, "matrix.state.begin", begin)
-        perf = ctx.perf
-        if perf is not None:
-            perf.counter("runtime.transfer_chunks").add(
-                total_bytes, n=total_chunks
-            )
         remaining = total_bytes
         for index in range(total_chunks):
             chunk_bytes = min(STATE_CHUNK_BYTES, remaining)

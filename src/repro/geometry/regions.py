@@ -270,9 +270,28 @@ class RegionIndex:
         """
         if not self._partition.contains(point):
             return None
-        xi = bisect.bisect_right(self._xs, point.x) - 1
-        yi = bisect.bisect_right(self._ys, point.y) - 1
+        xs = self._xs
+        ys = self._ys
+        xi = bisect.bisect_right(xs, point.x) - 1
+        yi = bisect.bisect_right(ys, point.y) - 1
+        if xs[xi] == point.x or ys[yi] == point.y:
+            return self._edge_lookup(xi, yi, xs[xi] == point.x, ys[yi] == point.y)
         return self._grid[yi][xi]
+
+    def _edge_lookup(
+        self, xi: int, yi: int, on_x: bool, on_y: bool
+    ) -> ConsistencySet:
+        """Set of a point on the lower edge of cell ``(xi, yi)``.
+
+        Equation 1 is closed (``d ≤ R``): a point on a grid line lies on
+        the boundary of every neighbour expansion that ends there, so it
+        takes the union of the cells whose closure holds it.
+        """
+        columns = (xi - 1, xi) if on_x and xi > 0 else (xi,)
+        rows = (yi - 1, yi) if on_y and yi > 0 else (yi,)
+        own = self._grid[yi][xi]
+        union = own.union(*(self._grid[r][c] for r in rows for c in columns))
+        return own if union == own else union
 
 
 class PartitionIndex:
@@ -287,7 +306,7 @@ class PartitionIndex:
     path both stay sub-linear in the server count.
     """
 
-    def __init__(self, partitions: Mapping[object, Rect], perf=None) -> None:
+    def __init__(self, partitions: Mapping[object, Rect]) -> None:
         xs: set[float] = set()
         ys: set[float] = set()
         for rect in partitions.values():
@@ -322,10 +341,6 @@ class PartitionIndex:
                     if row[xi] is None:
                         row[xi] = pid
         self._grid = grid
-        if perf is not None:
-            perf.counter("geometry.partition_index_builds").add(
-                columns * rows
-            )
 
     def lookup(self, point: Vec2) -> object | None:
         """Owner of *point*, or ``None`` when no partition contains it."""

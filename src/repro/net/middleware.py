@@ -82,11 +82,6 @@ class MiddlewarePipeline:
         self._owner = owner
         #: Installed stages, outermost (closest to the wire) first.
         self.stages: list[MiddlewareStage] = []
-        self._perf_hooks = None
-
-    def attach_perf(self, perf) -> None:
-        """Start counting hook invocations in *perf* (a PerfRegistry)."""
-        self._perf_hooks = perf.counter("net.pipeline_hook_calls")
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
         """Install *stage* as the new innermost stage."""
@@ -96,10 +91,7 @@ class MiddlewarePipeline:
 
     def process_inbound(self, message: Message) -> Message | None:
         """Run inbound hooks wire-side first; ``None`` = consumed."""
-        perf = self._perf_hooks
         for stage in self.stages:
-            if perf is not None:
-                perf.inc()
             message = stage.on_inbound(message)
             if message is None:
                 return None
@@ -107,10 +99,7 @@ class MiddlewarePipeline:
 
     def process_outbound(self, message: Message) -> Message | None:
         """Run outbound hooks dispatch-side first; ``None`` = consumed."""
-        perf = self._perf_hooks
         for stage in reversed(self.stages):
-            if perf is not None:
-                perf.inc()
             message = stage.on_outbound(message)
             if message is None:
                 return None

@@ -116,14 +116,11 @@ class Network:
         #: vanished in flight (decommission races, chaos crashes).
         self.undeliverable_count = 0
         self.perf = perf
-        if perf is not None:
-            self._perf_sent = perf.counter("net.messages_sent")
-            self._perf_delivered = perf.counter("net.messages_delivered")
-            self._perf_profile_miss = perf.counter("net.profile_cache_misses")
-        else:
-            self._perf_sent = None
-            self._perf_delivered = None
-            self._perf_profile_miss = None
+        self._perf_profile_miss = (
+            perf.counter("net.profile_cache_misses")
+            if perf is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     # Topology
@@ -254,8 +251,6 @@ class Network:
             # sorts what it buffers.
             for tap in self._taps:
                 tap(message)
-        if self._perf_sent is not None:
-            self._perf_sent.add(size)
         if dst not in self._nodes:
             self.undeliverable_count += 1
             return
@@ -283,6 +278,4 @@ class Network:
             self.undeliverable_count += 1
             return  # destination decommissioned while in flight
         self.delivered_count += 1
-        if self._perf_delivered is not None:
-            self._perf_delivered.add(message.size_bytes)
         node._inbox.deliver(message)

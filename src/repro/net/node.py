@@ -81,8 +81,6 @@ class Node(ABC):
         # of the node's own scheduling (receive queue service, duties,
         # timers) must go through it so the node's work stays lane-local.
         self.sim = network.sim_for(self)
-        if network.perf is not None:
-            self.middleware.attach_perf(network.perf)
         # An overridden ``handle_message`` filters: no bypassing it.
         direct = type(self).handle_message is Node.handle_message
         self._inbox = ReceiveQueue(

@@ -47,9 +47,9 @@ class PerfCounter:
         """Add *n* occurrences."""
         self.count += n
 
-    def add(self, value: float, n: int = 1) -> None:
-        """Add *n* occurrences carrying *value* (bytes, cells, ...)."""
-        self.count += n
+    def add(self, value: float) -> None:
+        """Add one occurrence carrying *value* (bytes, cells, ...)."""
+        self.count += 1
         self.value += value
 
     def snapshot(self) -> dict:
@@ -150,20 +150,16 @@ class TickSampler:
 class PerfRegistry:
     """The per-run home of every counter, timer and sampler.
 
-    One registry is created per instrumented experiment and threaded
-    down through the simulator, network, runtime and geometry layers.
+    One registry is created per instrumented experiment (by its
+    backend, from ``perf=``) and threaded down through the simulator,
+    network and geometry layers.  Every instrument it holds is one
+    ``perfbench`` reads (asserted by tests).
     Instruments are created on first use under a dotted name
     (``layer.component.metric``) and shared by name afterwards, so two
     call sites naming the same counter accumulate into one cell.
     """
 
-    def __init__(self, step_sample_every: int = 64) -> None:
-        if step_sample_every < 1:
-            raise ValueError(
-                f"step_sample_every must be >= 1: {step_sample_every}"
-            )
-        #: Sample one kernel step's wall latency out of every N steps.
-        self.step_sample_every = step_sample_every
+    def __init__(self) -> None:
         self.counters: dict[str, PerfCounter] = {}
         self.timers: dict[str, PerfTimer] = {}
         self.samplers: dict[str, TickSampler] = {}
@@ -198,8 +194,9 @@ class PerfRegistry:
     def snapshot(self) -> dict:
         """Plain-data dump of every instrument, sorted by name.
 
-        This is the schema the ``perf`` CLI report and ``perfbench``'s
-        traced runs are built from; keys are stable by contract.
+        A run's ``result.perf_snapshot`` holds it; ``perfbench``'s
+        traced runs read their per-layer counts from it, so the keys
+        are stable by contract.
         """
         return {
             "counters": {

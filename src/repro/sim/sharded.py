@@ -190,14 +190,11 @@ class ShardedSimulator:
         self.exchange_pending = True
         self._barrier_hooks: list[Callable[[float], None]] = []
         self.windows_run = 0
-        self._perf = perf
         if perf is not None:
             self._perf_windows = perf.counter("shard.windows")
-            self._perf_span = perf.counter("shard.window_span")
             self._perf_lane_wall = perf.timer("shard.lane_wall")
         else:
             self._perf_windows = None
-            self._perf_span = None
             self._perf_lane_wall = None
 
     # ------------------------------------------------------------------
@@ -214,10 +211,6 @@ class ShardedSimulator:
     @property
     def pending_events(self) -> int:
         return sum(lane.pending_events for lane in self._all)
-
-    @property
-    def perf(self) -> "PerfRegistry | None":
-        return self._perf
 
     def lane(self, slot: int) -> LaneSimulator:
         """The lane simulator at *slot* (``shards`` is the global lane)."""
@@ -350,9 +343,6 @@ class ShardedSimulator:
                 self.windows_run += 1
                 if windows is not None:
                     windows.inc()
-                    # Sim-time span per window: value accumulates the
-                    # total span, count the number of windows.
-                    self._perf_span.add(barrier - last)
                 # "time < barrier" is "time <= the float just below it".
                 end = nextafter(barrier, -inf)
                 for lane, t in zip(lanes, heads):

@@ -163,11 +163,12 @@ def read_trace(path: str | Path) -> tuple[TraceHeader, list[TraceEvent]]:
             continue
         try:
             t, src, dst, kind, size = json.loads(line)
-        except (json.JSONDecodeError, ValueError) as exc:
+            event = (float(t), str(src), str(dst), str(kind), int(size))
+        except (TypeError, ValueError) as exc:  # incl. JSONDecodeError
             raise TraceError(
                 f"{path}:{number}: malformed event line: {exc}"
             ) from None
-        events.append((float(t), str(src), str(dst), str(kind), int(size)))
+        events.append(event)
     if len(events) != header.events:
         raise TraceError(
             f"{path}: header declares {header.events} events but the "

@@ -160,6 +160,16 @@ def test_lookup_outside_partition_raises():
         index.lookup(Vec2(75, 50))
 
 
+def test_lookup_counts_points_at_exactly_the_radius():
+    """Equation 1 is closed: a point at distance R still needs the peer."""
+    parts = two_halves()
+    index = compute_overlap_map(parts, 0.5, ChebyshevMetric())
+    assert index["s2"].lookup(Vec2(50.5, 0.0)) == frozenset({"s1"})
+    assert index["s2"].lookup(Vec2(50.5, 30.0)) == frozenset({"s1"})
+    assert index["s2"].lookup(Vec2(50.6, 30.0)) == frozenset()
+    assert index["s1"].lookup(Vec2(49.5, 30.0)) == frozenset({"s2"})
+
+
 def test_overlap_area_grows_with_radius():
     parts = three_columns()
     metric = ChebyshevMetric()

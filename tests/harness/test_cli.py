@@ -27,7 +27,7 @@ def subcommands() -> list[str]:
 def test_every_subcommand_is_registered_with_a_handler():
     assert subcommands() == [
         "compare", "diff", "fuzz", "list-backends", "list-mobility",
-        "list-scenarios", "perf", "record", "replay", "run", "sweep",
+        "list-scenarios", "record", "replay", "run", "sweep",
     ]
 
 
@@ -99,14 +99,6 @@ def test_sweep_tabulates_the_fault_free_catalog(capsys):
     assert "wrote" not in out
 
 
-def test_perf_prints_the_summary_and_the_registry_report(capsys):
-    assert main(["perf", "flash-crowd", *FAST]) == 0
-    out = capsys.readouterr().out
-    assert "backend  : matrix" in out
-    assert "perf report: flash-crowd @ scale 0.05" in out
-    assert "sim.events" in out
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -124,7 +116,7 @@ def test_perf_prints_the_summary_and_the_registry_report(capsys):
         ),
         (["run", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
         (["record", "flash-crowd", "no-such-scenario"], "unknown scenario"),
-        (["perf", "no-such-scenario"], "unknown scenario"),
+        (["run", "flash-crowd", "no-such-scenario"], "unknown scenario"),
         (["compare", "no-such-scenario"], "unknown scenario"),
         (
             ["compare", "flash-crowd", "--backends", "matrix,pigeon"],
@@ -173,8 +165,8 @@ def test_replay_is_not_a_backend_choice(command, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["perf", "flash-crowd", "--sample-every", "0"],
-         "--sample-every: must be >= 1, got 0"),
+        (["run", "flash-crowd", "--scale", "inf"],
+         "--scale: must be finite, got inf"),
         (["run", "flash-crowd", "--scale", "0"],
          "--scale: must be > 0, got 0"),
         (["compare", "flash-crowd", "--scale", "-1"],
@@ -193,6 +185,9 @@ def test_replay_is_not_a_backend_choice(command, capsys):
         (["fuzz", "--settle", "-1"], "--settle: must be >= 0, got -1"),
         (["run", "flash-crowd", "--scale", "big"],
          "--scale: invalid float value: 'big'"),
+        (["record", "flash-crowd", "--duration", "inf"],
+         "--duration: must be finite, got inf"),
+        (["fuzz", "--settle", "inf"], "--settle: must be finite, got inf"),
     ],
 )
 def test_out_of_range_numbers_are_argparse_refusals(argv, message, capsys):

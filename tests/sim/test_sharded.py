@@ -300,9 +300,6 @@ class TestShardedSimulatorFacade:
         snapshot = perf.snapshot()
         windows = engine.windows_run
         assert snapshot["counters"]["shard.windows"]["count"] == windows
-        assert snapshot["counters"]["shard.window_span"] == {
-            "count": windows, "value": 2.0,
-        }
         assert snapshot["timers"]["shard.lane_wall"]["count"] == 2 * windows
 
 
@@ -455,8 +452,6 @@ HOTSPOT_2_SHARDS = {
     "undeliverable_count": 0,
 }
 HOTSPOT_2_SHARDS_PERF = {
-    "net.messages_sent": {"count": 36210, "value": 6708168.0},
-    "net.messages_delivered": {"count": 36197, "value": 6707296.0},
     "shard.cross_border": {"count": 3112, "value": 688376.0},
     "shard.windows": {"count": 35118, "value": 0.0},
 }

@@ -1,10 +1,11 @@
 """Trace format integrity, record/replay identity, and diffing."""
 
 import json
+import re
 
 import pytest
 
-from repro.cli import record_trace_cell
+from repro.cli import main, record_trace_cell
 from repro.harness.parallel import GridTask, run_grid
 from repro.trace.diff import diff_traces, format_diff
 from repro.trace.format import (
@@ -71,6 +72,26 @@ def test_tampered_event_rejected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceError, match="digest mismatch"):
         read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "line", ["5", "null", '[0.0,"a","b","k","x"]', '[[1],"a","b","k",1]']
+)
+def test_malformed_event_line_is_one_error_line(line, tmp_path, capsys):
+    """An event line of the wrong shape or field type is a TraceError
+    naming the line, so ``replay`` and ``diff`` refuse it with exit 2."""
+    path = _write(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[2] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceError, match=re.escape(f"{path}:3: malformed")):
+        read_trace(path)
+    good = _write(tmp_path, name="good.trace")
+    for argv in (["replay", str(path)], ["diff", str(good), str(path)]):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {path}:3: malformed event line")
+        assert len(out.splitlines()) == 1
 
 
 def test_truncated_file_rejected(tmp_path):
