@@ -8,11 +8,10 @@ This example is that exercise: a tiny custom game server — a capture-
 the-flag arena with its own packet types and logic — written against
 nothing but the public :class:`repro.core.api.MatrixPort` API:
 
+* construct a port (it answers Matrix's message kinds for the server),
 * tag outbound packets with coordinates (``port.send_spatial``),
 * report load periodically (``port.report_load``),
-* consume two callbacks (``on_deliver``, ``on_set_range``),
-* route Matrix's message kinds to ``port.handle`` with one
-  ``@handles`` registration.
+* consume two callbacks (``on_deliver``, ``on_set_range``).
 
 Everything else — splits, reclaims, routing, consistency — happens
 underneath, and this file never imports any of it.
@@ -22,13 +21,12 @@ Run:  python examples/custom_game_integration.py
 
 from dataclasses import dataclass
 
-from repro.core.api import MatrixPort, PORT_KINDS
+from repro.core.api import MatrixPort
 from repro.core.config import LoadPolicyConfig, MatrixConfig
 from repro.core.deployment import MatrixDeployment
 from repro.geometry import Rect, Vec2
-from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.node import Node, handles
+from repro.net.node import Node
 from repro.sim.kernel import Simulator
 
 WORLD = Rect(0.0, 0.0, 400.0, 400.0)
@@ -82,10 +80,6 @@ class CtfServer(Node):
             origin=at, payload=FlagGrab(player=player, at=at),
             payload_bytes=48, client_id=player,
         )
-
-    @handles(*PORT_KINDS)
-    def _on_matrix_traffic(self, message: Message) -> None:
-        self.port.handle(message)  # Matrix traffic, absorbed by the port
 
     # ... handlers for our own client protocol would be registered
     # here with further @handles("...") methods ...

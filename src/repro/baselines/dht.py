@@ -26,13 +26,15 @@ import math
 import random
 from dataclasses import dataclass
 
-from repro.baselines.backend import ArchitectureBackend
-from repro.baselines.static import StaticZoneRouter
+from repro.baselines.static import (
+    StaticDeployment,
+    StaticExperiment,
+    StaticZoneRouter,
+)
 from repro.core.config import PerfConfig
 from repro.core.messages import SpatialPacket
-from repro.games.base import GameServer
 from repro.games.profile import GameProfile
-from repro.geometry import Rect, RegionIndex, Vec2
+from repro.geometry import Rect, RegionIndex
 from repro.net.message import Message
 from repro.net.node import handles
 
@@ -241,7 +243,7 @@ class DhtZoneRouter(StaticZoneRouter):
         self._forward(result.router, packet, size_bytes)
 
 
-class DhtExperiment(ArchitectureBackend):
+class DhtExperiment(StaticExperiment):
     """A static grid whose routing lookup rides a Chord-style overlay.
 
     * **ownership** — fixed tiles, exactly like the static baseline.
@@ -264,14 +266,16 @@ class DhtExperiment(ArchitectureBackend):
         queue_capacity: int | None = 20000,
         perf: PerfConfig | None = None,
     ) -> None:
-        self._columns = columns
-        self._rows = rows
-        self._queue_capacity = queue_capacity
-        super().__init__(profile, seed=seed, perf=perf)
+        super().__init__(
+            profile,
+            seed=seed,
+            columns=columns,
+            rows=rows,
+            queue_capacity=queue_capacity,
+            perf=perf,
+        )
 
     def build(self) -> None:
-        from repro.baselines.static import StaticDeployment  # shared wiring
-
         servers = self._columns * self._rows
         ring = [f"dht-ms.{i + 1}" for i in range(servers)]
         #: Named stream: lookup sampling is deterministic per seed and
@@ -296,22 +300,10 @@ class DhtExperiment(ArchitectureBackend):
             router_factory=make_router,
         )
 
-    def locate(self, point: Vec2) -> str:
-        """Ownership: the fixed tile containing *point*."""
-        return self.deployment.locate_game_server(point)
-
-    @property
-    def game_servers(self) -> dict[str, GameServer]:
-        return self.deployment.game_servers
-
     @property
     def routers(self) -> dict[str, "DhtZoneRouter"]:
         """The DHT zone routers, keyed by node name."""
         return self.deployment.routers
-
-    def fault_nodes(self) -> list:
-        """Hop chains and forwards travel router-to-router."""
-        return list(self.deployment.routers.values())
 
     def consistency_metrics(self) -> dict[str, float]:
         """Measured overlay costs vs the closed-form expectation."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import PerfConfig
-from repro.core.messages import DeliverPacket, SetRange
+from repro.core.messages import SetRange
 from repro.games.base import GameServer
 from repro.games.profile import GameProfile
 from repro.geometry import Rect, Vec2
@@ -82,7 +82,7 @@ class MirrorGate(Node):
         self.send(
             self._game_server,
             "matrix.deliver",
-            DeliverPacket(packet=message.payload),
+            message.payload,
             size_bytes=message.size_bytes,
         )
 

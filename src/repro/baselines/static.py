@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import METRIC, ROUTER_SERVICE_RATE, PerfConfig
-from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
+from repro.core.messages import SetRange, SpatialPacket
 from repro.games.base import GameServer
 from repro.games.profile import GameProfile
 from repro.geometry import (
@@ -102,7 +102,7 @@ class StaticZoneRouter(Node):
         self.send(
             self._game_server,
             "matrix.deliver",
-            DeliverPacket(packet=packet),
+            packet,
             size_bytes=message.size_bytes,
         )
 

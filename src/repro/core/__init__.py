@@ -7,7 +7,6 @@ from repro.core.deployment import GameServerFactory, MatrixDeployment, ServerEve
 from repro.core.messages import (
     ConsistencyQuery,
     ConsistencyReply,
-    DeliverPacket,
     LoadGossip,
     LoadReport,
     OverlapTableUpdate,
@@ -47,7 +46,6 @@ __all__ = [
     "ConsistencyQuery",
     "ConsistencyReply",
     "Decision",
-    "DeliverPacket",
     "Fabric",
     "GameServerFactory",
     "GameServerHandle",

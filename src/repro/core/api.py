@@ -1,18 +1,18 @@
 """The developer-facing Matrix API (§2.1, §3.2.2).
 
 A game server integrates with Matrix through a :class:`MatrixPort`: a
-small library object owned by the game-server process.  The port hides
-every Matrix mechanism behind four calls —
+small library object owned by the game-server process.  Constructing
+one adopts it into its owner node, so the port answers Matrix's
+message kinds from the owner's handler table itself.  It hides every
+Matrix mechanism behind three calls and two callbacks —
 
 * :meth:`MatrixPort.send_spatial` — tag a game packet with the spatial
   coordinates of its origin and hand it to Matrix for consistency
   propagation;
 * :meth:`MatrixPort.report_load` — periodic load report;
 * :meth:`MatrixPort.query_consistency` — the rare non-proximal lookup;
-* :meth:`MatrixPort.handle` — called from the game server's message
-  handler; consumes Matrix traffic and invokes the two callbacks
-  (``on_deliver`` for remote packets, ``on_set_range`` for map-range
-  directives).
+* ``on_deliver`` — called with a remote :class:`SpatialPacket`;
+* ``on_set_range`` — called with a map-range directive.
 
 This is the "clean layering that hides the consistency maintenance
 details" — the game never learns which peer servers exist.
@@ -30,26 +30,13 @@ from repro.core.config import (
 )
 from repro.core.messages import (
     ConsistencyQuery,
-    DeliverPacket,
     LoadReport,
     SetRange,
     SpatialPacket,
 )
 from repro.geometry import Rect, Vec2
 from repro.net.message import Message
-from repro.net.node import Node
-
-#: kind -> MatrixPort handler-method name: the single source of truth
-#: for the traffic a port consumes.
-_PORT_HANDLERS = {
-    "matrix.deliver": "_handle_deliver",
-    "gs.set_range": "_handle_set_range",
-    "gs.query_reply": "_handle_query_reply",
-}
-
-#: The message kinds a MatrixPort consumes.  Game servers route these
-#: to :meth:`MatrixPort.handle` (``@handles(*PORT_KINDS)``).
-PORT_KINDS = tuple(_PORT_HANDLERS)
+from repro.net.node import Node, handles
 
 
 @runtime_checkable
@@ -75,24 +62,24 @@ class GameServerHandle(Protocol):
 
 
 class MatrixPort:
-    """Game-server-side Matrix integration library."""
+    """Game-server-side Matrix integration library.
 
-    _query_ids = itertools.count(1)
+    Constructing a port adopts it into *owner*: the owner's handler
+    table then hands Matrix's kinds to the port's ``@handles`` methods.
+    """
 
     def __init__(self, owner: Node) -> None:
         self._owner = owner
         self._matrix_name: str | None = None
+        # Request ids are unique per port: replies come back to it only.
+        self._query_ids = itertools.count(1)
         self._pending_queries: dict[int, Callable[[frozenset], None]] = {}
-        # The port's own little dispatch table, derived from the one
-        # authoritative kind list.
-        self._handlers: dict[str, Callable[[Message], None]] = {
-            kind: getattr(self, name) for kind, name in _PORT_HANDLERS.items()
-        }
         #: Called with a :class:`SpatialPacket` from a peer's region.
         self.on_deliver: Callable[[SpatialPacket], None] | None = None
         #: Called with a :class:`SetRange` directive.
         self.on_set_range: Callable[[SetRange], None] | None = None
         self.delivered_remote = 0
+        owner.adopt(self)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -188,30 +175,18 @@ class MatrixPort:
     # ------------------------------------------------------------------
     # Inbound (Matrix → game server)
     # ------------------------------------------------------------------
-    def handle(self, message: Message) -> bool:
-        """Consume Matrix-originated messages; returns True if consumed.
-
-        Game servers route these kinds here (via their dispatch table or
-        by calling this first) and keep game logic for the rest — the
-        entirety of the "relatively simple modifications to the server
-        code" the paper's conclusion mentions.
-        """
-        handler = self._handlers.get(message.kind)
-        if handler is None:
-            return False
-        handler(message)
-        return True
-
+    @handles("matrix.deliver")
     def _handle_deliver(self, message: Message) -> None:
-        deliver: DeliverPacket = message.payload
         self.delivered_remote += 1
         if self.on_deliver is not None:
-            self.on_deliver(deliver.packet)
+            self.on_deliver(message.payload)
 
+    @handles("gs.set_range")
     def _handle_set_range(self, message: Message) -> None:
         if self.on_set_range is not None:
             self.on_set_range(message.payload)
 
+    @handles("gs.query_reply")
     def _handle_query_reply(self, message: Message) -> None:
         reply = message.payload
         callback = self._pending_queries.pop(reply.request_id, None)

@@ -231,18 +231,18 @@ class StandbyCoordinator(MatrixCoordinator):
         #: Called (with this standby) right after promotion — the
         #: deployment uses it to point future spawns at the new MC.
         self.on_promote = None
+        # Before promotion every MC message except the sync heartbeat
+        # belongs to the primary: those kinds stay out of the handler
+        # table (a stray is counted unhandled) until ``_promote``.
+        self._held = {
+            kind: self._handlers.pop(kind)
+            for kind in list(self._handlers)
+            if kind != "mc.sync"
+        }
 
     def start_monitoring(self) -> None:
         """Begin watching the primary's sync heartbeats."""
         self._monitor = self.sim.every(MC_SYNC_PERIOD, self._check_primary)
-
-    def handle_message(self, message: Message) -> None:
-        # Before promotion every MC message except the sync heartbeat
-        # belongs to the primary; receiving one here is a misdirected
-        # stray — drop it.
-        if not self.promoted and message.kind != "mc.sync":
-            return
-        super().handle_message(message)
 
     @handles("mc.sync")
     def _on_sync(self, message: Message) -> None:
@@ -279,6 +279,8 @@ class StandbyCoordinator(MatrixCoordinator):
         """
         self.promoted = True
         self.promoted_at = self.sim.now
+        # In place: the receive queue holds this dict.
+        self._handlers.update(self._held)
         if self._monitor is not None:
             self._monitor.stop()
         known = list(self.partitions)

@@ -5,7 +5,8 @@ dotted scheme:
 
 * ``game.spatial``      — game server → its Matrix server (tagged packet)
 * ``matrix.forward``    — Matrix server → peer Matrix server
-* ``matrix.deliver``    — Matrix server → its game server (remote packet)
+* ``matrix.deliver``    — Matrix server → its game server (the remote
+  ``SpatialPacket`` itself)
 * ``matrix.load``       — game server → its Matrix server (load report)
 * ``matrix.gossip``     — child Matrix server → parent (load gossip)
 * ``matrix.state.*``    — bulk state transfer during splits/reclaims
@@ -226,13 +227,6 @@ class SetRange:
 
     partition: Rect
     directory: dict = field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class DeliverPacket:
-    """Matrix server → game server: a packet from a peer's region."""
-
-    packet: SpatialPacket
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,10 @@ from repro.net.message import Message
 class QueryRelay:
     """Relays game-server consistency queries through the MC."""
 
-    _query_ids = itertools.count(1)
-
     def __init__(self, ctx: ServerContext) -> None:
         self._ctx = ctx
+        # Unique per relay: the MC replies to the relay that asked.
+        self._query_ids = itertools.count(1)
         #: mc request id -> originating game-server request id.
         self._relay: dict[int, int] = {}
 

@@ -10,7 +10,7 @@ game server.
 from __future__ import annotations
 
 from repro.core.config import CONTROL_BYTES, DIRECTORY_ENTRY_BYTES, METRIC
-from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
+from repro.core.messages import SetRange, SpatialPacket
 from repro.core.runtime.context import ServerContext
 from repro.geometry import RegionIndex
 from repro.net.dispatch import handles
@@ -83,7 +83,7 @@ class SpatialRouter:
         ctx.send(
             ctx.game_server,
             "matrix.deliver",
-            DeliverPacket(packet=packet),
+            packet,
             size_bytes=message.size_bytes,
         )
 

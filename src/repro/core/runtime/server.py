@@ -3,7 +3,7 @@
 The server itself is a thin facade: a :class:`~repro.net.node.Node`
 that adopts the runtime components, each of which marks the methods
 that answer its message kinds with the ``handles`` decorator, so a
-serviced message goes from ``Node.handle_message`` straight into the
+serviced message goes from the node's handler table straight into the
 component method that decides —
 
 * :class:`~repro.core.runtime.router.SpatialRouter` — O(1) overlap-table

@@ -38,10 +38,9 @@ class _IncomingTransfer:
 class StateTransfer:
     """Both halves of the chunked transfer protocol for one server."""
 
-    _transfer_ids = itertools.count(1)
-
     def __init__(self, ctx: ServerContext) -> None:
         self._ctx = ctx
+        self._transfer_ids = itertools.count(1)
         self._outgoing: dict[int, str] = {}  # transfer id -> context
         # Keyed by (sender, transfer id): a receiver does not rely on
         # ids being unique across senders.

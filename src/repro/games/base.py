@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
-from repro.core.api import MatrixPort, PORT_KINDS
+from repro.core.api import MatrixPort
 from repro.core.config import LOAD_REPORT_PERIOD
 from repro.core.messages import SpatialPacket
 from repro.games.grid import SpatialGrid
@@ -178,10 +178,6 @@ class GameServer(Node):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    @handles(*PORT_KINDS)
-    def _on_matrix_traffic(self, message: Message) -> None:
-        self.port.handle(message)
-
     @handles("gs.evacuate")
     def _on_evacuate(self, message: Message) -> None:
         self._evacuate_all(message.payload)

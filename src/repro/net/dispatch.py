@@ -10,15 +10,16 @@ chain, subclasses decorate handler methods::
 
 At class-definition time :func:`build_dispatch_table` (invoked from
 ``Node.__init_subclass__``) walks the MRO and compiles a flat
-``kind -> method-name`` table, so per-message dispatch is a single dict
-lookup — no chain, no per-instance registration cost.
+``kind -> method-name`` table; ``Node.__init__`` binds it into the
+node's one ``kind -> bound callable`` table, so per-message dispatch is
+a single dict lookup — no chain, no per-message ``getattr``.
 
 Rules:
 
 * A subclass may re-register a kind to a different method; the subclass
   wins (ordinary override semantics).  Overriding the *method* by name
   without re-decorating also works, because the table stores method
-  names and dispatch goes through ``getattr``.
+  names and the node binds each with ``getattr``.
 * Two different methods of the *same* class claiming the same kind is a
   programming error and raises :class:`DispatchCollisionError` when the
   class is defined.
@@ -26,8 +27,10 @@ Rules:
   those kinds with the object's bound methods once it has been handed
   to :meth:`~repro.net.node.Node.adopt`.  A kind the node or an earlier component
   already handles raises :class:`DispatchCollisionError` at adoption.
-* A message whose kind has no handler is routed to
-  ``Node.on_unhandled`` (default: counted and dropped).
+* A message whose kind is not in the node's table is routed to
+  ``Node.on_unhandled`` (default: counted and dropped).  The table is
+  the only dispatch path: a node that must not answer a kind yet (the
+  standby MC before promotion) keeps it out of the table.
 """
 
 from __future__ import annotations

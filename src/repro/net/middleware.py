@@ -16,7 +16,7 @@ is one walk and every message takes it: a stage interested in some
 kinds only tests the kind at the top of its hook.
 
 Stages that buffer or clone traffic (batching, fault duplication)
-re-inject via ``node.network.transmit`` / ``node.dispatch`` directly,
+re-inject via ``node.network.transmit`` / the node's handler table directly,
 *below* the pipeline: no stage observes a flushed batch or a duplicate
 clone on the way out, and outbound hooks of stages outside a buffering
 stage never see the kinds it absorbs.  Per-kind *wire* truth therefore
@@ -258,7 +258,7 @@ class SpatialBatchingStage(MiddlewareStage):
             return message
         for inner in message.payload:
             self.unbatched_received += 1
-            self.node.dispatch(inner)
+            self.node._handlers.get(inner.kind, self.node.on_unhandled)(inner)
         return None
 
     def _flush_tick(self) -> None:

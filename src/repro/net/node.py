@@ -1,4 +1,10 @@
-"""Base class for simulated hosts (game servers, Matrix servers, MC, clients)."""
+"""Base class for simulated hosts (game servers, Matrix servers, MC, clients).
+
+A node answers a message through one ``kind -> bound callable`` table:
+its own ``@handles`` methods, bound at construction, and those of the
+components handed to :meth:`Node.adopt`.  There is no other dispatch
+path: no per-node override, no lazily filled second lookup.
+"""
 
 from __future__ import annotations
 
@@ -24,16 +30,14 @@ class Node(ABC):
     """A network endpoint with a finite-rate receive queue.
 
     Subclasses declare message handlers with the
-    :func:`~repro.net.dispatch.handles` decorator; a ``kind -> handler``
-    table is compiled once per class, and :meth:`dispatch` routes each
-    serviced message through it.  A node built from components lets
-    them declare their own kinds the same way and binds them in with
-    :meth:`adopt`: one ``kind -> bound callable`` table per node,
-    whoever owns the method.  Everything else — queueing, servicing
+    :func:`~repro.net.dispatch.handles` decorator; a ``kind -> method
+    name`` table is compiled once per class and bound once per node, at
+    construction.  A node built from components lets them declare their
+    own kinds the same way and binds them in with :meth:`adopt`.  That
+    one ``kind -> bound callable`` table, whoever owns the method, is
+    the only way a node answers a message: a kind it does not hold goes
+    to :meth:`on_unhandled`.  Everything else — queueing, servicing
     delay, traffic accounting, the middleware pipeline — is provided.
-
-    Legacy subclasses may still override :meth:`handle_message`
-    wholesale (some test doubles do), bypassing pipeline and registry.
     """
 
     #: kind -> method name, compiled at class-definition time.
@@ -65,10 +69,13 @@ class Node(ABC):
         # ``use``): an empty-list truthiness check is how the hot send/
         # receive paths skip the pipeline entirely on bare nodes.
         self._mw_stages = self.middleware.stages
-        # kind -> bound handler: adopted components' handlers, plus the
-        # node's own, resolved through the class dispatch table on first
-        # use so steady-state dispatch is one dict hit.
-        self._handlers: dict[str, Any] = {}
+        # kind -> bound handler: the node's own ``@handles`` methods,
+        # plus adopted components'.  The receive queue holds this dict,
+        # so it is only ever mutated in place.
+        self._handlers: dict[str, Any] = {
+            kind: getattr(self, name)
+            for kind, name in self._dispatch_table.items()
+        }
         self.unhandled_count = 0
 
     # ------------------------------------------------------------------
@@ -81,16 +88,14 @@ class Node(ABC):
         # of the node's own scheduling (receive queue service, duties,
         # timers) must go through it so the node's work stays lane-local.
         self.sim = network.sim_for(self)
-        # An overridden ``handle_message`` filters: no bypassing it.
-        direct = type(self).handle_message is Node.handle_message
         self._inbox = ReceiveQueue(
             self.sim,
             self.handle_message,
+            self._handlers,
+            stages=self._mw_stages,
             service_rate=self._service_rate,
             capacity=self._queue_capacity,
             priority_kinds=self._priority_kinds,
-            handlers=self._handlers if direct else None,
-            stages=self._mw_stages,
         )
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
@@ -100,14 +105,14 @@ class Node(ABC):
     def adopt(self, component: C) -> C:
         """Let *component*'s ``@handles`` methods answer for this node.
 
-        Each is bound into the node's handler table, so
-        :meth:`handle_message` calls the component directly.  A kind the
-        node or an earlier component already handles raises
+        Each is bound into the node's handler table, so a serviced
+        message goes to the component directly.  A kind the node or an
+        earlier component already handles raises
         :class:`~repro.net.dispatch.DispatchCollisionError`; an object
         with no ``@handles`` method adopts to nothing.
         """
         for kind, method_name in build_dispatch_table(type(component)).items():
-            if kind in self._dispatch_table or kind in self._handlers:
+            if kind in self._handlers:
                 raise DispatchCollisionError(
                     f"{self.name}: {type(component).__qualname__}."
                     f"{method_name} claims kind {kind!r}, which is "
@@ -167,39 +172,17 @@ class Node(ABC):
             transmit(Message(name, dst, kind, payload, size_bytes))
 
     def handle_message(self, message: Message) -> None:
-        """Process one serviced message: inbound middleware, then dispatch.
+        """Process one serviced message: inbound middleware, then the
+        handler table (:meth:`on_unhandled` for a kind it lacks).
 
-        A kind already resolved is called straight from the handler
-        table; :meth:`dispatch` is the miss path.  To filter what a node
-        handles, override this method — not :meth:`dispatch`.
+        The receive queue calls a table entry itself while the node has
+        no stage; this is its path for a missing kind or a staged node.
         """
         if self._mw_stages:
             message = self.middleware.process_inbound(message)
             if message is None:
                 return
-        handler = self._handlers.get(message.kind)
-        if handler is not None:
-            handler(message)
-        else:
-            self.dispatch(message)
-
-    def dispatch(self, message: Message) -> None:
-        """Route *message* to the handler registered for its kind.
-
-        The bound handler is resolved once per (instance, kind) and
-        cached; afterwards a message costs a single dict lookup instead
-        of a dispatch-table probe plus a ``getattr`` bound-method
-        allocation.
-        """
-        handler = self._handlers.get(message.kind)
-        if handler is None:
-            method_name = self._dispatch_table.get(message.kind)
-            if method_name is None:
-                self.on_unhandled(message)
-                return
-            handler = getattr(self, method_name)
-            self._handlers[message.kind] = handler
-        handler(message)
+        self._handlers.get(message.kind, self.on_unhandled)(message)
 
     def on_unhandled(self, message: Message) -> None:
         """A message no handler claims: counted, then dropped.

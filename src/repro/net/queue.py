@@ -14,8 +14,9 @@ one — :meth:`ReceiveQueue.deliver` for an idle queue,
 :meth:`ReceiveQueue._finish_one` for a backlog — with one ``after``
 and no helper frame.
 
-A serviced message goes straight to its ``@handles`` method when the
-node's table has its kind and the node has no stage.
+A serviced message goes straight to its entry in the node's handler
+table while the node has no stage; the node's ``handle_message`` takes
+a kind the table lacks and every message of a staged node.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ class ReceiveQueue:
     sim:
         The simulation kernel.
     handler:
-        Called with each message once it has been *serviced* (i.e. after
-        its queueing + processing delay).
+        Called with each serviced message (i.e. after its queueing +
+        processing delay) that *handlers* does not take.
+    handlers:
+        The node's ``kind -> handler`` table, held (not copied): while
+        *stages* is empty, a serviced message of a kind in it is handed
+        to its entry directly.
     service_rate:
         Messages serviced per second.  ``float('inf')`` makes servicing
         immediate (used for nodes whose processing cost is negligible).
@@ -52,20 +57,20 @@ class ReceiveQueue:
         updates, evacuation orders) so that reconfiguration is not
         starved behind a saturated data queue — the software analogue
         of a prioritised control channel.
-    handlers, stages:
-        The node's handler table and live stage list: while *stages* is
-        empty, a kind in *handlers* bypasses *handler*.
+    stages:
+        The node's live middleware stage list; while it is non-empty
+        every message goes to *handler*.
     """
 
     def __init__(
         self,
         sim: "Simulator",
         handler: Callable[[Message], None],
+        handlers: dict[str, Callable[[Message], None]],
+        stages: list | tuple = (),
         service_rate: float = float("inf"),
         capacity: int | None = None,
         priority_kinds: frozenset[str] | None = None,
-        handlers: dict[str, Callable[[Message], None]] | None = None,
-        stages: list | None = None,
     ) -> None:
         self._sim = sim
         self._handler = handler
@@ -147,11 +152,10 @@ class ReceiveQueue:
                 self._peak_length = 1
             self._busy = True
             self.serviced_count += 1
-            handlers = self._handlers
-            if handlers is None or self._stages:
+            if self._stages:
                 self._handler(message)
             else:
-                handlers.get(message.kind, self._handler)(message)
+                self._handlers.get(message.kind, self._handler)(message)
             if not queue:
                 self._busy = False
                 return
@@ -190,7 +194,7 @@ class ReceiveQueue:
         while queue and not self._halted:
             message = queue.popleft()
             self.serviced_count += 1
-            if handlers is None or self._stages:
+            if self._stages:
                 self._handler(message)
             else:
                 handlers.get(message.kind, self._handler)(message)

@@ -8,7 +8,7 @@ from repro.core.deployment import MatrixDeployment
 from repro.geometry import Rect, Vec2
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.node import Node
+from repro.net.node import Node, handles
 from repro.sim.kernel import Simulator
 
 WORLD = Rect(0.0, 0.0, 1000.0, 1000.0)
@@ -46,11 +46,9 @@ class ScriptedGameServer(Node):
         self.partition = partition
 
     # Message handling ----------------------------------------------
-    def handle_message(self, message: Message) -> None:
-        if self.port.handle(message):
-            return
-        if message.kind == "gs.evacuate":
-            self.evacuations.append(message.payload)
+    @handles("gs.evacuate")
+    def _on_evacuate(self, message: Message) -> None:
+        self.evacuations.append(message.payload)
 
     # Test drivers ---------------------------------------------------
     def report(self, clients: int) -> None:

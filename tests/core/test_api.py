@@ -5,7 +5,7 @@ import pytest
 from tests.core.helpers import ScriptedGameServer, build_deployment
 
 from repro.core.api import GameServerHandle, MatrixPort
-from repro.core.messages import DeliverPacket, SetRange, SpatialPacket
+from repro.core.messages import SetRange, SpatialPacket
 from repro.geometry import Rect, Vec2
 from repro.net.message import Message
 from repro.net.network import Network
@@ -14,11 +14,13 @@ from repro.sim.kernel import Simulator
 
 
 class Sink(Node):
+    """Keeps every message its handler table does not take."""
+
     def __init__(self, name):
         super().__init__(name)
         self.got = []
 
-    def handle_message(self, message):
+    def on_unhandled(self, message):
         self.got.append(message)
 
 
@@ -80,13 +82,11 @@ def test_handle_deliver_invokes_callback():
     seen = []
     port.on_deliver = seen.append
     packet = SpatialPacket(origin=Vec2(1, 1), payload="remote")
-    message = Message(
-        src="ms.x", dst="gs.x", kind="matrix.deliver",
-        payload=DeliverPacket(packet=packet), size_bytes=10,
-    )
-    assert port.handle(message) is True
-    assert seen == [packet]
+    matrix.send("gs.x", "matrix.deliver", packet, size_bytes=10)
+    sim.run()
+    assert seen == [packet]  # the packet itself, no wrapper
     assert port.delivered_remote == 1
+    assert owner.got == []
 
 
 def test_handle_set_range_invokes_callback():
@@ -94,21 +94,23 @@ def test_handle_set_range_invokes_callback():
     seen = []
     port.on_set_range = seen.append
     directive = SetRange(partition=Rect(0, 0, 1, 1), directory={})
-    message = Message(
-        src="ms.x", dst="gs.x", kind="gs.set_range",
-        payload=directive, size_bytes=10,
-    )
-    assert port.handle(message) is True
+    matrix.send("gs.x", "gs.set_range", directive, size_bytes=10)
+    sim.run()
     assert seen == [directive]
+    assert owner.got == []
 
 
 def test_handle_passes_through_game_traffic():
     sim, owner, matrix, port = wired_port()
+    seen = []
+    port.on_deliver = port.on_set_range = seen.append
     message = Message(
         src="client.1", dst="gs.x", kind="client.update",
         payload=None, size_bytes=10,
     )
-    assert port.handle(message) is False
+    owner.handle_message(message)
+    assert owner.got == [message]
+    assert seen == []
 
 
 def test_scripted_game_server_satisfies_protocol():

@@ -161,3 +161,42 @@ def test_unpromoted_standby_ignores_primary_traffic():
         )
     )
     assert standby.query_count == 0
+
+
+def test_standby_answers_coordinator_kinds_only_once_promoted():
+    from repro.core.messages import ConsistencyQuery, RegisterServer
+    from repro.geometry import Vec2
+
+    sim, network, deployment = build()
+    ms = deployment.bootstrap_grid(2, 1)[0][0]
+    standby = deployment.standby_coordinator
+    replies = []
+    network.add_tap(
+        lambda m: replies.append(m.dst)
+        if (m.src, m.kind) == (standby.name, "mc.reply")
+        else None
+    )
+
+    def register_and_query():
+        register = RegisterServer(ms.name, "gs.1", ms.partition, 50.0)
+        query = ConsistencyQuery(point=Vec2(900.0, 500.0), exclude="", request_id=1)
+        ms.send(standby.name, "mc.register", register, 64)
+        ms.send(standby.name, "mc.query", query, 64)
+
+    sim.run(until=2.0)
+    register_and_query()
+    sim.run(until=3.0)
+    assert not standby.promoted
+    assert standby.unhandled_count == 2  # through the queue, unprocessed
+    assert (standby.recompute_count, standby.query_count, replies) == (0, 0, [])
+
+    sim.at(3.0, deployment.fail_coordinator)
+    sim.run(until=10.0)
+    assert standby.promoted
+    recomputes = standby.recompute_count
+    register_and_query()
+    sim.run(until=11.0)
+    assert standby.recompute_count == recomputes + 1
+    assert standby.query_count == 1
+    assert replies == [ms.name]
+    assert standby.unhandled_count == 2

@@ -219,6 +219,38 @@ def test_gossip_reaches_parent():
     assert ms.ctx.child_loads["ms.2"].has_children is False
 
 
+def protocol_ids():
+    """``(kind, request id / transfer id)`` of every message one split
+    and two consistency queries put on the wire."""
+    sim, network, deployment = build_deployment()
+    ms, gs = deployment.bootstrap()
+    seen = []
+
+    def tap(message):
+        payload = message.payload
+        for field in ("request_id", "transfer_id"):
+            if hasattr(payload, field):
+                seen.append((message.kind, getattr(payload, field)))
+
+    network.add_tap(tap)
+    drive_overload(sim, gs)
+    answers = []
+    for at in (2.0, 25.0):
+        sim.at(at, lambda: gs.port.query_consistency(Vec2(10, 10), answers.append))
+    sim.run(until=30.0)
+    assert ms.ctx.stats.splits_completed == 1
+    assert len(answers) == 2
+    return seen
+
+
+def test_protocol_ids_do_not_depend_on_earlier_runs_in_the_process():
+    first = protocol_ids()
+    kinds = {kind for kind, _ in first}
+    assert {"matrix.query", "mc.query", "matrix.state.begin"} <= kinds
+    assert {"matrix.state.chunk", "matrix.state.done", "gs.query_reply"} <= kinds
+    assert protocol_ids() == first
+
+
 #: What a Matrix server answered before its components declared their
 #: own kinds (captured from ``MatrixServer._dispatch_table`` at PR 18,
 #: less the two ``fabric.*`` replies only a lane deployment ever sends).
@@ -243,7 +275,7 @@ MATRIX_SERVER_KINDS = {
 
 
 def handled_kinds(node) -> set[str]:
-    return set(node._dispatch_table) | set(node._handlers)
+    return set(node._handlers)
 
 
 def test_matrix_server_answers_the_same_kinds_as_before_adoption():

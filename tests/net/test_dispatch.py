@@ -121,19 +121,24 @@ def test_build_dispatch_table_walks_mro():
     assert table["multi.a"] == "_on_multi"
 
 
-def test_legacy_handle_message_override_still_works():
-    class Legacy(Node):
-        def __init__(self):
-            super().__init__("legacy")
-            self.seen = []
+def test_class_table_is_bound_at_construction():
+    node = Base()  # not attached: the table does not wait for a network
+    assert node._handlers == {
+        "ping": node._on_ping,
+        "multi.a": node._on_multi,
+        "multi.b": node._on_multi,
+    }
+    assert node._handlers["ping"].__self__ is node
 
-        def handle_message(self, message):
-            self.seen.append(message.kind)
 
-    node = attached(Legacy())
-    node.handle_message(make("anything"))
-    assert node.seen == ["anything"]
-    assert node.unhandled_count == 0
+def test_a_handler_overridden_by_name_is_the_one_bound():
+    class Sub(Base):
+        def _on_ping(self, message):
+            self.log.append("overridden")
+
+    node = Sub()
+    assert node._handlers["ping"].__func__ is Sub._on_ping
+    assert node._handlers["multi.a"].__func__ is Base._on_multi
 
 
 class Echoes:

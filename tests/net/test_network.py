@@ -18,13 +18,14 @@ from repro.sim import Simulator
 
 
 class Recorder(Node):
-    """Test node that records (time, message) pairs."""
+    """Test node that records (time, message) pairs: it has no handler,
+    so every message reaches ``on_unhandled``."""
 
     def __init__(self, name, **kwargs):
         super().__init__(name, **kwargs)
         self.received = []
 
-    def handle_message(self, message):
+    def on_unhandled(self, message):
         self.received.append((self.sim.now, message))
 
 

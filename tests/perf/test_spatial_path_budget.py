@@ -12,22 +12,28 @@ band of a 2 x 1 grid is handled by its game server, tagged and sent as
 docs/ARCHITECTURE.md, "The life of a forwarded update", names the
 frames.
 
-Frames per forwarded update went 76 → 69 → 54 → 46 → 45.  The seven that went
-first only passed the message on: two ``MatrixServer._on_*`` relays
-into the router, three ``ServerContext.send`` relays into
-``Node.send``, and two calls of a ``SpatialPacket`` accessor that
-returned ``self.origin``.  The fifteen after them were the kernel's:
-six ``Event.__init__`` (a delivery and a service period per message),
-three ``Node.sim`` and three ``Simulator.now`` property reads, and the
-three ``_start_next`` hops of the finite-rate queues.  The last
-eight were per-message bookkeeping: three ``TrafficStats.record`` and
-three ``Node.handle_message`` frames (a resolved route accounts inline
-and the queue calls the handler itself), and two
-``ConstantLatency.sample`` calls on the loopback link between a game
-server and its Matrix server (a route carries the fixed latency).  The
-last one was ``LatencyModel.sample`` in front of ``Random.uniform`` on
-the LAN link of ``matrix.forward``: a route calls one shared draw with
-the stdlib arithmetic inlined.  ``BUDGET`` fails at 46.
+Frames per forwarded update went 76 → 69 → 54 → 46 → 45 → 42.  The
+seven that went first only passed the message on: two
+``MatrixServer._on_*`` relays into the router, three
+``ServerContext.send`` relays into ``Node.send``, and two calls of a
+``SpatialPacket`` accessor that returned ``self.origin``.  The fifteen
+after them were the kernel's: six ``Event.__init__`` (a delivery and a
+service period per message), three ``Node.sim`` and three
+``Simulator.now`` property reads, and the three ``_start_next`` hops of
+the finite-rate queues.  The eight after those were per-message
+bookkeeping: three ``TrafficStats.record`` and three
+``Node.handle_message`` frames (a resolved route accounts inline and
+the queue calls the handler itself), and two ``ConstantLatency.sample``
+calls on the loopback link between a game server and its Matrix server
+(a route carries the fixed latency).  The next one was
+``LatencyModel.sample`` in front of ``Random.uniform`` on the LAN link
+of ``matrix.forward``: a route calls one shared draw with the stdlib
+arithmetic inlined.  The last three handed the packet to the game: a
+game-server method and a port method passed ``matrix.deliver`` on to a
+second table the port kept, and the constructor of a wrapper around the
+packet ran once per delivery.  The port now answers from its owner's
+handler table, and ``matrix.deliver`` carries the ``SpatialPacket``
+itself.  ``BUDGET`` fails at 43.
 """
 
 import gc
@@ -41,7 +47,7 @@ from repro.harness.experiment import MatrixExperiment
 from repro.net.message import Message
 
 UPDATES = 500
-BUDGET = 45.5
+BUDGET = 42.5
 
 
 def count_calls(run):
