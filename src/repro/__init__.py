@@ -4,9 +4,15 @@ Middleware 2005).
 
 Package map
 -----------
-* :mod:`repro.sim` — deterministic discrete-event kernel.
+``import repro`` loads the run stack; entries marked *(on demand)* load
+only at the call that uses them (docs/ARCHITECTURE.md, "What ``import
+repro`` loads").
+
+* :mod:`repro.sim` — deterministic discrete-event kernel; the serial
+  shard lanes (``sim.sharded``) on demand.
 * :mod:`repro.net` — simulated network: latency models, bandwidth,
-  finite-rate receive queues, traffic accounting.
+  finite-rate receive queues, traffic accounting; the lanes' network
+  (``net.sharded``) on demand.
 * :mod:`repro.geometry` — vectors, rectangles, metrics, and the
   overlap-region decomposition at the heart of Matrix routing.
 * :mod:`repro.core` — the middleware: Matrix servers, the Matrix
@@ -18,13 +24,16 @@ Package map
 * :mod:`repro.workload` — mobility models, client fleets and the
   scenario catalog (the paper's Fig 2 timeline is ``fig2-hotspot``).
 * :mod:`repro.baselines` — static partitioning, mirrored servers,
-  peer-to-peer groups, DHT lookup.
-* :mod:`repro.analysis` — time series, statistics, ASCII plots, and
-  the §4.2 asymptotic scalability model.
+  peer-to-peer groups, DHT lookup; each rival *(on demand)* in its
+  runner builder.
+* :mod:`repro.analysis` — time series and statistics; ASCII plots and
+  the §4.2 asymptotic scalability model *(on demand)*.
 * :mod:`repro.harness` — the unified scenario runner (the one
-  experiment path) and the comparisons, microbenchmarks and user study
-  that regenerate every figure and table of the paper's evaluation
-  through it.
+  experiment path); the comparisons, ``--jobs`` pool, sweep, fuzz
+  harness, microbenchmarks and user study that regenerate every figure
+  and table of the paper's evaluation through it *(on demand)*.
+* :mod:`repro.chaos`, :mod:`repro.fuzz`, :mod:`repro.trace` — fault
+  injection, scenario fuzzing, record/replay *(on demand)*.
 
 See ``docs/ARCHITECTURE.md`` for the layer map and message lifecycle,
 ``docs/BENCHMARKS.md`` for what each benchmark reproduces.
@@ -51,7 +60,8 @@ from repro.core import (
     ServerPool,
 )
 from repro.geometry import Rect, Vec2
-from repro.harness import MatrixExperiment, run_scenario
+from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
 
 __all__ = [
     "MatrixConfig",

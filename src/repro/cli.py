@@ -9,6 +9,8 @@ of its own.  :func:`build_parser` is a loop over that registry, and
 Every command that runs a scenario goes through ``run_scenario``;
 :func:`run_arguments` is the one place that turns parsed options into
 its arguments, and where a combination that cannot run is refused.
+A handler imports what only it uses, so ``run`` and the ``list-*``
+commands load no trace, fuzz, sweep, chaos or pool code.
 """
 
 from __future__ import annotations
@@ -20,31 +22,7 @@ import time
 from pathlib import Path
 
 from repro.analysis.stats import percentile
-from repro.chaos import format_chaos_report
-from repro.fuzz.generator import fuzz_profile
-from repro.harness.compare import (
-    compare_backends,
-    format_backends_table,
-    scaled_run_arguments,
-    scaled_setup,
-)
-from repro.harness.fuzz import (
-    fuzz_command,
-    fuzz_grid_tasks,
-    record_fuzz_failure,
-    shrink_fuzz_failure,
-)
-from repro.harness.parallel import GridTask, GridTaskError, run_grid
 from repro.harness.runner import backend_infos, backend_names, run_scenario
-from repro.harness.sweep import (
-    format_sweep_table,
-    run_sweep_grid,
-    write_sweep_json,
-)
-from repro.trace.diff import diff_traces, format_diff
-from repro.trace.format import TraceError
-from repro.trace.recorder import record_scenario
-from repro.trace.replay import replay_trace
 from repro.workload.mobility import list_mobility_models
 from repro.workload.scenarios import build_scenario, scenario_names
 
@@ -163,6 +141,8 @@ def run_arguments(
     scale together (the recipe of :mod:`repro.harness.compare`), and a
     combination that cannot run raises :class:`UsageError`.
     """
+    from repro.harness.compare import scaled_run_arguments
+
     if shards is not None and backend != "matrix":
         raise UsageError("--shards only applies to the matrix backend")
     return dict(
@@ -252,6 +232,8 @@ def _summarize_run(outcome, wall: float) -> None:
         )
         print(f"consistency: {rendered}")
     if outcome.experiment.chaos is not None:
+        from repro.chaos import format_chaos_report
+
         print(format_chaos_report(outcome.experiment.chaos.report()))
 
 
@@ -288,6 +270,8 @@ def _cmd_run(args) -> int:
         _summarize_run(outcome, time.perf_counter() - started)
         return 0
     # Several scenarios named: fan out and print a compact table.
+    from repro.harness.parallel import GridTask, run_grid
+
     tasks = [
         GridTask(
             key=(name,),
@@ -335,6 +319,12 @@ def _cmd_run(args) -> int:
     scale=0.1, seed=0,
 )
 def _cmd_compare(args) -> int:
+    from repro.harness.compare import (
+        compare_backends,
+        format_backends_table,
+        scaled_setup,
+    )
+
     scenario = _usage(build_scenario, args.scenario)
     backends = tuple(args.backends.split(",")) if args.backends else None
     unknown = sorted(set(backends or ()) - set(backend_names()))
@@ -374,6 +364,12 @@ def _cmd_compare(args) -> int:
     scale=0.1, seed=0,
 )
 def _cmd_sweep(args) -> int:
+    from repro.harness.sweep import (
+        format_sweep_table,
+        run_sweep_grid,
+        write_sweep_json,
+    )
+
     run = run_sweep_grid(
         args.scale,
         seed=args.seed,
@@ -436,6 +432,10 @@ def _cmd_sweep(args) -> int:
     scale=0.25,
 )
 def _cmd_fuzz(args) -> int:
+    from repro.fuzz.generator import fuzz_profile
+    from repro.harness.fuzz import fuzz_grid_tasks
+    from repro.harness.parallel import GridTaskError, run_grid
+
     # Fail fast on a typo'd profile name.
     if _usage(fuzz_profile, args.profile).faults and args.shards is not None:
         raise UsageError(
@@ -482,6 +482,12 @@ def _cmd_fuzz(args) -> int:
 
 def _report_fuzz_failure(args, seed: int, run_options: dict) -> None:
     """Post-mortem for one failing fuzz seed: trace, then shrink."""
+    from repro.harness.fuzz import (
+        fuzz_command,
+        record_fuzz_failure,
+        shrink_fuzz_failure,
+    )
+
     reproduce = fuzz_command(
         seed, args.profile, scale=args.scale, settle=args.settle,
         preview=args.duration, shards=args.shards,
@@ -515,6 +521,8 @@ def _report_fuzz_failure(args, seed: int, run_options: dict) -> None:
 def record_trace_cell(name: str, out: str, **run_options) -> dict:
     """One ``record`` fan-out cell (module-level: picklable);
     *run_options* are :func:`run_arguments`'."""
+    from repro.trace.recorder import record_scenario
+
     run = record_scenario(**run_arguments(name, **run_options))
     path = run.write(out)
     return {
@@ -538,6 +546,8 @@ def record_trace_cell(name: str, out: str, **run_options) -> dict:
     scale=0.1, seed=0,
 )
 def _cmd_record(args) -> int:
+    from repro.harness.parallel import GridTask, GridTaskError, run_grid
+
     options = _run_options(args)
     names = _checked_names(args, options)
     target = Path(args.out)
@@ -580,6 +590,9 @@ def _cmd_record(args) -> int:
     ),
 )
 def _cmd_replay(args) -> int:
+    from repro.trace.format import TraceError
+    from repro.trace.replay import replay_trace
+
     drifted = False
     for path in args.traces:
         try:
@@ -604,6 +617,9 @@ def _cmd_replay(args) -> int:
     option("trace_b", metavar="b"),
 )
 def _cmd_diff(args) -> int:
+    from repro.trace.diff import diff_traces, format_diff
+    from repro.trace.format import TraceError
+
     try:
         diff = diff_traces(args.trace_a, args.trace_b)
     except TraceError as exc:

@@ -7,7 +7,6 @@ from repro.geometry.metrics import (
     metric_by_name,
 )
 from repro.geometry.rect import Rect, tile_world
-from repro.geometry.sharding import ShardMap, grid_shape
 from repro.geometry.regions import (
     ConsistencySet,
     OverlapCell,
@@ -33,12 +32,10 @@ __all__ = [
     "PartitionIndex",
     "Rect",
     "RegionIndex",
-    "ShardMap",
     "Vec2",
     "compute_overlap_map",
     "consistency_set_at",
     "decompose_partition",
-    "grid_shape",
     "group_regions",
     "metric_by_name",
     "tile_world",

@@ -16,7 +16,6 @@ around the cell, never mixed into the payload, so merged
 from __future__ import annotations
 
 from repro.analysis.stats import percentile
-from repro.chaos import ChaosOptions
 from repro.harness.compare import (
     Verdict,
     backend_run_options,  # noqa: F401  (perfbench imports it from here)
@@ -98,6 +97,8 @@ def chaos_recovery_cell(
     crash and coordinator failover, then a settle window and the
     leak/coverage audit.  All returned fields are simulation-time
     quantities — deterministic for a given seed."""
+    from repro.chaos import ChaosOptions
+
     scenario = build_scenario(name)
     horizon = min(scenario.duration, preview)
     chaos = ChaosOptions(

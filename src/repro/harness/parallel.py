@@ -6,7 +6,8 @@ set of *independent* cells: one ``(scenario, backend, seed, scale)``
 simulation each, no shared state.  :func:`run_grid` executes such a
 grid either serially (the default, ``jobs=None``/``1`` — in-process,
 bit-identical to the historical loops) or fanned out over a
-``ProcessPoolExecutor`` of ``spawn`` workers.
+``ProcessPoolExecutor`` of ``spawn`` workers (imported only then:
+a serial grid and a plain run never load ``multiprocessing``).
 
 Determinism is the contract: a cell's result depends only on its
 declared task (function + picklable kwargs, including its seed), never
@@ -37,10 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
@@ -116,6 +114,8 @@ def _execute_grid_task(task: GridTask) -> "GridCell | _CellFailure":
     try:
         value = task.fn(**task.kwargs)
     except Exception:
+        import traceback
+
         return _CellFailure(task.key, traceback.format_exc())
     return GridCell(
         key=task.key,
@@ -199,6 +199,9 @@ def _run_pooled(
     jobs: int,
     on_result: Callable[[GridCell], None] | None,
 ) -> list[GridCell]:
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from multiprocessing import get_context
+
     cells: list[GridCell] = []
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(tasks)),

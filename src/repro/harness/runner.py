@@ -11,20 +11,18 @@ which is what makes cross-system comparisons (T-static)
 apples-to-apples.
 
 This is the execution half of the scenario subsystem; the declarative
-half lives in :mod:`repro.workload.scenarios`.
+half lives in :mod:`repro.workload.scenarios`.  A rival backend's module
+is imported by its builder and chaos only when a run arms it, so a
+plain Matrix run loads neither (docs/ARCHITECTURE.md, "What ``import
+repro`` loads").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.baselines.backend import BackendInfo
-from repro.baselines.dht import DhtExperiment
-from repro.baselines.mirrored import MirroredExperiment
-from repro.baselines.p2p import P2PExperiment
-from repro.baselines.static import StaticExperiment
-from repro.chaos import ChaosDriver, ChaosOptions
 from repro.games.profile import GameProfile, profile_by_name
 from repro.harness.experiment import MatrixExperiment
 from repro.workload.scenarios import (
@@ -32,6 +30,13 @@ from repro.workload.scenarios import (
     Scenario,
     build_scenario,
 )
+
+if TYPE_CHECKING:
+    from repro.baselines.dht import DhtExperiment
+    from repro.baselines.mirrored import MirroredExperiment
+    from repro.baselines.p2p import P2PExperiment
+    from repro.baselines.static import StaticExperiment
+    from repro.chaos import ChaosOptions
 
 
 @dataclass
@@ -63,9 +68,11 @@ def _resolve_chaos(
     """
     if chaos is None or chaos is False:
         return None
-    if chaos == "auto":
-        return ChaosOptions() if scenario.has_faults else None
-    if chaos is True:
+    if chaos == "auto" and not scenario.has_faults:
+        return None
+    if chaos == "auto" or chaos is True:
+        from repro.chaos import ChaosOptions
+
         return ChaosOptions()
     return chaos
 
@@ -172,6 +179,8 @@ def _tiled(scenario: Scenario, options: dict) -> dict:
     )
 )
 def _build_static(scenario, profile, chaos, **options) -> StaticExperiment:
+    from repro.baselines.static import StaticExperiment
+
     return StaticExperiment(profile, **_tiled(scenario, options))
 
 
@@ -185,6 +194,8 @@ def _build_static(scenario, profile, chaos, **options) -> StaticExperiment:
     )
 )
 def _build_mirrored(scenario, profile, chaos, **options) -> MirroredExperiment:
+    from repro.baselines.mirrored import MirroredExperiment
+
     return MirroredExperiment(profile, **options)
 
 
@@ -198,6 +209,8 @@ def _build_mirrored(scenario, profile, chaos, **options) -> MirroredExperiment:
     )
 )
 def _build_p2p(scenario, profile, chaos, **options) -> P2PExperiment:
+    from repro.baselines.p2p import P2PExperiment
+
     return P2PExperiment(profile, **_tiled(scenario, options))
 
 
@@ -211,6 +224,8 @@ def _build_p2p(scenario, profile, chaos, **options) -> P2PExperiment:
     )
 )
 def _build_dht(scenario, profile, chaos, **options) -> DhtExperiment:
+    from repro.baselines.dht import DhtExperiment
+
     return DhtExperiment(profile, **_tiled(scenario, options))
 
 
@@ -262,6 +277,8 @@ def run_scenario(
     experiment = build(scenario, profile, chaos_options, **options)
     scenario.install(experiment.fleet, profile)
     if chaos_options is not None:
+        from repro.chaos import ChaosDriver
+
         experiment.chaos = ChaosDriver(
             scenario, experiment, backend, chaos_options
         )

@@ -32,7 +32,6 @@ from repro.net.network import (
 )
 from repro.net.node import Node
 from repro.net.queue import ReceiveQueue
-from repro.net.sharded import ShardedNetwork
 from repro.net.stats import Counter, TrafficStats
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "Node",
     "NormalLatency",
     "ReceiveQueue",
-    "ShardedNetwork",
     "SpatialBatchingStage",
     "TrafficStats",
     "UniformLatency",

@@ -8,13 +8,10 @@ seeded RNG streams (:class:`RngRegistry`).
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.process import PeriodicTask
 from repro.sim.rng import RngRegistry
-from repro.sim.sharded import LaneSimulator, ShardedSimulator
 
 __all__ = [
-    "LaneSimulator",
     "PeriodicTask",
     "RngRegistry",
-    "ShardedSimulator",
     "SimulationError",
     "Simulator",
 ]

@@ -28,7 +28,8 @@ from repro.net import (
 )
 from repro.net.middleware import MiddlewareStage
 from repro.net.sharded import ShardedNetwork
-from repro.sim import RngRegistry, ShardedSimulator, Simulator
+from repro.sim import RngRegistry, Simulator
+from repro.sim.sharded import ShardedSimulator
 from repro.workload.scenarios import ArrivalWave, Scenario
 
 WAN = LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6)

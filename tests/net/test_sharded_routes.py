@@ -15,7 +15,8 @@ from repro.geometry import Rect, Vec2
 from repro.geometry.sharding import ShardMap
 from repro.net import LinkProfile, Node, NormalLatency, handles
 from repro.net.sharded import ShardedNetwork
-from repro.sim import RngRegistry, ShardedSimulator
+from repro.sim import RngRegistry
+from repro.sim.sharded import ShardedSimulator
 
 WORLD = Rect(0.0, 0.0, 100.0, 100.0)  # two lanes: x < 50, x >= 50
 WAN = LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6)

@@ -54,7 +54,8 @@ from repro.geometry import Rect, Vec2
 from repro.geometry.sharding import ShardMap
 from repro.net import LinkProfile, Network, Node, NormalLatency, handles
 from repro.net.sharded import ShardedNetwork
-from repro.sim import RngRegistry, ShardedSimulator, Simulator
+from repro.sim import RngRegistry, Simulator
+from repro.sim.sharded import ShardedSimulator
 
 MESSAGES = 1000
 WAN = LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6)
