@@ -16,19 +16,29 @@ send of an ordered pair builds its :class:`Route`, which
 change drops every route.  A route's latency draw is shared by every
 route with the same model and stream.  The sharded network shares this
 transmit.
+
+A packet crosses the kernel without a network frame on the far side:
+``transmit`` pushes the heap entry itself, and its callback is the
+route's *arrival* — the destination's bound ``ReceiveQueue.deliver``,
+bound once per node and shared by every route to it.  A node's
+removal detaches its queue and drops its routes, so an arrival in
+flight to a removed node meets a queue that hands it back
+(:meth:`Network._arrive_detached`): the lookup by name happens on that
+rare branch only.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.net.latency import ConstantLatency, LatencyModel, lan, loopback, wan
 from repro.net.message import Message
 from repro.net.node import Node
 from repro.net.stats import Counter, TrafficStats
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimulationError, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perf import PerfRegistry
@@ -69,17 +79,21 @@ _LOOPBACK = loopback_profile()
 
 class Route:
     """One ordered pair's fixed latency (or ``None``), latency draw
-    (``None`` on a constant link), bandwidth, ``by_pair`` counter and the
-    simulator its destination lives on (``None`` when not known yet)."""
+    (``None`` on a constant link), bandwidth, ``by_pair`` counter, the
+    simulator its destination lives on and the destination's arrival
+    callable (both ``None`` while the destination is not registered)."""
 
-    __slots__ = ("fixed", "draw", "bandwidth", "counter", "lane")
+    __slots__ = ("fixed", "draw", "bandwidth", "counter", "lane", "arrive")
 
-    def __init__(self, profile: LinkProfile, counter: Counter, draw, lane) -> None:
+    def __init__(
+        self, profile: LinkProfile, counter: Counter, draw, lane, arrive
+    ) -> None:
         self.fixed = profile.latency.fixed
         self.draw = draw
         self.bandwidth = profile.bandwidth
         self.counter = counter
         self.lane = lane
+        self.arrive = arrive
 
 
 class Network:
@@ -111,7 +125,8 @@ class Network:
         #: The trace recorder subscribes here; the hot path pays one
         #: falsy check when no tap is installed.
         self._taps: list = []
-        self.delivered_count = 0
+        #: Arrivals at the queues of nodes removed so far.
+        self._retired_arrivals = 0
         #: Messages addressed to a node that was gone at send time or
         #: vanished in flight (decommission races, chaos crashes).
         self.undeliverable_count = 0
@@ -143,12 +158,38 @@ class Network:
         return node
 
     def remove_node(self, name: str) -> None:
-        """Deregister a node (messages in flight to it are dropped)."""
-        self._nodes.pop(name, None)
+        """Deregister a node.
+
+        Its queue is detached — a message in flight to it goes to the
+        node that holds the name when it arrives, if any, and is
+        undeliverable otherwise — and every route naming it is dropped,
+        so no route keeps the dead queue alive.  Removals are rare
+        (reclaims, crashes), so the scan is cheap.
+        """
+        node = self._nodes.pop(name, None)
+        if node is None:
+            return
+        queue = node._inbox
+        queue.detach(self)
+        self._retired_arrivals += queue.arrivals
+        routes = self._routes
+        for key in [key for key in routes if name in key]:
+            del routes[key]
 
     def has_node(self, name: str) -> bool:
         """True when *name* is currently registered."""
         return name in self._nodes
+
+    @property
+    def delivered_count(self) -> int:
+        """Messages that reached a registered node's receive queue.
+
+        Derived from the queues (:attr:`ReceiveQueue.arrivals`), not
+        counted per packet.
+        """
+        return self._retired_arrivals + sum(
+            node._inbox.arrivals for node in self._nodes.values()
+        )
 
     def set_prefix_profile(
         self, src_prefix: str, dst_prefix: str, profile: LinkProfile
@@ -192,7 +233,14 @@ class Network:
             draw = self._draws.get((latency, rng))
             if draw is None:
                 draw = self._draws[latency, rng] = latency.sampler(rng)
-        route = Route(profile, self.stats.by_pair[key], draw, self._lane_of(dst))
+        node = self._nodes.get(dst)
+        route = Route(
+            profile,
+            self.stats.by_pair[key],
+            draw,
+            self._lane_of(dst),
+            None if node is None else node._arrive,
+        )
         self._routes[key] = route
         return route
 
@@ -251,31 +299,54 @@ class Network:
             # sorts what it buffers.
             for tap in self._taps:
                 tap(message)
-        if dst not in self._nodes:
-            self.undeliverable_count += 1
-            return
+        arrive = route.arrive
+        if arrive is None:
+            node = self._nodes.get(dst)
+            if node is None:
+                self.undeliverable_count += 1
+                return
+            # Registered after the route was built.
+            arrive = route.arrive = node._arrive
+            route.lane = self._lane_of(dst)
         delay = route.fixed
         if delay is None:
             delay = route.draw()
         delay += size / route.bandwidth
-        # The message rides the heap entry (``arg``): no closure.  On the
-        # plain network the destination's lane is always the sender's.
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        # The arrival is the destination queue's ``deliver``, the message
+        # rides the heap entry (``arg``), and the entry is pushed here:
+        # the entry contract of repro.sim.events.  On the plain network
+        # the destination's lane is always the sender's.
         if route.lane is sim:
-            sim.after(delay, self._deliver, message)
+            heappush(
+                sim._heap, [sim.now + delay, next(sim._counter), arrive, message]
+            )
         else:
-            self._hand_off(sim, delay, message)
+            self._hand_off(sim, delay, route, message)
 
-    def _hand_off(self, sim: Simulator, delay: float, message: Message) -> None:
-        """Schedule a delivery whose route does not name the sending
-        simulator *sim* — a lane crossing, which the sharded network
-        overrides.  Here it is reached only with a sharded engine as
-        ``self.sim``, whose lanes defer a crossing ``after`` themselves."""
-        sim.after(delay, self._deliver, message)
+    def _hand_off(
+        self, sim: Simulator, delay: float, route: Route, message: Message
+    ) -> None:
+        """Schedule an arrival whose route does not name the sending
+        simulator *sim*: a lane crossing, which only the sharded network
+        has."""
+        raise SimulationError(
+            "a plain Network runs on one Simulator; shard lanes need the "
+            "sharded network"
+        )
 
-    def _deliver(self, message: Message) -> None:
+    def _arrive_detached(self, message: Message, sim: Simulator) -> None:
+        """An arrival the queue of a removed node refused (it fired on
+        *sim*): the node holding the name now gets it, or it is
+        undeliverable — the destination was decommissioned in flight."""
         node = self._nodes.get(message.dst)
         if node is None:
             self.undeliverable_count += 1
-            return  # destination decommissioned while in flight
-        self.delivered_count += 1
-        node._inbox.deliver(message)
+        elif node.sim is not sim:
+            raise SimulationError(
+                f"a message in flight to {message.dst!r} arrived after "
+                f"the name was re-added on another lane"
+            )
+        else:
+            node._arrive(message)

@@ -64,6 +64,9 @@ class Node(ABC):
         self._queue_capacity = queue_capacity
         self._priority_kinds = priority_kinds
         self._inbox: ReceiveQueue | None = None
+        #: ``self._inbox.deliver``, bound once in :meth:`attach`: every
+        #: route to this node holds this one object as its arrival.
+        self._arrive = None
         self.middleware = MiddlewarePipeline(self)
         # The pipeline's live stage list (appended to in place by
         # ``use``): an empty-list truthiness check is how the hot send/
@@ -97,6 +100,7 @@ class Node(ABC):
             capacity=self._queue_capacity,
             priority_kinds=self._priority_kinds,
         )
+        self._arrive = self._inbox.deliver
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
         """Install a middleware stage (innermost position)."""

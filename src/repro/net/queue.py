@@ -7,12 +7,23 @@ packet service rate; while arrivals outpace service, the queue grows,
 and it drains once Matrix sheds load off the node.  Messages of a
 node's priority kinds (control-plane directives) go to the head.
 
-At a finite rate the message in service stays at the head of the
-queue until its service period ends, so it counts in ``length``.  A
-service period is started in the method that finds the queue needs
+The network schedules an arrival as a call of the destination's
+:meth:`ReceiveQueue.deliver` itself: the heap entry's callback is the
+queue.  At a finite rate the message in service stays at the head of
+the queue until its service period ends, so it counts in ``length``.
+A service period is started in the method that finds the queue needs
 one — :meth:`ReceiveQueue.deliver` for an idle queue,
-:meth:`ReceiveQueue._finish_one` for a backlog — with one ``after``
-and no helper frame.
+:meth:`ReceiveQueue._finish_one` for a backlog — which pushes its heap
+entry itself (the entry contract in :mod:`repro.sim.events`): no
+scheduling call, no helper frame.
+
+A queue refuses an arrival once its host crashed (:meth:`halt`: the
+message counts as delivered and dies with the host) or its node left
+the network (:meth:`detach`: the network hands the message to whichever
+node holds the name now, or counts it undeliverable).  Both are one
+flag on the per-message path.  What arrived is derived from the
+counters the queue keeps anyway (:attr:`ReceiveQueue.arrivals`), so an
+arrival costs no count of its own.
 
 A serviced message goes straight to its entry in the node's handler
 table while the node has no stage; the node's ``handle_message`` takes
@@ -23,11 +34,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappush
 from typing import Callable, TYPE_CHECKING
 
 from repro.net.message import Message
+from repro.sim.events import NO_ARG
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import Network
     from repro.sim.kernel import Simulator
 
 
@@ -82,6 +96,12 @@ class ReceiveQueue:
         self._queue: deque[Message] = deque()
         self._busy = False
         self._halted = False
+        #: The network that detached this queue (``None`` while attached).
+        self._detached_from: "Network | None" = None
+        #: Halted or detached: :meth:`deliver` refuses every arrival.
+        self._refusing = False
+        #: Arrivals that died with a halted host: queued ones, then new.
+        self._discarded = 0
         self.serviced_count = 0
         self.dropped_count = 0
         self.busy_time = 0.0
@@ -100,6 +120,19 @@ class ReceiveQueue:
         outside its handler.
         """
         return len(self._queue)
+
+    @property
+    def arrivals(self) -> int:
+        """Messages this queue accepted: serviced, dropped at the cap,
+        still queued, or lost to :meth:`halt`.  Constant once the queue
+        is detached (a backlog being serviced moves from queued to
+        serviced)."""
+        return (
+            self.serviced_count
+            + self.dropped_count
+            + len(self._queue)
+            + self._discarded
+        )
 
     @property
     def peak_length(self) -> int:
@@ -133,12 +166,34 @@ class ReceiveQueue:
         does nothing.  Used by chaos-layer crash injection only.
         """
         self._halted = True
+        self._refusing = True
+        self._discarded += len(self._queue)
         self._queue.clear()
         self._busy = False
 
+    def detach(self, network: "Network") -> None:
+        """The node left *network*: refuse every later arrival.
+
+        What is queued is still serviced (a removed node drains its
+        backlog, as it always did); an arrival — in flight when the
+        node was removed — goes back to *network*, which hands it to
+        the node holding the name now or counts it undeliverable.
+        """
+        self._detached_from = network
+        self._refusing = True
+
+    def _refuse(self, message: Message) -> None:
+        network = self._detached_from
+        if network is not None:
+            network._arrive_detached(message, self._sim)
+        else:  # halted: delivered, and lost with the host
+            self._discarded += 1
+
     def deliver(self, message: Message) -> None:
-        """A message arrives from the network."""
-        if self._halted:
+        """A message arrives from the network (the arrival event's
+        callback)."""
+        if self._refusing:
+            self._refuse(message)
             return
         queue = self._queue
         if self._in_place and not self._busy and not queue:
@@ -179,7 +234,11 @@ class ReceiveQueue:
         else:
             delay = self._service_delay
             self.busy_time += delay
-            self._sim.after(delay, self._finish_one)
+            sim = self._sim
+            heappush(
+                sim._heap,
+                [sim.now + delay, next(sim._counter), self._finish_one, NO_ARG],
+            )
 
     def _finish_one(self) -> None:
         """Service the head of the queue.
@@ -203,6 +262,10 @@ class ReceiveQueue:
                 # handler scheduled.
                 delay = self._service_delay
                 self.busy_time += delay
-                self._sim.after(delay, self._finish_one)
+                sim = self._sim
+                heappush(
+                    sim._heap,
+                    [sim.now + delay, next(sim._counter), self._finish_one, NO_ARG],
+                )
                 return
         self._busy = False

@@ -30,8 +30,11 @@ What changes relative to the classic fabric:
 supplies the per-source stream (:meth:`_latency_rng`) and the
 destination's lane (:meth:`_lane_of`), both kept on the routes, and the
 hand-off for a lane crossing (:meth:`_hand_off`).  A same-lane send is
-the plain network's ``after``.  Sums do not depend on the order lanes
-add to them, and the stats digest is canonical.
+the plain network's push onto the sending lane's heap.  Either way the
+arrival's callback is the route's — the destination queue's
+``deliver`` — so the outbox and the barrier flush carry it too.  Sums
+do not depend on the order lanes add to them, and the stats digest is
+canonical.
 
 The lookahead the engine needs is :meth:`minimum_cross_latency`: the
 smallest ``LatencyModel.minimum()`` over every profile that can apply
@@ -47,7 +50,7 @@ from typing import TYPE_CHECKING
 
 from repro.geometry.sharding import ShardMap
 from repro.net.message import Message
-from repro.net.network import LinkProfile, Network
+from repro.net.network import LinkProfile, Network, Route
 from repro.net.node import Node
 from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.rng import RngRegistry
@@ -145,30 +148,28 @@ class ShardedNetwork(Network):
         slot = self._node_lane.get(dst)
         return None if slot is None else self._engine.lane(slot)
 
-    def _hand_off(self, sim: Simulator, delay: float, message: Message) -> None:
-        """Schedule a delivery whose route does not name the sending lane
-        *sim*: through its outbox, or on *sim* when a route built before
-        the destination was registered hid that they share it."""
+    def _hand_off(
+        self, sim: Simulator, delay: float, route: Route, message: Message
+    ) -> None:
+        """Put an arrival whose route names another lane than the sending
+        lane *sim* into *sim*'s outbox, with the route's arrival."""
         src_slot = sim.slot
-        dst_slot = self._node_lane[message.dst]
-        if dst_slot == src_slot:
-            sim.after(delay, self._deliver, message)
-        else:
-            seq = self._outbox_seq[src_slot]
-            self._outbox_seq[src_slot] = seq + 1
-            self._outboxes[src_slot].append(
-                (sim.now + delay, seq, dst_slot, message)
-            )
-            self._engine.exchange_pending = True
-            self.cross_border_count += 1
-            if self._perf_cross is not None:
-                self._perf_cross.add(message.size_bytes)
+        seq = self._outbox_seq[src_slot]
+        self._outbox_seq[src_slot] = seq + 1
+        self._outboxes[src_slot].append(
+            (sim.now + delay, seq, route.lane.slot, route.arrive, message)
+        )
+        self._engine.exchange_pending = True
+        self.cross_border_count += 1
+        if self._perf_cross is not None:
+            self._perf_cross.add(message.size_bytes)
 
     # ------------------------------------------------------------------
     # Barrier work
     # ------------------------------------------------------------------
     def remove_node(self, name: str) -> None:
-        """Queue deregistration; it takes effect at the next barrier.
+        """Queue deregistration; it takes effect (the plain network's:
+        queue detached, routes dropped) at the next barrier.
 
         Mid-window removal would make another lane's send see the node
         present or absent depending on which lane's window ran first;
@@ -181,15 +182,17 @@ class ShardedNetwork(Network):
     def _on_barrier(self, horizon: float) -> None:
         if not self._pending_removals and not any(self._outboxes):
             return
-        transfers: list[tuple[float, int, int, int, Message]] = []
+        transfers: list[tuple] = []
         for slot, outbox in enumerate(self._outboxes):
             if outbox:
                 self._outboxes[slot] = []
-                for arrival, seq, dst_slot, message in outbox:
-                    transfers.append((arrival, seq, slot, dst_slot, message))
+                for arrival, seq, dst_slot, arrive, message in outbox:
+                    transfers.append(
+                        (arrival, seq, slot, dst_slot, arrive, message)
+                    )
         transfers.sort()  # canonical: the (time, seq, shard) prefix is unique
         lanes = self._engine._all
-        for arrival, _seq, _src, dst_slot, message in transfers:
+        for arrival, _seq, _src, dst_slot, arrive, message in transfers:
             if arrival < horizon:
                 raise SimulationError(
                     f"cross-border message {message.kind!r} arriving at "
@@ -197,7 +200,7 @@ class ShardedNetwork(Network):
                     f"{horizon}); is a profile's minimum() overstated?"
                 )
             # Between windows no lane is active: a plain push.
-            Simulator.at(lanes[dst_slot], arrival, self._deliver, message)
+            Simulator.at(lanes[dst_slot], arrival, arrive, message)
         for name in self._pending_removals:
-            self._nodes.pop(name, None)
+            Network.remove_node(self, name)
         self._pending_removals = []

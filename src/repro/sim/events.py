@@ -22,6 +22,28 @@ record.
 
 A schedule is therefore one list and one ``heappush``, made in the
 scheduling method's own frame.
+
+The heap and the counter are part of this contract, not private to the
+kernel: a simulator's ``_heap`` is the list the entries live in and its
+``_counter`` (an ``itertools.count``) hands out the sequence numbers.
+The three per-packet schedulers — :meth:`Network.transmit
+<repro.net.network.Network.transmit>` for an arrival,
+:meth:`ReceiveQueue.deliver <repro.net.queue.ReceiveQueue.deliver>` /
+``_finish_one`` for a service period and ``PeriodicTask._fire`` for the
+next tick — build the entry and push it onto the executing simulator's
+heap themselves, exactly as ``Simulator.after`` would::
+
+    heappush(sim._heap, [sim.now + delay, next(sim._counter), callback, arg])
+
+so a packet pays no scheduling frame.  On a shard lane the pusher is
+always the lane that is executing, where ``LaneSimulator.after`` makes
+the same push (no cross-lane deferral).  A pusher takes the next sequence
+number at the moment ``after`` would have, and either has a delay that
+is non-negative by construction (a service period, a tick interval) or
+checks it and raises :class:`~repro.sim.kernel.SimulationError` as
+``after`` does (an arrival: a user latency model may draw a negative
+value).  Nothing else pushes directly; every other schedule goes
+through ``at`` / ``after``.
 """
 
 from __future__ import annotations

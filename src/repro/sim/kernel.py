@@ -23,9 +23,13 @@ event-for-event identical to a plain one.
 
 A schedule is one frame: :meth:`Simulator.at` / :meth:`Simulator.after`
 build the ``[time, seq, callback, arg]`` heap entry, push it, and
-return it as the cancel handle.  ``now`` is a plain attribute that only
-the loop (and the end of a run, or of a sharded window) writes, so
-reading the clock costs no frame either.
+return it as the cancel handle.  A per-packet schedule costs none: the
+network's arrival, the receive queue's service period and a periodic
+task's next tick push the same entry onto ``_heap`` with the next
+``_counter`` value themselves (the entry contract in
+:mod:`repro.sim.events`).  ``now`` is a plain attribute that only the
+loop (and the end of a run, or of a sharded window) writes, so reading
+the clock costs no frame either.
 """
 
 from __future__ import annotations
@@ -73,7 +77,9 @@ class Simulator:
         #: The simulator a send made now runs on (the sharded facade's
         #: is its executing lane).
         self.current = self
-        #: ``[time, seq, callback, arg]`` entries (see repro.sim.events).
+        #: ``[time, seq, callback, arg]`` entries and the sequence
+        #: numbers they take: both part of the entry contract, since the
+        #: per-packet schedulers push here themselves (repro.sim.events).
         self._heap: list[list] = []
         self._counter = itertools.count()
         # Cancelled events still in the heap (deletion is lazy).  The

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, TYPE_CHECKING
+
+from repro.sim.events import NO_ARG
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.kernel import Simulator
@@ -11,11 +14,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 class PeriodicTask:
     """A repeating callback created by :meth:`Simulator.every`.
 
-    The task reschedules itself after each firing, keeping the heap
-    entry of its next occurrence only to cancel it: :meth:`stop` does
-    that and prevents any further ones.  The callback may call
-    ``stop()`` on its own handle to self-terminate; the entry that is
-    firing has already left the heap, so that cancel is a no-op.
+    The task reschedules itself after each firing — it pushes the heap
+    entry of its next occurrence itself (the interval is positive by
+    construction; see :mod:`repro.sim.events`) — keeping that entry
+    only to cancel it: :meth:`stop` does that and prevents any further
+    ones.  The callback may call ``stop()`` on its own handle to
+    self-terminate; the entry that is firing has already left the heap,
+    so that cancel is a no-op.
     """
 
     def __init__(
@@ -36,7 +41,11 @@ class PeriodicTask:
             return
         self._callback()
         if not self._stopped:
-            self._pending = self._sim.after(self._interval, self._fire)
+            sim = self._sim
+            self._pending = entry = [
+                sim.now + self._interval, next(sim._counter), self._fire, NO_ARG
+            ]
+            heappush(sim._heap, entry)
 
     def stop(self) -> None:
         """Stop the task (idempotent)."""

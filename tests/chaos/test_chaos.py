@@ -14,7 +14,7 @@ from repro.core.config import LoadPolicyConfig, MatrixConfig
 from repro.core.deployment import MatrixDeployment
 from repro.games.profile import profile_by_name
 from repro.geometry import Rect
-from repro.harness.compare import scaled_profile
+from repro.harness.compare import scaled_profile, scaled_run_arguments
 from repro.harness.runner import run_scenario
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -219,6 +219,29 @@ def test_chaos_runs_are_seed_deterministic():
 
     assert digest(11) == digest(11)
     assert digest(11) != digest(12)
+
+
+def test_crash_path_accounting_is_pinned():
+    """The run ``python -m repro run crash-during-split --scale 0.05
+    --seed 1`` makes: the one path where halted and removed receive
+    queues meet traffic in flight.  Its events, messages and the
+    network's delivered / undeliverable split ("packets lost") are
+    pinned at the values the lookup-at-arrival delivery produced, so an
+    arrival path that refuses, redirects or counts differently fails
+    here."""
+    outcome = run_scenario(
+        **scaled_run_arguments(
+            build_scenario("crash-during-split"), "matrix", 0.05, 1
+        )
+    )
+    network = outcome.experiment.network
+    assert outcome.experiment.chaos is not None
+    assert (
+        outcome.result.events_processed,
+        network.stats.total.messages,
+        network.delivered_count,
+        network.undeliverable_count,
+    ) == (80_493, 38_427, 38_175, 243)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Routes on the sharded network name their destination's lane.
 
 A send whose route names the sending lane is the plain network's
-``after``; any other goes through the lane hand-off.  A route built
-before its destination was registered names no lane, and a name
+push; any other goes through the lane hand-off.  A route built
+before its destination was registered names no lane until its first
+send after the registration, and a name
 re-homed on another lane must not keep its old routes: either way the
 message is still handled on the destination's own lane.  At unit scale
 the traffic digest and every node's receive order equal the

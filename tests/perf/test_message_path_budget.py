@@ -9,7 +9,7 @@ path (``Network(perf=None)``) has a budget.  docs/ARCHITECTURE.md,
 
 The sharded rows run the same two nodes on ``ShardedSimulator(2)`` +
 ``ShardedNetwork``: anchored on one lane (the route names the sending
-lane, so the message is the plain path's ``after``) and on two (the
+lane, so the message is the plain path's push) and on two (the
 hand-off to an outbox, then the barrier flush).  The engine with a
 thread-local active lane behind accessor calls and per-lane accounting
 slots (commit 3e29abb) cost 21.2 and 25.2 frames per message here.  The
@@ -30,18 +30,22 @@ barrier loop reads heads inline, drains each lane through
 ``_inject``, ``next_time``, ``run_window`` or barrier-hook frame per
 round); *draw* — a jittered link's latency is one shared zero-argument
 draw with ``Random.gauss`` inlined (no ``LatencyModel.sample`` frame in
-front of the stdlib one).  Every budget fails at the column before the
-one that set it:
+front of the stdlib one); *arrive* — ``transmit``, the receive queue
+and a periodic task push their heap entries themselves (no
+``Simulator.after`` for an arrival or a service period) and an
+arrival's callback is the destination's ``ReceiveQueue.deliver`` (no
+``Network._deliver`` between the heap and the queue).  Every budget
+fails at the column before the one that set it:
 
-==========  ======  =====  =====  ====  ====  ======
-row         before  entry  route  lane  draw  budget
-==========  ======  =====  =====  ====  ====  ======
-idle        12.0    11.0   9.0    9.0   8.0   8.5
-queued      16.0    13.0   11.0   11.0  10.0  10.5
-same-lane   13.1    12.1   10.1   9.0   8.0   8.5
-cross-lane  15.1    14.1   10.1   10.0  9.0   9.5
-round                      9.0    3.0   3.0   4
-==========  ======  =====  =====  ====  ====  ======
+==========  ======  =====  =====  ====  ====  ======  ======
+row         before  entry  route  lane  draw  arrive  budget
+==========  ======  =====  =====  ====  ====  ======  ======
+idle        12.0    11.0   9.0    9.0   8.0   6.0     6.5
+queued      16.0    13.0   11.0   11.0  10.0  7.0     7.5
+same-lane   13.1    12.1   10.1   9.0   8.0   6.0     6.5
+cross-lane  15.1    14.1   10.1   10.0  9.0   8.0     8.5
+round                      9.0    3.0   3.0   3.0     4
+==========  ======  =====  =====  ====  ====  ======  ======
 """
 
 import gc
@@ -114,7 +118,7 @@ def frames_per_message(service_rate):
 
 @pytest.mark.parametrize(
     "service_rate, budget",
-    [(float("inf"), 8.5), (500.0, 10.5)],
+    [(float("inf"), 6.5), (500.0, 7.5)],
     ids=["idle", "queued"],
 )
 def test_frames_from_send_to_handler(service_rate, budget):
@@ -154,7 +158,7 @@ def sharded_frames_per_message(sink_x):
 
 
 @pytest.mark.parametrize(
-    "sink_x, budget", [(20, 8.5), (90, 9.5)], ids=["same-lane", "cross-lane"]
+    "sink_x, budget", [(20, 6.5), (90, 8.5)], ids=["same-lane", "cross-lane"]
 )
 def test_frames_from_send_to_handler_on_shard_lanes(sink_x, budget):
     frames = sharded_frames_per_message(sink_x)

@@ -12,7 +12,7 @@ band of a 2 x 1 grid is handled by its game server, tagged and sent as
 docs/ARCHITECTURE.md, "The life of a forwarded update", names the
 frames.
 
-Frames per forwarded update went 76 → 69 → 54 → 46 → 45 → 42.  The
+Frames per forwarded update went 76 → 69 → 54 → 46 → 45 → 42 → 33.  The
 seven that went first only passed the message on: two
 ``MatrixServer._on_*`` relays into the router, three
 ``ServerContext.send`` relays into ``Node.send``, and two calls of a
@@ -33,7 +33,23 @@ game-server method and a port method passed ``matrix.deliver`` on to a
 second table the port kept, and the constructor of a wrapper around the
 packet ran once per delivery.  The port now answers from its owner's
 handler table, and ``matrix.deliver`` carries the ``SpatialPacket``
-itself.  ``BUDGET`` fails at 43.
+itself.  The nine after those were the kernel's again, three per
+message: the ``Simulator.after`` of its arrival, ``Network._deliver``
+between the heap and the queue, and the ``Simulator.after`` of its
+service period.  ``transmit`` and the queue push their heap entries
+themselves, and an arrival's callback is the destination queue's
+``deliver``.  Frames per leg (to its handler) and per update:
+
+===========================  ====  ======
+frames                       draw  arrive
+===========================  ====  ======
+``game.spatial``, loopback   8     5
+``matrix.forward``, LAN      9     6
+``matrix.deliver``, loopback 8     5
+update                       42    33
+===========================  ====  ======
+
+``BUDGET`` fails at 34, and at the *draw* column.
 """
 
 import gc
@@ -47,7 +63,7 @@ from repro.harness.experiment import MatrixExperiment
 from repro.net.message import Message
 
 UPDATES = 500
-BUDGET = 42.5
+BUDGET = 33.5
 
 
 def count_calls(run):
