@@ -20,7 +20,7 @@ def run_with_policy(policy):
     return run_scenario(**{**fig2_arguments(), "policy": policy}).result
 
 
-def test_policy_hysteresis_ablation(benchmark):
+def test_policy_hysteresis_ablation():
     damped = fig2_arguments()["policy"]
     undamped = dataclasses.replace(
         damped,
@@ -31,14 +31,10 @@ def test_policy_hysteresis_ablation(benchmark):
         min_child_lifetime=1.0,
         reclaim_combined_factor=1.0,
     )
-    results = benchmark.pedantic(
-        lambda: {
-            "damped (paper)": run_with_policy(damped),
-            "undamped": run_with_policy(undamped),
-        },
-        rounds=1,
-        iterations=1,
-    )
+    results = {
+        "damped (paper)": run_with_policy(damped),
+        "undamped": run_with_policy(undamped),
+    }
     lines = [
         f"Ab-policy (scale={SCALE}): oscillation damping on vs off",
         f"{'policy':<16} {'splits':>7} {'reclaims':>9} "

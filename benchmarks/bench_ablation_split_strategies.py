@@ -16,12 +16,8 @@ def run_with_strategy(strategy: str):
     return run_scenario(**fig2_arguments(), split_strategy=strategy).result
 
 
-def test_split_strategy_ablation(benchmark):
-    results = benchmark.pedantic(
-        lambda: {name: run_with_strategy(name) for name in STRATEGIES},
-        rounds=1,
-        iterations=1,
-    )
+def test_split_strategy_ablation():
+    results = {name: run_with_strategy(name) for name in STRATEGIES}
     lines = [
         f"Ab-split (scale={SCALE}): same hotspot under each split strategy",
         f"{'strategy':<16} {'splits':>7} {'reclaims':>9} {'peak srv':>9} "

@@ -11,16 +11,13 @@ The grid is embarrassingly parallel, so it fans out over
 serial by default).  Cell metrics are deterministic and merged in
 canonical order, so the ``metrics`` payload of
 ``BENCH_architecture_matrix.json`` is byte-identical whatever the job
-count; per-cell wall clocks land in the separate ``timing`` section.
-Schema in docs/BENCHMARKS.md.
+count.  Schema in docs/BENCHMARKS.md.
 """
-
-import time
 
 from common import JOBS, SCALE, SEED, record, record_json
 
 from repro.harness.gridcells import arch_matrix_cell
-from repro.harness.parallel import GridTask, run_grid, timing_section
+from repro.harness.parallel import GridTask, run_grid
 from repro.harness.runner import backend_names
 from repro.workload.scenarios import build_scenario, scenario_names
 
@@ -32,7 +29,7 @@ ARCH_SCALE = min(SCALE, 0.1)
 PREVIEW = 60.0
 
 
-def matrix_grid_tasks(jobs=None):
+def matrix_grid_tasks():
     """The (backend × fault-free scenario) task list."""
     # Chaos scenarios are graded by bench_chaos_suite; this grid stays
     # fault-free so its cells remain comparable across commits.
@@ -58,14 +55,11 @@ def matrix_grid_tasks(jobs=None):
 
 
 def run_matrix_grid(jobs=JOBS):
-    started = time.perf_counter()
-    cells = run_grid(matrix_grid_tasks(), jobs=jobs)
-    wall_total = time.perf_counter() - started
     grid = {}
-    for cell in cells:
+    for cell in run_grid(matrix_grid_tasks(), jobs=jobs):
         backend, name = cell.key
         grid.setdefault(backend, {})[name] = cell.value
-    return grid, timing_section(cells, jobs, wall_total)
+    return grid
 
 
 def format_grid(grid) -> str:
@@ -86,16 +80,13 @@ def format_grid(grid) -> str:
     return "\n".join(lines)
 
 
-def test_architecture_matrix(benchmark):
-    grid, timing = benchmark.pedantic(
-        run_matrix_grid, rounds=1, iterations=1
-    )
+def test_architecture_matrix():
+    grid = run_matrix_grid()
 
     backends = sorted(grid)
     scenarios = sorted(grid[backends[0]])
     lines = [
-        f"Arch-matrix (scale={ARCH_SCALE:g}, preview={PREVIEW:.0f}s, "
-        f"jobs={timing['jobs']}): "
+        f"Arch-matrix (scale={ARCH_SCALE:g}, preview={PREVIEW:.0f}s): "
         f"{len(scenarios)} scenarios x {len(backends)} backends",
         format_grid(grid),
     ]
@@ -109,7 +100,8 @@ def test_architecture_matrix(benchmark):
             "scenarios": scenarios,
             "grid": grid,
         },
-        timing=timing,
+        scale=ARCH_SCALE,
+        seed=SEED,
     )
 
     # Every cell completed: the unified runner really is universal.

@@ -23,14 +23,9 @@ SMALL_OVERLAP = AsymptoticParams(world_area=1e10, radius=100.0)
 LARGE_OVERLAP = AsymptoticParams(world_area=1e6, radius=400.0)
 
 
-def test_asymptotic_scalability(benchmark):
-    verdicts = benchmark(
-        lambda: (
-            supports_paper_claim(SMALL_OVERLAP),
-            supports_paper_claim(LARGE_OVERLAP),
-        )
-    )
-    good, bad = verdicts
+def test_asymptotic_scalability():
+    good = supports_paper_claim(SMALL_OVERLAP)
+    bad = supports_paper_claim(LARGE_OVERLAP)
     lines = ["A-scale: asymptotic model (paper §4.2, final paragraph)", ""]
     lines.append("case 1 — small overlap (R tiny vs partitions):")
     for key, value in good.items():

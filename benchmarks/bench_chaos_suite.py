@@ -19,17 +19,14 @@ Two grids:
 Both grids fan out over ``repro.harness.parallel.run_grid``
 (``REPRO_BENCH_JOBS`` workers; serial by default).  Every recorded
 field is a simulation-time quantity — deterministic for a given seed —
-so the ``metrics`` payload of ``BENCH_chaos_suite.json`` byte-diffs
-across job counts; per-cell wall clocks go in the ``timing`` section.
+so ``BENCH_chaos_suite.json`` is byte-identical whatever the job count.
 Schema in docs/BENCHMARKS.md.
 """
-
-import time
 
 from common import JOBS, SEED, record, record_json
 
 from repro.harness.gridcells import chaos_fault_cell, chaos_recovery_cell
-from repro.harness.parallel import GridTask, run_grid, timing_section
+from repro.harness.parallel import GridTask, run_grid
 from repro.harness.runner import backend_names
 from repro.workload.scenarios import scenario_names
 
@@ -81,18 +78,15 @@ def chaos_grid_tasks():
 
 
 def run_chaos_grids(jobs=JOBS):
-    """Run both grids through one pool; return (recovery, faults, timing)."""
-    started = time.perf_counter()
-    cells = run_grid(chaos_grid_tasks(), jobs=jobs)
-    wall_total = time.perf_counter() - started
+    """Run both grids through one pool; return (recovery, faults)."""
     recovery, fault_grid = {}, {}
-    for cell in cells:
+    for cell in run_grid(chaos_grid_tasks(), jobs=jobs):
         if cell.key[0] == "recovery":
             recovery[cell.key[1]] = cell.value
         else:
             _, backend, name = cell.key
             fault_grid.setdefault(backend, {})[name] = cell.value
-    return recovery, fault_grid, timing_section(cells, jobs, wall_total)
+    return recovery, fault_grid
 
 
 def format_recovery_table(grid: dict) -> str:
@@ -129,14 +123,11 @@ def format_fault_grid(grid: dict) -> str:
     return "\n".join(lines)
 
 
-def test_chaos_suite(benchmark):
-    recovery, fault_grid, timing = benchmark.pedantic(
-        run_chaos_grids, rounds=1, iterations=1
-    )
+def test_chaos_suite():
+    recovery, fault_grid = run_chaos_grids()
 
     lines = [
-        f"chaos suite (scale={CHAOS_SCALE:g}, seed={SEED}, "
-        f"jobs={timing['jobs']}): every scenario "
+        f"chaos suite (scale={CHAOS_SCALE:g}, seed={SEED}): every scenario "
         f"with a server crash + MC failover injected (matrix backend)",
         format_recovery_table(recovery),
         "",
@@ -147,7 +138,8 @@ def test_chaos_suite(benchmark):
     record_json(
         "chaos_suite",
         {"matrix_recovery": recovery, "backend_fault_grid": fault_grid},
-        timing=timing,
+        scale=CHAOS_SCALE,
+        seed=SEED,
     )
 
     for name, row in recovery.items():

@@ -1,7 +1,7 @@
 """Figure 1a — overlap regions between 3 Matrix servers.
 
 The paper's Fig 1a illustrates the overlap-region decomposition for a
-three-server layout.  This bench times the MC's table computation for
+three-server layout.  This bench runs the MC's table computation for
 that layout (the operation that runs on every split/reclaim) and prints
 the region inventory.
 """
@@ -25,12 +25,9 @@ def fig1a_partitions():
     return {"S1": left, "S2": bottom_right, "S3": top_right}
 
 
-def test_fig1a_overlap_regions(benchmark):
+def test_fig1a_overlap_regions():
     partitions = fig1a_partitions()
-    metric = ChebyshevMetric()
-    index_map = benchmark(
-        lambda: compute_overlap_map(partitions, RADIUS, metric)
-    )
+    index_map = compute_overlap_map(partitions, RADIUS, ChebyshevMetric())
     lines = [
         f"Fig 1a: overlap regions, 3 servers, R={RADIUS}, world {WORLD}"
     ]

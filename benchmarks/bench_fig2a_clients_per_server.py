@@ -11,8 +11,8 @@ from common import SCALE, fig2_result, record
 from repro.analysis.asciiplot import render_series
 
 
-def test_fig2a_clients_per_server(benchmark):
-    result = benchmark.pedantic(fig2_result, rounds=1, iterations=1)
+def test_fig2a_clients_per_server():
+    result = fig2_result()
     chart = render_series(
         result.clients_per_server,
         title=(

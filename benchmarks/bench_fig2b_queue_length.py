@@ -10,8 +10,8 @@ from common import SCALE, fig2_result, record
 from repro.analysis.asciiplot import render_series
 
 
-def test_fig2b_queue_length(benchmark):
-    result = benchmark.pedantic(fig2_result, rounds=1, iterations=1)
+def test_fig2b_queue_length():
+    result = fig2_result()
     chart = render_series(
         result.queue_per_server,
         title=(

@@ -18,13 +18,11 @@ Two sections:
 
 The campaign fans out over ``repro.harness.parallel.run_grid``
 (``REPRO_BENCH_JOBS`` workers; serial by default).  All recorded fields
-are simulation-time quantities, so the ``metrics`` payload of
-``BENCH_fuzz_suite.json`` byte-diffs across job counts; wall clocks go
-in ``timing``.  Schema in docs/BENCHMARKS.md.
+are simulation-time quantities, so ``BENCH_fuzz_suite.json`` is
+byte-identical whatever the job count.  Schema in docs/BENCHMARKS.md.
 """
 
 import tempfile
-import time
 from pathlib import Path
 
 from common import JOBS, SEED, record, record_json
@@ -32,7 +30,7 @@ from common import JOBS, SEED, record, record_json
 from repro.core.config import LoadPolicyConfig
 from repro.harness.fuzz import fuzz_grid_tasks
 from repro.harness.gridcells import GRID_FLOORS
-from repro.harness.parallel import run_grid, timing_section
+from repro.harness.parallel import run_grid
 from repro.trace.diff import diff_traces
 from repro.trace.recorder import record_scenario
 from repro.trace.replay import replay_trace
@@ -55,7 +53,7 @@ TRACE_PREVIEW = 25.0
 
 
 def run_fuzz_campaign(jobs=JOBS):
-    """The invariant campaign grid; returns (rows, timing)."""
+    """The invariant campaign grid: one row per canonical cell key."""
     tasks = fuzz_grid_tasks(
         DEFAULT_SEEDS, "default",
         scale=FUZZ_SCALE, preview=PREVIEW, settle=SETTLE,
@@ -64,14 +62,10 @@ def run_fuzz_campaign(jobs=JOBS):
         FAULTY_SEEDS, "faulty",
         scale=FUZZ_SCALE, preview=PREVIEW, settle=FAULT_SETTLE,
     )
-    started = time.perf_counter()
-    cells = run_grid(tasks, jobs=jobs)
-    wall_total = time.perf_counter() - started
-    rows = {
+    return {
         "/".join(str(part) for part in cell.key): cell.value
-        for cell in cells
+        for cell in run_grid(tasks, jobs=jobs)
     }
-    return rows, timing_section(cells, jobs, wall_total)
 
 
 def run_trace_roundtrip():
@@ -117,14 +111,12 @@ def format_campaign_table(rows: dict) -> str:
     return "\n".join(lines)
 
 
-def test_fuzz_suite(benchmark):
-    (rows, timing), roundtrip = benchmark.pedantic(
-        lambda: (run_fuzz_campaign(), run_trace_roundtrip()),
-        rounds=1, iterations=1,
-    )
+def test_fuzz_suite():
+    rows = run_fuzz_campaign()
+    roundtrip = run_trace_roundtrip()
 
     lines = [
-        f"fuzz suite (scale={FUZZ_SCALE:g}, jobs={timing['jobs']}): "
+        f"fuzz suite (scale={FUZZ_SCALE:g}): "
         f"{len(rows)} generated seeds vs the lifecycle invariants",
         format_campaign_table(rows),
         "",
@@ -137,7 +129,8 @@ def test_fuzz_suite(benchmark):
     record_json(
         "fuzz_suite",
         {"campaign": rows, "trace_roundtrip": roundtrip},
-        timing=timing,
+        scale=FUZZ_SCALE,
+        seed=SEED,
     )
 
     # A cell with violations raises inside the grid, so reaching here

@@ -16,14 +16,9 @@ from repro.harness.micro import (
 RADII = (20.0, 40.0, 60.0, 80.0, 100.0)
 
 
-def test_bandwidth_tracks_overlap(benchmark):
-    points = benchmark.pedantic(
-        lambda: measure_bandwidth_vs_overlap(
-            bzflag_profile(), radii=RADII, clients=120, duration=45.0,
-            seed=SEED,
-        ),
-        rounds=1,
-        iterations=1,
+def test_bandwidth_tracks_overlap():
+    points = measure_bandwidth_vs_overlap(
+        bzflag_profile(), radii=RADII, clients=120, duration=45.0, seed=SEED
     )
     correlation = bandwidth_overlap_correlation(points)
     lines = [

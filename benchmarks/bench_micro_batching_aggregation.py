@@ -40,12 +40,17 @@ BORDER_MILL = Scenario(
 )
 
 
+#: The bench's own scale and seed, independent of the suite's knobs.
+BATCH_SCALE = 0.25
+BATCH_SEED = 7
+
+
 def _run(batch_spatial_forwards: bool):
     outcome = run_scenario(
         BORDER_MILL,
-        profile=scaled_profile(profile_by_name("bzflag"), 0.25),
+        profile=scaled_profile(profile_by_name("bzflag"), BATCH_SCALE),
         batch_spatial_forwards=batch_spatial_forwards,
-        seed=7,
+        seed=BATCH_SEED,
     )
     result, experiment = outcome.result, outcome.experiment
     stats = experiment.network.stats
@@ -91,6 +96,8 @@ def test_batching_reduces_forward_messages():
     record_json(
         "micro_batching_aggregation",
         {"plain": plain, "batched": batched, "reduction": reduction},
+        scale=BATCH_SCALE,
+        seed=BATCH_SEED,
     )
 
     # The batched run must move strictly fewer forward-path messages

@@ -10,9 +10,8 @@ from common import fig2_result, record
 from repro.harness.micro import coordinator_overhead
 
 
-def test_coordinator_overhead(benchmark):
-    result = benchmark.pedantic(fig2_result, rounds=1, iterations=1)
-    overhead = coordinator_overhead(result)
+def test_coordinator_overhead():
+    overhead = coordinator_overhead(fig2_result())
     lines = [
         "M-mc: Matrix Coordinator traffic share during the Fig 2 "
         "hotspot run (splits + reclaims included)",

@@ -10,13 +10,9 @@ from repro.games.profile import bzflag_profile
 from repro.harness.micro import measure_switching_latency
 
 
-def test_switching_latency(benchmark):
-    summary = benchmark.pedantic(
-        lambda: measure_switching_latency(
-            bzflag_profile(), clients=100, duration=90.0, seed=SEED
-        ),
-        rounds=1,
-        iterations=1,
+def test_switching_latency():
+    summary = measure_switching_latency(
+        bzflag_profile(), clients=100, duration=90.0, seed=SEED
     )
     lines = [
         "M-switch: client handoff latency across a partition border",

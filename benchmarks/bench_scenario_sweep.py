@@ -7,8 +7,7 @@ the perf trajectory catches regressions in any workload, not just the
 paper's Fig 2 run.  The sweep machinery itself is shared with the CLI
 (``python -m repro sweep``) via :mod:`repro.harness.sweep`, and fans
 out over ``REPRO_BENCH_JOBS`` worker processes (serial by default);
-the ``metrics`` payload of ``BENCH_scenario_sweep.json`` is
-deterministic — wall clocks live in the ``timing`` section.
+both outputs are byte-identical whatever the job count.
 """
 
 from common import JOBS, SCALE, SEED, record, record_json
@@ -25,22 +24,18 @@ from repro.harness.sweep import (
 SWEEP_SCALE = SCALE * 0.2
 
 
-def test_scenario_sweep(benchmark):
-    run = benchmark.pedantic(
-        lambda: run_sweep_grid(SWEEP_SCALE, seed=SEED, jobs=JOBS),
-        rounds=1,
-        iterations=1,
-    )
-    rows = run.rows
+def test_scenario_sweep():
+    rows = run_sweep_grid(SWEEP_SCALE, seed=SEED, jobs=JOBS)
 
     lines = [
-        f"scenario sweep (scale={SWEEP_SCALE:g}, seed={SEED}, "
-        f"jobs={run.timing['jobs']}): every "
+        f"scenario sweep (scale={SWEEP_SCALE:g}, seed={SEED}): every "
         f"registered scenario through the unified runner",
         format_sweep_table(rows),
     ]
     record("scenario_sweep", "\n".join(lines))
-    record_json("scenario_sweep", sweep_payload(rows), timing=run.timing)
+    record_json(
+        "scenario_sweep", sweep_payload(rows), scale=SWEEP_SCALE, seed=SEED
+    )
 
     assert len(rows) >= 6, "the catalog must stay populated"
     for row in rows:

@@ -1,27 +1,19 @@
 """Shard-scaling bench: the space-partitioned kernel at 1/2/4 shards.
 
 Runs fig2-hotspot end to end on the sharded engine at increasing shard
-counts and records two very different things:
-
-* **metrics** (deterministic, byte-diffable): per-shard-count event and
-  message totals, split/reclaim counts, the SHA-256 of the canonical
-  ``TrafficStats`` digest, cross-border traffic and window counts —
-  plus the headline determinism verdict: every deterministic quantity
-  must be *identical at every shard count*.  This is the tentpole's
-  hard acceptance bar and is asserted, not just recorded.
-* **timing** (machine-dependent, never gated): wall seconds per shard
-  count and the resulting speedup-vs-1-shard curve, with the host's
-  ``cpu_count`` alongside.  Lanes run one after the other, so the
-  curve records what the window protocol costs, not a speed-up (see
-  "Verdict" in docs/ARCHITECTURE.md for why there is no concurrent
-  executor).  Nothing gates this section (see docs/BENCHMARKS.md).
+counts and records, per shard count, the event and message totals,
+split/reclaim counts, the SHA-256 of the canonical ``TrafficStats``
+digest, cross-border traffic and window counts — plus the headline
+determinism verdict: every deterministic quantity must be *identical at
+every shard count*.  This is the engine's hard acceptance bar and is
+asserted, not just recorded.  Lanes run one after the other, so they
+buy no speed (see "Verdict" in docs/ARCHITECTURE.md); the bench records
+no wall clock.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-import time
 
 from common import SCALE, SEED, record, record_json
 
@@ -36,17 +28,15 @@ SCENARIO = "fig2-hotspot"
 SHARD_SCALE = SCALE * 0.6
 
 
-def shard_run(shards: int) -> tuple[dict, float]:
-    """One full sharded run; returns (deterministic row, wall seconds)."""
+def shard_run(shards: int) -> dict:
+    """One full sharded run's deterministic row."""
     arguments = scaled_run_arguments(
         build_scenario(SCENARIO), "matrix", SHARD_SCALE, SEED, shards=shards
     )
-    started = time.perf_counter()
     outcome = run_scenario(**arguments)
-    wall = time.perf_counter() - started
     result = outcome.result
     network = outcome.experiment.network
-    row = {
+    return {
         "events": result.events_processed,
         "messages": result.traffic.total.messages,
         "bytes": result.traffic.total.bytes,
@@ -58,7 +48,6 @@ def shard_run(shards: int) -> tuple[dict, float]:
         "cross_border": network.cross_border_count,
         "windows": outcome.experiment.sim.windows_run,
     }
-    return row, wall
 
 
 #: Keys that must be identical at every shard count.  ``cross_border``
@@ -76,18 +65,8 @@ INVARIANT_KEYS = (
 )
 
 
-def test_shard_scaling(benchmark):
-    rows: dict[str, dict] = {}
-    walls: dict[str, float] = {}
-
-    def run_all():
-        for shards in SHARD_COUNTS:
-            row, wall = shard_run(shards)
-            rows[str(shards)] = row
-            walls[str(shards)] = wall
-        return rows
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_shard_scaling():
+    rows = {str(shards): shard_run(shards) for shards in SHARD_COUNTS}
 
     reference = rows[str(SHARD_COUNTS[0])]
     identical = all(
@@ -95,21 +74,15 @@ def test_shard_scaling(benchmark):
         for key in rows
         for name in INVARIANT_KEYS
     )
-    speedups = {
-        key: walls["1"] / walls[key] for key in walls if key != "1"
-    }
 
     lines = [
-        f"shard scaling ({SCENARIO}, scale={SHARD_SCALE:g}, seed={SEED}, "
-        f"cpu_count={os.cpu_count()}):",
-        f"{'shards':>10} {'events':>10} {'messages':>10} {'cross':>8} "
-        f"{'wall s':>8} {'speedup':>8}",
+        f"shard scaling ({SCENARIO}, scale={SHARD_SCALE:g}, seed={SEED}):",
+        f"{'shards':>10} {'events':>10} {'messages':>10} {'cross':>8}",
     ]
     for key, row in rows.items():
-        speedup = walls["1"] / walls[key]
         lines.append(
             f"{key:>10} {row['events']:>10} {row['messages']:>10} "
-            f"{row['cross_border']:>8} {walls[key]:>8.2f} {speedup:>7.2f}x"
+            f"{row['cross_border']:>8}"
         )
     lines.append(
         "deterministic outputs identical across shard counts: "
@@ -126,16 +99,11 @@ def test_shard_scaling(benchmark):
             "per_shards": rows,
             "identical_across_shard_counts": identical,
         },
-        timing={
-            "cpu_count": os.cpu_count(),
-            "executor": "serial",
-            "wall_seconds": walls,
-            "speedup_vs_1shard": speedups,
-        },
+        scale=SHARD_SCALE,
+        seed=SEED,
     )
 
-    # The hard acceptance bar: bit-identical results at any shard
-    # count.  The speedup curve is recorded, never asserted.
+    # The hard acceptance bar: bit-identical results at any shard count.
     assert identical, "sharded runs diverged across shard counts"
     for row in rows.values():
         assert row["events"] > 0

@@ -32,8 +32,8 @@ def run_table():
     ]
 
 
-def test_static_vs_matrix_all_games(benchmark):
-    rows = benchmark.pedantic(run_table, rounds=1, iterations=1)
+def test_static_vs_matrix_all_games():
+    rows = run_table()
     table = format_comparison_table(rows)
     lines = [
         f"T-static (scale={SCALE}): same hotspot workload on Matrix vs a "

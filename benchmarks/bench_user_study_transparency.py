@@ -12,17 +12,13 @@ from repro.games.profile import bzflag_profile
 from repro.harness.userstudy import measure_transparency
 
 
-def test_transparency(benchmark):
-    report = benchmark.pedantic(
-        lambda: measure_transparency(
-            bzflag_profile(),
-            hotspot_clients=80,
-            background_clients=40,
-            duration=150.0,
-            seed=SEED,
-        ),
-        rounds=1,
-        iterations=1,
+def test_transparency():
+    report = measure_transparency(
+        bzflag_profile(),
+        hotspot_clients=80,
+        background_clients=40,
+        duration=150.0,
+        seed=SEED,
     )
     lines = [
         "U-study: response latency, hotspot-with-splits vs spread "

@@ -15,9 +15,7 @@ regenerate at full paper scale.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,15 +23,15 @@ from repro.harness.compare import scaled_run_arguments
 from repro.harness.experiment import ExperimentResult
 from repro.harness.gridcells import GRID_FLOORS
 from repro.harness.runner import run_scenario
+from repro.harness.sweep import write_bench_json
 from repro.workload.scenarios import build_scenario
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 SEED = int(os.environ.get("REPRO_BENCH_SEED", "1"))
 #: Worker processes for the grid benches (sweep, arch matrix, chaos,
-#: fuzz).  0/1 = the historical serial loops; CI smoke runs 2.
-#: Deterministic metrics are job-count-independent by construction —
-#: see repro/harness/parallel.py — only the BENCH "timing" sections
-#: (and wall-clock noise under core contention) vary.
+#: fuzz).  0/1 = the historical serial loops; CI smoke runs 2.  Every
+#: output is job-count-independent by construction — see
+#: repro/harness/parallel.py.
 JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -61,35 +59,17 @@ def record(name: str, text: str) -> None:
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-def record_json(
-    name: str, metrics: dict, timing: dict | None = None
-) -> Path:
+def record_json(name: str, metrics: dict, *, scale: float, seed: int) -> Path:
     """Persist machine-readable bench results as ``BENCH_<name>.json``.
 
     Every bench that has quantitative outputs should call this in
     addition to :func:`record`: the JSON files are what CI and the
     perf-trajectory tooling diff from run to run, so regressions show
-    up as numbers rather than as ASCII-art changes.
-
-    ``metrics`` must hold only deterministic quantities — identical for
-    a given (scale, seed) whatever the machine, ``--jobs`` count or
-    scheduling — so two BENCH files byte-diff after dropping the
-    machine-dependent keys (``jq 'del(.timing, .python)'``).  Anything
-    wall-clock-dependent (wall seconds, events/sec, latency
-    percentiles measured in wall time, the jobs count) goes in
-    *timing*; :func:`repro.harness.parallel.timing_section` builds the
-    standard block for pooled grids.
+    up as numbers rather than as ASCII-art changes.  *scale* and *seed*
+    are the ones the bench's cells actually ran at.  ``metrics`` holds
+    only deterministic quantities, so the file is a byte contract (see
+    :func:`repro.harness.sweep.write_bench_json`).
     """
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    payload = {
-        "bench": name,
-        "scale": SCALE,
-        "seed": SEED,
-        "python": platform.python_version(),
-        "metrics": metrics,
-    }
-    if timing is not None:
-        payload["timing"] = timing
-    path = OUTPUT_DIR / f"BENCH_{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_bench_json(
+        OUTPUT_DIR / f"BENCH_{name}.json", name, scale, seed, metrics
+    )

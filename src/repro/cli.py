@@ -358,7 +358,7 @@ def _cmd_compare(args) -> int:
         "--json", default="benchmarks/output/BENCH_scenario_sweep.json",
         metavar="PATH",
         help="where to write the BENCH JSON payload (deterministic "
-        "metrics + timing section); empty string disables",
+        "metrics); empty string disables",
     ),
     "scale", "seed", "duration", "jobs",
     scale=0.1, seed=0,
@@ -367,25 +367,27 @@ def _cmd_sweep(args) -> int:
     from repro.harness.sweep import (
         format_sweep_table,
         run_sweep_grid,
-        write_sweep_json,
+        sweep_payload,
+        write_bench_json,
     )
 
-    run = run_sweep_grid(
+    rows = run_sweep_grid(
         args.scale,
         seed=args.seed,
         preview=args.duration,
-        on_result=lambda row: print(
-            f"ran {row.scenario} ({row.wall_seconds:.1f}s)"
+        on_result=lambda cell: print(
+            f"ran {cell.key[0]} ({cell.wall_seconds:.1f}s)"
         ),
         jobs=args.jobs,
     )
     print()
     print(f"scenario sweep (scale={args.scale}, seed={args.seed}, "
-          f"jobs={run.timing['jobs']}):")
-    print(format_sweep_table(run.rows))
+          f"jobs={args.jobs or 1}):")
+    print(format_sweep_table(rows))
     if args.json:
-        path = write_sweep_json(
-            args.json, run.rows, run.timing, args.scale, args.seed
+        path = write_bench_json(
+            args.json, "scenario_sweep", args.scale, args.seed,
+            sweep_payload(rows),
         )
         print(f"\nwrote {path}")
     return 0

@@ -26,8 +26,9 @@ Two mechanisms back that up:
 
 The merge step sorts finished cells by their canonical ``key``, which
 is what makes the emitted ``BENCH_*.json`` payloads byte-identical
-across ``jobs`` counts: only the separate ``timing`` section (wall
-seconds per cell, a wall-clock quantity by definition) may differ.
+across ``jobs`` counts.  Each cell's worker wall seconds ride along on
+:class:`GridCell` for the CLI's progress lines only; no bench output
+records them.
 
 A failed cell never hangs the pool: its traceback is captured in the
 worker, pending cells are cancelled, and the parent raises
@@ -46,7 +47,6 @@ __all__ = [
     "GridTask",
     "GridTaskError",
     "run_grid",
-    "timing_section",
 ]
 
 
@@ -71,7 +71,8 @@ class GridTask:
 class GridCell:
     """One finished cell: the task's key, its (deterministic) return
     value, and the wall seconds the cell took *inside its worker* —
-    the only field allowed to differ between runs."""
+    the only field allowed to differ between runs, read by the CLI's
+    progress lines and never written to a bench output."""
 
     key: tuple
     value: Any
@@ -89,8 +90,8 @@ class GridTaskError(RuntimeError):
         self.key = key
         self.worker_traceback = worker_traceback
         # Lead with the canonical slash-joined key (the same form the
-        # timing sections use) so a multi-cell CI failure names its
-        # cell in the first line, before the pasted traceback.
+        # fuzz campaign's rows use) so a multi-cell CI failure names
+        # its cell in the first line, before the pasted traceback.
         canonical = "/".join(str(part) for part in key)
         super().__init__(
             f"grid cell {canonical} (key={key!r}) failed in its worker:\n"
@@ -223,28 +224,3 @@ def _run_pooled(
             raise
     return cells
 
-
-def timing_section(
-    cells: Sequence[GridCell],
-    jobs: int | None,
-    wall_seconds_total: float,
-    extra: dict | None = None,
-) -> dict:
-    """The standard ``timing`` block of a grid's ``BENCH_*.json``.
-
-    Everything wall-clock-dependent lives here — per-cell worker wall
-    seconds, the end-to-end grid wall, and the ``jobs`` count that
-    produced them — so the sibling ``metrics`` payload stays
-    byte-diffable across machines and job counts.
-    """
-    timing = {
-        "jobs": jobs or 1,
-        "wall_seconds_total": wall_seconds_total,
-        "per_cell_wall_seconds": {
-            "/".join(str(part) for part in cell.key): cell.wall_seconds
-            for cell in sorted(cells, key=lambda cell: cell.key)
-        },
-    }
-    if extra:
-        timing.update(extra)
-    return timing

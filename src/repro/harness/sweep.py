@@ -5,33 +5,30 @@ Shared by the CLI (``python -m repro sweep``) and
 can never drift apart.  The grid fans out over
 :func:`repro.harness.parallel.run_grid`: each scenario is one
 independent cell, and the merged rows are sorted by scenario name, so
-the table and the deterministic half of ``BENCH_scenario_sweep.json``
-are byte-identical whatever ``jobs`` is.
+the table and ``BENCH_scenario_sweep.json`` are byte-identical whatever
+``jobs`` is.  :func:`write_bench_json` writes that file, and every
+bench's ``BENCH_*.json`` through ``benchmarks/common.record_json``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import time
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.analysis.stats import percentile
 from repro.harness.compare import scaled_run_arguments
-from repro.harness.parallel import GridTask, run_grid, timing_section
+from repro.harness.parallel import GridCell, GridTask, run_grid
 from repro.harness.runner import run_scenario
 from repro.workload.scenarios import build_scenario, scenario_names
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One scenario's summary metrics.
-
-    Every field but ``wall_seconds`` is deterministic for a given
-    (scale, seed); ``wall_seconds`` is the cell's worker wall clock,
-    reported in tables and the BENCH ``timing`` section only — never in
-    the deterministic JSON payload (see :func:`sweep_payload`).
-    """
+    """One scenario's summary metrics, deterministic for a given
+    (scale, seed)."""
 
     scenario: str
     peak_clients: float
@@ -41,7 +38,6 @@ class SweepRow:
     peak_queue: float
     p99_latency: float
     events: int
-    wall_seconds: float
 
 
 def sweep_cell(
@@ -63,26 +59,17 @@ def sweep_cell(
         peak_queue=result.max_queue(),
         p99_latency=percentile(latencies, 99) if latencies else 0.0,
         events=result.events_processed,
-        wall_seconds=0.0,  # stamped from the grid cell by the caller
     )
-
-
-@dataclass(frozen=True)
-class SweepRun:
-    """A finished sweep grid: sorted rows plus the timing section."""
-
-    rows: list[SweepRow]
-    timing: dict
 
 
 def run_sweep_grid(
     scale: float,
     seed: int = 0,
     preview: float | None = None,
-    on_result: Callable[[SweepRow], None] | None = None,
+    on_result: Callable[[GridCell], None] | None = None,
     jobs: int | None = None,
     scenarios: Sequence[str] | None = None,
-) -> SweepRun:
+) -> list[SweepRow]:
     """Run the fault-free catalog (Matrix backend) as a grid.
 
     Population, policy thresholds and server capacity all scale
@@ -107,69 +94,35 @@ def run_sweep_grid(
         )
         for name in names
     ]
-
-    def stamped(cell) -> SweepRow:
-        return dataclasses.replace(
-            cell.value, wall_seconds=cell.wall_seconds
-        )
-
-    started = time.perf_counter()
-    cells = run_grid(
-        tasks,
-        jobs=jobs,
-        on_result=(
-            (lambda cell: on_result(stamped(cell)))
-            if on_result is not None
-            else None
-        ),
-    )
-    wall_total = time.perf_counter() - started
-    return SweepRun(
-        rows=[stamped(cell) for cell in cells],
-        timing=timing_section(cells, jobs, wall_total),
-    )
+    cells = run_grid(tasks, jobs=jobs, on_result=on_result)
+    return [cell.value for cell in cells]
 
 
 def sweep_payload(rows: Sequence[SweepRow]) -> dict:
-    """The deterministic per-scenario metrics of ``BENCH_scenario_sweep``.
-
-    Excludes ``wall_seconds`` — timing belongs in the BENCH ``timing``
-    section — so the payload byte-diffs across runs and job counts.
-    """
+    """The per-scenario metrics of ``BENCH_scenario_sweep``."""
     return {
         row.scenario: {
             key: value
             for key, value in dataclasses.asdict(row).items()
-            if key not in ("scenario", "wall_seconds")
+            if key != "scenario"
         }
         for row in sorted(rows, key=lambda row: row.scenario)
     }
 
 
-def write_sweep_json(
-    path, rows: Sequence[SweepRow], timing: dict, scale: float, seed: int
-):
-    """Write a ``BENCH_scenario_sweep.json``-shaped file for a CLI sweep.
+def write_bench_json(
+    path, bench: str, scale: float, seed: int, metrics: dict
+) -> Path:
+    """Write a ``BENCH_*.json`` file: the one envelope every bench and
+    ``python -m repro sweep --json`` share.
 
-    Same layout as ``benchmarks/common.record_json``: the deterministic
-    ``metrics`` payload (:func:`sweep_payload`) byte-diffs across
-    ``--jobs`` counts and machines; everything wall-clock lives under
-    ``timing``.
+    *scale* and *seed* are the ones the cells actually ran at, and
+    *metrics* holds only simulation-derived quantities, so the file is
+    byte-identical across machines and ``--jobs`` counts.
     """
-    import json
-    import platform
-    from pathlib import Path
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "bench": "scenario_sweep",
-        "scale": scale,
-        "seed": seed,
-        "python": platform.python_version(),
-        "metrics": sweep_payload(rows),
-        "timing": timing,
-    }
+    payload = {"bench": bench, "scale": scale, "seed": seed, "metrics": metrics}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -178,14 +131,13 @@ def format_sweep_table(rows: list[SweepRow]) -> str:
     """Render the sweep table (shared by CLI and bench output)."""
     lines = [
         f"{'scenario':<20} {'clients':>8} {'servers':>8} {'splits':>7} "
-        f"{'reclaims':>9} {'peak q':>8} {'p99 (s)':>8} {'events':>10} "
-        f"{'wall (s)':>9}"
+        f"{'reclaims':>9} {'peak q':>8} {'p99 (s)':>8} {'events':>10}"
     ]
     for row in rows:
         lines.append(
             f"{row.scenario:<20} {row.peak_clients:>8.0f} "
             f"{row.peak_servers:>8} {row.splits:>7} {row.reclaims:>9} "
             f"{row.peak_queue:>8.0f} {row.p99_latency:>8.3f} "
-            f"{row.events:>10} {row.wall_seconds:>9.1f}"
+            f"{row.events:>10}"
         )
     return "\n".join(lines)

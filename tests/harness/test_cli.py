@@ -99,6 +99,20 @@ def test_sweep_tabulates_the_fault_free_catalog(capsys):
     assert "wrote" not in out
 
 
+def test_sweep_json_is_byte_identical_at_any_jobs(tmp_path, capsys):
+    """The sweep's BENCH file records no wall clock and no job count, so
+    a serial and a pooled sweep write the same bytes."""
+    written = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"jobs{jobs}.json"
+        argv = ["sweep", "--scale", "0.02", "--duration", "15",
+                "--jobs", jobs, "--json", str(path)]
+        assert main(argv) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert b'"scale": 0.02' in written[0]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

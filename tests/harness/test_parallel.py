@@ -8,7 +8,6 @@ the pool.  The sweep and arch-matrix grids are exercised end to end at
 tiny scale (real simulations in real worker processes).
 """
 
-import dataclasses
 import json
 import os
 import sys
@@ -20,7 +19,6 @@ from repro.harness.parallel import (
     GridTask,
     GridTaskError,
     run_grid,
-    timing_section,
 )
 from repro.harness.sweep import run_sweep_grid, sweep_payload
 
@@ -79,15 +77,6 @@ class TestRunGrid:
         assert sorted(c.key for c in seen) == [(i,) for i in range(4)]
         assert all(c.wall_seconds >= 0.0 for c in seen)
 
-    def test_timing_section_shape(self):
-        cells = run_grid(_square_tasks(3), jobs=2)
-        timing = timing_section(cells, 2, 1.25, extra={"note": "x"})
-        assert timing["jobs"] == 2
-        assert timing["wall_seconds_total"] == 1.25
-        assert list(timing["per_cell_wall_seconds"]) == ["0", "1", "2"]
-        assert timing["note"] == "x"
-        assert timing_section(cells, None, 0.0)["jobs"] == 1
-
 
 class TestWorkerCrash:
     def test_serial_crash_raises_with_traceback(self):
@@ -144,25 +133,19 @@ class TestSweepGridDeterminism:
         pooled = run_sweep_grid(
             SCALE, seed=3, preview=PREVIEW, scenarios=SWEEP_NAMES, jobs=4
         )
-        stripped = [
-            [dataclasses.replace(row, wall_seconds=0.0) for row in run.rows]
-            for run in (serial, pooled)
-        ]
-        assert stripped[0] == stripped[1]
-        # Byte-level: the BENCH deterministic payload is identical.
+        assert serial == pooled
+        # Byte-level: the BENCH payload is identical.
         assert json.dumps(
-            sweep_payload(serial.rows), sort_keys=True
-        ) == json.dumps(sweep_payload(pooled.rows), sort_keys=True)
-        assert serial.timing["jobs"] == 1
-        assert pooled.timing["jobs"] == 4
+            sweep_payload(serial), sort_keys=True
+        ) == json.dumps(sweep_payload(pooled), sort_keys=True)
 
     def test_sweep_still_splits_at_test_scale(self):
         # Guard: if this workload stops splitting, the determinism
         # comparison above degrades into comparing trivial runs.
-        run = run_sweep_grid(
+        (row,) = run_sweep_grid(
             SCALE, seed=3, preview=PREVIEW, scenarios=("flash-crowd",)
         )
-        assert run.rows[0].splits >= 1
+        assert row.splits >= 1
 
 
 class TestArchMatrixGridDeterminism:
@@ -201,7 +184,7 @@ class TestArchMatrixGridDeterminism:
 class TestErrorMessage:
     def test_grid_task_error_leads_with_canonical_key(self):
         """The first line names the failing cell in the same
-        slash-joined form the timing sections use."""
+        slash-joined form the fuzz campaign's rows use."""
         tasks = [
             GridTask(
                 key=("matrix", "fig2-hotspot", 2),
