@@ -10,6 +10,7 @@ every sampled lookup needs zero network hops.  The per-lookup host time
 is perfbench's ``geometry.probe.region_lookup_ns``.
 """
 
+import math
 import random
 
 from common import record
@@ -69,7 +70,7 @@ def test_dht_vs_overlap_table():
     lines.append("")
     lines.append(
         f"sampled DHT lookup @1024 servers: mean "
-        f"{sum(samples) / len(samples) * 1000:.3f} ms vs table: "
+        f"{math.fsum(samples) / len(samples) * 1000:.3f} ms vs table: "
         f"0 network hops"
     )
     lines.append(

@@ -26,6 +26,12 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[low] * (1.0 - frac) + ordered[high] * frac
 
 
+def p99_or_zero(values: Sequence[float]) -> float:
+    """The 99th percentile, or 0.0 for an empty sample (a run that
+    acknowledged no action)."""
+    return percentile(values, 99) if values else 0.0
+
+
 @dataclass(frozen=True, slots=True)
 class Summary:
     """Five-number-plus summary of a sample."""
@@ -52,7 +58,7 @@ def summarize(values: Sequence[float]) -> Summary:
         raise ValueError("summarize of empty sequence")
     return Summary(
         count=len(values),
-        mean=sum(values) / len(values),
+        mean=math.fsum(values) / len(values),
         minimum=min(values),
         p50=percentile(values, 50),
         p90=percentile(values, 90),
@@ -72,11 +78,11 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("need at least two points")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    var_x = sum((x - mean_x) ** 2 for x in xs)
-    var_y = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
+    cov = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    var_x = math.fsum((x - mean_x) ** 2 for x in xs)
+    var_y = math.fsum((y - mean_y) ** 2 for y in ys)
     product = var_x * var_y
     # Below the smallest normal float the product has underflowed to
     # zero or lost the precision the ratio needs (tiny but nonzero

@@ -307,7 +307,7 @@ class DhtExperiment(StaticExperiment):
 
     def consistency_metrics(self) -> dict[str, float]:
         """Measured overlay costs vs the closed-form expectation."""
-        from repro.analysis.stats import percentile
+        from repro.analysis.stats import p99_or_zero
 
         hop_counts: list[int] = []
         latencies: list[float] = []
@@ -324,15 +324,13 @@ class DhtExperiment(StaticExperiment):
             "servers": float(servers),
             "lookups": float(lookups),
             "mean_hops": (
-                sum(hop_counts) / len(hop_counts) if hop_counts else 0.0
+                math.fsum(hop_counts) / len(hop_counts) if hop_counts else 0.0
             ),
             "expected_hops": chord_expected_hops(servers),
             "mean_lookup_latency": (
-                sum(latencies) / len(latencies) if latencies else 0.0
+                math.fsum(latencies) / len(latencies) if latencies else 0.0
             ),
-            "p99_lookup_latency": (
-                percentile(latencies, 99) if latencies else 0.0
-            ),
+            "p99_lookup_latency": p99_or_zero(latencies),
             "dht_messages": float(dht_messages),
             "dht_bytes": float(dht_bytes),
         }

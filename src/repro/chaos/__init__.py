@@ -9,16 +9,16 @@ backend runs the scenario and collects a :class:`ChaosReport` — what
 was injected, how long each crashed partition took to recover, what got
 lost on the wire, and whether any pool host leaked.
 
-The unified runner arms a driver automatically for scenarios that
-declare faults (``run_scenario(..., chaos="auto")``); plain scenarios
-never pay for any of it — no watchdogs, no supervisors, no per-client
+Fault phases are the only way to declare a fault.  The unified runner
+arms a driver exactly for scenarios that declare them (and
+``run_scenario(..., chaos=False)`` disarms one); plain scenarios never
+pay for any of it — no watchdogs, no supervisors, no per-client
 liveness checks — which is what keeps fault-free runs event-for-event
 identical to the pre-chaos ones.
 """
 
 from repro.chaos.driver import (
     ChaosDriver,
-    ChaosOptions,
     ChaosReport,
     FaultRecord,
     format_chaos_report,
@@ -26,7 +26,6 @@ from repro.chaos.driver import (
 
 __all__ = [
     "ChaosDriver",
-    "ChaosOptions",
     "ChaosReport",
     "FaultRecord",
     "format_chaos_report",

@@ -37,15 +37,6 @@ from repro.workload.scenarios.spec import (
 LIFECYCLE_TIMEOUT = 6.0
 
 
-@dataclass(frozen=True)
-class ChaosOptions:
-    """Knobs of one armed chaos run."""
-
-    #: Faults injected on top of the scenario's declared fault phases
-    #: (the chaos bench uses this to stress plain scenarios).
-    extra_faults: tuple[FaultPhase, ...] = ()
-
-
 @dataclass
 class FaultRecord:
     """What happened to one scheduled fault."""
@@ -124,24 +115,14 @@ def format_chaos_report(report: ChaosReport) -> str:
 class ChaosDriver:
     """Schedules fault injection for one scenario run."""
 
-    def __init__(
-        self,
-        scenario,
-        experiment,
-        backend: str,
-        options: ChaosOptions | None = None,
-    ) -> None:
+    def __init__(self, scenario, experiment) -> None:
         self._scenario = scenario
         self._experiment = experiment
-        self._backend = backend
-        options = options or ChaosOptions()
-        self._faults: tuple[FaultPhase, ...] = (
-            tuple(scenario.fault_phases()) + tuple(options.extra_faults)
-        )
-        self._deployment = getattr(experiment, "deployment", None)
-        self._is_matrix = backend == "matrix" and hasattr(
-            self._deployment, "matrix_servers"
-        )
+        self._backend = experiment.name
+        self._faults: tuple[FaultPhase, ...] = scenario.fault_phases()
+        #: Crash faults need the Matrix deployment's recovery protocol
+        #: (the sharded experiment is a Matrix experiment too).
+        self._is_matrix = self._backend == "matrix"
         #: node name -> the chaos-owned fault stage installed on it.
         self._stages: dict[str, FaultInjectionStage] = {}
         #: Degradation windows currently open, in opening order; the
@@ -176,7 +157,7 @@ class ChaosDriver:
         self._armed = True
         sim = self._experiment.sim
         if self._is_matrix:
-            deployment = self._deployment
+            deployment = self._experiment.deployment
             deployment.enable_crash_recovery()
             deployment.config.lifecycle_timeout = LIFECYCLE_TIMEOUT
             self._experiment.fleet.enable_rejoin()
@@ -232,7 +213,7 @@ class ChaosDriver:
     def _live_servers(self) -> list:
         return [
             server
-            for server in self._deployment.matrix_servers.values()
+            for server in self._experiment.deployment.matrix_servers.values()
             if not server.ctx.dying
         ]
 
@@ -257,12 +238,12 @@ class ChaosDriver:
             record.status = "skipped"
             record.detail = "fewer than two live servers"
             return
-        self._deployment.crash_pair(victim.name)
+        self._experiment.deployment.crash_pair(victim.name)
         record.status = "injected"
         record.detail = victim.name
 
     def _inject_mc_crash(self, record: FaultRecord) -> None:
-        deployment = self._deployment
+        deployment = self._experiment.deployment
         if not deployment.network.has_node(deployment.coordinator.name):
             record.status = "skipped"
             record.detail = "primary MC already down"
@@ -275,18 +256,13 @@ class ChaosDriver:
             else "no standby: repartitioning stays down"
         )
 
-    def _fault_nodes(self) -> list:
-        nodes = getattr(self._experiment, "fault_nodes", None)
-        return list(nodes()) if nodes is not None else []
-
-    def _default_kinds(self) -> tuple[str, ...]:
-        return tuple(getattr(self._experiment, "fault_kinds", ()))
-
     def _window_settings(
         self, window: LinkDegrade
     ) -> tuple[tuple[str, ...] | None, float, float]:
         kinds = (
-            window.kinds if window.kinds is not None else self._default_kinds()
+            window.kinds
+            if window.kinds is not None
+            else self._experiment.fault_kinds
         )
         return (
             tuple(kinds) if kinds else None,
@@ -324,7 +300,7 @@ class ChaosDriver:
             self._apply_current_window(self._stage_on(matrix_server))
 
     def _inject_degrade(self, fault: LinkDegrade, record: FaultRecord) -> None:
-        nodes = self._fault_nodes()
+        nodes = self._experiment.fault_nodes()
         if not nodes:
             record.status = "skipped"
             record.detail = "backend exposes no fault nodes"
@@ -382,7 +358,7 @@ class ChaosDriver:
             ),
         )
         if self._is_matrix:
-            deployment = self._deployment
+            deployment = experiment.deployment
             report.recoveries = list(deployment.crash_recoveries)
             report.leaked_hosts = deployment.unaccounted_hosts()
             standby = deployment.standby_coordinator

@@ -21,7 +21,7 @@ import math
 import time
 from pathlib import Path
 
-from repro.analysis.stats import percentile
+from repro.analysis.stats import p99_or_zero, percentile
 from repro.harness.runner import backend_infos, backend_names, run_scenario
 from repro.workload.mobility import list_mobility_models
 from repro.workload.scenarios import build_scenario, scenario_names
@@ -150,7 +150,7 @@ def run_arguments(
             _usage(build_scenario, name), backend, scale, seed,
             preview=duration, shards=shards,
         ),
-        chaos=False if no_faults else "auto",
+        chaos=not no_faults,
     )
 
 
@@ -211,7 +211,7 @@ def _summarize_run(outcome, wall: float) -> None:
           f"({wall:.1f}s wall)")
     latencies = result.action_latencies
     p50 = percentile(latencies, 50) if latencies else 0.0
-    p99 = percentile(latencies, 99) if latencies else 0.0
+    p99 = p99_or_zero(latencies)
     if outcome.backend == "matrix":
         print(f"servers  : peak {result.servers_used}, "
               f"final {result.final_server_count():.0f}, "
@@ -241,12 +241,11 @@ def run_summary_cell(name: str, **run_options) -> dict:
     """One ``run`` fan-out cell (module-level: picklable for workers);
     *run_options* are :func:`run_arguments`'."""
     result = run_scenario(**run_arguments(name, **run_options)).result
-    latencies = result.action_latencies
     return {
         "scenario": name,
         "events": result.events_processed,
         "peak_queue": result.max_queue(),
-        "p99_latency": percentile(latencies, 99) if latencies else 0.0,
+        "p99_latency": p99_or_zero(result.action_latencies),
         "servers": result.servers_used,
     }
 

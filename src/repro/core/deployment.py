@@ -115,10 +115,6 @@ class MatrixDeployment:
         #: Hooks run on every freshly created pair (chaos uses this to
         #: keep fault-injection stages installed on late spawns).
         self.pair_created_hooks: list[Callable[[MatrixServer], None]] = []
-        #: Hook run when a crashed pair's replacement re-registers.
-        self.on_recovery: Callable[[CrashRecovery], None] | None = None
-        #: Hook run when the standby MC promotes itself.
-        self.on_failover: Callable[[StandbyCoordinator], None] | None = None
         self.crash_recoveries: list[CrashRecovery] = []
         self._supervisor_task = None
         #: Corpses awaiting autopsy, with announced-ness decided at
@@ -159,8 +155,14 @@ class MatrixDeployment:
         self._coordinator_name = standby.name
         for server in list(self.matrix_servers.values()):
             server.follow_coordinator(standby.name)
-        if self.on_failover is not None:
-            self.on_failover(standby)
+
+    @property
+    def current_coordinator(self) -> MatrixCoordinator:
+        """The MC in charge: the promoted standby, else the primary."""
+        standby = self.standby_coordinator
+        if standby is not None and standby.promoted:
+            return standby
+        return self.coordinator
 
     def _install_profiles(self) -> None:
         net = self.network
@@ -507,8 +509,6 @@ class MatrixDeployment:
             replacement.register_with_coordinator()
             record.restored_at = self.sim.now
             record.replacement = replacement.name
-            if self.on_recovery is not None:
-                self.on_recovery(record)
 
         self.sim.after(SERVER_SPAWN_DELAY, boot)
 

@@ -9,9 +9,9 @@ from all of them.  :func:`check_invariants` returns the violations as
 strings (empty list == healthy), so the harness can aggregate them into
 one reproducible failure.
 
-Checks that only exist on the matrix backend (deployment audit,
-coverage) degrade to no-ops on backends without a ``deployment``, so
-the same harness runs generated scenarios on every backend.
+The invariants are the Matrix lifecycle's, so the audit runs on the
+Matrix backend only (plain or on shard lanes): it reads the Matrix
+deployment, and the chaos driver the runner armed or None.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from typing import Any
 
 #: Tolerance on the coverage ratio (sum of float rect areas).
 COVERAGE_EPSILON = 1e-6
+#: Longest crash-to-recovery latency a healthy run may show (seconds).
+RECOVERY_BOUND = 60.0
 
 
 def snapshot_lifecycle(experiment: Any) -> dict[str, str | None]:
@@ -31,12 +33,9 @@ def snapshot_lifecycle(experiment: Any) -> dict[str, str | None]:
     watchdog.  A healthy split finishes (leaves the map) or a new one
     starts (different host), so the pairwise comparison is exact.
     """
-    deployment = getattr(experiment, "deployment", None)
-    if deployment is None:
-        return {}
     return {
         name: server.lifecycle.in_flight_host
-        for name, server in deployment.matrix_servers.items()
+        for name, server in experiment.deployment.matrix_servers.items()
         if server.lifecycle.split_in_flight
     }
 
@@ -45,59 +44,53 @@ def check_invariants(
     outcome: Any,
     *,
     pre_settle: dict[str, str | None] | None = None,
-    recovery_bound: float = 60.0,
 ) -> list[str]:
     """Audit a settled run; returns violation strings (empty == ok).
 
     Call after the settle window (``experiment.sim.run(until=horizon +
     settle)``) — mid-flight transfers and release grace windows are
     legitimate before then.  *pre_settle* is the
-    :func:`snapshot_lifecycle` taken at the horizon; *recovery_bound*
-    caps every crash-to-recovery latency.
+    :func:`snapshot_lifecycle` taken at the horizon; every
+    crash-to-recovery latency must stay within :data:`RECOVERY_BOUND`.
     """
     violations: list[str] = []
     experiment = outcome.experiment
-    deployment = getattr(experiment, "deployment", None)
+    deployment = experiment.deployment
 
-    if deployment is not None:
-        coordinator = deployment.coordinator
-        standby = deployment.standby_coordinator
-        if standby is not None and getattr(standby, "promoted", False):
-            coordinator = standby
-        world_area = experiment.profile.world.area
-        ratio = coordinator.coverage_area() / world_area
-        if abs(ratio - 1.0) > COVERAGE_EPSILON:
+    world_area = experiment.profile.world.area
+    ratio = deployment.current_coordinator.coverage_area() / world_area
+    if abs(ratio - 1.0) > COVERAGE_EPSILON:
+        violations.append(
+            f"coverage_ratio == {ratio:.9f}, expected 1.0: the "
+            f"registered partitions do not tile the world"
+        )
+    leaked = deployment.unaccounted_hosts()
+    if leaked:
+        violations.append(
+            f"unaccounted_hosts() == {leaked}: pool hosts leaked "
+            f"by the split/reclaim/crash lifecycle"
+        )
+    deployed = deployment.total_clients()
+    active = len(experiment.fleet.active_clients())
+    if deployed != active:
+        violations.append(
+            f"client population not conserved: servers hold "
+            f"{deployed} clients but the fleet has {active} active"
+        )
+    if pre_settle:
+        post = snapshot_lifecycle(experiment)
+        stuck = sorted(
+            name
+            for name, host in pre_settle.items()
+            if post.get(name) == host and host is not None
+        )
+        if stuck:
             violations.append(
-                f"coverage_ratio == {ratio:.9f}, expected 1.0: the "
-                f"registered partitions do not tile the world"
+                f"stuck lifecycle watchdogs: {stuck} still hold "
+                f"the same in-flight host after the settle window"
             )
-        leaked = deployment.unaccounted_hosts()
-        if leaked:
-            violations.append(
-                f"unaccounted_hosts() == {leaked}: pool hosts leaked "
-                f"by the split/reclaim/crash lifecycle"
-            )
-        deployed = deployment.total_clients()
-        active = len(experiment.fleet.active_clients())
-        if deployed != active:
-            violations.append(
-                f"client population not conserved: servers hold "
-                f"{deployed} clients but the fleet has {active} active"
-            )
-        if pre_settle:
-            post = snapshot_lifecycle(experiment)
-            stuck = sorted(
-                name
-                for name, host in pre_settle.items()
-                if post.get(name) == host and host is not None
-            )
-            if stuck:
-                violations.append(
-                    f"stuck lifecycle watchdogs: {stuck} still hold "
-                    f"the same in-flight host after the settle window"
-                )
 
-    chaos = getattr(experiment, "chaos", None)
+    chaos = experiment.chaos
     if chaos is not None:
         report = chaos.report()
         if not report.all_recovered():
@@ -111,10 +104,10 @@ def check_invariants(
                 f"settle window"
             )
         times = report.recovery_times()
-        if times and max(times) > recovery_bound:
+        if times and max(times) > RECOVERY_BOUND:
             violations.append(
                 f"recovery took {max(times):.2f}s, over the "
-                f"{recovery_bound:.0f}s bound"
+                f"{RECOVERY_BOUND:.0f}s bound"
             )
         mc_injected = any(
             record.fault == "CoordinatorCrash" and record.status == "injected"

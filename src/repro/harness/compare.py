@@ -29,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from repro.analysis.stats import percentile
+from repro.analysis.stats import p99_or_zero
 from repro.baselines.backend import BackendResult
 from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
 from repro.core.config import LoadPolicyConfig
@@ -49,12 +49,6 @@ class SystemOutcome:
     p99_latency: float
     servers_used: int
     failed: bool
-
-
-def _p99(latencies: list[float]) -> float:
-    if not latencies:
-        return 0.0
-    return percentile(latencies, 99)
 
 
 def scaled_profile(profile: GameProfile, scale: float) -> GameProfile:
@@ -182,7 +176,7 @@ def outcome_for(
 ) -> SystemOutcome:
     """Grade one backend's run result with the shared verdict."""
     peak_queue = result.max_queue()
-    p99 = _p99(result.action_latencies)
+    p99 = p99_or_zero(result.action_latencies)
     return SystemOutcome(
         system=system,
         peak_queue=peak_queue,

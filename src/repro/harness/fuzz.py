@@ -1,8 +1,9 @@
 """Executing generated scenarios and auditing the invariants.
 
 :func:`run_fuzz_case` is the whole pipeline for one seed: generate →
-run on a backend → settle → :func:`repro.fuzz.invariants.
-check_invariants`.  :func:`fuzz_cell` wraps it as a module-level,
+run → settle → :func:`repro.fuzz.invariants.check_invariants`.  It
+runs on the Matrix backend (plain or on shard lanes), whose lifecycle
+the invariants audit.  :func:`fuzz_cell` wraps it as a module-level,
 picklable grid cell (raising :class:`FuzzInvariantError` on any
 violation) so campaigns fan out over the ``spawn`` pool exactly like
 the benchmark grids; the cell key embeds the generator seed
@@ -97,9 +98,7 @@ class FuzzCase:
         return [type(phase).__name__ for phase in self.scenario.phases]
 
 
-def fuzz_run_arguments(
-    scenario: Scenario, seed: int, backend: str = "matrix", **run_options
-) -> dict:
+def fuzz_run_arguments(scenario: Scenario, seed: int, **run_options) -> dict:
     """The ``run_scenario`` keyword arguments of one fuzz case.
 
     Shared by the audit, the shrinker and the failing-trace recorder,
@@ -109,7 +108,7 @@ def fuzz_run_arguments(
     split and reclaim.
     """
     return scaled_run_arguments(
-        scenario, backend, seed=seed, **run_options, **GRID_FLOORS
+        scenario, "matrix", seed=seed, **run_options, **GRID_FLOORS
     )
 
 
@@ -117,15 +116,12 @@ def _run_and_audit(
     run_arguments: dict,
     settle: float,
     extra_invariants: Sequence[ExtraInvariant],
-    recovery_bound: float = 60.0,
 ) -> tuple[ScenarioOutcome, list]:
     """Run to the horizon, settle, audit; returns (outcome, violations)."""
     outcome = run_scenario(**run_arguments)
     pre_settle = snapshot_lifecycle(outcome.experiment)
     outcome.experiment.sim.run(until=outcome.scenario.duration + settle)
-    violations = check_invariants(
-        outcome, pre_settle=pre_settle, recovery_bound=recovery_bound
-    )
+    violations = check_invariants(outcome, pre_settle=pre_settle)
     for invariant in extra_invariants:
         violations.extend(invariant(outcome))
     return outcome, violations
@@ -135,14 +131,11 @@ def run_fuzz_case(
     seed: int,
     profile: "FuzzProfile | str | None" = None,
     *,
-    backend: str = "matrix",
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
     shards: int | None = None,
     extra_invariants: Sequence[ExtraInvariant] = (),
-    faults: bool | None = None,
-    recovery_bound: float = 60.0,
 ) -> FuzzCase:
     """Generate, run and audit one seed; never raises on violations.
 
@@ -151,15 +144,13 @@ def run_fuzz_case(
     """
     if profile is None or isinstance(profile, str):
         profile = fuzz_profile(profile or "default")
-    scenario = generate_scenario(seed, profile, faults=faults)
+    scenario = generate_scenario(seed, profile)
     outcome, violations = _run_and_audit(
         fuzz_run_arguments(
-            scenario, seed, backend,
-            scale=scale, preview=preview, shards=shards,
+            scenario, seed, scale=scale, preview=preview, shards=shards
         ),
         settle,
         extra_invariants,
-        recovery_bound,
     )
     return FuzzCase(
         seed=seed,
@@ -178,9 +169,7 @@ def fuzz_cell(
     scale: float,
     preview: float | None,
     settle: float,
-    backend: str = "matrix",
     shards: int | None = None,
-    faults: bool | None = None,
 ) -> dict:
     """One picklable fuzz grid cell: audit *seed*, raise on violation.
 
@@ -192,12 +181,10 @@ def fuzz_cell(
     case = run_fuzz_case(
         seed,
         profile,
-        backend=backend,
         scale=scale,
         preview=preview,
         settle=settle,
         shards=shards,
-        faults=faults,
     )
     if not case.ok:
         raise FuzzInvariantError(
@@ -222,9 +209,7 @@ def fuzz_grid_tasks(
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
-    backend: str = "matrix",
     shards: int | None = None,
-    faults: bool | None = None,
 ) -> list[GridTask]:
     """One :class:`GridTask` per seed, keyed ``("fuzz", profile,
     "seed=N")`` so any worker failure names its generator seed."""
@@ -238,9 +223,7 @@ def fuzz_grid_tasks(
                 "scale": scale,
                 "preview": preview,
                 "settle": settle,
-                "backend": backend,
                 "shards": shards,
-                "faults": faults,
             },
         )
         for seed in seeds
@@ -251,14 +234,12 @@ def shrink_fuzz_failure(
     seed: int,
     profile: "FuzzProfile | str | None" = None,
     *,
-    backend: str = "matrix",
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
     shards: int | None = None,
     extra_invariants: Sequence[ExtraInvariant] = (),
     max_iterations: int = 24,
-    faults: bool | None = None,
 ) -> ShrinkResult:
     """Shrink the failing *seed* to a minimal phase list.
 
@@ -267,13 +248,12 @@ def shrink_fuzz_failure(
     """
     if profile is None or isinstance(profile, str):
         profile = fuzz_profile(profile or "default")
-    scenario = generate_scenario(seed, profile, faults=faults)
+    scenario = generate_scenario(seed, profile)
 
     def still_fails(candidate: Scenario) -> bool:
         _, violations = _run_and_audit(
             fuzz_run_arguments(
-                candidate, seed, backend,
-                scale=scale, preview=preview, shards=shards,
+                candidate, seed, scale=scale, preview=preview, shards=shards
             ),
             settle,
             extra_invariants,

@@ -15,7 +15,9 @@ around the cell, never mixed into the payload, so merged
 
 from __future__ import annotations
 
-from repro.analysis.stats import percentile
+import dataclasses
+
+from repro.analysis.stats import p99_or_zero
 from repro.harness.compare import (
     Verdict,
     backend_run_options,  # noqa: F401  (perfbench imports it from here)
@@ -71,7 +73,6 @@ def arch_matrix_cell(
     consistency_bytes = sum(
         stats.kind_bytes(prefix) for prefix in CONSISTENCY_PREFIXES[backend]
     )
-    latencies = result.action_latencies
     return {
         "peak_queue": result.max_queue(),
         "dropped": float(result.dropped_packets),
@@ -79,9 +80,7 @@ def arch_matrix_cell(
         "lookup_latency_ms": (
             result.consistency.get("mean_lookup_latency", 0.0) * 1000.0
         ),
-        "p99_latency_ms": (
-            percentile(latencies, 99) * 1000.0 if latencies else 0.0
-        ),
+        "p99_latency_ms": p99_or_zero(result.action_latencies) * 1000.0,
         "events": float(result.events_processed),
     }
 
@@ -97,30 +96,26 @@ def chaos_recovery_cell(
     crash and coordinator failover, then a settle window and the
     leak/coverage audit.  All returned fields are simulation-time
     quantities — deterministic for a given seed."""
-    from repro.chaos import ChaosOptions
-
     scenario = build_scenario(name)
     horizon = min(scenario.duration, preview)
-    chaos = ChaosOptions(
-        extra_faults=(
+    # After the declared phases: the order the driver schedules them in.
+    scenario = dataclasses.replace(
+        scenario,
+        phases=(
+            *scenario.phases,
             ServerCrash(at=horizon * 0.4, victim="busiest"),
             CoordinatorCrash(at=horizon * 0.55),
-        )
+        ),
     )
     outcome = run_scenario(
         **scaled_run_arguments(
             scenario, "matrix", scale, seed, preview=preview, **GRID_FLOORS
-        ),
-        chaos=chaos,
+        )
     )
     experiment = outcome.experiment
     experiment.sim.run(until=horizon + settle)
     report = experiment.chaos.report()
-    deployment = experiment.deployment
-    coordinator = deployment.coordinator
-    standby = deployment.standby_coordinator
-    if standby is not None and standby.promoted:
-        coordinator = standby
+    coordinator = experiment.deployment.current_coordinator
     recovery_times = report.recovery_times()
     injected = [f for f in report.faults if f.status == "injected"]
     return {

@@ -11,6 +11,7 @@ directly to the size of the overlap regions."
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.analysis.stats import Summary, pearson, summarize
@@ -96,7 +97,7 @@ def measure_bandwidth_vs_overlap(
             name: server.partition
             for name, server in experiment.deployment.matrix_servers.items()
         }
-        overlap = sum(
+        overlap = math.fsum(
             index.overlap_area()
             for index in compute_overlap_map(
                 partitions, radius, METRIC

@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from repro.baselines.mirrored import MirroredExperiment
     from repro.baselines.p2p import P2PExperiment
     from repro.baselines.static import StaticExperiment
-    from repro.chaos import ChaosOptions
 
 
 @dataclass
@@ -56,37 +55,6 @@ class ScenarioOutcome:
     experiment: Any
 
 
-def _resolve_chaos(
-    scenario: Scenario, chaos: "bool | str | ChaosOptions | None"
-) -> ChaosOptions | None:
-    """The :class:`ChaosOptions` to arm, or None for a plain run.
-
-    ``"auto"`` (the default) arms chaos exactly when the scenario
-    declares fault phases, so plain workloads stay untouched; ``True``
-    forces default options, ``False``/``None`` disables injection even
-    for chaos scenarios, and a :class:`ChaosOptions` is used as-is.
-    """
-    if chaos is None or chaos is False:
-        return None
-    if chaos == "auto" and not scenario.has_faults:
-        return None
-    if chaos == "auto" or chaos is True:
-        from repro.chaos import ChaosOptions
-
-        return ChaosOptions()
-    return chaos
-
-
-def _wants_standby_mc(
-    scenario: Scenario, options: ChaosOptions | None
-) -> bool:
-    """A CoordinatorCrash is coming: deploy the replicated MC."""
-    if options is None:
-        return False
-    faults = (*scenario.fault_phases(), *options.extra_faults)
-    return any(isinstance(fault, CoordinatorCrash) for fault in faults)
-
-
 #: backend name -> (its :class:`~repro.baselines.backend.BackendInfo`,
 #: builder(scenario, profile, chaos, **options) -> wired experiment).
 _BACKENDS: dict[str, tuple[BackendInfo, Callable[..., Any]]] = {}
@@ -96,13 +64,13 @@ def scenario_backend(info: BackendInfo) -> Callable:
     """Register a backend's experiment builder under ``info.name``
     (decorator).
 
-    The builder turns ``(scenario, profile, chaos, **options)`` — the
-    resolved :class:`~repro.chaos.ChaosOptions` or None, then the
-    caller's keyword options — into a wired, not yet running
-    experiment; :func:`run_scenario` does everything else.  *info*
-    documents the backend's architecture (ownership model, routing
-    strategy, consistency traffic) for ``list-backends`` and the docs
-    table; registering the same name twice raises.
+    The builder turns ``(scenario, profile, chaos, **options)`` —
+    ``chaos`` is True when a driver will be armed, then the caller's
+    keyword options — into a wired, not yet running experiment;
+    :func:`run_scenario` does everything else.  *info* documents the
+    backend's architecture (ownership model, routing strategy,
+    consistency traffic) for ``list-backends`` and the docs table;
+    registering the same name twice raises.
     """
 
     def decorate(build: Callable[..., Any]):
@@ -137,7 +105,7 @@ def backend_infos() -> list[BackendInfo]:
 def _build_matrix(
     scenario: Scenario,
     profile: GameProfile,
-    chaos: ChaosOptions | None,
+    chaos: bool,
     *,
     replicated_mc: bool | None = None,
     shards: int | None = None,
@@ -145,7 +113,11 @@ def _build_matrix(
     **options,
 ) -> MatrixExperiment:
     if replicated_mc is None:
-        replicated_mc = _wants_standby_mc(scenario, chaos)
+        # A CoordinatorCrash is coming: deploy the replicated MC.
+        replicated_mc = chaos and any(
+            isinstance(fault, CoordinatorCrash)
+            for fault in scenario.fault_phases()
+        )
     # perfbench/workloads.py still passes the keyword; one value is left.
     if shard_executor != "serial":
         raise ValueError(
@@ -235,7 +207,7 @@ def run_scenario(
     profile: GameProfile | None = None,
     scale: float = 1.0,
     preview: float | None = None,
-    chaos: "bool | str | ChaosOptions" = "auto",
+    chaos: bool = True,
     observe: "Callable[[Any], None] | None" = None,
     **options,
 ) -> ScenarioOutcome:
@@ -245,15 +217,14 @@ def run_scenario(
     preserved) and ``preview`` truncates the duration, both conveniences
     for smoke runs; callers wanting scaled *dynamics* must also pass a
     scaled ``policy``/profile and capacities (the recipe is
-    ``repro.harness.compare.scaled_run_arguments``).  ``chaos`` controls
-    fault injection: ``"auto"`` (default) arms a
-    :class:`~repro.chaos.ChaosDriver` exactly when the scenario
-    declares fault phases, ``False`` runs a chaos scenario with its
-    faults disarmed, and a :class:`~repro.chaos.ChaosOptions` tunes
-    the driver (and can add extra faults).  The armed driver is
-    reachable as ``outcome.experiment.chaos``.  ``observe`` is called
-    with the fully wired experiment *before* it runs — the hook the
-    trace recorder uses to tap the network (see
+    ``repro.harness.compare.scaled_run_arguments``).  Faults are the
+    scenario's fault phases and nothing else: a
+    :class:`~repro.chaos.ChaosDriver` is armed exactly when ``chaos``
+    (the default) and the scenario declares fault phases, and
+    ``chaos=False`` runs a chaos scenario with its faults disarmed.
+    The armed driver is reachable as ``outcome.experiment.chaos``.
+    ``observe`` is called with the fully wired experiment *before* it
+    runs — the hook the trace recorder uses to tap the network (see
     :mod:`repro.trace.recorder`); it runs exactly once, after the
     workload is installed and chaos is armed and before the first
     event, and an exception it raises propagates.  Remaining keyword
@@ -273,15 +244,13 @@ def run_scenario(
             f"unknown backend {backend!r}; known: {sorted(_BACKENDS)}"
         )
     _, build = _BACKENDS[backend]
-    chaos_options = _resolve_chaos(scenario, chaos)
-    experiment = build(scenario, profile, chaos_options, **options)
+    chaos = chaos and scenario.has_faults
+    experiment = build(scenario, profile, chaos, **options)
     scenario.install(experiment.fleet, profile)
-    if chaos_options is not None:
+    if chaos:
         from repro.chaos import ChaosDriver
 
-        experiment.chaos = ChaosDriver(
-            scenario, experiment, backend, chaos_options
-        )
+        experiment.chaos = ChaosDriver(scenario, experiment)
         experiment.chaos.arm()
     # Everything is wired and nothing has run: the one observation point.
     if observe is not None:

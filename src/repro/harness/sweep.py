@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.analysis.stats import percentile
+from repro.analysis.stats import p99_or_zero
 from repro.harness.compare import scaled_run_arguments
 from repro.harness.parallel import GridCell, GridTask, run_grid
 from repro.harness.runner import run_scenario
@@ -49,7 +49,6 @@ def sweep_cell(
             build_scenario(name), "matrix", scale, seed, preview=preview
         )
     ).result
-    latencies = result.action_latencies
     return SweepRow(
         scenario=name,
         peak_clients=result.total_clients.max(),
@@ -57,7 +56,7 @@ def sweep_cell(
         splits=result.splits_completed,
         reclaims=result.reclaims_completed,
         peak_queue=result.max_queue(),
-        p99_latency=percentile(latencies, 99) if latencies else 0.0,
+        p99_latency=p99_or_zero(result.action_latencies),
         events=result.events_processed,
     )
 

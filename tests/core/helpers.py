@@ -66,8 +66,10 @@ def build_deployment(
     policy: LoadPolicyConfig | None = None,
     world: Rect = WORLD,
     radius: float = 50.0,
+    game_server_factory=ScriptedGameServer,
 ):
-    """A deployment backed by ScriptedGameServers."""
+    """A deployment backed by ScriptedGameServers (or, with
+    *game_server_factory*, by whatever game servers it builds)."""
     sim = Simulator()
     network = Network(sim)
     config = MatrixConfig(
@@ -85,7 +87,7 @@ def build_deployment(
         ),
     )
     deployment = MatrixDeployment(
-        sim, network, config, game_server_factory=ScriptedGameServer,
+        sim, network, config, game_server_factory=game_server_factory,
         pool_capacity=pool_capacity,
     )
     return sim, network, deployment

@@ -7,8 +7,11 @@ some caller outside the tests and examples sets differently from the
 default; a value with one setting is a constant of the module that
 owns the behaviour (``docs/ARCHITECTURE.md``, "Configuration").  The
 lists below went from 74 settable values to 37 when the one-value
-options became constants, to 36 when the distance metric did, and to
-35 when the perf step stride did.
+options became constants, to 36 when the distance metric did, to 35
+when the perf step stride did, and to 34 when extra chaos faults
+became scenario phases.  The chaos driver and the fuzz entry points
+are pinned too, so the backend, fault and bound knobs they lost stay
+gone.
 Adding a name here means naming, in the same change, its second caller
 outside the tests.
 """
@@ -19,7 +22,7 @@ import inspect
 import pytest
 
 from repro.baselines.backend import ArchitectureBackend
-from repro.chaos import ChaosOptions
+from repro.chaos import ChaosDriver
 from repro.core.api import MatrixPort
 from repro.core.config import (
     SPATIAL_TAG_BYTES,
@@ -33,6 +36,7 @@ from repro.core.runtime import MatrixServer
 from repro.games.base import GameClient, GameServer
 from repro.geometry import Rect
 from repro.harness.experiment import MatrixExperiment
+from repro.harness.fuzz import fuzz_grid_tasks, run_fuzz_case
 from repro.harness.runner import run_scenario
 from repro.workload.fleet import ClientFleet
 
@@ -86,7 +90,6 @@ def test_wire_defaults_sane():
             ],
         ),
         (PerfConfig, ["enabled"]),
-        (ChaosOptions, ["extra_faults"]),
     ],
 )
 def test_config_fields_are_pinned(config, fields):
@@ -110,6 +113,15 @@ def test_config_fields_are_pinned(config, fields):
         (GameServer, ["queue_capacity"]),
         (GameClient, ["relocate", "position"]),
         (ClientFleet, []),
+        (ChaosDriver, []),
+        (
+            run_fuzz_case,
+            [
+                "profile", "scale", "preview", "settle", "shards",
+                "extra_invariants",
+            ],
+        ),
+        (fuzz_grid_tasks, ["profile", "scale", "preview", "settle", "shards"]),
     ],
 )
 def test_constructor_keywords_are_pinned(builder, keywords):
@@ -119,6 +131,11 @@ def test_constructor_keywords_are_pinned(builder, keywords):
         for parameter in parameters
         if parameter.default is not inspect.Parameter.empty
     ] == keywords
+
+
+def test_chaos_driver_takes_its_backend_from_the_experiment():
+    parameters = inspect.signature(ChaosDriver).parameters
+    assert list(parameters) == ["scenario", "experiment"]
 
 
 def test_perf_survives_a_non_default_matrix_option():

@@ -11,10 +11,15 @@ The bugs these tests pin down (fixed in the chaos PR):
   transfer completion raced an abort.
 """
 
-from tests.core.helpers import ScriptedGameServer, build_deployment
+import dataclasses
 
-from repro.core.config import LoadPolicyConfig
+from tests.core.helpers import WORLD, ScriptedGameServer, build_deployment
+
+from repro.core.config import LOAD_REPORT_PERIOD, LoadPolicyConfig
+from repro.core.messages import ReclaimRequest
 from repro.core.policy import ChildLoad, Decision, LoadPolicy
+from repro.games.base import GameServer
+from repro.games.profile import profile_by_name
 
 
 # ----------------------------------------------------------------------
@@ -176,4 +181,66 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
     assert ms.ctx.stats.reclaims_completed == 1
     assert deployment.pool.available == 2 or ms.ctx.busy is False
     sim.run(until=15.0)
+    assert deployment.unaccounted_hosts() == []
+
+
+def test_reclaim_abort_revives_an_evacuating_child():
+    """A parent that gave up on a reclaim (its watchdog fired, or it
+    was refused) drops the child's late ack and answers
+    ``matrix.ctl.reclaim_abort``: the child that evacuated for nothing
+    leaves ``dying``/``busy``, and its game server's periodic duties
+    (load reports, snapshot ticks) run again."""
+    profile = dataclasses.replace(
+        profile_by_name("bzflag"), world=WORLD, visibility_radius=50.0
+    )
+    # Real game servers report their (empty) load every period: a policy
+    # that never reclaims on its own leaves the one reclaim to the test.
+    policy = LoadPolicyConfig(
+        overload_clients=100,
+        underload_clients=50,
+        consecutive_underload_reports=10**6,
+    )
+    sim, network, deployment = build_deployment(
+        pool_capacity=2,
+        policy=policy,
+        game_server_factory=lambda name, partition: GameServer(
+            name, profile, partition
+        ),
+    )
+    ms, gs = deployment.bootstrap()
+    sim.at(1.0, ms.lifecycle.begin_split)
+    sim.run(until=6.0)
+    assert ms.ctx.stats.splits_completed == 1
+    child_ms = deployment.matrix_servers[ms.ctx.children[0].matrix_name]
+    child_gs = deployment.game_servers[child_ms.game_server]
+    reports = []
+    report_load = child_gs.port.report_load
+
+    def counted_report(*load):
+        reports.append(sim.now)
+        report_load(*load)
+
+    child_gs.port.report_load = counted_report
+
+    # A reclaim request the parent no longer tracks: the child evacuates
+    # (game server shut down) and sends its state back.
+    request = ReclaimRequest(parent=ms.name, parent_game_server=ms.game_server)
+    sim.at(
+        6.0,
+        lambda: ms.ctx.control_send(
+            child_ms.name, "matrix.ctl.reclaim_req", request
+        ),
+    )
+    sim.run(until=6.002)
+    assert child_ms.ctx.dying and child_ms.ctx.busy
+    assert not child_gs._tasks
+    sim.run(until=6.5)
+    assert not child_ms.ctx.dying and not child_ms.ctx.busy
+    assert child_gs._tasks
+    assert child_ms.name in deployment.matrix_servers
+    assert ms.ctx.stats.reclaims_completed == 0
+    # The resumed duties report load again.
+    del reports[:]
+    sim.run(until=6.5 + 3 * LOAD_REPORT_PERIOD)
+    assert len(reports) == 3
     assert deployment.unaccounted_hosts() == []

@@ -110,8 +110,3 @@ def test_run_fuzz_grid_serial_smoke():
     for cell in cells:
         assert cell.value["violations"] == 0
         assert cell.value["events"] > 0
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown backend"):
-        run_fuzz_case(0, backend="nope", scale=0.05, preview=10.0)
