@@ -385,7 +385,20 @@ class GameServer(Node):
 
 
 class GameClient(Node):
-    """A game client: mobility, updates, actions, server switching."""
+    """A game client: mobility, updates, actions, server switching.
+
+    Thousands are built per run and each keeps its state to the end, so
+    its attributes live in fixed slots rather than an instance dict.
+    """
+
+    __slots__ = (
+        "_profile", "mobility", "_rng", "_relocate", "_rejoin_timeout",
+        "_last_snapshot_at", "rejoins", "server", "_pending",
+        "_switch_started", "position", "shard_anchor", "_seq",
+        "_action_seq", "_pending_actions", "_update_task", "active",
+        "updates_sent", "actions_sent", "snapshots_received",
+        "switches_completed", "action_latencies", "switch_latencies",
+    )
 
     def __init__(
         self,

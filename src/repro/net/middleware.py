@@ -78,6 +78,8 @@ class MiddlewarePipeline:
     with it.
     """
 
+    __slots__ = ("_owner", "stages")
+
     def __init__(self, owner: "Node") -> None:
         self._owner = owner
         #: Installed stages, outermost (closest to the wire) first.

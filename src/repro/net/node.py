@@ -38,7 +38,19 @@ class Node(ABC):
     the only way a node answers a message: a kind it does not hold goes
     to :meth:`on_unhandled`.  Everything else — queueing, servicing
     delay, traffic accounting, the middleware pipeline — is provided.
+
+    A node's attributes live in fixed slots.  A subclass that declares
+    no ``__slots__`` of its own (servers, test doubles) gets an
+    instance dict for its own attributes, as any class does; one built
+    in the thousands (:class:`~repro.games.base.GameClient`) declares
+    its slots and has none.
     """
+
+    __slots__ = (
+        "name", "_network", "sim", "_service_rate", "_queue_capacity",
+        "_priority_kinds", "_inbox", "_arrive", "middleware",
+        "_mw_stages", "_handlers", "unhandled_count",
+    )
 
     #: kind -> method name, compiled at class-definition time.
     _dispatch_table: ClassVar[dict[str, str]] = {}

@@ -48,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class ReceiveQueue:
     """A FIFO message queue with a fixed service rate.
 
+    The FIFO is a deque allocated the first time a message has to wait:
+    every arrival at a finite rate or a capacity of 0, and a delivery
+    made while an in-place queue is inside its handler.  An in-place
+    queue that never backlogged holds ``None`` there.
+
     Parameters
     ----------
     sim:
@@ -76,6 +81,14 @@ class ReceiveQueue:
         every message goes to *handler*.
     """
 
+    __slots__ = (
+        "_sim", "_handler", "_handlers", "_stages", "_capacity",
+        "_priority_kinds", "_immediate", "_service_delay", "_in_place",
+        "_queue", "_busy", "_halted", "_detached_from", "_refusing",
+        "_discarded", "serviced_count", "dropped_count", "busy_time",
+        "_peak_length",
+    )
+
     def __init__(
         self,
         sim: "Simulator",
@@ -93,7 +106,7 @@ class ReceiveQueue:
         self._capacity = capacity
         self.set_service_rate(service_rate)
         self._priority_kinds = priority_kinds
-        self._queue: deque[Message] = deque()
+        self._queue: deque[Message] | None = None
         self._busy = False
         self._halted = False
         #: The network that detached this queue (``None`` while attached).
@@ -119,7 +132,8 @@ class ReceiveQueue:
         (infinite-rate) queue services in place and reads ``0``
         outside its handler.
         """
-        return len(self._queue)
+        queue = self._queue
+        return 0 if queue is None else len(queue)
 
     @property
     def arrivals(self) -> int:
@@ -130,7 +144,7 @@ class ReceiveQueue:
         return (
             self.serviced_count
             + self.dropped_count
-            + len(self._queue)
+            + self.length
             + self._discarded
         )
 
@@ -167,8 +181,10 @@ class ReceiveQueue:
         """
         self._halted = True
         self._refusing = True
-        self._discarded += len(self._queue)
-        self._queue.clear()
+        queue = self._queue
+        if queue:
+            self._discarded += len(queue)
+            queue.clear()
         self._busy = False
 
     def detach(self, network: "Network") -> None:
@@ -202,7 +218,8 @@ class ReceiveQueue:
             # updated exactly as the general path would have: the
             # message transiently "occupied" the queue (peak >= 1) and
             # was serviced immediately.  Anything the handler delivered
-            # re-entrantly is drained afterwards.
+            # re-entrantly is drained afterwards: the queue is re-read,
+            # since such a delivery may be what allocated it.
             if self._peak_length == 0:
                 self._peak_length = 1
             self._busy = True
@@ -211,10 +228,12 @@ class ReceiveQueue:
                 self._handler(message)
             else:
                 self._handlers.get(message.kind, self._handler)(message)
-            if not queue:
+            if not self._queue:
                 self._busy = False
                 return
         else:
+            if queue is None:
+                queue = self._queue = deque()
             kinds = self._priority_kinds
             if kinds is not None and message.kind in kinds:
                 queue.appendleft(message)

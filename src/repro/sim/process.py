@@ -23,6 +23,8 @@ class PeriodicTask:
     so that cancel is a no-op.
     """
 
+    __slots__ = ("_sim", "_interval", "_callback", "_stopped", "_pending")
+
     def __init__(
         self,
         sim: "Simulator",

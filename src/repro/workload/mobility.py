@@ -1,12 +1,13 @@
 """Client mobility models and the mobility registry.
 
-Each client owns one mobility instance (they are stateful).  The
-hotspot experiments combine :class:`RandomWaypoint` background players
-with :class:`HotspotMobility` players who loiter around the hotspot —
-the "town hall during a town meeting" of §4.1.  The remaining models
-open workloads the paper never ran: flocks that roam in formation,
-commuters looping a fixed circuit, portal-hopping teleporters, and
-pursuers chasing a quarry.
+Each client owns one mobility instance (they are stateful), so every
+model declares ``__slots__``: a run builds one per client and keeps it
+to the end.  The hotspot experiments combine :class:`RandomWaypoint`
+background players with :class:`HotspotMobility` players who loiter
+around the hotspot — the "town hall during a town meeting" of §4.1.
+The remaining models open workloads the paper never ran: flocks that
+roam in formation, commuters looping a fixed circuit, portal-hopping
+teleporters, and pursuers chasing a quarry.
 
 Models are pluggable through a registry: a
 :class:`~repro.workload.fleet.ClientFleet` never names a concrete
@@ -69,6 +70,8 @@ def _walk_toward(
 class Stationary:
     """No movement; useful in unit tests and microbenchmarks."""
 
+    __slots__ = ()
+
     def step(self, position: Vec2, dt: float) -> Vec2:
         return position
 
@@ -79,6 +82,10 @@ class RandomWaypoint:
     Pick a uniform random destination, walk to it at constant speed,
     optionally pause, repeat.
     """
+
+    __slots__ = (
+        "_world", "_speed", "_rng", "_pause", "_target", "_pause_left",
+    )
 
     def __init__(
         self,
@@ -132,6 +139,8 @@ class HotspotMobility:
     waypoint, which would diffuse it) while still generating movement
     traffic.
     """
+
+    __slots__ = ("_world", "center", "_spread", "_speed", "_rng", "_target")
 
     def __init__(
         self,
@@ -191,6 +200,8 @@ class Flock:
     fixed quanta, so the walk is independent of how many members exist.
     """
 
+    __slots__ = ("_world", "_walk", "anchor", "_time")
+
     def __init__(
         self,
         world: Rect,
@@ -231,6 +242,8 @@ class FlockMobility:
     still producing per-client movement traffic.
     """
 
+    __slots__ = ("flock", "_world", "_speed", "_offset", "_time")
+
     def __init__(
         self,
         flock: Flock,
@@ -270,6 +283,8 @@ class CommuterMobility:
     stops and produce predictable cross-partition traffic streams —
     the opposite of random waypoint's uniform diffusion.
     """
+
+    __slots__ = ("_world", "_speed", "_pause", "stops", "_leg", "_pause_left")
 
     def __init__(
         self,
@@ -333,6 +348,8 @@ class TeleportMobility:
     so this model stress-tests the switch/handoff path.
     """
 
+    __slots__ = ("_world", "_speed", "_rng", "_portal_chance", "_target")
+
     def __init__(
         self,
         world: Rect,
@@ -376,6 +393,8 @@ class PursuitMobility:
     quarry's current position every step, so it closes in and then
     shadows the quarry around the map.
     """
+
+    __slots__ = ("_world", "_speed", "_quarry_walk", "quarry")
 
     def __init__(
         self,

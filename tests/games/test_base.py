@@ -180,15 +180,23 @@ def test_snapshot_counts_nearby_entities():
     assert gs.snapshots_sent >= 5 * 4  # 5 clients x >=4 ticks
 
 
+class SendRecordingClient(GameClient):
+    """A client whose sends are recorded in ``said``, not transmitted
+    (``GameClient`` has slots, so a test cannot patch ``send`` on an
+    instance of it)."""
+
+    def send(self, dst, kind, payload, size_bytes):
+        self.said.append((dst, kind))
+
+
 def test_leave_says_goodbye_to_server_then_pending():
     """Send order decides which goodbye takes which latency draw, so
     it must not come from a hash-ordered set."""
     for i in range(8):
-        client = GameClient(
+        client = SendRecordingClient(
             "client.1", bzflag_profile(), Stationary(), random.Random(1)
         )
-        said = []
-        client.send = lambda dst, kind, payload, size_bytes: said.append((dst, kind))
+        said = client.said = []
         client.server, client._pending = f"gs.{i}", f"gs.{i + 8}"
         client.leave()
         assert said == [(f"gs.{i}", "client.bye"), (f"gs.{i + 8}", "client.bye")]

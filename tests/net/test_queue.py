@@ -151,6 +151,8 @@ def test_infinite_rate_fast_path_keeps_counters_exact():
     assert queue.peak_length == 1  # each message transiently occupied it
     assert queue.length == 0
     assert queue.dropped_count == 0
+    assert queue.arrivals == 3
+    assert queue._queue is None  # nothing ever waited
 
 
 def test_infinite_rate_fast_path_drains_reentrant_deliveries():
@@ -167,6 +169,10 @@ def test_infinite_rate_fast_path_drains_reentrant_deliveries():
     queue.deliver(make_message(0))
     assert handled == [0, 1]
     assert queue.serviced_count == 2
+    # The delivery made inside the handler allocated the deque; the
+    # fast path re-read it and drained it in the same call.
+    assert (queue.arrivals, queue.length, queue.peak_length) == (2, 0, 1)
+    assert queue._queue is not None and sim.pending_events == 0
 
 
 def test_zero_capacity_queue_still_drops():
@@ -235,3 +241,136 @@ def test_switch_to_finite_rate_mid_backlog_starts_scheduling():
     queue.deliver(make_message(4))
     assert handled[-1] == (4, 0.75)
     assert queue.length == 0
+
+
+# ----------------------------------------------------------------------
+# The same contract on a queue whose deque does not exist yet.  An
+# infinite-rate queue allocates its FIFO the first time a message has
+# to wait, so each case below also runs on an in-place queue that never
+# waited (``_queue is None``) beside one that has.
+# ----------------------------------------------------------------------
+STATES = pytest.mark.parametrize("state", ["never-waited", "waited", "finite"])
+
+
+def queue_in(state, sim, handler):
+    """A fresh queue in *state*, with one message already serviced.
+
+    ``never-waited``: infinite rate, the message serviced in place, no
+    deque.  ``waited``: infinite rate, and that message's handler made a
+    re-entrant delivery, so an (empty) deque exists.  ``finite``: 10
+    messages/s, the message serviced at 0.1 s.
+    """
+    reentered = []
+
+    def first(message):
+        if state == "waited" and not reentered:
+            reentered.append(True)
+            queue.deliver(make_message(-2))
+        elif message.payload >= 0:
+            handler(message)
+
+    rate = 10.0 if state == "finite" else float("inf")
+    queue = ReceiveQueue(sim, miss, {"test": first}, service_rate=rate)
+    queue.deliver(make_message(-1))
+    sim.run()
+    assert (queue._queue is None) == (state == "never-waited")
+    assert (queue.arrivals, queue.length) == (1 + len(reentered), 0)
+    return queue
+
+
+class Returns:
+    """A network stand-in: what a detached queue hands back."""
+
+    def __init__(self):
+        self.returned = []
+
+    def _arrive_detached(self, message, sim):
+        self.returned.append(message.payload)
+
+
+@STATES
+def test_halt_discards_the_backlog_and_refuses_later_arrivals(state):
+    sim = Simulator()
+    handled = []
+    queue = queue_in(state, sim, handled.append)
+    before = queue.arrivals
+    for i in range(3):
+        queue.deliver(make_message(i))
+    serviced = len(handled)  # 3 in place, 0 at a finite rate
+    queue.halt()
+    queue.deliver(make_message(3))
+    sim.run()
+    assert len(handled) == serviced == (0 if state == "finite" else 3)
+    assert queue.length == 0
+    assert queue.arrivals == before + 4
+
+
+def test_halt_inside_the_handler_discards_what_it_delivered():
+    sim = Simulator()
+    handled = []
+
+    def handler(message):
+        handled.append(message.payload)
+        if message.payload == 0:
+            queue.deliver(make_message(1))
+            queue.halt()
+
+    queue = ReceiveQueue(sim, miss, {"test": handler})
+    queue.deliver(make_message(0))
+    queue.deliver(make_message(2))
+    assert handled == [0]
+    assert (queue.arrivals, queue.length, queue.serviced_count) == (3, 0, 1)
+
+
+@STATES
+def test_detach_hands_later_arrivals_back_and_drains_the_backlog(state):
+    sim = Simulator()
+    handled = []
+    network = Returns()
+    queue = queue_in(state, sim, lambda m: handled.append(m.payload))
+    for i in range(2):
+        queue.deliver(make_message(i))
+    queue.detach(network)
+    arrivals = queue.arrivals
+    queue.deliver(make_message(2))
+    sim.run()
+    assert handled == [0, 1]  # a removed node still drains its backlog
+    assert network.returned == [2]
+    assert queue.arrivals == arrivals
+    assert queue.length == 0
+
+
+@STATES
+@pytest.mark.parametrize("where", ["idle", "handler"])
+def test_switch_to_finite_rate_with_arrivals_pending(state, where):
+    """inf (or 10/s) -> 4/s, made while idle or by the handler of an
+    arrival that delivers three more: those three wait their turn."""
+    sim = Simulator()
+    handled = []
+
+    def handler(message):
+        handled.append((message.payload, sim.now))
+        if message.payload == 0:
+            for i in (1, 2, 3):
+                queue.deliver(make_message(i))
+            if where == "handler":
+                queue.set_service_rate(4.0)
+            assert queue.length == 3
+
+    queue = queue_in(state, sim, handler)
+    start = sim.now
+    if where == "idle":
+        queue.set_service_rate(4.0)
+    queue.deliver(make_message(0))
+    sim.run()
+    # Message 0 is serviced at the rate it arrived at.
+    first = start + {"idle": 0.25, "handler": 0.1 if state == "finite" else 0.0}[where]
+    assert handled == [
+        (0, pytest.approx(first)),
+        (1, pytest.approx(first + 0.25)),
+        (2, pytest.approx(first + 0.5)),
+        (3, pytest.approx(first + 0.75)),
+    ]
+    assert queue.length == 0
+    assert queue.peak_length >= 3
+    assert queue.arrivals == queue.serviced_count
