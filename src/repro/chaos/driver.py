@@ -223,7 +223,7 @@ class ChaosDriver:
             return None
         if rule == "splitting":
             for server in live:
-                if server.lifecycle.split_in_flight:
+                if server.lifecycle.split is not None:
                     return server
             rule = "youngest"
         if rule == "busiest":

@@ -414,9 +414,9 @@ class MatrixDeployment:
         parent = self.matrix_servers.get(
             parent_name
         ) or self._crashed_index.get(parent_name)
-        if parent is not None:
-            pending = parent.lifecycle.in_flight_child
-            if pending is not None and pending[0] == corpse.name:
+        if parent is not None and parent.lifecycle.split is not None:
+            child = parent.lifecycle.split.child
+            if child is not None and child[0] == corpse.name:
                 return False  # mid-split child, never announced
         return True
 
@@ -424,14 +424,14 @@ class MatrixDeployment:
         self, corpse: MatrixServer, announced: bool, detected_at: float
     ) -> None:
         # Reclaim the leases the dead server held.
-        lifecycle = corpse.lifecycle
-        pending_child = lifecycle.in_flight_child
-        pending_host = lifecycle.in_flight_host
-        if pending_child is not None and pending_child[0] in self.matrix_servers:
-            # Spawned but never announced to the MC: a pure orphan.
-            self.decommission_pair(pending_child[0], pending_host)
-        elif pending_host is not None:
-            self.pool.release(pending_host)
+        split = corpse.lifecycle.split
+        if split is not None:
+            child = split.child
+            if child is not None and child[0] in self.matrix_servers:
+                # Spawned but never announced to the MC: a pure orphan.
+                self.decommission_pair(child[0], split.host)
+            elif split.host is not None:
+                self.pool.release(split.host)
         own_host = corpse.host_id
         if own_host in self.pool.issued:
             self._pending_releases.add(own_host)
@@ -525,9 +525,9 @@ class MatrixDeployment:
         held |= self.pool.provisioning
         for server in self.matrix_servers.values():
             held.add(server.host_id)
-            in_flight = server.lifecycle.in_flight_host
-            if in_flight is not None:
-                held.add(in_flight)
+            split = server.lifecycle.split
+            if split is not None and split.host is not None:
+                held.add(split.host)
         return sorted(self.pool.issued - held)
 
     # ------------------------------------------------------------------

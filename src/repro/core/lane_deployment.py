@@ -52,9 +52,9 @@ class LaneFabric:
     lane; replies come back as ``fabric.grant`` / ``fabric.spawned``
     messages, which this proxy handles itself (the server adopts its
     fabric like any other runtime component).  A single callback slot
-    per request kind suffices: ``ServerContext.busy`` guarantees at
-    most one split (and hence one acquire and one spawn) is in flight
-    per server.
+    per request kind suffices: ``Lifecycle.busy`` admits one split (and
+    hence one acquire and one spawn) at a time per server, and both are
+    answered long before a watchdog could abort the split.
     """
 
     def __init__(self, deployment: "ShardedMatrixDeployment", ms_name: str) -> None:

@@ -176,7 +176,6 @@ class StateBegin:
     transfer_id: int
     total_chunks: int
     total_bytes: int
-    context: str  # "split" or "reclaim"
 
 
 @dataclass(slots=True)

@@ -51,11 +51,6 @@ class LoadPolicy:
         self._last_reclaim_at = float("-inf")
         self._last_failed_split_at = float("-inf")
         self._last_failed_reclaim_at = float("-inf")
-        # Pre-attempt cooldown stamps, restored if the attempt fails
-        # (a pool-exhausted split or a nacked reclaim must not consume
-        # the success cooldown — it backs off from the failure instead).
-        self._split_stamp_before_attempt: float | None = None
-        self._reclaim_stamp_before_attempt: float | None = None
 
     # ------------------------------------------------------------------
     # Classification helpers
@@ -131,44 +126,35 @@ class LoadPolicy:
     # Feedback from the server
     # ------------------------------------------------------------------
     # The lifecycle reports each split/reclaim in two halves: an
-    # *attempt* when it starts (stamps the cooldown, damps further
-    # decisions while in flight) and a *success*/*failure* when the
-    # outcome is known.  A failure restores the pre-attempt cooldown
-    # stamp — a pool-exhausted split or a nacked reclaim must not
-    # consume the success cooldown — and backs off one cooldown from
-    # the failure instead.  Completed and failed operations are counted
-    # in the server's ServerStats, not here.
+    # *attempt* when it starts (restarts the persistence count) and a
+    # *success*/*failure* when the outcome is known.  No decision is
+    # taken while one is in flight (``busy``), so the cooldown is
+    # stamped at the outcome: a success stamps it from the attempt's
+    # start, and a failure — a pool-exhausted split, a nacked reclaim —
+    # leaves it alone and backs off one cooldown from the failure
+    # instead.  Completed and failed operations are counted in the
+    # server's ServerStats, not here.
 
-    def note_split_attempt(self, now: float) -> None:
-        """A split was initiated at *now* (outcome not yet known)."""
-        self._split_stamp_before_attempt = self._last_split_at
-        self._last_split_at = now
+    def note_split_attempt(self) -> None:
+        """A split was initiated (outcome not yet known)."""
         self._consecutive_overloads = 0
 
-    def note_split_success(self) -> None:
-        """The in-flight split completed: keep its cooldown."""
-        self._split_stamp_before_attempt = None
+    def note_split_success(self, started_at: float) -> None:
+        """The split started at *started_at* completed: cool down."""
+        self._last_split_at = started_at
 
     def note_split_failure(self, now: float) -> None:
-        """The in-flight split failed: restore the cooldown, back off."""
-        if self._split_stamp_before_attempt is not None:
-            self._last_split_at = self._split_stamp_before_attempt
-            self._split_stamp_before_attempt = None
+        """The in-flight split failed at *now*: back off."""
         self._last_failed_split_at = now
 
-    def note_reclaim_attempt(self, now: float) -> None:
-        """A reclaim was initiated at *now* (outcome not yet known)."""
-        self._reclaim_stamp_before_attempt = self._last_reclaim_at
-        self._last_reclaim_at = now
+    def note_reclaim_attempt(self) -> None:
+        """A reclaim was initiated (outcome not yet known)."""
         self._consecutive_underloads = 0
 
-    def note_reclaim_success(self) -> None:
-        """The in-flight reclaim was acked: keep its cooldown."""
-        self._reclaim_stamp_before_attempt = None
+    def note_reclaim_success(self, started_at: float) -> None:
+        """The reclaim started at *started_at* was acked: cool down."""
+        self._last_reclaim_at = started_at
 
     def note_reclaim_failure(self, now: float) -> None:
-        """The in-flight reclaim was nacked/aborted: restore and back off."""
-        if self._reclaim_stamp_before_attempt is not None:
-            self._last_reclaim_at = self._reclaim_stamp_before_attempt
-            self._reclaim_stamp_before_attempt = None
+        """The in-flight reclaim was nacked/aborted at *now*: back off."""
         self._last_failed_reclaim_at = now

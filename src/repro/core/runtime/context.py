@@ -88,7 +88,6 @@ class ServerContext:
 
         self.children: list[ChildRecord] = []
         self.child_loads: dict[str, ChildLoad] = {}
-        self.busy = False
         self.dying = False
         self.client_count = 0
 

@@ -46,7 +46,10 @@ class LoadMonitor:
                 size_bytes=LOAD_REPORT_BYTES,
             )
         decision = ctx.policy.on_load_report(
-            ctx.now, report.client_count, self.youngest_child_load(), ctx.busy
+            ctx.now,
+            report.client_count,
+            self.youngest_child_load(),
+            self._lifecycle.busy,
         )
         if decision is Decision.SPLIT:
             self._lifecycle.begin_split()

@@ -12,14 +12,22 @@
 * **Abort and rollback** — every in-flight operation can be cancelled
   (peer crashed, watchdog fired, server is dying): acquired hosts go
   back to the pool, spawned-but-unannounced children are decommissioned,
-  pending transfers are forgotten so late completions are no-ops, and
-  the policy's success cooldown is restored in favour of the distinct
-  failed-attempt backoff.  Watchdogs are armed only when
-  ``MatrixConfig.lifecycle_timeout`` is set (the chaos driver does);
-  without injected faults no peer can go silent mid-protocol.
+  and the policy backs off from the failure.  Watchdogs are armed only
+  when ``MatrixConfig.lifecycle_timeout`` is set (the chaos driver
+  does); without injected faults no peer can go silent mid-protocol.
+
+An operation in flight is one record — :class:`Split` and
+:class:`Reclaim` on the parent, :class:`Evacuation` on the child — and
+the record exists only while the operation does.  Every callback the
+operation issues (the pool grant, the pair boot, the transfer's
+completion, the watchdog) is bound to its record and does nothing
+unless that record is still the current one, so a late callback of an
+aborted or finished operation cannot act on its successor.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from repro.core.messages import (
     ReclaimAck,
@@ -35,65 +43,77 @@ from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
+@dataclass(slots=True, eq=False)
+class Split:
+    """A split in flight.  The pool grant sets ``host`` and the cut
+    ``kept``/``given``; ``child`` is the booted, unannounced (ms, gs)."""
+
+    started_at: float
+    host: str | None = None
+    kept: Rect | None = None
+    given: Rect | None = None
+    child: tuple[str, str] | None = None
+
+
+@dataclass(slots=True, eq=False)
+class Reclaim:
+    """A reclaim in flight, on the parent side.  New on every attempt:
+    an old attempt's watchdog must not abort a retry of the same child."""
+
+    child: ChildRecord
+    started_at: float
+
+
+@dataclass(slots=True, eq=False)
+class Evacuation:
+    """A reclaim in flight, on the child side (request to ack)."""
+
+
 class Lifecycle:
     """Orchestrates this server's splits and reclaims."""
 
     def __init__(self, ctx: ServerContext, transfer: StateTransfer) -> None:
         self._ctx = ctx
         self._transfer = transfer
-        transfer.on_complete("split", self._finalize_split)
-        transfer.on_complete("reclaim", self._finalize_reclaim_child)
         # Crash semantics: no callback may act for a halted lifecycle.
         self._halted = False
-        # Split-in-flight context.
-        self._split_active = False
-        self._pending_kept: Rect | None = None
-        self._pending_given: Rect | None = None
-        self._pending_host: str | None = None
-        self._pending_child: tuple[str, str] | None = None
-        # Reclaim-in-flight context (on the parent side).
-        self._reclaiming: ChildRecord | None = None
-        # Reclaim-in-flight context (on the child side).
-        self._evacuating = False
-        # Watchdog epochs: a check fires only if no newer operation
-        # (or completion) superseded the one it was armed for.
-        self._split_epoch = 0
-        self._reclaim_epoch = 0
-        self._evacuate_epoch = 0
+        #: The split in flight (None outside one).  The deployment
+        #: supervisor, the chaos driver and the fuzz audit read it.
+        self.split: Split | None = None
+        self._reclaim: Reclaim | None = None
+        self._evacuation: Evacuation | None = None
 
-    # ------------------------------------------------------------------
-    # Introspection (used by the deployment supervisor and tests)
-    # ------------------------------------------------------------------
-    @property
-    def split_in_flight(self) -> bool:
-        """True between ``begin_split`` and its finalize/abort."""
-        return self._split_active
+    def _current(self, record: Split | Reclaim | Evacuation) -> bool:
+        """Is *record* still an operation in flight on a live server?"""
+        return not self._halted and record in (
+            self.split, self._reclaim, self._evacuation
+        )
 
     @property
-    def in_flight_host(self) -> str | None:
-        """Pool host held by the in-flight split (None outside one)."""
-        return self._pending_host
-
-    @property
-    def in_flight_child(self) -> tuple[str, str] | None:
-        """(ms, gs) names of the spawned-but-unannounced split child."""
-        return self._pending_child
+    def busy(self) -> bool:
+        """True while a split or reclaim is in flight or the server is
+        dying: the policy takes no decision, and a reclaim is refused."""
+        return (
+            self.split is not None
+            or self._reclaim is not None
+            or self._ctx.dying
+        )
 
     # ------------------------------------------------------------------
     # Split orchestration
     # ------------------------------------------------------------------
     def begin_split(self) -> None:
         ctx = self._ctx
-        ctx.busy = True
-        self._split_active = True
-        self._split_epoch += 1
-        ctx.policy.note_split_attempt(ctx.now)
-        self._arm_watchdog(self._check_split_stuck, self._split_epoch)
-        ctx.fabric.acquire_host(self._on_host_acquired)
+        split = self.split = Split(started_at=ctx.now)
+        ctx.policy.note_split_attempt()
+        self._arm_watchdog(split, self.abort_split)
+        ctx.fabric.acquire_host(
+            lambda host_id: self._on_host_acquired(split, host_id)
+        )
 
-    def _on_host_acquired(self, host_id: str | None) -> None:
+    def _on_host_acquired(self, split: Split, host_id: str | None) -> None:
         ctx = self._ctx
-        if self._halted or not self._split_active:
+        if not self._current(split):
             # Aborted (or the whole server crashed) while the pool was
             # provisioning: the host was never recorded here, so it
             # must go straight back — a corpse continuing its split
@@ -113,98 +133,90 @@ class Lifecycle:
             self._split_failed()
             return
         positions = ctx.fabric.client_positions(ctx.game_server)
-        kept, given = ctx.strategy.split(ctx.partition, positions)
-        self._pending_kept = kept
-        self._pending_given = given
-        self._pending_host = host_id
-        ctx.fabric.spawn_pair(host_id, given, ctx.name, self._on_child_ready)
+        split.kept, split.given = ctx.strategy.split(ctx.partition, positions)
+        split.host = host_id
+        ctx.fabric.spawn_pair(
+            host_id,
+            split.given,
+            ctx.name,
+            lambda child_ms, child_gs: self._on_child_ready(
+                split, child_ms, child_gs
+            ),
+        )
 
-    def _on_child_ready(self, child_ms: str, child_gs: str) -> None:
-        if self._halted or not self._split_active or self._pending_given is None:
+    def _on_child_ready(
+        self, split: Split, child_ms: str, child_gs: str
+    ) -> None:
+        if not self._current(split):
             # The split was cancelled while the pair was booting: the
             # fresh pair is an orphan — tear it down and free its host
             # (the fabric resolves the host from its own records).
             self._ctx.fabric.decommission_pair(child_ms, None)
             return
         ctx = self._ctx
-        self._pending_child = (child_ms, child_gs)
+        split.child = (child_ms, child_gs)
         grant = SplitGrant(
             parent=ctx.name,
-            child_partition=self._pending_given,
-            parent_partition=self._pending_kept,
+            child_partition=split.given,
+            parent_partition=split.kept,
         )
         ctx.control_send(child_ms, "matrix.ctl.split_grant", grant)
-        self._transfer.start(child_ms, self._pending_given, context="split")
+        self._transfer.start(
+            child_ms, split.given, lambda: self._finalize_split(split)
+        )
 
-    def _finalize_split(self) -> None:
-        if self._pending_child is None:
+    def _finalize_split(self, split: Split) -> None:
+        if not self._current(split):
             return  # split was aborted; the late completion is a no-op
         ctx = self._ctx
-        child_ms, child_gs = self._pending_child
-        ctx.partition = self._pending_kept
+        child_ms, child_gs = split.child
+        ctx.partition = split.kept
         ctx.children.append(
             ChildRecord(
                 matrix_name=child_ms,
                 game_server=child_gs,
-                host_id=self._pending_host,
+                host_id=split.host,
                 born_at=ctx.now,
             )
         )
         notice = SplitNotice(
             parent=ctx.name,
-            parent_partition=self._pending_kept,
+            parent_partition=split.kept,
             child=child_ms,
             child_game_server=child_gs,
-            child_partition=self._pending_given,
+            child_partition=split.given,
             visibility_radius=ctx.config.visibility_radius,
         )
         ctx.control_send(ctx.coordinator, "mc.split", notice)
-        self._clear_split_state()
-        ctx.policy.note_split_success()
+        self.split = None
+        ctx.policy.note_split_success(split.started_at)
         ctx.stats.splits_completed += 1
-        ctx.busy = False
-
-    def _clear_split_state(self) -> None:
-        self._split_active = False
-        self._split_epoch += 1
-        self._pending_kept = None
-        self._pending_given = None
-        self._pending_host = None
-        self._pending_child = None
 
     def _split_failed(self) -> None:
         """Roll up a split that never got resources (no cleanup owed)."""
         ctx = self._ctx
-        self._clear_split_state()
+        self.split = None
         ctx.policy.note_split_failure(ctx.now)
         ctx.stats.failed_splits += 1
-        ctx.busy = False
 
     def abort_split(self) -> bool:
         """Cancel the in-flight split and roll back its resources.
 
         Releases the acquired host (or decommissions the spawned child
-        pair), forgets the pending state transfer so a late completion
-        is a no-op, restores the policy cooldown and backs off.
-        Returns False when no split was in flight.
+        pair) and backs the policy off; the split's late callbacks find
+        it gone and do nothing.  Returns False when no split was in
+        flight.
         """
-        if not self._split_active:
+        split = self.split
+        if split is None:
             return False
         ctx = self._ctx
-        self._transfer.cancel("split")
-        child = self._pending_child
-        host = self._pending_host
-        if child is not None:
-            ctx.fabric.decommission_pair(child[0], host)
-        elif host is not None:
-            ctx.fabric.release_host(host)
+        if split.child is not None:
+            ctx.fabric.decommission_pair(split.child[0], split.host)
+        elif split.host is not None:
+            ctx.fabric.release_host(split.host)
         self._split_failed()
         return True
-
-    def _check_split_stuck(self, epoch: int) -> None:
-        if epoch != self._split_epoch or not self._split_active:
-            return
-        self.abort_split()
 
     @handles("matrix.ctl.split_grant")
     def on_split_grant(self, message: Message) -> None:
@@ -218,39 +230,46 @@ class Lifecycle:
     # ------------------------------------------------------------------
     def begin_reclaim(self) -> None:
         ctx = self._ctx
-        child = ctx.children[-1]
-        ctx.busy = True
-        self._reclaiming = child
-        self._reclaim_epoch += 1
-        ctx.policy.note_reclaim_attempt(ctx.now)
-        self._arm_watchdog(self._check_reclaim_stuck, self._reclaim_epoch)
+        reclaim = self._reclaim = Reclaim(ctx.children[-1], ctx.now)
+        ctx.policy.note_reclaim_attempt()
+        # Timed out mid-protocol: the child may already be evacuating.
+        self._arm_watchdog(
+            reclaim, lambda: self._abort_reclaim(notify_child=True)
+        )
         request = ReclaimRequest(
             parent=ctx.name, parent_game_server=ctx.game_server
         )
-        ctx.control_send(child.matrix_name, "matrix.ctl.reclaim_req", request)
+        ctx.control_send(
+            reclaim.child.matrix_name, "matrix.ctl.reclaim_req", request
+        )
 
     @handles("matrix.ctl.reclaim_req")
     def on_reclaim_request(self, message: Message) -> None:
         ctx = self._ctx
         request: ReclaimRequest = message.payload
-        if ctx.busy or ctx.children:
-            # Mid-split, or we have children of our own: refuse.
+        if self.busy or ctx.children:
+            # Mid-operation, or we have children of our own: refuse.
             ctx.control_send(message.src, "matrix.ctl.reclaim_nack", None)
             return
-        ctx.busy = True
         ctx.dying = True
-        self._evacuating = True
-        self._evacuate_epoch += 1
-        self._arm_watchdog(self._check_evacuate_stuck, self._evacuate_epoch)
+        evacuation = self._evacuation = Evacuation()
+        # The parent vanished mid-reclaim: come back up.
+        self._arm_watchdog(evacuation, self._revive)
         # Evacuate our clients to the parent's game server, then send
         # the dynamic state back.
         ctx.control_send(ctx.game_server, "gs.evacuate", request.parent_game_server)
-        self._transfer.start(request.parent, ctx.partition, "reclaim")
+        self._transfer.start(
+            request.parent,
+            ctx.partition,
+            lambda: self._finalize_reclaim_child(evacuation),
+        )
 
-    def _finalize_reclaim_child(self) -> None:
+    def _finalize_reclaim_child(self, evacuation: Evacuation) -> None:
         """Child side: state is back at the parent; announce and die."""
+        if not self._current(evacuation):
+            return  # revived meanwhile; the late completion is a no-op
         ctx = self._ctx
-        self._evacuating = False
+        self._evacuation = None
         ack = ReclaimAck(
             child=ctx.name,
             child_partition=ctx.partition,
@@ -258,23 +277,18 @@ class Lifecycle:
         )
         ctx.control_send(ctx.parent, "matrix.ctl.reclaim_ack", ack)
 
-    def _check_evacuate_stuck(self, epoch: int) -> None:
-        """Child side: the parent vanished mid-reclaim — come back up."""
-        if epoch != self._evacuate_epoch or not self._evacuating:
-            return
+    def _revive(self) -> None:
         ctx = self._ctx
-        self._evacuating = False
-        self._transfer.cancel("reclaim")
+        self._evacuation = None
         ctx.dying = False
-        ctx.busy = False
         # The evacuation already shut the game server down; resume its
         # periodic duties so the partition serves rejoining clients.
         ctx.control_send(ctx.game_server, "gs.resume", None)
 
     @handles("matrix.ctl.reclaim_nack")
     def on_reclaim_nack(self, message: Message) -> None:
-        child = self._reclaiming
-        if child is None or message.src != child.matrix_name:
+        reclaim = self._reclaim
+        if reclaim is None or message.src != reclaim.child.matrix_name:
             # No reclaim in flight, or a queue-delayed nack from an
             # earlier (already timed-out) reclaim: not ours to abort.
             return
@@ -291,22 +305,12 @@ class Lifecycle:
         server shut down.
         """
         ctx = self._ctx
-        child = self._reclaiming
-        self._reclaiming = None
-        self._reclaim_epoch += 1
-        if notify_child and child is not None:
-            ctx.control_send(
-                child.matrix_name, "matrix.ctl.reclaim_abort", None
-            )
+        child_ms = self._reclaim.child.matrix_name
+        self._reclaim = None
+        if notify_child:
+            ctx.control_send(child_ms, "matrix.ctl.reclaim_abort", None)
         ctx.policy.note_reclaim_failure(ctx.now)
         ctx.stats.failed_reclaims += 1
-        ctx.busy = False
-
-    def _check_reclaim_stuck(self, epoch: int) -> None:
-        if epoch != self._reclaim_epoch or self._reclaiming is None:
-            return
-        # Timed out mid-protocol: the child may already be evacuating.
-        self._abort_reclaim(notify_child=True)
 
     @handles("matrix.ctl.reclaim_abort")
     def on_reclaim_abort(self, message: Message) -> None:
@@ -318,22 +322,15 @@ class Lifecycle:
         aborted: the parent drops the stale ack, and this notice undoes
         the child's shutdown.
         """
-        ctx = self._ctx
-        if not ctx.dying:
-            return
-        self._evacuating = False
-        self._evacuate_epoch += 1
-        self._transfer.cancel("reclaim")
-        ctx.dying = False
-        ctx.busy = False
-        ctx.control_send(ctx.game_server, "gs.resume", None)
+        if self._ctx.dying:
+            self._revive()
 
     @handles("matrix.ctl.reclaim_ack")
     def on_reclaim_ack(self, message: Message) -> None:
         ctx = self._ctx
         ack: ReclaimAck = message.payload
-        child = self._reclaiming
-        if child is None or child.matrix_name != ack.child:
+        reclaim = self._reclaim
+        if reclaim is None or reclaim.child.matrix_name != ack.child:
             # Stale ack from a reclaim this parent already aborted:
             # the child finished evacuating for nothing — revive it.
             ctx.control_send(ack.child, "matrix.ctl.reclaim_abort", None)
@@ -349,36 +346,37 @@ class Lifecycle:
             child=ack.child,
         )
         ctx.control_send(ctx.coordinator, "mc.reclaim", notice)
+        child = reclaim.child
         ctx.fabric.decommission_pair(child.matrix_name, child.host_id)
-        self._reclaiming = None
-        self._reclaim_epoch += 1
-        ctx.policy.note_reclaim_success()
+        self._reclaim = None
+        ctx.policy.note_reclaim_success(reclaim.started_at)
         ctx.stats.reclaims_completed += 1
-        ctx.busy = False
 
     # ------------------------------------------------------------------
     # Watchdogs
     # ------------------------------------------------------------------
-    def _arm_watchdog(self, check, epoch: int) -> None:
-        """Schedule *check(epoch)* after the configured timeout, if any."""
+    def _arm_watchdog(self, record, on_timeout) -> None:
+        """Run *on_timeout* after the configured timeout, if any, unless
+        *record* is no longer current by then."""
         timeout = self._ctx.config.lifecycle_timeout
         if timeout is None:
             return
-        self._ctx.node.sim.after(timeout, lambda: check(epoch))
+
+        def fire() -> None:
+            if self._current(record):
+                on_timeout()
+
+        self._ctx.node.sim.after(timeout, fire)
 
     def halt(self) -> None:
-        """Crash semantics: disarm watchdogs and dead-letter callbacks.
+        """Crash semantics: every callback still to come does nothing.
 
-        Bumps all epochs so armed checks become no-ops — a dead host
-        must not keep executing abort/resume logic (sending to removed
-        nodes, double-decommissioning the child the supervisor already
-        reclaimed) — and flags the lifecycle so a pool-acquire or
-        pair-boot callback landing after the crash returns its
-        resources instead of continuing the split post-mortem.
-        In-flight state is deliberately left intact: the supervisor's
-        autopsy reads it to reclaim the corpse's leases.
+        A dead host must not keep executing abort/resume logic (sending
+        to removed nodes, double-decommissioning the child the
+        supervisor already reclaimed); a pool-acquire or pair-boot
+        callback landing after the crash returns its resources instead
+        of continuing the split post-mortem.  The in-flight records are
+        deliberately left intact: the supervisor's autopsy reads
+        ``split`` to reclaim the corpse's leases.
         """
         self._halted = True
-        self._split_epoch += 1
-        self._reclaim_epoch += 1
-        self._evacuate_epoch += 1

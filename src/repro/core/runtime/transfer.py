@@ -32,7 +32,6 @@ class _IncomingTransfer:
     sender: str
     total_chunks: int  # 0 until the StateBegin arrives
     received: int
-    context: str
 
 
 class StateTransfer:
@@ -41,33 +40,36 @@ class StateTransfer:
     def __init__(self, ctx: ServerContext) -> None:
         self._ctx = ctx
         self._transfer_ids = itertools.count(1)
-        self._outgoing: dict[int, str] = {}  # transfer id -> context
+        #: Completion callback of each outgoing transfer, by id.  An
+        #: aborted operation's entry stays until its StateDone pops it,
+        #: if one ever comes; the callback then finds the operation gone.
+        self._outgoing: dict[int, Callable[[], None]] = {}
         # Keyed by (sender, transfer id): a receiver does not rely on
         # ids being unique across senders.
         self._incoming: dict[tuple[str, int], _IncomingTransfer] = {}
-        #: Completion callbacks keyed by transfer context ("split", ...).
-        self._completions: dict[str, Callable[[], None]] = {}
-
-    def on_complete(self, context: str, callback: Callable[[], None]) -> None:
-        """Invoke *callback* when an outgoing *context* transfer finishes."""
-        self._completions[context] = callback
 
     # ------------------------------------------------------------------
     # Sender side
     # ------------------------------------------------------------------
-    def start(self, peer: str, area_rect: Rect, context: str) -> None:
-        """Send the dynamic map state for *area_rect* to *peer*."""
+    def start(
+        self, peer: str, area_rect: Rect, done: Callable[[], None]
+    ) -> None:
+        """Send the dynamic map state for *area_rect* to *peer*.
+
+        *done* runs when the receiver confirms completion.  It is bound
+        to the operation that started the transfer and checks itself
+        whether that operation is still current.
+        """
         ctx = self._ctx
         object_count = max(1, int(area_rect.area * MAP_OBJECT_DENSITY))
         total_bytes = object_count * STATE_OBJECT_BYTES
         total_chunks = max(1, -(-total_bytes // STATE_CHUNK_BYTES))
         transfer_id = next(self._transfer_ids)
-        self._outgoing[transfer_id] = context
+        self._outgoing[transfer_id] = done
         begin = StateBegin(
             transfer_id=transfer_id,
             total_chunks=total_chunks,
             total_bytes=total_bytes,
-            context=context,
         )
         ctx.control_send(peer, "matrix.state.begin", begin)
         remaining = total_bytes
@@ -81,30 +83,13 @@ class StateTransfer:
                 size_bytes=chunk_bytes,
             )
 
-    def cancel(self, context: str) -> int:
-        """Forget every outgoing *context* transfer (abort path).
-
-        A ``StateDone`` for a cancelled transfer finds no record, so the
-        completion callback never fires — completions are no-ops after
-        an abort.  Returns the number of transfers cancelled.
-        """
-        stale = [
-            transfer_id
-            for transfer_id, transfer_context in self._outgoing.items()
-            if transfer_context == context
-        ]
-        for transfer_id in stale:
-            del self._outgoing[transfer_id]
-        return len(stale)
-
     @handles("matrix.state.done")
     def on_done(self, message: Message) -> None:
-        """The receiver confirmed completion: fire the context callback."""
-        done: StateDone = message.payload
-        context = self._outgoing.pop(done.transfer_id, None)
-        callback = self._completions.get(context) if context else None
-        if callback is not None:
-            callback()
+        """The receiver confirmed completion: run the sender's callback."""
+        finished: StateDone = message.payload
+        done = self._outgoing.pop(finished.transfer_id, None)
+        if done is not None:
+            done()
 
     # ------------------------------------------------------------------
     # Receiver side
@@ -117,12 +102,11 @@ class StateTransfer:
         transfer = self._incoming.get(key)
         if transfer is None:
             transfer = _IncomingTransfer(
-                sender=message.src, total_chunks=0, received=0, context=""
+                sender=message.src, total_chunks=0, received=0
             )
             self._incoming[key] = transfer
         transfer.sender = message.src
         transfer.total_chunks = begin.total_chunks
-        transfer.context = begin.context
         self._maybe_complete(key)
 
     @handles("matrix.state.chunk")
@@ -133,7 +117,7 @@ class StateTransfer:
         if transfer is None:
             # Chunk overtook its StateBegin: buffer the count.
             transfer = _IncomingTransfer(
-                sender=message.src, total_chunks=0, received=0, context=""
+                sender=message.src, total_chunks=0, received=0
             )
             self._incoming[key] = transfer
         transfer.received += 1

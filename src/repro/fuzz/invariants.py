@@ -34,9 +34,9 @@ def snapshot_lifecycle(experiment: Any) -> dict[str, str | None]:
     starts (different host), so the pairwise comparison is exact.
     """
     return {
-        name: server.lifecycle.in_flight_host
+        name: server.lifecycle.split.host
         for name, server in experiment.deployment.matrix_servers.items()
-        if server.lifecycle.split_in_flight
+        if server.lifecycle.split is not None
     }
 
 

@@ -104,8 +104,12 @@ def fuzz_run_arguments(scenario: Scenario, seed: int, **run_options) -> dict:
     Shared by the audit, the shrinker and the failing-trace recorder,
     so all three run the same thing; *run_options* are ``scale``,
     ``preview`` and ``shards``.  The scaled setup is the benchmark
-    grids' (same floors), so fuzzed dynamics at ``scale < 1`` still
-    split and reclaim.
+    grids' (same floors), but that does not make fuzzed dynamics split
+    or reclaim: a fuzzed population (at most ``FuzzProfile.max_clients``
+    at full scale, 240) stays under the scaled overload threshold (300
+    at full scale), and every measured cell peaks at one server, at
+    scale 0.1, 0.5 and 1 alike.  See ROADMAP, "A fuzzer that reaches
+    the control plane".
     """
     return scaled_run_arguments(
         scenario, "matrix", seed=seed, **run_options, **GRID_FLOORS

@@ -18,6 +18,7 @@ from tests.core.helpers import WORLD, ScriptedGameServer, build_deployment
 from repro.core.config import LOAD_REPORT_PERIOD, LoadPolicyConfig
 from repro.core.messages import ReclaimRequest
 from repro.core.policy import ChildLoad, Decision, LoadPolicy
+from repro.core.runtime.lifecycle import Split
 from repro.games.base import GameServer
 from repro.games.profile import profile_by_name
 
@@ -39,7 +40,7 @@ def _overload_policy(**overrides) -> LoadPolicyConfig:
 def test_failed_split_waits_one_cooldown_from_the_failure():
     policy = LoadPolicy(_overload_policy())
     assert policy.on_load_report(0.0, 150, None, False) is Decision.SPLIT
-    policy.note_split_attempt(0.0)
+    policy.note_split_attempt()
     # The pool answers empty 3 s later: the next attempt waits one
     # split cooldown from the failure, not from the attempt.
     policy.note_split_failure(3.0)
@@ -49,8 +50,8 @@ def test_failed_split_waits_one_cooldown_from_the_failure():
 
 def test_successful_split_keeps_historical_cooldown_timing():
     policy = LoadPolicy(_overload_policy())
-    policy.note_split_attempt(0.0)
-    policy.note_split_success()
+    policy.note_split_attempt()
+    policy.note_split_success(0.0)
     # Cooldown runs from the attempt, exactly as before the fix.
     assert policy.on_load_report(9.0, 150, None, False) is Decision.NONE
     assert policy.on_load_report(10.0, 150, None, False) is Decision.SPLIT
@@ -68,7 +69,7 @@ def test_failed_reclaim_waits_one_reclaim_cooldown_from_the_failure():
         client_count=10, has_children=False, born_at=0.0, reported_at=0.0
     )
     assert policy.on_load_report(0.0, 10, idle_child, False) is Decision.RECLAIM
-    policy.note_reclaim_attempt(0.0)
+    policy.note_reclaim_attempt()
     policy.note_reclaim_failure(2.0)  # nacked
     assert policy.on_load_report(9.0, 10, idle_child, False) is Decision.NONE
     assert (
@@ -91,7 +92,7 @@ def test_pool_exhausted_split_consumes_nothing():
     sim.run(until=5.0)
     assert ms.ctx.stats.failed_splits >= 1
     assert ms.ctx.stats.splits_completed == 0
-    assert not ms.ctx.busy
+    assert not ms.lifecycle.busy
     assert deployment.pool.available == 0
     assert deployment.unaccounted_hosts() == []
 
@@ -107,7 +108,8 @@ def test_dying_server_releases_the_acquired_host():
     sim.at(2.0, lambda: setattr(ms.ctx, "dying", True))
     sim.run(until=6.0)
     assert ms.ctx.stats.splits_completed == 0
-    assert not ms.ctx.busy
+    # ``busy`` stays true while the server is dying; the split is over.
+    assert ms.lifecycle.split is None
     # Without release_host this stayed at 1 forever.
     assert deployment.pool.available == 2
     assert deployment.unaccounted_hosts() == []
@@ -120,16 +122,23 @@ def test_abort_split_rolls_back_spawned_child():
     # Abort after the child pair booted (acquire 1.0 + spawn 1.5, so
     # the pair exists at t=4.0) but before the ~4ms bulk transfer can
     # complete; the pair must be torn down again.
-    sim.at(4.001, lambda: ms.lifecycle.abort_split())
+    aborted = []
+
+    def abort() -> None:
+        aborted.append(ms.lifecycle.split)
+        ms.lifecycle.abort_split()
+
+    sim.at(4.001, abort)
     sim.run(until=8.0)
     assert ms.ctx.stats.splits_completed == 0
     assert ms.ctx.children == []
-    assert not ms.ctx.busy
+    assert not ms.lifecycle.busy
     assert deployment.pool.available == 2
     assert deployment.unaccounted_hosts() == []
-    # The late transfer completion (if any) was cancelled: a stray
-    # finalize is a no-op instead of a TypeError on unpacking None.
-    ms.lifecycle._finalize_split()
+    # A late transfer completion of the aborted split finds its record
+    # gone: it is a no-op instead of a TypeError on unpacking None.
+    assert aborted[0].child is not None
+    ms.lifecycle._finalize_split(aborted[0])
     assert ms.ctx.stats.splits_completed == 0
 
 
@@ -143,6 +152,28 @@ def test_abort_before_spawn_releases_host_and_orphan_pair():
     sim.run(until=8.0)
     assert ms.ctx.stats.splits_completed == 0
     assert len(deployment.matrix_servers) == 1
+    assert deployment.pool.available == 2
+    assert deployment.unaccounted_hosts() == []
+
+
+def test_aborted_split_grant_is_not_adopted_by_the_next_split():
+    """A split begun right after an abort must not take over the aborted
+    split's pool grant: that grant goes back, and only the new split's
+    own host boots a child.  Before the in-flight record, both grants
+    spawned a pair and the first one was orphaned for good, holding a
+    host that ``unaccounted_hosts`` could not see."""
+    sim, network, deployment = build_deployment(pool_capacity=3)
+    ms, gs = deployment.bootstrap()
+
+    def begin_abort_begin() -> None:
+        ms.lifecycle.begin_split()
+        ms.lifecycle.abort_split()
+        ms.lifecycle.begin_split()
+
+    sim.at(1.0, begin_abort_begin)
+    sim.run(until=10.0)
+    assert ms.ctx.stats.splits_completed == 1
+    assert len(deployment.matrix_servers) == 2
     assert deployment.pool.available == 2
     assert deployment.unaccounted_hosts() == []
 
@@ -164,8 +195,8 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
     assert ms.ctx.stats.splits_completed == 1
     child_ms = deployment.matrix_servers[ms.ctx.children[0].matrix_name]
     child_gs = deployment.game_servers[child_ms.game_server]
-    # The child refuses the reclaim while busy.
-    child_ms.ctx.busy = True
+    # The child refuses the reclaim while busy (a split of its own).
+    child_ms.lifecycle.split = Split(started_at=sim.now)
     # Child gossips a small load, parent reports underload repeatedly.
     for i in range(8):
         sim.at(6.5 + 0.5 * i, lambda: child_gs.report(10))
@@ -173,14 +204,44 @@ def test_nacked_reclaim_leaves_counters_and_cooldowns_untouched():
     sim.run(until=9.0)
     assert ms.ctx.stats.failed_reclaims >= 1
     assert ms.ctx.stats.reclaims_completed == 0
-    assert not ms.ctx.busy  # the nack cleared the in-flight state
+    assert not ms.lifecycle.busy  # the nack cleared the in-flight state
     # Once the child is free again the parent retries one cooldown
     # after the last failure.
-    child_ms.ctx.busy = False
+    child_ms.lifecycle.split = None
     sim.run(until=14.0)
     assert ms.ctx.stats.reclaims_completed == 1
-    assert deployment.pool.available == 2 or ms.ctx.busy is False
+    assert deployment.pool.available == 2 or ms.lifecycle.busy is False
     sim.run(until=15.0)
+    assert deployment.unaccounted_hosts() == []
+
+
+def test_stale_reclaim_watchdog_spares_the_retry_of_the_same_child():
+    """A reclaim of a child that nacked is retried on the same
+    ``ChildRecord``.  The first attempt's watchdog fires while the retry
+    is in flight and must leave it alone: each attempt is its own
+    record, so the retry completes."""
+    sim, network, deployment = build_deployment(pool_capacity=2)
+    ms, gs = deployment.bootstrap()
+    _drive_split(sim, deployment, gs)
+    sim.run(until=6.0)
+    assert ms.ctx.stats.splits_completed == 1
+    child_ms = deployment.matrix_servers[ms.ctx.children[0].matrix_name]
+    deployment.config.lifecycle_timeout = 2.0
+    # The child refuses the first attempt (a split of its own).
+    child_ms.lifecycle.split = Split(started_at=sim.now)
+    sim.at(6.0, ms.lifecycle.begin_reclaim)
+    sim.run(until=7.0)
+    assert ms.ctx.stats.failed_reclaims == 1
+    child_ms.lifecycle.split = None
+    # The retry is still transferring when the first watchdog fires at 8.
+    sim.at(7.999, ms.lifecycle.begin_reclaim)
+    sim.run(until=8.0005)
+    assert ms.lifecycle.busy
+    sim.run(until=10.0)
+    assert ms.ctx.stats.reclaims_completed == 1
+    assert ms.ctx.stats.failed_reclaims == 1
+    assert len(deployment.matrix_servers) == 1
+    sim.run(until=11.0)
     assert deployment.unaccounted_hosts() == []
 
 
@@ -232,10 +293,10 @@ def test_reclaim_abort_revives_an_evacuating_child():
         ),
     )
     sim.run(until=6.002)
-    assert child_ms.ctx.dying and child_ms.ctx.busy
+    assert child_ms.ctx.dying and child_ms.lifecycle.busy
     assert not child_gs._tasks
     sim.run(until=6.5)
-    assert not child_ms.ctx.dying and not child_ms.ctx.busy
+    assert not child_ms.ctx.dying and not child_ms.lifecycle.busy
     assert child_gs._tasks
     assert child_ms.name in deployment.matrix_servers
     assert ms.ctx.stats.reclaims_completed == 0

@@ -69,8 +69,8 @@ def test_split_cooldown_blocks_second_split():
     policy = make_policy()
     policy.on_load_report(0.0, 400, None, False)
     assert policy.on_load_report(1.0, 400, None, False) is Decision.SPLIT
-    policy.note_split_attempt(1.0)
-    policy.note_split_success()
+    policy.note_split_attempt()
+    policy.note_split_success(1.0)
     # Still overloaded, but within the cooldown window.
     policy.on_load_report(2.0, 400, None, False)
     assert policy.on_load_report(3.0, 400, None, False) is Decision.NONE
@@ -128,8 +128,8 @@ def test_reclaim_cooldown():
     kid = child(10, born_at=-50.0)
     policy.on_load_report(0.0, 10, kid, False)
     assert policy.on_load_report(1.0, 10, kid, False) is Decision.RECLAIM
-    policy.note_reclaim_attempt(1.0)
-    policy.note_reclaim_success()
+    policy.note_reclaim_attempt()
+    policy.note_reclaim_success(1.0)
     assert policy.on_load_report(2.0, 10, kid, False) is Decision.NONE
     # 8-second cooldown, and the underload streak must rebuild.
     assert policy.on_load_report(10.0, 10, kid, False) is Decision.RECLAIM

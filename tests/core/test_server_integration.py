@@ -70,7 +70,7 @@ def test_pool_exhaustion_fails_split_gracefully():
     sim.run(until=20.0)
     assert ms.ctx.stats.splits_completed == 0
     assert ms.ctx.stats.failed_splits >= 1
-    assert not ms.ctx.busy  # must not wedge
+    assert not ms.lifecycle.busy  # must not wedge
 
 
 def test_recursive_splits_under_sustained_overload():
