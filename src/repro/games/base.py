@@ -387,8 +387,11 @@ class GameServer(Node):
 class GameClient(Node):
     """A game client: mobility, updates, actions, server switching.
 
-    Thousands are built per run and each keeps its state to the end, so
-    its attributes live in fixed slots rather than an instance dict.
+    Thousands are built per run and the fleet keeps every one to the
+    end, so its attributes live in fixed slots rather than an instance
+    dict.  Leaving is final: a client that has left drops both of its
+    ``random.Random`` streams (its own and its mobility model's) and
+    answers late messages without drawing (see :meth:`leave`).
     """
 
     __slots__ = (
@@ -411,7 +414,7 @@ class GameClient(Node):
     ) -> None:
         super().__init__(name)
         self._profile = profile
-        #: The mobility model steering this client.
+        #: The mobility model steering this client; ``None`` once it left.
         self.mobility = mobility
         self._rng = rng
         self._relocate = relocate
@@ -464,8 +467,11 @@ class GameClient(Node):
         Part of the public mobility protocol: models that support goal
         changes expose ``retarget(Vec2)`` (hotspot loiterers, flocks,
         commuter circuits, pursuers); for models without one this is a
-        no-op.  Returns whether the model accepted the retarget.
+        no-op.  Returns whether the model accepted the retarget; a
+        client that has left has no model and accepts none.
         """
+        if self.departed:
+            return False
         retarget = getattr(self.mobility, "retarget", None)
         if retarget is None:
             return False
@@ -483,8 +489,20 @@ class GameClient(Node):
         self.send(game_server, "client.hello", hello,
                   size_bytes=self._profile.hello_bytes)
 
+    @property
+    def departed(self) -> bool:
+        """Whether the client has left: a departed client holds no
+        stream, so this is derived from the one it held."""
+        return self._rng is None
+
     def leave(self) -> None:
-        """Leave the game."""
+        """Leave the game, for good.
+
+        The client drops both streams.  Messages already in flight still
+        arrive and are answered without drawing: a late snapshot acks
+        the actions in flight, a late switch is ignored, and a late
+        welcome gets a ``client.bye`` back (:meth:`_on_welcome`).
+        """
         # A fixed order — server, then pending — because send order
         # decides which goodbye takes which latency draw.
         for server in dict.fromkeys((self.server, self._pending)):
@@ -499,13 +517,24 @@ class GameClient(Node):
         self.active = False
         self.server = None
         self._pending = None
+        self._rng = None
+        self.mobility = None
 
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
     @handles("gs.welcome")
     def _on_welcome(self, message: Message) -> None:
-        welcome: Welcome = message.payload
+        if self.departed:
+            # The hello this answers was sent before the client left.
+            # The sender may hold the client now: it had no bye (a join
+            # still unanswered at leave), or the bye overtook the hello
+            # (one route can reorder).  A second bye is harmless.
+            self.send(
+                message.src, "client.bye", Goodbye(client_id=self.name),
+                size_bytes=32,
+            )
+            return
         if self._pending is not None and message.src == self._pending:
             self.server = self._pending
             self._pending = None
@@ -528,7 +557,9 @@ class GameClient(Node):
     @handles("gs.switch")
     def _on_switch(self, message: Message) -> None:
         directive: SwitchDirective = message.payload
-        if directive.target in (self.server, self._pending):
+        # The old server already has the bye; a hello would only make
+        # the target hold a client that has left.
+        if self.departed or directive.target in (self.server, self._pending):
             return
         self._pending = directive.target
         self._switch_started = self.sim.now

@@ -214,11 +214,13 @@ class ClientFleet:
             lifetime = self._rng.expovariate(1.0 / session)
 
             def depart() -> None:
-                # Re-checked on the owning lane: the client may have
-                # left through another path in the same window.
+                # Not ``active``: a session may end before its welcome
+                # arrives, and the late welcome is then answered with a
+                # bye.  Re-checked on the owning lane: the client may
+                # have left through another path in the same window.
                 self._on_owner(
                     client,
-                    lambda: client.leave() if client.active else None,
+                    lambda: None if client.departed else client.leave(),
                 )
 
             self._sim.after(lifetime, depart)
@@ -261,9 +263,9 @@ class ClientFleet:
                     lambda c=client: c.leave() if c.active else None,
                 )
                 departed.add(client.name)
-            # `departed` only decides when the chain may stop; actives
-            # are always eligible again, so a client re-activated by a
-            # late welcome is re-departed rather than left playing.
+            # `departed` only decides when the chain may stop.  A member
+            # still waiting for its welcome is not active yet, so a later
+            # batch takes it; a client that has left never is again.
             if len(departed) < self._scheduled.get(group, 0):
                 self._sim.after(interval, leave_batch)
 

@@ -1,28 +1,31 @@
-"""What a client that left the game still does with late messages.
+"""What a client that left the game does with late messages.
 
-A departed client stays registered, so messages already in flight to it
-still arrive: a snapshot, a server-switch directive, and the welcome
-that completes such a switch.  Answering them must draw nothing from
-either of the client's ``random.Random`` streams (its own, and its
-mobility model's) and must not move the mobility model.  That is what
-lets a departed client release both streams (ROADMAP (b)), and what
-this file pins.
+Leaving is final.  A departed client drops both of its ``random.Random``
+streams (its own, and its mobility model's), but it stays registered,
+so messages already in flight to it still arrive:
 
-One late path still draws, and it is the blocker for releasing them: a
-``gs.welcome`` that finds the departed client with no server and no
-switch pending re-activates it, and re-activating draws the update
-task's start phase from the client's stream.  It happens to 2 clients
-on ``hotspot`` seed 1 and to none on ``churn`` seed 1.  It is left as
-it is here, because fixing it moves the ``hotspot`` pin.
+* a snapshot still acks the actions in flight (the latency metrics
+  read them);
+* a server-switch directive is ignored: the old server already has the
+  bye, and a hello would only make the target hold a departed client;
+* a welcome, answering a hello sent before the client left, gets one
+  ``client.bye`` back to its sender and nothing else.
+
+The welcome case comes in two orders on one route, because WAN jitter
+reorders packets: the hello reaches the server before the client's bye,
+or the bye overtakes the hello.  Either way the server ends up holding
+no client.
 """
 
+import itertools
 import random
 
-from repro.games.base import SWITCH_TIMEOUT, GameClient
-from repro.games.packets import Hello, Snapshot, SwitchDirective, Welcome
+from repro.games.base import SWITCH_TIMEOUT, GameClient, GameServer
+from repro.games.packets import Snapshot, SwitchDirective, Welcome
 from repro.games.profile import GameProfile
 from repro.geometry import Rect, Vec2
 from repro.net import ConstantLatency, LinkProfile, Network, Node, handles
+from repro.net.latency import LatencyModel
 from repro.sim import Simulator
 from repro.workload.mobility import RandomWaypoint
 
@@ -30,6 +33,7 @@ WORLD = Rect(0.0, 0.0, 400.0, 400.0)
 PROFILE = GameProfile(
     name="departed", world=WORLD, visibility_radius=60.0, action_rate=1.5
 )
+LINK = LinkProfile(ConstantLatency(0.01), 1.25e6)
 
 
 class Server(Node):
@@ -41,24 +45,23 @@ class Server(Node):
 
     @handles("client.hello", "client.update", "client.action", "client.bye")
     def _on_client(self, message):
-        self.heard.append((message.kind, message.payload, message.size_bytes))
+        self.heard.append((message.kind, message.src))
 
 
-def streams(client):
-    return client._rng.getstate(), client.mobility._rng.getstate()
+class Scripted(LatencyModel):
+    """A link whose packets take the given latencies in send order, and
+    the last one from then on."""
+
+    def __init__(self, *seconds):
+        self._seconds = itertools.chain(seconds, itertools.repeat(seconds[-1]))
+
+    def sampler(self, rng):
+        return lambda: next(self._seconds)
 
 
-def mobility_state(model):
-    return {slot: getattr(model, slot) for slot in type(model).__slots__}
-
-
-def test_late_messages_to_a_departed_client_draw_nothing():
-    sim = Simulator()
-    network = Network(
-        sim, default_profile=LinkProfile(ConstantLatency(0.01), 1.25e6)
-    )
-    gs1 = network.add_node(Server("gs.1"))
-    gs2 = network.add_node(Server("gs.2"))
+def playing_client(sim, network, gs1):
+    """``client.1``, welcomed by *gs1* and playing for 4 s, with actions
+    in flight."""
     mobility = RandomWaypoint(WORLD, PROFILE.move_speed, random.Random(7))
     client = network.add_node(
         GameClient("client.1", PROFILE, mobility, random.Random(8))
@@ -67,19 +70,36 @@ def test_late_messages_to_a_departed_client_draw_nothing():
     sim.run(until=0.05)
     gs1.send("client.1", "gs.welcome", Welcome("client.1", WORLD), 64)
     sim.run(until=4.0)
-    assert client.active and client.actions_sent > 0
-    pending = dict(client._pending_actions)
-    assert pending, "the client has actions in flight when it leaves"
+    assert client.active and client._pending_actions
+    return client
 
+
+def departed_client():
+    sim = Simulator()
+    network = Network(sim, default_profile=LINK)
+    gs1 = network.add_node(Server("gs.1"))
+    gs2 = network.add_node(Server("gs.2"))
+    client = playing_client(sim, network, gs1)
     client.leave()
     sim.run(until=4.1)
-    assert gs1.heard[-1][0] == "client.bye"
-    drawn = streams(client)
-    moved = mobility_state(mobility)
-    position = client.position
-    heard = len(gs1.heard)
+    assert gs1.heard[-1] == ("client.bye", "client.1")
+    return sim, gs1, gs2, client
 
-    # A late snapshot still acks the actions in flight.
+
+def test_a_departed_client_holds_no_stream():
+    sim, gs1, gs2, client = departed_client()
+    assert client.departed and not client.active
+    assert client._rng is None and client.mobility is None
+    assert not any(
+        isinstance(getattr(client, slot, None), random.Random)
+        for slot in GameClient.__slots__
+    )
+    assert client.retarget(Vec2(300.0, 300.0)) is False
+
+
+def test_a_late_snapshot_still_acks_the_actions_in_flight():
+    sim, gs1, gs2, client = departed_client()
+    pending = len(client._pending_actions)
     acked = len(client.action_latencies)
     gs1.send(
         "client.1", "gs.snapshot",
@@ -87,25 +107,59 @@ def test_late_messages_to_a_departed_client_draw_nothing():
     )
     sim.run(until=4.2)
     assert client._pending_actions == {}
-    assert len(client.action_latencies) == acked + len(pending)
-    assert client.snapshots_received > 0
+    assert len(client.action_latencies) == acked + pending
 
-    # A late switch sends the hello it always sent ...
+
+def test_a_late_switch_sends_nothing():
+    sim, gs1, gs2, client = departed_client()
+    heard = len(gs1.heard)
     gs1.send("client.1", "gs.switch", SwitchDirective("client.1", "gs.2"), 32)
-    sim.run(until=4.3)
-    assert gs2.heard == [
-        ("client.hello", Hello("client.1", position, switching=True),
-         PROFILE.hello_bytes)
-    ]
-    # ... and the welcome that answers it completes the switch.
-    gs2.send("client.1", "gs.welcome", Welcome("client.1", WORLD), 64)
-    sim.run(until=4.4 + SWITCH_TIMEOUT)
-    assert (client.server, client._pending) == ("gs.2", None)
-    assert client.switches_completed == 1 and len(client.switch_latencies) == 1
-    assert not client.active
-    assert len(gs1.heard) == heard and len(gs2.heard) == 1
-
-    assert streams(client) == drawn
-    assert mobility_state(mobility) == moved
-    assert client.position == position
+    sim.run(until=4.3 + SWITCH_TIMEOUT)
+    assert len(gs1.heard) == heard and gs2.heard == []
+    assert (client.server, client._pending) == (None, None)
     assert sim.pending_events == 0
+
+
+def test_a_late_welcome_gets_one_bye_and_nothing_else():
+    sim, gs1, gs2, client = departed_client()
+    gs2.send("client.1", "gs.welcome", Welcome("client.1", WORLD), 64)
+    sim.run(until=4.3 + SWITCH_TIMEOUT)
+    assert gs2.heard == [("client.bye", "client.1")]
+    assert not client.active and client._update_task is None
+    assert (client.server, client._pending) == (None, None)
+    assert sim.pending_events == 0
+
+
+def leave_mid_switch(hello_s, bye_s):
+    """``client.1`` plays on ``gs.1``, is switched to a real game server
+    ``gs.2``, and leaves 1 ms later, while its hello is in flight.  The
+    hello and the bye to ``gs.2`` take *hello_s* and *bye_s*; the bye
+    that answers ``gs.2``'s welcome takes 10 ms."""
+    sim = Simulator()
+    network = Network(sim, default_profile=LINK)
+    network.set_prefix_profile(
+        "client.", "gs.2", LinkProfile(Scripted(hello_s, bye_s, 0.01), 1.25e6)
+    )
+    gs1 = network.add_node(Server("gs.1"))
+    gs2 = network.add_node(GameServer("gs.2", PROFILE, WORLD))
+    client = playing_client(sim, network, gs1)
+    gs1.send("client.1", "gs.switch", SwitchDirective("client.1", "gs.2"), 32)
+    sim.run(until=4.011)
+    assert client._pending == "gs.2"
+    client.leave()
+    sim.run(until=5.0)
+    return sim, gs2, client
+
+
+def test_hello_then_bye_leaves_the_server_holding_no_client():
+    sim, gs2, client = leave_mid_switch(hello_s=0.01, bye_s=0.02)
+    assert gs2.client_count == 0
+    assert not client.active and client.departed
+    assert client.switches_completed == 0
+
+
+def test_bye_overtaking_hello_leaves_the_server_holding_no_client():
+    sim, gs2, client = leave_mid_switch(hello_s=0.05, bye_s=0.01)
+    assert gs2.client_count == 0
+    assert not client.active and client.departed
+    assert client.switches_completed == 0

@@ -2,18 +2,20 @@
 
 The memory twin of the frame budgets (``test_message_path_budget.py``,
 ``test_player_path_budget.py``): a run builds one client per player,
-and every client keeps its objects until the run ends, departed ones
-included.  Beside its two ``random.Random`` streams (its own and its
-mobility model's), what a client keeps is bookkeeping, so:
+and the fleet keeps every client until the run ends, departed ones
+included.  A playing client also holds two ``random.Random`` streams
+(its own and its mobility model's), which a departed one drops; the
+rest of what a client keeps is bookkeeping, so:
 
 * a ``GameClient``, its ``ReceiveQueue``, its ``MiddlewarePipeline``,
   its update ``PeriodicTask`` and its mobility model hold their
   attributes in slots, with no instance dict;
 * an infinite-rate receive queue allocates its deque only when a
   message first has to wait.  A client queue that never backlogged
-  holds none.
+  holds none;
+* none of a departed client's objects references a stream.
 
-Both are checked on every client of a short ``steady-churn`` run, the
+All three are checked on every client of a short ``steady-churn`` run, the
 one catalog run where clients leave mid-run and keep receiving
 messages, and the first on one instance of every registered mobility
 model.
@@ -37,6 +39,7 @@ per client (docs/ARCHITECTURE.md, "What a client holds").
 """
 
 import dataclasses
+import gc
 import random
 import tracemalloc
 
@@ -91,6 +94,17 @@ def test_no_per_client_object_has_an_instance_dict(churn):
         if hasattr(obj, "__dict__")
     }
     assert with_dict == set()
+
+
+def test_a_departed_client_references_no_stream(churn):
+    departed = [c for c in churn.experiment.fleet.clients if c.departed]
+    assert len(departed) > 20
+    assert [
+        client.name
+        for client in departed
+        for obj in per_client_objects(client)
+        if any(isinstance(ref, random.Random) for ref in gc.get_referents(obj))
+    ] == []
 
 
 @pytest.mark.parametrize("kind", list_mobility_models())

@@ -3,6 +3,8 @@
 from repro.games.profile import bzflag_profile
 from repro.geometry import Vec2
 from repro.harness.experiment import MatrixExperiment
+from repro.harness.runner import run_scenario
+from repro.workload.fleet import ClientFleet
 from repro.workload.scenarios import HotspotWave, MapPoint
 
 #: The 800x800 arena's centre; a spread_fraction of 1/6 is sigma 10.
@@ -139,6 +141,25 @@ def test_move_group_hotspot_uses_public_retarget():
         1 for c in clients if c.position.distance_to(Vec2(700, 700)) < 150.0
     )
     assert near >= 8
+
+
+def test_a_churn_session_that_ends_before_its_welcome_still_ends(monkeypatch):
+    """A session drawn shorter than the join's round trip ends before
+    the client is active; the welcome that follows must not start it
+    playing.  Seed 4 has two such sessions in this first minute."""
+    fired = []
+    on_owner = ClientFleet._on_owner
+
+    def recording(fleet, client, action):
+        fired.append(client)
+        on_owner(fleet, client, action)
+
+    monkeypatch.setattr(ClientFleet, "_on_owner", recording)
+    run_scenario("steady-churn", scale=0.25, preview=60.0, seed=4)
+    assert len(fired) > 50
+    assert any(client.updates_sent == 0 for client in fired)
+    assert [client.name for client in fired if client.active] == []
+    assert all(client.departed for client in fired)
 
 
 def test_spawn_group_with_registered_mobility():
