@@ -16,7 +16,9 @@ repro`` loads").
 * :mod:`repro.geometry` — vectors, rectangles, metrics, and the
   overlap-region decomposition at the heart of Matrix routing.
 * :mod:`repro.core` — the middleware: Matrix servers, the Matrix
-  Coordinator, split/reclaim policy, and the developer-facing API.
+  Coordinator, split/reclaim policy, and the developer-facing API; the
+  runtime *(on demand)* in the Matrix runner builder, so a rival run
+  loads only the API, configuration, messages and split strategies.
 * :mod:`repro.perf` — opt-in counters/timers/samplers that
   ``perfbench``'s traced runs read (off by default, zero-cost when off).
 * :mod:`repro.games` — generic game server/client plus BzFlag, Quake 2
@@ -35,6 +37,11 @@ repro`` loads").
 * :mod:`repro.chaos`, :mod:`repro.fuzz`, :mod:`repro.trace` — fault
   injection, scenario fuzzing, record/replay *(on demand)*.
 
+The top level holds :func:`run_scenario`, ``PerfConfig``, ``Rect``
+and ``Vec2``; ``repro.MatrixExperiment`` loads the Matrix runtime at
+first access.  Everything else is imported from its own module (say
+``repro.core.config`` or ``repro.core.deployment``).
+
 See ``docs/ARCHITECTURE.md`` for the layer map and message lifecycle,
 ``docs/BENCHMARKS.md`` for what each benchmark reproduces.
 
@@ -48,32 +55,26 @@ Quickstart
 True
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
-from repro.core import (
-    MatrixConfig,
-    MatrixCoordinator,
-    MatrixDeployment,
-    MatrixPort,
-    MatrixServer,
-    PerfConfig,
-    ServerPool,
-)
+from repro.core.config import PerfConfig
 from repro.geometry import Rect, Vec2
-from repro.harness.experiment import MatrixExperiment
 from repro.harness.runner import run_scenario
 
 __all__ = [
-    "MatrixConfig",
-    "MatrixCoordinator",
-    "MatrixDeployment",
     "MatrixExperiment",
-    "MatrixPort",
-    "MatrixServer",
     "PerfConfig",
     "Rect",
-    "ServerPool",
     "Vec2",
     "__version__",
     "run_scenario",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: the Matrix runtime loads on first use, as in its builder.
+    if name == "MatrixExperiment":
+        from repro.harness.experiment import MatrixExperiment
+
+        return MatrixExperiment
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

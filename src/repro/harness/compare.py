@@ -31,10 +31,8 @@ from dataclasses import dataclass
 
 from repro.analysis.stats import p99_or_zero
 from repro.baselines.backend import BackendResult
-from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
 from repro.core.config import LoadPolicyConfig
 from repro.games.profile import GameProfile, profile_by_name
-from repro.harness.parallel import GridTask, run_grid
 from repro.harness.runner import backend_names, run_scenario
 from repro.workload.scenarios import Scenario, build_scenario
 
@@ -109,6 +107,8 @@ def backend_run_options(
     elif queue_capacity is not None:
         options["queue_capacity"] = queue_capacity
     if backend == "p2p":
+        from repro.baselines.p2p import DEFAULT_UPLINK_BYTES_PER_S
+
         options["uplink_capacity"] = DEFAULT_UPLINK_BYTES_PER_S * scale
     return options
 
@@ -237,6 +237,8 @@ def compare_backends(
     backends in parallel worker processes; outcomes are returned in
     *backends* order regardless.
     """
+    from repro.harness.parallel import GridTask, run_grid
+
     if backends is None:
         backends = tuple(backend_names())
     if isinstance(scenario, str):

@@ -11,10 +11,10 @@ which is what makes cross-system comparisons (T-static)
 apples-to-apples.
 
 This is the execution half of the scenario subsystem; the declarative
-half lives in :mod:`repro.workload.scenarios`.  A rival backend's module
-is imported by its builder and chaos only when a run arms it, so a
-plain Matrix run loads neither (docs/ARCHITECTURE.md, "What ``import
-repro`` loads").
+half lives in :mod:`repro.workload.scenarios`.  Each backend's module,
+Matrix's included, is imported by its builder and chaos only when a run
+arms it, so a run loads only its own backend (docs/ARCHITECTURE.md,
+"What ``import repro`` loads").
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.baselines.backend import BackendInfo
 from repro.games.profile import GameProfile, profile_by_name
-from repro.harness.experiment import MatrixExperiment
 from repro.workload.scenarios import (
     CoordinatorCrash,
     Scenario,
@@ -36,6 +35,7 @@ if TYPE_CHECKING:
     from repro.baselines.mirrored import MirroredExperiment
     from repro.baselines.p2p import P2PExperiment
     from repro.baselines.static import StaticExperiment
+    from repro.harness.experiment import MatrixExperiment
 
 
 @dataclass
@@ -127,6 +127,8 @@ def _build_matrix(
         )
     options.update(grid=scenario.grid, replicated_mc=replicated_mc)
     if shards is None:
+        from repro.harness.experiment import MatrixExperiment
+
         return MatrixExperiment(profile, **options)
     from repro.harness.shards import ShardedMatrixExperiment  # no cycle
 

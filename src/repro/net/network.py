@@ -12,10 +12,11 @@ can share a WAN profile without enumerating pairs.
 
 A pair is resolved once; a packet costs one tuple lookup: the first
 send of an ordered pair builds its :class:`Route`, which
-:meth:`Network.transmit` reads everything off, and any profile rule
-change drops every route.  A route's latency draw is shared by every
-route with the same model and stream.  The sharded network shares this
-transmit.
+:meth:`Network.transmit` reads everything off.  A new prefix rule drops
+every route; a colocation drops only the routes that name one of its
+two nodes, the only pairs whose profile it can change.  A route's
+latency draw is shared by every route with the same model and stream.
+The sharded network shares this transmit.
 
 A packet crosses the kernel without a network frame on the far side:
 ``transmit`` pushes the heap entry itself, and its callback is the
@@ -172,9 +173,7 @@ class Network:
         queue = node._inbox
         queue.detach(self)
         self._retired_arrivals += queue.arrivals
-        routes = self._routes
-        for key in [key for key in routes if name in key]:
-            del routes[key]
+        self._drop_routes(name)
 
     def has_node(self, name: str) -> bool:
         """True when *name* is currently registered."""
@@ -209,7 +208,17 @@ class Network:
         """
         self._colocated[a] = b
         self._colocated[b] = a
-        self._routes.clear()
+        # Only a pair leaving a or b can switch profile: a former partner
+        # of either still names a or b.
+        self._drop_routes(a, b)
+
+    def _drop_routes(self, *names: str) -> None:
+        """Forget every route from or to one of *names*."""
+        routes = self._routes
+        for key in [
+            key for key in routes if key[0] in names or key[1] in names
+        ]:
+            del routes[key]
 
     def profile_for(self, src: str, dst: str) -> LinkProfile:
         """``src → dst``'s profile: colocation, prefixes, default."""

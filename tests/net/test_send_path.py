@@ -3,7 +3,8 @@
 ``Node.multicast`` must be indistinguishable from one ``Node.send`` per
 destination — same accounting, taps, latency draws and arrival order —
 on the plain and the sharded network.  Routes must follow profile-rule
-changes made after traffic has flowed, and a node that keeps a kind out
+changes made after traffic has flowed (a colocation re-resolves only the
+routes naming its nodes), and a node that keeps a kind out
 of its handler table must not answer it, whichever path its queue takes.
 """
 
@@ -144,6 +145,30 @@ def test_profile_change_after_traffic_changes_the_next_delay():
     delays = [arrived - sent for _, arrived, sent in log]
     assert delays == pytest.approx([0.010, 0.050, loopback])
     assert network.stats.by_pair["a", "b"].messages == 3
+
+
+def test_a_colocation_re_resolves_only_the_routes_naming_its_nodes():
+    sim = Simulator()
+    network = Network(
+        sim, default_profile=LinkProfile(ConstantLatency(0.010), 1e9)
+    )
+    log = []
+    nodes = {name: network.add_node(Sink(name, log)) for name in "abcxy"}
+    network.set_colocated("a", "c")
+    for src, dst in (("x", "y"), ("a", "c"), ("a", "x"), ("y", "b")):
+        nodes[src].send(dst, "probe", None, 0)
+    sim.run()
+    kept = network._routes["x", "y"]
+    network.set_colocated("a", "b")  # a leaves its former partner c
+    assert network._routes["x", "y"] is kept
+    assert sorted(network._routes) == [("x", "y")]
+    del log[:]
+    nodes["a"].send("c", "probe", None, 0)
+    nodes["a"].send("b", "probe", None, 0)
+    sim.run()
+    loopback = network.profile_for("a", "b").latency.fixed
+    delays = [arrived - sent for _, arrived, sent in log]
+    assert delays == pytest.approx([loopback, 0.010])
 
 
 def test_profile_for_answers_without_traffic():

@@ -1,10 +1,11 @@
 """A run imports only what it runs.
 
 ``setup_s`` (perfbench) is what ``python -m repro run`` pays before the
-first event, and almost all of it is ``import repro``.  The pool, chaos,
-the shard lanes, the rival backends, traces, fuzzing and the paper's
-analysis load at the call that uses them, so a plain Matrix run never
-pays for them.  Each check runs in a fresh interpreter: inside pytest
+first event, and almost all of it is imports.  The pool, chaos, the
+shard lanes, each backend (the Matrix runtime included), traces,
+fuzzing and the paper's analysis load at the call that uses them, so a
+plain Matrix run never pays for a rival and a rival run never pays for
+Matrix.  Each check runs in a fresh interpreter: inside pytest
 every module is long since imported.
 """
 
@@ -32,7 +33,9 @@ NOT_IN_A_PLAIN_RUN = (
     "repro.geometry.sharding",
     "repro.baselines.dht",
     "repro.baselines.mirrored",
+    "repro.baselines.p2p",
     "repro.baselines.static",
+    "repro.harness.parallel",
     "repro.harness.micro",
     "repro.harness.userstudy",
     "repro.harness.sweep",
@@ -41,8 +44,20 @@ NOT_IN_A_PLAIN_RUN = (
     "repro.analysis.asciiplot",
 )
 
-#: ``import repro``, then the scaled ``hotspot`` arguments built the way
-#: ``perfbench/workloads.py`` ``run_arguments`` builds them.
+#: The Matrix runtime, which a rival backend's run never uses.
+MATRIX_RUNTIME = (
+    "repro.harness.experiment",
+    "repro.core.coordinator",
+    "repro.core.deployment",
+    "repro.core.policy",
+    "repro.core.pool",
+    "repro.core.runtime",
+)
+
+#: The modules loaded when a scaled ``fig2-hotspot`` run on *backend*
+#: reaches its ``observe`` hook: ``import repro``, the arguments built
+#: the way ``perfbench/workloads.py`` ``run_arguments`` builds them, and
+#: the experiment (perfbench's ``setup_s``).
 SETUP_PROBE = """
 import json, sys
 import repro
@@ -52,17 +67,26 @@ from repro.harness.compare import scaled_profile
 from repro.harness.gridcells import backend_run_options
 from repro.workload.scenarios import build_scenario
 
-scale = 0.25
+class SetUp(Exception):
+    pass
+
+def observe(experiment):
+    raise SetUp(sorted(sys.modules))
+
+backend, scale = sys.argv[1], 0.25
 scenario = build_scenario("fig2-hotspot")
 policy = LoadPolicyConfig().scaled(scale, floor_overload=6, floor_underload=3)
-arguments = {
-    "scenario": scenario,
-    "backend": "matrix",
-    "profile": scaled_profile(profile_by_name(scenario.game), scale),
-    "scale": scale,
-    **backend_run_options("matrix", scale, policy, seed=1),
-}
-print(json.dumps(sorted(sys.modules)))
+try:
+    repro.run_scenario(
+        scenario,
+        backend=backend,
+        profile=scaled_profile(profile_by_name(scenario.game), scale),
+        scale=scale,
+        observe=observe,
+        **backend_run_options(backend, scale, policy, seed=1),
+    )
+except SetUp as reached:
+    print(json.dumps(reached.args[0]))
 """
 
 #: One scaled run on *backend*: the modules first imported between the
@@ -99,8 +123,14 @@ def fresh_interpreter(probe: str, *args: str):
 
 
 def test_setup_of_a_plain_matrix_run_loads_no_optional_module():
-    loaded = set(fresh_interpreter(SETUP_PROBE))
+    loaded = set(fresh_interpreter(SETUP_PROBE, "matrix"))
     assert [name for name in NOT_IN_A_PLAIN_RUN if name in loaded] == []
+
+
+@pytest.mark.parametrize("backend", ["static", "p2p"])
+def test_setup_of_a_rival_run_loads_no_matrix_runtime(backend):
+    loaded = set(fresh_interpreter(SETUP_PROBE, backend))
+    assert [name for name in MATRIX_RUNTIME if name in loaded] == []
 
 
 @pytest.mark.parametrize("backend", backend_names())
