@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import PerfConfig
-from repro.games.packets import Snapshot, Welcome
+from repro.games.packets import Snapshot
 from repro.games.profile import GameProfile
 from repro.geometry import Rect, Vec2, tile_world
 from repro.net.message import Message
@@ -163,7 +163,6 @@ class PlayerUplink(Node):
         #: peer uplink names (insertion-ordered set).
         self._peers: dict[str, None] = {}
         self._processed_seq = 0
-        self._snapshot_seq = 0
         self._snapshot_task = None
         self.upload_bytes = 0
 
@@ -175,13 +174,8 @@ class PlayerUplink(Node):
         hello = message.payload
         self._client = hello.client_id
         self._position = hello.position
-        region = self._backend.region_of(hello.position)
-        self._join_region(region)
-        welcome = Welcome(
-            client_id=hello.client_id,
-            server_range=self._backend.region_rect(region),
-        )
-        self.send(self._client, "gs.welcome", welcome, size_bytes=64)
+        self._join_region(self._backend.region_of(hello.position))
+        self.send(self._client, "gs.welcome", None, size_bytes=64)
         if self._snapshot_task is None:
             self._snapshot_task = self.sim.every(
                 1.0 / self._backend.profile.snapshot_hz, self._snapshot_tick
@@ -295,19 +289,15 @@ class PlayerUplink(Node):
         if self._client is None:
             return
         profile = self._backend.profile
-        self._snapshot_seq += 1
         visible = min(len(self._peers), profile.max_visible_entities)
-        snapshot = Snapshot(
-            client_id=self._client,
-            seq=self._snapshot_seq,
-            visible_entities=visible,
-            processed_seq=self._processed_seq,
-        )
         size = (
             profile.snapshot_base_bytes
             + profile.snapshot_per_entity_bytes * visible
         )
-        self.send(self._client, "gs.snapshot", snapshot, size_bytes=size)
+        self.send(
+            self._client, "gs.snapshot",
+            Snapshot(visible, self._processed_seq), size_bytes=size,
+        )
 
 
 class P2PExperiment(ArchitectureBackend):
@@ -353,8 +343,9 @@ class P2PExperiment(ArchitectureBackend):
         self.network.set_prefix_profile("tracker.", "uplink.", wan_profile())
         self.trackers: list[RegionTracker] = []
         self.uplinks: dict[str, PlayerUplink] = {}
-        self._tiles = tile_world(world, self._columns, self._rows)
-        for index, tile in enumerate(self._tiles):
+        for index, tile in enumerate(
+            tile_world(world, self._columns, self._rows)
+        ):
             tracker = RegionTracker(f"tracker.{index + 1}", tile)
             self.network.add_node(tracker)
             self.trackers.append(tracker)
@@ -374,10 +365,6 @@ class P2PExperiment(ArchitectureBackend):
             self._rows - 1,
         )
         return max(row, 0) * self._columns + max(column, 0)
-
-    def region_rect(self, region: int) -> Rect:
-        """The map rectangle of region *region*."""
-        return self._tiles[region]
 
     def tracker_name(self, region: int) -> str:
         """Node name of the region's membership tracker."""

@@ -120,9 +120,7 @@ class MatrixPort:
             origin=origin,
             dest=dest,
             payload=payload,
-            source_server=self._owner.name,
             client_id=client_id,
-            created_at=self._owner.sim.now,
             radius=radius,
         )
         self._owner.send(

@@ -44,12 +44,10 @@ class SpatialPacket:
     origin: Vec2
     payload: object
     dest: Vec2 | None = None
-    source_server: str = ""
     client_id: str = ""
     #: Exception visibility radius (§3.1): ``None`` means the game's
     #: default radius; a value selects the matching overlap table.
     radius: float | None = None
-    created_at: float = 0.0
 
 
 @dataclass(slots=True)

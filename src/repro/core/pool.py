@@ -37,7 +37,6 @@ class ServerPool:
         #: Reserved hosts whose provisioning callback has not fired yet
         #: (they belong to nobody until it does — leak audits skip them).
         self._provisioning: set[str] = set()
-        self.acquire_attempts = 0
         self.acquire_failures = 0
 
     @property
@@ -63,7 +62,6 @@ class ServerPool:
         ``False`` when the pool was empty (callback still fires, with
         ``None``, so callers have one code path).
         """
-        self.acquire_attempts += 1
         if self.available == 0:
             self.acquire_failures += 1
             self._sim.after(0.0, lambda: callback(None))

@@ -40,7 +40,6 @@ class ServerStats:
     forwarded_packets: int = 0
     delivered_packets: int = 0
     stale_forwards: int = 0
-    misrouted_packets: int = 0
     local_only_packets: int = 0
     failed_splits: int = 0
     failed_reclaims: int = 0

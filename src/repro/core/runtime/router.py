@@ -46,7 +46,6 @@ class SpatialRouter:
             # progress): hand the packet to the partition owner.
             owner = ctx.owner_of(point)
             if owner is not None and owner != ctx.name:
-                ctx.stats.misrouted_packets += 1
                 targets.add(owner)
         if packet.dest is not None and not ctx.partition.contains(packet.dest):
             # Packet explicitly addressed to a remote point (projectile

@@ -15,7 +15,6 @@ from repro.games.packets import (
     PlayerUpdate,
     Snapshot,
     SwitchDirective,
-    Welcome,
 )
 from repro.games.profile import (
     GameProfile,
@@ -39,7 +38,6 @@ __all__ = [
     "Snapshot",
     "SpatialGrid",
     "SwitchDirective",
-    "Welcome",
     "bzflag_profile",
     "daimonin_profile",
     "profile_by_name",

@@ -31,7 +31,6 @@ from repro.games.packets import (
     PlayerUpdate,
     Snapshot,
     SwitchDirective,
-    Welcome,
 )
 from repro.games.profile import GameProfile
 from repro.geometry import Rect, Vec2
@@ -70,9 +69,7 @@ class ClientRecord:
 
     client_id: str
     position: Vec2
-    last_seq: int = 0
     processed_seq: int = 0
-    joined_at: float = 0.0
     last_seen: float = 0.0
 
 
@@ -107,7 +104,6 @@ class GameServer(Node):
         #: Remote entities mirrored from peers: id -> (position, expiry).
         self._ghosts: dict[str, tuple[Vec2, float]] = {}
         self._grid = SpatialGrid(cell_size=profile.visibility_radius)
-        self._snapshot_seq = 0
         self._tasks: list = []
 
         self.port = MatrixPort(self)
@@ -193,11 +189,9 @@ class GameServer(Node):
         self._clients[hello.client_id] = ClientRecord(
             client_id=hello.client_id,
             position=hello.position,
-            joined_at=self.sim.now,
             last_seen=self.sim.now,
         )
-        welcome = Welcome(client_id=hello.client_id, server_range=self._range)
-        self.send(message.src, "gs.welcome", welcome, size_bytes=64)
+        self.send(message.src, "gs.welcome", None, size_bytes=64)
         # A hello for a position we no longer own gets redirected right
         # away (stale lobby data or a racing split).
         if not self._range.contains(hello.position):
@@ -211,13 +205,12 @@ class GameServer(Node):
             target = self._tombstones.get(update.client_id)
             if target is not None:
                 # Straggler from a switched client: remind it.
-                directive = SwitchDirective(
-                    client_id=update.client_id, target=target
+                self.send(
+                    message.src, "gs.switch", SwitchDirective(target),
+                    size_bytes=64,
                 )
-                self.send(message.src, "gs.switch", directive, size_bytes=64)
             return
         record.position = update.position
-        record.last_seq = update.seq
         record.last_seen = self.sim.now
         self.updates_processed += 1
         self.port.send_spatial(
@@ -280,8 +273,7 @@ class GameServer(Node):
             target = self._owner_of(record.position)
             if target is None or target == self.name:
                 return
-        directive = SwitchDirective(client_id=client_id, target=target)
-        self.send(client_id, "gs.switch", directive, size_bytes=64)
+        self.send(client_id, "gs.switch", SwitchDirective(target), size_bytes=64)
         del self._clients[client_id]
         self._tombstones[client_id] = target
 
@@ -325,7 +317,7 @@ class GameServer(Node):
         stale = [
             client_id
             for client_id, record in self._clients.items()
-            if now - max(record.last_seen, record.joined_at) > timeout
+            if now - record.last_seen > timeout
         ]
         for client_id in stale:
             del self._clients[client_id]
@@ -336,7 +328,6 @@ class GameServer(Node):
         radius = profile.visibility_radius
         cap = profile.max_visible_entities
         now = self.sim.now
-        self._snapshot_seq += 1
         clients = self._clients
         ghosts = self._ghosts
         grid = self._grid
@@ -370,17 +361,14 @@ class GameServer(Node):
                     visible -= 1
             if visible > cap:
                 visible = cap
-            snapshot = Snapshot(
-                client_id=client_id,
-                seq=self._snapshot_seq,
-                visible_entities=visible,
-                processed_seq=record.processed_seq,
-            )
             size = (
                 profile.snapshot_base_bytes
                 + profile.snapshot_per_entity_bytes * visible
             )
-            self.send(client_id, "gs.snapshot", snapshot, size_bytes=size)
+            self.send(
+                client_id, "gs.snapshot",
+                Snapshot(visible, record.processed_seq), size_bytes=size,
+            )
             self.snapshots_sent += 1
 
 
@@ -397,10 +385,10 @@ class GameClient(Node):
     __slots__ = (
         "_profile", "mobility", "_rng", "_relocate", "_rejoin_timeout",
         "_last_snapshot_at", "rejoins", "server", "_pending",
-        "_switch_started", "position", "shard_anchor", "_seq",
-        "_action_seq", "_pending_actions", "_update_task", "active",
-        "updates_sent", "actions_sent", "snapshots_received",
-        "switches_completed", "action_latencies", "switch_latencies",
+        "_switch_started", "position", "shard_anchor", "_pending_actions",
+        "_update_task", "updates_sent", "actions_sent",
+        "snapshots_received", "switches_completed", "action_latencies",
+        "switch_latencies",
     )
 
     def __init__(
@@ -438,13 +426,11 @@ class GameClient(Node):
         #: The client roams afterwards, but cross-shard client links are
         #: WAN-class, so a stale home lane never violates lookahead.
         self.shard_anchor = self.position
-        self._seq = 0
-        self._action_seq = 0
         self._pending_actions: dict[int, float] = {}
         self._update_task = None
-        self.active = False
 
-        # Statistics the user-study and microbenches read.
+        # Statistics the user-study and microbenches read.  An update or
+        # action carries its count as its sequence number.
         self.updates_sent = 0
         self.actions_sent = 0
         self.snapshots_received = 0
@@ -455,6 +441,12 @@ class GameClient(Node):
     # ------------------------------------------------------------------
     # Control
     # ------------------------------------------------------------------
+    @property
+    def active(self) -> bool:
+        """Whether the update loop runs: from the first welcome until
+        the client leaves."""
+        return self._update_task is not None
+
     def enable_rejoin(self) -> None:
         """Arm dead-server detection: after :data:`REJOIN_TIMEOUT`
         seconds of snapshot silence the client relocates and rejoins
@@ -485,7 +477,7 @@ class GameClient(Node):
         """Connect to *game_server* at *position*."""
         self.position = position
         self._last_snapshot_at = self.sim.now
-        hello = Hello(client_id=self.name, position=position, switching=False)
+        hello = Hello(client_id=self.name, position=position)
         self.send(game_server, "client.hello", hello,
                   size_bytes=self._profile.hello_bytes)
 
@@ -514,7 +506,6 @@ class GameClient(Node):
         if self._update_task is not None:
             self._update_task.stop()
             self._update_task = None
-        self.active = False
         self.server = None
         self._pending = None
         self._rng = None
@@ -545,8 +536,7 @@ class GameClient(Node):
             return
         if self.server is None:
             self.server = message.src
-            if not self.active:
-                self.active = True
+            if self._update_task is None:
                 period = 1.0 / self._profile.update_hz
                 self._update_task = self.sim.every(
                     period,
@@ -567,24 +557,26 @@ class GameClient(Node):
         # semantics); keeping them would mis-attribute the whole
         # handoff gap to "response latency".
         self._pending_actions.clear()
-        hello = Hello(client_id=self.name, position=self.position, switching=True)
+        hello = Hello(client_id=self.name, position=self.position)
         self.send(directive.target, "client.hello", hello,
                   size_bytes=self._profile.hello_bytes)
         self.sim.after(SWITCH_TIMEOUT, self._check_switch_stuck)
 
-    def _rejoin(self) -> None:
-        """The server went silent past the rejoin timeout: relocate.
-
-        Mirrors what a real client does when its server crashes — ask
-        the lobby for whoever owns its position now and reconnect.
-        Without a locator the client can only keep waiting.
-        """
+    def _reconnect(self) -> None:
+        """Drop the connection and join whoever the locator says owns
+        the current position, as a real client asks the lobby when its
+        server dies.  Without a locator it can only keep waiting."""
         if self._relocate is None:
             return
         self.server = None
         self._pending = None
-        self.rejoins += 1
         self.join(self._relocate(self.position), self.position)
+
+    def _rejoin(self) -> None:
+        """The server went silent past the rejoin timeout: reconnect."""
+        if self._relocate is not None:
+            self.rejoins += 1
+        self._reconnect()
 
     def _check_switch_stuck(self) -> None:
         """Recover from a handoff to a server that died mid-switch."""
@@ -595,12 +587,10 @@ class GameClient(Node):
             and self.sim.now - self._switch_started < SWITCH_TIMEOUT
         ):
             return
+        # Without a locator the client stays with its old server.
         self._pending = None
         self._switch_started = None
-        if self._relocate is not None:
-            target = self._relocate(self.position)
-            self.server = None
-            self.join(target, self.position)
+        self._reconnect()
 
     @handles("gs.snapshot")
     def _on_snapshot(self, message: Message) -> None:
@@ -621,7 +611,7 @@ class GameClient(Node):
     # Update loop
     # ------------------------------------------------------------------
     def _update_tick(self) -> None:
-        if not self.active or self._pending is not None:
+        if self._pending is not None:
             return
         # Dead-server watchdog before the no-server guard: a rejoin
         # whose own hello was lost leaves ``_server`` None, and only
@@ -637,21 +627,21 @@ class GameClient(Node):
         profile = self._profile
         dt = 1.0 / profile.update_hz
         self.position = self.mobility.step(self.position, dt)
-        self._seq += 1
+        self.updates_sent += 1
         update = PlayerUpdate(
-            client_id=self.name, position=self.position, seq=self._seq
+            client_id=self.name, position=self.position, seq=self.updates_sent
         )
         self.send(
             self.server, "client.update", update,
             size_bytes=profile.update_bytes,
         )
-        self.updates_sent += 1
         if self._rng.random() < profile.action_rate / profile.update_hz:
             self._send_action()
 
     def _send_action(self) -> None:
         profile = self._profile
-        self._action_seq += 1
+        self.actions_sent += 1
+        seq = self.actions_sent
         target = None
         if (
             profile.remote_action_fraction > 0
@@ -666,12 +656,11 @@ class GameClient(Node):
             client_id=self.name,
             action="fire",
             position=self.position,
-            seq=self._action_seq,
+            seq=seq,
             target=target,
         )
-        self._pending_actions[self._action_seq] = self.sim.now
+        self._pending_actions[seq] = self.sim.now
         self.send(
             self.server, "client.action", action,
             size_bytes=profile.action_bytes,
         )
-        self.actions_sent += 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.geometry import Rect, Vec2
+from repro.geometry import Vec2
 
 
 @dataclass(slots=True)
@@ -37,19 +37,14 @@ class ActionEvent:
 
 @dataclass(slots=True)
 class Hello:
-    """Client → server: join (fresh login or a Matrix-driven switch)."""
+    """Client → server: join (fresh login or a Matrix-driven switch).
+
+    The server's answer, ``gs.welcome``, carries no payload: the
+    client reads only who sent it.
+    """
 
     client_id: str
     position: Vec2
-    switching: bool
-
-
-@dataclass(slots=True)
-class Welcome:
-    """Server → client: join accepted."""
-
-    client_id: str
-    server_range: Rect
 
 
 @dataclass(slots=True)
@@ -60,7 +55,6 @@ class SwitchDirective:
     game server and is unaware of Matrix."
     """
 
-    client_id: str
     target: str
 
 
@@ -73,8 +67,6 @@ class Snapshot:
     reaction); ``visible_entities`` drives the snapshot's wire size.
     """
 
-    client_id: str
-    seq: int
     visible_entities: int
     processed_seq: int
 

@@ -19,7 +19,6 @@ from repro.net.middleware import (
     BATCH_KIND,
     FaultInjectionStage,
     KindMetricsStage,
-    MiddlewarePipeline,
     MiddlewareStage,
     SpatialBatchingStage,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "LatencyModel",
     "LinkProfile",
     "Message",
-    "MiddlewarePipeline",
     "MiddlewareStage",
     "Network",
     "Node",

@@ -1,12 +1,14 @@
 """Interception-hook middleware for nodes.
 
-A :class:`MiddlewarePipeline` sits between a node's wire and its
-dispatch table: every outbound message passes through the stages'
-``on_outbound`` hooks before it reaches the network, and every serviced
-inbound message passes through ``on_inbound`` before it is dispatched.
-Cross-cutting concerns — per-kind metrics, packet batching, fault
-injection — become opt-in pipeline stages instead of edits to the
-routing core.
+A node's ``stages`` list (:meth:`~repro.net.node.Node.use` appends to
+it) sits between its wire and its dispatch table: every outbound
+message passes through the stages' ``on_outbound`` hooks before it
+reaches the network, and every serviced inbound message passes through
+``on_inbound`` before it is dispatched.  Cross-cutting concerns —
+per-kind metrics, packet batching, fault injection — become opt-in
+stages instead of edits to the routing core.  ``Node.send`` and
+``Node.handle_message`` walk the list themselves; a node with no stage
+(every node of every timed workload) skips it on one truthiness test.
 
 Onion ordering: the stage list runs outside-in.  Inbound traverses
 stages first-to-last; outbound traverses last-to-first, so the first
@@ -17,11 +19,11 @@ kinds only tests the kind at the top of its hook.
 
 Stages that buffer or clone traffic (batching, fault duplication)
 re-inject via ``node.network.transmit`` / the node's handler table directly,
-*below* the pipeline: no stage observes a flushed batch or a duplicate
+*below* the stages: no stage observes a flushed batch or a duplicate
 clone on the way out, and outbound hooks of stages outside a buffering
 stage never see the kinds it absorbs.  Per-kind *wire* truth therefore
 lives in ``network.stats``; ``KindMetricsStage`` measures the traffic
-crossing its own pipeline position.
+crossing its own position in the list.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ BATCH_KIND = "net.batch"
 
 
 class MiddlewareStage:
-    """Base class for pipeline stages; default hooks pass through."""
+    """Base class for middleware stages; default hooks pass through."""
 
     name = "stage"
 
@@ -55,7 +57,7 @@ class MiddlewareStage:
         return self._node
 
     def bind(self, node: "Node") -> None:
-        """Called by :meth:`MiddlewarePipeline.use` on installation."""
+        """Called by :meth:`~repro.net.node.Node.use` on installation."""
         self._node = node
 
     def on_inbound(self, message: Message) -> Message | None:
@@ -67,54 +69,13 @@ class MiddlewareStage:
         return message
 
 
-class MiddlewarePipeline:
-    """An ordered stack of :class:`MiddlewareStage` around one node.
-
-    Every message walks every installed stage; a stage that cares about
-    some kinds only checks the kind at the top of its hook.  Nodes with
-    no stage at all — every node of every timed workload — never enter
-    the pipeline (``Node.send`` / ``Node.handle_message`` test the
-    stage list first), so the walk has no fast path to keep in step
-    with it.
-    """
-
-    __slots__ = ("_owner", "stages")
-
-    def __init__(self, owner: "Node") -> None:
-        self._owner = owner
-        #: Installed stages, outermost (closest to the wire) first.
-        self.stages: list[MiddlewareStage] = []
-
-    def use(self, stage: MiddlewareStage) -> MiddlewareStage:
-        """Install *stage* as the new innermost stage."""
-        stage.bind(self._owner)
-        self.stages.append(stage)
-        return stage
-
-    def process_inbound(self, message: Message) -> Message | None:
-        """Run inbound hooks wire-side first; ``None`` = consumed."""
-        for stage in self.stages:
-            message = stage.on_inbound(message)
-            if message is None:
-                return None
-        return message
-
-    def process_outbound(self, message: Message) -> Message | None:
-        """Run outbound hooks dispatch-side first; ``None`` = consumed."""
-        for stage in reversed(self.stages):
-            message = stage.on_outbound(message)
-            if message is None:
-                return None
-        return message
-
-
 class KindMetricsStage(MiddlewareStage):
     """Per-kind message/byte counters on both directions.
 
     Purely observational — messages always pass through unchanged.
-    Counts what crosses this stage's pipeline position: kinds a deeper
-    stage absorbs (e.g. batched forwards) never reach its outbound
-    hook, and traffic re-injected below the pipeline (flushed batches,
+    Counts what crosses this stage's position in the list: kinds a
+    deeper stage absorbs (e.g. batched forwards) never reach its outbound
+    hook, and traffic re-injected below the stages (flushed batches,
     duplicate clones) is visible only in ``network.stats``.
     """
 
@@ -241,9 +202,6 @@ class SpatialBatchingStage(MiddlewareStage):
         self._buffers: dict[str, list[Message]] = {}
         self._flush_scheduled = False
         self.buffered_total = 0
-        self.batches_sent = 0
-        self.messages_saved = 0
-        self.unbatched_received = 0
 
     def on_outbound(self, message: Message) -> Message | None:
         if message.kind not in self.KINDS:
@@ -259,7 +217,6 @@ class SpatialBatchingStage(MiddlewareStage):
         if message.kind != BATCH_KIND:
             return message
         for inner in message.payload:
-            self.unbatched_received += 1
             self.node._handlers.get(inner.kind, self.node.on_unhandled)(inner)
         return None
 
@@ -283,5 +240,3 @@ class SpatialBatchingStage(MiddlewareStage):
                 + sum(inner.size_bytes for inner in pending),
             )
             network.transmit(batch)
-            self.batches_sent += 1
-            self.messages_saved += len(pending) - 1

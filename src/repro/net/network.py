@@ -163,9 +163,9 @@ class Network:
 
         Its queue is detached — a message in flight to it goes to the
         node that holds the name when it arrives, if any, and is
-        undeliverable otherwise — and every route naming it is dropped,
-        so no route keeps the dead queue alive.  Removals are rare
-        (reclaims, crashes), so the scan is cheap.
+        undeliverable otherwise — every route naming it is dropped, so
+        no route keeps the dead queue alive, and so is its colocation.
+        Removals are rare (reclaims, crashes), so the scan is cheap.
         """
         node = self._nodes.pop(name, None)
         if node is None:
@@ -173,6 +173,7 @@ class Network:
         queue = node._inbox
         queue.detach(self)
         self._retired_arrivals += queue.arrivals
+        self._uncolocate(name)
         self._drop_routes(name)
 
     def has_node(self, name: str) -> bool:
@@ -205,12 +206,22 @@ class Network:
 
         The paper co-locates each game server with its Matrix server "to
         minimize the network latency"; this is how that is expressed.
+        A node shares a host with one other at most: a former partner
+        of *a* or *b* loses its loopback.
         """
+        self._uncolocate(a)
+        self._uncolocate(b)
         self._colocated[a] = b
         self._colocated[b] = a
         # Only a pair leaving a or b can switch profile: a former partner
         # of either still names a or b.
         self._drop_routes(a, b)
+
+    def _uncolocate(self, name: str) -> None:
+        """Forget *name*'s colocation, both ways."""
+        partner = self._colocated.pop(name, None)
+        if partner is not None and self._colocated.get(partner) == name:
+            del self._colocated[partner]
 
     def _drop_routes(self, *names: str) -> None:
         """Forget every route from or to one of *names*."""

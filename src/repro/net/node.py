@@ -17,7 +17,7 @@ from repro.net.dispatch import (  # noqa: F401
     handles,
 )
 from repro.net.message import Message
-from repro.net.middleware import MiddlewarePipeline, MiddlewareStage
+from repro.net.middleware import MiddlewareStage
 from repro.net.queue import ReceiveQueue
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,7 +37,7 @@ class Node(ABC):
     one ``kind -> bound callable`` table, whoever owns the method, is
     the only way a node answers a message: a kind it does not hold goes
     to :meth:`on_unhandled`.  Everything else — queueing, servicing
-    delay, traffic accounting, the middleware pipeline — is provided.
+    delay, traffic accounting, the middleware stages — is provided.
 
     A node's attributes live in fixed slots.  A subclass that declares
     no ``__slots__`` of its own (servers, test doubles) gets an
@@ -48,8 +48,8 @@ class Node(ABC):
 
     __slots__ = (
         "name", "_network", "sim", "_service_rate", "_queue_capacity",
-        "_priority_kinds", "_inbox", "_arrive", "middleware",
-        "_mw_stages", "_handlers", "unhandled_count",
+        "_priority_kinds", "_inbox", "_arrive", "stages", "_handlers",
+        "unhandled_count",
     )
 
     #: kind -> method name, compiled at class-definition time.
@@ -79,11 +79,11 @@ class Node(ABC):
         #: ``self._inbox.deliver``, bound once in :meth:`attach`: every
         #: route to this node holds this one object as its arrival.
         self._arrive = None
-        self.middleware = MiddlewarePipeline(self)
-        # The pipeline's live stage list (appended to in place by
-        # ``use``): an empty-list truthiness check is how the hot send/
-        # receive paths skip the pipeline entirely on bare nodes.
-        self._mw_stages = self.middleware.stages
+        #: Installed middleware stages, outermost (closest to the wire)
+        #: first.  :meth:`use` appends in place, because the receive
+        #: queue holds this list too; an empty-list truthiness check is
+        #: how the hot send/receive paths skip the stages on bare nodes.
+        self.stages: list[MiddlewareStage] = []
         # kind -> bound handler: the node's own ``@handles`` methods,
         # plus adopted components'.  The receive queue holds this dict,
         # so it is only ever mutated in place.
@@ -107,7 +107,7 @@ class Node(ABC):
             self.sim,
             self.handle_message,
             self._handlers,
-            stages=self._mw_stages,
+            stages=self.stages,
             service_rate=self._service_rate,
             capacity=self._queue_capacity,
             priority_kinds=self._priority_kinds,
@@ -115,8 +115,10 @@ class Node(ABC):
         self._arrive = self._inbox.deliver
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
-        """Install a middleware stage (innermost position)."""
-        return self.middleware.use(stage)
+        """Install *stage* as the new innermost middleware stage."""
+        stage.bind(self)
+        self.stages.append(stage)
+        return stage
 
     def adopt(self, component: C) -> C:
         """Let *component*'s ``@handles`` methods answer for this node.
@@ -157,20 +159,20 @@ class Node(ABC):
     def send(self, dst: str, kind: str, payload: Any, size_bytes: int) -> Message:
         """Send a message to node *dst* over the network.
 
-        The message first runs through the middleware pipeline's
-        outbound hooks; a stage may transform it or consume it (e.g.
+        The message first runs through the stages' outbound hooks,
+        innermost first; a stage may transform it or consume it (e.g.
         buffer it into a batch).  The constructed message is returned
         either way.
         """
         message = Message(self.name, dst, kind, payload, size_bytes)
         network = self._network or self.network  # raises: not attached
-        if self._mw_stages:
-            processed = self.middleware.process_outbound(message)
-            if processed is None:
-                return message
-            network.transmit(processed)
-        else:
-            network.transmit(message)
+        processed = message
+        if self.stages:
+            for stage in reversed(self.stages):
+                processed = stage.on_outbound(processed)
+                if processed is None:
+                    return message
+        network.transmit(processed)
         return message
 
     def multicast(
@@ -178,7 +180,7 @@ class Node(ABC):
     ) -> None:
         """:meth:`send` to each of *dsts* in order, in one call (through
         :meth:`send` itself when the node has stages)."""
-        if self._mw_stages:
+        if self.stages:
             for dst in dsts:
                 self.send(dst, kind, payload, size_bytes)
             return
@@ -188,14 +190,15 @@ class Node(ABC):
             transmit(Message(name, dst, kind, payload, size_bytes))
 
     def handle_message(self, message: Message) -> None:
-        """Process one serviced message: inbound middleware, then the
-        handler table (:meth:`on_unhandled` for a kind it lacks).
+        """Process one serviced message: the stages' inbound hooks,
+        outermost first, then the handler table (:meth:`on_unhandled`
+        for a kind it lacks).
 
         The receive queue calls a table entry itself while the node has
         no stage; this is its path for a missing kind or a staged node.
         """
-        if self._mw_stages:
-            message = self.middleware.process_inbound(message)
+        for stage in self.stages:
+            message = stage.on_inbound(message)
             if message is None:
                 return
         self._handlers.get(message.kind, self.on_unhandled)(message)

@@ -63,7 +63,6 @@ def test_send_spatial_tags_packet():
     assert message.size_bytes == 100 + 24  # payload + spatial tag
     assert message.payload is packet
     assert packet.origin == Vec2(3, 4)
-    assert packet.source_server == "gs.x"
     assert packet.client_id == "c1"
 
 

@@ -102,7 +102,7 @@ def test_batching_stage_installed_from_config():
         sim, network, config, game_server_factory=ScriptedGameServer
     )
     ms, _ = deployment.bootstrap()
-    stages = [type(s) for s in ms.middleware.stages]
+    stages = [type(s) for s in ms.stages]
     assert stages == [SpatialBatchingStage]
 
 
@@ -127,7 +127,7 @@ def test_combined_stages_keep_fault_injection_innermost():
     assert len(servers) > 1
     dropped = buffered = 0
     for ms in servers:
-        batching, faults = ms.middleware.stages
+        batching, faults = ms.stages
         assert type(batching) is SpatialBatchingStage
         assert type(faults) is FaultInjectionStage
         dropped += faults.dropped
@@ -148,4 +148,4 @@ def test_default_config_installs_no_stages():
         sim, network, config, game_server_factory=ScriptedGameServer
     )
     ms, _ = deployment.bootstrap()
-    assert not ms.middleware.stages
+    assert not ms.stages

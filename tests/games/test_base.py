@@ -89,7 +89,6 @@ def test_silent_client_pruned_by_liveness_timeout():
     experiment.sim.run(until=3.0)
     # Kill the client's update loop without a goodbye (crash).
     client._update_task.stop()
-    client.active = False
     experiment.sim.run(until=20.0)
     gs = experiment.deployment.game_servers["gs.1"]
     assert gs.client_count == 0

@@ -21,7 +21,7 @@ import itertools
 import random
 
 from repro.games.base import SWITCH_TIMEOUT, GameClient, GameServer
-from repro.games.packets import Snapshot, SwitchDirective, Welcome
+from repro.games.packets import Snapshot, SwitchDirective
 from repro.games.profile import GameProfile
 from repro.geometry import Rect, Vec2
 from repro.net import ConstantLatency, LinkProfile, Network, Node, handles
@@ -68,7 +68,7 @@ def playing_client(sim, network, gs1):
     )
     client.join("gs.1", Vec2(100.0, 100.0))
     sim.run(until=0.05)
-    gs1.send("client.1", "gs.welcome", Welcome("client.1", WORLD), 64)
+    gs1.send("client.1", "gs.welcome", None, 64)
     sim.run(until=4.0)
     assert client.active and client._pending_actions
     return client
@@ -103,7 +103,7 @@ def test_a_late_snapshot_still_acks_the_actions_in_flight():
     acked = len(client.action_latencies)
     gs1.send(
         "client.1", "gs.snapshot",
-        Snapshot("client.1", 9, 0, processed_seq=client._action_seq), 48,
+        Snapshot(0, processed_seq=client.actions_sent), 48,
     )
     sim.run(until=4.2)
     assert client._pending_actions == {}
@@ -113,7 +113,7 @@ def test_a_late_snapshot_still_acks_the_actions_in_flight():
 def test_a_late_switch_sends_nothing():
     sim, gs1, gs2, client = departed_client()
     heard = len(gs1.heard)
-    gs1.send("client.1", "gs.switch", SwitchDirective("client.1", "gs.2"), 32)
+    gs1.send("client.1", "gs.switch", SwitchDirective("gs.2"), 32)
     sim.run(until=4.3 + SWITCH_TIMEOUT)
     assert len(gs1.heard) == heard and gs2.heard == []
     assert (client.server, client._pending) == (None, None)
@@ -122,7 +122,7 @@ def test_a_late_switch_sends_nothing():
 
 def test_a_late_welcome_gets_one_bye_and_nothing_else():
     sim, gs1, gs2, client = departed_client()
-    gs2.send("client.1", "gs.welcome", Welcome("client.1", WORLD), 64)
+    gs2.send("client.1", "gs.welcome", None, 64)
     sim.run(until=4.3 + SWITCH_TIMEOUT)
     assert gs2.heard == [("client.bye", "client.1")]
     assert not client.active and client._update_task is None
@@ -143,7 +143,7 @@ def leave_mid_switch(hello_s, bye_s):
     gs1 = network.add_node(Server("gs.1"))
     gs2 = network.add_node(GameServer("gs.2", PROFILE, WORLD))
     client = playing_client(sim, network, gs1)
-    gs1.send("client.1", "gs.switch", SwitchDirective("client.1", "gs.2"), 32)
+    gs1.send("client.1", "gs.switch", SwitchDirective("gs.2"), 32)
     sim.run(until=4.011)
     assert client._pending == "gs.2"
     client.leave()

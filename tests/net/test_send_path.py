@@ -4,7 +4,8 @@
 destination — same accounting, taps, latency draws and arrival order —
 on the plain and the sharded network.  Routes must follow profile-rule
 changes made after traffic has flowed (a colocation re-resolves only the
-routes naming its nodes), and a node that keeps a kind out
+routes naming its nodes, and neither a new colocation nor a removal
+leaves a stale partner behind), and a node that keeps a kind out
 of its handler table must not answer it, whichever path its queue takes.
 """
 
@@ -18,6 +19,8 @@ from repro.core.messages import UnregisterServer
 from repro.games.profile import bzflag_profile
 from repro.geometry import Rect, Vec2
 from repro.geometry.sharding import ShardMap
+from repro.harness.compare import scaled_run_arguments
+from repro.harness.gridcells import GRID_FLOORS
 from repro.harness.runner import run_scenario
 from repro.net import (
     ConstantLatency,
@@ -31,7 +34,7 @@ from repro.net.middleware import MiddlewareStage
 from repro.net.sharded import ShardedNetwork
 from repro.sim import RngRegistry, Simulator
 from repro.sim.sharded import ShardedSimulator
-from repro.workload.scenarios import ArrivalWave, Scenario
+from repro.workload.scenarios import ArrivalWave, Scenario, build_scenario
 
 WAN = LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6)
 WORLD = Rect(0.0, 0.0, 100.0, 100.0)
@@ -169,6 +172,52 @@ def test_a_colocation_re_resolves_only_the_routes_naming_its_nodes():
     loopback = network.profile_for("a", "b").latency.fixed
     delays = [arrived - sent for _, arrived, sent in log]
     assert delays == pytest.approx([loopback, 0.010])
+
+
+def test_a_new_colocation_unmaps_the_former_partner():
+    sim = Simulator()
+    network = Network(
+        sim, default_profile=LinkProfile(ConstantLatency(0.010), 1e9)
+    )
+    log = []
+    nodes = {name: network.add_node(Sink(name, log)) for name in "abc"}
+    network.set_colocated("a", "b")
+    nodes["b"].send("a", "probe", None, 0)  # builds the loopback route
+    sim.run()
+    network.set_colocated("a", "c")
+    assert network.profile_for("b", "a") is network._default
+    assert network._colocated == {"a": "c", "c": "a"}
+    del log[:]
+    nodes["b"].send("a", "probe", None, 0)
+    sim.run()
+    assert [arrived - sent for _, arrived, sent in log] == pytest.approx(
+        [0.010]
+    )
+
+
+def test_a_removed_node_leaves_no_colocation():
+    network = Network(Simulator())
+    for name in "abxy":
+        network.add_node(Sink(name, []))
+    network.set_colocated("a", "b")
+    network.set_colocated("x", "y")
+    network.remove_node("a")
+    assert network._colocated == {"x": "y", "y": "x"}
+    assert network.profile_for("b", "a") is network._default
+
+
+def test_after_a_run_every_colocation_names_a_registered_node():
+    """Reclaims remove a Matrix server and its game server: neither may
+    stay in the colocation map."""
+    outcome = run_scenario(
+        **scaled_run_arguments(
+            build_scenario("fig2-hotspot"), "matrix", 0.05, 1, **GRID_FLOORS
+        )
+    )
+    assert outcome.result.reclaims_completed > 0
+    network = outcome.experiment.network
+    stale = [name for name in network._colocated if not network.has_node(name)]
+    assert stale == []
 
 
 def test_profile_for_answers_without_traffic():

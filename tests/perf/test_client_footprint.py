@@ -7,9 +7,9 @@ included.  A playing client also holds two ``random.Random`` streams
 (its own and its mobility model's), which a departed one drops; the
 rest of what a client keeps is bookkeeping, so:
 
-* a ``GameClient``, its ``ReceiveQueue``, its ``MiddlewarePipeline``,
-  its update ``PeriodicTask`` and its mobility model hold their
-  attributes in slots, with no instance dict;
+* a ``GameClient``, its ``ReceiveQueue``, its update ``PeriodicTask``
+  and its mobility model hold their attributes in slots, with no
+  instance dict;
 * an infinite-rate receive queue allocates its deque only when a
   message first has to wait.  A client queue that never backlogged
   holds none;
@@ -26,13 +26,16 @@ profile and the churn phase's mobility model, attached, welcomed (which
 starts its update task) and sent one snapshot.  The streams are built
 before the window, so they are not counted.
 
-==========  ======================  ===================  ==========
-Python      instance dicts, deques  slots, lazy deque    budget
-==========  ======================  ===================  ==========
-3.10        2 976                   1 824                <= 2 400
-3.11        4 048                   1 776                <= 2 400
-3.12        4 008                   1 776                <= 2 400
-==========  ======================  ===================  ==========
+==========  ======================  =================  ===============  ==========
+Python      instance dicts, deques  slots, lazy deque  no copies kept   budget
+==========  ======================  =================  ===============  ==========
+3.10        2 976                   1 824              1 744            <= 2 000
+3.11        4 048                   1 776              1 696            <= 2 000
+3.12        4 008                   1 776              1 696            <= 2 000
+==========  ======================  =================  ===============  ==========
+
+"No copies kept": the stage list lives on the node (no pipeline
+object), and ``active`` and the sequence numbers are derived.
 
 The two streams come to another 5.3 kB (3.10) or 5.8 kB (3.11, 3.12)
 per client (docs/ARCHITECTURE.md, "What a client holds").
@@ -46,7 +49,7 @@ import tracemalloc
 import pytest
 
 from repro.games.base import GameClient
-from repro.games.packets import Snapshot, Welcome
+from repro.games.packets import Snapshot
 from repro.geometry import Rect, Vec2
 from repro.harness.runner import run_scenario
 from repro.net import Message, Network
@@ -58,7 +61,7 @@ from repro.workload.mobility import (
 )
 
 #: Bytes one client keeps, streams aside.
-BUDGET = 2400
+BUDGET = 2000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +81,7 @@ def churn():
 
 def per_client_objects(client):
     task = client._update_task
-    return [client, client.inbox, client.middleware, client.mobility] + (
+    return [client, client.inbox, client.mobility] + (
         [task] if task is not None else []
     )
 
@@ -138,8 +141,8 @@ def kept_bytes_per_client(profile, spec, n=256):
     names = [f"client.{i}" for i in range(n)]
     mail = [
         (
-            Message("gs.1", name, "gs.welcome", Welcome(name, profile.world), 64),
-            Message("gs.1", name, "gs.snapshot", Snapshot(name, 1, 0, 0), 48),
+            Message("gs.1", name, "gs.welcome", None, 64),
+            Message("gs.1", name, "gs.snapshot", Snapshot(0, 0), 48),
         )
         for name in names
     ]
