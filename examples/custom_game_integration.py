@@ -78,7 +78,7 @@ class CtfServer(Node):
         self.players[player] = at
         self.port.send_spatial(
             origin=at, payload=FlagGrab(player=player, at=at),
-            payload_bytes=48, client_id=player,
+            payload_bytes=48,
         )
 
     # ... handlers for our own client protocol would be registered

@@ -102,27 +102,16 @@ class MatrixPort:
         payload: object,
         payload_bytes: int,
         dest: Vec2 | None = None,
-        client_id: str = "",
-        radius: float | None = None,
     ) -> SpatialPacket:
         """Tag a game packet with coordinates and forward it to Matrix.
 
         This is the §3.1 contract: the game merely forwards packets
         "appropriately tagged with the spatial coordinates ... of the
         packet's origin and destination" to its local Matrix server.
-        *radius* selects a §3.1 exception visibility radius (must be
-        one of the ``extra_radii`` the deployment was configured with);
-        ``None`` uses the game's default.
         """
         if not self.bound:
             raise RuntimeError("MatrixPort not bound to a Matrix server")
-        packet = SpatialPacket(
-            origin=origin,
-            dest=dest,
-            payload=payload,
-            client_id=client_id,
-            radius=radius,
-        )
+        packet = SpatialPacket(origin=origin, payload=payload, dest=dest)
         self._owner.send(
             self._matrix_name,
             "game.spatial",
@@ -136,9 +125,7 @@ class MatrixPort:
         if not self.bound:
             raise RuntimeError("MatrixPort not bound to a Matrix server")
         report = LoadReport(
-            client_count=client_count,
-            queue_length=queue_length,
-            timestamp=self._owner.sim.now,
+            client_count=client_count, queue_length=queue_length
         )
         self._owner.send(
             self._matrix_name,

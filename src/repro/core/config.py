@@ -140,11 +140,6 @@ class MatrixConfig:
     world: Rect = field(default_factory=lambda: Rect(0.0, 0.0, 1000.0, 1000.0))
     #: The game's radius of visibility (world units).
     visibility_radius: float = 50.0
-    #: Exception radii (§3.1): "The Matrix API does allow game servers
-    #: to specify different visibility radii for exceptions, and
-    #: internally creates distinct sets of overlap regions, each for a
-    #: different R."  One extra overlap table is maintained per entry.
-    extra_radii: tuple = ()
     #: Split strategy name (see :mod:`repro.core.splitting`).
     split_strategy: str = SplitToLeft.name
     #: Load policy knobs.
@@ -165,11 +160,10 @@ class MatrixConfig:
     def __post_init__(self) -> None:
         if self.visibility_radius < 0:
             raise ValueError("visibility radius must be non-negative")
-        for radius in (self.visibility_radius, *self.extra_radii):
-            if radius * 2 >= min(self.world.width, self.world.height):
-                raise ValueError(
-                    "visibility radius too large relative to the world; "
-                    "localized consistency degenerates to global consistency"
-                )
-        if any(radius <= 0 for radius in self.extra_radii):
-            raise ValueError("extra radii must be positive")
+        if self.visibility_radius * 2 >= min(
+            self.world.width, self.world.height
+        ):
+            raise ValueError(
+                "visibility radius too large relative to the world; "
+                "localized consistency degenerates to global consistency"
+            )

@@ -52,7 +52,6 @@ class MatrixCoordinator(Node):
         #: The authoritative Matrix-server → partition map.
         self.partitions: dict[str, Rect] = {}
         self._game_server_of: dict[str, str] = {}
-        self._radius = config.visibility_radius
         #: Monotonic table version; bumps on every recompute.
         self.version = 0
         self._standby: str | None = None
@@ -80,7 +79,6 @@ class MatrixCoordinator(Node):
         reg: RegisterServer = message.payload
         self.partitions[reg.matrix_server] = reg.partition
         self._game_server_of[reg.matrix_server] = reg.game_server
-        self._radius = reg.visibility_radius
         self._recompute_and_push()
 
     @handles("mc.split")
@@ -91,7 +89,6 @@ class MatrixCoordinator(Node):
         self.partitions[notice.parent] = notice.parent_partition
         self.partitions[notice.child] = notice.child_partition
         self._game_server_of[notice.child] = notice.child_game_server
-        self._radius = notice.visibility_radius
         self._recompute_and_push()
 
     @handles("mc.reclaim")
@@ -124,7 +121,11 @@ class MatrixCoordinator(Node):
         self.query_count += 1
         owner = self._owner_of(query.point)
         servers = consistency_set_at(
-            query.point, owner, self.partitions, self._radius, METRIC
+            query.point,
+            owner,
+            self.partitions,
+            self._config.visibility_radius,
+            METRIC,
         )
         if owner is not None and query.exclude != owner:
             # For a non-proximal interaction the owner of the remote
@@ -159,7 +160,6 @@ class MatrixCoordinator(Node):
         state = {
             "partitions": dict(self.partitions),
             "game_server_of": dict(self._game_server_of),
-            "radius": self._radius,
             "version": self.version,
         }
         size = len(self.partitions) * 2 * DIRECTORY_ENTRY_BYTES + CONTROL_BYTES
@@ -169,7 +169,7 @@ class MatrixCoordinator(Node):
     # Table computation / distribution
     # ------------------------------------------------------------------
     def _recompute_and_push(self) -> None:
-        """Recompute all overlap tables and push them to every server.
+        """Recompute every server's overlap table and push it.
 
         §3.2.4: "The MC recomputes and redistributes overlap regions
         every time a new Matrix server is used or whenever an existing
@@ -183,27 +183,23 @@ class MatrixCoordinator(Node):
             for ms, rect in self.partitions.items()
         }
         server_map = dict(self._game_server_of)
-        # One distinct set of overlap regions per radius (§3.1): the
-        # game default plus any registered exception radii.
-        radii = {self._radius, *self._config.extra_radii}
+        radius = self._config.visibility_radius
         if self._overlap_cache is None:
             perf = self._network.perf if self._network is not None else None
             self._overlap_cache = OverlapMapCache(METRIC, perf=perf)
-        all_tables = self._overlap_cache.compute(self.partitions, radii)
+        all_tables = self._overlap_cache.compute(self.partitions, (radius,))
         for ms_name, partition in self.partitions.items():
-            tables = all_tables[ms_name]
+            cells = all_tables[ms_name][radius]
             update = OverlapTableUpdate(
                 version=self.version,
                 partition=partition,
-                tables=tables,
-                default_radius=self._radius,
+                cells=cells,
                 partitions=dict(self.partitions),
                 game_servers=directory,
                 server_map=server_map,
             )
-            cell_count = sum(len(cells) for cells in tables.values())
             size = (
-                cell_count * TABLE_CELL_BYTES
+                len(cells) * TABLE_CELL_BYTES
                 + len(self.partitions) * 2 * DIRECTORY_ENTRY_BYTES
                 + CONTROL_BYTES
             )
@@ -252,7 +248,6 @@ class StandbyCoordinator(MatrixCoordinator):
             return  # a zombie primary's stale sync must not demote us
         self.partitions = dict(state["partitions"])
         self._game_server_of = dict(state["game_server_of"])
-        self._radius = state["radius"]
         self.version = state["version"]
         self._owner_index = None
 

@@ -44,10 +44,6 @@ class SpatialPacket:
     origin: Vec2
     payload: object
     dest: Vec2 | None = None
-    client_id: str = ""
-    #: Exception visibility radius (§3.1): ``None`` means the game's
-    #: default radius; a value selects the matching overlap table.
-    radius: float | None = None
 
 
 @dataclass(slots=True)
@@ -56,7 +52,6 @@ class LoadReport:
 
     client_count: int
     queue_length: int
-    timestamp: float
 
 
 @dataclass(slots=True)
@@ -81,7 +76,6 @@ class RegisterServer:
     matrix_server: str
     game_server: str
     partition: Rect
-    visibility_radius: float
 
 
 @dataclass(slots=True)
@@ -93,19 +87,18 @@ class UnregisterServer:
 
 @dataclass(slots=True)
 class OverlapTableUpdate:
-    """MC → Matrix server: the new overlap tables plus the directory.
+    """MC → Matrix server: the new overlap table plus the directory.
 
-    ``tables`` maps each visibility radius (the game default plus any
-    §3.1 exception radii) to the merged overlap cells of the receiving
-    server's partition; ``partitions`` maps every Matrix server to its
-    partition; ``game_servers`` maps every game server to its partition
-    (the redirect directory forwarded to game servers).
+    ``cells`` are the merged overlap cells of the receiving server's
+    partition at the deployment's visibility radius; ``partitions`` maps
+    every Matrix server to its partition; ``game_servers`` maps every
+    game server to its partition (the redirect directory forwarded to
+    game servers).
     """
 
     version: int
     partition: Rect
-    tables: dict  # radius -> list[OverlapCell]
-    default_radius: float
+    cells: list  # list[OverlapCell]
     partitions: dict
     game_servers: dict
     server_map: dict  # matrix server name -> game server name
@@ -124,7 +117,6 @@ class SplitNotice:
     child: str
     child_game_server: str
     child_partition: Rect
-    visibility_radius: float
 
 
 @dataclass(slots=True)
@@ -173,7 +165,6 @@ class StateBegin:
 
     transfer_id: int
     total_chunks: int
-    total_bytes: int
 
 
 @dataclass(slots=True)
@@ -181,7 +172,6 @@ class StateChunk:
     """One chunk of bulk state."""
 
     transfer_id: int
-    index: int
 
 
 @dataclass(slots=True)

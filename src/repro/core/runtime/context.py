@@ -36,7 +36,6 @@ class ChildRecord:
 class ServerStats:
     """Counters the harness and benches read off a Matrix server."""
 
-    radius_fallbacks: int = 0
     forwarded_packets: int = 0
     delivered_packets: int = 0
     stale_forwards: int = 0
@@ -75,10 +74,9 @@ class ServerContext:
         self.strategy = strategy_by_name(config.split_strategy)
         self.policy = LoadPolicy(config.policy)
 
-        # One overlap table per visibility radius (§3.1): the default
-        # plus any exception radii the game registered.
-        self.tables: dict[float, RegionIndex] = {}
-        self.default_radius = config.visibility_radius
+        #: The overlap table at the deployment's visibility radius (None
+        #: until the first push).
+        self.table: RegionIndex | None = None
         self.table_version = 0
         self.partitions: dict[str, Rect] = {}
         self.owner_index: PartitionIndex | None = None
@@ -124,25 +122,6 @@ class ServerContext:
     def control_send(self, dst: str, kind: str, payload) -> None:
         """Send a fixed-size control-plane message."""
         self.send(dst, kind, payload, size_bytes=CONTROL_BYTES)
-
-    @property
-    def default_table(self) -> RegionIndex | None:
-        """The default-radius overlap table (None until the first push)."""
-        return self.tables.get(self.default_radius)
-
-    def table_for(self, radius: float | None) -> RegionIndex | None:
-        """The overlap table for *radius* (default when None/unknown).
-
-        An unknown exception radius falls back to the default table —
-        counted, so operators can see mis-registered radii.
-        """
-        if radius is None:
-            return self.default_table
-        table = self.tables.get(radius)
-        if table is None:
-            self.stats.radius_fallbacks += 1
-            return self.default_table
-        return table
 
     def owner_of(self, point) -> str | None:
         """Owner of *point* among the last pushed partitions (or None).

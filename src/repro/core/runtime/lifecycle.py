@@ -185,7 +185,6 @@ class Lifecycle:
             child=child_ms,
             child_game_server=child_gs,
             child_partition=split.given,
-            visibility_radius=ctx.config.visibility_radius,
         )
         ctx.control_send(ctx.coordinator, "mc.split", notice)
         self.split = None

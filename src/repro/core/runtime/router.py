@@ -1,6 +1,6 @@
 """Data-plane routing: O(1) overlap-table forwarding (§3.1, §3.2.3).
 
-The router owns the overlap tables the MC pushes and the two per-packet
+The router owns the overlap table the MC pushes and the two per-packet
 paths: a spatially tagged packet from the co-located game server is
 looked up in the table and forwarded to its consistency set, and a
 forward arriving from a peer is range-verified and handed to the local
@@ -9,7 +9,7 @@ game server.
 
 from __future__ import annotations
 
-from repro.core.config import CONTROL_BYTES, DIRECTORY_ENTRY_BYTES, METRIC
+from repro.core.config import CONTROL_BYTES, DIRECTORY_ENTRY_BYTES
 from repro.core.messages import SetRange, SpatialPacket
 from repro.core.runtime.context import ServerContext
 from repro.geometry import RegionIndex
@@ -31,7 +31,7 @@ class SpatialRouter:
         """Route a tagged packet from the local game server (§3.1)."""
         ctx = self._ctx
         packet: SpatialPacket = message.payload
-        table = ctx.table_for(packet.radius)
+        table = ctx.table
         if table is None:
             # Single-server game (or table not yet received): no peers.
             ctx.stats.local_only_packets += 1
@@ -68,11 +68,7 @@ class SpatialRouter:
         server (§3.2.3: 'after verifying the packet's range')."""
         ctx = self._ctx
         packet: SpatialPacket = message.payload
-        if packet.radius is None:
-            reach = ctx.reach
-        else:  # a §3.1 exception radius: rare, derived on the spot
-            reach = METRIC.expand_rect(ctx.partition, packet.radius)
-        relevant = reach.contains_closed(packet.origin) or (
+        relevant = ctx.reach.contains_closed(packet.origin) or (
             packet.dest is not None and ctx.partition.contains(packet.dest)
         )
         if not relevant:
@@ -98,12 +94,9 @@ class SpatialRouter:
             return  # stale push ordering
         ctx.table_version = update.version
         ctx.partition = update.partition
-        ctx.default_radius = update.default_radius
-        perf = ctx.node.network.perf
-        ctx.tables = {
-            radius: RegionIndex(update.partition, cells, perf=perf)
-            for radius, cells in update.tables.items()
-        }
+        ctx.table = RegionIndex(
+            update.partition, update.cells, perf=ctx.node.network.perf
+        )
         ctx.partitions = update.partitions
         ctx.owner_index = None  # partitioning changed: rebuilt on demand
         ctx.directory = update.game_servers

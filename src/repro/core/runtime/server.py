@@ -116,7 +116,6 @@ class MatrixServer(Node):
             matrix_server=self.name,
             game_server=ctx.game_server,
             partition=ctx.partition,
-            visibility_radius=ctx.config.visibility_radius,
         )
         ctx.control_send(ctx.coordinator, "mc.register", reg)
 

@@ -29,7 +29,6 @@ MAP_OBJECT_DENSITY = 0.005
 
 @dataclass(slots=True)
 class _IncomingTransfer:
-    sender: str
     total_chunks: int  # 0 until the StateBegin arrives
     received: int
 
@@ -66,20 +65,16 @@ class StateTransfer:
         total_chunks = max(1, -(-total_bytes // STATE_CHUNK_BYTES))
         transfer_id = next(self._transfer_ids)
         self._outgoing[transfer_id] = done
-        begin = StateBegin(
-            transfer_id=transfer_id,
-            total_chunks=total_chunks,
-            total_bytes=total_bytes,
-        )
+        begin = StateBegin(transfer_id=transfer_id, total_chunks=total_chunks)
         ctx.control_send(peer, "matrix.state.begin", begin)
         remaining = total_bytes
-        for index in range(total_chunks):
+        for _ in range(total_chunks):
             chunk_bytes = min(STATE_CHUNK_BYTES, remaining)
             remaining -= chunk_bytes
             ctx.send(
                 peer,
                 "matrix.state.chunk",
-                StateChunk(transfer_id=transfer_id, index=index),
+                StateChunk(transfer_id=transfer_id),
                 size_bytes=chunk_bytes,
             )
 
@@ -101,11 +96,8 @@ class StateTransfer:
         # A transfer record may already exist with buffered chunks.
         transfer = self._incoming.get(key)
         if transfer is None:
-            transfer = _IncomingTransfer(
-                sender=message.src, total_chunks=0, received=0
-            )
+            transfer = _IncomingTransfer(total_chunks=0, received=0)
             self._incoming[key] = transfer
-        transfer.sender = message.src
         transfer.total_chunks = begin.total_chunks
         self._maybe_complete(key)
 
@@ -116,9 +108,7 @@ class StateTransfer:
         transfer = self._incoming.get(key)
         if transfer is None:
             # Chunk overtook its StateBegin: buffer the count.
-            transfer = _IncomingTransfer(
-                sender=message.src, total_chunks=0, received=0
-            )
+            transfer = _IncomingTransfer(total_chunks=0, received=0)
             self._incoming[key] = transfer
         transfer.received += 1
         self._maybe_complete(key)
@@ -130,6 +120,7 @@ class StateTransfer:
         if transfer.received < transfer.total_chunks:
             return
         del self._incoming[key]
+        sender, transfer_id = key
         self._ctx.control_send(
-            transfer.sender, "matrix.state.done", StateDone(transfer_id=key[1])
+            sender, "matrix.state.done", StateDone(transfer_id=transfer_id)
         )

@@ -217,7 +217,6 @@ class GameServer(Node):
             origin=update.position,
             payload=update,
             payload_bytes=self._profile.update_bytes,
-            client_id=update.client_id,
         )
         if not self._handoff_range.contains(update.position):
             self._redirect(update.client_id)
@@ -235,7 +234,6 @@ class GameServer(Node):
             dest=action.target,
             payload=action,
             payload_bytes=self._profile.action_bytes,
-            client_id=action.client_id,
         )
 
     @handles("client.bye")

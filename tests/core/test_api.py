@@ -53,8 +53,7 @@ def test_unbound_port_raises():
 def test_send_spatial_tags_packet():
     sim, owner, matrix, port = wired_port()
     packet = port.send_spatial(
-        Vec2(3, 4), payload={"anything": 1}, payload_bytes=100,
-        client_id="c1",
+        Vec2(3, 4), payload={"anything": 1}, payload_bytes=100
     )
     sim.run()
     assert len(matrix.got) == 1
@@ -63,7 +62,6 @@ def test_send_spatial_tags_packet():
     assert message.size_bytes == 100 + 24  # payload + spatial tag
     assert message.payload is packet
     assert packet.origin == Vec2(3, 4)
-    assert packet.client_id == "c1"
 
 
 def test_report_load_wire_format():

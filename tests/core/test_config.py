@@ -74,7 +74,7 @@ def test_wire_defaults_sane():
         (
             MatrixConfig,
             [
-                "world", "visibility_radius", "extra_radii",
+                "world", "visibility_radius",
                 "split_strategy", "policy", "batch_spatial_forwards",
                 "lifecycle_timeout",
             ],

@@ -21,8 +21,8 @@ def test_register_pushes_table_to_server():
 def test_single_server_table_has_no_overlap():
     sim, network, deployment, ms, gs = bootstrapped()
     # With one server, every interior point has an empty set.
-    assert ms.ctx.default_table is not None
-    assert ms.ctx.default_table.regions == []
+    assert ms.ctx.table is not None
+    assert ms.ctx.table.regions == []
 
 
 def test_grid_bootstrap_creates_consistent_partitions():
@@ -112,7 +112,6 @@ def test_stale_split_notice_ignored():
         child="ms.ghost2",
         child_game_server="gs.ghost2",
         child_partition=Rect(1, 0, 2, 1),
-        visibility_radius=50.0,
     )
     ms.send("mc", "mc.split", notice, size_bytes=64)
     sim.run(until=2.0)

@@ -1,7 +1,6 @@
-"""Tests for the paper's optional features: exception visibility radii
-(§3.1) and coordinator replication (§3.2.4)."""
+"""Tests for the paper's optional coordinator replication (§3.2.4)."""
 
-from tests.core.helpers import ScriptedGameServer, build_deployment
+from tests.core.helpers import ScriptedGameServer
 
 from repro.core.config import LoadPolicyConfig, MatrixConfig
 from repro.core.deployment import MatrixDeployment
@@ -12,13 +11,12 @@ from repro.sim.kernel import Simulator
 WORLD = Rect(0.0, 0.0, 1000.0, 1000.0)
 
 
-def build_custom(extra_radii=(), replicated_mc=False):
+def build_custom(replicated_mc=False):
     sim = Simulator()
     network = Network(sim)
     config = MatrixConfig(
         world=WORLD,
         visibility_radius=50.0,
-        extra_radii=extra_radii,
         policy=LoadPolicyConfig(overload_clients=100, underload_clients=50),
     )
     deployment = MatrixDeployment(
@@ -29,60 +27,6 @@ def build_custom(extra_radii=(), replicated_mc=False):
         replicated_mc=replicated_mc,
     )
     return sim, network, deployment
-
-
-# ----------------------------------------------------------------------
-# Exception visibility radii (§3.1)
-# ----------------------------------------------------------------------
-def test_extra_radii_produce_distinct_tables():
-    sim, network, deployment = build_custom(extra_radii=(150.0,))
-    pairs = deployment.bootstrap_grid(2, 1)
-    sim.run(until=1.0)
-    ms = pairs[0][0]
-    assert set(ms.ctx.tables) == {50.0, 150.0}
-    # The wide-radius table covers a wider strip.
-    assert ms.ctx.tables[150.0].overlap_area() > ms.ctx.tables[50.0].overlap_area()
-
-
-def test_packet_with_exception_radius_uses_wide_table():
-    sim, network, deployment = build_custom(extra_radii=(150.0,))
-    pairs = deployment.bootstrap_grid(2, 1)
-    sim.run(until=1.0)
-    gs_left = pairs[0][1]
-    gs_right = pairs[1][1]
-    # 120 units from the border: outside the default R=50 overlap,
-    # inside the R=150 one.
-    origin = Vec2(380.0, 500.0)
-    gs_left.port.send_spatial(origin, "quiet", 64)
-    gs_left.port.send_spatial(origin, "loud", 64, radius=150.0)
-    sim.run(until=2.0)
-    assert len(gs_right.delivered) == 1
-    assert gs_right.delivered[0].payload == "loud"
-
-
-def test_unknown_radius_falls_back_to_default():
-    sim, network, deployment = build_custom(extra_radii=(150.0,))
-    pairs = deployment.bootstrap_grid(2, 1)
-    sim.run(until=1.0)
-    gs_left = pairs[0][1]
-    ms_left = pairs[0][0]
-    gs_left.port.send_spatial(Vec2(480.0, 500.0), "p", 64, radius=999.0)
-    sim.run(until=2.0)
-    assert ms_left.ctx.stats.radius_fallbacks == 1
-    # Falls back to the default table: still within its strip, so the
-    # packet was forwarded normally.
-    assert len(pairs[1][1].delivered) == 1
-
-
-def test_invalid_extra_radii_rejected():
-    import pytest
-
-    with pytest.raises(ValueError):
-        MatrixConfig(world=WORLD, visibility_radius=50.0, extra_radii=(0.0,))
-    with pytest.raises(ValueError):
-        MatrixConfig(
-            world=WORLD, visibility_radius=50.0, extra_radii=(600.0,)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Focused StandbyCoordinator failover coverage (§3.2.4 replication).
 
-Three scenarios beyond the happy-path tests in ``test_extensions``:
+Scenarios beyond the happy-path tests in ``test_extensions``:
 
 * promotion timing — the standby waits out ``MC_FAILOVER_TIMEOUT`` of
   missed sync heartbeats before promoting, and not a moment less;
@@ -8,14 +8,23 @@ Three scenarios beyond the happy-path tests in ``test_extensions``:
   not demote the standby or overwrite its authoritative state;
 * table-version supersession — the promoted standby's recomputed tables
   carry a higher version than anything the dead primary pushed, and a
-  straggler push with an old version is rejected by servers.
+  straggler push with an old version is rejected by servers;
+* one radius — the sync carries no radius, and the promoted standby
+  cuts every table at its own configured visibility radius.
 """
 
 from tests.core.helpers import ScriptedGameServer
 
-from repro.core.config import LoadPolicyConfig, MatrixConfig
+from repro.core.config import (
+    CONTROL_BYTES,
+    DIRECTORY_ENTRY_BYTES,
+    METRIC,
+    TABLE_CELL_BYTES,
+    LoadPolicyConfig,
+    MatrixConfig,
+)
 from repro.core.deployment import MatrixDeployment
-from repro.geometry import Rect
+from repro.geometry import Rect, decompose_partition
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -75,7 +84,6 @@ def test_zombie_primary_sync_rejected_after_promotion():
     stale_state = {
         "partitions": {"ms.zombie": WORLD},
         "game_server_of": {"ms.zombie": "gs.zombie"},
-        "radius": 50.0,
         "version": 0,
     }
     standby.handle_message(
@@ -121,8 +129,7 @@ def test_promoted_tables_supersede_primary_versions():
     stale_update = OverlapTableUpdate(
         version=stale_version,
         partition=WORLD,
-        tables={50.0: []},
-        default_radius=50.0,
+        cells=[],
         partitions={"ms.1": WORLD},
         game_servers={"gs.1": WORLD},
         server_map={"ms.1": "gs.1"},
@@ -138,6 +145,51 @@ def test_promoted_tables_supersede_primary_versions():
     )
     assert ms.ctx.table_version == standby.version
     assert ms.partition == installed_partition
+
+
+def test_promoted_standby_cuts_tables_at_the_configured_radius():
+    sim, network, deployment = build()
+    pairs = deployment.bootstrap_grid(2, 2)
+    standby = deployment.standby_coordinator
+    syncs, tables = [], []
+
+    def tap(message):
+        if message.kind == "mc.sync":
+            syncs.append(message.payload)
+        elif message.kind == "mc.table" and message.src == standby.name:
+            tables.append(message)
+
+    network.add_tap(tap)
+    sim.run(until=3.0)
+    sim.at(3.0, deployment.fail_coordinator)
+    sim.run(until=10.0)
+    assert standby.promoted
+    assert syncs and all(
+        set(sync) == {"partitions", "game_server_of", "version"}
+        for sync in syncs
+    )
+
+    radius = deployment.config.visibility_radius
+    last = {}
+    for message in tables:
+        update = message.payload
+        cells = decompose_partition(
+            message.dst, update.partitions, radius, METRIC
+        )
+        assert update.cells == cells
+        assert message.size_bytes == (
+            len(cells) * TABLE_CELL_BYTES
+            + 2 * len(update.partitions) * DIRECTORY_ENTRY_BYTES
+            + CONTROL_BYTES
+        )
+        last[message.dst] = update
+    assert set(last) == {ms.name for ms, _ in pairs}
+    for ms, _ in pairs:
+        # The final push knows the whole grid, and every quadrant of a
+        # 2 x 2 grid borders two others.
+        assert last[ms.name].partitions == standby.partitions
+        assert last[ms.name].cells
+        assert ms.ctx.table_version == last[ms.name].version
 
 
 def test_unpromoted_standby_ignores_primary_traffic():
@@ -178,7 +230,7 @@ def test_standby_answers_coordinator_kinds_only_once_promoted():
     )
 
     def register_and_query():
-        register = RegisterServer(ms.name, "gs.1", ms.partition, 50.0)
+        register = RegisterServer(ms.name, "gs.1", ms.partition)
         query = ConsistencyQuery(point=Vec2(900.0, 500.0), exclude="", request_id=1)
         ms.send(standby.name, "mc.register", register, 64)
         ms.send(standby.name, "mc.query", query, 64)

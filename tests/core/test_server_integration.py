@@ -49,8 +49,8 @@ def test_both_servers_get_overlap_tables_after_split():
     drive_overload(sim, gs)
     sim.run(until=20.0)
     child = deployment.matrix_servers["ms.2"]
-    assert ms.ctx.default_table.regions, "parent must now have a boundary strip"
-    assert child.ctx.default_table.regions
+    assert ms.ctx.table.regions, "parent must now have a boundary strip"
+    assert child.ctx.table.regions
 
 
 def test_game_server_told_of_new_range_after_split():

@@ -269,7 +269,6 @@ def test_standby_drops_strays_through_a_finite_rate_queue():
     sync = {
         "partitions": {"ms.1": WORLD},
         "game_server_of": {"ms.1": "gs.1"},
-        "radius": 5.0,
         "version": 1,
     }
     sender.send(standby.name, "mc.sync", sync, 64)
