@@ -64,7 +64,6 @@ class BackendInfo:
     summary: str = ""
 
 
-@dataclass
 class BackendResult:
     """What one run produced — the fields every architecture reports.
 
@@ -77,20 +76,36 @@ class BackendResult:
     per backend, empty where there is nothing to measure).
     """
 
-    profile_name: str
-    duration: float
-    clients_per_server: dict[str, TimeSeries]
-    queue_per_server: dict[str, TimeSeries]
-    dropped_packets: int
-    action_latencies: list[float]
-    switch_latencies: list[float]
-    backend: str
-    servers_used: int
-    events_processed: int
-    traffic: TrafficStats
-    consistency: dict[str, float]
-    #: :meth:`repro.perf.PerfRegistry.snapshot`, or None when off.
-    perf_snapshot: dict | None
+    __slots__ = (
+        "profile_name", "duration", "clients_per_server", "queue_per_server",
+        "dropped_packets", "action_latencies", "switch_latencies", "backend",
+        "servers_used", "events_processed", "traffic", "consistency",
+        "perf_snapshot",
+    )
+
+    def __init__(
+        self, profile_name: str, duration: float,
+        clients_per_server: dict[str, TimeSeries],
+        queue_per_server: dict[str, TimeSeries], dropped_packets: int,
+        action_latencies: list[float], switch_latencies: list[float],
+        backend: str, servers_used: int, events_processed: int,
+        traffic: TrafficStats, consistency: dict[str, float],
+        perf_snapshot: dict | None,
+    ) -> None:
+        self.profile_name = profile_name
+        self.duration = duration
+        self.clients_per_server = clients_per_server
+        self.queue_per_server = queue_per_server
+        self.dropped_packets = dropped_packets
+        self.action_latencies = action_latencies
+        self.switch_latencies = switch_latencies
+        self.backend = backend
+        self.servers_used = servers_used
+        self.events_processed = events_processed
+        self.traffic = traffic
+        self.consistency = consistency
+        #: :meth:`repro.perf.PerfRegistry.snapshot`, or None when off.
+        self.perf_snapshot = perf_snapshot
 
     def max_queue(self) -> float:
         """Largest receive-queue sample across the backend's servers."""

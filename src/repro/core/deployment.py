@@ -13,7 +13,6 @@ annotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.api import GameServerHandle
@@ -43,27 +42,38 @@ HOST_REBOOT_DELAY = 2.0
 GameServerFactory = Callable[[str, Rect], Node]
 
 
-@dataclass(slots=True)
 class ServerEvent:
     """One entry of the deployment's lifecycle log."""
 
-    time: float
-    kind: str  # "spawn" | "decommission" | "crash"
-    matrix_server: str
-    game_server: str
+    __slots__ = ("time", "kind", "matrix_server", "game_server")
+
+    def __init__(
+        self, time: float, kind: str, matrix_server: str, game_server: str
+    ) -> None:
+        self.time = time
+        self.kind = kind  # "spawn" | "decommission" | "crash"
+        self.matrix_server = matrix_server
+        self.game_server = game_server
 
 
-@dataclass(slots=True)
 class CrashRecovery:
     """Audit trail of one crashed pair's supervised recovery."""
 
-    victim: str
-    crashed_at: float
-    detected_at: float
-    #: When the replacement pair registered its partition (None while
-    #: the respawn is still pending, e.g. the pool was empty).
-    restored_at: float | None = None
-    replacement: str | None = None
+    __slots__ = (
+        "victim", "crashed_at", "detected_at", "restored_at", "replacement"
+    )
+
+    def __init__(
+        self, victim: str, crashed_at: float, detected_at: float,
+        restored_at: float | None = None, replacement: str | None = None,
+    ) -> None:
+        self.victim = victim
+        self.crashed_at = crashed_at
+        self.detected_at = detected_at
+        #: When the replacement pair registered its partition (None while
+        #: the respawn is still pending, e.g. the pool was empty).
+        self.restored_at = restored_at
+        self.replacement = replacement
 
     @property
     def recovery_time(self) -> float | None:

@@ -18,11 +18,12 @@ dotted scheme:
   calling the deployment object directly, keeping control state
   lane-local; the proxy sends through its Matrix server and handles the
   replies itself, so the server has no ``fabric.*`` handler)
+
+Each payload is a plain ``__slots__`` class: it compares by identity,
+pickles by its slots and generates no code at import.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.geometry import Rect, Vec2
 
@@ -31,7 +32,6 @@ from repro.geometry import Rect, Vec2
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class SpatialPacket:
     """A game packet tagged with the spatial coordinates of its origin
     (and optionally a distinct destination point, for projectiles etc.).
@@ -40,28 +40,40 @@ class SpatialPacket:
     contract of §2.1.
     """
 
-    #: The point whose consistency set decides routing.
-    origin: Vec2
-    payload: object
-    dest: Vec2 | None = None
+    __slots__ = ("origin", "payload", "dest")
+
+    def __init__(
+        self, origin: Vec2, payload: object, dest: Vec2 | None = None
+    ) -> None:
+        #: The point whose consistency set decides routing.
+        self.origin = origin
+        self.payload = payload
+        self.dest = dest
 
 
-@dataclass(slots=True)
 class LoadReport:
     """Periodic game-server load report (§3.2.2)."""
 
-    client_count: int
-    queue_length: int
+    __slots__ = ("client_count", "queue_length")
+
+    def __init__(self, client_count: int, queue_length: int) -> None:
+        self.client_count = client_count
+        self.queue_length = queue_length
 
 
-@dataclass(slots=True)
 class LoadGossip:
     """Child → parent load summary, used for reclaim decisions."""
 
-    server: str
-    client_count: int
-    has_children: bool
-    timestamp: float
+    __slots__ = ("server", "client_count", "has_children", "timestamp")
+
+    def __init__(
+        self, server: str, client_count: int, has_children: bool,
+        timestamp: float,
+    ) -> None:
+        self.server = server
+        self.client_count = client_count
+        self.has_children = has_children
+        self.timestamp = timestamp
 
 
 # ----------------------------------------------------------------------
@@ -69,23 +81,28 @@ class LoadGossip:
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class RegisterServer:
     """Matrix server → MC: announce (or re-announce) a map range."""
 
-    matrix_server: str
-    game_server: str
-    partition: Rect
+    __slots__ = ("matrix_server", "game_server", "partition")
+
+    def __init__(
+        self, matrix_server: str, game_server: str, partition: Rect
+    ) -> None:
+        self.matrix_server = matrix_server
+        self.game_server = game_server
+        self.partition = partition
 
 
-@dataclass(slots=True)
 class UnregisterServer:
     """Matrix server → MC: a reclaimed server leaves the game."""
 
-    matrix_server: str
+    __slots__ = ("matrix_server",)
+
+    def __init__(self, matrix_server: str) -> None:
+        self.matrix_server = matrix_server
 
 
-@dataclass(slots=True)
 class OverlapTableUpdate:
     """MC → Matrix server: the new overlap table plus the directory.
 
@@ -96,15 +113,23 @@ class OverlapTableUpdate:
     game servers).
     """
 
-    version: int
-    partition: Rect
-    cells: list  # list[OverlapCell]
-    partitions: dict
-    game_servers: dict
-    server_map: dict  # matrix server name -> game server name
+    __slots__ = (
+        "version", "partition", "cells", "partitions", "game_servers",
+        "server_map",
+    )
+
+    def __init__(
+        self, version: int, partition: Rect, cells: list, partitions: dict,
+        game_servers: dict, server_map: dict,
+    ) -> None:
+        self.version = version
+        self.partition = partition
+        self.cells = cells  # list[OverlapCell]
+        self.partitions = partitions
+        self.game_servers = game_servers
+        self.server_map = server_map  # matrix server name -> game server name
 
 
-@dataclass(slots=True)
 class SplitNotice:
     """Parent Matrix server → MC: atomic record of a completed split.
 
@@ -112,37 +137,54 @@ class SplitNotice:
     where parent and child partitions overlap.
     """
 
-    parent: str
-    parent_partition: Rect
-    child: str
-    child_game_server: str
-    child_partition: Rect
+    __slots__ = (
+        "parent", "parent_partition", "child", "child_game_server",
+        "child_partition",
+    )
+
+    def __init__(
+        self, parent: str, parent_partition: Rect, child: str,
+        child_game_server: str, child_partition: Rect,
+    ) -> None:
+        self.parent = parent
+        self.parent_partition = parent_partition
+        self.child = child
+        self.child_game_server = child_game_server
+        self.child_partition = child_partition
 
 
-@dataclass(slots=True)
 class ReclaimNotice:
     """Parent Matrix server → MC: atomic record of a completed reclaim."""
 
-    parent: str
-    merged_partition: Rect
-    child: str
+    __slots__ = ("parent", "merged_partition", "child")
+
+    def __init__(
+        self, parent: str, merged_partition: Rect, child: str
+    ) -> None:
+        self.parent = parent
+        self.merged_partition = merged_partition
+        self.child = child
 
 
-@dataclass(slots=True)
 class ConsistencyQuery:
     """Matrix server → MC: non-proximal interaction lookup (§3.2.4)."""
 
-    point: Vec2
-    exclude: str
-    request_id: int
+    __slots__ = ("point", "exclude", "request_id")
+
+    def __init__(self, point: Vec2, exclude: str, request_id: int) -> None:
+        self.point = point
+        self.exclude = exclude
+        self.request_id = request_id
 
 
-@dataclass(slots=True)
 class ConsistencyReply:
     """MC → Matrix server: answer to a :class:`ConsistencyQuery`."""
 
-    request_id: int
-    servers: frozenset
+    __slots__ = ("request_id", "servers")
+
+    def __init__(self, request_id: int, servers: frozenset) -> None:
+        self.request_id = request_id
+        self.servers = servers
 
 
 # ----------------------------------------------------------------------
@@ -150,52 +192,68 @@ class ConsistencyReply:
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class SplitGrant:
     """Parent Matrix server → child: here is your partition."""
 
-    parent: str
-    child_partition: Rect
-    parent_partition: Rect
+    __slots__ = ("parent", "child_partition", "parent_partition")
+
+    def __init__(
+        self, parent: str, child_partition: Rect, parent_partition: Rect
+    ) -> None:
+        self.parent = parent
+        self.child_partition = child_partition
+        self.parent_partition = parent_partition
 
 
-@dataclass(slots=True)
 class StateBegin:
     """Start of a bulk state transfer."""
 
-    transfer_id: int
-    total_chunks: int
+    __slots__ = ("transfer_id", "total_chunks")
+
+    def __init__(self, transfer_id: int, total_chunks: int) -> None:
+        self.transfer_id = transfer_id
+        self.total_chunks = total_chunks
 
 
-@dataclass(slots=True)
 class StateChunk:
     """One chunk of bulk state."""
 
-    transfer_id: int
+    __slots__ = ("transfer_id",)
+
+    def __init__(self, transfer_id: int) -> None:
+        self.transfer_id = transfer_id
 
 
-@dataclass(slots=True)
 class StateDone:
     """Receiver → sender: all chunks arrived."""
 
-    transfer_id: int
+    __slots__ = ("transfer_id",)
+
+    def __init__(self, transfer_id: int) -> None:
+        self.transfer_id = transfer_id
 
 
-@dataclass(slots=True)
 class ReclaimRequest:
     """Parent Matrix server → child: hand your partition back."""
 
-    parent: str
-    parent_game_server: str
+    __slots__ = ("parent", "parent_game_server")
+
+    def __init__(self, parent: str, parent_game_server: str) -> None:
+        self.parent = parent
+        self.parent_game_server = parent_game_server
 
 
-@dataclass(slots=True)
 class ReclaimAck:
     """Child → parent: partition and client handoff complete."""
 
-    child: str
-    child_partition: Rect
-    client_count: int
+    __slots__ = ("child", "child_partition", "client_count")
+
+    def __init__(
+        self, child: str, child_partition: Rect, client_count: int
+    ) -> None:
+        self.child = child
+        self.child_partition = child_partition
+        self.client_count = client_count
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +261,6 @@ class ReclaimAck:
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class SetRange:
     """Matrix server → game server: new map range + redirect directory.
 
@@ -212,8 +269,11 @@ class SetRange:
     ``directory``).
     """
 
-    partition: Rect
-    directory: dict = field(default_factory=dict)
+    __slots__ = ("partition", "directory")
+
+    def __init__(self, partition: Rect, directory: dict) -> None:
+        self.partition = partition
+        self.directory = directory
 
 
 # ----------------------------------------------------------------------
@@ -221,45 +281,54 @@ class SetRange:
 # ----------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class FabricAcquire:
     """Matrix server → fabric: request one host from the pool."""
 
-    requester: str
+    __slots__ = ("requester",)
+
+    def __init__(self, requester: str) -> None:
+        self.requester = requester
 
 
-@dataclass(slots=True)
 class FabricGrant:
     """Fabric → Matrix server: the pool's answer (None = exhausted)."""
 
-    host_id: str | None
+    __slots__ = ("host_id",)
+
+    def __init__(self, host_id: str | None) -> None:
+        self.host_id = host_id
 
 
-@dataclass(slots=True)
 class FabricSpawn:
     """Matrix server → fabric: boot a child pair on a granted host."""
 
-    host_id: str
-    partition: Rect
-    parent: str
+    __slots__ = ("host_id", "partition", "parent")
+
+    def __init__(self, host_id: str, partition: Rect, parent: str) -> None:
+        self.host_id = host_id
+        self.partition = partition
+        self.parent = parent
 
 
-@dataclass(slots=True)
 class FabricSpawned:
     """Fabric → Matrix server: the child pair is up and bound."""
 
-    child_ms: str
-    child_gs: str
+    __slots__ = ("child_ms", "child_gs")
+
+    def __init__(self, child_ms: str, child_gs: str) -> None:
+        self.child_ms = child_ms
+        self.child_gs = child_gs
 
 
-@dataclass(slots=True)
 class FabricRelease:
     """Matrix server → fabric: return an unused host grant."""
 
-    host_id: str
+    __slots__ = ("host_id",)
+
+    def __init__(self, host_id: str) -> None:
+        self.host_id = host_id
 
 
-@dataclass(slots=True)
 class FabricDecommission:
     """Matrix server → fabric: retire a reclaimed child pair.
 
@@ -267,5 +336,8 @@ class FabricDecommission:
     (cancelled-split cleanup — see ``MatrixDeployment.decommission_pair``).
     """
 
-    matrix_name: str
-    host_id: str | None
+    __slots__ = ("matrix_name", "host_id")
+
+    def __init__(self, matrix_name: str, host_id: str | None) -> None:
+        self.matrix_name = matrix_name
+        self.host_id = host_id

@@ -16,7 +16,6 @@ process."  The heuristics implemented here are the standard trio:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from repro.core.config import LoadPolicyConfig
@@ -30,14 +29,19 @@ class Decision(Enum):
     RECLAIM = "reclaim"
 
 
-@dataclass(slots=True)
 class ChildLoad:
     """Last known load of one child server (from gossip)."""
 
-    client_count: int
-    has_children: bool
-    born_at: float
-    reported_at: float
+    __slots__ = ("client_count", "has_children", "born_at", "reported_at")
+
+    def __init__(
+        self, client_count: int, has_children: bool, born_at: float,
+        reported_at: float,
+    ) -> None:
+        self.client_count = client_count
+        self.has_children = has_children
+        self.born_at = born_at
+        self.reported_at = reported_at
 
 
 class LoadPolicy:

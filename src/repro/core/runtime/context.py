@@ -9,7 +9,6 @@ can be read, tested and replaced on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.config import CONTROL_BYTES, METRIC, MatrixConfig
@@ -22,28 +21,43 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.node import Node
 
 
-@dataclass(slots=True)
 class ChildRecord:
     """Bookkeeping for one spawned child (LIFO reclaim stack entry)."""
 
-    matrix_name: str
-    game_server: str
-    host_id: str
-    born_at: float
+    __slots__ = ("matrix_name", "game_server", "host_id", "born_at")
+
+    def __init__(
+        self, matrix_name: str, game_server: str, host_id: str, born_at: float
+    ) -> None:
+        self.matrix_name = matrix_name
+        self.game_server = game_server
+        self.host_id = host_id
+        self.born_at = born_at
 
 
-@dataclass(slots=True)
 class ServerStats:
     """Counters the harness and benches read off a Matrix server."""
 
-    forwarded_packets: int = 0
-    delivered_packets: int = 0
-    stale_forwards: int = 0
-    local_only_packets: int = 0
-    failed_splits: int = 0
-    failed_reclaims: int = 0
-    splits_completed: int = 0
-    reclaims_completed: int = 0
+    __slots__ = (
+        "forwarded_packets", "delivered_packets", "stale_forwards",
+        "local_only_packets", "failed_splits", "failed_reclaims",
+        "splits_completed", "reclaims_completed",
+    )
+
+    def __init__(
+        self, forwarded_packets: int = 0, delivered_packets: int = 0,
+        stale_forwards: int = 0, local_only_packets: int = 0,
+        failed_splits: int = 0, failed_reclaims: int = 0,
+        splits_completed: int = 0, reclaims_completed: int = 0,
+    ) -> None:
+        self.forwarded_packets = forwarded_packets
+        self.delivered_packets = delivered_packets
+        self.stale_forwards = stale_forwards
+        self.local_only_packets = local_only_packets
+        self.failed_splits = failed_splits
+        self.failed_reclaims = failed_reclaims
+        self.splits_completed = splits_completed
+        self.reclaims_completed = reclaims_completed
 
 
 class ServerContext:

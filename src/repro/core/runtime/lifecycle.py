@@ -27,8 +27,6 @@ aborted or finished operation cannot act on its successor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.messages import (
     ReclaimAck,
     ReclaimNotice,
@@ -43,30 +41,39 @@ from repro.net.dispatch import handles
 from repro.net.message import Message
 
 
-@dataclass(slots=True, eq=False)
 class Split:
     """A split in flight.  The pool grant sets ``host`` and the cut
     ``kept``/``given``; ``child`` is the booted, unannounced (ms, gs)."""
 
-    started_at: float
-    host: str | None = None
-    kept: Rect | None = None
-    given: Rect | None = None
-    child: tuple[str, str] | None = None
+    __slots__ = ("started_at", "host", "kept", "given", "child")
+
+    def __init__(
+        self, started_at: float, host: str | None = None,
+        kept: Rect | None = None, given: Rect | None = None,
+        child: tuple[str, str] | None = None,
+    ) -> None:
+        self.started_at = started_at
+        self.host = host
+        self.kept = kept
+        self.given = given
+        self.child = child
 
 
-@dataclass(slots=True, eq=False)
 class Reclaim:
     """A reclaim in flight, on the parent side.  New on every attempt:
     an old attempt's watchdog must not abort a retry of the same child."""
 
-    child: ChildRecord
-    started_at: float
+    __slots__ = ("child", "started_at")
+
+    def __init__(self, child: ChildRecord, started_at: float) -> None:
+        self.child = child
+        self.started_at = started_at
 
 
-@dataclass(slots=True, eq=False)
 class Evacuation:
     """A reclaim in flight, on the child side (request to ack)."""
+
+    __slots__ = ()
 
 
 class Lifecycle:

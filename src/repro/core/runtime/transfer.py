@@ -13,7 +13,6 @@ reorder; the receiver tolerates chunks overtaking their ``begin``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.config import STATE_CHUNK_BYTES, STATE_OBJECT_BYTES
@@ -27,10 +26,12 @@ from repro.net.message import Message
 MAP_OBJECT_DENSITY = 0.005
 
 
-@dataclass(slots=True)
 class _IncomingTransfer:
-    total_chunks: int  # 0 until the StateBegin arrives
-    received: int
+    __slots__ = ("total_chunks", "received")
+
+    def __init__(self, total_chunks: int, received: int) -> None:
+        self.total_chunks = total_chunks  # 0 until the StateBegin arrives
+        self.received = received
 
 
 class StateTransfer:

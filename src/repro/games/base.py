@@ -17,7 +17,6 @@ machinery they share is implemented once here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from repro.core.api import MatrixPort
@@ -63,14 +62,19 @@ class MobilityModel(Protocol):
         """Next position after *dt* seconds."""
 
 
-@dataclass(slots=True)
 class ClientRecord:
     """Server-side state for one connected client."""
 
-    client_id: str
-    position: Vec2
-    processed_seq: int = 0
-    last_seen: float = 0.0
+    __slots__ = ("client_id", "position", "processed_seq", "last_seen")
+
+    def __init__(
+        self, client_id: str, position: Vec2, processed_seq: int = 0,
+        last_seen: float = 0.0,
+    ) -> None:
+        self.client_id = client_id
+        self.position = position
+        self.processed_seq = processed_seq
+        self.last_seen = last_seen
 
 
 class GameServer(Node):

@@ -2,25 +2,25 @@
 
 These travel *inside* Matrix's :class:`~repro.core.messages.SpatialPacket`
 envelopes when propagated between servers — Matrix never inspects them.
+Like Matrix's own payloads, each is a plain ``__slots__`` class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.geometry import Vec2
 
 
-@dataclass(slots=True)
 class PlayerUpdate:
     """Client → server: periodic position/state update."""
 
-    client_id: str
-    position: Vec2
-    seq: int
+    __slots__ = ("client_id", "position", "seq")
+
+    def __init__(self, client_id: str, position: Vec2, seq: int = 0) -> None:
+        self.client_id = client_id
+        self.position = position
+        self.seq = seq
 
 
-@dataclass(slots=True)
 class ActionEvent:
     """Client → server: a discrete action (shot, spell, interaction).
 
@@ -28,14 +28,19 @@ class ActionEvent:
     which exercises Matrix's non-proximal routing.
     """
 
-    client_id: str
-    action: str
-    position: Vec2
-    seq: int
-    target: Vec2 | None = None
+    __slots__ = ("client_id", "action", "position", "seq", "target")
+
+    def __init__(
+        self, client_id: str, action: str, position: Vec2, seq: int,
+        target: Vec2 | None = None,
+    ) -> None:
+        self.client_id = client_id
+        self.action = action
+        self.position = position
+        self.seq = seq
+        self.target = target
 
 
-@dataclass(slots=True)
 class Hello:
     """Client → server: join (fresh login or a Matrix-driven switch).
 
@@ -43,11 +48,13 @@ class Hello:
     client reads only who sent it.
     """
 
-    client_id: str
-    position: Vec2
+    __slots__ = ("client_id", "position")
+
+    def __init__(self, client_id: str, position: Vec2) -> None:
+        self.client_id = client_id
+        self.position = position
 
 
-@dataclass(slots=True)
 class SwitchDirective:
     """Server → client: reconnect to *target* (Matrix repartitioned).
 
@@ -55,10 +62,12 @@ class SwitchDirective:
     game server and is unaware of Matrix."
     """
 
-    target: str
+    __slots__ = ("target",)
+
+    def __init__(self, target: str) -> None:
+        self.target = target
 
 
-@dataclass(slots=True)
 class Snapshot:
     """Server → client: personalised world-state delta.
 
@@ -67,12 +76,17 @@ class Snapshot:
     reaction); ``visible_entities`` drives the snapshot's wire size.
     """
 
-    visible_entities: int
-    processed_seq: int
+    __slots__ = ("visible_entities", "processed_seq")
+
+    def __init__(self, visible_entities: int, processed_seq: int) -> None:
+        self.visible_entities = visible_entities
+        self.processed_seq = processed_seq
 
 
-@dataclass(slots=True)
 class Goodbye:
     """Client → server: leaving the game."""
 
-    client_id: str
+    __slots__ = ("client_id",)
+
+    def __init__(self, client_id: str) -> None:
+        self.client_id = client_id

@@ -10,8 +10,6 @@ locator and the split/reclaim read-out of :class:`ExperimentResult`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.analysis.timeseries import TimeSeries
 from repro.baselines.backend import ArchitectureBackend, BackendResult
 from repro.core.config import LoadPolicyConfig, MatrixConfig, PerfConfig
@@ -22,21 +20,33 @@ from repro.games.profile import GameProfile
 from repro.geometry import Vec2
 
 
-@dataclass
 class ExperimentResult(BackendResult):
     """A Matrix run: the shared read-out plus the split/reclaim story.
 
     ``servers_used`` is the peak number of live servers; Matrix's
-    receive queues are unbounded, so ``dropped_packets`` is 0.
+    receive queues are unbounded, so ``dropped_packets`` is 0.  Built
+    by keyword: the :class:`BackendResult` fields, then its own.
     """
 
-    server_count: TimeSeries
-    total_clients: TimeSeries
-    server_events: list[ServerEvent]
-    splits_completed: int
-    reclaims_completed: int
-    failed_splits: int
-    pool_capacity: int
+    __slots__ = (
+        "server_count", "total_clients", "server_events", "splits_completed",
+        "reclaims_completed", "failed_splits", "pool_capacity",
+    )
+
+    def __init__(
+        self, *, server_count: TimeSeries, total_clients: TimeSeries,
+        server_events: list[ServerEvent], splits_completed: int,
+        reclaims_completed: int, failed_splits: int, pool_capacity: int,
+        **common,
+    ) -> None:
+        super().__init__(**common)
+        self.server_count = server_count
+        self.total_clients = total_clients
+        self.server_events = server_events
+        self.splits_completed = splits_completed
+        self.reclaims_completed = reclaims_completed
+        self.failed_splits = failed_splits
+        self.pool_capacity = pool_capacity
 
     def final_server_count(self) -> float:
         """Live servers at the end of the run."""

@@ -19,7 +19,6 @@ arms it, so a run loads only its own backend (docs/ARCHITECTURE.md,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.baselines.backend import BackendInfo
@@ -38,7 +37,6 @@ if TYPE_CHECKING:
     from repro.harness.experiment import MatrixExperiment
 
 
-@dataclass
 class ScenarioOutcome:
     """What one scenario run produced.
 
@@ -49,10 +47,15 @@ class ScenarioOutcome:
     (deployment topology, fleet groups, raw network stats).
     """
 
-    scenario: Scenario
-    backend: str
-    result: Any
-    experiment: Any
+    __slots__ = ("scenario", "backend", "result", "experiment")
+
+    def __init__(
+        self, scenario: Scenario, backend: str, result: Any, experiment: Any
+    ) -> None:
+        self.scenario = scenario
+        self.backend = backend
+        self.result = result
+        self.experiment = experiment
 
 
 #: backend name -> (its :class:`~repro.baselines.backend.BackendInfo`,

@@ -31,7 +31,6 @@ rare branch only.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
@@ -45,16 +44,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.perf import PerfRegistry
 
 
-@dataclass(slots=True)
 class LinkProfile:
     """Latency + bandwidth for one class of paths."""
 
-    latency: LatencyModel
-    bandwidth: float  # bytes per second
+    __slots__ = ("latency", "bandwidth")
 
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive: {self.bandwidth}")
+    def __init__(self, latency: LatencyModel, bandwidth: float) -> None:
+        if bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive: {bandwidth}")
+        self.latency = latency
+        self.bandwidth = bandwidth  # bytes per second
 
 
 def lan_profile(bandwidth: float = 125e6) -> LinkProfile:

@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 from repro.net.message import Message
 
 
-@dataclass(slots=True)
 class Counter:
     """Message count + byte count for one traffic class."""
 
-    messages: int = 0
-    bytes: int = 0
+    __slots__ = ("messages", "bytes")
+
+    def __init__(self, messages: int = 0, bytes: int = 0) -> None:
+        self.messages = messages
+        self.bytes = bytes
 
     def add(self, size: int) -> None:
         self.messages += 1

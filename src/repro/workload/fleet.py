@@ -45,7 +45,8 @@ class ClientFleet:
         self._profile = profile
         self._locator = locator
         self._rng = rng
-        self._counter = 0
+        #: Clients spawned so far; the last one is ``client.<spawned>``.
+        self.spawned = 0
         #: When set, every client watches for snapshot silence and
         #: rejoins via the locator (chaos runs; see enable_rejoin).
         self._rejoin = False
@@ -72,9 +73,9 @@ class ClientFleet:
             client.enable_rejoin()
 
     def _new_client(self, mobility, position: Vec2) -> GameClient:
-        self._counter += 1
+        self.spawned += 1
         client = GameClient(
-            name=f"client.{self._counter}",
+            name=f"client.{self.spawned}",
             profile=self._profile,
             mobility=mobility,
             rng=random.Random(self._rng.getrandbits(64)),

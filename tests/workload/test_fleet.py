@@ -1,11 +1,14 @@
 """Tests for the client fleet workload generator."""
 
+import pytest
+
 from repro.games.profile import bzflag_profile
 from repro.geometry import Vec2
+from repro.harness.compare import scaled_run_arguments
 from repro.harness.experiment import MatrixExperiment
 from repro.harness.runner import run_scenario
 from repro.workload.fleet import ClientFleet
-from repro.workload.scenarios import HotspotWave, MapPoint
+from repro.workload.scenarios import HotspotWave, MapPoint, build_scenario
 
 #: The 800x800 arena's centre; a spread_fraction of 1/6 is sigma 10.
 CENTER = MapPoint(0.5, 0.5)
@@ -190,3 +193,17 @@ def test_client_names_unique():
     experiment.sim.run(until=2.0)
     names = [c.name for c in experiment.fleet.clients]
     assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("backend", ["matrix", "static", "p2p"])
+def test_spawns_and_actions_are_readable_without_the_clients(backend):
+    """The fleet counts its spawns, and the ``client.action`` traffic
+    counts the actions sent, so neither needs the departed clients."""
+    scenario = build_scenario("steady-churn")
+    outcome = run_scenario(**scaled_run_arguments(scenario, backend, 0.05, 1))
+    fleet = outcome.experiment.fleet
+    actions = sum(client.actions_sent for client in fleet.clients)
+    assert fleet.spawned == len(fleet.clients)
+    assert any(client.departed for client in fleet.clients)
+    assert actions > 0
+    assert actions == outcome.result.traffic.kind_messages("client.action")
