@@ -13,8 +13,9 @@ Two sections:
    so the CI log line is the reproduction command.
 2. **Trace round-trip** — the fig2-hotspot scenario is recorded twice
    to versioned trace files; the runs must byte-diff clean
-   (``diff_traces(...).clean``) and the replay must reproduce
-   the recorded ``TrafficStats`` digest exactly.
+   (``diff_traces(...).clean``) and the recording must be complete
+   (``RecordedRun.complete``: its per-pair counts equal the run's own
+   ``TrafficStats`` for every pair with a client end).
 
 The campaign fans out over ``repro.harness.parallel.run_grid``
 (``REPRO_BENCH_JOBS`` workers; serial by default).  All recorded fields
@@ -33,7 +34,6 @@ from repro.harness.gridcells import GRID_FLOORS
 from repro.harness.parallel import run_grid
 from repro.trace.diff import diff_traces
 from repro.trace.recorder import record_scenario
-from repro.trace.replay import replay_trace
 from repro.workload.scenarios import build_scenario
 
 #: Fixed campaign seeds: deterministic scenarios, byte-diffable output.
@@ -69,7 +69,7 @@ def run_fuzz_campaign(jobs=JOBS):
 
 
 def run_trace_roundtrip():
-    """Record twice, diff, replay; returns the determinism metrics."""
+    """Record twice and diff; returns the determinism metrics."""
     scenario = build_scenario(TRACE_SCENARIO)
     policy = LoadPolicyConfig().scaled(TRACE_SCALE, **GRID_FLOORS)
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,15 +85,13 @@ def run_trace_roundtrip():
             )
             paths.append(run.write(Path(tmp) / f"take{index}.trace"))
         diff = diff_traces(paths[0], paths[1])
-        result = replay_trace(paths[0])
         return {
             "scenario": TRACE_SCENARIO,
             "events": run.header.events,
             "trace_digest": run.header.digest,
             "rerecord_drift": diff.only_a + diff.only_b,
             "rerecord_clean": diff.clean,
-            "replayed_messages": result.replayed_messages,
-            "replay_matches": result.matches_recording,
+            "complete": run.complete,
         }
 
 
@@ -123,7 +121,7 @@ def test_fuzz_suite():
         f"trace round-trip ({TRACE_SCENARIO} @ scale {TRACE_SCALE:g}): "
         f"{roundtrip['events']} events, "
         f"re-record drift {roundtrip['rerecord_drift']}, "
-        f"replay matches: {roundtrip['replay_matches']}",
+        f"complete: {roundtrip['complete']}",
     ]
     record("fuzz_suite", "\n".join(lines))
     record_json(
@@ -140,4 +138,4 @@ def test_fuzz_suite():
         assert row["events"] > 0, key
     assert roundtrip["rerecord_clean"], "same-build re-record drifted"
     assert roundtrip["rerecord_drift"] == 0
-    assert roundtrip["replay_matches"], "replay diverged from recording"
+    assert roundtrip["complete"], "the recording lost client traffic"

@@ -35,7 +35,7 @@ repro`` loads").
   harness, microbenchmarks and user study that regenerate every figure
   and table of the paper's evaluation through it *(on demand)*.
 * :mod:`repro.chaos`, :mod:`repro.fuzz`, :mod:`repro.trace` — fault
-  injection, scenario fuzzing, record/replay *(on demand)*.
+  injection, scenario fuzzing, trace record/diff *(on demand)*.
 
 The top level holds :func:`run_scenario`, ``PerfConfig``, ``Rect``
 and ``Vec2``; ``repro.MatrixExperiment`` loads the Matrix runtime at

@@ -582,37 +582,6 @@ def _cmd_record(args) -> int:
 
 
 @command(
-    "replay", "re-send recorded traces and check their digests",
-    option("traces", nargs="+", metavar="trace", help=".trace file path(s)"),
-    option(
-        "--backend", default=None, metavar="NAME",
-        help="assert the trace was recorded on this backend "
-        "(exit 2 on mismatch)",
-    ),
-)
-def _cmd_replay(args) -> int:
-    from repro.trace.format import TraceError
-    from repro.trace.replay import replay_trace
-
-    drifted = False
-    for path in args.traces:
-        try:
-            result = replay_trace(path, backend=args.backend)
-        except TraceError as exc:  # incl. TraceCompatibilityError
-            print(f"error: {exc}")
-            return 2
-        verdict = "ok" if result.matches_recording else "DRIFT"
-        drifted = drifted or not result.matches_recording
-        print(
-            f"replayed {result.scenario}: "
-            f"{result.replayed_messages} messages over "
-            f"{result.endpoints} endpoints [{verdict}]"
-        )
-        print(f"  recorded {result.recorded_digest}")
-    return 1 if drifted else 0
-
-
-@command(
     "diff", "regression-compare two trace files",
     option("trace_a", metavar="a"),
     option("trace_b", metavar="b"),

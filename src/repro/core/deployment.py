@@ -59,17 +59,14 @@ class ServerEvent:
 class CrashRecovery:
     """Audit trail of one crashed pair's supervised recovery."""
 
-    __slots__ = (
-        "victim", "crashed_at", "detected_at", "restored_at", "replacement"
-    )
+    __slots__ = ("victim", "crashed_at", "restored_at", "replacement")
 
     def __init__(
-        self, victim: str, crashed_at: float, detected_at: float,
+        self, victim: str, crashed_at: float,
         restored_at: float | None = None, replacement: str | None = None,
     ) -> None:
         self.victim = victim
         self.crashed_at = crashed_at
-        self.detected_at = detected_at
         #: When the replacement pair registered its partition (None while
         #: the respawn is still pending, e.g. the pool was empty).
         self.restored_at = restored_at
@@ -405,7 +402,7 @@ class MatrixDeployment:
             )
         corpses, self._corpses = self._corpses, []
         for corpse, announced in corpses:
-            self._recover(corpse, announced, detected_at=self.sim.now)
+            self._recover(corpse, announced)
 
     def _was_announced(self, corpse: MatrixServer) -> bool:
         """Did the MC ever learn this server owned its partition?
@@ -430,9 +427,7 @@ class MatrixDeployment:
                 return False  # mid-split child, never announced
         return True
 
-    def _recover(
-        self, corpse: MatrixServer, announced: bool, detected_at: float
-    ) -> None:
+    def _recover(self, corpse: MatrixServer, announced: bool) -> None:
         # Reclaim the leases the dead server held.
         split = corpse.lifecycle.split
         if split is not None:
@@ -462,11 +457,7 @@ class MatrixDeployment:
             for event in reversed(self.events)
             if event.kind == "crash" and event.matrix_server == corpse.name
         )
-        record = CrashRecovery(
-            victim=corpse.name,
-            crashed_at=crashed_at,
-            detected_at=detected_at,
-        )
+        record = CrashRecovery(victim=corpse.name, crashed_at=crashed_at)
         self.crash_recoveries.append(record)
         # Respawn a replacement over the dead partition.
         self.pool.try_acquire(

@@ -64,16 +64,14 @@ class LoadReport:
 class LoadGossip:
     """Child → parent load summary, used for reclaim decisions."""
 
-    __slots__ = ("server", "client_count", "has_children", "timestamp")
+    __slots__ = ("server", "client_count", "has_children")
 
     def __init__(
-        self, server: str, client_count: int, has_children: bool,
-        timestamp: float,
+        self, server: str, client_count: int, has_children: bool
     ) -> None:
         self.server = server
         self.client_count = client_count
         self.has_children = has_children
-        self.timestamp = timestamp
 
 
 # ----------------------------------------------------------------------

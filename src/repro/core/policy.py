@@ -32,16 +32,14 @@ class Decision(Enum):
 class ChildLoad:
     """Last known load of one child server (from gossip)."""
 
-    __slots__ = ("client_count", "has_children", "born_at", "reported_at")
+    __slots__ = ("client_count", "has_children", "born_at")
 
     def __init__(
-        self, client_count: int, has_children: bool, born_at: float,
-        reported_at: float,
+        self, client_count: int, has_children: bool, born_at: float
     ) -> None:
         self.client_count = client_count
         self.has_children = has_children
         self.born_at = born_at
-        self.reported_at = reported_at
 
 
 class LoadPolicy:

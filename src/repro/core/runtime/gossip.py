@@ -37,7 +37,6 @@ class LoadMonitor:
                 server=ctx.name,
                 client_count=report.client_count,
                 has_children=bool(ctx.children),
-                timestamp=ctx.now,
             )
             ctx.send(
                 ctx.parent,
@@ -74,6 +73,5 @@ class LoadMonitor:
                     client_count=gossip.client_count,
                     has_children=gossip.has_children,
                     born_at=child.born_at,
-                    reported_at=gossip.timestamp,
                 )
                 return

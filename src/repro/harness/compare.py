@@ -217,25 +217,23 @@ def compare_backends(
     seed: int = 0,
     scale: float = 1.0,
     preview: float | None = None,
-    queue_capacity: int = 20000,
-    failure_queue_fraction: float = 0.5,
-    failure_latency_factor: float = 4.0,
-    backend_options: dict[str, dict] | None = None,
     jobs: int | None = None,
 ) -> list[SystemOutcome]:
     """Run *scenario* on every backend in *backends*; grade uniformly.
 
-    The default backend set is every registered architecture.
-    ``scale < 1`` shrinks the population *and* every capacity knob
-    together — server service rate (see :func:`scaled_profile`), the
-    queue cap, and the p2p backend's consumer-uplink bandwidth (see
-    :func:`backend_run_options`) — so each architecture's bottleneck
-    scales with its load and the verdicts stay meaningful; the Matrix
-    run additionally receives *policy* (scale it coherently, see
-    :func:`scaled_setup`).  *backend_options* adds per-backend keyword
-    options (e.g. ``{"mirrored": {"mirrors": 4}}``).  ``jobs`` runs the
-    backends in parallel worker processes; outcomes are returned in
-    *backends* order regardless.
+    The default backend set is every registered architecture.  Every
+    baseline gets a 20 000-message receive-queue cap, and a system
+    fails (:class:`Verdict`) when it drops a packet, its peak queue
+    reaches half of that cap or its p99 response latency exceeds four
+    snapshot periods.  ``scale < 1`` shrinks the population *and* every
+    capacity knob together — server service rate (see
+    :func:`scaled_profile`), the queue cap, and the p2p backend's
+    consumer-uplink bandwidth (see :func:`backend_run_options`) — so
+    each architecture's bottleneck scales with its load and the
+    verdicts stay meaningful; the Matrix run additionally receives
+    *policy* (scale it coherently, see :func:`scaled_setup`).  ``jobs``
+    runs the backends in parallel worker processes; outcomes are
+    returned in *backends* order regardless.
     """
     from repro.harness.parallel import GridTask, run_grid
 
@@ -245,23 +243,20 @@ def compare_backends(
         scenario = build_scenario(scenario)
     if profile is None:
         profile = profile_by_name(scenario.game)
+    queue_capacity = 20000
     if scale != 1.0:
         profile = scaled_profile(profile, scale)
         queue_capacity = scaled_queue_capacity(queue_capacity, scale)
     verdict = Verdict(
         queue_capacity=queue_capacity,
-        queue_fraction=failure_queue_fraction,
-        latency_bound=failure_latency_factor / profile.snapshot_hz,
+        queue_fraction=0.5,
+        latency_bound=4.0 / profile.snapshot_hz,
     )
     tasks = []
     for index, backend in enumerate(backends):
-        options = {
-            **backend_run_options(
-                backend, scale, policy, seed=seed,
-                queue_capacity=queue_capacity,
-            ),
-            **(backend_options or {}).get(backend, {}),
-        }
+        options = backend_run_options(
+            backend, scale, policy, seed=seed, queue_capacity=queue_capacity
+        )
         # The key leads with the caller's index so the merged order is
         # the caller's backend order, not alphabetical.
         tasks.append(

@@ -30,14 +30,13 @@ class ExperimentResult(BackendResult):
 
     __slots__ = (
         "server_count", "total_clients", "server_events", "splits_completed",
-        "reclaims_completed", "failed_splits", "pool_capacity",
+        "reclaims_completed", "failed_splits",
     )
 
     def __init__(
         self, *, server_count: TimeSeries, total_clients: TimeSeries,
         server_events: list[ServerEvent], splits_completed: int,
-        reclaims_completed: int, failed_splits: int, pool_capacity: int,
-        **common,
+        reclaims_completed: int, failed_splits: int, **common,
     ) -> None:
         super().__init__(**common)
         self.server_count = server_count
@@ -46,7 +45,6 @@ class ExperimentResult(BackendResult):
         self.splits_completed = splits_completed
         self.reclaims_completed = reclaims_completed
         self.failed_splits = failed_splits
-        self.pool_capacity = pool_capacity
 
     def final_server_count(self) -> float:
         """Live servers at the end of the run."""
@@ -176,5 +174,4 @@ class MatrixExperiment(ArchitectureBackend):
             splits_completed=sum(s.splits_completed for s in stats),
             reclaims_completed=sum(s.reclaims_completed for s in stats),
             failed_splits=sum(s.failed_splits for s in stats),
-            pool_capacity=self.deployment.pool.capacity,
         )

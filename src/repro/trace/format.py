@@ -4,7 +4,7 @@ A trace is the *client-visible event stream* of one scenario run: every
 message a client sent or was sent, in canonical order.  Two builds that
 produce byte-identical traces for the same (scenario, seed) served the
 same workload the same way — which is what makes traces the regression
-currency of ``python -m repro record`` / ``replay`` / ``diff``.
+currency of ``python -m repro record`` / ``diff``.
 
 File layout (one JSON document per line):
 
@@ -50,10 +50,6 @@ TraceEvent = tuple[float, str, str, str, int]
 
 class TraceError(ValueError):
     """A trace file could not be read or fails its integrity checks."""
-
-
-class TraceCompatibilityError(TraceError):
-    """A trace is valid but incompatible with the requested replay."""
 
 
 @dataclass(frozen=True)

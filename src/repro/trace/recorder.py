@@ -76,6 +76,26 @@ class RecordedRun:
     header: TraceHeader
     events: list[TraceEvent]
 
+    @property
+    def complete(self) -> bool:
+        """True when the trace holds every message a client sent or was
+        sent: per ordered ``(src, dst)`` pair, the recorded message and
+        byte counts equal the run's own ``TrafficStats.by_pair`` for
+        every pair with a client end, and no other pair was recorded."""
+        recorded: dict[tuple[str, str], tuple[int, int]] = {}
+        for _t, src, dst, _kind, size in self.events:
+            messages, nbytes = recorded.get((src, dst), (0, 0))
+            recorded[src, dst] = (messages + 1, nbytes + size)
+        by_pair = self.outcome.result.traffic.by_pair
+        live = {
+            (src, dst): (counter.messages, counter.bytes)
+            for (src, dst), counter in by_pair.items()
+            if counter.messages
+            and (src.startswith(CLIENT_PREFIX)
+                 or dst.startswith(CLIENT_PREFIX))
+        }
+        return recorded == live
+
     def write(self, path: str | Path) -> Path:
         """Persist the trace as a versioned JSONL file."""
         return write_trace(path, self.header, self.events)

@@ -328,11 +328,14 @@ class CommuterMobility:
 
     def retarget(self, target: Vec2) -> None:
         """Translate the whole circuit so its centroid lands on *target*."""
+        # A plain left-to-right sum: ``sum()`` over floats is
+        # compensated from Python 3.12, which would move the circuit.
+        total_x = total_y = 0.0
+        for p in self.stops:
+            total_x += p.x
+            total_y += p.y
         n = len(self.stops)
-        shift = Vec2(
-            target.x - sum(p.x for p in self.stops) / n,
-            target.y - sum(p.y for p in self.stops) / n,
-        )
+        shift = Vec2(target.x - total_x / n, target.y - total_y / n)
         self.stops = [
             _clamp_into(self._world, p + shift) for p in self.stops
         ]

@@ -65,9 +65,7 @@ def test_failed_reclaim_waits_one_reclaim_cooldown_from_the_failure():
             min_child_lifetime=0.0,
         )
     )
-    idle_child = ChildLoad(
-        client_count=10, has_children=False, born_at=0.0, reported_at=0.0
-    )
+    idle_child = ChildLoad(client_count=10, has_children=False, born_at=0.0)
     assert policy.on_load_report(0.0, 10, idle_child, False) is Decision.RECLAIM
     policy.note_reclaim_attempt()
     policy.note_reclaim_failure(2.0)  # nacked

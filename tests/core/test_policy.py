@@ -26,7 +26,6 @@ def child(count, has_children=False, born_at=0.0):
         client_count=count,
         has_children=has_children,
         born_at=born_at,
-        reported_at=0.0,
     )
 
 

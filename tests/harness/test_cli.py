@@ -27,7 +27,7 @@ def subcommands() -> list[str]:
 def test_every_subcommand_is_registered_with_a_handler():
     assert subcommands() == [
         "compare", "diff", "fuzz", "list-backends", "list-mobility",
-        "list-scenarios", "record", "replay", "run", "sweep",
+        "list-scenarios", "record", "run", "sweep",
     ]
 
 

@@ -86,7 +86,7 @@ def test_cli_steps_are_the_smoke_bench_jobs_repro_commands():
     """The census runs what CI's ``smoke-bench`` job runs: every distinct
     ``python -m repro`` command of the committed workflow, serially."""
     steps = call_census.cli_steps()
-    assert len(steps) == 25 == len(set(steps))
+    assert len(steps) == 24 == len(set(steps))
     assert steps[:3] == ["list-scenarios", "list-mobility", "list-backends"]
     assert "run fig2-hotspot --scale 0.05 --seed 1" in steps
     for backend in ("p2p", "dht", "static", "mirrored"):
@@ -96,7 +96,7 @@ def test_cli_steps_are_the_smoke_bench_jobs_repro_commands():
     assert "run steady-churn --scale 0.25 --seed 1" in steps
     assert "run failover-storm --scale 0.05 --seed 1" in steps
     assert not [step for step in steps if "--jobs" in step or "|" in step]
-    # A trace is replayed and diffed only after both takes are recorded.
-    assert steps.index("replay take1.trace") > max(
+    # The two takes are diffed only after both are recorded.
+    assert steps.index("diff take1.trace take2.trace") > max(
         steps.index(step) for step in steps if step.startswith("record")
     )

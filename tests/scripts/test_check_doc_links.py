@@ -29,7 +29,7 @@ def test_a_doc_naming_real_subcommands_passes(tmp_path, capsys):
     doc = tmp_path / "doc.md"
     doc.write_text(
         "`python -m repro list-scenarios`, `python3 -m repro sweep` and\n"
-        "`python -m repro replay traces/x.trace` ([arch](README.md)).\n"
+        "`python -m repro diff a.trace b.trace` ([arch](README.md)).\n"
     )
     assert check_doc_links.main([str(doc)]) == 0
     assert capsys.readouterr().out == f"checked {doc}\n"
