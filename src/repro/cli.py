@@ -88,14 +88,6 @@ _SHARED_OPTIONS = {
         "--duration", type=_number(float, 0, exclusive=True), default=None,
         help="truncate each scenario to this many simulated seconds",
     ),
-    "shards": option(
-        "--shards", type=_number(int, 1), default=None, metavar="N",
-        help="run the matrix backend on the space-partitioned kernel: N "
-        "shard lanes executed one after the other, a determinism check, "
-        "not a speed-up (same seed gives identical results and traces at "
-        "any N; incompatible with crash faults — LinkDegrade chaos is "
-        "fine)",
-    ),
     "jobs": option(
         "--jobs", type=_number(int, 0), default=None, metavar="N",
         help="fan independent cells out over N worker processes "
@@ -131,7 +123,6 @@ def run_arguments(
     scale: float = 1.0,
     seed: int = 0,
     duration: float | None = None,
-    shards: int | None = None,
     no_faults: bool = False,
 ) -> dict:
     """``run_scenario`` keyword arguments for one scaled CLI run.
@@ -143,12 +134,10 @@ def run_arguments(
     """
     from repro.harness.compare import scaled_run_arguments
 
-    if shards is not None and backend != "matrix":
-        raise UsageError("--shards only applies to the matrix backend")
     return dict(
         scaled_run_arguments(
             _usage(build_scenario, name), backend, scale, seed,
-            preview=duration, shards=shards,
+            preview=duration,
         ),
         chaos=not no_faults,
     )
@@ -257,7 +246,7 @@ def run_summary_cell(name: str, **run_options) -> dict:
         "--no-faults", action="store_true",
         help="run a chaos scenario with its fault phases disarmed",
     ),
-    "backend", "scale", "seed", "duration", "shards", "jobs",
+    "backend", "scale", "seed", "duration", "jobs",
     scale=1.0, seed=0,
 )
 def _cmd_run(args) -> int:
@@ -410,7 +399,7 @@ def _cmd_sweep(args) -> int:
     option(
         "--profile", default="default",
         help="fuzz profile: 'default' (workload only) or 'faulty' "
-        "(adds crash/degrade fault phases; not with --shards)",
+        "(adds crash/degrade fault phases)",
     ),
     option(
         "--settle", type=_number(float, 0), default=10.0,
@@ -429,7 +418,7 @@ def _cmd_sweep(args) -> int:
         "--artifacts", default=None, metavar="DIR",
         help="on failure, record the failing run's trace into DIR",
     ),
-    "scale", "duration", "shards", "jobs",
+    "scale", "duration", "jobs",
     scale=0.25,
 )
 def _cmd_fuzz(args) -> int:
@@ -438,19 +427,12 @@ def _cmd_fuzz(args) -> int:
     from repro.harness.parallel import GridTaskError, run_grid
 
     # Fail fast on a typo'd profile name.
-    if _usage(fuzz_profile, args.profile).faults and args.shards is not None:
-        raise UsageError(
-            f"--shards runs workload profiles only: profile "
-            f"{args.profile!r} injects crash faults, which sharded runs "
-            "refuse"
-        )
+    _usage(fuzz_profile, args.profile)
     if args.seed is not None:
         seeds = [args.seed]
     else:
         seeds = list(range(args.seed_start, args.seed_start + args.seeds))
-    run_options = dict(
-        scale=args.scale, preview=args.duration, shards=args.shards
-    )
+    run_options = dict(scale=args.scale, preview=args.duration)
     tasks = fuzz_grid_tasks(
         seeds, args.profile, settle=args.settle, **run_options
     )
@@ -491,7 +473,7 @@ def _report_fuzz_failure(args, seed: int, run_options: dict) -> None:
 
     reproduce = fuzz_command(
         seed, args.profile, scale=args.scale, settle=args.settle,
-        preview=args.duration, shards=args.shards,
+        preview=args.duration,
     )
     print(f"\nfailing seed: {seed} (reproduce with: {reproduce})")
     if args.artifacts:
@@ -543,7 +525,7 @@ def record_trace_cell(name: str, out: str, **run_options) -> dict:
         help="output directory, or a single .trace file path when one "
         "scenario is named (default: traces/)",
     ),
-    "backend", "scale", "seed", "duration", "shards", "jobs",
+    "backend", "scale", "seed", "duration", "jobs",
     scale=0.1, seed=0,
 )
 def _cmd_record(args) -> int:

@@ -40,11 +40,6 @@ class ServerPool:
         self.acquire_failures = 0
 
     @property
-    def capacity(self) -> int:
-        """Total hosts the pool started with."""
-        return self._capacity
-
-    @property
     def issued(self) -> frozenset[str]:
         """Ids of hosts currently handed out (leak audits)."""
         return frozenset(self._issued)

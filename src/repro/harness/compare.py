@@ -119,7 +119,6 @@ def scaled_run_arguments(
     scale: float,
     seed: int,
     preview: float | None = None,
-    shards: int | None = None,
     queue_capacity: int | None = None,
     **floors: int,
 ) -> dict:
@@ -133,8 +132,6 @@ def scaled_run_arguments(
     options = backend_run_options(
         backend, scale, policy, seed=seed, queue_capacity=queue_capacity
     )
-    if shards is not None:
-        options["shards"] = shards
     return dict(
         scenario=scenario,
         backend=backend,

@@ -2,13 +2,12 @@
 
 :func:`run_fuzz_case` is the whole pipeline for one seed: generate →
 run → settle → :func:`repro.fuzz.invariants.check_invariants`.  It
-runs on the Matrix backend (plain or on shard lanes), whose lifecycle
-the invariants audit.  :func:`fuzz_cell` wraps it as a module-level,
-picklable grid cell (raising :class:`FuzzInvariantError` on any
-violation) so campaigns fan out over the ``spawn`` pool exactly like
-the benchmark grids; the cell key embeds the generator seed
-(``fuzz/default/seed=17``), which makes every CI log line a
-reproduction command.
+runs on the Matrix backend, whose lifecycle the invariants audit.
+:func:`fuzz_cell` wraps it as a module-level, picklable grid cell
+(raising :class:`FuzzInvariantError` on any violation) so campaigns
+fan out over the ``spawn`` pool exactly like the benchmark grids; the
+cell key embeds the generator seed (``fuzz/default/seed=17``), which
+makes every CI log line a reproduction command.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ def fuzz_command(
     scale: float = 0.25,
     settle: float = 10.0,
     preview: float | None = None,
-    shards: int | None = None,
 ) -> str:
     """The ``python -m repro fuzz`` line that re-runs one fuzz case: it
     names every option that shapes the run, so a failing log line
@@ -47,7 +45,6 @@ def fuzz_command(
         f"python -m repro fuzz --seed {seed} --profile {profile} "
         f"--scale {scale:g} --settle {settle:g}"
         + (f" --duration {preview:g}" if preview else "")
-        + (f" --shards {shards}" if shards is not None else "")
     )
 
 
@@ -102,14 +99,14 @@ def fuzz_run_arguments(scenario: Scenario, seed: int, **run_options) -> dict:
     """The ``run_scenario`` keyword arguments of one fuzz case.
 
     Shared by the audit, the shrinker and the failing-trace recorder,
-    so all three run the same thing; *run_options* are ``scale``,
-    ``preview`` and ``shards``.  The scaled setup is the benchmark
-    grids' (same floors), but that does not make fuzzed dynamics split
-    or reclaim: a fuzzed population (at most ``FuzzProfile.max_clients``
-    at full scale, 240) stays under the scaled overload threshold (300
-    at full scale), and every measured cell peaks at one server, at
-    scale 0.1, 0.5 and 1 alike.  See ROADMAP, "A fuzzer that reaches
-    the control plane".
+    so all three run the same thing; *run_options* are ``scale`` and
+    ``preview``.  The scaled setup is the benchmark grids' (same
+    floors), but that does not make fuzzed dynamics split or reclaim:
+    a fuzzed population (at most ``FuzzProfile.max_clients`` at full
+    scale, 240) stays under the scaled overload threshold (300 at full
+    scale), and every measured cell peaks at one server, at scale 0.1,
+    0.5 and 1 alike.  See ROADMAP, "A fuzzer that reaches the control
+    plane".
     """
     return scaled_run_arguments(
         scenario, "matrix", seed=seed, **run_options, **GRID_FLOORS
@@ -138,7 +135,6 @@ def run_fuzz_case(
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
-    shards: int | None = None,
     extra_invariants: Sequence[ExtraInvariant] = (),
 ) -> FuzzCase:
     """Generate, run and audit one seed; never raises on violations.
@@ -150,9 +146,7 @@ def run_fuzz_case(
         profile = fuzz_profile(profile or "default")
     scenario = generate_scenario(seed, profile)
     outcome, violations = _run_and_audit(
-        fuzz_run_arguments(
-            scenario, seed, scale=scale, preview=preview, shards=shards
-        ),
+        fuzz_run_arguments(scenario, seed, scale=scale, preview=preview),
         settle,
         extra_invariants,
     )
@@ -173,7 +167,6 @@ def fuzz_cell(
     scale: float,
     preview: float | None,
     settle: float,
-    shards: int | None = None,
 ) -> dict:
     """One picklable fuzz grid cell: audit *seed*, raise on violation.
 
@@ -183,17 +176,12 @@ def fuzz_cell(
     leads with the cell key, and the key carries ``seed=N``.
     """
     case = run_fuzz_case(
-        seed,
-        profile,
-        scale=scale,
-        preview=preview,
-        settle=settle,
-        shards=shards,
+        seed, profile, scale=scale, preview=preview, settle=settle
     )
     if not case.ok:
         raise FuzzInvariantError(
             seed, case.profile, case.scenario, case.violations,
-            scale=scale, settle=settle, preview=preview, shards=shards,
+            scale=scale, settle=settle, preview=preview,
         )
     return {
         "seed": seed,
@@ -213,7 +201,6 @@ def fuzz_grid_tasks(
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
-    shards: int | None = None,
 ) -> list[GridTask]:
     """One :class:`GridTask` per seed, keyed ``("fuzz", profile,
     "seed=N")`` so any worker failure names its generator seed."""
@@ -227,7 +214,6 @@ def fuzz_grid_tasks(
                 "scale": scale,
                 "preview": preview,
                 "settle": settle,
-                "shards": shards,
             },
         )
         for seed in seeds
@@ -241,7 +227,6 @@ def shrink_fuzz_failure(
     scale: float = 0.25,
     preview: float | None = None,
     settle: float = 10.0,
-    shards: int | None = None,
     extra_invariants: Sequence[ExtraInvariant] = (),
     max_iterations: int = 24,
 ) -> ShrinkResult:
@@ -257,7 +242,7 @@ def shrink_fuzz_failure(
     def still_fails(candidate: Scenario) -> bool:
         _, violations = _run_and_audit(
             fuzz_run_arguments(
-                candidate, seed, scale=scale, preview=preview, shards=shards
+                candidate, seed, scale=scale, preview=preview
             ),
             settle,
             extra_invariants,

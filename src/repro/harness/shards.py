@@ -10,7 +10,7 @@ the right lane.
 
 The determinism contract (same seed ⇒ identical results at any shard
 count) is proven by ``tests/sim/test_sharded.py``; what the lanes cost
-in wall-clock time is measured by ``benchmarks/bench_shard_scaling.py``.
+in wall-clock time is measured by perfbench's ``hotspot-lanes``.
 
 Deployment state is shard-local: the experiment builds a
 :class:`~repro.core.lane_deployment.ShardedMatrixDeployment`, whose

@@ -1,29 +1,29 @@
-"""Interception-hook middleware for nodes.
+"""Outbound interception stages for nodes.
 
 A node's ``stages`` list (:meth:`~repro.net.node.Node.use` appends to
-it) sits between its wire and its dispatch table: every outbound
-message passes through the stages' ``on_outbound`` hooks before it
-reaches the network, and every serviced inbound message passes through
-``on_inbound`` before it is dispatched.  Cross-cutting concerns —
-per-kind metrics, packet batching, fault injection — become opt-in
-stages instead of edits to the routing core.  ``Node.send`` and
-``Node.handle_message`` walk the list themselves; a node with no stage
-(every node of every timed workload) skips it on one truthiness test.
+it) sits between its ``send`` and the wire: every outbound message
+passes through the stages' ``on_outbound`` hooks before it reaches the
+network.  Cross-cutting concerns — per-kind metrics, packet batching,
+fault injection — become opt-in stages instead of edits to the routing
+core.  ``Node.send`` walks the list itself; a node with no stage (every
+node of every timed workload) skips it on one truthiness test.
 
-Onion ordering: the stage list runs outside-in.  Inbound traverses
-stages first-to-last; outbound traverses last-to-first, so the first
-stage in the list is always the one closest to the wire.  A hook
-returning ``None`` consumes the message (nothing further runs).  There
-is one walk and every message takes it: a stage interested in some
-kinds only tests the kind at the top of its hook.
+Interception is one direction.  The walk runs last-to-first, so the
+first stage in the list is the one closest to the wire.  A hook
+returning ``None`` consumes the message (nothing further runs).  A
+stage interested in some kinds only tests the kind at the top of its
+hook.  Nothing intercepts a serviced message: a stage that must answer
+a kind on the receiving side declares a ``@handles`` method, and
+``Node.use`` adopts it into the node's handler table like any
+component (the batching stage unpacks ``net.batch`` that way).
 
 Stages that buffer or clone traffic (batching, fault duplication)
-re-inject via ``node.network.transmit`` / the node's handler table directly,
-*below* the stages: no stage observes a flushed batch or a duplicate
-clone on the way out, and outbound hooks of stages outside a buffering
-stage never see the kinds it absorbs.  Per-kind *wire* truth therefore
-lives in ``network.stats``; ``KindMetricsStage`` measures the traffic
-crossing its own position in the list.
+re-inject via ``node.network.transmit`` directly, *below* the stages:
+no stage observes a flushed batch or a duplicate clone, and hooks of
+stages outside a buffering stage never see the kinds it absorbs.
+Per-kind *wire* truth therefore lives in ``network.stats``;
+``KindMetricsStage`` measures the traffic crossing its own position in
+the list.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Iterable
 
+from repro.net.dispatch import handles
 from repro.net.message import Message
 from repro.net.stats import Counter
 
@@ -60,17 +61,13 @@ class MiddlewareStage:
         """Called by :meth:`~repro.net.node.Node.use` on installation."""
         self._node = node
 
-    def on_inbound(self, message: Message) -> Message | None:
-        """Hook a serviced inbound message; ``None`` consumes it."""
-        return message
-
     def on_outbound(self, message: Message) -> Message | None:
         """Hook an outbound message; ``None`` consumes it."""
         return message
 
 
 class KindMetricsStage(MiddlewareStage):
-    """Per-kind message/byte counters on both directions.
+    """Per-kind outbound message/byte counters.
 
     Purely observational — messages always pass through unchanged.
     Counts what crosses this stage's position in the list: kinds a
@@ -83,22 +80,13 @@ class KindMetricsStage(MiddlewareStage):
 
     def __init__(self) -> None:
         super().__init__()
-        self.inbound: dict[str, Counter] = {}
         self.outbound: dict[str, Counter] = {}
 
-    @staticmethod
-    def _count(table: dict[str, Counter], message: Message) -> None:
-        counter = table.get(message.kind)
-        if counter is None:
-            counter = table[message.kind] = Counter()
-        counter.add(message.size_bytes)
-
-    def on_inbound(self, message: Message) -> Message | None:
-        self._count(self.inbound, message)
-        return message
-
     def on_outbound(self, message: Message) -> Message | None:
-        self._count(self.outbound, message)
+        counter = self.outbound.get(message.kind)
+        if counter is None:
+            counter = self.outbound[message.kind] = Counter()
+        counter.add(message.size_bytes)
         return message
 
 
@@ -178,15 +166,16 @@ class SpatialBatchingStage(MiddlewareStage):
     once per :attr:`WINDOW` seconds every buffer is flushed — a
     single buffered message goes out as-is, two or more are wrapped into
     one :data:`BATCH_KIND` wire message whose payload is the tuple of
-    original messages.  On the receiving side the stage unwraps a batch
-    and dispatches each inner message individually, so handlers observe
-    exactly the packets they would have seen unbatched (delivery is
-    delayed by at most one window, and the wire carries fewer, larger
-    messages).
+    original messages.  On the receiving side the stage's
+    :data:`BATCH_KIND` handler unwraps a batch and dispatches each inner
+    message individually, so handlers observe exactly the packets they
+    would have seen unbatched (delivery is delayed by at most one
+    window, and the wire carries fewer, larger messages).
 
     Both endpoints must install the stage (the deployment installs it on
-    every Matrix server from one config), and it should be the innermost
-    stage so control traffic skips it untouched.
+    every Matrix server from one config).  A stage installed after it
+    (a chaos fault stage) is innermost, so it sees single forwards
+    before they are buffered.
     """
 
     name = "spatial-batching"
@@ -213,12 +202,11 @@ class SpatialBatchingStage(MiddlewareStage):
             self.node.sim.after(self.WINDOW, self._flush_tick)
         return None
 
-    def on_inbound(self, message: Message) -> Message | None:
-        if message.kind != BATCH_KIND:
-            return message
+    @handles(BATCH_KIND)
+    def _on_batch(self, message: Message) -> None:
+        node = self.node
         for inner in message.payload:
-            self.node._handlers.get(inner.kind, self.node.on_unhandled)(inner)
-        return None
+            node._handlers.get(inner.kind, node.on_unhandled)(inner)
 
     def _flush_tick(self) -> None:
         self._flush_scheduled = False

@@ -2,8 +2,10 @@
 
 A node answers a message through one ``kind -> bound callable`` table:
 its own ``@handles`` methods, bound at construction, and those of the
-components handed to :meth:`Node.adopt`.  There is no other dispatch
-path: no per-node override, no lazily filled second lookup.
+components handed to :meth:`Node.adopt` (a middleware stage installed
+with :meth:`Node.use` among them).  There is no other dispatch path:
+no per-node override, no lazily filled second lookup, and no stage
+between the receive queue and the table.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class Node(ABC):
     one ``kind -> bound callable`` table, whoever owns the method, is
     the only way a node answers a message: a kind it does not hold goes
     to :meth:`on_unhandled`.  Everything else — queueing, servicing
-    delay, traffic accounting, the middleware stages — is provided.
+    delay, traffic accounting, the outbound middleware stages — is
+    provided.
 
     A node's attributes live in fixed slots.  A subclass that declares
     no ``__slots__`` of its own (servers, test doubles) gets an
@@ -80,9 +83,8 @@ class Node(ABC):
         #: route to this node holds this one object as its arrival.
         self._arrive = None
         #: Installed middleware stages, outermost (closest to the wire)
-        #: first.  :meth:`use` appends in place, because the receive
-        #: queue holds this list too; an empty-list truthiness check is
-        #: how the hot send/receive paths skip the stages on bare nodes.
+        #: first.  An empty-list truthiness check is how the hot send
+        #: path skips the stages on bare nodes.
         self.stages: list[MiddlewareStage] = []
         # kind -> bound handler: the node's own ``@handles`` methods,
         # plus adopted components'.  The receive queue holds this dict,
@@ -107,7 +109,6 @@ class Node(ABC):
             self.sim,
             self.handle_message,
             self._handlers,
-            stages=self.stages,
             service_rate=self._service_rate,
             capacity=self._queue_capacity,
             priority_kinds=self._priority_kinds,
@@ -115,8 +116,13 @@ class Node(ABC):
         self._arrive = self._inbox.deliver
 
     def use(self, stage: MiddlewareStage) -> MiddlewareStage:
-        """Install *stage* as the new innermost middleware stage."""
+        """Install *stage* as the new innermost middleware stage.
+
+        The stage is also :meth:`adopt`-ed, so a ``@handles`` method it
+        declares answers its kind on this node.
+        """
         stage.bind(self)
+        self.adopt(stage)
         self.stages.append(stage)
         return stage
 
@@ -190,17 +196,12 @@ class Node(ABC):
             transmit(Message(name, dst, kind, payload, size_bytes))
 
     def handle_message(self, message: Message) -> None:
-        """Process one serviced message: the stages' inbound hooks,
-        outermost first, then the handler table (:meth:`on_unhandled`
-        for a kind it lacks).
+        """Process one serviced message through the handler table
+        (:meth:`on_unhandled` for a kind it lacks).
 
-        The receive queue calls a table entry itself while the node has
-        no stage; this is its path for a missing kind or a staged node.
+        The receive queue calls a table entry itself; this is its path
+        for a kind the table lacks.
         """
-        for stage in self.stages:
-            message = stage.on_inbound(message)
-            if message is None:
-                return
         self._handlers.get(message.kind, self.on_unhandled)(message)
 
     def on_unhandled(self, message: Message) -> None:

@@ -26,8 +26,7 @@ counters the queue keeps anyway (:attr:`ReceiveQueue.arrivals`), so an
 arrival costs no count of its own.
 
 A serviced message goes straight to its entry in the node's handler
-table while the node has no stage; the node's ``handle_message`` takes
-a kind the table lacks and every message of a staged node.
+table; the node's ``handle_message`` takes a kind the table lacks.
 """
 
 from __future__ import annotations
@@ -61,9 +60,9 @@ class ReceiveQueue:
         Called with each serviced message (i.e. after its queueing +
         processing delay) that *handlers* does not take.
     handlers:
-        The node's ``kind -> handler`` table, held (not copied): while
-        *stages* is empty, a serviced message of a kind in it is handed
-        to its entry directly.
+        The node's ``kind -> handler`` table, held (not copied): a
+        serviced message of a kind in it is handed to its entry
+        directly.
     service_rate:
         Messages serviced per second.  ``float('inf')`` makes servicing
         immediate (used for nodes whose processing cost is negligible).
@@ -76,13 +75,10 @@ class ReceiveQueue:
         updates, evacuation orders) so that reconfiguration is not
         starved behind a saturated data queue — the software analogue
         of a prioritised control channel.
-    stages:
-        The node's live middleware stage list; while it is non-empty
-        every message goes to *handler*.
     """
 
     __slots__ = (
-        "_sim", "_handler", "_handlers", "_stages", "_capacity",
+        "_sim", "_handler", "_handlers", "_capacity",
         "_priority_kinds", "_immediate", "_service_delay", "_in_place",
         "_queue", "_busy", "_halted", "_detached_from", "_refusing",
         "_discarded", "serviced_count", "dropped_count", "busy_time",
@@ -94,7 +90,6 @@ class ReceiveQueue:
         sim: "Simulator",
         handler: Callable[[Message], None],
         handlers: dict[str, Callable[[Message], None]],
-        stages: list | tuple = (),
         service_rate: float = float("inf"),
         capacity: int | None = None,
         priority_kinds: frozenset[str] | None = None,
@@ -102,7 +97,6 @@ class ReceiveQueue:
         self._sim = sim
         self._handler = handler
         self._handlers = handlers
-        self._stages = stages
         self._capacity = capacity
         self.set_service_rate(service_rate)
         self._priority_kinds = priority_kinds
@@ -224,10 +218,7 @@ class ReceiveQueue:
                 self._peak_length = 1
             self._busy = True
             self.serviced_count += 1
-            if self._stages:
-                self._handler(message)
-            else:
-                self._handlers.get(message.kind, self._handler)(message)
+            self._handlers.get(message.kind, self._handler)(message)
             if not self._queue:
                 self._busy = False
                 return
@@ -272,10 +263,7 @@ class ReceiveQueue:
         while queue and not self._halted:
             message = queue.popleft()
             self.serviced_count += 1
-            if self._stages:
-                self._handler(message)
-            else:
-                handlers.get(message.kind, self._handler)(message)
+            handlers.get(message.kind, self._handler)(message)
             if queue and not self._immediate:
                 # The next service period, scheduled after whatever the
                 # handler scheduled.

@@ -4,9 +4,8 @@ The recorder subscribes to the network's send-side stats tap
 (:meth:`repro.net.network.Network.add_tap`) and keeps every message a
 client sent or received.  Buffered events are canonically re-ordered on
 read (see :func:`repro.trace.format.canonical_events`), so the recorded
-trace is identical whatever ``--jobs`` or ``--shards`` configuration
-produced the run — the property the trace-determinism
-tests pin.
+trace is identical whatever ``--jobs`` count or shard count produced
+the run — the property the trace-determinism tests pin.
 
 :func:`record_scenario` is the one-call form: it runs a scenario
 through :func:`repro.harness.runner.run_scenario` with a recorder

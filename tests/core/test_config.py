@@ -116,12 +116,9 @@ def test_config_fields_are_pinned(config, fields):
         (ChaosDriver, []),
         (
             run_fuzz_case,
-            [
-                "profile", "scale", "preview", "settle", "shards",
-                "extra_invariants",
-            ],
+            ["profile", "scale", "preview", "settle", "extra_invariants"],
         ),
-        (fuzz_grid_tasks, ["profile", "scale", "preview", "settle", "shards"]),
+        (fuzz_grid_tasks, ["profile", "scale", "preview", "settle"]),
     ],
 )
 def test_constructor_keywords_are_pinned(builder, keywords):

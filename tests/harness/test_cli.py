@@ -116,21 +116,6 @@ def test_sweep_json_is_byte_identical_at_any_jobs(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (
-            ["run", "flash-crowd", "uniform-roam", "--backend", "static", "--shards", "2"],
-            "--shards only applies to the matrix backend",
-        ),
-        (
-            ["run", "flash-crowd", "--backend", "static", "--shards", "2"],
-            "--shards only applies to the matrix backend",
-        ),
-        (
-            ["record", "flash-crowd", "--backend", "static", "--shards", "2"],
-            "--shards only applies to the matrix backend",
-        ),
-        (["run", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
-        (["record", "flash-crowd", "no-such-scenario"], "unknown scenario"),
-        (["run", "flash-crowd", "no-such-scenario"], "unknown scenario"),
         (["compare", "no-such-scenario"], "unknown scenario"),
         (
             ["compare", "flash-crowd", "--backends", "matrix,pigeon"],
@@ -140,10 +125,9 @@ def test_sweep_json_is_byte_identical_at_any_jobs(tmp_path, capsys):
             ["compare", "flash-crowd", "--backends", "matrix,replay"],
             "unknown backend(s) ['replay']",
         ),
-        (
-            ["fuzz", "--profile", "faulty", "--shards", "2"],
-            "profile 'faulty' injects crash faults",
-        ),
+        (["run", "no-such-scenario"], "unknown scenario 'no-such-scenario'"),
+        (["record", "flash-crowd", "no-such-scenario"], "unknown scenario"),
+        (["run", "flash-crowd", "no-such-scenario"], "unknown scenario"),
     ],
 )
 def test_refusals_exit_2_with_one_error_line(argv, message, capsys, tmp_path, monkeypatch):
@@ -177,6 +161,19 @@ def test_replay_is_not_a_backend_choice(command, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["run", "flash-crowd"], ["record", "flash-crowd"], ["fuzz"]],
+    ids=["run", "record", "fuzz"],
+)
+def test_shards_is_not_a_cli_option(argv, capsys):
+    """The shard lanes have one entry point, ``run_scenario(shards=)``."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--shards", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["run", "flash-crowd", "--scale", "inf"],
@@ -189,8 +186,7 @@ def test_replay_is_not_a_backend_choice(command, capsys):
          "--scale: must be > 0, got nan"),
         (["run", "flash-crowd", "--duration", "-5"],
          "--duration: must be > 0, got -5"),
-        (["run", "flash-crowd", "--shards", "0"],
-         "--shards: must be >= 1, got 0"),
+        (["fuzz", "--settle", "inf"], "--settle: must be finite, got inf"),
         (["run", "flash-crowd", "uniform-roam", "--jobs", "-1"],
          "--jobs: must be >= 0, got -1"),
         (["fuzz", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
@@ -201,7 +197,6 @@ def test_replay_is_not_a_backend_choice(command, capsys):
          "--scale: invalid float value: 'big'"),
         (["record", "flash-crowd", "--duration", "inf"],
          "--duration: must be finite, got inf"),
-        (["fuzz", "--settle", "inf"], "--settle: must be finite, got inf"),
     ],
 )
 def test_out_of_range_numbers_are_argparse_refusals(argv, message, capsys):
@@ -210,13 +205,12 @@ def test_out_of_range_numbers_are_argparse_refusals(argv, message, capsys):
 
 def test_fuzz_reproducer_names_every_option_that_shapes_the_run(capsys):
     args = build_parser().parse_args(
-        ["fuzz", "--scale", "0.05", "--duration", "15", "--settle", "6",
-         "--shards", "2"]
+        ["fuzz", "--scale", "0.05", "--duration", "15", "--settle", "6"]
     )
     _report_fuzz_failure(args, 3, run_options={})
     assert (
         "failing seed: 3 (reproduce with: python -m repro fuzz --seed 3 "
-        "--profile default --scale 0.05 --settle 6 --duration 15 --shards 2)"
+        "--profile default --scale 0.05 --settle 6 --duration 15)"
     ) in capsys.readouterr().out
 
 
@@ -228,12 +222,12 @@ def test_failure_log_and_cli_print_the_same_reproduce_line(monkeypatch, capsys):
         repro.harness.fuzz, "check_invariants", lambda *a, **k: ["forced"]
     )
     argv = ["fuzz", "--seed", "3", "--scale", "0.05", "--duration", "15",
-            "--settle", "6", "--shards", "2"]
+            "--settle", "6"]
     assert main(argv) == 1
     out = capsys.readouterr().out
     from_error = re.findall(r"^reproduce: (.*)$", out, re.M)
     from_cli = re.findall(r"reproduce with: (.*)\)$", out, re.M)
     assert from_error == from_cli == [
         "python -m repro fuzz --seed 3 --profile default --scale 0.05 "
-        "--settle 6 --duration 15 --shards 2"
+        "--settle 6 --duration 15"
     ]

@@ -1,4 +1,4 @@
-"""Unit tests for the middleware pipeline and its stages."""
+"""Unit tests for the outbound middleware stages."""
 
 import random
 
@@ -41,15 +41,11 @@ def pair():
 
 
 class Tag(MiddlewareStage):
-    """Appends its label to a list payload on both hooks."""
+    """Appends its label to a list payload on the way out."""
 
     def __init__(self, label):
         super().__init__()
         self.label = label
-
-    def on_inbound(self, message):
-        message.payload.append(f"in:{self.label}")
-        return message
 
     def on_outbound(self, message):
         message.payload.append(f"out:{self.label}")
@@ -65,11 +61,6 @@ def test_pipeline_is_an_onion():
     # Outbound runs innermost stage first, wire-side stage last.
     assert trace == ["out:inner", "out:outer"]
 
-    rx.use(Tag("outer"))
-    rx.use(Tag("inner"))
-    sim.run(until=1.0)
-    assert rx.received[0].payload[-2:] == ["in:outer", "in:inner"]
-
 
 def test_stage_can_consume_outbound():
     class DropAll(MiddlewareStage):
@@ -84,16 +75,27 @@ def test_stage_can_consume_outbound():
     assert network.stats.total.messages == 0
 
 
-def test_kind_metrics_counts_both_directions():
+def test_kind_metrics_counts_outbound():
     sim, network, tx, rx = pair()
     metrics_tx = tx.use(KindMetricsStage())
-    metrics_rx = rx.use(KindMetricsStage())
     for _ in range(3):
         tx.send("rx", "data", [], size_bytes=100)
     sim.run(until=1.0)
     assert metrics_tx.outbound["data"].messages == 3
     assert metrics_tx.outbound["data"].bytes == 300
-    assert metrics_rx.inbound["data"].messages == 3
+
+
+def test_a_stage_answers_its_kinds_from_the_handler_table():
+    """``use`` adopts the stage: a batch is unpacked by the batching
+    stage's ``net.batch`` handler, and a stage with no ``@handles``
+    method adds nothing to the table."""
+    sim, network, tx, rx = pair()
+    kinds = set(rx._handlers)
+    rx.use(KindMetricsStage())
+    assert set(rx._handlers) == kinds
+    batching = rx.use(SpatialBatchingStage())
+    assert set(rx._handlers) == kinds | {BATCH_KIND}
+    assert rx._handlers[BATCH_KIND] == batching._on_batch
 
 
 def test_fault_injection_drops_and_duplicates():

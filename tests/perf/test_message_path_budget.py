@@ -5,7 +5,10 @@ to the handler's return, over 1 000 messages between two bare nodes on
 a WAN-style link.  The count repeats exactly, so it guards the
 per-message cost in tier-1 without a clock.  Only the uninstrumented
 path (``Network(perf=None)``) has a budget.  docs/ARCHITECTURE.md,
-"The life of a message", names the frames.
+"The life of a message", names the frames.  A sink carrying a
+middleware stage takes the same frames: stages are outbound only (an
+inbound stage walk cost two more, ``Node.handle_message`` and
+``on_inbound``).
 
 The sharded rows run the same two nodes on ``ShardedSimulator(2)`` +
 ``ShardedNetwork``: anchored on one lane (the route names the sending
@@ -57,6 +60,7 @@ import pytest
 from repro.geometry import Rect, Vec2
 from repro.geometry.sharding import ShardMap
 from repro.net import LinkProfile, Network, Node, NormalLatency, handles
+from repro.net.middleware import FaultInjectionStage
 from repro.net.sharded import ShardedNetwork
 from repro.sim import RngRegistry, Simulator
 from repro.sim.sharded import ShardedSimulator
@@ -96,11 +100,13 @@ def count_calls(run):
     return calls
 
 
-def frames_per_message(service_rate):
+def frames_per_message(service_rate, staged=False):
     sim = Simulator()
     network = Network(sim, rng=random.Random(1), default_profile=WAN)
     source = network.add_node(Sink("a"))
     sink = network.add_node(Sink("b", service_rate=service_rate))
+    if staged:
+        sink.use(FaultInjectionStage(random.Random(2)))
     # First use fills the profile memo, the handler cache and the two
     # stats entries; the budget is for the steady state.
     source.send("b", "probe", None, 100)
@@ -125,6 +131,18 @@ def test_frames_from_send_to_handler(service_rate, budget):
     frames = frames_per_message(service_rate)
     assert frames == frames_per_message(service_rate)  # repeats exactly
     assert frames <= budget
+
+
+@pytest.mark.parametrize(
+    "service_rate", [float("inf"), 500.0], ids=["idle", "queued"]
+)
+def test_a_stage_adds_no_frame_to_the_receive_path(service_rate):
+    """Middleware is outbound only: a node carrying a stage (a chaos
+    ``LinkDegrade`` leaves one on every fault node) services a message
+    in the frames of a bare node, with no stage walk in between."""
+    assert frames_per_message(service_rate, staged=True) == (
+        frames_per_message(service_rate)
+    )
 
 
 def sharded_frames_per_message(sink_x):

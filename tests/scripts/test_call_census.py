@@ -86,12 +86,11 @@ def test_cli_steps_are_the_smoke_bench_jobs_repro_commands():
     """The census runs what CI's ``smoke-bench`` job runs: every distinct
     ``python -m repro`` command of the committed workflow, serially."""
     steps = call_census.cli_steps()
-    assert len(steps) == 24 == len(set(steps))
+    assert len(steps) == 21 == len(set(steps))
     assert steps[:3] == ["list-scenarios", "list-mobility", "list-backends"]
     assert "run fig2-hotspot --scale 0.05 --seed 1" in steps
     for backend in ("p2p", "dht", "static", "mirrored"):
         assert f"run fig2-hotspot --backend {backend} --scale 0.05 --seed 1" in steps
-    assert "run flash-crowd --scale 0.05 --seed 1 --shards 2" in steps
     assert "run crash-during-split --scale 0.05 --seed 1" in steps
     assert "run steady-churn --scale 0.25 --seed 1" in steps
     assert "run failover-storm --scale 0.05 --seed 1" in steps

@@ -16,12 +16,12 @@ import hashlib
 
 import pytest
 
-from repro.cli import run_summary_cell
+from repro.analysis.stats import p99_or_zero
 from repro.core.config import LoadPolicyConfig, PerfConfig
 from repro.games.profile import profile_by_name
 from repro.geometry import Rect, Vec2
 from repro.geometry.sharding import ShardMap
-from repro.harness.compare import scaled_profile
+from repro.harness.compare import scaled_profile, scaled_run_arguments
 from repro.harness.runner import run_scenario
 from repro.net import ConstantLatency, LinkProfile, Node, handles
 from repro.net.sharded import ShardedNetwork
@@ -507,22 +507,23 @@ class TestMatrixShardDeterminism:
         assert matrix_row("steady-churn", 0.25, 30.0, shards=4) == reference
 
     def test_sweep_metrics_identical_across_shard_counts(self):
-        """The ``run`` fan-out cell — the sweep's metrics row — is
-        byte-identical whatever the shard count."""
-        rows = [
-            run_summary_cell(
-                "steady-churn",
-                backend="matrix",
-                scale=0.25,
-                seed=3,
-                duration=30.0,
-                no_faults=False,
-                shards=shards,
-            )
-            for shards in (1, 4)
-        ]
+        """The metrics of the ``run`` fan-out row (the sweep's), on the
+        scaled run a CLI ``run`` builds, are byte-identical whatever the
+        shard count."""
+        arguments = scaled_run_arguments(
+            build_scenario("steady-churn"), "matrix", 0.25, 3, preview=30.0
+        )
+        rows = []
+        for shards in (1, 4):
+            result = run_scenario(**arguments, shards=shards).result
+            rows.append((
+                result.events_processed,
+                result.max_queue(),
+                p99_or_zero(result.action_latencies),
+                result.servers_used,
+            ))
         assert rows[0] == rows[1]
-        assert rows[0]["events"] > 0
+        assert rows[0][0] > 0
 
     def test_chaos_armed_runs_refuse_sharding(self):
         with pytest.raises(ValueError, match=r"crash chaos faults \(ServerCrash\)"):
