@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Sequence
+
+from repro.value import Value
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -32,17 +33,22 @@ def p99_or_zero(values: Sequence[float]) -> float:
     return percentile(values, 99) if values else 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class Summary:
+class Summary(Value):
     """Five-number-plus summary of a sample."""
 
-    count: int
-    mean: float
-    minimum: float
-    p50: float
-    p90: float
-    p99: float
-    maximum: float
+    __slots__ = ("count", "mean", "minimum", "p50", "p90", "p99", "maximum")
+
+    def __init__(
+        self, count: int, mean: float, minimum: float, p50: float,
+        p90: float, p99: float, maximum: float,
+    ) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "minimum", minimum)
+        object.__setattr__(self, "p50", p50)
+        object.__setattr__(self, "p90", p90)
+        object.__setattr__(self, "p99", p99)
+        object.__setattr__(self, "maximum", maximum)
 
     def __str__(self) -> str:  # pragma: no cover - formatting sugar
         return (

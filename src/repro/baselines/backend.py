@@ -30,7 +30,6 @@ so any declarative scenario from the catalog runs on any architecture.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis.timeseries import Sampler, TimeSeries
@@ -41,6 +40,7 @@ from repro.net.network import Network
 from repro.net.stats import TrafficStats
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from repro.value import Value
 from repro.workload.fleet import ClientFleet
 
 #: Seconds between two samples of the per-server client counts and
@@ -48,8 +48,7 @@ from repro.workload.fleet import ClientFleet
 SAMPLE_PERIOD = 1.0
 
 
-@dataclass(frozen=True, slots=True)
-class BackendInfo:
+class BackendInfo(Value):
     """The three architectural answers, as displayable metadata.
 
     Rendered by ``python -m repro list-backends`` and the docs table;
@@ -57,11 +56,17 @@ class BackendInfo:
     files the builder under ``name``.
     """
 
-    name: str
-    ownership: str
-    routing: str
-    consistency: str
-    summary: str = ""
+    __slots__ = ("name", "ownership", "routing", "consistency", "summary")
+
+    def __init__(
+        self, name: str, ownership: str, routing: str, consistency: str,
+        summary: str = "",
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ownership", ownership)
+        object.__setattr__(self, "routing", routing)
+        object.__setattr__(self, "consistency", consistency)
+        object.__setattr__(self, "summary", summary)
 
 
 class BackendResult:

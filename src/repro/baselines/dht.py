@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from repro.baselines.static import (
     StaticDeployment,
@@ -37,18 +36,23 @@ from repro.games.profile import GameProfile
 from repro.geometry import Rect, RegionIndex
 from repro.net.message import Message
 from repro.net.node import handles
+from repro.value import Value
 
 
 # ----------------------------------------------------------------------
 # Closed-form model
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class LookupCost:
+class LookupCost(Value):
     """Expected per-packet routing lookup cost."""
 
-    servers: int
-    expected_hops: float
-    expected_latency: float
+    __slots__ = ("servers", "expected_hops", "expected_latency")
+
+    def __init__(
+        self, servers: int, expected_hops: float, expected_latency: float
+    ) -> None:
+        object.__setattr__(self, "servers", servers)
+        object.__setattr__(self, "expected_hops", expected_hops)
+        object.__setattr__(self, "expected_latency", expected_latency)
 
 
 def chord_expected_hops(servers: int) -> float:
@@ -97,22 +101,28 @@ def sample_dht_lookup(
 # ----------------------------------------------------------------------
 # Event-driven system
 # ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class LookupHop:
+class LookupHop(Value):
     """One in-flight overlay lookup step."""
 
-    lookup_id: int
-    origin: str
-    target_zone: str
-    remaining: int
+    __slots__ = ("lookup_id", "origin", "target_zone", "remaining")
+
+    def __init__(
+        self, lookup_id: int, origin: str, target_zone: str, remaining: int
+    ) -> None:
+        object.__setattr__(self, "lookup_id", lookup_id)
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "target_zone", target_zone)
+        object.__setattr__(self, "remaining", remaining)
 
 
-@dataclass(frozen=True, slots=True)
-class LookupResult:
+class LookupResult(Value):
     """The overlay's answer: which router serves *target_zone*."""
 
-    lookup_id: int
-    router: str
+    __slots__ = ("lookup_id", "router")
+
+    def __init__(self, lookup_id: int, router: str) -> None:
+        object.__setattr__(self, "lookup_id", lookup_id)
+        object.__setattr__(self, "router", router)
 
 
 class DhtZoneRouter(StaticZoneRouter):

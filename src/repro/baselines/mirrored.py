@@ -27,7 +27,6 @@ Two layers live here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import PerfConfig
@@ -38,6 +37,7 @@ from repro.geometry import Rect, Vec2
 from repro.net.message import Message
 from repro.net.network import lan_profile, wan_profile
 from repro.net.node import Node, handles
+from repro.value import Value
 
 
 class MirrorGate(Node):
@@ -187,15 +187,27 @@ class MirroredExperiment(ArchitectureBackend):
         }
 
 
-@dataclass(frozen=True, slots=True)
-class MirroredCost:
+class MirroredCost(Value):
     """Closed-form per-second costs of a k-mirror group."""
 
-    mirrors: int
-    clients: int
-    client_packets_per_second: float
-    replication_packets_per_second: float
-    per_mirror_load: float
+    __slots__ = (
+        "mirrors", "clients", "client_packets_per_second",
+        "replication_packets_per_second", "per_mirror_load",
+    )
+
+    def __init__(
+        self, mirrors: int, clients: int, client_packets_per_second: float,
+        replication_packets_per_second: float, per_mirror_load: float,
+    ) -> None:
+        object.__setattr__(self, "mirrors", mirrors)
+        object.__setattr__(self, "clients", clients)
+        object.__setattr__(
+            self, "client_packets_per_second", client_packets_per_second
+        )
+        object.__setattr__(
+            self, "replication_packets_per_second", replication_packets_per_second
+        )
+        object.__setattr__(self, "per_mirror_load", per_mirror_load)
 
 
 def mirrored_cost(

@@ -27,8 +27,6 @@ Two layers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import PerfConfig
 from repro.games.packets import Snapshot
@@ -37,6 +35,7 @@ from repro.geometry import Rect, Vec2, tile_world
 from repro.net.message import Message
 from repro.net.network import loopback_profile, wan_profile
 from repro.net.node import Node, handles
+from repro.value import Value
 
 #: Consumer uplink of the paper's era: 256 kbit/s ≈ 32 kB/s.
 DEFAULT_UPLINK_BYTES_PER_S = 32_000.0
@@ -447,14 +446,26 @@ class P2PExperiment(ArchitectureBackend):
         }
 
 
-@dataclass(frozen=True, slots=True)
-class P2PCost:
+class P2PCost(Value):
     """Per-player costs of one p2p region group."""
 
-    group_size: int
-    upload_bytes_per_second: float
-    download_bytes_per_second: float
-    uplink_capacity: float
+    __slots__ = (
+        "group_size", "upload_bytes_per_second", "download_bytes_per_second",
+        "uplink_capacity",
+    )
+
+    def __init__(
+        self, group_size: int, upload_bytes_per_second: float,
+        download_bytes_per_second: float, uplink_capacity: float,
+    ) -> None:
+        object.__setattr__(self, "group_size", group_size)
+        object.__setattr__(
+            self, "upload_bytes_per_second", upload_bytes_per_second
+        )
+        object.__setattr__(
+            self, "download_bytes_per_second", download_bytes_per_second
+        )
+        object.__setattr__(self, "uplink_capacity", uplink_capacity)
 
     @property
     def feasible(self) -> bool:

@@ -13,7 +13,7 @@ docs/ARCHITECTURE.md, "Configuration").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.splitting import SplitToLeft
 from repro.geometry import EuclideanMetric, Rect
@@ -110,7 +110,6 @@ class LoadPolicyConfig:
             raise ValueError("reclaim_combined_factor must be in (0, 1]")
 
 
-@dataclass(slots=True)
 class PerfConfig:
     """Opt-in perf instrumentation (see :mod:`repro.perf`).
 
@@ -119,9 +118,12 @@ class PerfConfig:
     ``perf is not None`` check that is never taken.
     """
 
-    #: Master switch; when False no :class:`~repro.perf.PerfRegistry`
-    #: is created at all.
-    enabled: bool = False
+    __slots__ = ("enabled",)
+
+    def __init__(self, enabled: bool = False) -> None:
+        #: Master switch; when False no :class:`~repro.perf.PerfRegistry`
+        #: is created at all.
+        self.enabled = enabled
 
     def build_registry(self):
         """A :class:`~repro.perf.PerfRegistry`, or None when disabled."""
@@ -132,37 +134,47 @@ class PerfConfig:
         return PerfRegistry()
 
 
-@dataclass(slots=True)
 class MatrixConfig:
     """Top-level configuration of a Matrix deployment."""
 
-    #: The full game world.
-    world: Rect = field(default_factory=lambda: Rect(0.0, 0.0, 1000.0, 1000.0))
-    #: The game's radius of visibility (world units).
-    visibility_radius: float = 50.0
-    #: Split strategy name (see :mod:`repro.core.splitting`).
-    split_strategy: str = SplitToLeft.name
-    #: Load policy knobs.
-    policy: LoadPolicyConfig = field(default_factory=LoadPolicyConfig)
-    #: Aggregate same-destination ``matrix.forward`` packets per game
-    #: tick.  Fleet-wide because both ends of a link must speak the
-    #: batch format: the deployment installs the
-    #: :class:`~repro.net.middleware.SpatialBatchingStage` on every
-    #: Matrix server or on none.
-    batch_spatial_forwards: bool = False
-    #: Watchdog for in-flight splits/reclaims: an operation older than
-    #: this is aborted and rolled back (host released, policy backed
-    #: off).  ``None`` disables the watchdogs — the default, because a
-    #: peer can only go silent mid-protocol when faults are injected;
-    #: the chaos driver arms this when it arms a scenario.
-    lifecycle_timeout: float | None = None
+    __slots__ = (
+        "world", "visibility_radius", "split_strategy", "policy",
+        "batch_spatial_forwards", "lifecycle_timeout",
+    )
 
-    def __post_init__(self) -> None:
-        if self.visibility_radius < 0:
+    def __init__(
+        self,
+        world: Rect = Rect(0.0, 0.0, 1000.0, 1000.0),
+        visibility_radius: float = 50.0,
+        split_strategy: str = SplitToLeft.name,
+        policy: LoadPolicyConfig | None = None,
+        batch_spatial_forwards: bool = False,
+        lifecycle_timeout: float | None = None,
+    ) -> None:
+        #: The full game world.
+        self.world = world
+        #: The game's radius of visibility (world units).
+        self.visibility_radius = visibility_radius
+        #: Split strategy name (see :mod:`repro.core.splitting`).
+        self.split_strategy = split_strategy
+        #: Load policy knobs (the paper's when not given).
+        self.policy = LoadPolicyConfig() if policy is None else policy
+        #: Aggregate same-destination ``matrix.forward`` packets per game
+        #: tick.  Fleet-wide because both ends of a link must speak the
+        #: batch format: the deployment installs the
+        #: :class:`~repro.net.middleware.SpatialBatchingStage` on every
+        #: Matrix server or on none.
+        self.batch_spatial_forwards = batch_spatial_forwards
+        #: Watchdog for in-flight splits/reclaims: an operation older
+        #: than this is aborted and rolled back (host released, policy
+        #: backed off).  ``None`` disables the watchdogs — the default,
+        #: because a peer can only go silent mid-protocol when faults
+        #: are injected; the chaos driver arms this when it arms a
+        #: scenario.
+        self.lifecycle_timeout = lifecycle_timeout
+        if visibility_radius < 0:
             raise ValueError("visibility radius must be non-negative")
-        if self.visibility_radius * 2 >= min(
-            self.world.width, self.world.height
-        ):
+        if visibility_radius * 2 >= min(world.width, world.height):
             raise ValueError(
                 "visibility radius too large relative to the world; "
                 "localized consistency degenerates to global consistency"

@@ -44,20 +44,15 @@ class ServerStats:
         "splits_completed", "reclaims_completed",
     )
 
-    def __init__(
-        self, forwarded_packets: int = 0, delivered_packets: int = 0,
-        stale_forwards: int = 0, local_only_packets: int = 0,
-        failed_splits: int = 0, failed_reclaims: int = 0,
-        splits_completed: int = 0, reclaims_completed: int = 0,
-    ) -> None:
-        self.forwarded_packets = forwarded_packets
-        self.delivered_packets = delivered_packets
-        self.stale_forwards = stale_forwards
-        self.local_only_packets = local_only_packets
-        self.failed_splits = failed_splits
-        self.failed_reclaims = failed_reclaims
-        self.splits_completed = splits_completed
-        self.reclaims_completed = reclaims_completed
+    def __init__(self) -> None:
+        self.forwarded_packets = 0
+        self.delivered_packets = 0
+        self.stale_forwards = 0
+        self.local_only_packets = 0
+        self.failed_splits = 0
+        self.failed_reclaims = 0
+        self.splits_completed = 0
+        self.reclaims_completed = 0
 
 
 class ServerContext:

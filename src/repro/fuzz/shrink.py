@@ -15,9 +15,9 @@ unit-testable without simulation.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
+from repro.value import replace
 from repro.workload.scenarios.spec import Scenario
 from typing import Callable
 
@@ -36,7 +36,7 @@ class ShrinkResult:
 
 
 def _with_phases(scenario: Scenario, phases: list) -> Scenario:
-    return dataclasses.replace(scenario, phases=tuple(phases))
+    return replace(scenario, phases=tuple(phases))
 
 
 def shrink_scenario(

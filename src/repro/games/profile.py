@@ -18,52 +18,74 @@ dynamics land at the same client counts as the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.geometry import Rect
 
 
-@dataclass(slots=True)
 class GameProfile:
     """Everything the substrate needs to emulate one game's workload."""
 
-    name: str
-    world: Rect
-    visibility_radius: float
-    #: Client position-update rate (packets/second per client).
-    update_hz: float = 2.0
-    #: Server snapshot rate (state updates/second per client).
-    snapshot_hz: float = 1.0
-    #: Actions (shots, spells, interactions) per second per client.
-    action_rate: float = 0.2
-    #: Fraction of actions aimed at a far-away point (non-proximal).
-    remote_action_fraction: float = 0.0
-    #: Client movement speed (world units/second).
-    move_speed: float = 25.0
-    #: Packets/second one game server can process.  Set so that the
-    #: 300-client overload threshold sits at ~60% of capacity: the rest
-    #: is headroom for overlap-forward traffic from neighbours, which a
-    #: hotspot concentrates (the asymptotic analysis in §4.2 is exactly
-    #: about this term).
-    server_service_rate: float = 1250.0
-    #: Wire sizes (bytes).
-    update_bytes: int = 64
-    action_bytes: int = 96
-    snapshot_base_bytes: int = 48
-    snapshot_per_entity_bytes: int = 24
-    hello_bytes: int = 128
-    #: Snapshots stop itemising entities beyond this count.
-    max_visible_entities: int = 64
-    #: Remote-entity ghosts expire after this many update periods.
-    ghost_lifetime_updates: float = 3.0
+    __slots__ = (
+        "name", "world", "visibility_radius", "update_hz", "snapshot_hz",
+        "action_rate", "remote_action_fraction", "move_speed",
+        "server_service_rate", "update_bytes", "action_bytes",
+        "snapshot_base_bytes", "snapshot_per_entity_bytes", "hello_bytes",
+        "max_visible_entities", "ghost_lifetime_updates",
+    )
 
-    def __post_init__(self) -> None:
-        if self.update_hz <= 0 or self.snapshot_hz <= 0:
+    def __init__(
+        self,
+        name: str,
+        world: Rect,
+        visibility_radius: float,
+        update_hz: float = 2.0,
+        snapshot_hz: float = 1.0,
+        action_rate: float = 0.2,
+        remote_action_fraction: float = 0.0,
+        move_speed: float = 25.0,
+        server_service_rate: float = 1250.0,
+        update_bytes: int = 64,
+        action_bytes: int = 96,
+        snapshot_base_bytes: int = 48,
+        snapshot_per_entity_bytes: int = 24,
+        hello_bytes: int = 128,
+        max_visible_entities: int = 64,
+        ghost_lifetime_updates: float = 3.0,
+    ) -> None:
+        if update_hz <= 0 or snapshot_hz <= 0:
             raise ValueError("rates must be positive")
-        if self.visibility_radius <= 0:
+        if visibility_radius <= 0:
             raise ValueError("visibility radius must be positive")
-        if not 0.0 <= self.remote_action_fraction <= 1.0:
+        if not 0.0 <= remote_action_fraction <= 1.0:
             raise ValueError("remote_action_fraction must be in [0, 1]")
+        self.name = name
+        self.world = world
+        self.visibility_radius = visibility_radius
+        #: Client position-update rate (packets/second per client).
+        self.update_hz = update_hz
+        #: Server snapshot rate (state updates/second per client).
+        self.snapshot_hz = snapshot_hz
+        #: Actions (shots, spells, interactions) per second per client.
+        self.action_rate = action_rate
+        #: Fraction of actions aimed at a far-away point (non-proximal).
+        self.remote_action_fraction = remote_action_fraction
+        #: Client movement speed (world units/second).
+        self.move_speed = move_speed
+        #: Packets/second one game server can process.  Set so that the
+        #: 300-client overload threshold sits at ~60% of capacity: the
+        #: rest is headroom for overlap-forward traffic from neighbours,
+        #: which a hotspot concentrates (the asymptotic analysis in
+        #: §4.2 is exactly about this term).
+        self.server_service_rate = server_service_rate
+        #: Wire sizes (bytes).
+        self.update_bytes = update_bytes
+        self.action_bytes = action_bytes
+        self.snapshot_base_bytes = snapshot_base_bytes
+        self.snapshot_per_entity_bytes = snapshot_per_entity_bytes
+        self.hello_bytes = hello_bytes
+        #: Snapshots stop itemising entities beyond this count.
+        self.max_visible_entities = max_visible_entities
+        #: Remote-entity ghosts expire after this many update periods.
+        self.ghost_lifetime_updates = ghost_lifetime_updates
 
     @property
     def ghost_lifetime(self) -> float:

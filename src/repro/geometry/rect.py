@@ -10,23 +10,37 @@ world with every point belonging to exactly one partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.geometry.vec import Vec2
+from repro.value import Value
 
 
-@dataclass(frozen=True, slots=True)
-class Rect:
+class Rect(Value):
     """A half-open axis-aligned rectangle ``[xmin,xmax) x [ymin,ymax)``."""
 
-    xmin: float
-    ymin: float
-    xmax: float
-    ymax: float
+    __slots__ = ("xmin", "ymin", "xmax", "ymax")
 
-    def __post_init__(self) -> None:
-        if self.xmax < self.xmin or self.ymax < self.ymin:
+    def __init__(
+        self, xmin: float, ymin: float, xmax: float, ymax: float
+    ) -> None:
+        object.__setattr__(self, "xmin", xmin)
+        object.__setattr__(self, "ymin", ymin)
+        object.__setattr__(self, "xmax", xmax)
+        object.__setattr__(self, "ymax", ymax)
+        if xmax < xmin or ymax < ymin:
             raise ValueError(f"degenerate rect: {self}")
+
+    # Spelled out for speed, as Vec2's is; the hash is Value's.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.xmin == other.xmin
+            and self.ymin == other.ymin
+            and self.xmax == other.xmax
+            and self.ymax == other.ymax
+        )
+
+    __hash__ = Value.__hash__
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -26,36 +26,42 @@ assert both properties.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.geometry.metrics import Metric
 from repro.geometry.rect import Rect
 from repro.geometry.vec import Vec2
+from repro.value import Value
 
 #: A consistency set: the ids of the *other* servers that must hear
 #: about an update (empty for interior points).
 ConsistencySet = frozenset
 
 
-@dataclass(frozen=True, slots=True)
-class OverlapCell:
+class OverlapCell(Value):
     """One rectangular cell of the arrangement with a constant set."""
 
-    rect: Rect
-    servers: ConsistencySet
+    __slots__ = ("rect", "servers")
+
+    def __init__(self, rect: Rect, servers: ConsistencySet) -> None:
+        object.__setattr__(self, "rect", rect)
+        object.__setattr__(self, "servers", servers)
 
 
-@dataclass(frozen=True, slots=True)
-class OverlapRegion:
+class OverlapRegion(Value):
     """All points of a partition sharing one non-empty consistency set.
 
     A region can be geometrically disconnected (e.g. two opposite strips
     both bordering the same pair of neighbours), hence a list of rects.
     """
 
-    servers: ConsistencySet
-    rects: tuple[Rect, ...]
+    __slots__ = ("servers", "rects")
+
+    def __init__(
+        self, servers: ConsistencySet, rects: tuple[Rect, ...]
+    ) -> None:
+        object.__setattr__(self, "servers", servers)
+        object.__setattr__(self, "rects", rects)
 
     @property
     def area(self) -> float:

@@ -26,27 +26,33 @@ harness, the benchmark grids and ``perfbench`` all call it.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 from repro.analysis.stats import p99_or_zero
 from repro.baselines.backend import BackendResult
 from repro.core.config import LoadPolicyConfig
 from repro.games.profile import GameProfile, profile_by_name
 from repro.harness.runner import backend_names, run_scenario
+from repro.value import Value, replace
 from repro.workload.scenarios import Scenario, build_scenario
 
 
-@dataclass(frozen=True, slots=True)
-class SystemOutcome:
+class SystemOutcome(Value):
     """One system's showing on a shared workload."""
 
-    system: str
-    peak_queue: float
-    dropped_packets: int
-    p99_latency: float
-    servers_used: int
-    failed: bool
+    __slots__ = (
+        "system", "peak_queue", "dropped_packets", "p99_latency",
+        "servers_used", "failed",
+    )
+
+    def __init__(
+        self, system: str, peak_queue: float, dropped_packets: int,
+        p99_latency: float, servers_used: int, failed: bool,
+    ) -> None:
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "peak_queue", peak_queue)
+        object.__setattr__(self, "dropped_packets", dropped_packets)
+        object.__setattr__(self, "p99_latency", p99_latency)
+        object.__setattr__(self, "servers_used", servers_used)
+        object.__setattr__(self, "failed", failed)
 
 
 def scaled_profile(profile: GameProfile, scale: float) -> GameProfile:
@@ -57,7 +63,7 @@ def scaled_profile(profile: GameProfile, scale: float) -> GameProfile:
     capacity must shrink by the same factor or neither system ever
     saturates and the comparison is vacuous.
     """
-    return dataclasses.replace(
+    return replace(
         profile,
         server_service_rate=max(profile.server_service_rate * scale, 10.0),
     )
@@ -142,8 +148,7 @@ def scaled_run_arguments(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(Value):
     """The shared failure criteria every compared system is graded by.
 
     A system *fails* when any of these hold:
@@ -155,9 +160,14 @@ class Verdict:
       — gameplay is unplayable even if the queue survives.
     """
 
-    queue_capacity: int
-    queue_fraction: float
-    latency_bound: float
+    __slots__ = ("queue_capacity", "queue_fraction", "latency_bound")
+
+    def __init__(
+        self, queue_capacity: int, queue_fraction: float, latency_bound: float
+    ) -> None:
+        object.__setattr__(self, "queue_capacity", queue_capacity)
+        object.__setattr__(self, "queue_fraction", queue_fraction)
+        object.__setattr__(self, "latency_bound", latency_bound)
 
     def failed(self, peak_queue: float, dropped: int, p99: float) -> bool:
         """Apply the three §4.2 failure criteria."""

@@ -15,8 +15,6 @@ around the cell, never mixed into the payload, so merged
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.stats import p99_or_zero
 from repro.harness.compare import (
     Verdict,
@@ -26,6 +24,7 @@ from repro.harness.compare import (
     scaled_run_arguments,
 )
 from repro.harness.runner import run_scenario
+from repro.value import replace
 from repro.workload.scenarios import (
     CoordinatorCrash,
     ServerCrash,
@@ -99,7 +98,7 @@ def chaos_recovery_cell(
     scenario = build_scenario(name)
     horizon = min(scenario.duration, preview)
     # After the declared phases: the order the driver schedules them in.
-    scenario = dataclasses.replace(
+    scenario = replace(
         scenario,
         phases=(
             *scenario.phases,

@@ -10,7 +10,6 @@ directly to the size of the overlap regions."
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -20,12 +19,13 @@ from repro.games.profile import GameProfile
 from repro.geometry import compute_overlap_map
 from repro.harness.experiment import ExperimentResult
 from repro.harness.runner import ScenarioOutcome, run_scenario
+from repro.value import replace
 from repro.workload.scenarios import ArrivalWave, build_scenario
 
 
 def _roam(clients: int, duration: float) -> "Scenario":
     """The registered uniform-roam scenario, resized for one measurement."""
-    return dataclasses.replace(
+    return replace(
         build_scenario("uniform-roam"),
         phases=(ArrivalWave(count=clients),),
         duration=duration,
@@ -87,7 +87,7 @@ def measure_bandwidth_vs_overlap(
     """
     points: list[BandwidthPoint] = []
     for radius in radii:
-        swept = dataclasses.replace(profile, visibility_radius=radius)
+        swept = replace(profile, visibility_radius=radius)
         outcome: ScenarioOutcome = run_scenario(
             _roam(clients, duration), profile=swept, seed=seed
         )

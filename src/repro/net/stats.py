@@ -9,7 +9,6 @@ the counters those benchmarks read.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 from repro.net.message import Message
 
@@ -32,7 +31,6 @@ class Counter:
         self.bytes += other.bytes
 
 
-@dataclass
 class TrafficStats:
     """Aggregated traffic counters with per-kind and per-pair breakdowns.
 
@@ -43,12 +41,11 @@ class TrafficStats:
     can recompute.
     """
 
-    by_kind: dict[str, Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
-    by_pair: dict[tuple[str, str], Counter] = field(
-        default_factory=lambda: defaultdict(Counter)
-    )
+    __slots__ = ("by_kind", "by_pair")
+
+    def __init__(self) -> None:
+        self.by_kind: dict[str, Counter] = defaultdict(Counter)
+        self.by_pair: dict[tuple[str, str], Counter] = defaultdict(Counter)
 
     def record(self, message: Message) -> None:
         """Account one sent message."""

@@ -27,12 +27,12 @@ mid-run goal changes (see :meth:`repro.games.base.GameClient.retarget`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import hypot
 from typing import Callable, Mapping
 
 from repro.games.base import MobilityModel
 from repro.geometry import Rect, Vec2
+from repro.value import Value
 
 _EPS = 1e-6  # positions stay this far inside the world's max edges
 
@@ -437,8 +437,7 @@ class PursuitMobility:
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class MobilityEnv:
+class MobilityEnv(Value):
     """What a mobility factory may depend on when building models.
 
     ``rng`` is the fleet's stream; factories must derive per-model
@@ -449,11 +448,21 @@ class MobilityEnv:
     flock's anchor, say — can start where the wave actually lands.
     """
 
-    world: Rect
-    speed: float
-    rng: random.Random
-    center: Vec2 | None = None
-    spread: float | None = None
+    __slots__ = ("world", "speed", "rng", "center", "spread")
+
+    def __init__(
+        self,
+        world: Rect,
+        speed: float,
+        rng: random.Random,
+        center: Vec2 | None = None,
+        spread: float | None = None,
+    ) -> None:
+        object.__setattr__(self, "world", world)
+        object.__setattr__(self, "speed", speed)
+        object.__setattr__(self, "rng", rng)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "spread", spread)
 
     def child_rng(self) -> random.Random:
         """A fresh RNG seeded from the fleet stream."""
@@ -507,12 +516,18 @@ def mobility_builder(
     return factory(env, **params)
 
 
-@dataclass(frozen=True)
-class MobilitySpec:
+class MobilitySpec(Value):
     """Declarative mobility choice: a registry name plus parameters."""
 
-    kind: str = "random_waypoint"
-    params: Mapping[str, object] = field(default_factory=dict)
+    __slots__ = ("kind", "params")
+
+    def __init__(
+        self,
+        kind: str = "random_waypoint",
+        params: Mapping[str, object] | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", {} if params is None else params)
 
     def builder(self, env: MobilityEnv) -> MobilityBuilder:
         """Resolve this spec against the registry."""

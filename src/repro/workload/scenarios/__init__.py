@@ -1,6 +1,6 @@
 """Declarative scenarios: workloads as data, not code.
 
-``spec`` defines the :class:`Scenario` dataclasses, ``registry`` the
+``spec`` defines the :class:`Scenario` records, ``registry`` the
 ``@scenario`` lookup, ``catalog`` the built-in entries — the paper's
 ``fig2-hotspot`` among them (imported here so the registry is
 populated as a side effect of importing this package).  Running any

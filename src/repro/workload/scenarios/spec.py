@@ -3,10 +3,11 @@
 A :class:`Scenario` is *data the middleware runs*: a named sequence of
 workload phases (arrival waves, hotspot waves, batched departures,
 hotspot migrations, continuous churn) plus the run duration and the
-game it targets.  Phases are plain frozen dataclasses; installing a
-scenario walks them in order and translates each into the matching
-:class:`~repro.workload.fleet.ClientFleet` call, so the same spec
-drives Matrix and every baseline through the fleet's ``Locator``.
+game it targets.  Phases are immutable :class:`~repro.value.Value`
+records; installing a scenario walks them in order and translates
+each into the matching :class:`~repro.workload.fleet.ClientFleet`
+call, so the same spec drives Matrix and every baseline through the
+fleet's ``Locator``.
 
 Positions are expressed as :class:`MapPoint` world fractions rather
 than absolute coordinates, so one scenario runs unchanged on BzFlag's
@@ -15,22 +16,23 @@ than absolute coordinates, so one scenario runs unchanged on BzFlag's
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from repro.games.profile import GameProfile
 from repro.geometry import Rect, Vec2
+from repro.value import Value, replace
 from repro.workload.fleet import ClientFleet
 from repro.workload.mobility import MobilitySpec
 
 
-@dataclass(frozen=True)
-class MapPoint:
+class MapPoint(Value):
     """A world-relative position: fractions of width and height."""
 
-    u: float
-    v: float
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: float, v: float) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
     def resolve(self, world: Rect) -> Vec2:
         """The absolute position inside *world*."""
@@ -55,8 +57,7 @@ class Phase(Protocol):
         """A population-scaled copy (timing is never scaled)."""
 
 
-@dataclass(frozen=True)
-class ArrivalWave:
+class ArrivalWave(Value):
     """*count* players joining at *at* with any registered mobility.
 
     Placement is uniform unless *center* is given (Gaussian with sigma
@@ -64,13 +65,28 @@ class ArrivalWave:
     arrivals into a burst instead of a single instant.
     """
 
-    count: int
-    at: float = 0.0
-    group: str = "background"
-    mobility: MobilitySpec | None = None
-    over: float = 0.0
-    center: MapPoint | None = None
-    spread_fraction: float = 0.9
+    __slots__ = (
+        "count", "at", "group", "mobility", "over", "center",
+        "spread_fraction",
+    )
+
+    def __init__(
+        self,
+        count: int,
+        at: float = 0.0,
+        group: str = "background",
+        mobility: MobilitySpec | None = None,
+        over: float = 0.0,
+        center: MapPoint | None = None,
+        spread_fraction: float = 0.9,
+    ) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "mobility", mobility)
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "spread_fraction", spread_fraction)
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         center = spread = None
@@ -88,21 +104,29 @@ class ArrivalWave:
         )
 
     def scaled(self, factor: float) -> "ArrivalWave":
-        return dataclasses.replace(
-            self, count=_scale_count(self.count, factor)
-        )
+        return replace(self, count=_scale_count(self.count, factor))
 
 
-@dataclass(frozen=True)
-class HotspotWave:
+class HotspotWave(Value):
     """A hotspot pile-up: *count* loiterers converging on *center*."""
 
-    count: int
-    center: MapPoint
-    at: float
-    group: str
-    over: float = 2.0
-    spread_fraction: float = 0.9
+    __slots__ = ("count", "center", "at", "group", "over", "spread_fraction")
+
+    def __init__(
+        self,
+        count: int,
+        center: MapPoint,
+        at: float,
+        group: str,
+        over: float = 2.0,
+        spread_fraction: float = 0.9,
+    ) -> None:
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "over", over)
+        object.__setattr__(self, "spread_fraction", spread_fraction)
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         center = self.center.resolve(profile.world)
@@ -120,19 +144,21 @@ class HotspotWave:
         )
 
     def scaled(self, factor: float) -> "HotspotWave":
-        return dataclasses.replace(
-            self, count=_scale_count(self.count, factor)
-        )
+        return replace(self, count=_scale_count(self.count, factor))
 
 
-@dataclass(frozen=True)
-class Departure:
+class Departure(Value):
     """Drain *group* in batches of *batch* every *interval* seconds."""
 
-    group: str
-    batch: int
-    start: float
-    interval: float
+    __slots__ = ("group", "batch", "start", "interval")
+
+    def __init__(
+        self, group: str, batch: int, start: float, interval: float
+    ) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "batch", batch)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "interval", interval)
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         fleet.depart_group(
@@ -143,18 +169,18 @@ class Departure:
         )
 
     def scaled(self, factor: float) -> "Departure":
-        return dataclasses.replace(
-            self, batch=_scale_count(self.batch, factor)
-        )
+        return replace(self, batch=_scale_count(self.batch, factor))
 
 
-@dataclass(frozen=True)
-class Migration:
+class Migration(Value):
     """Retarget *group* toward a new centre at *at* (moving hotspot)."""
 
-    group: str
-    center: MapPoint
-    at: float
+    __slots__ = ("group", "center", "at")
+
+    def __init__(self, group: str, center: MapPoint, at: float) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "at", at)
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         fleet.move_group_hotspot(
@@ -165,17 +191,27 @@ class Migration:
         return self
 
 
-@dataclass(frozen=True)
-class Churn:
+class Churn(Value):
     """Continuous turnover: *rate* arrivals/s in ``[start, stop)``,
     each staying for an exponential session of mean *session* s."""
 
-    rate: float
-    start: float
-    stop: float
-    group: str = "churn"
-    session: float = 30.0
-    mobility: MobilitySpec | None = None
+    __slots__ = ("rate", "start", "stop", "group", "session", "mobility")
+
+    def __init__(
+        self,
+        rate: float,
+        start: float,
+        stop: float,
+        group: str = "churn",
+        session: float = 30.0,
+        mobility: MobilitySpec | None = None,
+    ) -> None:
+        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "session", session)
+        object.__setattr__(self, "mobility", mobility)
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         fleet.spawn_churn(
@@ -188,10 +224,10 @@ class Churn:
         )
 
     def scaled(self, factor: float) -> "Churn":
-        return dataclasses.replace(self, rate=self.rate * factor)
+        return replace(self, rate=self.rate * factor)
 
 
-class FaultPhase:
+class FaultPhase(Value):
     """Base of the chaos phases: faults a scenario injects, not load.
 
     Fault phases satisfy the :class:`Phase` protocol so they slot into
@@ -202,6 +238,8 @@ class FaultPhase:
     runs the workload phases unfaulted.
     """
 
+    __slots__ = ()
+
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         """Workload side: nothing to register."""
 
@@ -210,7 +248,6 @@ class FaultPhase:
         return self
 
 
-@dataclass(frozen=True)
 class ServerCrash(FaultPhase):
     """Kill one live Matrix+game server pair abruptly at *at*.
 
@@ -221,15 +258,15 @@ class ServerCrash(FaultPhase):
     skipped — when fewer than two live servers remain.
     """
 
-    at: float
-    victim: str = "youngest"
+    __slots__ = ("at", "victim")
 
-    def __post_init__(self) -> None:
-        if self.victim not in ("youngest", "oldest", "busiest", "splitting"):
-            raise ValueError(f"unknown victim rule: {self.victim!r}")
+    def __init__(self, at: float, victim: str = "youngest") -> None:
+        if victim not in ("youngest", "oldest", "busiest", "splitting"):
+            raise ValueError(f"unknown victim rule: {victim!r}")
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "victim", victim)
 
 
-@dataclass(frozen=True)
 class CoordinatorCrash(FaultPhase):
     """Crash the primary MC at *at*.
 
@@ -238,10 +275,12 @@ class CoordinatorCrash(FaultPhase):
     itself (§3.2.4's "well understood replication techniques").
     """
 
-    at: float
+    __slots__ = ("at",)
+
+    def __init__(self, at: float) -> None:
+        object.__setattr__(self, "at", at)
 
 
-@dataclass(frozen=True)
 class LinkDegrade(FaultPhase):
     """Degrade the backend's consistency links for a window.
 
@@ -251,29 +290,38 @@ class LinkDegrade(FaultPhase):
     consistency traffic when ``kinds`` is None).
     """
 
-    at: float
-    duration: float = float("inf")
-    drop_rate: float = 0.05
-    duplicate_rate: float = 0.0
-    kinds: tuple[str, ...] | None = None
+    __slots__ = ("at", "duration", "drop_rate", "duplicate_rate", "kinds")
 
-    def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
-        for rate in (self.drop_rate, self.duplicate_rate):
+    def __init__(
+        self,
+        at: float,
+        duration: float = float("inf"),
+        drop_rate: float = 0.05,
+        duplicate_rate: float = 0.0,
+        kinds: tuple[str, ...] | None = None,
+    ) -> None:
+        if duration <= 0:
+            raise ValueError(f"duration must be positive: {duration}")
+        for rate in (drop_rate, duplicate_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"fault rate out of [0, 1]: {rate}")
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "drop_rate", drop_rate)
+        object.__setattr__(self, "duplicate_rate", duplicate_rate)
+        object.__setattr__(self, "kinds", kinds)
 
 
-@dataclass(frozen=True)
 class Recovery(FaultPhase):
     """End every active link degradation at *at* (rates back to zero)."""
 
-    at: float
+    __slots__ = ("at",)
+
+    def __init__(self, at: float) -> None:
+        object.__setattr__(self, "at", at)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """A complete declarative workload: phases + duration + game.
 
     Scenarios are inert data — running one is the job of
@@ -282,20 +330,29 @@ class Scenario:
     ``Locator`` abstraction.
     """
 
-    name: str
-    description: str
-    phases: tuple[Phase, ...]
-    duration: float
-    game: str = "bzflag"
-    #: Bootstrap a fixed server grid instead of a single root server
-    #: (used by microbenchmark scenarios that need a known topology).
-    grid: tuple[int, int] | None = None
+    __slots__ = ("name", "description", "phases", "duration", "game", "grid")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        phases: tuple[Phase, ...],
+        duration: float,
+        game: str = "bzflag",
+        grid: tuple[int, int] | None = None,
+    ) -> None:
+        if not name:
             raise ValueError("scenario name must be non-empty")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
+        if duration <= 0:
+            raise ValueError(f"duration must be positive: {duration}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "duration", duration)
+        object.__setattr__(self, "game", game)
+        #: Bootstrap a fixed server grid instead of a single root server
+        #: (used by microbenchmark scenarios that need a known topology).
+        object.__setattr__(self, "grid", grid)
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         """Register every phase on *fleet*, in declaration order."""
@@ -317,12 +374,10 @@ class Scenario:
         """A population-scaled copy (phase timing is preserved)."""
         if factor <= 0:
             raise ValueError(f"scale factor must be positive: {factor}")
-        return dataclasses.replace(
+        return replace(
             self, phases=tuple(phase.scaled(factor) for phase in self.phases)
         )
 
     def preview(self, duration: float) -> "Scenario":
         """A copy truncated to *duration* (for smoke runs and tests)."""
-        return dataclasses.replace(
-            self, duration=min(self.duration, duration)
-        )
+        return replace(self, duration=min(self.duration, duration))

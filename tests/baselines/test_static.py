@@ -1,13 +1,12 @@
 """Tests for the static-partitioning baseline."""
 
-import dataclasses
-
 from repro.baselines.static import StaticDeployment
 from repro.games.profile import bzflag_profile
 from repro.geometry import Vec2
 from repro.harness.runner import run_scenario
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
+from repro.value import replace
 from repro.workload.fleet import ClientFleet
 from repro.workload.scenarios import HotspotWave, MapPoint
 import random
@@ -73,7 +72,7 @@ def test_cross_zone_visibility_still_works():
 
 
 def test_static_never_adds_servers_under_hotspot():
-    profile = dataclasses.replace(
+    profile = replace(
         bzflag_profile(), server_service_rate=120.0
     )
     result = run_scenario(
@@ -90,7 +89,7 @@ def test_static_never_adds_servers_under_hotspot():
 
 def test_static_saturates_under_hotspot():
     """The T-static failure mode: the hotspot zone's queue blows up."""
-    profile = dataclasses.replace(
+    profile = replace(
         bzflag_profile(), server_service_rate=120.0
     )
     result = run_scenario(

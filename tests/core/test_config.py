@@ -11,17 +11,21 @@ options became constants, to 36 when the distance metric did, to 35
 when the perf step stride did, and to 34 when extra chaos faults
 became scenario phases.  The chaos driver and the fuzz entry points
 are pinned too, so the backend, fault and bound knobs they lost stay
-gone.
+gone, and so are the substrates, the rival backends and the policy's
+``scaled()`` floors, whose options the table lists too.
 Adding a name here means naming, in the same change, its second caller
 outside the tests.
 """
 
-import dataclasses
 import inspect
 
 import pytest
 
 from repro.baselines.backend import ArchitectureBackend
+from repro.baselines.dht import DhtExperiment
+from repro.baselines.mirrored import MirroredExperiment
+from repro.baselines.p2p import P2PExperiment
+from repro.baselines.static import StaticExperiment
 from repro.chaos import ChaosDriver
 from repro.core.api import MatrixPort
 from repro.core.config import (
@@ -32,12 +36,16 @@ from repro.core.config import (
     PerfConfig,
 )
 from repro.core.deployment import MatrixDeployment
+from repro.core.pool import ServerPool
 from repro.core.runtime import MatrixServer
 from repro.games.base import GameClient, GameServer
 from repro.geometry import Rect
 from repro.harness.experiment import MatrixExperiment
 from repro.harness.fuzz import fuzz_grid_tasks, run_fuzz_case
 from repro.harness.runner import run_scenario
+from repro.harness.shards import ShardedMatrixExperiment
+from repro.net.network import Network
+from repro.sim.sharded import ShardedSimulator
 from repro.workload.fleet import ClientFleet
 
 
@@ -93,7 +101,7 @@ def test_wire_defaults_sane():
     ],
 )
 def test_config_fields_are_pinned(config, fields):
-    assert [field.name for field in dataclasses.fields(config)] == fields
+    assert list(config.__slots__) == fields
 
 
 @pytest.mark.parametrize(
@@ -119,6 +127,30 @@ def test_config_fields_are_pinned(config, fields):
             ["profile", "scale", "preview", "settle", "extra_invariants"],
         ),
         (fuzz_grid_tasks, ["profile", "scale", "preview", "settle"]),
+        (
+            LoadPolicyConfig.scaled,
+            ["floor_overload", "floor_underload"],
+        ),
+        (Network, ["rng", "default_profile", "perf"]),
+        (ServerPool, ["acquire_delay"]),
+        (ShardedSimulator, ["lookahead", "perf"]),
+        (ShardedMatrixExperiment, ["shards"]),
+        (
+            StaticExperiment,
+            ["seed", "columns", "rows", "queue_capacity", "perf"],
+        ),
+        (
+            DhtExperiment,
+            ["seed", "columns", "rows", "queue_capacity", "perf"],
+        ),
+        (
+            P2PExperiment,
+            [
+                "seed", "columns", "rows", "uplink_capacity",
+                "queue_capacity", "perf",
+            ],
+        ),
+        (MirroredExperiment, ["seed", "mirrors", "queue_capacity", "perf"]),
     ],
 )
 def test_constructor_keywords_are_pinned(builder, keywords):

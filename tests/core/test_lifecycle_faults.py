@@ -11,8 +11,6 @@ The bugs these tests pin down (fixed in the chaos PR):
   transfer completion raced an abort.
 """
 
-import dataclasses
-
 from tests.core.helpers import WORLD, ScriptedGameServer, build_deployment
 
 from repro.core.config import LOAD_REPORT_PERIOD, LoadPolicyConfig
@@ -21,6 +19,7 @@ from repro.core.policy import ChildLoad, Decision, LoadPolicy
 from repro.core.runtime.lifecycle import Split
 from repro.games.base import GameServer
 from repro.games.profile import profile_by_name
+from repro.value import replace
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +248,7 @@ def test_reclaim_abort_revives_an_evacuating_child():
     ``matrix.ctl.reclaim_abort``: the child that evacuated for nothing
     leaves ``dying``/``busy``, and its game server's periodic duties
     (load reports, snapshot ticks) run again."""
-    profile = dataclasses.replace(
+    profile = replace(
         profile_by_name("bzflag"), world=WORLD, visibility_radius=50.0
     )
     # Real game servers report their (empty) load every period: a policy

@@ -1,10 +1,9 @@
 """The ddmin shrinker: pure-data units plus one simulated reduction."""
 
-import dataclasses
-
 from repro.fuzz.generator import generate_scenario
 from repro.fuzz.shrink import shrink_scenario
 from repro.harness.fuzz import run_fuzz_case, shrink_fuzz_failure
+from repro.value import replace
 from repro.workload.scenarios.spec import (
     ArrivalWave,
     Churn,
@@ -57,7 +56,7 @@ def test_result_is_one_minimal():
     still_fails = lambda s: _HOT in s.phases  # noqa: E731
     result = shrink_scenario(_scenario(_PHASES), still_fails)
     for index in range(len(result.scenario.phases)):
-        smaller = dataclasses.replace(
+        smaller = replace(
             result.scenario,
             phases=result.scenario.phases[:index]
             + result.scenario.phases[index + 1:],

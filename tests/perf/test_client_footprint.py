@@ -41,7 +41,6 @@ The two streams come to another 5.3 kB (3.10) or 5.8 kB (3.11, 3.12)
 per client (docs/ARCHITECTURE.md, "What a client holds").
 """
 
-import dataclasses
 import gc
 import random
 import tracemalloc
@@ -64,11 +63,14 @@ from repro.workload.mobility import (
 BUDGET = 2000
 
 
-@dataclasses.dataclass(frozen=True)
 class PrebuiltStreams(MobilityEnv):
     """A mobility environment whose per-model streams already exist."""
 
-    streams: object = None
+    __slots__ = ("streams",)
+
+    def __init__(self, world, speed, rng, streams) -> None:
+        super().__init__(world, speed, rng)
+        object.__setattr__(self, "streams", streams)
 
     def child_rng(self) -> random.Random:
         return next(self.streams)

@@ -11,20 +11,45 @@ every module is long since imported.
 Importing a ``@dataclass`` compiles its generated methods from source
 on every run (none of that code is cached in ``.pyc``), so a record
 on the set-up path is a plain ``__slots__`` class unless something
-reads it as a dataclass.
+reads it as a dataclass.  An immutable one subclasses
+:class:`repro.value.Value` and keeps a frozen dataclass's equality,
+hash, repr and immutability.
 """
 
 import importlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.analysis.stats import Summary
+from repro.baselines.backend import BackendInfo
+from repro.baselines.dht import LookupCost, LookupHop, LookupResult
+from repro.baselines.mirrored import MirroredCost
+from repro.baselines.p2p import P2PCost
+from repro.geometry import OverlapCell, OverlapRegion, Rect, Vec2
+from repro.harness.compare import SystemOutcome, Verdict
 from repro.harness.runner import backend_names
+from repro.value import Value, replace
+from repro.workload.mobility import MobilityEnv, MobilitySpec
+from repro.workload.scenarios.spec import (
+    ArrivalWave,
+    Churn,
+    CoordinatorCrash,
+    Departure,
+    HotspotWave,
+    LinkDegrade,
+    MapPoint,
+    Migration,
+    Recovery,
+    Scenario,
+    ServerCrash,
+)
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -64,53 +89,9 @@ MATRIX_RUNTIME = (
 #: The records a run still declares with ``@dataclass`` when it reaches
 #: ``observe``, each with the code that reads it as one.
 READ_AS_DATACLASSES = (
-    # LoadPolicyConfig.scaled calls replace(), perfbench's describe()
-    # asdict(), and tests/core/test_config.py pins its fields().
+    # perfbench's describe() calls asdict() on it.
     "repro.core.config.LoadPolicyConfig",
-    # tests/core/test_config.py pins their fields().
-    "repro.core.config.MatrixConfig",
-    "repro.core.config.PerfConfig",
-    # tests/net/test_traffic_stats.py pins its fields().
-    "repro.net.stats.TrafficStats",
-    # harness.compare.scaled_profile and harness.micro call replace().
-    "repro.games.profile.GameProfile",
-    # Scenario.scaled and preview, fuzz.shrink, harness.gridcells and
-    # harness.micro call replace(); tests/fuzz compares it by value.
-    "repro.workload.scenarios.spec.Scenario",
-    # Each phase's scaled() calls replace(); tests/fuzz compares every
-    # phase by value, through Scenario.__eq__ or directly.
-    "repro.workload.scenarios.spec.ArrivalWave",
-    "repro.workload.scenarios.spec.Churn",
-    "repro.workload.scenarios.spec.Departure",
-    "repro.workload.scenarios.spec.HotspotWave",
-    # tests/fuzz compares these by value, through Scenario.__eq__.
-    "repro.workload.scenarios.spec.CoordinatorCrash",
-    "repro.workload.scenarios.spec.LinkDegrade",
-    "repro.workload.scenarios.spec.MapPoint",
-    "repro.workload.scenarios.spec.Migration",
-    "repro.workload.scenarios.spec.Recovery",
-    "repro.workload.scenarios.spec.ServerCrash",
-    "repro.workload.mobility.MobilitySpec",
-    # The mobility models compare positions by value (arrived == stop).
-    "repro.geometry.vec.Vec2",
-    # OverlapMapCache.compute compares partitions by value.
-    "repro.geometry.rect.Rect",
-    # tests/core/test_failover.py and tests/geometry/test_regions.py
-    # compare overlap cells by value.
-    "repro.geometry.regions.OverlapCell",
-    # tests/harness/test_micro_and_compare.py compares outcomes by value.
-    "repro.harness.compare.SystemOutcome",
-    # Frozen values that nothing compares or copies: their immutability
-    # is what is read.
-    "repro.analysis.stats.Summary",
-    "repro.baselines.backend.BackendInfo",
-    "repro.geometry.regions.OverlapRegion",
-    "repro.harness.compare.Verdict",
-    "repro.workload.mobility.MobilityEnv",
 )
-
-#: A rival backend's own frozen values, loaded by its builder.
-RIVAL_DATACLASSES = {"p2p": ("repro.baselines.p2p.P2PCost",)}
 
 #: The records that were dataclasses and are plain ``__slots__``
 #: classes: ``None`` names every class of the module.
@@ -118,16 +99,32 @@ SLOTTED_RECORDS = {
     "repro.core.messages": None,
     "repro.games.packets": None,
     "repro.games.base": ("ClientRecord",),
-    "repro.net.stats": ("Counter",),
+    "repro.games.profile": ("GameProfile",),
+    "repro.net.stats": ("Counter", "TrafficStats"),
     "repro.net.network": ("LinkProfile",),
+    "repro.core.config": ("MatrixConfig", "PerfConfig"),
     "repro.core.policy": ("ChildLoad",),
     "repro.core.runtime.context": ("ChildRecord", "ServerStats"),
     "repro.core.runtime.transfer": ("_IncomingTransfer",),
     "repro.core.runtime.lifecycle": ("Split", "Reclaim", "Evacuation"),
     "repro.core.deployment": ("ServerEvent", "CrashRecovery"),
-    "repro.baselines.backend": ("BackendResult",),
+    "repro.baselines.backend": ("BackendInfo", "BackendResult"),
+    "repro.baselines.dht": ("LookupCost", "LookupHop", "LookupResult"),
+    "repro.baselines.mirrored": ("MirroredCost",),
+    "repro.baselines.p2p": ("P2PCost",),
     "repro.harness.experiment": ("ExperimentResult",),
     "repro.harness.runner": ("ScenarioOutcome",),
+    "repro.harness.compare": ("SystemOutcome", "Verdict"),
+    "repro.analysis.stats": ("Summary",),
+    "repro.geometry.vec": ("Vec2",),
+    "repro.geometry.rect": ("Rect",),
+    "repro.geometry.regions": ("OverlapCell", "OverlapRegion"),
+    "repro.workload.mobility": ("MobilityEnv", "MobilitySpec"),
+    "repro.workload.scenarios.spec": (
+        "MapPoint", "ArrivalWave", "HotspotWave", "Departure", "Migration",
+        "Churn", "ServerCrash", "CoordinatorCrash", "LinkDegrade",
+        "Recovery", "Scenario",
+    ),
 }
 
 #: The modules loaded when a scaled ``fig2-hotspot`` run on *backend*
@@ -219,11 +216,10 @@ def test_setup_of_a_rival_run_loads_no_matrix_runtime(backend):
     assert [name for name in MATRIX_RUNTIME if name in loaded] == []
 
 
-@pytest.mark.parametrize("backend", ["matrix", "static", "p2p"])
+@pytest.mark.parametrize("backend", backend_names())
 def test_setup_declares_dataclasses_only_where_one_is_read(backend):
-    expected = READ_AS_DATACLASSES + RIVAL_DATACLASSES.get(backend, ())
     reached = fresh_interpreter(SETUP_PROBE, backend)
-    assert reached["dataclasses"] == sorted(expected)
+    assert reached["dataclasses"] == list(READ_AS_DATACLASSES)
 
 
 def slotted_records():
@@ -239,10 +235,64 @@ def slotted_records():
             yield getattr(module, name)
 
 
+#: One valid instance of each :class:`~repro.value.Value` record (a
+#: value record pickles as its constructor call, so its checks run).
+WORLD = Rect(0.0, 0.0, 100.0, 100.0)
+VALUE_SAMPLES = (
+    Vec2(1.5, -2.0),
+    Rect(0.0, 1.0, 2.0, 3.0),
+    OverlapCell(Rect(0.0, 0.0, 5.0, 5.0), frozenset({"ms.2"})),
+    OverlapRegion(frozenset({"ms.2"}), (Rect(0.0, 0.0, 5.0, 5.0),)),
+    Summary(3, 2.0, 1.0, 2.0, 2.8, 2.98, 3.0),
+    BackendInfo("matrix", "splits", "overlap tables", "forwards"),
+    SystemOutcome("matrix", 12.0, 0, 0.2, 4, False),
+    Verdict(100, 0.9, 1.5),
+    MapPoint(0.25, 0.75),
+    ArrivalWave(
+        count=5,
+        mobility=MobilitySpec("commuter", {"stops": 3}),
+        center=MapPoint(0.5, 0.5),
+    ),
+    HotspotWave(40, MapPoint(0.5, 0.5), at=10.0, group="hot"),
+    Departure("hot", 5, 50.0, 2.0),
+    Migration("hot", MapPoint(0.2, 0.2), at=30.0),
+    Churn(0.5, 0.0, 60.0),
+    ServerCrash(12.0, "busiest"),
+    CoordinatorCrash(20.0),
+    LinkDegrade(5.0, 10.0, 0.1, 0.05, ("matrix.forward",)),
+    Recovery(15.0),
+    Scenario(
+        "sample", "a sample", (ArrivalWave(count=5), ServerCrash(12.0)),
+        60.0, grid=(2, 1),
+    ),
+    MobilitySpec("flock", {"spacing": 15.0}),
+    MobilityEnv(WORLD, 25.0, random.Random(1), Vec2(5.0, 5.0), 4.0),
+    P2PCost(8, 1200.0, 1300.0, 5000.0),
+    LookupCost(8, 1.5, 0.5e-3),
+    LookupHop(1, "dht-ms.1", "dht-ms.3", 2),
+    LookupResult(1, "dht-ms.3"),
+    MirroredCost(3, 90, 225.0, 450.0, 225.0),
+)
+
+
+def test_every_value_record_has_a_sample():
+    values = [cls for cls in slotted_records() if issubclass(cls, Value)]
+    assert sorted(cls.__name__ for cls in values) == sorted(
+        type(sample).__name__ for sample in VALUE_SAMPLES
+    )
+
+
 @pytest.mark.parametrize("cls", slotted_records(), ids=lambda c: c.__name__)
 def test_a_slotted_record_pickles_with_its_slot_values(cls):
-    """``ExperimentResult``, ``ServerEvent`` and ``CrashRecovery`` cross
-    the ``--jobs`` pool; every record keeps pickling by its slots."""
+    """``ExperimentResult``, ``ServerEvent``, ``CrashRecovery``,
+    ``SystemOutcome`` and ``Summary`` cross the ``--jobs`` pool; every
+    record keeps pickling by its slots."""
+    if issubclass(cls, Value):
+        (record,) = [s for s in VALUE_SAMPLES if type(s) is cls]
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is cls
+        assert pickle.dumps(copy) == pickle.dumps(record)
+        return
     slots = [
         name
         for klass in cls.__mro__
@@ -257,6 +307,45 @@ def test_a_slotted_record_pickles_with_its_slot_values(cls):
     assert [getattr(copy, name) for name in slots] == [
         (name, number) for number, name in enumerate(slots)
     ]
+
+
+@pytest.mark.parametrize(
+    "value", VALUE_SAMPLES, ids=lambda v: type(v).__name__
+)
+def test_a_value_record_keeps_a_frozen_dataclass_contract(value):
+    """Equal fields, equal records and hashes (the field tuple's hash,
+    so no set or dict order moves); no assignment; ``replace`` keeps
+    the type."""
+    cls = type(value)
+    fields = tuple(getattr(value, name) for name in cls.__slots__)
+    copy = replace(value)
+    assert type(copy) is cls and copy is not value
+    assert copy == value and not copy != value
+    assert value != fields
+    try:
+        expected = hash(fields)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(copy) == expected
+    with pytest.raises(AttributeError):
+        setattr(value, cls.__slots__[0], None)
+    with pytest.raises(AttributeError):
+        value.unknown = None
+    assert not hasattr(value, "__dict__")
+
+
+def test_a_value_record_prints_as_its_dataclass_did():
+    assert repr(ArrivalWave(count=5)) == (
+        "ArrivalWave(count=5, at=0.0, group='background', mobility=None, "
+        "over=0.0, center=None, spread_fraction=0.9)"
+    )
+    with pytest.raises(ValueError) as refused:
+        Rect(1, 0, 0, 1)
+    assert str(refused.value) == (
+        "degenerate rect: Rect(xmin=1, ymin=0, xmax=0, ymax=1)"
+    )
 
 
 @pytest.mark.parametrize("backend", backend_names())
