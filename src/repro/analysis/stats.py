@@ -42,13 +42,13 @@ class Summary(Value):
         self, count: int, mean: float, minimum: float, p50: float,
         p90: float, p99: float, maximum: float,
     ) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "minimum", minimum)
-        object.__setattr__(self, "p50", p50)
-        object.__setattr__(self, "p90", p90)
-        object.__setattr__(self, "p99", p99)
-        object.__setattr__(self, "maximum", maximum)
+        self.count = count
+        self.mean = mean
+        self.minimum = minimum
+        self.p50 = p50
+        self.p90 = p90
+        self.p99 = p99
+        self.maximum = maximum
 
     def __str__(self) -> str:  # pragma: no cover - formatting sugar
         return (

@@ -62,11 +62,11 @@ class BackendInfo(Value):
         self, name: str, ownership: str, routing: str, consistency: str,
         summary: str = "",
     ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ownership", ownership)
-        object.__setattr__(self, "routing", routing)
-        object.__setattr__(self, "consistency", consistency)
-        object.__setattr__(self, "summary", summary)
+        self.name = name
+        self.ownership = ownership
+        self.routing = routing
+        self.consistency = consistency
+        self.summary = summary
 
 
 class BackendResult:

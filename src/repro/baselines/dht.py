@@ -50,9 +50,9 @@ class LookupCost(Value):
     def __init__(
         self, servers: int, expected_hops: float, expected_latency: float
     ) -> None:
-        object.__setattr__(self, "servers", servers)
-        object.__setattr__(self, "expected_hops", expected_hops)
-        object.__setattr__(self, "expected_latency", expected_latency)
+        self.servers = servers
+        self.expected_hops = expected_hops
+        self.expected_latency = expected_latency
 
 
 def chord_expected_hops(servers: int) -> float:
@@ -109,10 +109,10 @@ class LookupHop(Value):
     def __init__(
         self, lookup_id: int, origin: str, target_zone: str, remaining: int
     ) -> None:
-        object.__setattr__(self, "lookup_id", lookup_id)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "target_zone", target_zone)
-        object.__setattr__(self, "remaining", remaining)
+        self.lookup_id = lookup_id
+        self.origin = origin
+        self.target_zone = target_zone
+        self.remaining = remaining
 
 
 class LookupResult(Value):
@@ -121,8 +121,8 @@ class LookupResult(Value):
     __slots__ = ("lookup_id", "router")
 
     def __init__(self, lookup_id: int, router: str) -> None:
-        object.__setattr__(self, "lookup_id", lookup_id)
-        object.__setattr__(self, "router", router)
+        self.lookup_id = lookup_id
+        self.router = router
 
 
 class DhtZoneRouter(StaticZoneRouter):

@@ -199,15 +199,11 @@ class MirroredCost(Value):
         self, mirrors: int, clients: int, client_packets_per_second: float,
         replication_packets_per_second: float, per_mirror_load: float,
     ) -> None:
-        object.__setattr__(self, "mirrors", mirrors)
-        object.__setattr__(self, "clients", clients)
-        object.__setattr__(
-            self, "client_packets_per_second", client_packets_per_second
-        )
-        object.__setattr__(
-            self, "replication_packets_per_second", replication_packets_per_second
-        )
-        object.__setattr__(self, "per_mirror_load", per_mirror_load)
+        self.mirrors = mirrors
+        self.clients = clients
+        self.client_packets_per_second = client_packets_per_second
+        self.replication_packets_per_second = replication_packets_per_second
+        self.per_mirror_load = per_mirror_load
 
 
 def mirrored_cost(

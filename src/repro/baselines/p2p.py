@@ -458,14 +458,10 @@ class P2PCost(Value):
         self, group_size: int, upload_bytes_per_second: float,
         download_bytes_per_second: float, uplink_capacity: float,
     ) -> None:
-        object.__setattr__(self, "group_size", group_size)
-        object.__setattr__(
-            self, "upload_bytes_per_second", upload_bytes_per_second
-        )
-        object.__setattr__(
-            self, "download_bytes_per_second", download_bytes_per_second
-        )
-        object.__setattr__(self, "uplink_capacity", uplink_capacity)
+        self.group_size = group_size
+        self.upload_bytes_per_second = upload_bytes_per_second
+        self.download_bytes_per_second = download_bytes_per_second
+        self.uplink_capacity = uplink_capacity
 
     @property
     def feasible(self) -> bool:

@@ -22,25 +22,12 @@ class Rect(Value):
     def __init__(
         self, xmin: float, ymin: float, xmax: float, ymax: float
     ) -> None:
-        object.__setattr__(self, "xmin", xmin)
-        object.__setattr__(self, "ymin", ymin)
-        object.__setattr__(self, "xmax", xmax)
-        object.__setattr__(self, "ymax", ymax)
+        self.xmin = xmin
+        self.ymin = ymin
+        self.xmax = xmax
+        self.ymax = ymax
         if xmax < xmin or ymax < ymin:
             raise ValueError(f"degenerate rect: {self}")
-
-    # Spelled out for speed, as Vec2's is; the hash is Value's.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.xmin == other.xmin
-            and self.ymin == other.ymin
-            and self.xmax == other.xmax
-            and self.ymax == other.ymax
-        )
-
-    __hash__ = Value.__hash__
 
     # ------------------------------------------------------------------
     # Basic properties

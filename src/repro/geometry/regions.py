@@ -44,8 +44,8 @@ class OverlapCell(Value):
     __slots__ = ("rect", "servers")
 
     def __init__(self, rect: Rect, servers: ConsistencySet) -> None:
-        object.__setattr__(self, "rect", rect)
-        object.__setattr__(self, "servers", servers)
+        self.rect = rect
+        self.servers = servers
 
 
 class OverlapRegion(Value):
@@ -60,8 +60,8 @@ class OverlapRegion(Value):
     def __init__(
         self, servers: ConsistencySet, rects: tuple[Rect, ...]
     ) -> None:
-        object.__setattr__(self, "servers", servers)
-        object.__setattr__(self, "rects", rects)
+        self.servers = servers
+        self.rects = rects
 
     @property
     def area(self) -> float:

@@ -8,26 +8,13 @@ from repro.value import Value
 
 
 class Vec2(Value):
-    """An immutable 2-D point or displacement in game-world units.
-
-    Equality is spelled out: a run compares tens of thousands of
-    positions, and :class:`Value`'s field loop costs several times as
-    much per call.  Nothing hashes one outside the tests, so the hash
-    is :class:`Value`'s.
-    """
+    """An immutable 2-D point or displacement in game-world units."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float) -> None:
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    __hash__ = Value.__hash__
+        self.x = x
+        self.y = y
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)

@@ -47,12 +47,12 @@ class SystemOutcome(Value):
         self, system: str, peak_queue: float, dropped_packets: int,
         p99_latency: float, servers_used: int, failed: bool,
     ) -> None:
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "peak_queue", peak_queue)
-        object.__setattr__(self, "dropped_packets", dropped_packets)
-        object.__setattr__(self, "p99_latency", p99_latency)
-        object.__setattr__(self, "servers_used", servers_used)
-        object.__setattr__(self, "failed", failed)
+        self.system = system
+        self.peak_queue = peak_queue
+        self.dropped_packets = dropped_packets
+        self.p99_latency = p99_latency
+        self.servers_used = servers_used
+        self.failed = failed
 
 
 def scaled_profile(profile: GameProfile, scale: float) -> GameProfile:
@@ -165,9 +165,9 @@ class Verdict(Value):
     def __init__(
         self, queue_capacity: int, queue_fraction: float, latency_bound: float
     ) -> None:
-        object.__setattr__(self, "queue_capacity", queue_capacity)
-        object.__setattr__(self, "queue_fraction", queue_fraction)
-        object.__setattr__(self, "latency_bound", latency_bound)
+        self.queue_capacity = queue_capacity
+        self.queue_fraction = queue_fraction
+        self.latency_bound = latency_bound
 
     def failed(self, peak_queue: float, dropped: int, p99: float) -> bool:
         """Apply the three §4.2 failure criteria."""

@@ -1,4 +1,4 @@
-"""Immutable records without generated code.
+"""Value records without generated code.
 
 A ``@dataclass`` compiles its methods from source at every import.
 :class:`Value` is one plain class whose methods read a record's fields
@@ -8,9 +8,16 @@ on it costs what declaring a plain class costs.
 
 
 class Value:
-    """A frozen dataclass's equality, hash, repr and immutability for a
-    ``__slots__`` record whose ``__init__`` stores each field through
-    ``object.__setattr__``; it pickles and copies through ``__init__``."""
+    """A frozen dataclass's equality, hash and repr for a ``__slots__``
+    record whose ``__init__`` stores each field; it pickles and copies
+    through ``__init__``.
+
+    The fields are the leaf class's ``__slots__``: a record is a leaf,
+    and a base shared by records declares ``__slots__ = ()`` (as
+    ``FaultPhase`` does).  Nothing refuses an assignment to a field;
+    no code assigns to one after ``__init__``, since the hash reads the
+    fields.
+    """
 
     __slots__ = ()
 
@@ -33,9 +40,6 @@ class Value:
 
     def __reduce__(self):
         return type(self), self._fields()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def replace(record, **changes):

@@ -458,11 +458,11 @@ class MobilityEnv(Value):
         center: Vec2 | None = None,
         spread: float | None = None,
     ) -> None:
-        object.__setattr__(self, "world", world)
-        object.__setattr__(self, "speed", speed)
-        object.__setattr__(self, "rng", rng)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "spread", spread)
+        self.world = world
+        self.speed = speed
+        self.rng = rng
+        self.center = center
+        self.spread = spread
 
     def child_rng(self) -> random.Random:
         """A fresh RNG seeded from the fleet stream."""
@@ -526,8 +526,8 @@ class MobilitySpec(Value):
         kind: str = "random_waypoint",
         params: Mapping[str, object] | None = None,
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", {} if params is None else params)
+        self.kind = kind
+        self.params = {} if params is None else params
 
     def builder(self, env: MobilityEnv) -> MobilityBuilder:
         """Resolve this spec against the registry."""

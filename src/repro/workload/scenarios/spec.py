@@ -3,11 +3,11 @@
 A :class:`Scenario` is *data the middleware runs*: a named sequence of
 workload phases (arrival waves, hotspot waves, batched departures,
 hotspot migrations, continuous churn) plus the run duration and the
-game it targets.  Phases are immutable :class:`~repro.value.Value`
-records; installing a scenario walks them in order and translates
-each into the matching :class:`~repro.workload.fleet.ClientFleet`
-call, so the same spec drives Matrix and every baseline through the
-fleet's ``Locator``.
+game it targets.  Phases are :class:`~repro.value.Value` records,
+which nothing assigns to; installing a scenario walks them in order
+and translates each into the matching
+:class:`~repro.workload.fleet.ClientFleet` call, so the same spec
+drives Matrix and every baseline through the fleet's ``Locator``.
 
 Positions are expressed as :class:`MapPoint` world fractions rather
 than absolute coordinates, so one scenario runs unchanged on BzFlag's
@@ -31,8 +31,8 @@ class MapPoint(Value):
     __slots__ = ("u", "v")
 
     def __init__(self, u: float, v: float) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        self.u = u
+        self.v = v
 
     def resolve(self, world: Rect) -> Vec2:
         """The absolute position inside *world*."""
@@ -80,13 +80,13 @@ class ArrivalWave(Value):
         center: MapPoint | None = None,
         spread_fraction: float = 0.9,
     ) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "mobility", mobility)
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "spread_fraction", spread_fraction)
+        self.count = count
+        self.at = at
+        self.group = group
+        self.mobility = mobility
+        self.over = over
+        self.center = center
+        self.spread_fraction = spread_fraction
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         center = spread = None
@@ -121,12 +121,12 @@ class HotspotWave(Value):
         over: float = 2.0,
         spread_fraction: float = 0.9,
     ) -> None:
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "over", over)
-        object.__setattr__(self, "spread_fraction", spread_fraction)
+        self.count = count
+        self.center = center
+        self.at = at
+        self.group = group
+        self.over = over
+        self.spread_fraction = spread_fraction
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         center = self.center.resolve(profile.world)
@@ -155,10 +155,10 @@ class Departure(Value):
     def __init__(
         self, group: str, batch: int, start: float, interval: float
     ) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "batch", batch)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "interval", interval)
+        self.group = group
+        self.batch = batch
+        self.start = start
+        self.interval = interval
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         fleet.depart_group(
@@ -178,9 +178,9 @@ class Migration(Value):
     __slots__ = ("group", "center", "at")
 
     def __init__(self, group: str, center: MapPoint, at: float) -> None:
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "at", at)
+        self.group = group
+        self.center = center
+        self.at = at
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         fleet.move_group_hotspot(
@@ -206,12 +206,12 @@ class Churn(Value):
         session: float = 30.0,
         mobility: MobilitySpec | None = None,
     ) -> None:
-        object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "session", session)
-        object.__setattr__(self, "mobility", mobility)
+        self.rate = rate
+        self.start = start
+        self.stop = stop
+        self.group = group
+        self.session = session
+        self.mobility = mobility
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         fleet.spawn_churn(
@@ -263,8 +263,8 @@ class ServerCrash(FaultPhase):
     def __init__(self, at: float, victim: str = "youngest") -> None:
         if victim not in ("youngest", "oldest", "busiest", "splitting"):
             raise ValueError(f"unknown victim rule: {victim!r}")
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "victim", victim)
+        self.at = at
+        self.victim = victim
 
 
 class CoordinatorCrash(FaultPhase):
@@ -278,7 +278,7 @@ class CoordinatorCrash(FaultPhase):
     __slots__ = ("at",)
 
     def __init__(self, at: float) -> None:
-        object.__setattr__(self, "at", at)
+        self.at = at
 
 
 class LinkDegrade(FaultPhase):
@@ -305,11 +305,11 @@ class LinkDegrade(FaultPhase):
         for rate in (drop_rate, duplicate_rate):
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"fault rate out of [0, 1]: {rate}")
-        object.__setattr__(self, "at", at)
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "drop_rate", drop_rate)
-        object.__setattr__(self, "duplicate_rate", duplicate_rate)
-        object.__setattr__(self, "kinds", kinds)
+        self.at = at
+        self.duration = duration
+        self.drop_rate = drop_rate
+        self.duplicate_rate = duplicate_rate
+        self.kinds = kinds
 
 
 class Recovery(FaultPhase):
@@ -318,7 +318,7 @@ class Recovery(FaultPhase):
     __slots__ = ("at",)
 
     def __init__(self, at: float) -> None:
-        object.__setattr__(self, "at", at)
+        self.at = at
 
 
 class Scenario(Value):
@@ -345,14 +345,14 @@ class Scenario(Value):
             raise ValueError("scenario name must be non-empty")
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "game", game)
+        self.name = name
+        self.description = description
+        self.phases = phases
+        self.duration = duration
+        self.game = game
         #: Bootstrap a fixed server grid instead of a single root server
         #: (used by microbenchmark scenarios that need a known topology).
-        object.__setattr__(self, "grid", grid)
+        self.grid = grid
 
     def install(self, fleet: ClientFleet, profile: GameProfile) -> None:
         """Register every phase on *fleet*, in declaration order."""

@@ -63,14 +63,19 @@ from repro.workload.mobility import (
 BUDGET = 2000
 
 
-class PrebuiltStreams(MobilityEnv):
-    """A mobility environment whose per-model streams already exist."""
+class PrebuiltStreams:
+    """A stand-in for a ``MobilityEnv`` whose per-model streams already
+    exist."""
 
-    __slots__ = ("streams",)
+    __slots__ = ("world", "speed", "rng", "center", "spread", "streams")
 
     def __init__(self, world, speed, rng, streams) -> None:
-        super().__init__(world, speed, rng)
-        object.__setattr__(self, "streams", streams)
+        self.world = world
+        self.speed = speed
+        self.rng = rng
+        self.center = None
+        self.spread = None
+        self.streams = streams
 
     def child_rng(self) -> random.Random:
         return next(self.streams)
