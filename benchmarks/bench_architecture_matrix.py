@@ -27,6 +27,11 @@ ARCH_SCALE = min(SCALE, 0.1)
 #: Per-cell preview cap (simulated seconds): long tails add wall time
 #: without changing which architecture saturates first.
 PREVIEW = 60.0
+#: Scenarios that repeat another's row within the preview.
+#: ``flash-crowd`` is ``fig2-hotspot`` until that one's first departure
+#: at 85 s, so each backend gave the two the same cell.  The sweep,
+#: which runs them to their ends, keeps both.
+REPEATS = frozenset({"flash-crowd"})
 
 
 def matrix_grid_tasks():
@@ -35,7 +40,7 @@ def matrix_grid_tasks():
     # fault-free so its cells remain comparable across commits.
     names = [
         name for name in scenario_names()
-        if not build_scenario(name).has_faults
+        if not build_scenario(name).has_faults and name not in REPEATS
     ]
     return [
         GridTask(
@@ -109,6 +114,9 @@ def test_architecture_matrix():
         assert set(grid[backend]) == set(scenarios)
         for name in scenarios:
             assert grid[backend][name]["events"] > 0, (backend, name)
+        # Each row is a scenario of its own: none repeats another.
+        rows = [tuple(grid[backend][name].items()) for name in scenarios]
+        assert len(set(rows)) == len(rows), backend
 
     for name in scenarios:
         # Replicate-everything costs more than overlap-only forwarding.

@@ -65,8 +65,7 @@ class CtfServer(Node):
     def bind_matrix(self, matrix_name: str, partition: Rect) -> None:
         self.port.bind(matrix_name)
         self.partition = partition
-        self.sim.every(1.0, lambda: self.port.report_load(
-            len(self.players), self.inbox.length))
+        self.sim.every(1.0, lambda: self.port.report_load(len(self.players)))
 
     def _range_changed(self, directive) -> None:
         self.partition = directive.partition

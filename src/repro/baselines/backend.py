@@ -82,14 +82,14 @@ class BackendResult:
     """
 
     __slots__ = (
-        "profile_name", "duration", "clients_per_server", "queue_per_server",
+        "duration", "clients_per_server", "queue_per_server",
         "dropped_packets", "action_latencies", "switch_latencies", "backend",
         "servers_used", "events_processed", "traffic", "consistency",
         "perf_snapshot",
     )
 
     def __init__(
-        self, profile_name: str, duration: float,
+        self, duration: float,
         clients_per_server: dict[str, TimeSeries],
         queue_per_server: dict[str, TimeSeries], dropped_packets: int,
         action_latencies: list[float], switch_latencies: list[float],
@@ -97,7 +97,6 @@ class BackendResult:
         traffic: TrafficStats, consistency: dict[str, float],
         perf_snapshot: dict | None,
     ) -> None:
-        self.profile_name = profile_name
         self.duration = duration
         self.clients_per_server = clients_per_server
         self.queue_per_server = queue_per_server
@@ -248,7 +247,6 @@ class ArchitectureBackend(ABC):
         """The :class:`BackendResult` fields, by keyword."""
         series = self._sampler.series
         return dict(
-            profile_name=self.profile.name,
             duration=until,
             clients_per_server={
                 key.removeprefix("clients/"): one

@@ -184,7 +184,6 @@ class DhtZoneRouter(StaticZoneRouter):
         self, router: str, packet: SpatialPacket, size_bytes: int
     ) -> None:
         self.send(router, "matrix.forward", packet, size_bytes=size_bytes)
-        self.forwarded_packets += 1
 
     def _lookup_then_forward(
         self, owner: str, packet: SpatialPacket, size_bytes: int

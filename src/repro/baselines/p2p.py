@@ -31,7 +31,7 @@ from repro.baselines.backend import ArchitectureBackend
 from repro.core.config import PerfConfig
 from repro.games.packets import Snapshot
 from repro.games.profile import GameProfile
-from repro.geometry import Rect, Vec2, tile_world
+from repro.geometry import Vec2, tile_world
 from repro.net.message import Message
 from repro.net.network import loopback_profile, wan_profile
 from repro.net.node import Node, handles
@@ -60,9 +60,8 @@ class RegionTracker(Node):
     touches game traffic — that flows uplink-to-uplink.
     """
 
-    def __init__(self, name: str, region: Rect) -> None:
+    def __init__(self, name: str) -> None:
         super().__init__(name)
-        self.region = region
         #: uplink name -> join epoch (insertion-ordered: deterministic).
         #: The epoch is the uplink's own join counter; echoing it back
         #: on every membership message lets the uplink discard
@@ -71,7 +70,6 @@ class RegionTracker(Node):
         #: fresh rejoin on the jittery WAN path.
         self._members: dict[str, int] = {}
         self.peak_members = 0
-        self.joins = 0
 
     @property
     def member_count(self) -> int:
@@ -94,7 +92,6 @@ class RegionTracker(Node):
             return
         current = dict(self._members)
         self._members[uplink] = epoch
-        self.joins += 1
         self.peak_members = max(self.peak_members, len(self._members))
         for member, member_epoch in current.items():
             self.send(
@@ -153,7 +150,6 @@ class PlayerUplink(Node):
         )
         self._backend = backend
         self._client: str | None = None
-        self._position: Vec2 | None = None
         self._region: int | None = None
         #: monotone join counter; echoed back by the tracker on every
         #: membership message so deliveries racing a region crossing
@@ -172,7 +168,6 @@ class PlayerUplink(Node):
     def _on_hello(self, message: Message) -> None:
         hello = message.payload
         self._client = hello.client_id
-        self._position = hello.position
         self._join_region(self._backend.region_of(hello.position))
         self.send(self._client, "gs.welcome", None, size_bytes=64)
         if self._snapshot_task is None:
@@ -183,7 +178,6 @@ class PlayerUplink(Node):
     @handles("client.update")
     def _on_update(self, message: Message) -> None:
         update = message.payload
-        self._position = update.position
         region = self._backend.region_of(update.position)
         if region != self._region:
             self._leave_region()
@@ -295,7 +289,7 @@ class PlayerUplink(Node):
         )
         self.send(
             self._client, "gs.snapshot",
-            Snapshot(visible, self._processed_seq), size_bytes=size,
+            Snapshot(self._processed_seq), size_bytes=size,
         )
 
 
@@ -334,7 +328,6 @@ class P2PExperiment(ArchitectureBackend):
         super().__init__(profile, seed=seed, perf=perf)
 
     def build(self) -> None:
-        world = self.profile.world
         self.network.set_prefix_profile("client.", "uplink.", loopback_profile())
         self.network.set_prefix_profile("uplink.", "client.", loopback_profile())
         self.network.set_prefix_profile("uplink.", "uplink.", wan_profile())
@@ -342,10 +335,11 @@ class P2PExperiment(ArchitectureBackend):
         self.network.set_prefix_profile("tracker.", "uplink.", wan_profile())
         self.trackers: list[RegionTracker] = []
         self.uplinks: dict[str, PlayerUplink] = {}
-        for index, tile in enumerate(
-            tile_world(world, self._columns, self._rows)
+        # One tracker per region tile; tile_world refuses an empty grid.
+        for index, _ in enumerate(
+            tile_world(self.profile.world, self._columns, self._rows)
         ):
-            tracker = RegionTracker(f"tracker.{index + 1}", tile)
+            tracker = RegionTracker(f"tracker.{index + 1}")
             self.network.add_node(tracker)
             self.trackers.append(tracker)
 
@@ -449,18 +443,12 @@ class P2PExperiment(ArchitectureBackend):
 class P2PCost(Value):
     """Per-player costs of one p2p region group."""
 
-    __slots__ = (
-        "group_size", "upload_bytes_per_second", "download_bytes_per_second",
-        "uplink_capacity",
-    )
+    __slots__ = ("upload_bytes_per_second", "uplink_capacity")
 
     def __init__(
-        self, group_size: int, upload_bytes_per_second: float,
-        download_bytes_per_second: float, uplink_capacity: float,
+        self, upload_bytes_per_second: float, uplink_capacity: float
     ) -> None:
-        self.group_size = group_size
         self.upload_bytes_per_second = upload_bytes_per_second
-        self.download_bytes_per_second = download_bytes_per_second
         self.uplink_capacity = uplink_capacity
 
     @property
@@ -484,11 +472,8 @@ def p2p_group_cost(
         raise ValueError("group must have at least one player")
     packet_rate = profile.update_hz + profile.action_rate
     per_peer = packet_rate * mean_packet_bytes(profile)
-    others = group_size - 1
     return P2PCost(
-        group_size=group_size,
-        upload_bytes_per_second=per_peer * others,
-        download_bytes_per_second=per_peer * others,
+        upload_bytes_per_second=per_peer * (group_size - 1),
         uplink_capacity=uplink_capacity,
     )
 

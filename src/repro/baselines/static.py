@@ -64,8 +64,6 @@ class StaticZoneRouter(Node):
         #: Where a forward must originate to matter here.  The tile
         #: never changes, so neither does this.
         self._reach = METRIC.expand_rect(partition, radius)
-        self.forwarded_packets = 0
-        self.delivered_packets = 0
 
     def announce_range(self) -> None:
         """Send the game server its (permanent) range + directory."""
@@ -91,14 +89,12 @@ class StaticZoneRouter(Node):
             if router is not None
         ]
         self.multicast(routers, "matrix.forward", packet, message.size_bytes)
-        self.forwarded_packets += len(routers)
 
     @handles("matrix.forward")
     def _on_forward(self, message: Message) -> None:
         packet: SpatialPacket = message.payload
         if not self._reach.contains_closed(packet.origin):
             return
-        self.delivered_packets += 1
         self.send(
             self._game_server,
             "matrix.deliver",

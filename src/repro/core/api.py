@@ -78,7 +78,6 @@ class MatrixPort:
         self.on_deliver: Callable[[SpatialPacket], None] | None = None
         #: Called with a :class:`SetRange` directive.
         self.on_set_range: Callable[[SetRange], None] | None = None
-        self.delivered_remote = 0
         owner.adopt(self)
 
     # ------------------------------------------------------------------
@@ -120,17 +119,15 @@ class MatrixPort:
         )
         return packet
 
-    def report_load(self, client_count: int, queue_length: int) -> None:
-        """Send the periodic load report (§3.2.2)."""
+    def report_load(self, client_count: int) -> None:
+        """Send the periodic load report (§3.2.2): the client count,
+        the one load measure the split/reclaim policy reads."""
         if not self.bound:
             raise RuntimeError("MatrixPort not bound to a Matrix server")
-        report = LoadReport(
-            client_count=client_count, queue_length=queue_length
-        )
         self._owner.send(
             self._matrix_name,
             "matrix.load",
-            report,
+            LoadReport(client_count),
             size_bytes=LOAD_REPORT_BYTES,
         )
 
@@ -162,7 +159,6 @@ class MatrixPort:
     # ------------------------------------------------------------------
     @handles("matrix.deliver")
     def _handle_deliver(self, message: Message) -> None:
-        self.delivered_remote += 1
         if self.on_deliver is not None:
             self.on_deliver(message.payload)
 

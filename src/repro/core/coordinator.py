@@ -63,8 +63,6 @@ class MatrixCoordinator(Node):
         # partitions the changed rectangles can reach are re-decomposed
         # (created on first recompute, once a network/perf is known).
         self._overlap_cache: OverlapMapCache | None = None
-        self.recompute_count = 0
-        self.query_count = 0
 
     def coverage_area(self) -> float:
         """Total area covered by registered partitions (should equal
@@ -118,7 +116,6 @@ class MatrixCoordinator(Node):
     def _on_query(self, message: Message) -> None:
         query: ConsistencyQuery = message.payload
         src = message.src
-        self.query_count += 1
         owner = self._owner_of(query.point)
         servers = consistency_set_at(
             query.point,
@@ -175,7 +172,6 @@ class MatrixCoordinator(Node):
         every time a new Matrix server is used or whenever an existing
         Matrix server is reclaimed."
         """
-        self.recompute_count += 1
         self.version += 1
         self._owner_index = None  # partitioning changed: rebuild lazily
         directory = {

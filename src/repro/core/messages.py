@@ -52,13 +52,16 @@ class SpatialPacket:
 
 
 class LoadReport:
-    """Periodic game-server load report (§3.2.2)."""
+    """Periodic game-server load report (§3.2.2).
 
-    __slots__ = ("client_count", "queue_length")
+    It carries the client count, the load measure the split/reclaim
+    policy reads; the message is sized ``LOAD_REPORT_BYTES``.
+    """
 
-    def __init__(self, client_count: int, queue_length: int) -> None:
+    __slots__ = ("client_count",)
+
+    def __init__(self, client_count: int) -> None:
         self.client_count = client_count
-        self.queue_length = queue_length
 
 
 class LoadGossip:

@@ -36,19 +36,22 @@ class ChildRecord:
 
 
 class ServerStats:
-    """Counters the harness and benches read off a Matrix server."""
+    """A Matrix server's counters.
+
+    The harness sums the split and reclaim counts into its result, and
+    the batching microbench reads ``delivered_packets``.
+    ``stale_forwards`` and ``failed_reclaims`` are fault-detection
+    values: no run reads them, tests do.
+    """
 
     __slots__ = (
-        "forwarded_packets", "delivered_packets", "stale_forwards",
-        "local_only_packets", "failed_splits", "failed_reclaims",
-        "splits_completed", "reclaims_completed",
+        "delivered_packets", "stale_forwards", "failed_splits",
+        "failed_reclaims", "splits_completed", "reclaims_completed",
     )
 
     def __init__(self) -> None:
-        self.forwarded_packets = 0
         self.delivered_packets = 0
         self.stale_forwards = 0
-        self.local_only_packets = 0
         self.failed_splits = 0
         self.failed_reclaims = 0
         self.splits_completed = 0

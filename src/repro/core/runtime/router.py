@@ -34,7 +34,6 @@ class SpatialRouter:
         table = ctx.table
         if table is None:
             # Single-server game (or table not yet received): no peers.
-            ctx.stats.local_only_packets += 1
             return
         point = packet.origin
         targets: set[str] = set()
@@ -60,7 +59,6 @@ class SpatialRouter:
         ctx.multicast(
             sorted(targets), "matrix.forward", packet, message.size_bytes
         )
-        ctx.stats.forwarded_packets += len(targets)
 
     @handles("matrix.forward")
     def on_forward(self, message: Message) -> None:

@@ -69,8 +69,8 @@ class MatrixServer(Node):
         self.transfer = self.adopt(StateTransfer(self.ctx))
         self.lifecycle = self.adopt(Lifecycle(self.ctx, self.transfer))
         self.router = self.adopt(SpatialRouter(self.ctx))
-        self.load = self.adopt(LoadMonitor(self.ctx, self.lifecycle))
-        self.queries = self.adopt(QueryRelay(self.ctx))
+        self.adopt(LoadMonitor(self.ctx, self.lifecycle))
+        self.adopt(QueryRelay(self.ctx))
         # A fabric that answers over the wire (the lane deployment's
         # proxy) handles its own replies; one that calls back directly
         # (the classic deployment) handles nothing.

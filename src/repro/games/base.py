@@ -114,11 +114,9 @@ class GameServer(Node):
         self.port.on_deliver = self._on_remote_packet
         self.port.on_set_range = self._on_set_range
 
-        # Statistics.
-        self.updates_processed = 0
-        self.remote_updates_seen = 0
+        #: Remote actions mirrored as ghosts (the Daimonin example
+        #: prints it).
         self.remote_actions_seen = 0
-        self.snapshots_sent = 0
 
     # ------------------------------------------------------------------
     # GameServerHandle protocol
@@ -216,7 +214,6 @@ class GameServer(Node):
             return
         record.position = update.position
         record.last_seen = self.sim.now
-        self.updates_processed += 1
         self.port.send_spatial(
             origin=update.position,
             payload=update,
@@ -292,7 +289,6 @@ class GameServer(Node):
         payload = packet.payload
         expiry = self.sim.now + self._profile.ghost_lifetime
         if isinstance(payload, PlayerUpdate):
-            self.remote_updates_seen += 1
             self._ghosts[payload.client_id] = (payload.position, expiry)
         elif isinstance(payload, ActionEvent):
             self.remote_actions_seen += 1
@@ -304,7 +300,7 @@ class GameServer(Node):
     def _report_load(self) -> None:
         self._prune_dead_clients()
         if self.port.bound:
-            self.port.report_load(len(self._clients), self.inbox.length)
+            self.port.report_load(len(self._clients))
 
     def _prune_dead_clients(self) -> None:
         """Drop clients that have gone silent (disconnect detection).
@@ -369,9 +365,8 @@ class GameServer(Node):
             )
             self.send(
                 client_id, "gs.snapshot",
-                Snapshot(visible, record.processed_seq), size_bytes=size,
+                Snapshot(record.processed_seq), size_bytes=size,
             )
-            self.snapshots_sent += 1
 
 
 class GameClient(Node):
@@ -388,8 +383,7 @@ class GameClient(Node):
         "_profile", "mobility", "_rng", "_relocate", "_rejoin_timeout",
         "_last_snapshot_at", "rejoins", "server", "_pending",
         "_switch_started", "position", "shard_anchor", "_pending_actions",
-        "_update_task", "updates_sent", "actions_sent",
-        "snapshots_received", "switches_completed", "action_latencies",
+        "_update_task", "updates_sent", "actions_sent", "action_latencies",
         "switch_latencies",
     )
 
@@ -431,12 +425,11 @@ class GameClient(Node):
         self._pending_actions: dict[int, float] = {}
         self._update_task = None
 
-        # Statistics the user-study and microbenches read.  An update or
-        # action carries its count as its sequence number.
+        # An update or action carries its count as its sequence number.
+        # The result gathers both latency lists; the user study reads
+        # the action latencies per client.
         self.updates_sent = 0
         self.actions_sent = 0
-        self.snapshots_received = 0
-        self.switches_completed = 0
         self.action_latencies: list[float] = []
         self.switch_latencies: list[float] = []
 
@@ -534,7 +527,6 @@ class GameClient(Node):
             if self._switch_started is not None:
                 self.switch_latencies.append(self.sim.now - self._switch_started)
                 self._switch_started = None
-            self.switches_completed += 1
             return
         if self.server is None:
             self.server = message.src
@@ -597,7 +589,6 @@ class GameClient(Node):
     @handles("gs.snapshot")
     def _on_snapshot(self, message: Message) -> None:
         snapshot: Snapshot = message.payload
-        self.snapshots_received += 1
         self._last_snapshot_at = self.sim.now
         acked = [
             seq
@@ -656,7 +647,6 @@ class GameClient(Node):
             )
         action = ActionEvent(
             client_id=self.name,
-            action="fire",
             position=self.position,
             seq=seq,
             target=target,

@@ -28,14 +28,13 @@ class ActionEvent:
     which exercises Matrix's non-proximal routing.
     """
 
-    __slots__ = ("client_id", "action", "position", "seq", "target")
+    __slots__ = ("client_id", "position", "seq", "target")
 
     def __init__(
-        self, client_id: str, action: str, position: Vec2, seq: int,
+        self, client_id: str, position: Vec2, seq: int,
         target: Vec2 | None = None,
     ) -> None:
         self.client_id = client_id
-        self.action = action
         self.position = position
         self.seq = seq
         self.target = target
@@ -73,13 +72,13 @@ class Snapshot:
 
     ``processed_seq`` acks the client's latest processed input, which
     is how clients measure response latency (action → observed
-    reaction); ``visible_entities`` drives the snapshot's wire size.
+    reaction).  The visible entities are not carried: the sender sizes
+    the message by their count.
     """
 
-    __slots__ = ("visible_entities", "processed_seq")
+    __slots__ = ("processed_seq",)
 
-    def __init__(self, visible_entities: int, processed_seq: int) -> None:
-        self.visible_entities = visible_entities
+    def __init__(self, processed_seq: int) -> None:
         self.processed_seq = processed_seq
 
 

@@ -190,13 +190,11 @@ class SpatialBatchingStage(MiddlewareStage):
         super().__init__()
         self._buffers: dict[str, list[Message]] = {}
         self._flush_scheduled = False
-        self.buffered_total = 0
 
     def on_outbound(self, message: Message) -> Message | None:
         if message.kind not in self.KINDS:
             return message
         self._buffers.setdefault(message.dst, []).append(message)
-        self.buffered_total += 1
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.node.sim.after(self.WINDOW, self._flush_tick)

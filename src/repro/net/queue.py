@@ -81,8 +81,7 @@ class ReceiveQueue:
         "_sim", "_handler", "_handlers", "_capacity",
         "_priority_kinds", "_immediate", "_service_delay", "_in_place",
         "_queue", "_busy", "_halted", "_detached_from", "_refusing",
-        "_discarded", "serviced_count", "dropped_count", "busy_time",
-        "_peak_length",
+        "_discarded", "serviced_count", "dropped_count", "_peak_length",
     )
 
     def __init__(
@@ -111,7 +110,6 @@ class ReceiveQueue:
         self._discarded = 0
         self.serviced_count = 0
         self.dropped_count = 0
-        self.busy_time = 0.0
         self._peak_length = 0
 
     # ------------------------------------------------------------------
@@ -243,7 +241,6 @@ class ReceiveQueue:
             self._finish_one()
         else:
             delay = self._service_delay
-            self.busy_time += delay
             sim = self._sim
             heappush(
                 sim._heap,
@@ -268,7 +265,6 @@ class ReceiveQueue:
                 # The next service period, scheduled after whatever the
                 # handler scheduled.
                 delay = self._service_delay
-                self.busy_time += delay
                 sim = self._sim
                 heappush(
                     sim._heap,

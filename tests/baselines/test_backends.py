@@ -86,7 +86,7 @@ def test_mirrored_mirrors_stay_consistent_via_replicas():
     mirror ghosts the rest of the population."""
     outcome = run_scenario(wave_scenario(12), backend="mirrored", seed=1)
     for game_server in outcome.experiment.game_servers.values():
-        assert game_server.remote_updates_seen > 0
+        assert set(game_server._ghosts) - set(game_server._clients)
 
 
 def test_mirrored_every_mirror_sees_full_packet_rate():
@@ -152,8 +152,9 @@ def test_p2p_roamers_reregister_across_regions():
         wave_scenario(20, duration=60.0), backend="p2p", seed=6
     )
     trackers = outcome.experiment.trackers
-    total_joins = sum(tracker.joins for tracker in trackers)
-    assert total_joins > 20, "no one ever re-registered"
+    traffic = outcome.result.traffic
+    assert traffic.kind_messages("p2p.join") > 20, "no one ever re-registered"
+    assert traffic.kind_messages("p2p.leave") > 0
     # Membership stays coherent: every active uplink is in exactly the
     # tracker of the region its player currently occupies.
     total_members = sum(tracker.member_count for tracker in trackers)
@@ -213,11 +214,7 @@ def test_dht_lookups_cost_real_latency():
     metrics = outcome.result.consistency
     assert metrics["mean_lookup_latency"] > 0.0
     assert metrics["dht_messages"] > 0
-    delivered = sum(
-        router.delivered_packets
-        for router in outcome.experiment.routers.values()
-    )
-    assert delivered > 0
+    assert outcome.result.traffic.kind_messages("matrix.deliver") > 0
 
 
 def test_dht_hop_sampling_is_seed_deterministic():

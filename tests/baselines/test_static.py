@@ -65,10 +65,9 @@ def test_cross_zone_visibility_still_works():
         spread_fraction=0.25,
     ).install(fleet, bzflag_profile())
     sim.run(until=10.0)
-    total_remote = sum(
-        gs.remote_updates_seen for gs in deployment.game_servers.values()
-    )
-    assert total_remote > 0
+    # A router hands a peer's forward to its game server only once the
+    # forward's origin is within reach of its zone.
+    assert network.stats.kind_messages("matrix.deliver") > 0
 
 
 def test_static_never_adds_servers_under_hotspot():

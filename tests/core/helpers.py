@@ -53,7 +53,7 @@ class ScriptedGameServer(Node):
     # Test drivers ---------------------------------------------------
     def report(self, clients: int) -> None:
         self.fake_client_count = clients
-        self.port.report_load(clients, self.inbox.length)
+        self.port.report_load(clients)
 
     def emit(self, origin: Vec2, dest: Vec2 | None = None):
         return self.port.send_spatial(

@@ -5,6 +5,7 @@ import pytest
 from tests.core.helpers import ScriptedGameServer, build_deployment
 
 from repro.core.api import GameServerHandle, MatrixPort
+from repro.core.config import LOAD_REPORT_BYTES
 from repro.core.messages import SetRange, SpatialPacket
 from repro.geometry import Rect, Vec2
 from repro.net.message import Message
@@ -45,7 +46,7 @@ def test_unbound_port_raises():
     with pytest.raises(RuntimeError):
         port.send_spatial(Vec2(0, 0), "p", 10)
     with pytest.raises(RuntimeError):
-        port.report_load(1, 0)
+        port.report_load(1)
     with pytest.raises(RuntimeError):
         port.query_consistency(Vec2(0, 0), lambda s: None)
 
@@ -66,12 +67,12 @@ def test_send_spatial_tags_packet():
 
 def test_report_load_wire_format():
     sim, owner, matrix, port = wired_port()
-    port.report_load(42, 7)
+    port.report_load(42)
     sim.run()
-    report = matrix.got[0].payload
-    assert matrix.got[0].kind == "matrix.load"
-    assert report.client_count == 42
-    assert report.queue_length == 7
+    message = matrix.got[0]
+    assert message.kind == "matrix.load"
+    assert message.payload.client_count == 42
+    assert message.size_bytes == LOAD_REPORT_BYTES
 
 
 def test_handle_deliver_invokes_callback():
@@ -82,7 +83,6 @@ def test_handle_deliver_invokes_callback():
     matrix.send("gs.x", "matrix.deliver", packet, size_bytes=10)
     sim.run()
     assert seen == [packet]  # the packet itself, no wrapper
-    assert port.delivered_remote == 1
     assert owner.got == []
 
 

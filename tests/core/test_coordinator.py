@@ -60,7 +60,9 @@ def test_version_increases_on_each_recompute():
     deployment.bootstrap_grid(2, 1)
     sim.run(until=1.0)
     mc = deployment.coordinator
-    assert mc.version == mc.recompute_count >= 2  # one per register
+    assert mc.version == 2  # one recompute per registration
+    for ms in deployment.matrix_servers.values():
+        assert ms.ctx.table_version == mc.version
 
 
 def test_nonproximal_query_round_trip():
@@ -93,10 +95,14 @@ def test_query_count_tracked():
     sim, network, deployment = build_deployment()
     pairs = deployment.bootstrap_grid(2, 1)
     sim.run(until=1.0)
+    answers = []
     for _ in range(3):
-        pairs[0][1].port.query_consistency(Vec2(1.0, 1.0), lambda s: None)
+        pairs[0][1].port.query_consistency(Vec2(1.0, 1.0), answers.append)
     sim.run(until=2.0)
-    assert deployment.coordinator.query_count == 3
+    traffic = network.stats
+    assert traffic.kind_messages("mc.query") == 3
+    assert traffic.kind_messages("mc.reply") == 3
+    assert len(answers) == 3
 
 
 def test_stale_split_notice_ignored():

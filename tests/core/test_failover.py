@@ -201,6 +201,7 @@ def test_unpromoted_standby_ignores_primary_traffic():
     from repro.core.messages import ConsistencyQuery
     from repro.geometry import Vec2
 
+    unhandled = standby.unhandled_count
     standby.handle_message(
         Message(
             src=pairs[0][0].name,
@@ -212,7 +213,8 @@ def test_unpromoted_standby_ignores_primary_traffic():
             size_bytes=64,
         )
     )
-    assert standby.query_count == 0
+    assert standby.unhandled_count == unhandled + 1
+    assert network.stats.kind_messages("mc.reply") == 0
 
 
 def test_standby_answers_coordinator_kinds_only_once_promoted():
@@ -222,11 +224,9 @@ def test_standby_answers_coordinator_kinds_only_once_promoted():
     sim, network, deployment = build()
     ms = deployment.bootstrap_grid(2, 1)[0][0]
     standby = deployment.standby_coordinator
-    replies = []
+    sent = []  # (kind, dst) of everything the standby sends
     network.add_tap(
-        lambda m: replies.append(m.dst)
-        if (m.src, m.kind) == (standby.name, "mc.reply")
-        else None
+        lambda m: sent.append((m.kind, m.dst)) if m.src == standby.name else None
     )
 
     def register_and_query():
@@ -240,15 +240,16 @@ def test_standby_answers_coordinator_kinds_only_once_promoted():
     sim.run(until=3.0)
     assert not standby.promoted
     assert standby.unhandled_count == 2  # through the queue, unprocessed
-    assert (standby.recompute_count, standby.query_count, replies) == (0, 0, [])
+    assert sent == []  # no table pushed, no query answered
 
     sim.at(3.0, deployment.fail_coordinator)
     sim.run(until=10.0)
     assert standby.promoted
-    recomputes = standby.recompute_count
+    version = standby.version
+    sent.clear()
     register_and_query()
     sim.run(until=11.0)
-    assert standby.recompute_count == recomputes + 1
-    assert standby.query_count == 1
-    assert replies == [ms.name]
+    assert standby.version == version + 1  # one recompute
+    assert ("mc.table", ms.name) in sent
+    assert [dst for kind, dst in sent if kind == "mc.reply"] == [ms.name]
     assert standby.unhandled_count == 2

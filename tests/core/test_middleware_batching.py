@@ -11,6 +11,7 @@ from tests.core.helpers import ScriptedGameServer
 
 from repro.core.config import LoadPolicyConfig, MatrixConfig
 from repro.core.deployment import MatrixDeployment
+from repro.core.runtime.server import MatrixServer
 from repro.games.profile import profile_by_name
 from repro.geometry import Rect, Vec2
 from repro.harness.compare import scaled_profile
@@ -106,13 +107,30 @@ def test_batching_stage_installed_from_config():
     assert stages == [SpatialBatchingStage]
 
 
-def test_combined_stages_keep_fault_injection_innermost():
+def test_combined_stages_keep_fault_injection_innermost(monkeypatch):
     """Fault injection must see packets before batching absorbs them.
 
     Batching comes from the config, at pair creation; faults from a
     chaos ``LinkDegrade``, installed when its window opens — so the
     fault stage is innermost and acts on single forwards, and batching
     aggregates the survivors."""
+    routed = []  # every forward a router hands its stages
+    send = MatrixServer.send
+
+    def counted_send(node, dst, kind, payload, size_bytes):
+        if kind == "matrix.forward":
+            routed.append(dst)
+        send(node, dst, kind, payload, size_bytes)
+
+    monkeypatch.setattr(MatrixServer, "send", counted_send)
+    batched = []  # the forwards each batch on the wire carries
+
+    def tap_batches(experiment):
+        experiment.network.add_tap(
+            lambda m: batched.append(len(m.payload))
+            if m.kind == BATCH_KIND else None
+        )
+
     outcome = run_registered_scenario(
         "lossy-wan",
         backend="matrix",
@@ -122,22 +140,25 @@ def test_combined_stages_keep_fault_injection_innermost():
         scale=0.05,
         preview=60.0,
         seed=3,
+        observe=tap_batches,
     )
     servers = list(outcome.experiment.deployment.matrix_servers.values())
     assert len(servers) > 1
-    dropped = buffered = 0
+    dropped = duplicated = waiting = 0
     for ms in servers:
         batching, faults = ms.stages
         assert type(batching) is SpatialBatchingStage
         assert type(faults) is FaultInjectionStage
         dropped += faults.dropped
-        buffered += batching.buffered_total
-    assert dropped > 0 and buffered > 0
+        duplicated += faults.duplicated
+        waiting += sum(map(len, batching._buffers.values()))
+    assert dropped > 0 and sum(batched) > 0
     # Every forward the routers sent was either dropped as a single
     # packet or reached the batching stage: nothing skipped the faults.
-    assert dropped + buffered == sum(
-        ms.ctx.stats.forwarded_packets for ms in servers
-    )
+    # Batching sends a lone forward as it is; a fault clone skips it.
+    alone = outcome.result.traffic.by_kind["matrix.forward"].messages
+    buffered = sum(batched) + alone - duplicated + waiting
+    assert dropped + buffered == len(routed)
 
 
 def test_default_config_installs_no_stages():

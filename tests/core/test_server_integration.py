@@ -153,7 +153,7 @@ def test_routing_interior_packet_stays_local():
     gs_right = pairs[1][1]
     gs_left.emit(Vec2(100.0, 500.0))  # deep interior
     sim.run(until=2.0)
-    assert ms_left.ctx.stats.forwarded_packets == 0
+    assert network.stats.kind_messages("matrix.forward") == 0
     assert gs_right.delivered == []
 
 
@@ -201,10 +201,19 @@ def test_no_table_no_forwarding():
     """Before the first table arrives, spatial packets are local-only."""
     sim, network, deployment = build_deployment()
     ms, gs = deployment.bootstrap()
+    tables = []  # the router's table when each packet arrives
+    route = ms._handlers["game.spatial"]
+
+    def receive(message):
+        tables.append(ms.ctx.table)
+        route(message)
+
+    ms._handlers["game.spatial"] = receive
     # Emit before running the sim at all (table not yet delivered).
     gs.emit(Vec2(500.0, 500.0))
     sim.run(until=1.0)
-    assert ms.ctx.stats.local_only_packets == 1
+    assert tables == [None]
+    assert network.stats.kind_messages("matrix.forward") == 0
 
 
 def test_gossip_reaches_parent():

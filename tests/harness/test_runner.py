@@ -67,7 +67,7 @@ def test_static_backend_runs_scenarios():
     )
     assert outcome.backend == "static"
     result = outcome.result
-    assert result.profile_name == profile.name
+    assert outcome.experiment.profile is profile
     assert result.max_queue() > 0
     assert len(outcome.experiment.deployment.game_servers) == 2
 

@@ -129,15 +129,6 @@ def test_negative_message_size_rejected():
         Message(src="a", dst="b", kind="k", payload=None, size_bytes=-1)
 
 
-def test_busy_time_accumulates():
-    sim = Simulator()
-    queue = ReceiveQueue(sim, miss, {"test": lambda m: None}, service_rate=10.0)
-    for i in range(10):
-        queue.deliver(make_message(i))
-    sim.run()
-    assert queue.busy_time == pytest.approx(1.0)
-
-
 def test_infinite_rate_fast_path_keeps_counters_exact():
     """The in-place service fast path must report the same counters the
     general enqueue/dequeue path would have."""
@@ -207,7 +198,6 @@ def test_switch_to_infinite_rate_mid_backlog_drains_in_place():
     assert {t for _, t in handled[3:]} == {handled[2][1]}
     assert queue.serviced_count == 5000
     assert queue.length == 0
-    assert queue.busy_time == pytest.approx(0.3)
     # Idle again, and now immediate: the next arrival is serviced in place.
     queue.deliver(make_message(-1))
     assert handled[-1] == (-1, sim.now)
@@ -235,7 +225,6 @@ def test_switch_to_finite_rate_mid_backlog_starts_scheduling():
     sim.run()
     assert handled == [(0, 0.0), (1, 0.25), (2, 0.5), (3, 0.75)]
     assert queue.serviced_count == 4
-    assert queue.busy_time == pytest.approx(0.75)
     # Back to immediate while idle: in place again.
     queue.set_service_rate(float("inf"))
     queue.deliver(make_message(4))

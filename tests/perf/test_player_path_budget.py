@@ -75,7 +75,8 @@ def count_calls(body):
 
 
 def crowd(clients):
-    """One game server owning the whole world, *clients* joined to it."""
+    """One game server owning the whole world, *clients* joined to it,
+    and the list of packets its stubbed Matrix port was handed."""
     profile = GameProfile(
         name="budget", world=WORLD, visibility_radius=60.0, action_rate=0.0
     )
@@ -86,7 +87,8 @@ def crowd(clients):
         default_profile=LinkProfile(NormalLatency(25e-3, 8e-3, floor=5e-3), 1.25e6),
     )
     server = network.add_node(GameServer("gs.1", profile, WORLD))
-    server.port.send_spatial = lambda **packet: None
+    tagged = []
+    server.port.send_spatial = lambda **packet: tagged.append(packet)
     rng = random.Random(2)
     fleet = []
     for i in range(clients):
@@ -106,13 +108,13 @@ def crowd(clients):
         assert client.active
         client._update_task.stop()
     sim.run()
-    return sim, server, fleet
+    return sim, server, fleet, tagged
 
 
 def calls_per_update():
-    sim, server, fleet = crowd(20)
+    sim, server, fleet, tagged = crowd(20)
     rounds = 300
-    before = server.updates_processed
+    before = len(tagged)
 
     def body():
         for _ in range(rounds):
@@ -121,16 +123,17 @@ def calls_per_update():
             sim.run()
 
     own, total = count_calls(body)
-    updates = server.updates_processed - before
+    updates = len(tagged) - before  # each processed update is tagged
     assert updates == rounds * len(fleet)
     return own / updates, total / updates
 
 
 def calls_per_snapshot():
-    sim, server, fleet = crowd(200)
+    sim, server, fleet, _ = crowd(200)
     server._snapshot_tick()  # the budget is for the steady state
     own, total = count_calls(server._snapshot_tick)
-    assert server.snapshots_sent == 2 * len(fleet)
+    snapshots = server.network.stats.by_kind["gs.snapshot"]
+    assert snapshots.messages == 2 * len(fleet)
     return own / len(fleet), total / len(fleet)
 
 

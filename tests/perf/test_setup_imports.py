@@ -267,7 +267,7 @@ VALUE_SAMPLES = (
     ),
     MobilitySpec("flock", {"spacing": 15.0}),
     MobilityEnv(WORLD, 25.0, random.Random(1), Vec2(5.0, 5.0), 4.0),
-    P2PCost(8, 1200.0, 1300.0, 5000.0),
+    P2PCost(1200.0, 5000.0),
     LookupCost(8, 1.5, 0.5e-3),
     LookupHop(1, "dht-ms.1", "dht-ms.3", 2),
     LookupResult(1, "dht-ms.3"),

@@ -128,15 +128,13 @@ def frames_per_forwarded_update():
 
     # First use resolves the handlers and fills the network's memos; the
     # budget is for the steady state.
+    traffic = experiment.network.stats.by_kind
     burst(1)
-    assert peer.remote_updates_seen == 1
+    assert traffic["matrix.deliver"].messages == 1
+    assert peer._ghosts["client.0"][0] == position
     calls = count_calls(lambda: burst(UPDATES))
-    assert peer.remote_updates_seen == UPDATES + 1
-    forwarded = sum(
-        server.ctx.stats.forwarded_packets
-        for server in experiment.deployment.matrix_servers.values()
-    )
-    assert forwarded == UPDATES + 1
+    assert traffic["matrix.forward"].messages == UPDATES + 1
+    assert traffic["matrix.deliver"].messages == UPDATES + 1
     return calls / UPDATES
 
 
