@@ -10,8 +10,11 @@ conclusions:
     capacity of individual servers.
 
 This module reconstructs that analysis as a closed-form model over
-square partitions, cross-validated against the simulator by the
-``bench_asymptotic_scalability`` bench.
+square partitions, and is that model only: nothing here runs the
+simulator, and the ``bench_asymptotic_scalability`` bench prints the
+model's tables without a simulation.  Comparing the model with
+measured runs is open: see ROADMAP, "The §4.2 scalability model meets
+the simulator".
 
 Model
 -----

@@ -11,7 +11,7 @@ between the receive queue and the table.
 from __future__ import annotations
 
 from abc import ABC
-from typing import Any, ClassVar, Iterable, TYPE_CHECKING, TypeVar
+from typing import Any, ClassVar, Collection, TYPE_CHECKING, TypeVar
 
 from repro.net.dispatch import (  # noqa: F401
     DispatchCollisionError,
@@ -182,18 +182,27 @@ class Node(ABC):
         return message
 
     def multicast(
-        self, dsts: Iterable[str], kind: str, payload: Any, size_bytes: int
+        self, dsts: Collection[str], kind: str, payload: Any, size_bytes: int
     ) -> None:
-        """:meth:`send` to each of *dsts* in order, in one call (through
-        :meth:`send` itself when the node has stages)."""
+        """Send one message to each of *dsts*, in order.
+
+        On a bare node the fan-out is one :class:`Message` (its ``dst``
+        is ``None``) handed with *dsts* to :meth:`Network.multicast` in
+        one call; each destination gets what a :meth:`send` to it would
+        get, and every arrival carries that one message.  An empty
+        *dsts* builds nothing.  *dsts* is a sized collection (a list,
+        tuple or dict of names), since the network accounts the
+        fan-out's length up front.  A node with stages sends each message through
+        :meth:`send`, so every stage sees every message.
+        """
         if self.stages:
             for dst in dsts:
                 self.send(dst, kind, payload, size_bytes)
             return
-        transmit = (self._network or self.network).transmit
-        name = self.name
-        for dst in dsts:
-            transmit(Message(name, dst, kind, payload, size_bytes))
+        if dsts:
+            (self._network or self.network).multicast(
+                Message(self.name, None, kind, payload, size_bytes), dsts
+            )
 
     def handle_message(self, message: Message) -> None:
         """Process one serviced message through the handler table

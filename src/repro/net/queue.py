@@ -80,7 +80,7 @@ class ReceiveQueue:
     __slots__ = (
         "_sim", "_handler", "_handlers", "_capacity",
         "_priority_kinds", "_immediate", "_service_delay", "_in_place",
-        "_queue", "_busy", "_halted", "_detached_from", "_refusing",
+        "_queue", "_busy", "_halted", "_detached", "_refusing",
         "_discarded", "serviced_count", "dropped_count", "_peak_length",
     )
 
@@ -102,8 +102,9 @@ class ReceiveQueue:
         self._queue: deque[Message] | None = None
         self._busy = False
         self._halted = False
-        #: The network that detached this queue (``None`` while attached).
-        self._detached_from: "Network | None" = None
+        #: The network that detached this queue and the name its node
+        #: was removed under (``None`` while attached).
+        self._detached: "tuple[Network, str] | None" = None
         #: Halted or detached: :meth:`deliver` refuses every arrival.
         self._refusing = False
         #: Arrivals that died with a halted host: queued ones, then new.
@@ -179,21 +180,24 @@ class ReceiveQueue:
             queue.clear()
         self._busy = False
 
-    def detach(self, network: "Network") -> None:
-        """The node left *network*: refuse every later arrival.
+    def detach(self, network: "Network", name: str) -> None:
+        """The node *name* left *network*: refuse every later arrival.
 
         What is queued is still serviced (a removed node drains its
         backlog, as it always did); an arrival — in flight when the
-        node was removed — goes back to *network*, which hands it to
-        the node holding the name now or counts it undeliverable.
+        node was removed — goes back to *network* with *name*, which
+        hands it to the node holding the name now or counts it
+        undeliverable.  The name is the queue's to keep: a fan-out's
+        message names no destination.
         """
-        self._detached_from = network
+        self._detached = (network, name)
         self._refusing = True
 
     def _refuse(self, message: Message) -> None:
-        network = self._detached_from
-        if network is not None:
-            network._arrive_detached(message, self._sim)
+        detached = self._detached
+        if detached is not None:
+            network, name = detached
+            network._arrive_detached(message, name, self._sim)
         else:  # halted: delivered, and lost with the host
             self._discarded += 1
 

@@ -26,10 +26,11 @@ What changes relative to the classic fabric:
   identically at every shard count, instead of mid-window where other
   lanes' visibility of the removal would depend on execution order.
 
-``transmit`` and its accounting are the base class's; this class
-supplies the per-source stream (:meth:`_latency_rng`) and the
-destination's lane (:meth:`_lane_of`), both kept on the routes, and the
-hand-off for a lane crossing (:meth:`_hand_off`).  A same-lane send is
+``transmit``, the fan-out ``multicast`` and their accounting are the
+base class's; this class supplies the per-source stream
+(:meth:`_latency_rng`) and the destination's lane (:meth:`_lane_of`),
+both kept on the routes, and the hand-off for a lane crossing
+(:meth:`_hand_off`).  A same-lane send is
 the plain network's push onto the sending lane's heap.  Either way the
 arrival's callback is the route's — the destination queue's
 ``deliver`` — so the outbox and the barrier flush carry it too.  Sums

@@ -42,17 +42,18 @@ class TraceRecorder:
         self._buffer: list[TraceEvent] = []
         network.add_tap(self._tap)
 
-    def _tap(self, message: Message) -> None:
-        if message.src.startswith(self._prefix) or message.dst.startswith(
-            self._prefix
-        ):
+    def _tap(self, message: Message, dst: str) -> None:
+        src = message.src
+        if src.startswith(self._prefix) or dst.startswith(self._prefix):
             # Shard lanes call in lane order, not time order; canonical
-            # ordering is restored on read, never relied on here.
+            # ordering is restored on read, never relied on here.  The
+            # clock is the send time: on the sharded facade, the
+            # executing lane's.
             self._buffer.append(
                 (
-                    message.sent_at,
-                    message.src,
-                    message.dst,
+                    self._network.sim.now,
+                    src,
+                    dst,
                     message.kind,
                     message.size_bytes,
                 )

@@ -65,7 +65,7 @@ def test_post_failover_queries_served_by_standby():
     sim.run(until=10.0)
     repliers = []
     network.add_tap(
-        lambda m: repliers.append(m.src) if m.kind == "mc.reply" else None
+        lambda m, dst: repliers.append(m.src) if m.kind == "mc.reply" else None
     )
     answers = []
     pairs[0][1].port.query_consistency(Vec2(900.0, 500.0), answers.append)

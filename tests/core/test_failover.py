@@ -153,11 +153,11 @@ def test_promoted_standby_cuts_tables_at_the_configured_radius():
     standby = deployment.standby_coordinator
     syncs, tables = [], []
 
-    def tap(message):
+    def tap(message, dst):
         if message.kind == "mc.sync":
             syncs.append(message.payload)
         elif message.kind == "mc.table" and message.src == standby.name:
-            tables.append(message)
+            tables.append((message, dst))
 
     network.add_tap(tap)
     sim.run(until=3.0)
@@ -171,18 +171,16 @@ def test_promoted_standby_cuts_tables_at_the_configured_radius():
 
     radius = deployment.config.visibility_radius
     last = {}
-    for message in tables:
+    for message, dst in tables:
         update = message.payload
-        cells = decompose_partition(
-            message.dst, update.partitions, radius, METRIC
-        )
+        cells = decompose_partition(dst, update.partitions, radius, METRIC)
         assert update.cells == cells
         assert message.size_bytes == (
             len(cells) * TABLE_CELL_BYTES
             + 2 * len(update.partitions) * DIRECTORY_ENTRY_BYTES
             + CONTROL_BYTES
         )
-        last[message.dst] = update
+        last[dst] = update
     assert set(last) == {ms.name for ms, _ in pairs}
     for ms, _ in pairs:
         # The final push knows the whole grid, and every quadrant of a
@@ -226,7 +224,9 @@ def test_standby_answers_coordinator_kinds_only_once_promoted():
     standby = deployment.standby_coordinator
     sent = []  # (kind, dst) of everything the standby sends
     network.add_tap(
-        lambda m: sent.append((m.kind, m.dst)) if m.src == standby.name else None
+        lambda m, dst: sent.append((m.kind, dst))
+        if m.src == standby.name
+        else None
     )
 
     def register_and_query():

@@ -127,7 +127,7 @@ def test_combined_stages_keep_fault_injection_innermost(monkeypatch):
 
     def tap_batches(experiment):
         experiment.network.add_tap(
-            lambda m: batched.append(len(m.payload))
+            lambda m, dst: batched.append(len(m.payload))
             if m.kind == BATCH_KIND else None
         )
 

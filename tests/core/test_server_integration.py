@@ -235,7 +235,7 @@ def protocol_ids():
     ms, gs = deployment.bootstrap()
     seen = []
 
-    def tap(message):
+    def tap(message, dst):
         payload = message.payload
         for field in ("request_id", "transfer_id"):
             if hasattr(payload, field):

@@ -8,7 +8,8 @@ and the sharded network: a message in flight to a node removed before
 it lands is undeliverable (once) and reaches no handler; one to a
 halted node that is still registered counts as delivered and is not
 serviced; one to a name removed and re-added in flight reaches the
-newcomer (on the sharded network, a newcomer on the same lane).
+newcomer (on the sharded network, a newcomer on the same lane), a
+fan-out's arrival too, whose message names no destination.
 Every route to a node holds the one arrival bound for it, and a
 removal drops the node's routes without touching the books.
 """
@@ -119,6 +120,35 @@ def test_a_name_re_added_in_flight_gets_the_message(sharded, rate):
     assert old.received == []
     assert newcomer.received == ["in flight"]
     assert (network.delivered_count, network.undeliverable_count) == (1, 0)
+
+
+@NETWORKS
+@pytest.mark.parametrize("re_added", [True, False], ids=["re-added", "gone"])
+def test_a_fan_out_destination_removed_in_flight(sharded, re_added):
+    """A fan-out's one message names no destination (``dst`` is
+    ``None``): the removed queue hands its arrival back under the name
+    it was removed as."""
+    engine, network = build(sharded)
+    source = network.add_node(Sink("a"))
+    network.add_node(Sink("b"))
+    kept = network.add_node(Sink("c"))
+
+    def act():
+        source.multicast(["b", "c"], "probe", "in flight", 100)
+        source.sim.after(0.01, network.remove_node, "b")
+
+    source.sim.at(0.0, act)
+    engine.run(until=0.25)  # removed (on the sharded network: at a barrier)
+    assert not network.has_node("b")
+    if re_added:
+        newcomer = network.add_node(Sink("b"))
+    engine.run(until=2.0)
+    assert kept.received == ["in flight"]
+    if re_added:
+        assert newcomer.received == ["in flight"]
+        assert (network.delivered_count, network.undeliverable_count) == (2, 0)
+    else:
+        assert (network.delivered_count, network.undeliverable_count) == (1, 1)
 
 
 def test_a_name_re_added_on_another_lane_in_flight_is_refused():

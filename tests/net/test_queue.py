@@ -273,8 +273,8 @@ class Returns:
     def __init__(self):
         self.returned = []
 
-    def _arrive_detached(self, message, sim):
-        self.returned.append(message.payload)
+    def _arrive_detached(self, message, name, sim):
+        self.returned.append((name, message.payload))
 
 
 @STATES
@@ -319,12 +319,12 @@ def test_detach_hands_later_arrivals_back_and_drains_the_backlog(state):
     queue = queue_in(state, sim, lambda m: handled.append(m.payload))
     for i in range(2):
         queue.deliver(make_message(i))
-    queue.detach(network)
+    queue.detach(network, "b")
     arrivals = queue.arrivals
     queue.deliver(make_message(2))
     sim.run()
     assert handled == [0, 1]  # a removed node still drains its backlog
-    assert network.returned == [2]
+    assert network.returned == [("b", 2)]
     assert queue.arrivals == arrivals
     assert queue.length == 0
 

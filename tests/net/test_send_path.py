@@ -2,7 +2,8 @@
 
 ``Node.multicast`` must be indistinguishable from one ``Node.send`` per
 destination — same accounting, taps, latency draws and arrival order —
-on the plain and the sharded network.  Routes must follow profile-rule
+on the plain and the sharded network, though a fan-out is one message
+that every arrival carries.  Routes must follow profile-rule
 changes made after traffic has flowed (a colocation re-resolves only the
 routes naming its nodes, and neither a new colocation nor a removal
 leaves a stale partner behind), and a node that keeps a kind out
@@ -41,13 +42,18 @@ WORLD = Rect(0.0, 0.0, 100.0, 100.0)
 
 
 class Sink(Node):
-    def __init__(self, name, log, **kwargs):
+    """Logs ``(name, arrival time, payload)``; the payload of a timing
+    probe is its send time."""
+
+    def __init__(self, name, log, messages=None, **kwargs):
         super().__init__(name, **kwargs)
         self._log = log
+        self._messages = messages if messages is not None else []
 
     @handles("probe")
     def _on_probe(self, message):
-        self._log.append((self.name, self.sim.now, message.sent_at))
+        self._log.append((self.name, self.sim.now, message.payload))
+        self._messages.append(message)
 
 
 def build(sharded):
@@ -61,17 +67,21 @@ def build(sharded):
     else:
         engine = Simulator()
         network = Network(engine, rng=random.Random(7), default_profile=WAN)
-    log, tapped = [], []
-    network.add_tap(lambda message: tapped.append((message.dst, message.sent_at)))
-    source = Sink("src", log)
+    log, tapped, messages = [], [], []
+    network.add_tap(
+        lambda message, dst: tapped.append(
+            (dst, engine.now, message.kind, message.payload)
+        )
+    )
+    source = Sink("src", log, messages)
     source.shard_anchor = Vec2(10, 50)
     network.add_node(source)
     for index in range(6):
         rate = 400.0 if index == 2 else float("inf")
-        sink = Sink(f"p{index}", log, service_rate=rate)
+        sink = Sink(f"p{index}", log, messages, service_rate=rate)
         sink.shard_anchor = Vec2(10 if index % 2 else 90, 50)  # both lanes
         network.add_node(sink)
-    return engine, network, source, log, tapped
+    return engine, network, source, log, tapped, messages
 
 
 DESTINATIONS = ["p3", "p0", "ghost", "p2", "p5", "p2", "p1", "p4"]
@@ -79,9 +89,10 @@ DESTINATIONS = ["p3", "p0", "ghost", "p2", "p5", "p2", "p1", "p4"]
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
 def test_multicast_matches_sends(sharded):
-    outcomes = []
+    outcomes, arrived = [], []
     for fan_out in ("multicast", "send"):
-        engine, network, source, log, tapped = build(sharded)
+        engine, network, source, log, tapped, messages = build(sharded)
+        arrived.append(messages)
 
         def burst(_=None):
             for round_ in range(3):
@@ -106,6 +117,13 @@ def test_multicast_matches_sends(sharded):
     assert multicast == sends
     assert multicast[3] == 3  # the unknown destination, once a round
     assert len(multicast[1]) == 3 * (len(DESTINATIONS) - 1)
+    assert len(multicast[2]) == 3 * len(DESTINATIONS)
+    # A fan-out is one message, which all its arrivals carry; a send
+    # per destination is one message each.
+    for messages, per_round in zip(arrived, (1, len(DESTINATIONS) - 1)):
+        for round_ in range(3):
+            carried = {id(m) for m in messages if m.payload == round_}
+            assert len(carried) == per_round
 
 
 class Counting(MiddlewareStage):
@@ -119,7 +137,7 @@ class Counting(MiddlewareStage):
 
 
 def test_multicast_with_a_stage_sends_each_message_through_it():
-    engine, network, source, log, _ = build(sharded=False)
+    engine, network, source, log, _, _ = build(sharded=False)
     stage = source.use(Counting())
     source.multicast(["p0", "p1", "ghost"], "probe", None, 10)
     engine.run()
@@ -135,14 +153,14 @@ def test_profile_change_after_traffic_changes_the_next_delay():
     log = []
     source = network.add_node(Sink("a", log))
     network.add_node(Sink("b", log))
-    source.send("b", "probe", None, 0)
+    source.send("b", "probe", sim.now, 0)
     sim.run()
     network.set_prefix_profile("a", "b", LinkProfile(ConstantLatency(0.050), 1e9))
-    source.send("b", "probe", None, 0)
+    source.send("b", "probe", sim.now, 0)
     sim.run()
     network.set_prefix_profile("", "", LinkProfile(ConstantLatency(0.1), 1e9))
     network.set_colocated("a", "b")
-    source.send("b", "probe", None, 0)
+    source.send("b", "probe", sim.now, 0)
     sim.run()
     loopback = network.profile_for("a", "b").latency.fixed
     delays = [arrived - sent for _, arrived, sent in log]
@@ -159,15 +177,15 @@ def test_a_colocation_re_resolves_only_the_routes_naming_its_nodes():
     nodes = {name: network.add_node(Sink(name, log)) for name in "abcxy"}
     network.set_colocated("a", "c")
     for src, dst in (("x", "y"), ("a", "c"), ("a", "x"), ("y", "b")):
-        nodes[src].send(dst, "probe", None, 0)
+        nodes[src].send(dst, "probe", sim.now, 0)
     sim.run()
     kept = network._routes["x", "y"]
     network.set_colocated("a", "b")  # a leaves its former partner c
     assert network._routes["x", "y"] is kept
     assert sorted(network._routes) == [("x", "y")]
     del log[:]
-    nodes["a"].send("c", "probe", None, 0)
-    nodes["a"].send("b", "probe", None, 0)
+    nodes["a"].send("c", "probe", sim.now, 0)
+    nodes["a"].send("b", "probe", sim.now, 0)
     sim.run()
     loopback = network.profile_for("a", "b").latency.fixed
     delays = [arrived - sent for _, arrived, sent in log]
@@ -182,13 +200,13 @@ def test_a_new_colocation_unmaps_the_former_partner():
     log = []
     nodes = {name: network.add_node(Sink(name, log)) for name in "abc"}
     network.set_colocated("a", "b")
-    nodes["b"].send("a", "probe", None, 0)  # builds the loopback route
+    nodes["b"].send("a", "probe", sim.now, 0)  # builds the loopback route
     sim.run()
     network.set_colocated("a", "c")
     assert network.profile_for("b", "a") is network._default
     assert network._colocated == {"a": "c", "c": "a"}
     del log[:]
-    nodes["b"].send("a", "probe", None, 0)
+    nodes["b"].send("a", "probe", sim.now, 0)
     sim.run()
     assert [arrived - sent for _, arrived, sent in log] == pytest.approx(
         [0.010]

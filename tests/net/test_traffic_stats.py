@@ -141,7 +141,6 @@ def test_message_and_stats_survive_a_pickle_round_trip():
         src="gs.0", dst="client.1", kind="game.snapshot",
         payload={"tick": 3, "near": ("client.2",)}, size_bytes=480,
     )
-    original.sent_at = 12.5
     clone = pickle.loads(pickle.dumps(original))
     assert clone is not original
     for slot in Message.__slots__:

@@ -20,6 +20,13 @@ barrier-round row counts calls per *window* instead: two lanes with one
 self-rescheduling event each, so a window runs one event, its
 ``after`` and the drain — the round itself adds no frame.
 
+The fan-out rows count calls per destination of an 8-way
+``Node.multicast`` to bare sinks: one message and one network call for
+the whole fan-out, then the draw, the arrival and the handler per
+destination, 3.375 idle and 4.375 queued (budgets 3.5 / 4.5).  A
+message and a ``transmit`` per destination read 5.125 / 6.125.  An
+empty fan-out calls nothing past ``Node.multicast``.
+
 Calls on CPython 3.11 after each rewrite: *entry* — the heap entry
 became the event handle (no ``Event.__init__`` per schedule) and the
 finite-rate queue started its service periods in place (no
@@ -54,6 +61,7 @@ round                      9.0    3.0   3.0   3.0     4
 import gc
 import random
 import sys
+from functools import partial
 
 import pytest
 
@@ -143,6 +151,58 @@ def test_a_stage_adds_no_frame_to_the_receive_path(service_rate):
     assert frames_per_message(service_rate, staged=True) == (
         frames_per_message(service_rate)
     )
+
+
+FAN_OUT = 8
+
+
+def frames_per_fan_out_destination(service_rate):
+    """Calls per destination of an 8-way fan-out to bare sinks."""
+    sim = Simulator()
+    network = Network(sim, rng=random.Random(1), default_profile=WAN)
+    source = network.add_node(Sink("a"))
+    names = [f"b{index}" for index in range(FAN_OUT)]
+    sinks = [
+        network.add_node(Sink(name, service_rate=service_rate))
+        for name in names
+    ]
+    source.multicast(names, "probe", None, 100)  # fills the memos
+    sim.run()
+
+    def burst():
+        for _ in range(MESSAGES):
+            source.multicast(names, "probe", None, 100)
+        sim.run()
+
+    calls = count_calls(burst)
+    assert all(sink.received == MESSAGES + 1 for sink in sinks)
+    return calls / (MESSAGES * FAN_OUT)
+
+
+@pytest.mark.parametrize(
+    "service_rate, budget",
+    [(float("inf"), 3.5), (500.0, 4.5)],
+    ids=["idle", "queued"],
+)
+def test_frames_per_fan_out_destination(service_rate, budget):
+    """A fan-out is one ``Node.multicast``, one ``Message.__init__`` and
+    one network call; each destination then costs only the draw, the
+    arrival and the handler (and the service period's ``_finish_one``
+    on the queued path): 3.375 / 4.375.  A message and a ``transmit``
+    per destination read 5.125 / 6.125."""
+    frames = frames_per_fan_out_destination(service_rate)
+    assert frames == frames_per_fan_out_destination(service_rate)
+    assert frames <= budget
+
+
+def test_an_empty_fan_out_calls_nothing():
+    """No message is built and the network is not entered: the only
+    call is ``Node.multicast`` itself."""
+    network = Network(Simulator())
+    source = network.add_node(Sink("a"))
+    fan_out = partial(source.multicast, [], "probe", None, 100)
+    assert count_calls(fan_out) == 1
+    assert network.stats.by_kind == {}
 
 
 def sharded_frames_per_message(sink_x):
